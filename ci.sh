@@ -28,15 +28,17 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 
 # Optional sanitizer lane: a second compilation with AddressSanitizer +
 # UndefinedBehaviorSanitizer over the fast suites (base/store/planner/sweep
-# units, not the minutes-long corpus sweeps) so memory bugs in the hot
-# engines surface without slowing the tier-1 path.
+# units, not the minutes-long corpus sweeps, plus the k-fault SYNFI and
+# Analyzer suites that drive the one SYNFI engine path and the shared
+# run_shards fan-out) so memory bugs in the hot engines surface without
+# slowing the tier-1 path.
 if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCFI_BUILD_BENCHMARKS=OFF -DSCFI_BUILD_EXAMPLES=OFF \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes'
+    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree'
 fi
 
 # Verilog write->read roundtrip gate: every zoo module (unprotected and SCFI-

@@ -678,9 +678,9 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.exploitable), r.exploitable_pct(),
                   static_cast<long long>(r.detected));
       // The smallest exploitable fault count up to --faults-k; for an
-      // encoding with minimum distance d this is d once k reaches it.
-      const int degree = scfi::synfi::measured_protection_degree(analyzer, synfi_config,
-                                                                 faults_k);
+      // encoding with minimum distance d this is d once k reaches it. The
+      // report above answers k = --faults-k, so only smaller k re-run.
+      const int degree = scfi::synfi::measured_protection_degree(analyzer, synfi_config, r);
       if (degree > 0) {
         std::printf("protection degree: %d (smallest exploitable k, probed up to %d)\n",
                     degree, faults_k);

@@ -38,4 +38,8 @@ inline void require(bool cond, const std::string& msg) {
   throw LogicBug("unreachable: " + msg);
 }
 
+/// The active exception's message ("unknown error" for non-std exceptions).
+/// Callable only from a catch block: it rethrows to inspect the type.
+std::string describe_current_exception();
+
 }  // namespace scfi

@@ -3,14 +3,13 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <exception>
 #include <numeric>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "base/error.h"
 #include "base/log.h"
+#include "base/parallel.h"
 #include "base/retry.h"
 #include "base/rng.h"
 #include "base/strutil.h"
@@ -498,32 +497,14 @@ void execute_all(const Fsm& fsm, const CompiledFsm& variant,
                  const std::vector<FaultSite>& sites, const CampaignConfig& config,
                  const StimulusTable& stim, int num_batches, int workers,
                  ViewFactory make_view, CampaignResult& result) {
-  if (workers <= 1) {
-    auto view = make_view();
-    execute_batches(fsm, variant, sites, config, stim, view, 0, num_batches, result);
-    return;
-  }
   std::vector<CampaignResult> partial(static_cast<std::size_t>(workers));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
+  run_shards(workers, [&](int w) {
     const int begin = static_cast<int>(static_cast<std::int64_t>(num_batches) * w / workers);
     const int end = static_cast<int>(static_cast<std::int64_t>(num_batches) * (w + 1) / workers);
-    pool.emplace_back([&, w, begin, end] {
-      try {
-        auto view = make_view();
-        execute_batches(fsm, variant, sites, config, stim, view, begin, end,
-                        partial[static_cast<std::size_t>(w)]);
-      } catch (...) {
-        errors[static_cast<std::size_t>(w)] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& th : pool) th.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+    auto view = make_view();
+    execute_batches(fsm, variant, sites, config, stim, view, begin, end,
+                    partial[static_cast<std::size_t>(w)]);
+  });
   for (const CampaignResult& p : partial) {
     result.masked += p.masked;
     result.detected += p.detected;

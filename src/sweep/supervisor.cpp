@@ -48,16 +48,6 @@ void sleep_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-std::string describe_current_exception() {
-  try {
-    throw;
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown error";
-  }
-}
-
 struct WorkerArgs {
   const FleetConfig* fleet = nullptr;
   const std::vector<SweepJob>* pending = nullptr;  ///< inherited via fork

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "base/error.h"
+#include "base/parallel.h"
 #include "base/strutil.h"
 #include "ot/zoo.h"
 #include "rtlil/design.h"
@@ -57,18 +58,6 @@ const ModuleSource& source_of(const SweepJob& job, const ModuleSource* provided)
               "' has no matching module source (pass the corpus the jobs "
               "were expanded from)");
   return *provided;
-}
-
-/// The active exception's message, callable only from a catch block (it
-/// rethrows to inspect the type).
-std::string describe_current_exception() {
-  try {
-    throw;
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown error";
-  }
 }
 
 }  // namespace
@@ -237,20 +226,10 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
                 config.threads = inner;
                 if (cancellable) config.cancel = &cancel;
                 result.report = analyzer->run(config);
-                // Measured protection degree: the smallest exploitable k up
-                // to the job's faults_k. The job's own report answers
-                // k = faults_k; smaller k probe the shared (cached)
-                // analyzer, which for the common faults_k = 1 job means no
-                // extra work at all.
-                result.protection_degree = 0;
-                for (int k = 1; k < config.faults_k && result.protection_degree == 0; ++k) {
-                  synfi::SynfiConfig probe = config;
-                  probe.faults_k = k;
-                  if (analyzer->run(probe).exploitable > 0) result.protection_degree = k;
-                }
-                if (result.protection_degree == 0 && result.report.exploitable > 0) {
-                  result.protection_degree = config.faults_k;
-                }
+                // The job's own report answers k = faults_k; only smaller k
+                // re-query the shared (cached) analyzer.
+                result.protection_degree =
+                    synfi::measured_protection_degree(*analyzer, config, result.report);
               }
               result.attempts = attempt;
               result.seconds = elapsed();
@@ -299,14 +278,9 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
     }
   };
 
-  if (outer <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(outer));
-    for (int w = 0; w < outer; ++w) pool.emplace_back(worker, w);
-    for (std::thread& th : pool) th.join();
-  }
+  // The worker catches its own escapes into `errors`, so run_shards only
+  // joins; the aggregation below reports every one of them.
+  run_shards(outer, worker);
   // Escaped errors abort the sweep — all of them reported, not just the
   // first worker's: under fail_fast several workers can trip concurrently,
   // and swallowing the others hides real failures.

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <exception>
 #include <limits>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 
 #include "base/error.h"
+#include "base/parallel.h"
 #include "base/retry.h"
 #include "base/strutil.h"
 #include "sat/cnf.h"
@@ -74,12 +73,13 @@ sat::CnfFaultKind to_cnf_kind(sim::FaultKind kind) {
   }
 }
 
-// --- lazy combination streaming (k-fault sweeps) ---------------------------
+// --- lazy combination streaming ---------------------------------------------
 //
-// k-fault jobs are (combination, edge) pairs in combo-major lexicographic
-// order. Shards claim contiguous *rank* ranges, unrank their first
-// combination once, and then step with the O(k) lexicographic successor —
-// no shard ever materialises the C(n, k) combination list.
+// Exhaustive jobs are (combination, edge) pairs in combo-major lexicographic
+// order; a single fault is a 1-combination. Shards claim contiguous *rank*
+// ranges, unrank their first combination once, and then step with the O(k)
+// lexicographic successor — no shard ever materialises the C(n, k)
+// combination list.
 
 std::uint64_t binomial(std::size_t n, std::size_t k) {
   if (k > n) return 0;
@@ -151,16 +151,15 @@ EdgeTable build_edge_table(const CompiledFsm& variant, const std::vector<CfgEdge
   return table;
 }
 
-/// Partial report for one contiguous site range. Counters are plain sums
-/// and exploitable_sites stays in site order, so merging shards in range
-/// order reproduces the single-threaded report exactly.
+/// Partial counters of one shard. They are plain sums, and exploitable
+/// sites go into a per-shard full-region bitmap that the merge ORs and
+/// emits in global site order, so the report is lanes/threads-invariant.
 struct ShardReport {
   std::int64_t injections = 0;
   std::int64_t exploitable = 0;
   std::int64_t detected = 0;
   std::int64_t masked = 0;
   std::int64_t stalls = 0;
-  std::vector<std::string> exploitable_sites;
 };
 
 /// One reusable worker context of the exhaustive back-end: the compiled
@@ -186,13 +185,11 @@ struct SimContext {
   }
 };
 
-/// Per-edge-alignment stimulus. Jobs stay in (site-major, edge-minor) order,
-/// so a batch starting at job j0 always drives lane k with edge (j0 + k)
-/// mod E: the per-word stimulus and per-lane from/to state indices depend
-/// only on j0 mod E. Precomputed per alignment so the batch loops never
-/// repack bits or divide. Shared verbatim by the single-fault and k-fault
-/// exhaustive shards (k-fault jobs are (combo-major, edge-minor), the same
-/// edge cadence).
+/// Per-edge-alignment stimulus. Jobs stay in (combo-major, edge-minor)
+/// order, so a batch starting at job j0 always drives lane k with edge
+/// (j0 + k) mod E: the per-word stimulus and per-lane from/to state indices
+/// depend only on j0 mod E. Precomputed per alignment so the batch loop
+/// never repacks bits or divides.
 struct AlignedStimulus {
   std::vector<std::uint64_t> in_words;   ///< symbol bit x word -> lane word
   std::vector<std::uint64_t> st_words;   ///< state bit x word -> lane word
@@ -231,184 +228,17 @@ std::vector<AlignedStimulus> build_aligned_stimulus(const EdgeTable& edges, int 
   return aligned;
 }
 
-/// Exhaustive-simulation back-end over sites [site_begin, site_end): packs
-/// up to `config.lanes` (site, edge) jobs into every eval/step pass —
+/// Exhaustive-simulation back-end over combination ranks [combo_begin,
+/// combo_end): every job is one lexicographic site combination x one edge
+/// (combo-major, edge-minor), all k faults of a combo injected into the same
+/// lane, and up to `config.lanes` jobs packed into every eval/step pass —
 /// 64 x lane_words jobs when the context's simulator carries a multi-word
-/// lane block. Lane k carries job k's state/symbol stimulus (per-lane
+/// lane block. Lane j carries job j's state/symbol stimulus (per-lane
 /// register/input words) and a single-lane fault mask; outcomes are
 /// classified word-parallel, W lane words at a time. Lanes never interact,
 /// so the per-job outcome equals the scalar one-job-per-pass path bit for
-/// bit.
-void run_exhaustive_shard(SimContext& ctx, const CompiledFsm& variant,
-                          const std::vector<SigBit>& sites, const EdgeTable& edges,
-                          const SynfiConfig& config, std::size_t site_begin,
-                          std::size_t site_end, ShardReport& out) {
-  sim::Simulator& simulator = ctx.simulator;
-  const sim::Simulator::WireHandle symbol_h = ctx.symbol_h;
-  const sim::Simulator::WireHandle state_h = ctx.state_h;
-  const sim::Simulator::WireHandle alert_h = ctx.alert_h;
-  const int W = simulator.lane_words();
-  const std::size_t total_lanes = static_cast<std::size_t>(W) * 64;
-  const int state_w = state_h.width;
-  const int symbol_w = symbol_h.width;
-  const std::size_t num_states = variant.state_codes.size();
-  // A code with bits beyond the register width can never match.
-  const auto fits = [state_w](std::uint64_t code) {
-    return state_w >= 64 || (code >> state_w) == 0;
-  };
-
-  std::vector<std::int32_t> site_net;
-  site_net.reserve(site_end - site_begin);
-  for (std::size_t s = site_begin; s < site_end; ++s) {
-    site_net.push_back(simulator.net_index(sites[s]));
-  }
-
-  const std::size_t num_edges = edges.size();
-  const std::size_t num_jobs = (site_end - site_begin) * num_edges;
-  const auto lanes = static_cast<std::size_t>(config.lanes);
-  const auto alert_word = [&](int w) {
-    std::uint64_t word = 0;
-    for (std::int32_t i = 0; i < alert_h.width; ++i) {
-      word |= simulator.lane_word(alert_h.base + i, w);
-    }
-    return word;
-  };
-
-  // Runtime-width lane sets: words [0, W) of a kMaxLaneWords array, so the
-  // classic one-word configuration pays for exactly one word.
-  using LaneWords = std::array<std::uint64_t, sim::kMaxLaneWords>;
-  std::vector<std::uint64_t> state_words(static_cast<std::size_t>(state_w * W));
-  std::vector<std::uint64_t> state_eq(num_states * static_cast<std::size_t>(W));
-  std::vector<char> site_hit(site_end - site_begin, 0);
-
-  const std::vector<AlignedStimulus> aligned =
-      build_aligned_stimulus(edges, symbol_w, state_w, W, total_lanes);
-
-  std::size_t cur_site = 0;  ///< shard-local site index of the next job
-  std::size_t cur_edge = 0;
-  for (std::size_t job0 = 0; job0 < num_jobs; job0 += lanes) {
-    // Cooperative cancellation at batch granularity: a fired token (sweep
-    // job deadline) stops the shard here, never mid-batch.
-    if (config.cancel != nullptr) config.cancel->check("synfi");
-    const std::size_t batch_jobs = std::min(lanes, num_jobs - job0);
-    const sim::LaneMask batch_mask = sim::LaneMask::first_n(static_cast<int>(batch_jobs));
-    const AlignedStimulus& a = aligned[cur_edge];
-
-    simulator.clear_all_faults();
-    for (int i = 0; i < symbol_w; ++i) {
-      for (int w = 0; w < W; ++w) {
-        simulator.set_input_word(symbol_h, i, a.in_words[static_cast<std::size_t>(i * W + w)], w);
-      }
-    }
-    for (int i = 0; i < state_w; ++i) {
-      for (int w = 0; w < W; ++w) {
-        simulator.set_register_word(state_h, i, a.st_words[static_cast<std::size_t>(i * W + w)],
-                                    w);
-      }
-    }
-    std::size_t s = cur_site;
-    std::size_t e = cur_edge;
-    for (std::size_t lane = 0; lane < batch_jobs; ++lane) {
-      simulator.inject_net(site_net[s], config.kind,
-                           sim::LaneMask::lane(static_cast<int>(lane)));
-      if (++e == num_edges) {
-        e = 0;
-        ++s;
-      }
-    }
-
-    simulator.eval();
-    LaneWords alert_pre{};
-    if (alert_h.valid()) {
-      for (int w = 0; w < W; ++w) alert_pre[static_cast<std::size_t>(w)] = alert_word(w);
-    }
-    simulator.step();
-    LaneWords alert_post{};
-    if (alert_h.valid()) {
-      for (int w = 0; w < W; ++w) alert_post[static_cast<std::size_t>(w)] = alert_word(w);
-    }
-    for (int i = 0; i < state_w; ++i) {
-      for (int w = 0; w < W; ++w) {
-        state_words[static_cast<std::size_t>(i * W + w)] =
-            simulator.lane_word(state_h.base + i, w);
-      }
-    }
-
-    // Word-parallel classification: equality masks of the latched state
-    // against every codeword at once instead of decoding lane by lane.
-    for (std::size_t sc = 0; sc < num_states; ++sc) {
-      const std::uint64_t code = variant.state_codes[sc];
-      for (int w = 0; w < W; ++w) {
-        std::uint64_t eq = fits(code) ? batch_mask.w[static_cast<std::size_t>(w)] : 0;
-        for (int i = 0; i < state_w && eq != 0; ++i) {
-          const std::uint64_t sw = state_words[static_cast<std::size_t>(i * W + w)];
-          eq &= ((code >> i) & 1) ? sw : ~sw;
-        }
-        state_eq[sc * static_cast<std::size_t>(W) + static_cast<std::size_t>(w)] = eq;
-      }
-    }
-    LaneWords err_eq{};
-    if (variant.has_error_state) {
-      for (int w = 0; w < W; ++w) {
-        std::uint64_t eq = fits(variant.error_code) ? batch_mask.w[static_cast<std::size_t>(w)] : 0;
-        for (int i = 0; i < state_w && eq != 0; ++i) {
-          const std::uint64_t sw = state_words[static_cast<std::size_t>(i * W + w)];
-          eq &= ((variant.error_code >> i) & 1) ? sw : ~sw;
-        }
-        err_eq[static_cast<std::size_t>(w)] = eq;
-      }
-    }
-    LaneWords match_expect{};
-    LaneWords match_from{};
-    for (std::size_t lane = 0; lane < batch_jobs; ++lane) {
-      const std::size_t wj = lane >> 6;
-      const std::uint64_t bit = 1ULL << (lane & 63);
-      match_expect[wj] |= state_eq[static_cast<std::size_t>(a.lane_to[lane]) *
-                                       static_cast<std::size_t>(W) +
-                                   wj] &
-                          bit;
-      match_from[wj] |= state_eq[static_cast<std::size_t>(a.lane_from[lane]) *
-                                     static_cast<std::size_t>(W) +
-                                 wj] &
-                        bit;
-    }
-
-    out.injections += static_cast<std::int64_t>(batch_jobs);
-    for (int w = 0; w < W; ++w) {
-      const auto j = static_cast<std::size_t>(w);
-      const std::uint64_t mask = batch_mask.w[j];
-      const std::uint64_t masked = match_expect[j] & ~alert_pre[j] & mask;
-      const std::uint64_t detected =
-          (alert_pre[j] | alert_post[j] | err_eq[j]) & ~masked & mask;
-      // Everything else is an undetected deviation: a valid-but-wrong state
-      // (hijack/stall) or an undetected non-codeword (cannot happen for SCFI
-      // variants) — both count as exploitable, exactly like the scalar path.
-      const std::uint64_t expl = mask & ~masked & ~detected;
-
-      out.masked += std::popcount(masked);
-      out.detected += std::popcount(detected);
-      out.exploitable += std::popcount(expl);
-      out.stalls += std::popcount(expl & match_from[j]);
-      for (std::uint64_t hits = expl; hits != 0; hits &= hits - 1) {
-        const auto lane = (j << 6) + static_cast<std::size_t>(std::countr_zero(hits));
-        site_hit[cur_site + (cur_edge + lane) / num_edges] = 1;
-      }
-    }
-    cur_site = s;
-    cur_edge = e;
-  }
-  for (std::size_t s = site_begin; s < site_end; ++s) {
-    if (site_hit[s - site_begin]) out.exploitable_sites.push_back(format_site(sites[s]));
-  }
-}
-
-/// k-fault exhaustive back-end over combination ranks [combo_begin,
-/// combo_end): every job is one lexicographic site combination x one edge
-/// (combo-major, edge-minor), all k faults of a combo injected into the same
-/// lane. Unlike the single-fault shard, any shard can prove any site
-/// exploitable (combinations straddle the whole region), so attribution goes
-/// into a caller-owned full-region bitmap that the merge step ORs; counters
-/// stay plain range sums, so the report remains lanes/threads-invariant.
+/// bit. Combinations straddle the whole region, so attribution goes into a
+/// caller-owned full-region bitmap.
 void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
                                  const std::vector<SigBit>& sites, const EdgeTable& edges,
                                  const SynfiConfig& config, std::uint64_t combo_begin,
@@ -423,6 +253,7 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
   const int state_w = state_h.width;
   const int symbol_w = symbol_h.width;
   const std::size_t num_states = variant.state_codes.size();
+  // A code with bits beyond the register width can never match.
   const auto fits = [state_w](std::uint64_t code) {
     return state_w >= 64 || (code >> state_w) == 0;
   };
@@ -435,15 +266,18 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
   const std::size_t num_edges = edges.size();
   const std::uint64_t num_jobs = (combo_end - combo_begin) * num_edges;
   const auto lanes = static_cast<std::size_t>(config.lanes);
-  const auto alert_word = [&](int w) {
-    std::uint64_t word = 0;
-    for (std::int32_t i = 0; i < alert_h.width; ++i) {
-      word |= simulator.lane_word(alert_h.base + i, w);
-    }
-    return word;
-  };
-
+  // Runtime-width lane sets: words [0, W) of a kMaxLaneWords array, so the
+  // classic one-word configuration pays for exactly one word.
   using LaneWords = std::array<std::uint64_t, sim::kMaxLaneWords>;
+  const auto alert_words = [&] {
+    LaneWords words{};
+    for (int w = 0; w < W && alert_h.valid(); ++w) {
+      for (std::int32_t i = 0; i < alert_h.width; ++i) {
+        words[static_cast<std::size_t>(w)] |= simulator.lane_word(alert_h.base + i, w);
+      }
+    }
+    return words;
+  };
   std::vector<std::uint64_t> state_words(static_cast<std::size_t>(state_w * W));
   std::vector<std::uint64_t> state_eq(num_states * static_cast<std::size_t>(W));
   const std::vector<AlignedStimulus> aligned =
@@ -456,6 +290,8 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
   std::vector<std::size_t> lane_sites(total_lanes * k);
   std::size_t cur_edge = 0;
   for (std::uint64_t job0 = 0; job0 < num_jobs; job0 += lanes) {
+    // Cooperative cancellation at batch granularity: a fired token (sweep
+    // job deadline) stops the shard here, never mid-batch.
     if (config.cancel != nullptr) config.cancel->check("synfi");
     const auto batch_jobs =
         static_cast<std::size_t>(std::min<std::uint64_t>(lanes, num_jobs - job0));
@@ -488,15 +324,9 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
     }
 
     simulator.eval();
-    LaneWords alert_pre{};
-    if (alert_h.valid()) {
-      for (int w = 0; w < W; ++w) alert_pre[static_cast<std::size_t>(w)] = alert_word(w);
-    }
+    const LaneWords alert_pre = alert_words();
     simulator.step();
-    LaneWords alert_post{};
-    if (alert_h.valid()) {
-      for (int w = 0; w < W; ++w) alert_post[static_cast<std::size_t>(w)] = alert_word(w);
-    }
+    const LaneWords alert_post = alert_words();
     for (int i = 0; i < state_w; ++i) {
       for (int w = 0; w < W; ++w) {
         state_words[static_cast<std::size_t>(i * W + w)] =
@@ -504,27 +334,25 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
       }
     }
 
+    // Word-parallel classification: equality masks of the latched state
+    // against every codeword at once instead of decoding lane by lane.
+    const auto code_eq = [&](std::uint64_t code, int w) {
+      std::uint64_t eq = fits(code) ? batch_mask.w[static_cast<std::size_t>(w)] : 0;
+      for (int i = 0; i < state_w && eq != 0; ++i) {
+        const std::uint64_t sw = state_words[static_cast<std::size_t>(i * W + w)];
+        eq &= ((code >> i) & 1) ? sw : ~sw;
+      }
+      return eq;
+    };
     for (std::size_t sc = 0; sc < num_states; ++sc) {
-      const std::uint64_t code = variant.state_codes[sc];
       for (int w = 0; w < W; ++w) {
-        std::uint64_t eq = fits(code) ? batch_mask.w[static_cast<std::size_t>(w)] : 0;
-        for (int i = 0; i < state_w && eq != 0; ++i) {
-          const std::uint64_t sw = state_words[static_cast<std::size_t>(i * W + w)];
-          eq &= ((code >> i) & 1) ? sw : ~sw;
-        }
-        state_eq[sc * static_cast<std::size_t>(W) + static_cast<std::size_t>(w)] = eq;
+        state_eq[sc * static_cast<std::size_t>(W) + static_cast<std::size_t>(w)] =
+            code_eq(variant.state_codes[sc], w);
       }
     }
     LaneWords err_eq{};
-    if (variant.has_error_state) {
-      for (int w = 0; w < W; ++w) {
-        std::uint64_t eq = fits(variant.error_code) ? batch_mask.w[static_cast<std::size_t>(w)] : 0;
-        for (int i = 0; i < state_w && eq != 0; ++i) {
-          const std::uint64_t sw = state_words[static_cast<std::size_t>(i * W + w)];
-          eq &= ((variant.error_code >> i) & 1) ? sw : ~sw;
-        }
-        err_eq[static_cast<std::size_t>(w)] = eq;
-      }
+    for (int w = 0; w < W && variant.has_error_state; ++w) {
+      err_eq[static_cast<std::size_t>(w)] = code_eq(variant.error_code, w);
     }
     LaneWords match_expect{};
     LaneWords match_from{};
@@ -548,6 +376,9 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
       const std::uint64_t masked = match_expect[j] & ~alert_pre[j] & mask;
       const std::uint64_t detected =
           (alert_pre[j] | alert_post[j] | err_eq[j]) & ~masked & mask;
+      // Everything else is an undetected deviation: a valid-but-wrong state
+      // (hijack/stall) or an undetected non-codeword (cannot happen for SCFI
+      // variants) — both count as exploitable.
       const std::uint64_t expl = mask & ~masked & ~detected;
 
       out.masked += std::popcount(masked);
@@ -642,22 +473,24 @@ void add_post_cycle_alert(sat::Solver& solver, const rtlil::Module& module,
 }
 
 /// One live incremental SAT shard: the solver holds the golden copy plus a
-/// faulty copy whose overrides over sites [site_begin, site_end) are each
-/// gated on a fresh selector literal (exactly_one over the selectors), and
-/// the query-invariant property clauses (alert low, next-state mismatch,
-/// valid faulty codeword). Every (site, edge) query is then a
-/// solve(assumptions) call — selector + state/symbol units — so the CNF and
-/// all learned clauses are shared across the whole sweep, and (held inside
-/// an Analyzer) across every later run() that touches the same region and
-/// fault kind. `free_symbol` only changes the assumptions, never the CNF,
-/// so one shard serves both symbol modes.
+/// faulty copy whose overrides are each gated on a fresh selector literal,
+/// and the query-invariant property clauses (alert low, next-state
+/// mismatch, valid faulty codeword). k = 1 shards gate only their own query
+/// range, with exactly_one over the selectors; k > 1 shards gate every
+/// region site under a cardinality counter. Every (site, edge) query is
+/// then a solve(assumptions) call — selector (+ exactly-k) + state/symbol
+/// units — so the CNF and all learned clauses are shared across the whole
+/// sweep, and (held inside an Analyzer) across every later run() that
+/// touches the same region and fault kind. `free_symbol` only changes the
+/// assumptions, never the CNF, so one shard serves both symbol modes.
 struct SatShard {
   sat::Solver solver;
   MiterInterface iface;
   std::vector<sat::Lit> selectors;
-  std::vector<int> fn;  ///< faulty next-state variables
-  /// k-fault shards only: the Sinz counter over *all* region selectors, so
-  /// "exactly k faults" is a per-query assumption set.
+  std::size_t selector_base = 0;  ///< region index of selectors[0]
+  std::vector<int> fn;            ///< faulty next-state variables
+  /// k > 1 only: the Sinz counter over *all* region selectors, so "exactly
+  /// k faults" is a per-query assumption set.
   std::unique_ptr<sat::CardinalityCounter> counter;
 };
 
@@ -679,6 +512,7 @@ std::unique_ptr<SatShard> build_sat_shard(const CompiledFsm& variant,
   // shard's query range, constrained by the cardinality counter instead.
   const std::size_t sel_begin = faults_k > 1 ? 0 : site_begin;
   const std::size_t sel_end = faults_k > 1 ? sites.size() : site_end;
+  shard->selector_base = sel_begin;
   std::vector<sat::CnfFault> faults;
   shard->selectors.reserve(sel_end - sel_begin);
   faults.reserve(sel_end - sel_begin);
@@ -711,24 +545,33 @@ std::unique_ptr<SatShard> build_sat_shard(const CompiledFsm& variant,
   return shard;
 }
 
-/// Answers the (site, edge) queries of one shard via solve(assumptions).
-void run_sat_queries(SatShard& shard, const std::vector<SigBit>& sites, const EdgeTable& edges,
-                     const SynfiConfig& config, std::size_t site_begin, std::size_t site_end,
-                     ShardReport& out) {
+/// Answers the (site, edge) queries of sites [site_begin, site_end) via
+/// solve(assumptions). For k > 1 each query is a participation query: "is
+/// there an exactly-k fault set *including s* with an undetected
+/// valid-but-wrong next state?" — selector s plus the counter's exactly-k
+/// assumptions. Counting is per (site, edge) for every k (the exhaustive
+/// back-end counts per (combination, edge) instead; both agree on
+/// exploitable > 0 and on the exploitable site set).
+void run_sat_queries(SatShard& shard, const EdgeTable& edges, const SynfiConfig& config,
+                     std::size_t site_begin, std::size_t site_end,
+                     std::vector<char>& site_hit, ShardReport& out) {
+  const std::vector<sat::Lit> cardinality =
+      shard.counter != nullptr ? shard.counter->assume_exactly(config.faults_k)
+                               : std::vector<sat::Lit>{};
   std::vector<sat::Lit> assumptions;
   for (std::size_t s = site_begin; s < site_end; ++s) {
-    bool site_exploitable = false;
     for (std::size_t e = 0; e < edges.size(); ++e) {
       // One check per SAT query — the batch analog for this back-end.
       if (config.cancel != nullptr) config.cancel->check("synfi");
       ++out.injections;
       assumptions.clear();
-      assumptions.push_back(shard.selectors[s - site_begin]);
+      assumptions.push_back(shard.selectors[s - shard.selector_base]);
+      assumptions.insert(assumptions.end(), cardinality.begin(), cardinality.end());
       push_equals(assumptions, shard.iface.svars, edges.from_code[e]);
       if (!config.free_symbol) push_equals(assumptions, shard.iface.xvars, edges.code[e]);
       if (shard.solver.solve(assumptions) == sat::Result::kSat) {
         ++out.exploitable;
-        site_exploitable = true;
+        site_hit[s] = 1;
         // Stall iff some undetected model keeps the old state: decided by a
         // second assumption query, so the count does not depend on which
         // model the solver happened to find.
@@ -740,44 +583,6 @@ void run_sat_queries(SatShard& shard, const std::vector<SigBit>& sites, const Ed
         ++out.detected;
       }
     }
-    if (site_exploitable) out.exploitable_sites.push_back(format_site(sites[s]));
-  }
-}
-
-/// k-fault participation queries over one cardinality-constrained shard:
-/// for every site s in the query range and every edge, "is there an
-/// exactly-k fault set *including s* with an undetected valid-but-wrong next
-/// state?" — selector s plus the counter's exactly-k assumptions. Counting
-/// is per (site, edge) like the single-fault SAT sweep (the exhaustive
-/// back-end counts per (combination, edge) instead; both agree on
-/// exploitable > 0 and on the exploitable site set).
-void run_sat_kfault_queries(SatShard& shard, const std::vector<SigBit>& sites,
-                            const EdgeTable& edges, const SynfiConfig& config,
-                            std::size_t site_begin, std::size_t site_end,
-                            ShardReport& out) {
-  const std::vector<sat::Lit> cardinality =
-      shard.counter->assume_exactly(config.faults_k);
-  std::vector<sat::Lit> assumptions;
-  for (std::size_t s = site_begin; s < site_end; ++s) {
-    bool site_exploitable = false;
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (config.cancel != nullptr) config.cancel->check("synfi");
-      ++out.injections;
-      assumptions.clear();
-      assumptions.push_back(shard.selectors[s]);  // global: selectors span the region
-      assumptions.insert(assumptions.end(), cardinality.begin(), cardinality.end());
-      push_equals(assumptions, shard.iface.svars, edges.from_code[e]);
-      if (!config.free_symbol) push_equals(assumptions, shard.iface.xvars, edges.code[e]);
-      if (shard.solver.solve(assumptions) == sat::Result::kSat) {
-        ++out.exploitable;
-        site_exploitable = true;
-        push_equals(assumptions, shard.fn, edges.from_code[e]);
-        if (shard.solver.solve(assumptions) == sat::Result::kSat) ++out.stalls;
-      } else {
-        ++out.detected;
-      }
-    }
-    if (site_exploitable) out.exploitable_sites.push_back(format_site(sites[s]));
   }
 }
 
@@ -786,11 +591,11 @@ void run_sat_kfault_queries(SatShard& shard, const std::vector<SigBit>& sites,
 /// benchmarked against (never cached — it IS the rebuild cost).
 void run_sat_rebuild_shard(const CompiledFsm& variant, const std::vector<SigBit>& sites,
                            const EdgeTable& edges, const SynfiConfig& config,
-                           std::size_t site_begin, std::size_t site_end, ShardReport& out) {
+                           std::size_t site_begin, std::size_t site_end,
+                           std::vector<char>& site_hit, ShardReport& out) {
   const rtlil::Module& module = *variant.module;
   const MiterWires wires = resolve_interface(module, variant);
   for (std::size_t s = site_begin; s < site_end; ++s) {
-    bool site_exploitable = false;
     for (std::size_t e = 0; e < edges.size(); ++e) {
       if (config.cancel != nullptr) config.cancel->check("synfi");
       ++out.injections;
@@ -841,7 +646,7 @@ void run_sat_rebuild_shard(const CompiledFsm& variant, const std::vector<SigBit>
 
       if (solver.solve() == sat::Result::kSat) {
         ++out.exploitable;
-        site_exploitable = true;
+        site_hit[s] = 1;
         std::vector<sat::Lit> stall_assumptions;
         push_equals(stall_assumptions, fn, edges.from_code[e]);
         if (solver.solve(stall_assumptions) == sat::Result::kSat) ++out.stalls;
@@ -849,7 +654,6 @@ void run_sat_rebuild_shard(const CompiledFsm& variant, const std::vector<SigBit>
         ++out.detected;
       }
     }
-    if (site_exploitable) out.exploitable_sites.push_back(format_site(sites[s]));
   }
 }
 
@@ -954,165 +758,80 @@ SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   require(!sites.empty(), "synfi: no fault sites match prefix '" + config.wire_prefix + "'");
   const EdgeTable& edges = impl_->edges;
 
-  if (static_cast<std::size_t>(config.faults_k) > sites.size()) {
-    // No k-subset of the region exists: zero injections by definition. Kept
-    // a report (not an error) so measured_protection_degree can scan past
-    // the region size of a small variant without special-casing.
-    SynfiReport report;
-    report.faults_k = config.faults_k;
-    report.sites = static_cast<std::int64_t>(sites.size());
-    return report;
-  }
+  SynfiReport report;
+  report.faults_k = config.faults_k;
+  report.sites = static_cast<std::int64_t>(sites.size());
+  // No k-subset of the region exists: zero injections by definition. Kept a
+  // report (not an error) so a degree probe can scan past the region size of
+  // a small variant without special-casing.
+  if (static_cast<std::size_t>(config.faults_k) > sites.size()) return report;
 
-  // k-fault exhaustive sweeps shard over combination *ranks*, not sites:
-  // any combination can involve any site, so shards OR full-region
-  // attribution bitmaps and the site names are emitted once, in global site
-  // order — the same deterministic-merge contract as the single-fault path.
-  if (config.backend == Backend::kExhaustiveSim && config.faults_k > 1) {
-    const std::uint64_t num_combos =
-        binomial(sites.size(), static_cast<std::size_t>(config.faults_k));
-    const int workers = std::max(
-        1, static_cast<int>(std::min<std::uint64_t>(config.threads, num_combos)));
-    if (impl_->sim_pool.size() < static_cast<std::size_t>(workers)) {
-      impl_->sim_pool.resize(static_cast<std::size_t>(workers));
-    }
-    std::vector<ShardReport> partial(static_cast<std::size_t>(workers));
-    std::vector<std::vector<char>> hits(static_cast<std::size_t>(workers),
-                                        std::vector<char>(sites.size(), 0));
-    const auto run_combo_shard = [&](int slot, std::uint64_t begin, std::uint64_t end) {
-      auto& ctx = impl_->sim_pool[static_cast<std::size_t>(slot)];
-      if (ctx == nullptr || ctx->simulator.lane_words() != lane_words) {
-        ctx = std::make_unique<SimContext>(variant, lane_words);
-      }
-      run_exhaustive_kfault_shard(*ctx, variant, sites, edges, config, begin, end,
-                                  hits[static_cast<std::size_t>(slot)],
-                                  partial[static_cast<std::size_t>(slot)]);
-    };
-    if (workers <= 1) {
-      run_combo_shard(0, 0, num_combos);
-    } else {
-      std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        const std::uint64_t begin = num_combos * static_cast<std::uint64_t>(w) /
-                                    static_cast<std::uint64_t>(workers);
-        const std::uint64_t end = num_combos * static_cast<std::uint64_t>(w + 1) /
-                                  static_cast<std::uint64_t>(workers);
-        pool.emplace_back([&, w, begin, end] {
-          try {
-            run_combo_shard(w, begin, end);
-          } catch (...) {
-            errors[static_cast<std::size_t>(w)] = std::current_exception();
-          }
-        });
-      }
-      for (std::thread& th : pool) th.join();
-      for (const std::exception_ptr& e : errors) {
-        if (e) std::rethrow_exception(e);
-      }
-    }
-    SynfiReport report;
-    report.faults_k = config.faults_k;
-    report.sites = static_cast<std::int64_t>(sites.size());
-    for (const ShardReport& p : partial) {
-      report.injections += p.injections;
-      report.exploitable += p.exploitable;
-      report.detected += p.detected;
-      report.masked += p.masked;
-      report.stalls += p.stalls;
-    }
-    for (std::size_t s = 0; s < sites.size(); ++s) {
-      for (const auto& h : hits) {
-        if (h[s]) {
-          report.exploitable_sites.push_back(format_site(sites[s]));
-          break;
-        }
-      }
-    }
-    return report;
-  }
-
+  // Shards claim contiguous unit ranges: combination *ranks* for the
+  // exhaustive back-end (any combination can involve any site), sites for
+  // SAT. Every shard marks a full-region attribution bitmap; counters are
+  // plain sums, so the merge below is the single-threaded report exactly.
+  const bool exhaustive = config.backend == Backend::kExhaustiveSim;
+  const std::uint64_t units =
+      exhaustive ? binomial(sites.size(), static_cast<std::size_t>(config.faults_k))
+                 : sites.size();
   const int workers =
-      std::max(1, std::min<int>(config.threads, static_cast<int>(sites.size())));
-  if (impl_->sim_pool.size() < static_cast<std::size_t>(workers) &&
-      config.backend == Backend::kExhaustiveSim) {
+      std::max(1, static_cast<int>(std::min<std::uint64_t>(config.threads, units)));
+  const auto unit_bound = [&](int slot) {
+    return units * static_cast<std::uint64_t>(slot) / static_cast<std::uint64_t>(workers);
+  };
+  if (exhaustive && impl_->sim_pool.size() < static_cast<std::size_t>(workers)) {
     impl_->sim_pool.resize(static_cast<std::size_t>(workers));
   }
-
-  const auto run_shard = [&](int slot, std::size_t begin, std::size_t end, ShardReport& out) {
-    if (config.backend == Backend::kExhaustiveSim) {
+  std::vector<ShardReport> partial(static_cast<std::size_t>(workers));
+  std::vector<std::vector<char>> hits(static_cast<std::size_t>(workers),
+                                      std::vector<char>(sites.size(), 0));
+  run_shards(workers, [&](int slot) {
+    const std::uint64_t begin = unit_bound(slot);
+    const std::uint64_t end = unit_bound(slot + 1);
+    std::vector<char>& hit = hits[static_cast<std::size_t>(slot)];
+    ShardReport& out = partial[static_cast<std::size_t>(slot)];
+    if (exhaustive) {
       auto& ctx = impl_->sim_pool[static_cast<std::size_t>(slot)];
       // (Re)build when absent or compiled for a different lane-block width —
       // a cached narrow simulator cannot carry a wider run's lanes.
       if (ctx == nullptr || ctx->simulator.lane_words() != lane_words) {
         ctx = std::make_unique<SimContext>(variant, lane_words);
       }
-      run_exhaustive_shard(*ctx, variant, sites, edges, config, begin, end, out);
+      run_exhaustive_kfault_shard(*ctx, variant, sites, edges, config, begin, end, hit, out);
     } else if (config.sat_incremental) {
       SatShard& shard = impl_->sat_shard(sites, config, begin, end);
-      if (config.faults_k > 1) {
-        run_sat_kfault_queries(shard, sites, edges, config, begin, end, out);
-      } else {
-        run_sat_queries(shard, sites, edges, config, begin, end, out);
-      }
+      run_sat_queries(shard, edges, config, begin, end, hit, out);
     } else {
-      run_sat_rebuild_shard(variant, sites, edges, config, begin, end, out);
+      run_sat_rebuild_shard(variant, sites, edges, config, begin, end, hit, out);
     }
-  };
-
-  std::vector<ShardReport> partial(static_cast<std::size_t>(workers));
-  if (workers <= 1) {
-    run_shard(0, 0, sites.size(), partial[0]);
-  } else {
-    // Contiguous site ranges per worker: no shared mutable state, and the
-    // in-order merge below reproduces the single-threaded report exactly.
-    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      const auto begin = sites.size() * static_cast<std::size_t>(w) /
-                         static_cast<std::size_t>(workers);
-      const auto end = sites.size() * static_cast<std::size_t>(w + 1) /
-                       static_cast<std::size_t>(workers);
-      pool.emplace_back([&, w, begin, end] {
-        try {
-          run_shard(w, begin, end, partial[static_cast<std::size_t>(w)]);
-        } catch (...) {
-          errors[static_cast<std::size_t>(w)] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& th : pool) th.join();
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-  }
+  });
 
   // Refresh the warm-start snapshot from the first shard of this query so
   // the next region/kind starts from trained activities. Done after the
   // join, on the calling thread.
-  if (config.backend == Backend::kSat && config.sat_incremental) {
+  if (!exhaustive && config.sat_incremental) {
     const SatShardKey key{config.wire_prefix, config.include_inputs, config.target,
                           config.kind,        config.faults_k,       0,
-                          sites.size() / static_cast<std::size_t>(workers)};
+                          unit_bound(1)};
     const std::lock_guard<std::mutex> lock(impl_->sat_mutex);
     const auto it = impl_->sat_shards.find(key);
     if (it != impl_->sat_shards.end()) impl_->warm = it->second->solver.export_warm_start();
   }
 
-  SynfiReport report;
-  report.faults_k = config.faults_k;
-  report.sites = static_cast<std::int64_t>(sites.size());
-  for (ShardReport& p : partial) {
+  for (const ShardReport& p : partial) {
     report.injections += p.injections;
     report.exploitable += p.exploitable;
     report.detected += p.detected;
     report.masked += p.masked;
     report.stalls += p.stalls;
-    report.exploitable_sites.insert(report.exploitable_sites.end(),
-                                    std::make_move_iterator(p.exploitable_sites.begin()),
-                                    std::make_move_iterator(p.exploitable_sites.end()));
+  }
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    for (const std::vector<char>& hit : hits) {
+      if (hit[s]) {
+        report.exploitable_sites.push_back(format_site(sites[s]));
+        break;
+      }
+    }
   }
   return report;
 }
@@ -1121,14 +840,16 @@ SynfiReport analyze(const Fsm& fsm, const CompiledFsm& variant, const SynfiConfi
   return Analyzer(fsm, variant).run(config);
 }
 
-int measured_protection_degree(Analyzer& analyzer, const SynfiConfig& config, int max_k) {
-  require(max_k >= 1, "synfi: measured_protection_degree needs max_k >= 1");
-  for (int k = 1; k <= max_k; ++k) {
+int measured_protection_degree(Analyzer& analyzer, const SynfiConfig& config,
+                               const SynfiReport& report) {
+  require(report.faults_k == config.faults_k,
+          "synfi: measured_protection_degree needs the report of config.faults_k");
+  for (int k = 1; k < config.faults_k; ++k) {
     SynfiConfig probe = config;
     probe.faults_k = k;
     if (analyzer.run(probe).exploitable > 0) return k;
   }
-  return 0;
+  return report.exploitable > 0 ? config.faults_k : 0;
 }
 
 int auto_lanes(const rtlil::Module& module) {

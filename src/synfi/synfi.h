@@ -1,30 +1,34 @@
 // Pre-silicon fault analysis in the style of SYNFI (paper §6.4).
 //
 // For every fault location inside a region of the hardened netlist and every
-// valid state transition, the analysis decides whether a single induced
-// fault lets the attacker reach a *valid but wrong* next state without
-// raising the alert — the exploitability criterion of the paper. Two
-// back-ends are provided:
+// valid state transition, the analysis decides whether k concurrent induced
+// faults (k = 1 is the paper's single-fault model) let the attacker reach a
+// *valid but wrong* next state without raising the alert — the
+// exploitability criterion of the paper. Two back-ends are provided:
 //   * exhaustive simulation (complete here, because all valid stimuli of the
-//     one-cycle property are enumerated). (site, edge) injection jobs are
-//     packed `lanes` at a time into the bit-parallel simulator (up to
-//     64 x lane_words = 512 lanes per pass via multi-word SoA lane blocks) —
-//     each lane carries its own state/symbol stimulus and a single-lane
-//     fault mask — and outcomes are classified word-parallel against the
-//     expected/error/valid codewords and the alert word.
+//     one-cycle property are enumerated). Jobs are (site combination, edge)
+//     pairs — a single fault is a 1-combination — streamed in lexicographic
+//     combination order and packed `lanes` at a time into the bit-parallel
+//     simulator (up to 64 x lane_words = 512 lanes per pass via multi-word
+//     SoA lane blocks). Each lane carries its own state/symbol stimulus and
+//     all k faults of its combination; outcomes are classified word-parallel
+//     against the expected/error/valid codewords and the alert word.
 //   * a SAT back-end (CDCL solver) that additionally supports leaving the
 //     control symbol unconstrained. By default it builds ONE golden +
-//     selector-gated-faulty miter per variant (every fault override
-//     conditioned on a fresh selector literal, `exactly_one` over the
-//     selectors) and answers each (site, edge) query incrementally via
-//     `solve(assumptions)`, sharing the CNF and learned clauses across all
-//     queries; `sat_incremental = false` falls back to rebuilding a
-//     single-fault miter per query.
+//     selector-gated-faulty miter per shard (every fault override
+//     conditioned on a fresh selector literal) and answers each (site, edge)
+//     query incrementally via `solve(assumptions)`, sharing the CNF and
+//     learned clauses across all queries. For k = 1 the selectors cover the
+//     shard's own sites under `exactly_one`; for k > 1 they cover the whole
+//     region under a cardinality counter, and each query asks whether some
+//     exactly-k fault set including the site breaks the edge.
+//     `sat_incremental = false` falls back to rebuilding the miter per query.
 //
-// The (site, edge) job list is sharded across `threads` workers in
-// contiguous site ranges with a deterministic merge, so every report —
-// all counters and the `exploitable_sites` order — is bit-identical for
-// every lanes/threads combination.
+// Work is sharded across `threads` workers in contiguous ranges — by
+// combination rank for the exhaustive back-end, by site for SAT. Counters
+// merge as plain sums and exploitable sites as a full-region bitmap emitted
+// in site order, so every report — all counters and the `exploitable_sites`
+// order — is bit-identical for every lanes/threads combination.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +56,8 @@ struct SynfiConfig {
   Backend backend = Backend::kExhaustiveSim;
   sim::FaultKind kind = sim::FaultKind::kTransientFlip;
   /// Concurrent faults per injection: 1 reproduces the classic single-fault
-  /// sweep; k > 1 switches the exhaustive back-end to lazily streamed site
-  /// *combinations* (C(sites, k) x edges injections) and the SAT back-end to
+  /// sweep. The exhaustive back-end runs C(sites, k) x edges injections over
+  /// lazily streamed site combinations; for k > 1 the SAT back-end asks
   /// per-site participation queries ("does some exactly-k fault set
   /// including this site break this edge?") over one cardinality-constrained
   /// miter. This is how the paper's distance claim is measured directly: an
@@ -72,13 +76,14 @@ struct SynfiConfig {
   /// Also inject into module input bits (FT2 / common-mode faults). Only
   /// meaningful with an empty or matching wire_prefix.
   bool include_inputs = false;
-  /// Exhaustive back-end: (site, edge) injection jobs per simulator pass
+  /// Exhaustive back-end: (combination, edge) injection jobs per simulator pass
   /// (1..sim::kMaxLanes = 64*lane_words). 1 reproduces the scalar
   /// one-job-per-pass path; widths past 64 select a multi-word lane block,
   /// subject to the SCFI_LANE_WORDS_CAP runtime clamp.
   int lanes = sim::kNumLanes;
-  /// Worker threads sharding the site list (both back-ends); <= 1 = inline.
-  /// The report is bit-identical for every lanes/threads combination.
+  /// Worker threads: the exhaustive back-end splits the combination ranks,
+  /// the SAT back-end the site list; <= 1 = inline. The report is
+  /// bit-identical for every lanes/threads combination.
   int threads = 1;
   /// SAT back-end: answer queries on one reusable selector-gated solver via
   /// assumptions (default) instead of rebuilding the miter per query.
@@ -155,12 +160,15 @@ class Analyzer {
 SynfiReport analyze(const fsm::Fsm& fsm, const fsm::CompiledFsm& variant,
                     const SynfiConfig& config = {});
 
-/// Measured protection degree of a variant: the smallest k in [1, max_k]
-/// whose k-fault sweep (config with faults_k = k) finds an exploitable
-/// outcome, or 0 when no k up to max_k does. The paper's claim for an
-/// encoding with minimum distance d is degree == d (and 0 when max_k < d);
-/// an unprotected variant measures 1. `config.faults_k` is ignored.
-int measured_protection_degree(Analyzer& analyzer, const SynfiConfig& config, int max_k);
+/// Measured protection degree of a variant: the smallest k in
+/// [1, config.faults_k] whose k-fault sweep finds an exploitable outcome, or
+/// 0 when none does. `report` must be `analyzer.run(config)` — it answers
+/// k = config.faults_k, so only the smaller k are run here (none at all for
+/// faults_k = 1). The paper's claim for an encoding with minimum distance d
+/// is degree == d (and 0 when faults_k < d); an unprotected variant
+/// measures 1.
+int measured_protection_degree(Analyzer& analyzer, const SynfiConfig& config,
+                               const SynfiReport& report);
 
 /// Lane-count heuristic for a module (ROADMAP item 3): the widest supported
 /// lane block whose faulty-eval working set (~7 streamed words per net) still

@@ -264,8 +264,14 @@ TEST(KFaultSynfi, DistanceClaimLevel2) {
   config.faults_k = 1;
   EXPECT_EQ(analyzer.run(config).exploitable, 0) << "single fault beat distance 2";
   config.faults_k = 2;
-  EXPECT_GT(analyzer.run(config).exploitable, 0) << "distance 2 must break at k = 2";
-  EXPECT_EQ(synfi::measured_protection_degree(analyzer, config, 3), 2);
+  const synfi::SynfiReport broken = analyzer.run(config);
+  EXPECT_GT(broken.exploitable, 0) << "distance 2 must break at k = 2";
+  EXPECT_EQ(synfi::measured_protection_degree(analyzer, config, broken), 2);
+  // Probing past d still reports the smallest exploitable k; a report of
+  // another k is rejected rather than read as the faults_k answer.
+  config.faults_k = 3;
+  EXPECT_EQ(synfi::measured_protection_degree(analyzer, config, analyzer.run(config)), 2);
+  EXPECT_THROW(synfi::measured_protection_degree(analyzer, config, broken), ScfiError);
 }
 
 TEST(KFaultSynfi, DistanceClaimLevel3) {
@@ -279,8 +285,9 @@ TEST(KFaultSynfi, DistanceClaimLevel3) {
     EXPECT_EQ(analyzer.run(config).exploitable, 0) << k << " faults beat distance 3";
   }
   config.faults_k = 3;
-  EXPECT_GT(analyzer.run(config).exploitable, 0) << "distance 3 must break at k = 3";
-  EXPECT_EQ(synfi::measured_protection_degree(analyzer, config, 3), 3);
+  const synfi::SynfiReport broken = analyzer.run(config);
+  EXPECT_GT(broken.exploitable, 0) << "distance 3 must break at k = 3";
+  EXPECT_EQ(synfi::measured_protection_degree(analyzer, config, broken), 3);
 }
 
 TEST(KFaultSynfi, DistanceClaimZooMdsRegion) {
@@ -299,7 +306,7 @@ TEST(KFaultSynfi, DistanceClaimZooMdsRegion) {
   const synfi::SynfiReport broken = analyzer.run(config);
   EXPECT_GT(broken.exploitable, 0);
   EXPECT_EQ(broken.faults_k, 2);
-  EXPECT_EQ(synfi::measured_protection_degree(analyzer, config, 2), 2);
+  EXPECT_EQ(synfi::measured_protection_degree(analyzer, config, broken), 2);
 }
 
 // ---------------------------------------------------------------------------

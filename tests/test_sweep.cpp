@@ -1341,6 +1341,43 @@ TEST(SweepOrchestrator, MatchesSequentialAnalyzeForAllJobsThreads) {
   }
 }
 
+TEST(SweepDegree, OrchestratorMatchesLibraryProbe) {
+  // The orchestrator's protection_degree field is the library's answer for
+  // the job's own report: the smallest exploitable k up to faults_k. On the
+  // aes_control diffusion layer that is the paper's distance claim — level
+  // d measures degree d once faults_k reaches d, and 0 below it.
+  std::vector<synfi::SynfiConfig> configs;
+  for (const int k : {1, 2, 3}) {
+    synfi::SynfiConfig config;  // default mds_ region, exhaustive back-end
+    config.faults_k = k;
+    configs.push_back(config);
+  }
+  const std::vector<SweepJob> jobs = expand_jobs("aes_control", {2, 3}, configs);
+  ASSERT_EQ(jobs.size(), 6u);
+  SweepConfig sweep_config;
+  sweep_config.jobs = 2;
+  sweep_config.threads = 2;
+  ResultStore store;
+  EXPECT_EQ(SweepOrchestrator(sweep_config).run(jobs, store).executed, 6);
+
+  for (const SweepJob& job : jobs) {
+    const SweepResult* got = store.find(job.key());
+    ASSERT_NE(got, nullptr) << job.key();
+    const ot::OtEntry entry = ot::ot_entry(job.module);
+    rtlil::Design d;
+    const fsm::CompiledFsm c = ot::build_ot_variant(entry, d, ot::Variant::kScfi,
+                                                    job.protection_level, job.module + "_ref");
+    synfi::Analyzer analyzer(entry.fsm, c);
+    const synfi::SynfiReport report = analyzer.run(job.synfi);
+    EXPECT_TRUE(got->report == report) << job.key();
+    EXPECT_EQ(got->protection_degree,
+              synfi::measured_protection_degree(analyzer, job.synfi, report))
+        << job.key();
+    const int level = job.protection_level;
+    EXPECT_EQ(got->protection_degree, job.synfi.faults_k >= level ? level : 0) << job.key();
+  }
+}
+
 TEST(SweepOrchestrator, MixedSynfiAndCampaignMatrix) {
   // SYNFI and Monte-Carlo campaign jobs share one fleet run; per-key
   // results must be bit-identical to direct analyze()/run_campaign() calls
