@@ -24,21 +24,29 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # vectors would get. Explicitly-constructed wide Simulators are not
 # clamped, so the wide unit tests still run wide here.
 SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R 'SimParallel|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep'
+  -R 'SimParallel|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler'
 
-# Optional sanitizer lane: a second compilation with AddressSanitizer +
+# Optional sanitizer lanes: a second compilation with AddressSanitizer +
 # UndefinedBehaviorSanitizer over the fast suites (base/store/planner/sweep
 # units, not the minutes-long corpus sweeps, plus the k-fault SYNFI and
-# Analyzer suites that drive the one SYNFI engine path and the shared
-# run_shards fan-out) so memory bugs in the hot engines surface without
-# slowing the tier-1 path.
+# Analyzer suites that drive the one SYNFI engine path, the shared
+# run_shards fan-out and the WorkShare range stealing, and the straggler
+# sweeps whose idle workers help another group's run) so memory bugs in the
+# hot engines surface without slowing the tier-1 path. Then a standalone
+# ThreadSanitizer build of the header-only base/parallel.h tests (src/base
+# only: libscfi itself crashes under TSan before main, in the
+# target_clones ifunc resolvers of the simulator).
 if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCFI_BUILD_BENCHMARKS=OFF -DSCFI_BUILD_EXAMPLES=OFF \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree'
+    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler'
+  mkdir -p build-tsan
+  "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
+    src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests
+  build-tsan/parallel_tests --gtest_repeat=10
 fi
 
 # Verilog write->read roundtrip gate: every zoo module (unprotected and SCFI-

@@ -136,6 +136,9 @@ int usage() {
                "           --campaign-seed N --campaign-variants scfi,unprotected\n"
                "           --campaign-target any,inputs,state,logic\n"
                "           --out results.jsonl --resume --jobs K --threads K --lanes K\n"
+               "           (--jobs: variant groups open at once; --threads: thread\n"
+               "            budget, max(jobs, threads) threads run and the idle ones\n"
+               "            help the open groups' runs)\n"
                "           --retries N --job-timeout SECONDS --fail-fast\n"
                "           --fleet N (supervised worker subprocesses; needs --out)\n"
                "           --max-crashes N --lease SECONDS --heartbeat-timeout SECONDS\n"
@@ -555,7 +558,7 @@ int main(int argc, char** argv) {
         fleet_config.drain_grace = drain_grace;
         fleet_config.wedge_seconds = wedge_seconds;
         fleet_config.job.jobs = 1;
-        fleet_config.job.threads = threads;  // inner threads PER WORKER
+        fleet_config.job.threads = threads;  // thread budget PER WORKER
         fleet_config.job.lanes = lanes;
         fleet_config.job.retries = retries;
         fleet_config.job.job_timeout = job_timeout;

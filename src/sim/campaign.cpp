@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <mutex>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -292,17 +293,17 @@ StimulusTable build_stimulus(const Fsm& fsm, const CompiledFsm& variant,
   return table;
 }
 
-/// Executes batches [batch_begin, batch_end) on a private Simulator and
+/// Executes the batches `claim` hands out on a private Simulator and
 /// accumulates outcome counts. `plan` provides (and, for the streaming
 /// view, derives) each batch's runs. Outcomes are per-lane and the counts
-/// are plain integer sums, so sharding batches across threads cannot change
+/// are plain integer sums, so sharing batches between threads cannot change
 /// the aggregate result. Lane sets are runtime-width word arrays (W =
 /// lane_words_for(config.lanes)) rather than full kMaxLaneWords LaneMask
 /// blocks, so the classic 64-lane configuration pays for exactly one word.
 template <typename PlanView>
 void execute_batches(const Fsm& fsm, const CompiledFsm& variant,
                      const std::vector<FaultSite>& sites, const CampaignConfig& config,
-                     const StimulusTable& stim, PlanView& plan, int batch_begin, int batch_end,
+                     const StimulusTable& stim, PlanView& plan, WorkShare::Claim& claim,
                      CampaignResult& out) {
   const int W = lane_words_for(config.lanes);
   Simulator sim(*variant.module, W);
@@ -332,11 +333,12 @@ void execute_batches(const Fsm& fsm, const CompiledFsm& variant,
   using Lanes = std::array<std::uint64_t, kMaxLaneWords>;  // words [0, W) used
 
   const int lanes = config.lanes;
-  for (int batch = batch_begin; batch < batch_end; ++batch) {
+  for (UnitRange batch = claim.next(1); !batch.empty(); batch = claim.next(1)) {
     // Cooperative cancellation at batch granularity: a fired token (sweep
-    // job deadline) stops the worker here, with no half-simulated batch.
+    // job deadline) stops the participant here, with no half-simulated
+    // batch.
     if (config.cancel != nullptr) config.cancel->check("run_campaign");
-    const int base_run = batch * lanes;
+    const int base_run = static_cast<int>(batch.begin) * lanes;
     const int batch_runs = std::min(lanes, config.runs - base_run);
     const LaneMask batch_mask = LaneMask::first_n(batch_runs);
     plan.prepare_batch(base_run, batch_runs);
@@ -490,28 +492,26 @@ void execute_batches(const Fsm& fsm, const CompiledFsm& variant,
   }
 }
 
-/// Shards [0, num_batches) across `workers` threads, giving each worker its
-/// own plan view from `make_view`, and merges the partial counts.
+/// Shares batches [0, num_batches) between the run's participants, giving
+/// each its own plan view from `make_view`, and merges the partial counts.
 template <typename ViewFactory>
 void execute_all(const Fsm& fsm, const CompiledFsm& variant,
                  const std::vector<FaultSite>& sites, const CampaignConfig& config,
-                 const StimulusTable& stim, int num_batches, int workers,
-                 ViewFactory make_view, CampaignResult& result) {
-  std::vector<CampaignResult> partial(static_cast<std::size_t>(workers));
-  run_shards(workers, [&](int w) {
-    const int begin = static_cast<int>(static_cast<std::int64_t>(num_batches) * w / workers);
-    const int end = static_cast<int>(static_cast<std::int64_t>(num_batches) * (w + 1) / workers);
-    auto view = make_view();
-    execute_batches(fsm, variant, sites, config, stim, view, begin, end,
-                    partial[static_cast<std::size_t>(w)]);
-  });
-  for (const CampaignResult& p : partial) {
-    result.masked += p.masked;
-    result.detected += p.detected;
-    result.hijacked += p.hijacked;
-    result.lagged += p.lagged;
-    result.silent_invalid += p.silent_invalid;
-  }
+                 const StimulusTable& stim, int num_batches, ViewFactory make_view,
+                 CampaignResult& result) {
+  std::mutex merge_mutex;
+  WorkShare::run(static_cast<std::uint64_t>(num_batches), 1, config.threads,
+                 [&](WorkShare::Claim& claim) {
+                   auto view = make_view();
+                   CampaignResult p;
+                   execute_batches(fsm, variant, sites, config, stim, view, claim, p);
+                   const std::lock_guard<std::mutex> lock(merge_mutex);
+                   result.masked += p.masked;
+                   result.detected += p.detected;
+                   result.hijacked += p.hijacked;
+                   result.lagged += p.lagged;
+                   result.silent_invalid += p.silent_invalid;
+                 });
 }
 
 }  // namespace
@@ -570,14 +570,13 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
   // to reject long before this line).
   const int num_batches = static_cast<int>(
       (static_cast<std::int64_t>(config.runs) + config.lanes - 1) / config.lanes);
-  const int workers = std::max(1, std::min(config.threads, num_batches));
   if (materializes) {
     const CampaignPlan plan = plan_campaign_materialized(fsm, cfg, sites.size(), config);
-    execute_all(fsm, variant, sites, config, stim, num_batches, workers,
+    execute_all(fsm, variant, sites, config, stim, num_batches,
                 [&plan] { return MaterializedPlanView{&plan}; }, result);
   } else {
     const std::vector<std::vector<std::int32_t>> edges_from = index_edges_from(fsm, cfg);
-    execute_all(fsm, variant, sites, config, stim, num_batches, workers,
+    execute_all(fsm, variant, sites, config, stim, num_batches,
                 [&] {
                   return StreamingPlanView(edges_from, cfg, fsm.reset_state, sites.size(),
                                            config);

@@ -19,12 +19,12 @@
 // own batches on the fly with O(lanes) memory, so arbitrary-size campaigns
 // run under a constant footprint and the plan for run k never depends on
 // runs 0..k-1. Execution packs `lanes` runs into the bit-parallel simulator
-// (one lane per run, up to 512 lanes via multi-word lane blocks) and, with
-// `threads` > 1, shards whole batches across
-// worker threads. Because each run's plan is a pure function of
-// (seed, run_index) and per-run outcomes are independent, the aggregate
-// CampaignResult is bit-identical for every combination of `lanes` and
-// `threads`.
+// (one lane per run, up to 512 lanes via multi-word lane blocks) and shares
+// whole batches between the calling thread and its helpers (`threads` - 1,
+// or an enclosing sweep's idle threads). Because each run's plan is a pure
+// function of (seed, run_index) and per-run outcomes are independent, the
+// aggregate CampaignResult is bit-identical for every combination of
+// `lanes` and `threads`.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +72,9 @@ struct CampaignConfig {
   /// Widths past 64 select a multi-word SoA lane block (lane_words in
   /// {2, 4, 8}), subject to the SCFI_LANE_WORDS_CAP runtime clamp.
   int lanes = kNumLanes;
-  int threads = 1;        ///< worker threads sharding batches (<=1 = inline)
+  /// Worker threads sharing batches (<=1 = inline); ignored under a
+  /// current WorkBoard, whose idle threads help instead.
+  int threads = 1;
   /// Hard cap on a *materialized* plan (walks, golden sequences, fault
   /// schedules — see planned_bytes()). The materializing planners allocate
   /// the whole plan before the first simulated cycle, so a >10^7-run

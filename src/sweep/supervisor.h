@@ -71,10 +71,10 @@ struct FleetConfig {
   /// Delay schedule between a slot's consecutive crashes and its respawn,
   /// full-jittered so crashed slots do not respawn in lockstep.
   BackoffPolicy respawn_backoff{100.0, 2.0, 5000.0};
-  /// Per-worker execution config (threads = inner threads PER WORKER;
-  /// `jobs` is forced to 1 — a worker runs one job at a time so a crash
-  /// attributes to exactly one lease; `cancel` is owned by the worker's
-  /// drain token).
+  /// Per-worker execution config (threads = thread budget PER WORKER, all
+  /// of it on the worker's one running job; `jobs` is forced to 1 — a
+  /// worker runs one job at a time so a crash attributes to exactly one
+  /// lease; `cancel` is owned by the worker's drain token).
   SweepConfig job;
   /// Test hook: a worker that claims this key SIGKILLs itself while
   /// holding the lease — a deterministic stand-in for a job that crashes

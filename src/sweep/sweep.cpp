@@ -1,7 +1,6 @@
 #include "sweep/sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <map>
@@ -120,16 +119,19 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
     }
   }
 
-  // Two-level parallelism under one shared budget: `outer` concurrent jobs,
-  // each running its queries with `inner` SYNFI worker threads.
-  const int outer =
-      std::max(1, std::min(config_.jobs, static_cast<int>(groups.size())));
-  const int inner = std::max(1, config_.threads / outer);
-
+  // One pool of max(jobs, threads) workers. A worker opens the next variant
+  // group while groups remain and fewer than `jobs` are open; otherwise it
+  // helps the open groups' SYNFI and campaign runs through the board, and
+  // it leaves once every group has closed. The board lock guards the
+  // scheduling counters below.
+  const int workers = std::max(config_.jobs, config_.threads);
+  WorkBoard board;
+  std::size_t next_group = 0;
+  int open_groups = 0;
+  std::size_t closed_groups = 0;
+  bool aborted = false;
   std::mutex emit_mutex;
-  std::atomic<std::size_t> next_group{0};
-  std::atomic<bool> aborted{false};
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(outer));
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
 
   // Streams one finished record — ok or failed — under the emit lock.
   const auto emit = [&](SweepResult result) {
@@ -153,134 +155,148 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
     emit(std::move(result));
   };
 
-  const auto worker = [&](int slot) {
+  // Runs every job of one group, in job order, as the owner of its runs.
+  const auto run_group = [&](const VariantGroup& group) {
+    // Building the variant is deterministic — an unknown corpus module
+    // or a compile failure would fail identically on every retry — so
+    // a build error fails every job of the group in one attempt.
+    // `design` must outlive `compiled` (the compiled FSM points into it).
+    rtlil::Design design;
+    std::optional<ot::OtEntry> entry;
+    std::optional<fsm::CompiledFsm> compiled;
     try {
-      for (;;) {
-        // An escaped worker error (fail_fast, or store/append I/O trouble)
-        // stops every worker from claiming further groups; only the groups
-        // already in flight finish.
-        if (aborted.load(std::memory_order_relaxed)) return;
-        const std::size_t g = next_group.fetch_add(1);
-        if (g >= groups.size()) return;
-        const VariantGroup& group = groups[g];
-        // Building the variant is deterministic — an unknown corpus module
-        // or a compile failure would fail identically on every retry — so
-        // a build error fails every job of the group in one attempt.
-        // `design` must outlive `compiled` (the compiled FSM points into it).
-        rtlil::Design design;
-        std::optional<ot::OtEntry> entry;
-        std::optional<fsm::CompiledFsm> compiled;
+      entry = source_of(pending[group.job_indices.front()], source).module(group.module);
+      compiled = ot::build_ot_variant(*entry, design,
+                                      variant_of(pending[group.job_indices.front()]),
+                                      group.protection_level, group.module + "_sweep");
+    } catch (...) {
+      if (config_.fail_fast) throw;
+      const std::string why = describe_current_exception();
+      for (const std::size_t j : group.job_indices) {
+        emit_failure(pending[j], "variant build failed: " + why, 1, 0.0);
+      }
+      return;
+    }
+    // lanes = 0 resolves per compiled module right here — the one place
+    // that holds both the knob and the module; explicit counts pass
+    // through untouched.
+    const int lanes = config_.lanes > 0 ? config_.lanes : synfi::auto_lanes(*compiled->module);
+    // The Analyzer is SYNFI-only (it rejects raw/redundant variants);
+    // build it lazily so campaign-only groups never pay for — or trip
+    // over — it.
+    std::unique_ptr<synfi::Analyzer> analyzer;
+    for (const std::size_t j : group.job_indices) {
+      // One deadline spans every attempt of the job: retries must not
+      // extend a timeout budget. The token also observes the external
+      // stop signal (fleet drain) when one is configured.
+      CancelToken cancel;
+      cancel.chain_to(config_.cancel);
+      const bool deadline = config_.job_timeout > 0.0;
+      if (deadline) cancel.set_deadline_after(config_.job_timeout);
+      const bool cancellable = deadline || config_.cancel != nullptr;
+      const auto job_start = std::chrono::steady_clock::now();
+      const auto elapsed = [&] {
+        return std::chrono::duration<double>(std::chrono::steady_clock::now() - job_start)
+            .count();
+      };
+      for (int attempt = 1;; ++attempt) {
         try {
-          entry = source_of(pending[group.job_indices.front()], source).module(group.module);
-          compiled = ot::build_ot_variant(*entry, design,
-                                          variant_of(pending[group.job_indices.front()]),
-                                          group.protection_level, group.module + "_sweep");
+          SweepResult result;
+          result.job = pending[j];
+          if (result.job.type == JobType::kCampaign) {
+            sim::CampaignConfig config = result.job.campaign;
+            config.planner = sim::CampaignPlanner::kStreaming;
+            config.lanes = lanes;
+            if (cancellable) config.cancel = &cancel;
+            result.campaign = sim::run_campaign(entry->fsm, *compiled, config);
+          } else {
+            if (!analyzer) {
+              analyzer = std::make_unique<synfi::Analyzer>(entry->fsm, *compiled);
+            }
+            synfi::SynfiConfig config = result.job.synfi;
+            config.lanes = lanes;
+            if (cancellable) config.cancel = &cancel;
+            result.report = analyzer->run(config);
+            // The job's own report answers k = faults_k; only smaller k
+            // re-query the shared (cached) analyzer.
+            result.protection_degree =
+                synfi::measured_protection_degree(*analyzer, config, result.report);
+          }
+          result.attempts = attempt;
+          result.seconds = elapsed();
+          emit(std::move(result));
+          break;
+        } catch (const CancelledError&) {
+          // The deadline — or the external stop — fired mid-attempt.
+          // Deterministically final: the budget spans attempts, so
+          // there is nothing to retry.
+          if (config_.fail_fast) throw;
+          const bool external =
+              config_.cancel != nullptr && config_.cancel->stop_requested();
+          emit_failure(pending[j],
+                       external
+                           ? format("cancelled after %.3fs (external stop)", elapsed())
+                           : format("timed out after %.3fs (job timeout %.3fs)",
+                                    elapsed(), config_.job_timeout),
+                       attempt, elapsed());
+          break;
         } catch (...) {
           if (config_.fail_fast) throw;
           const std::string why = describe_current_exception();
-          for (const std::size_t j : group.job_indices) {
-            emit_failure(pending[j], "variant build failed: " + why, 1, 0.0);
+          if (attempt > config_.retries || cancel.stop_requested()) {
+            emit_failure(pending[j], why, attempt, elapsed());
+            break;
           }
-          continue;
-        }
-        // lanes = 0 resolves per compiled module right here — the one place
-        // that holds both the knob and the module; explicit counts pass
-        // through untouched.
-        const int lanes =
-            config_.lanes > 0 ? config_.lanes : synfi::auto_lanes(*compiled->module);
-        // The Analyzer is SYNFI-only (it rejects raw/redundant variants);
-        // build it lazily so campaign-only groups never pay for — or trip
-        // over — it.
-        std::unique_ptr<synfi::Analyzer> analyzer;
-        for (const std::size_t j : group.job_indices) {
-          // One deadline spans every attempt of the job: retries must not
-          // extend a timeout budget. The token also observes the external
-          // stop signal (fleet drain) when one is configured.
-          CancelToken cancel;
-          cancel.chain_to(config_.cancel);
-          const bool deadline = config_.job_timeout > 0.0;
-          if (deadline) cancel.set_deadline_after(config_.job_timeout);
-          const bool cancellable = deadline || config_.cancel != nullptr;
-          const auto job_start = std::chrono::steady_clock::now();
-          const auto elapsed = [&] {
-            return std::chrono::duration<double>(std::chrono::steady_clock::now() - job_start)
-                .count();
-          };
-          for (int attempt = 1;; ++attempt) {
-            try {
-              SweepResult result;
-              result.job = pending[j];
-              if (result.job.type == JobType::kCampaign) {
-                sim::CampaignConfig config = result.job.campaign;
-                config.planner = sim::CampaignPlanner::kStreaming;
-                config.lanes = lanes;
-                config.threads = inner;
-                if (cancellable) config.cancel = &cancel;
-                result.campaign = sim::run_campaign(entry->fsm, *compiled, config);
-              } else {
-                if (!analyzer) {
-                  analyzer = std::make_unique<synfi::Analyzer>(entry->fsm, *compiled);
-                }
-                synfi::SynfiConfig config = result.job.synfi;
-                config.lanes = lanes;
-                config.threads = inner;
-                if (cancellable) config.cancel = &cancel;
-                result.report = analyzer->run(config);
-                // The job's own report answers k = faults_k; only smaller k
-                // re-query the shared (cached) analyzer.
-                result.protection_degree =
-                    synfi::measured_protection_degree(*analyzer, config, result.report);
-              }
-              result.attempts = attempt;
-              result.seconds = elapsed();
-              emit(std::move(result));
-              break;
-            } catch (const CancelledError&) {
-              // The deadline — or the external stop — fired mid-attempt.
-              // Deterministically final: the budget spans attempts, so
-              // there is nothing to retry.
-              if (config_.fail_fast) throw;
-              const bool external =
-                  config_.cancel != nullptr && config_.cancel->stop_requested();
-              emit_failure(pending[j],
-                           external
-                               ? format("cancelled after %.3fs (external stop)", elapsed())
-                               : format("timed out after %.3fs (job timeout %.3fs)",
-                                        elapsed(), config_.job_timeout),
-                           attempt, elapsed());
-              break;
-            } catch (...) {
-              if (config_.fail_fast) throw;
-              const std::string why = describe_current_exception();
-              if (attempt > config_.retries || cancel.stop_requested()) {
-                emit_failure(pending[j], why, attempt, elapsed());
-                break;
-              }
-              {
-                const std::lock_guard<std::mutex> lock(emit_mutex);
-                ++stats.retried;
-              }
-              double delay_ms = config_.backoff.delay_ms(attempt);
-              if (deadline) {
-                const double remaining_ms = (config_.job_timeout - elapsed()) * 1000.0;
-                delay_ms = std::min(delay_ms, std::max(0.0, remaining_ms));
-              }
-              if (delay_ms > 0.0) {
-                std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay_ms));
-              }
-            }
+          {
+            const std::lock_guard<std::mutex> lock(emit_mutex);
+            ++stats.retried;
+          }
+          double delay_ms = config_.backoff.delay_ms(attempt);
+          if (deadline) {
+            const double remaining_ms = (config_.job_timeout - elapsed()) * 1000.0;
+            delay_ms = std::min(delay_ms, std::max(0.0, remaining_ms));
+          }
+          if (delay_ms > 0.0) {
+            std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay_ms));
           }
         }
       }
+    }
+  };
+
+  const auto worker = [&](int slot) {
+    const WorkBoard::Scope scope(board);
+    try {
+      for (;;) {
+        std::optional<std::size_t> g;
+        board.help_until([&] {
+          // An escaped worker error (fail_fast, or store/append I/O trouble)
+          // stops every worker from opening further groups; only the groups
+          // already in flight finish.
+          if (aborted || closed_groups == groups.size()) return true;
+          if (next_group < groups.size() && open_groups < config_.jobs) {
+            g = next_group++;
+            ++open_groups;
+            return true;
+          }
+          return false;
+        });
+        if (!g) return;
+        run_group(groups[*g]);
+        board.post([&] {
+          --open_groups;
+          ++closed_groups;
+        });
+      }
     } catch (...) {
       errors[static_cast<std::size_t>(slot)] = std::current_exception();
-      aborted.store(true, std::memory_order_relaxed);
+      board.post([&] { aborted = true; });
     }
   };
 
   // The worker catches its own escapes into `errors`, so run_shards only
   // joins; the aggregation below reports every one of them.
-  run_shards(outer, worker);
+  run_shards(workers, worker);
   // Escaped errors abort the sweep — all of them reported, not just the
   // first worker's: under fail_fast several workers can trip concurrently,
   // and swallowing the others hides real failures.

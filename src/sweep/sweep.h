@@ -7,10 +7,12 @@
 // `SweepJob.type`). The orchestrator groups jobs by compiled variant so
 // that the variant is built once per group (and ONE synfi::Analyzer serves
 // every SYNFI query of that variant, amortizing the simulator/CNF build),
-// shards the groups across an outer worker pool, and splits a shared thread
-// budget between the outer pool and the per-job inner parallelism (SYNFI
-// `threads` / campaign `threads`). Completed jobs are streamed into a
-// ResultStore (and, when requested, appended to a JSONL file as they
+// and runs them on one pool of max(jobs, threads) workers: at most `jobs`
+// groups are open at once, each running its jobs in order, and every other
+// worker helps the open groups' SYNFI and campaign runs by stealing halves
+// of their unit ranges (base/parallel.h WorkShare), so a straggler group
+// gets the whole pool once the others close. Completed jobs are streamed
+// into a ResultStore (and, when requested, appended to a JSONL file as they
 // finish), so an interrupted sweep can be resumed by skipping the keys
 // already present.
 //
@@ -40,11 +42,13 @@
 namespace scfi::sweep {
 
 struct SweepConfig {
-  /// Maximum concurrently running jobs (outer parallelism); >= 1.
+  /// Maximum concurrently open variant groups (each runs its jobs one at a
+  /// time, in job order); >= 1.
   int jobs = 1;
-  /// Total worker-thread budget shared by all running jobs: each job runs
-  /// its SYNFI queries with max(1, threads / <outer workers>) inner
-  /// threads; >= 1.
+  /// Thread budget: the sweep runs max(jobs, threads) worker threads. At
+  /// most `jobs` of them own an open group; the rest help the open groups'
+  /// SYNFI and campaign runs, so a straggler group gets every idle thread;
+  /// >= 1.
   int threads = 1;
   /// Simulator lanes per pass: (site, edge) injection jobs for
   /// exhaustive-backend SYNFI queries, campaign runs per batch for

@@ -76,10 +76,10 @@ sat::CnfFaultKind to_cnf_kind(sim::FaultKind kind) {
 // --- lazy combination streaming ---------------------------------------------
 //
 // Exhaustive jobs are (combination, edge) pairs in combo-major lexicographic
-// order; a single fault is a 1-combination. Shards claim contiguous *rank*
-// ranges, unrank their first combination once, and then step with the O(k)
-// lexicographic successor — no shard ever materialises the C(n, k)
-// combination list.
+// order; a single fault is a 1-combination. Participants claim contiguous
+// *rank* ranges, unrank the first combination of a range once, and then
+// step with the O(k) lexicographic successor — nobody ever materialises the
+// C(n, k) combination list.
 
 std::uint64_t binomial(std::size_t n, std::size_t k) {
   if (k > n) return 0;
@@ -151,10 +151,11 @@ EdgeTable build_edge_table(const CompiledFsm& variant, const std::vector<CfgEdge
   return table;
 }
 
-/// Partial counters of one shard. They are plain sums, and exploitable
-/// sites go into a per-shard full-region bitmap that the merge ORs and
-/// emits in global site order, so the report is lanes/threads-invariant.
-struct ShardReport {
+/// Partial counters of one run participant. They are plain sums, and
+/// exploitable sites go into a per-participant full-region bitmap that the
+/// merge ORs and emits in global site order, so the report is
+/// lanes/threads-invariant.
+struct PartialReport {
   std::int64_t injections = 0;
   std::int64_t exploitable = 0;
   std::int64_t detected = 0;
@@ -162,88 +163,93 @@ struct ShardReport {
   std::int64_t stalls = 0;
 };
 
-/// One reusable worker context of the exhaustive back-end: the compiled
-/// 64-lane simulator plus the resolved interface handles. Building the
-/// Simulator (netlist flattening) is the fixed cost a many-region sweep
-/// amortizes, so the Analyzer keeps one context per worker slot alive
-/// across run() calls. Per-job state/symbol stimulus is fully overwritten
-/// every batch and outcome classification reads only the state/alert cone,
-/// so carried-over simulator state cannot change any verdict (the same
-/// property that makes the report lanes/threads-invariant).
+/// The stimulus of every batch alignment. Jobs stay in (combo-major,
+/// edge-minor) order, so a batch whose first job has edge e0 drives lane j
+/// with edge (e0 + j) mod E: its per-word symbol/state stimulus depends only
+/// on e0, and its per-lane from/to state indices are the window starting at
+/// e0 of the edge sequence unrolled to E + lanes entries. Precomputed so
+/// the batch loop never repacks bits or divides.
+struct AlignedStimulus {
+  std::vector<std::uint64_t> in_words;  ///< [e0][symbol bit][word] -> lane word
+  std::vector<std::uint64_t> st_words;  ///< [e0][state bit][word] -> lane word
+  std::vector<std::int32_t> lane_from;  ///< state index per unrolled edge
+  std::vector<std::int32_t> lane_to;
+};
+
+AlignedStimulus build_aligned_stimulus(const EdgeTable& edges, int symbol_w, int state_w,
+                                       int W, std::size_t total_lanes) {
+  const std::size_t num_edges = edges.size();
+  AlignedStimulus a;
+  for (std::size_t i = 0; i < num_edges + total_lanes; ++i) {
+    a.lane_from.push_back(edges.from[i % num_edges]);
+    a.lane_to.push_back(edges.to[i % num_edges]);
+  }
+  a.in_words.assign(num_edges * static_cast<std::size_t>(symbol_w * W), 0);
+  a.st_words.assign(num_edges * static_cast<std::size_t>(state_w * W), 0);
+  for (std::size_t r = 0; r < num_edges; ++r) {
+    std::uint64_t* in = &a.in_words[r * static_cast<std::size_t>(symbol_w * W)];
+    std::uint64_t* st = &a.st_words[r * static_cast<std::size_t>(state_w * W)];
+    for (std::size_t lane = 0; lane < total_lanes; ++lane) {
+      const std::size_t e = (r + lane) % num_edges;
+      const std::size_t wj = lane >> 6;
+      const std::uint64_t bit = 1ULL << (lane & 63);
+      for (int i = 0; i < symbol_w; ++i) {
+        if ((edges.code[e] >> i) & 1) in[static_cast<std::size_t>(i * W) + wj] |= bit;
+      }
+      for (int i = 0; i < state_w; ++i) {
+        if ((edges.from_code[e] >> i) & 1) st[static_cast<std::size_t>(i * W) + wj] |= bit;
+      }
+    }
+  }
+  return a;
+}
+
+/// One reusable participant context of the exhaustive back-end: the
+/// compiled simulator, the resolved interface handles, and the aligned
+/// stimulus for the simulator's lane width. Building the Simulator (netlist
+/// flattening) and the stimulus (O(edges x lanes x width)) are the fixed
+/// costs a many-region sweep amortizes, so the Analyzer keeps its contexts
+/// alive across run() calls; the edge table is fixed per Analyzer, so the
+/// stimulus is too. Per-job state/symbol stimulus is fully overwritten every
+/// batch and outcome classification reads only the state/alert cone, so
+/// carried-over simulator state cannot change any verdict (the same property
+/// that makes the report lanes/threads-invariant).
 struct SimContext {
   sim::Simulator simulator;
   sim::Simulator::WireHandle symbol_h;
   sim::Simulator::WireHandle state_h;
   sim::Simulator::WireHandle alert_h;
+  AlignedStimulus aligned;
 
-  SimContext(const CompiledFsm& variant, int lane_words)
+  SimContext(const CompiledFsm& variant, const EdgeTable& edges, int lane_words)
       : simulator(*variant.module, lane_words) {
     symbol_h = simulator.input_handle(variant.symbol_input_wire);
     state_h = simulator.probe(variant.state_wire);
     if (!variant.alert_wire.empty()) alert_h = simulator.probe(variant.alert_wire);
     check(state_h.width <= 64, "synfi: state wire too wide");
+    aligned = build_aligned_stimulus(edges, symbol_h.width, state_h.width, lane_words,
+                                     static_cast<std::size_t>(lane_words) * 64);
   }
 };
 
-/// Per-edge-alignment stimulus. Jobs stay in (combo-major, edge-minor)
-/// order, so a batch starting at job j0 always drives lane k with edge
-/// (j0 + k) mod E: the per-word stimulus and per-lane from/to state indices
-/// depend only on j0 mod E. Precomputed per alignment so the batch loop
-/// never repacks bits or divides.
-struct AlignedStimulus {
-  std::vector<std::uint64_t> in_words;   ///< symbol bit x word -> lane word
-  std::vector<std::uint64_t> st_words;   ///< state bit x word -> lane word
-  std::vector<std::int32_t> lane_from;   ///< state index per lane
-  std::vector<std::int32_t> lane_to;
-};
-
-std::vector<AlignedStimulus> build_aligned_stimulus(const EdgeTable& edges, int symbol_w,
-                                                    int state_w, int W,
-                                                    std::size_t total_lanes) {
-  const std::size_t num_edges = edges.size();
-  std::vector<AlignedStimulus> aligned(num_edges);
-  for (std::size_t r = 0; r < num_edges; ++r) {
-    AlignedStimulus& a = aligned[r];
-    a.in_words.assign(static_cast<std::size_t>(symbol_w * W), 0);
-    a.st_words.assign(static_cast<std::size_t>(state_w * W), 0);
-    a.lane_from.resize(total_lanes);
-    a.lane_to.resize(total_lanes);
-    std::size_t e = r;
-    for (std::size_t lane = 0; lane < total_lanes; ++lane) {
-      const std::size_t wj = lane >> 6;
-      const std::uint64_t bit = 1ULL << (lane & 63);
-      const std::uint64_t code = edges.code[e];
-      const std::uint64_t from_code = edges.from_code[e];
-      for (int i = 0; i < symbol_w; ++i) {
-        if ((code >> i) & 1) a.in_words[static_cast<std::size_t>(i * W) + wj] |= bit;
-      }
-      for (int i = 0; i < state_w; ++i) {
-        if ((from_code >> i) & 1) a.st_words[static_cast<std::size_t>(i * W) + wj] |= bit;
-      }
-      a.lane_from[lane] = edges.from[e];
-      a.lane_to[lane] = edges.to[e];
-      if (++e == num_edges) e = 0;
-    }
-  }
-  return aligned;
-}
-
-/// Exhaustive-simulation back-end over combination ranks [combo_begin,
-/// combo_end): every job is one lexicographic site combination x one edge
+/// Exhaustive-simulation back-end over the combination ranks `claim` hands
+/// out: every job is one lexicographic site combination x one edge
 /// (combo-major, edge-minor), all k faults of a combo injected into the same
 /// lane, and up to `config.lanes` jobs packed into every eval/step pass —
 /// 64 x lane_words jobs when the context's simulator carries a multi-word
-/// lane block. Lane j carries job j's state/symbol stimulus (per-lane
-/// register/input words) and a single-lane fault mask; outcomes are
-/// classified word-parallel, W lane words at a time. Lanes never interact,
-/// so the per-job outcome equals the scalar one-job-per-pass path bit for
-/// bit. Combinations straddle the whole region, so attribution goes into a
-/// caller-owned full-region bitmap.
-void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
-                                 const std::vector<SigBit>& sites, const EdgeTable& edges,
-                                 const SynfiConfig& config, std::uint64_t combo_begin,
-                                 std::uint64_t combo_end, std::vector<char>& site_hit,
-                                 ShardReport& out) {
+/// lane block. Claimed ranges hold whole combinations, so lane j of a batch
+/// whose first job has edge e0 always carries edge (e0 + j) mod E, across
+/// range boundaries too; a claim that does not continue the previous one
+/// just unranks its first combination. Lane j carries job j's state/symbol
+/// stimulus (per-lane register/input words) and a single-lane fault mask;
+/// outcomes are classified word-parallel, W lane words at a time. Lanes
+/// never interact, so the per-job outcome equals the scalar one-job-per-pass
+/// path bit for bit. Combinations straddle the whole region, so attribution
+/// goes into a caller-owned full-region bitmap.
+void run_exhaustive(SimContext& ctx, const CompiledFsm& variant,
+                    const std::vector<SigBit>& sites, const EdgeTable& edges,
+                    const SynfiConfig& config, WorkShare::Claim& claim,
+                    std::vector<char>& site_hit, PartialReport& out) {
   sim::Simulator& simulator = ctx.simulator;
   const sim::Simulator::WireHandle symbol_h = ctx.symbol_h;
   const sim::Simulator::WireHandle state_h = ctx.state_h;
@@ -264,7 +270,6 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
   for (const SigBit& site : sites) site_net.push_back(simulator.net_index(site));
 
   const std::size_t num_edges = edges.size();
-  const std::uint64_t num_jobs = (combo_end - combo_begin) * num_edges;
   const auto lanes = static_cast<std::size_t>(config.lanes);
   // Runtime-width lane sets: words [0, W) of a kMaxLaneWords array, so the
   // classic one-word configuration pays for exactly one word.
@@ -280,48 +285,68 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
   };
   std::vector<std::uint64_t> state_words(static_cast<std::size_t>(state_w * W));
   std::vector<std::uint64_t> state_eq(num_states * static_cast<std::size_t>(W));
-  const std::vector<AlignedStimulus> aligned =
-      build_aligned_stimulus(edges, symbol_w, state_w, W, total_lanes);
 
-  // Streamed combination bookkeeping: unrank the shard's first combination
-  // once, then advance lexicographically; each lane records the sites of its
-  // combo so exploitable lanes can credit every member.
-  std::vector<std::size_t> combo = unrank_combination(combo_begin, sites.size(), k);
+  // Streamed combination bookkeeping: `combo` is combination `rank` while
+  // rank < rank_end, advanced lexicographically; each lane records the
+  // sites of its combo so exploitable lanes can credit every member.
+  std::vector<std::size_t> combo;
+  std::uint64_t rank = 0;
+  std::uint64_t rank_end = 0;
   std::vector<std::size_t> lane_sites(total_lanes * k);
   std::size_t cur_edge = 0;
-  for (std::uint64_t job0 = 0; job0 < num_jobs; job0 += lanes) {
+  for (bool more = true; more;) {
     // Cooperative cancellation at batch granularity: a fired token (sweep
-    // job deadline) stops the shard here, never mid-batch.
+    // job deadline) stops the participant here, never mid-batch.
     if (config.cancel != nullptr) config.cancel->check("synfi");
-    const auto batch_jobs =
-        static_cast<std::size_t>(std::min<std::uint64_t>(lanes, num_jobs - job0));
-    const sim::LaneMask batch_mask = sim::LaneMask::first_n(static_cast<int>(batch_jobs));
-    const AlignedStimulus& a = aligned[cur_edge];
+    const std::uint64_t* in_words =
+        &ctx.aligned.in_words[cur_edge * static_cast<std::size_t>(symbol_w * W)];
+    const std::uint64_t* st_words =
+        &ctx.aligned.st_words[cur_edge * static_cast<std::size_t>(state_w * W)];
+    const std::int32_t* lane_from = &ctx.aligned.lane_from[cur_edge];
+    const std::int32_t* lane_to = &ctx.aligned.lane_to[cur_edge];
 
     simulator.clear_all_faults();
     for (int i = 0; i < symbol_w; ++i) {
       for (int w = 0; w < W; ++w) {
-        simulator.set_input_word(symbol_h, i, a.in_words[static_cast<std::size_t>(i * W + w)], w);
+        simulator.set_input_word(symbol_h, i, in_words[i * W + w], w);
       }
     }
     for (int i = 0; i < state_w; ++i) {
       for (int w = 0; w < W; ++w) {
-        simulator.set_register_word(state_h, i, a.st_words[static_cast<std::size_t>(i * W + w)],
-                                    w);
+        simulator.set_register_word(state_h, i, st_words[i * W + w], w);
       }
     }
-    std::size_t e = cur_edge;
-    for (std::size_t lane = 0; lane < batch_jobs; ++lane) {
-      const sim::LaneMask mask = sim::LaneMask::lane(static_cast<int>(lane));
+    std::size_t batch_jobs = 0;
+    while (batch_jobs < lanes) {
+      if (rank == rank_end) {
+        // Whole combinations only: claim enough to fill the batch (the last
+        // one may spill into the next batch).
+        const UnitRange range = claim.next((lanes - batch_jobs + num_edges - 1) / num_edges);
+        if (range.empty()) {
+          more = false;
+          break;
+        }
+        if (range.begin == rank_end && !combo.empty()) {
+          next_combination(combo, sites.size());
+        } else {
+          combo = unrank_combination(range.begin, sites.size(), k);
+        }
+        rank = range.begin;
+        rank_end = range.end;
+      }
+      const sim::LaneMask mask = sim::LaneMask::lane(static_cast<int>(batch_jobs));
       for (std::size_t j = 0; j < k; ++j) {
         simulator.inject_net(site_net[combo[j]], config.kind, mask);
-        lane_sites[lane * k + j] = combo[j];
+        lane_sites[batch_jobs * k + j] = combo[j];
       }
-      if (++e == num_edges) {
-        e = 0;
-        next_combination(combo, sites.size());
+      ++batch_jobs;
+      if (++cur_edge == num_edges) {
+        cur_edge = 0;
+        if (++rank < rank_end) next_combination(combo, sites.size());
       }
     }
+    if (batch_jobs == 0) break;
+    const sim::LaneMask batch_mask = sim::LaneMask::first_n(static_cast<int>(batch_jobs));
 
     simulator.eval();
     const LaneWords alert_pre = alert_words();
@@ -359,11 +384,11 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
     for (std::size_t lane = 0; lane < batch_jobs; ++lane) {
       const std::size_t wj = lane >> 6;
       const std::uint64_t bit = 1ULL << (lane & 63);
-      match_expect[wj] |= state_eq[static_cast<std::size_t>(a.lane_to[lane]) *
+      match_expect[wj] |= state_eq[static_cast<std::size_t>(lane_to[lane]) *
                                        static_cast<std::size_t>(W) +
                                    wj] &
                           bit;
-      match_from[wj] |= state_eq[static_cast<std::size_t>(a.lane_from[lane]) *
+      match_from[wj] |= state_eq[static_cast<std::size_t>(lane_from[lane]) *
                                      static_cast<std::size_t>(W) +
                                  wj] &
                         bit;
@@ -390,11 +415,10 @@ void run_exhaustive_kfault_shard(SimContext& ctx, const CompiledFsm& variant,
         for (std::size_t m = 0; m < k; ++m) site_hit[lane_sites[lane * k + m]] = 1;
       }
     }
-    cur_edge = e;
   }
 }
 
-/// Interface wires of the miter, resolved once per shard construction.
+/// Interface wires of the miter, resolved once per context construction.
 struct MiterWires {
   const rtlil::Wire* symbol = nullptr;
   const rtlil::Wire* state = nullptr;
@@ -472,77 +496,68 @@ void add_post_cycle_alert(sat::Solver& solver, const rtlil::Module& module,
   solver.add_unit(-post.wire_vars(variant.alert_wire)[0]);
 }
 
-/// One live incremental SAT shard: the solver holds the golden copy plus a
-/// faulty copy whose overrides are each gated on a fresh selector literal,
-/// and the query-invariant property clauses (alert low, next-state
-/// mismatch, valid faulty codeword). k = 1 shards gate only their own query
-/// range, with exactly_one over the selectors; k > 1 shards gate every
-/// region site under a cardinality counter. Every (site, edge) query is
-/// then a solve(assumptions) call — selector (+ exactly-k) + state/symbol
-/// units — so the CNF and all learned clauses are shared across the whole
-/// sweep, and (held inside an Analyzer) across every later run() that
-/// touches the same region and fault kind. `free_symbol` only changes the
-/// assumptions, never the CNF, so one shard serves both symbol modes.
-struct SatShard {
+/// One live incremental SAT context: the solver holds the golden copy plus
+/// a faulty copy whose overrides are each gated on a fresh selector literal
+/// — one per region site — and the query-invariant property clauses (alert
+/// low, next-state mismatch, valid faulty codeword). k = 1 constrains the
+/// selectors with exactly_one, k > 1 with a cardinality counter. Every
+/// (site, edge) query is then a solve(assumptions) call — selector (+
+/// exactly-k) + state/symbol units — so the CNF and all learned clauses are
+/// shared across the whole sweep, and (held inside an Analyzer) across every
+/// later run() that touches the same region and fault kind. `free_symbol`
+/// only changes the assumptions, never the CNF, so one context serves both
+/// symbol modes.
+struct SatContext {
   sat::Solver solver;
   MiterInterface iface;
-  std::vector<sat::Lit> selectors;
-  std::size_t selector_base = 0;  ///< region index of selectors[0]
-  std::vector<int> fn;            ///< faulty next-state variables
+  std::vector<sat::Lit> selectors;  ///< one per region site
+  std::vector<int> fn;              ///< faulty next-state variables
   /// k > 1 only: the Sinz counter over *all* region selectors, so "exactly
   /// k faults" is a per-query assumption set.
   std::unique_ptr<sat::CardinalityCounter> counter;
 };
 
-std::unique_ptr<SatShard> build_sat_shard(const CompiledFsm& variant,
-                                          const std::vector<SigBit>& sites,
-                                          sim::FaultKind kind, int faults_k,
-                                          std::size_t site_begin, std::size_t site_end,
-                                          const sat::Solver::WarmStart& warm) {
+std::unique_ptr<SatContext> build_sat_context(const CompiledFsm& variant,
+                                              const std::vector<SigBit>& sites,
+                                              sim::FaultKind kind, int faults_k,
+                                              const sat::Solver::WarmStart& warm) {
   const rtlil::Module& module = *variant.module;
   const MiterWires wires = resolve_interface(module, variant);
-  auto shard = std::make_unique<SatShard>();
-  sat::Solver& solver = shard->solver;
-  shard->iface = bind_interface(solver, wires);
+  auto ctx = std::make_unique<SatContext>();
+  sat::Solver& solver = ctx->solver;
+  ctx->iface = bind_interface(solver, wires);
 
-  const sat::CnfCopy golden(solver, module, shard->iface.bound);
-  // Single-fault shards gate only their own site range (exactly_one picks
-  // the queried site). k-fault shards must let the other k-1 faults land
-  // anywhere in the region, so every site gets a selector regardless of the
-  // shard's query range, constrained by the cardinality counter instead.
-  const std::size_t sel_begin = faults_k > 1 ? 0 : site_begin;
-  const std::size_t sel_end = faults_k > 1 ? sites.size() : site_end;
-  shard->selector_base = sel_begin;
+  const sat::CnfCopy golden(solver, module, ctx->iface.bound);
   std::vector<sat::CnfFault> faults;
-  shard->selectors.reserve(sel_end - sel_begin);
-  faults.reserve(sel_end - sel_begin);
-  for (std::size_t s = sel_begin; s < sel_end; ++s) {
+  ctx->selectors.reserve(sites.size());
+  faults.reserve(sites.size());
+  for (std::size_t s = 0; s < sites.size(); ++s) {
     const sat::Lit sel = solver.new_var();
-    shard->selectors.push_back(sel);
+    ctx->selectors.push_back(sel);
     faults.push_back(sat::CnfFault{sites[s], to_cnf_kind(kind), sel});
   }
-  const sat::CnfCopy faulty(solver, module, shard->iface.bound, faults);
+  const sat::CnfCopy faulty(solver, module, ctx->iface.bound, faults);
   if (faults_k > 1) {
-    shard->counter =
-        std::make_unique<sat::CardinalityCounter>(solver, shard->selectors, faults_k);
+    ctx->counter =
+        std::make_unique<sat::CardinalityCounter>(solver, ctx->selectors, faults_k);
   } else {
-    sat::exactly_one(solver, shard->selectors);
+    sat::exactly_one(solver, ctx->selectors);
   }
 
   const std::vector<int> gn = golden.ff_next_vars(variant.state_wire);
-  shard->fn = faulty.ff_next_vars(variant.state_wire);
+  ctx->fn = faulty.ff_next_vars(variant.state_wire);
   if (!variant.alert_wire.empty()) {
     solver.add_unit(-faulty.wire_vars(variant.alert_wire)[0]);
   }
-  add_post_cycle_alert(solver, module, variant, wires, shard->iface, faulty, faults, kind);
-  solver.add_unit(sat::differ(solver, gn, shard->fn));
-  solver.add_unit(sat::member_of(solver, shard->fn, variant.state_codes));
+  add_post_cycle_alert(solver, module, variant, wires, ctx->iface, faulty, faults, kind);
+  solver.add_unit(sat::differ(solver, gn, ctx->fn));
+  solver.add_unit(sat::member_of(solver, ctx->fn, variant.state_codes));
 
-  // Seed the branching heuristic from what a sibling shard of this variant
-  // already learned. Pure heuristic state: search order may change, the
+  // Seed the branching heuristic from what an earlier context of this
+  // variant already learned. Pure heuristic state: search order may change, the
   // SAT/UNSAT verdicts (and with them the report) cannot.
   if (!warm.empty()) solver.import_warm_start(warm);
-  return shard;
+  return ctx;
 }
 
 /// Answers the (site, edge) queries of sites [site_begin, site_end) via
@@ -552,11 +567,11 @@ std::unique_ptr<SatShard> build_sat_shard(const CompiledFsm& variant,
 /// assumptions. Counting is per (site, edge) for every k (the exhaustive
 /// back-end counts per (combination, edge) instead; both agree on
 /// exploitable > 0 and on the exploitable site set).
-void run_sat_queries(SatShard& shard, const EdgeTable& edges, const SynfiConfig& config,
+void run_sat_queries(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& config,
                      std::size_t site_begin, std::size_t site_end,
-                     std::vector<char>& site_hit, ShardReport& out) {
+                     std::vector<char>& site_hit, PartialReport& out) {
   const std::vector<sat::Lit> cardinality =
-      shard.counter != nullptr ? shard.counter->assume_exactly(config.faults_k)
+      ctx.counter != nullptr ? ctx.counter->assume_exactly(config.faults_k)
                                : std::vector<sat::Lit>{};
   std::vector<sat::Lit> assumptions;
   for (std::size_t s = site_begin; s < site_end; ++s) {
@@ -565,18 +580,18 @@ void run_sat_queries(SatShard& shard, const EdgeTable& edges, const SynfiConfig&
       if (config.cancel != nullptr) config.cancel->check("synfi");
       ++out.injections;
       assumptions.clear();
-      assumptions.push_back(shard.selectors[s - shard.selector_base]);
+      assumptions.push_back(ctx.selectors[s]);
       assumptions.insert(assumptions.end(), cardinality.begin(), cardinality.end());
-      push_equals(assumptions, shard.iface.svars, edges.from_code[e]);
-      if (!config.free_symbol) push_equals(assumptions, shard.iface.xvars, edges.code[e]);
-      if (shard.solver.solve(assumptions) == sat::Result::kSat) {
+      push_equals(assumptions, ctx.iface.svars, edges.from_code[e]);
+      if (!config.free_symbol) push_equals(assumptions, ctx.iface.xvars, edges.code[e]);
+      if (ctx.solver.solve(assumptions) == sat::Result::kSat) {
         ++out.exploitable;
         site_hit[s] = 1;
         // Stall iff some undetected model keeps the old state: decided by a
         // second assumption query, so the count does not depend on which
         // model the solver happened to find.
-        push_equals(assumptions, shard.fn, edges.from_code[e]);
-        if (shard.solver.solve(assumptions) == sat::Result::kSat) ++out.stalls;
+        push_equals(assumptions, ctx.fn, edges.from_code[e]);
+        if (ctx.solver.solve(assumptions) == sat::Result::kSat) ++out.stalls;
       } else {
         // Conservatively attribute UNSAT to detection/masking; the
         // simulation back-end provides the fine-grained split.
@@ -589,10 +604,10 @@ void run_sat_queries(SatShard& shard, const EdgeTable& edges, const SynfiConfig&
 /// Reference SAT back-end: a fresh single-fault miter per (site, edge)
 /// query. Kept as the baseline the incremental engine is validated and
 /// benchmarked against (never cached — it IS the rebuild cost).
-void run_sat_rebuild_shard(const CompiledFsm& variant, const std::vector<SigBit>& sites,
-                           const EdgeTable& edges, const SynfiConfig& config,
-                           std::size_t site_begin, std::size_t site_end,
-                           std::vector<char>& site_hit, ShardReport& out) {
+void run_sat_rebuild(const CompiledFsm& variant, const std::vector<SigBit>& sites,
+                     const EdgeTable& edges, const SynfiConfig& config,
+                     std::size_t site_begin, std::size_t site_end,
+                     std::vector<char>& site_hit, PartialReport& out) {
   const rtlil::Module& module = *variant.module;
   const MiterWires wires = resolve_interface(module, variant);
   for (std::size_t s = site_begin; s < site_end; ++s) {
@@ -661,12 +676,10 @@ void run_sat_rebuild_shard(const CompiledFsm& variant, const std::vector<SigBit>
 /// target class).
 using RegionKey = std::tuple<std::string, bool, sim::FaultTarget>;
 
-/// Incremental SAT shard cache key: the CNF depends on the region, the fault
-/// kind, the fault count (selector span + cardinality network), and the
-/// shard's site range (free_symbol and the stimulus live in the
-/// assumptions).
-using SatShardKey = std::tuple<std::string, bool, sim::FaultTarget, sim::FaultKind, int,
-                               std::size_t, std::size_t>;
+/// Incremental SAT context cache key: the CNF depends on the region, the
+/// fault kind and the fault count (cardinality network); free_symbol and
+/// the stimulus live in the assumptions.
+using SatKey = std::tuple<std::string, bool, sim::FaultTarget, sim::FaultKind, int>;
 
 }  // namespace
 
@@ -676,13 +689,16 @@ struct Analyzer::Impl {
   EdgeTable edges;
 
   std::map<RegionKey, std::vector<SigBit>> regions;
-  /// One simulator context per worker slot, grown on demand; slot w is only
-  /// ever touched by worker w of a run() call, so no locking is needed once
-  /// the vector is pre-sized.
-  std::vector<std::unique_ptr<SimContext>> sim_pool;
-  std::map<SatShardKey, std::unique_ptr<SatShard>> sat_shards;
-  std::mutex sat_mutex;
-  /// Branching-heuristic snapshot shared across shards of this variant.
+  /// Idle simulator contexts: a run's participants check one out each and
+  /// return it when they leave.
+  std::vector<std::unique_ptr<SimContext>> free_sims;
+  std::mutex sim_mutex;
+  /// The owner's SAT context per key. Helpers build their own and drop it
+  /// when they leave, so the cache holds one context per key whatever the
+  /// thread count.
+  std::map<SatKey, std::unique_ptr<SatContext>> sat_contexts;
+  /// Branching-heuristic snapshot shared across contexts of this variant;
+  /// written only between runs.
   sat::Solver::WarmStart warm;
 
   const std::vector<SigBit>& region(const std::string& prefix, bool include_inputs,
@@ -696,27 +712,24 @@ struct Analyzer::Impl {
         .first->second;
   }
 
-  SatShard& sat_shard(const std::vector<SigBit>& sites, const SynfiConfig& config,
-                      std::size_t begin, std::size_t end) {
-    const SatShardKey key{config.wire_prefix, config.include_inputs, config.target,
-                          config.kind,        config.faults_k,       begin,
-                          end};
+  /// A context for `lane_words`-word lane blocks; contexts compiled for
+  /// another width are dropped — a narrow simulator cannot carry a wider
+  /// run's lanes.
+  std::unique_ptr<SimContext> checkout_sim(int lane_words) {
     {
-      const std::lock_guard<std::mutex> lock(sat_mutex);
-      const auto it = sat_shards.find(key);
-      if (it != sat_shards.end()) return *it->second;
+      const std::lock_guard<std::mutex> lock(sim_mutex);
+      while (!free_sims.empty()) {
+        std::unique_ptr<SimContext> ctx = std::move(free_sims.back());
+        free_sims.pop_back();
+        if (ctx->simulator.lane_words() == lane_words) return ctx;
+      }
     }
-    // Shard ranges are disjoint per worker, so no two workers ever build the
-    // same key — construction can happen outside the lock.
-    sat::Solver::WarmStart warm_copy;
-    {
-      const std::lock_guard<std::mutex> lock(sat_mutex);
-      warm_copy = warm;
-    }
-    auto shard =
-        build_sat_shard(*variant, sites, config.kind, config.faults_k, begin, end, warm_copy);
-    const std::lock_guard<std::mutex> lock(sat_mutex);
-    return *sat_shards.emplace(key, std::move(shard)).first->second;
+    return std::make_unique<SimContext>(*variant, edges, lane_words);
+  }
+
+  void checkin_sim(std::unique_ptr<SimContext> ctx) {
+    const std::lock_guard<std::mutex> lock(sim_mutex);
+    free_sims.push_back(std::move(ctx));
   }
 };
 
@@ -732,15 +745,9 @@ Analyzer::~Analyzer() = default;
 
 const CompiledFsm& Analyzer::variant() const { return *impl_->variant; }
 
-std::size_t Analyzer::cached_simulators() const {
-  std::size_t live = 0;
-  for (const auto& ctx : impl_->sim_pool) {
-    if (ctx != nullptr) ++live;
-  }
-  return live;
-}
+std::size_t Analyzer::cached_simulators() const { return impl_->free_sims.size(); }
 
-std::size_t Analyzer::cached_sat_shards() const { return impl_->sat_shards.size(); }
+std::size_t Analyzer::cached_sat_shards() const { return impl_->sat_contexts.size(); }
 
 SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   require(user_config.lanes >= 1 && user_config.lanes <= sim::kMaxLanes,
@@ -761,77 +768,78 @@ SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   SynfiReport report;
   report.faults_k = config.faults_k;
   report.sites = static_cast<std::int64_t>(sites.size());
-  // No k-subset of the region exists: zero injections by definition. Kept a
-  // report (not an error) so a degree probe can scan past the region size of
-  // a small variant without special-casing.
-  if (static_cast<std::size_t>(config.faults_k) > sites.size()) return report;
+  // No k-subset of the region exists (or no edge to inject on): zero
+  // injections by definition. Kept a report (not an error) so a degree probe
+  // can scan past the region size of a small variant without special-casing.
+  if (static_cast<std::size_t>(config.faults_k) > sites.size() || edges.size() == 0) {
+    return report;
+  }
 
-  // Shards claim contiguous unit ranges: combination *ranks* for the
-  // exhaustive back-end (any combination can involve any site), sites for
-  // SAT. Every shard marks a full-region attribution bitmap; counters are
-  // plain sums, so the merge below is the single-threaded report exactly.
+  // The run shares its units between participants: combination *ranks* for
+  // the exhaustive back-end (any combination can involve any site), sites
+  // for SAT. Every participant marks a full-region attribution bitmap and
+  // sums its counters; both merge below, so any split gives the
+  // single-threaded report exactly.
   const bool exhaustive = config.backend == Backend::kExhaustiveSim;
   const std::uint64_t units =
       exhaustive ? binomial(sites.size(), static_cast<std::size_t>(config.faults_k))
                  : sites.size();
-  const int workers =
-      std::max(1, static_cast<int>(std::min<std::uint64_t>(config.threads, units)));
-  const auto unit_bound = [&](int slot) {
-    return units * static_cast<std::uint64_t>(slot) / static_cast<std::uint64_t>(workers);
-  };
-  if (exhaustive && impl_->sim_pool.size() < static_cast<std::size_t>(workers)) {
-    impl_->sim_pool.resize(static_cast<std::size_t>(workers));
-  }
-  std::vector<ShardReport> partial(static_cast<std::size_t>(workers));
-  std::vector<std::vector<char>> hits(static_cast<std::size_t>(workers),
-                                      std::vector<char>(sites.size(), 0));
-  run_shards(workers, [&](int slot) {
-    const std::uint64_t begin = unit_bound(slot);
-    const std::uint64_t end = unit_bound(slot + 1);
-    std::vector<char>& hit = hits[static_cast<std::size_t>(slot)];
-    ShardReport& out = partial[static_cast<std::size_t>(slot)];
-    if (exhaustive) {
-      auto& ctx = impl_->sim_pool[static_cast<std::size_t>(slot)];
-      // (Re)build when absent or compiled for a different lane-block width —
-      // a cached narrow simulator cannot carry a wider run's lanes.
-      if (ctx == nullptr || ctx->simulator.lane_words() != lane_words) {
-        ctx = std::make_unique<SimContext>(variant, lane_words);
-      }
-      run_exhaustive_kfault_shard(*ctx, variant, sites, edges, config, begin, end, hit, out);
-    } else if (config.sat_incremental) {
-      SatShard& shard = impl_->sat_shard(sites, config, begin, end);
-      run_sat_queries(shard, edges, config, begin, end, hit, out);
-    } else {
-      run_sat_rebuild_shard(variant, sites, edges, config, begin, end, hit, out);
+  // Units per simulator batch / per SAT site.
+  const std::uint64_t grain =
+      exhaustive ? (static_cast<std::uint64_t>(config.lanes) + edges.size() - 1) / edges.size()
+                 : 1;
+  SatContext* owner_sat = nullptr;
+  if (!exhaustive && config.sat_incremental) {
+    const SatKey key{config.wire_prefix, config.include_inputs, config.target, config.kind,
+                     config.faults_k};
+    auto it = impl_->sat_contexts.find(key);
+    if (it == impl_->sat_contexts.end()) {
+      it = impl_->sat_contexts
+               .emplace(key, build_sat_context(variant, sites, config.kind, config.faults_k,
+                                             impl_->warm))
+               .first;
     }
+    owner_sat = it->second.get();
+  }
+
+  std::mutex merge_mutex;
+  std::vector<char> site_hit(sites.size(), 0);
+  WorkShare::run(units, grain, config.threads, [&](WorkShare::Claim& claim) {
+    PartialReport out;
+    std::vector<char> hit(sites.size(), 0);
+    if (exhaustive) {
+      std::unique_ptr<SimContext> ctx = impl_->checkout_sim(lane_words);
+      run_exhaustive(*ctx, variant, sites, edges, config, claim, hit, out);
+      impl_->checkin_sim(std::move(ctx));
+    } else if (config.sat_incremental) {
+      std::unique_ptr<SatContext> own;
+      if (!claim.owner()) {
+        own = build_sat_context(variant, sites, config.kind, config.faults_k, impl_->warm);
+      }
+      SatContext& ctx = own != nullptr ? *own : *owner_sat;
+      for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
+        run_sat_queries(ctx, edges, config, r.begin, r.end, hit, out);
+      }
+    } else {
+      for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
+        run_sat_rebuild(variant, sites, edges, config, r.begin, r.end, hit, out);
+      }
+    }
+    const std::lock_guard<std::mutex> lock(merge_mutex);
+    report.injections += out.injections;
+    report.exploitable += out.exploitable;
+    report.detected += out.detected;
+    report.masked += out.masked;
+    report.stalls += out.stalls;
+    for (std::size_t s = 0; s < sites.size(); ++s) site_hit[s] |= hit[s];
   });
 
-  // Refresh the warm-start snapshot from the first shard of this query so
-  // the next region/kind starts from trained activities. Done after the
-  // join, on the calling thread.
-  if (!exhaustive && config.sat_incremental) {
-    const SatShardKey key{config.wire_prefix, config.include_inputs, config.target,
-                          config.kind,        config.faults_k,       0,
-                          unit_bound(1)};
-    const std::lock_guard<std::mutex> lock(impl_->sat_mutex);
-    const auto it = impl_->sat_shards.find(key);
-    if (it != impl_->sat_shards.end()) impl_->warm = it->second->solver.export_warm_start();
-  }
+  // Refresh the warm-start snapshot from the owner's context so the next
+  // region/kind starts from trained activities.
+  if (owner_sat != nullptr) impl_->warm = owner_sat->solver.export_warm_start();
 
-  for (const ShardReport& p : partial) {
-    report.injections += p.injections;
-    report.exploitable += p.exploitable;
-    report.detected += p.detected;
-    report.masked += p.masked;
-    report.stalls += p.stalls;
-  }
   for (std::size_t s = 0; s < sites.size(); ++s) {
-    for (const std::vector<char>& hit : hits) {
-      if (hit[s]) {
-        report.exploitable_sites.push_back(format_site(sites[s]));
-        break;
-      }
-    }
+    if (site_hit[s]) report.exploitable_sites.push_back(format_site(sites[s]));
   }
   return report;
 }

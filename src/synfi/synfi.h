@@ -24,11 +24,13 @@
 //     exactly-k fault set including the site breaks the edge.
 //     `sat_incremental = false` falls back to rebuilding the miter per query.
 //
-// Work is sharded across `threads` workers in contiguous ranges — by
-// combination rank for the exhaustive back-end, by site for SAT. Counters
-// merge as plain sums and exploitable sites as a full-region bitmap emitted
-// in site order, so every report — all counters and the `exploitable_sites`
-// order — is bit-identical for every lanes/threads combination.
+// A run's units — combination ranks for the exhaustive back-end, sites for
+// SAT — are shared through base/parallel.h's WorkShare: the calling thread
+// owns the range and helpers (`threads` - 1 of them, or the idle threads of
+// an enclosing sweep) steal halves of it. Counters merge as plain sums and
+// exploitable sites as a full-region bitmap emitted in site order, so every
+// report — all counters and the `exploitable_sites` order — is
+// bit-identical for every lanes/threads combination and every split.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +83,10 @@ struct SynfiConfig {
   /// one-job-per-pass path; widths past 64 select a multi-word lane block,
   /// subject to the SCFI_LANE_WORDS_CAP runtime clamp.
   int lanes = sim::kNumLanes;
-  /// Worker threads: the exhaustive back-end splits the combination ranks,
-  /// the SAT back-end the site list; <= 1 = inline. The report is
+  /// Worker threads: the caller plus `threads` - 1 helpers share the
+  /// combination ranks (exhaustive) or the site list (SAT); <= 1 = inline.
+  /// Ignored when the calling thread has a current WorkBoard (a sweep
+  /// worker): that board's idle threads help instead. The report is
   /// bit-identical for every lanes/threads combination.
   int threads = 1;
   /// SAT back-end: answer queries on one reusable selector-gated solver via
@@ -120,13 +124,16 @@ struct SynfiReport {
 };
 
 /// Stateful analysis engine bound to ONE compiled variant. Construction and
-/// the first `run()` pay the fixed costs — edge table, per-worker simulators,
-/// per-region site enumeration, and (for the incremental SAT back-end) the
-/// per-shard selector-gated solvers — and every further `run()` re-queries
-/// the cached state, so a many-region / many-fault-kind sweep over one
-/// variant no longer rebuilds the Simulator or CNF per call. New incremental
-/// SAT shards are additionally warm-started from the variable activities and
-/// phases a previous shard of the same variant learned.
+/// the first `run()` pay the fixed costs — edge table, simulator contexts
+/// (with their aligned stimulus), per-region site enumeration, and (for the
+/// incremental SAT back-end) the selector-gated solver — and every further
+/// `run()` re-queries the cached state, so a many-region / many-fault-kind
+/// sweep over one variant no longer rebuilds the Simulator or CNF per call.
+/// A run's participants check simulator contexts out of a free list; the
+/// cache keeps one whole-region SAT context per (region, kind, k) — the
+/// owner's — while helpers build their own and drop them when the run ends.
+/// New SAT contexts are warm-started from the variable activities and
+/// phases an earlier context of the same variant learned.
 ///
 /// Every `run()` report is bit-identical to a fresh `analyze()` call with
 /// the same config (cached simulators/solvers can only change speed, never a
@@ -143,8 +150,8 @@ class Analyzer {
   SynfiReport run(const SynfiConfig& config = {});
 
   const fsm::CompiledFsm& variant() const;
-  /// Cache diagnostics (tests/benches): live simulator contexts and
-  /// incremental SAT shard solvers.
+  /// Cache diagnostics (tests/benches): idle simulator contexts and cached
+  /// incremental SAT contexts.
   std::size_t cached_simulators() const;
   std::size_t cached_sat_shards() const;
 

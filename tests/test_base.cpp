@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "base/error.h"
-#include "base/parallel.h"
 #include "base/retry.h"
 #include "base/rng.h"
 #include "base/strutil.h"
@@ -134,58 +130,6 @@ TEST(Error, DescribeCurrentException) {
   } catch (...) {
     EXPECT_EQ(describe_current_exception(), "unknown error");
   }
-}
-
-TEST(RunShards, EverySlotRunsExactlyOnce) {
-  for (const int workers : {1, 2, 5}) {
-    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(workers));
-    run_shards(workers, [&](int slot) { runs[static_cast<std::size_t>(slot)].fetch_add(1); });
-    for (int w = 0; w < workers; ++w) {
-      EXPECT_EQ(runs[static_cast<std::size_t>(w)].load(), 1)
-          << "workers=" << workers << " slot=" << w;
-    }
-  }
-}
-
-TEST(RunShards, SingleWorkerRunsOnTheCallingThread) {
-  std::thread::id ran_on;
-  int slot_seen = -1;
-  run_shards(1, [&](int slot) {
-    ran_on = std::this_thread::get_id();
-    slot_seen = slot;
-  });
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-  EXPECT_EQ(slot_seen, 0);
-}
-
-TEST(RunShards, LowestSlotErrorKeepsItsTypeAfterEveryWorkerJoined) {
-  // Slot 3 throws at once and slot 1 only after a delay; the slower, lower
-  // slot still wins, keeps its dynamic type, and surfaces only once the
-  // non-throwing slots have all finished.
-  constexpr int kWorkers = 5;
-  std::vector<std::atomic<bool>> finished(kWorkers);
-  const auto sleep_ms = [](int ms) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  };
-  bool caught = false;
-  try {
-    run_shards(kWorkers, [&](int slot) {
-      if (slot == 1) {
-        sleep_ms(20);
-        throw CancelledError("slot 1 deadline");
-      }
-      if (slot == 3) throw ScfiError("slot 3 failure");
-      sleep_ms(50);
-      finished[static_cast<std::size_t>(slot)] = true;
-    });
-  } catch (const CancelledError& e) {
-    caught = true;
-    EXPECT_STREQ(e.what(), "slot 1 deadline");
-    for (const int slot : {0, 2, 4}) {
-      EXPECT_TRUE(finished[static_cast<std::size_t>(slot)].load()) << "slot " << slot;
-    }
-  }
-  EXPECT_TRUE(caught);
 }
 
 TEST(Rng, Deterministic) {

@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -1665,6 +1666,93 @@ TEST(SweepOrchestrator, JobTimeoutRecordsFailureAndResumeRecovers) {
   EXPECT_EQ(second.skipped, 0);
   EXPECT_EQ(second.failed, 0);
   EXPECT_TRUE(ResultStore::load(path).find(jobs[0].key())->status == JobStatus::kOk);
+}
+
+TEST(SweepStraggler, WholeLogicK2IsBitIdenticalForEveryJobsThreads) {
+  // The straggler shape: one otbn_controller group dwarfs the small ones, so
+  // once those close, idle workers help its run. Every split must give the
+  // same records key for key — counters, exploitable-site order, degree.
+  synfi::SynfiConfig whole;
+  whole.wire_prefix = "";
+  whole.faults_k = 2;
+  const std::vector<SweepJob> jobs =
+      expand_jobs("otbn_controller,pwrmgr_fsm,adc_ctrl_fsm", {2}, {whole});
+  ASSERT_EQ(jobs.size(), 3u);
+
+  struct JobsThreads {
+    int jobs;
+    int threads;
+  };
+  std::vector<ResultStore> stores;
+  for (const JobsThreads jt : {JobsThreads{1, 1}, {4, 4}, {2, 8}, {8, 2}}) {
+    SweepConfig config;
+    config.jobs = jt.jobs;
+    config.threads = jt.threads;
+    stores.emplace_back();
+    const SweepStats stats = SweepOrchestrator(config).run(jobs, stores.back());
+    EXPECT_EQ(stats.executed, 3) << "jobs=" << jt.jobs << " threads=" << jt.threads;
+  }
+  for (const SweepJob& job : jobs) {
+    const SweepResult* reference = stores.front().find(job.key());
+    ASSERT_NE(reference, nullptr) << job.key();
+    EXPECT_GT(reference->report.injections, 0) << job.key();
+    for (std::size_t i = 1; i < stores.size(); ++i) {
+      const SweepResult* got = stores[i].find(job.key());
+      ASSERT_NE(got, nullptr) << job.key();
+      EXPECT_TRUE(got->report == reference->report) << job.key() << " config " << i;
+      EXPECT_EQ(got->protection_degree, reference->protection_degree) << job.key();
+    }
+  }
+}
+
+TEST(SweepStraggler, JobTimeoutStopsTheHelpersOfItsRun) {
+  // A whole-logic k = 3 otbn_controller job would run for minutes; idle
+  // workers join its run as soon as the small groups close. Its deadline
+  // must stop every participant — the helpers check the job's token, not
+  // their own — so the sweep ends near the deadline with exactly one
+  // timed-out record, the small jobs ok, and the throwing job retried as
+  // before.
+  synfi::SynfiConfig straggler;
+  straggler.wire_prefix = "";
+  straggler.faults_k = 3;
+  std::vector<SweepJob> jobs = expand_jobs("otbn_controller", {2}, {straggler});
+  for (const SweepJob& small : expand_jobs("pwrmgr_fsm,adc_ctrl_fsm", {2}, {{}})) {
+    jobs.push_back(small);
+  }
+  SweepJob throws_midway = jobs.back();
+  throws_midway.synfi.wire_prefix = "no_such_region_";
+  jobs.push_back(throws_midway);
+
+  SweepConfig config;
+  config.jobs = 2;
+  config.threads = 4;
+  config.job_timeout = 1.0;
+  config.retries = 2;
+  config.backoff.initial_ms = 0.0;
+  ResultStore store;
+  const auto start = std::chrono::steady_clock::now();
+  const SweepStats stats = SweepOrchestrator(config).run(jobs, store);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(wall, 30.0);
+  EXPECT_EQ(stats.executed, 2);
+  EXPECT_EQ(stats.failed, 2);
+  EXPECT_EQ(stats.retried, config.retries);
+  ASSERT_EQ(store.size(), jobs.size());
+  const SweepResult* timed_out = store.find(jobs[0].key());
+  ASSERT_NE(timed_out, nullptr);
+  EXPECT_TRUE(timed_out->status == JobStatus::kFailed);
+  EXPECT_NE(timed_out->error.find("timed out"), std::string::npos) << timed_out->error;
+  EXPECT_EQ(timed_out->attempts, 1);
+  for (const std::size_t j : {std::size_t{1}, std::size_t{2}}) {
+    const SweepResult* ok = store.find(jobs[j].key());
+    ASSERT_NE(ok, nullptr) << jobs[j].key();
+    EXPECT_TRUE(ok->status == JobStatus::kOk) << jobs[j].key();
+  }
+  const SweepResult* thrown = store.find(throws_midway.key());
+  ASSERT_NE(thrown, nullptr);
+  EXPECT_EQ(thrown->attempts, config.retries + 1);
+  EXPECT_EQ(thrown->error.find("timed out"), std::string::npos) << thrown->error;
 }
 
 TEST(GlobMatch, Basics) {

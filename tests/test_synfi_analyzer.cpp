@@ -147,10 +147,11 @@ TEST(SynfiAnalyzer, SatReuseAcrossThreadCountsMatchesRebuild) {
   for (const int threads : {1, 2, 1, 3}) {
     sat.threads = threads;
     EXPECT_TRUE(analyzer.run(sat) == rebuild) << "threads=" << threads;
+    // Every context covers the whole region: the owner's is cached, helper
+    // contexts are dropped at the end of the run, so one (region, kind, k)
+    // key holds exactly one solver for any thread count.
+    EXPECT_EQ(analyzer.cached_sat_shards(), 1u) << "threads=" << threads;
   }
-  // Different thread counts shard the site list differently, so multiple
-  // selector-gated solvers accumulate (warm-started from each other).
-  EXPECT_GE(analyzer.cached_sat_shards(), 3u);
 }
 
 TEST(SynfiAnalyzer, InvalidKnobsThrowOnRun) {
