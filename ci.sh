@@ -24,15 +24,17 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # vectors would get. Explicitly-constructed wide Simulators are not
 # clamped, so the wide unit tests still run wide here.
 SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R 'SimParallel|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler'
+  -R 'SimParallel|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden'
 
 # Optional sanitizer lanes: a second compilation with AddressSanitizer +
 # UndefinedBehaviorSanitizer over the fast suites (base/store/planner/sweep
 # units, not the minutes-long corpus sweeps, plus the k-fault SYNFI and
 # Analyzer suites that drive the one SYNFI engine path, the shared
 # run_shards fan-out and the WorkShare range stealing, and the straggler
-# sweeps whose idle workers help another group's run) so memory bugs in the
-# hot engines surface without slowing the tier-1 path. Then a standalone
+# sweeps whose idle workers help another group's run, the eval/latch split
+# of the simulator's clock edge, the Rng::below fast path and the pinned
+# campaign counts) so memory bugs in the hot engines surface without slowing
+# the tier-1 path. Then a standalone
 # ThreadSanitizer build of the header-only base/parallel.h tests (src/base
 # only: libscfi itself crashes under TSan before main, in the
 # target_clones ifunc resolvers of the simulator).
@@ -42,7 +44,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler'
+    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests

@@ -22,8 +22,12 @@ SCALE_BENCH="$BUILD_DIR/bench_campaign_scale"
 RAW="$(mktemp)"
 SCALE_RAW="$(mktemp)"
 trap 'rm -f "$RAW" "$SCALE_RAW"' EXIT
+# Five repetitions per benchmark, recorded as median + MAD (median absolute
+# deviation): a single run moves by tens of percent on hosts whose speed
+# changes while the bench runs.
 "$BENCH" --benchmark_filter='BM_Simulator|BM_Campaign|BM_SynfiInjection' \
-         --benchmark_min_time=0.3 --benchmark_format=json > "$RAW"
+         --benchmark_min_time=0.3 --benchmark_repetitions=5 \
+         --benchmark_format=json > "$RAW"
 
 # Campaign-at-scale: streaming vs. materialized planner throughput and the
 # peak-RSS cost of materializing the plan, at a size big enough for the
@@ -37,19 +41,26 @@ else
 fi
 
 python3 - "$RAW" "$SCALE_RAW" "$OUT" <<'EOF'
-import json, sys
+import json, statistics, sys
 
 raw = json.load(open(sys.argv[1]))
 scale = json.load(open(sys.argv[2]))
+samples = {}
+for b in raw.get("benchmarks", []):
+    ips = b.get("items_per_second")
+    if ips is not None and b.get("run_type") == "iteration":
+        samples.setdefault(b["run_name"], []).append(ips)
 out = {
     "bench": "sim",
     "unit": "items_per_second",
+    "repetitions": max((len(v) for v in samples.values()), default=0),
     "results": {},
+    "mad": {},
 }
-for b in raw.get("benchmarks", []):
-    ips = b.get("items_per_second")
-    if ips is not None:
-        out["results"][b["name"]] = round(ips, 1)
+for name, values in samples.items():
+    median = statistics.median(values)
+    out["results"][name] = round(median, 1)
+    out["mad"][name] = round(statistics.median(abs(v - median) for v in values), 1)
 
 scalar = out["results"].get("BM_Campaign/1")
 batched = out["results"].get("BM_Campaign/64")

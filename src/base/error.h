@@ -3,10 +3,18 @@
 // Recoverable failures (bad user input, unsolvable constraints, parse errors)
 // throw ScfiError. Internal invariants use check()/unreachable(), which throw
 // LogicBug so that tests can observe violations instead of aborting.
+//
+// check() and require() take the message as a std::string_view and build
+// the exception text only on failure, in an out-of-line cold helper: a
+// literal message stays a pointer, so a passing guard costs one branch and
+// no allocation. A message composed at the call site (format(),
+// concatenation) is still built before the call even when the check passes,
+// so keep those off per-cycle and per-draw paths.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace scfi {
 
@@ -23,14 +31,20 @@ class LogicBug : public std::logic_error {
   explicit LogicBug(const std::string& what) : std::logic_error(what) {}
 };
 
+namespace detail {
+/// Out-of-line throw paths of check() and require().
+[[noreturn, gnu::cold]] void throw_check_failed(std::string_view msg);
+[[noreturn, gnu::cold]] void throw_require_failed(std::string_view msg);
+}  // namespace detail
+
 /// Throws LogicBug when `cond` is false. Used for internal invariants.
-inline void check(bool cond, const std::string& msg) {
-  if (!cond) throw LogicBug("internal check failed: " + msg);
+inline void check(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] detail::throw_check_failed(msg);
 }
 
 /// Throws ScfiError when `cond` is false. Used to validate user-facing input.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw ScfiError(msg);
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] detail::throw_require_failed(msg);
 }
 
 /// Marks unreachable control flow.

@@ -53,11 +53,14 @@ std::uint64_t Rng::next() {
 
 std::uint64_t Rng::below(std::uint64_t bound) {
   check(bound > 0, "Rng::below bound must be positive");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0 - bound) % bound;
+  // Rejection sampling to avoid modulo bias: accept r >= 2^64 mod bound.
+  // That threshold is below `bound`, so any r >= bound is accepted without
+  // computing it — for the small bounds of walk and fault planning that is
+  // every draw but a ~bound/2^64 fraction, which saves one 64-bit division
+  // per call. The accepted values, and so the sequence, are unchanged.
   for (;;) {
     const std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= (0 - bound) % bound) return r % bound;
   }
 }
 

@@ -186,7 +186,7 @@ ExtractedFsm recover(const rtlil::Module& module, const NetlistIndex& index,
       for (std::size_t i = 0; i < output_bits.size(); ++i) {
         if (sim.get_bit(output_bits[i])) out_pattern[i] = '1';
       }
-      sim.step();
+      sim.latch();
       const std::uint64_t next = sim.get(state_h);
       if (index_of.count(next) == 0) {
         require(static_cast<int>(order.size()) < options.max_states,

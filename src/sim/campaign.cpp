@@ -1,5 +1,6 @@
 #include "sim/campaign.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -323,8 +324,22 @@ void execute_batches(const Fsm& fsm, const CompiledFsm& variant,
     for (const std::string& name : fsm.inputs) raw_h.push_back(sim.input_handle(name));
   }
   const int in_width = stim.encoded ? symbol_h.width : stim.num_inputs;
+  check(in_width <= 64, "run_campaign: stimulus wider than one 64-bit code");
+  const std::uint64_t in_mask = in_width == 64 ? ~0ULL : (1ULL << in_width) - 1;
   // Per-lane words, runtime width W: index [i * W + w].
   std::vector<std::uint64_t> in_words(static_cast<std::size_t>(in_width * W));
+  // The batch's faults bucketed by cycle: cycle t injects
+  // scheduled[cycle_begin[t] .. cycle_begin[t + 1]).
+  struct ScheduledFault {
+    std::int32_t net;
+    FaultKind kind;
+    int lane;
+  };
+  const int k = config.fault.k;
+  std::vector<ScheduledFault> scheduled(static_cast<std::size_t>(config.lanes) *
+                                        static_cast<std::size_t>(k));
+  std::vector<int> cycle_begin(static_cast<std::size_t>(config.cycles) + 1);
+  std::vector<int> cycle_fill(static_cast<std::size_t>(config.cycles));
   check(state_h.width <= 64, "run_campaign: state wire too wide");
   const int state_w = state_h.width;
   const std::size_t num_states = variant.state_codes.size();
@@ -342,6 +357,24 @@ void execute_batches(const Fsm& fsm, const CompiledFsm& variant,
     const int batch_runs = std::min(lanes, config.runs - base_run);
     const LaneMask batch_mask = LaneMask::first_n(batch_runs);
     plan.prepare_batch(base_run, batch_runs);
+    // Stable counting sort of the batch's faults by cycle, in the (lane, f)
+    // order the cycle loop injects them, so a cycle touches only its own.
+    std::fill(cycle_begin.begin(), cycle_begin.end(), 0);
+    for (int lane = 0; lane < batch_runs; ++lane) {
+      for (int f = 0; f < k; ++f) {
+        ++cycle_begin[static_cast<std::size_t>(plan.fault_at(base_run + lane, f).cycle) + 1];
+      }
+    }
+    std::partial_sum(cycle_begin.begin(), cycle_begin.end(), cycle_begin.begin());
+    std::copy(cycle_begin.begin(), cycle_begin.end() - 1, cycle_fill.begin());
+    for (int lane = 0; lane < batch_runs; ++lane) {
+      for (int f = 0; f < k; ++f) {
+        const PlannedFault& p = plan.fault_at(base_run + lane, f);
+        scheduled[static_cast<std::size_t>(cycle_fill[static_cast<std::size_t>(p.cycle)]++)] =
+            ScheduledFault{site_net[static_cast<std::size_t>(p.site)],
+                           config.fault.kinds[static_cast<std::size_t>(p.kind)], lane};
+      }
+    }
 
     sim.reset();
     Lanes done{};      // lane terminated (detected)
@@ -378,11 +411,11 @@ void execute_batches(const Fsm& fsm, const CompiledFsm& variant,
         const auto wj = static_cast<std::size_t>(lane >> 6);
         const std::uint64_t bit = 1ULL << (lane & 63);
         const std::int32_t e = plan.edge_at(base_run + lane, t);
-        const std::uint64_t bits =
-            stim.encoded ? stim.edge_code[static_cast<std::size_t>(e)]
-                         : stim.edge_bits[static_cast<std::size_t>(e)];
-        for (int i = 0; i < in_width; ++i) {
-          if ((bits >> i) & 1) in_words[static_cast<std::size_t>(i * W) + wj] |= bit;
+        std::uint64_t bits = (stim.encoded ? stim.edge_code[static_cast<std::size_t>(e)]
+                                           : stim.edge_bits[static_cast<std::size_t>(e)]) &
+                             in_mask;
+        for (; bits != 0; bits &= bits - 1) {
+          in_words[static_cast<std::size_t>(std::countr_zero(bits) * W) + wj] |= bit;
         }
       }
       for (int i = 0; i < in_width; ++i) {
@@ -396,19 +429,17 @@ void execute_batches(const Fsm& fsm, const CompiledFsm& variant,
         }
       }
       // Inject this cycle's faults, lane by lane.
-      for (int lane = 0; lane < batch_runs; ++lane) {
-        for (int f = 0; f < config.fault.k; ++f) {
-          const PlannedFault& p = plan.fault_at(base_run + lane, f);
-          if (p.cycle == t) {
-            sim.inject_net(site_net[static_cast<std::size_t>(p.site)],
-                           config.fault.kinds[static_cast<std::size_t>(p.kind)],
-                           LaneMask::lane(lane));
-          }
-        }
+      for (int i = cycle_begin[static_cast<std::size_t>(t)];
+           i < cycle_begin[static_cast<std::size_t>(t) + 1]; ++i) {
+        const ScheduledFault& sf = scheduled[static_cast<std::size_t>(i)];
+        sim.inject_net(sf.net, sf.kind, LaneMask::lane(sf.lane));
       }
+      // One settle per edge: the alert is read before the latch, and
+      // classification reads only the latched state register, so the
+      // post-edge settle is left to the next cycle (or the final check).
       sim.eval();
       absorb_alerts();
-      sim.step();
+      sim.latch();
       // Word-parallel classification: compare the state register of all
       // lanes against every codeword at once instead of decoding per lane.
       for (int i = 0; i < state_w; ++i) {

@@ -61,7 +61,7 @@ fsm::Fsm extract_fsm(const rtlil::Module& module, const ExtractOptions& options)
       for (std::size_t i = 0; i < output_names.size(); ++i) {
         if (sim.get(output_names[i]) != 0) out_pattern[i] = '1';
       }
-      sim.step();
+      sim.latch();
       const std::uint64_t next = sim.get(options.state_wire);
       if (index_of.count(next) == 0) {
         index_of[next] = static_cast<int>(order.size());

@@ -194,7 +194,8 @@ Simulator::Simulator(const rtlil::Module& module, int lane_words)
 std::int32_t Simulator::net_of(const SigBit& bit) const {
   if (bit.is_const()) return bit.const_value() ? 1 : 0;
   const auto it = wire_base_.find(bit.wire);
-  check(it != wire_base_.end(), "Simulator: unknown wire " + bit.wire->name());
+  // Composed message: built only on the failure path (net_of runs per bit).
+  if (it == wire_base_.end()) unreachable("Simulator: unknown wire " + bit.wire->name());
   return it->second + bit.offset;
 }
 
@@ -417,17 +418,20 @@ void Simulator::reset() {
 
 Simulator::WireHandle Simulator::probe(const std::string& wire) const {
   const rtlil::Wire* w = module_->wire(wire);
-  require(w != nullptr, "Simulator::probe: no wire " + wire);
+  if (w == nullptr) throw ScfiError("Simulator::probe: no wire " + wire);
   return WireHandle{wire_base_.at(w), w->width()};
 }
 
 Simulator::WireHandle Simulator::input_handle(const std::string& wire) const {
   const rtlil::Wire* w = module_->wire(wire);
-  require(w != nullptr && w->is_input(), "Simulator::input_handle: no input wire " + wire);
+  if (w == nullptr || !w->is_input()) {
+    throw ScfiError("Simulator::input_handle: no input wire " + wire);
+  }
   return WireHandle{wire_base_.at(w), w->width()};
 }
 
 void Simulator::set_input(WireHandle h, std::uint64_t value) {
+  settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   for (std::int32_t i = 0; i < h.width; ++i) {
     const std::uint64_t v = ((value >> i) & 1) ? ~0ULL : 0;
@@ -439,6 +443,7 @@ void Simulator::set_input(WireHandle h, std::uint64_t value) {
 
 void Simulator::set_input_lane(WireHandle h, int lane, std::uint64_t value) {
   check(lane >= 0 && lane < num_lanes(), "Simulator::set_input_lane: lane out of range");
+  settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   const auto word = static_cast<std::size_t>(lane >> 6);
   const std::uint64_t bit = 1ULL << (lane & 63);
@@ -451,11 +456,13 @@ void Simulator::set_input_lane(WireHandle h, int lane, std::uint64_t value) {
 void Simulator::set_input_word(WireHandle h, int bit, std::uint64_t lanes, int word) {
   check(bit >= 0 && bit < h.width, "Simulator::set_input_word: bit out of range");
   check(word >= 0 && word < lane_words_, "Simulator::set_input_word: word out of range");
+  settled_ = false;
   values_[static_cast<std::size_t>(h.base + bit) * static_cast<std::size_t>(lane_words_) +
           static_cast<std::size_t>(word)] = lanes;
 }
 
 void Simulator::set_register(WireHandle h, std::uint64_t value) {
+  settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   for (std::int32_t i = 0; i < h.width; ++i) {
     const std::uint64_t v = ((value >> i) & 1) ? ~0ULL : 0;
@@ -468,6 +475,7 @@ void Simulator::set_register(WireHandle h, std::uint64_t value) {
 void Simulator::set_register_word(WireHandle h, int bit, std::uint64_t lanes, int word) {
   check(bit >= 0 && bit < h.width, "Simulator::set_register_word: bit out of range");
   check(word >= 0 && word < lane_words_, "Simulator::set_register_word: word out of range");
+  settled_ = false;
   values_[static_cast<std::size_t>(h.base + bit) * static_cast<std::size_t>(lane_words_) +
           static_cast<std::size_t>(word)] = lanes;
 }
@@ -498,6 +506,7 @@ std::uint64_t Simulator::get(const std::string& wire) const {
 bool Simulator::get_bit(const SigBit& bit) const { return (load(net_of(bit), 0) & 1) != 0; }
 
 void Simulator::eval() {
+  settled_ = true;
   run_tape_dispatch(lane_words_, faults_active_, segments_.data(), segments_.size(),
                     tape_.data(), values_.data(), mask_and_.data(), mask_xor_.data());
 }
@@ -506,6 +515,7 @@ void Simulator::eval_reference() {
   // The pre-levelization engine: original compile order, one switch per op,
   // masks always applied. Kept as the differential oracle for the sorted
   // segmented tape and the no-fault fast path.
+  settled_ = true;
   const int words = lane_words_;
   for (const FlatOp& op : ops_) {
     for (int w = 0; w < words; ++w) {
@@ -535,6 +545,14 @@ void Simulator::eval_reference() {
 
 void Simulator::step() {
   eval();
+  latch();
+  eval();
+}
+
+void Simulator::latch() {
+  check(settled_, "Simulator::latch: the netlist is not settled (an input, register or fault "
+                  "changed since the last eval(), or latch() already ran); call eval() first");
+  settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   if (faults_active_) {
     for (std::size_t i = 0; i < ffs_.size(); ++i) {
@@ -577,7 +595,6 @@ void Simulator::step() {
     transient_slot_[static_cast<std::size_t>(net)] = -1;
   }
   transient_nets_.clear();
-  eval();
 }
 
 void Simulator::set_register(const std::string& wire, std::uint64_t value) {
@@ -591,6 +608,7 @@ void Simulator::inject(const SigBit& bit, FaultKind kind, const LaneMask& lanes)
 
 void Simulator::inject_net(std::int32_t net, FaultKind kind, const LaneMask& lanes) {
   check(net >= 2, "Simulator::inject: cannot fault a constant");
+  settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   if (kind == FaultKind::kSkipCycle) {
     // Route to the FF whose Q this net is; non-register nets are a
@@ -643,7 +661,7 @@ void Simulator::inject_net(std::int32_t net, FaultKind kind, const LaneMask& lan
     }
   }
   if (kind == FaultKind::kTransientFlip) {
-    // Coalesce repeated injections on one net within a cycle so step()'s
+    // Coalesce repeated injections on one net within a cycle so latch()'s
     // clear pass stays O(distinct nets).
     std::int32_t& slot = transient_slot_[static_cast<std::size_t>(net)];
     if (slot < 0) {
@@ -671,6 +689,7 @@ void Simulator::clear_all_faults() {
   // Only nets that armed a fault since the last clear can hold non-identity
   // masks; restoring just those blocks keeps the per-batch clear pass the
   // executors issue O(armed nets), not O(all nets x lane_words).
+  settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   for (const std::int32_t net : faulted_nets_) {
     const std::size_t n = static_cast<std::size_t>(net) * words;

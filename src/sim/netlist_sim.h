@@ -28,6 +28,17 @@
 // entirely (the no-fault fast path; bit-identical by construction since the
 // masks are the identity).
 //
+// A clock edge is two calls: eval() settles the combinational logic, and
+// latch() copies every flip-flop's settled D into its Q and clears the
+// one-cycle faults. step() is eval(); latch(); eval(). Executors that only
+// need the latched state call eval() + latch() and skip the trailing settle:
+// right after latch() the register (Q) nets hold the new state, but every
+// combinational net still holds the pre-edge values until the next eval().
+// latch() throws LogicBug when the netlist is not settled — when an input,
+// register or fault mutator (set_input*, set_register* on a handle,
+// inject*, clear_*) or latch() itself ran since the last eval() — because
+// the D values it would copy are then stale.
+//
 // The string-based API drives and reads lane 0 and broadcasts writes to all
 // lanes, so single-lane callers see exactly the scalar semantics. Hot loops
 // should pre-resolve WireHandles (input_handle()/probe()) and net indices
@@ -49,7 +60,7 @@ enum class FaultKind : std::uint8_t {
   kNone = 0,
   kStuckAt0,
   kStuckAt1,
-  kTransientFlip,  ///< cleared automatically at the end of the next step()
+  kTransientFlip,  ///< cleared automatically by the next latch() (or step())
   /// Clock-glitch model: the flip-flop driving the injected Q net skips the
   /// next clock edge (keeps its stored value instead of latching D) in the
   /// chosen lanes, then re-arms to normal. Injecting it on a net that is not
@@ -203,9 +214,16 @@ class Simulator {
   /// for the levelized reordering and the no-fault fast path.
   void eval_reference();
 
-  /// One clock cycle: settle, latch every flip-flop, clear transients,
-  /// settle again.
+  /// One clock cycle: eval(); latch(); eval().
   void step();
+
+  /// One clock edge without settling: latches every flip-flop from its
+  /// settled D value (flip-flops armed with kSkipCycle keep their stored
+  /// value instead) and clears the transient flips and pending skips.
+  /// Afterwards the register outputs hold the new state; combinational nets
+  /// are stale until the next eval(). Throws LogicBug unless eval() ran
+  /// after the last mutator and the last latch().
+  void latch();
 
   /// Overwrites the stored value of a register output bit in every lane
   /// (direct state corruption, e.g. modelling a fault that already latched),
@@ -304,19 +322,22 @@ class Simulator {
   std::vector<detail::FlatOp> tape_;        ///< sorted by (level, kind)
   std::vector<detail::TapeSegment> segments_;
   std::vector<FlatFf> ffs_;
-  std::vector<std::uint64_t> latch_buf_;  ///< scratch for step(), ffs x words
+  std::vector<std::uint64_t> latch_buf_;  ///< scratch for latch(), ffs x words
   /// True whenever any fault may be armed (conservative; reset by
   /// clear_all_faults). While false, eval() skips the mask streams.
   bool faults_active_ = false;
+  /// True between an eval() and the next mutator or latch(): the D values
+  /// latch() copies are current only then.
+  bool settled_ = false;
   /// Nets (and lanes) carrying a transient flip, for automatic clearing.
   /// Coalesced per net: transient_slot_[net] indexes this vector (-1 =
   /// absent) so repeated injections within one cycle merge their masks and
-  /// step()'s clear pass stays O(distinct nets).
+  /// latch()'s clear pass stays O(distinct nets).
   std::vector<std::pair<std::int32_t, LaneMask>> transient_nets_;
   std::vector<std::int32_t> transient_slot_;
   /// Flip-flops (by ffs_ index) whose next clock edge is suppressed in the
   /// recorded lanes (kSkipCycle), coalesced per FF via skip_slot_. Applied
-  /// and cleared by the next step(); independent of the read-time mask
+  /// and cleared by the next latch(); independent of the read-time mask
   /// machinery, so arming a skip does not set faults_active_.
   std::vector<std::pair<std::int32_t, LaneMask>> skip_ffs_;
   std::vector<std::int32_t> skip_slot_;

@@ -106,6 +106,14 @@ struct SweepResult {
   int protection_degree = 0;
   std::string error;              ///< why the job failed (status == kFailed)
   int attempts = 1;               ///< executions spent, retries included
+  /// Wall-clock seconds billed to the job, all attempts and retry backoff
+  /// included. The first job of a variant group is billed from before the
+  /// variant build (harden + compile), and a job that builds the group's
+  /// SYNFI Analyzer carries that too, so the records of one group sum to
+  /// the group's wall time less the store appends between its jobs. When
+  /// the build fails, the group's first failure record carries the elapsed
+  /// build time and the others 0. Diagnostics only: never part of the key
+  /// or of reports_equal.
   double seconds = 0.0;
   /// Fleet worker id ("w<slot>.<generation>"): the holder on leased records,
   /// the executor on fleet-written final records, "" outside fleet mode.

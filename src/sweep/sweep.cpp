@@ -155,8 +155,15 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
     emit(std::move(result));
   };
 
+  const auto seconds_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+
   // Runs every job of one group, in job order, as the owner of its runs.
   const auto run_group = [&](const VariantGroup& group) {
+    // The group's first job is billed from here, before the variant build,
+    // so the `seconds` of a group's records sum to its wall time.
+    const auto group_start = std::chrono::steady_clock::now();
     // Building the variant is deterministic — an unknown corpus module
     // or a compile failure would fail identically on every retry — so
     // a build error fails every job of the group in one attempt.
@@ -172,8 +179,10 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
     } catch (...) {
       if (config_.fail_fast) throw;
       const std::string why = describe_current_exception();
+      const double build_seconds = seconds_since(group_start);
       for (const std::size_t j : group.job_indices) {
-        emit_failure(pending[j], "variant build failed: " + why, 1, 0.0);
+        emit_failure(pending[j], "variant build failed: " + why, 1,
+                     j == group.job_indices.front() ? build_seconds : 0.0);
       }
       return;
     }
@@ -195,9 +204,13 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
       if (deadline) cancel.set_deadline_after(config_.job_timeout);
       const bool cancellable = deadline || config_.cancel != nullptr;
       const auto job_start = std::chrono::steady_clock::now();
-      const auto elapsed = [&] {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() - job_start)
-            .count();
+      // Time since the deadline was armed (timeout budget and messages)...
+      const auto elapsed = [&] { return seconds_since(job_start); };
+      // ...and the job's recorded cost, which for the first job includes
+      // the variant build.
+      const auto billed = [&, bill_start = j == group.job_indices.front() ? group_start
+                                                                           : job_start] {
+        return seconds_since(bill_start);
       };
       for (int attempt = 1;; ++attempt) {
         try {
@@ -223,7 +236,7 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
                 synfi::measured_protection_degree(*analyzer, config, result.report);
           }
           result.attempts = attempt;
-          result.seconds = elapsed();
+          result.seconds = billed();
           emit(std::move(result));
           break;
         } catch (const CancelledError&) {
@@ -238,13 +251,13 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
                            ? format("cancelled after %.3fs (external stop)", elapsed())
                            : format("timed out after %.3fs (job timeout %.3fs)",
                                     elapsed(), config_.job_timeout),
-                       attempt, elapsed());
+                       attempt, billed());
           break;
         } catch (...) {
           if (config_.fail_fast) throw;
           const std::string why = describe_current_exception();
           if (attempt > config_.retries || cancel.stop_requested()) {
-            emit_failure(pending[j], why, attempt, elapsed());
+            emit_failure(pending[j], why, attempt, billed());
             break;
           }
           {

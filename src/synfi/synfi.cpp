@@ -348,9 +348,12 @@ void run_exhaustive(SimContext& ctx, const CompiledFsm& variant,
     if (batch_jobs == 0) break;
     const sim::LaneMask batch_mask = sim::LaneMask::first_n(static_cast<int>(batch_jobs));
 
+    // One edge: the pre-edge settle feeds both alert_pre and the latch;
+    // one more settle after it exposes the post-edge alert.
     simulator.eval();
     const LaneWords alert_pre = alert_words();
-    simulator.step();
+    simulator.latch();
+    simulator.eval();
     const LaneWords alert_post = alert_words();
     for (int i = 0; i < state_w; ++i) {
       for (int w = 0; w < W; ++w) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "base/error.h"
@@ -119,6 +120,26 @@ TEST(Error, RequireThrowsScfiError) {
   EXPECT_THROW(require(false, "boom"), ScfiError);
 }
 
+TEST(Error, FailedGuardsCarryTheirMessage) {
+  // The message is built only on failure; literal and composed messages
+  // both arrive verbatim behind the guard's prefix.
+  const auto what_of = [](auto&& fn) {
+    try {
+      fn();
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NO_THROW(check(true, "fine"));
+  EXPECT_NO_THROW(require(true, "fine"));
+  EXPECT_EQ(what_of([] { check(false, "boom"); }), "internal check failed: boom");
+  EXPECT_EQ(what_of([] { check(false, std::string("bo") + "om"); }),
+            "internal check failed: boom");
+  EXPECT_EQ(what_of([] { require(false, "boom"); }), "boom");
+  EXPECT_EQ(what_of([] { require(false, std::string("bo") + "om"); }), "boom");
+}
+
 TEST(Error, DescribeCurrentException) {
   try {
     throw ScfiError("bad input");
@@ -189,6 +210,44 @@ TEST(Rng, BelowCoversRange) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 500; ++i) seen.insert(rng.below(8));
   EXPECT_EQ(seen.size(), 8u);
+}
+
+TEST(RngBelow, MatchesTwoDivisionReference) {
+  // Rng::below skips the threshold division whenever r >= bound. Against
+  // the textbook form (threshold first, then accept r >= threshold) it must
+  // return the same values and consume the same draws, including on the
+  // rejection path, which the bounds above 2^63 reach often.
+  const auto reference_below = [](Rng& rng, std::uint64_t bound, int& rejections) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = rng.next();
+      if (r >= threshold) return r % bound;
+      ++rejections;
+    }
+  };
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  24,
+                                  (1ULL << 32) + 1,
+                                  (1ULL << 63) + 1,
+                                  3ULL << 62,
+                                  ~0ULL};
+  int rejections = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    for (std::uint64_t stream = 0; stream < 24; ++stream) {
+      Rng fast(seed, stream);
+      Rng reference(seed, stream);
+      for (int i = 0; i < 64; ++i) {
+        for (const std::uint64_t bound : bounds) {
+          ASSERT_EQ(fast.below(bound), reference_below(reference, bound, rejections))
+              << "seed " << seed << " stream " << stream << " bound " << bound;
+        }
+      }
+      EXPECT_EQ(fast.next(), reference.next()) << "streams out of step";
+    }
+  }
+  EXPECT_GT(rejections, 1000);
 }
 
 TEST(Rng, RangeInclusive) {

@@ -169,20 +169,21 @@ TEST(WorkShare, FirstHelperErrorIsRethrownWithItsType) {
   // The helper fails first with a CancelledError; the owner fails later
   // with a plain ScfiError. run() rethrows the helper's error unchanged,
   // only after every participant has left, and the failure stopped the
-  // owner's claims.
-  std::atomic<bool> helper_failed{false};
+  // owner's claims. The owner's range is far too large to drain one unit
+  // at a time, so its claims end only because the helper's error reached
+  // the share, and the owner throws only after that. (kGiveUp only turns a
+  // share that never stops into a failure instead of an hours-long loop.)
+  constexpr std::uint64_t kUnits = 1ULL << 40;
+  constexpr std::uint64_t kGiveUp = 1ULL << 28;
   std::atomic<bool> owner_left{false};
   std::uint64_t owner_units = 0;
   bool caught = false;
   try {
-    WorkShare::run(1000, 1, 2, [&](WorkShare::Claim& claim) {
-      if (!claim.owner()) {
-        helper_failed = true;
-        throw CancelledError("helper deadline");
+    WorkShare::run(kUnits, 1, 2, [&](WorkShare::Claim& claim) {
+      if (!claim.owner()) throw CancelledError("helper deadline");
+      for (UnitRange r = claim.next(1); !r.empty() && owner_units < kGiveUp; r = claim.next(1)) {
+        ++owner_units;
       }
-      UnitRange r = claim.next(1);
-      EXPECT_TRUE(wait_for(helper_failed));
-      for (; !r.empty(); r = claim.next(1)) ++owner_units;
       owner_left = true;
       throw ScfiError("owner failure");
     });
@@ -192,7 +193,7 @@ TEST(WorkShare, FirstHelperErrorIsRethrownWithItsType) {
     EXPECT_TRUE(owner_left.load());
   }
   EXPECT_TRUE(caught);
-  EXPECT_LT(owner_units, 1000u);
+  EXPECT_LT(owner_units, kGiveUp);
 }
 
 TEST(WorkShare, BoardHelpersServeConcurrentOwners) {

@@ -3,6 +3,10 @@
 // under the lanes/threads execution knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -274,6 +278,257 @@ TEST(SimParallel, SegmentedEvalMatchesReferenceTapeOnZoo) {
       EXPECT_EQ(faulty, snapshot()) << entry.name << " W=" << lane_words << " faulty";
     }
   }
+}
+
+TEST(SimLatch, EvalLatchEvalAndStepMatchAnEdgeOracle) {
+  // latch() and step() against a clock-edge model that never calls
+  // latch(). The model tracks every injected fault per net and lane (the
+  // last injection on a lane wins; flips and skips last one edge) and the
+  // raw stored value of every flip-flop bit. At an edge it computes the new
+  // raw Q from the settled, fault-masked D words, keeping the old raw Q in
+  // skip-cycle lanes. Right after latch() every Q word must read as the
+  // model's raw Q under the surviving stuck-at faults; after the next
+  // eval() every net word must equal an oracle simulator loaded with the
+  // model's raw Q, the same inputs and only the stuck-at faults, then
+  // settled. A third simulator runs step() on the same stimulus and must
+  // match that oracle too. Covers every zoo module in all three variants
+  // at every lane-block width, with random per-lane flip, stuck-at and
+  // skip faults, half of them on register outputs, plus one skip paired
+  // with a read fault on the same Q net every cycle.
+  const std::pair<ot::Variant, const char*> variants[] = {
+      {ot::Variant::kScfi, "scfi"},
+      {ot::Variant::kUnprotected, "unprotected"},
+      {ot::Variant::kRedundancy, "redundancy"}};
+  const FaultKind kinds[] = {FaultKind::kTransientFlip, FaultKind::kStuckAt0,
+                             FaultKind::kStuckAt1, FaultKind::kSkipCycle};
+  struct FfBit {
+    rtlil::SigBit d;
+    rtlil::SigBit q;
+  };
+  for (const ot::OtEntry& entry : ot::ot_zoo()) {
+    for (const auto& [variant, variant_name] : variants) {
+      rtlil::Design d;
+      const fsm::CompiledFsm c =
+          ot::build_ot_variant(entry, d, variant, 2, entry.name + "_latch");
+      const std::vector<FaultSite> sites = enumerate_fault_sites(*c.module, c.state_wire);
+      ASSERT_FALSE(sites.empty());
+      std::vector<FfBit> ffs;
+      for (const rtlil::Cell* cell : c.module->cells()) {
+        if (!rtlil::is_ff(cell->type())) continue;
+        for (int i = 0; i < cell->port("Q").width(); ++i) {
+          ffs.push_back({cell->port("D").bit(i), cell->port("Q").bit(i)});
+        }
+      }
+      ASSERT_FALSE(ffs.empty());
+      for (const int lane_words : {1, 2, 4, 8}) {
+        const auto words = static_cast<std::size_t>(lane_words);
+        Simulator split(*c.module, lane_words);
+        Simulator stepped(*c.module, lane_words);
+        Simulator oracle(*c.module, lane_words);
+        const auto num_nets = static_cast<std::size_t>(split.num_nets());
+        std::vector<Simulator::WireHandle> inputs;
+        for (const rtlil::Wire* wire : c.module->wires()) {
+          if (wire->is_input()) inputs.push_back(split.input_handle(wire->name()));
+        }
+        std::vector<std::int32_t> q_net(ffs.size());
+        std::vector<Simulator::WireHandle> q_wire(ffs.size());
+        std::vector<std::int32_t> ff_of_q(num_nets, -1);
+        for (std::size_t i = 0; i < ffs.size(); ++i) {
+          q_net[i] = split.net_index(ffs[i].q);
+          q_wire[i] = split.probe(ffs[i].q.wire->name());
+          ff_of_q[static_cast<std::size_t>(q_net[i])] = static_cast<std::int32_t>(i);
+        }
+        // Model state, net * words + word (ff * words + word for the FFs).
+        std::vector<std::uint64_t> stuck0(num_nets * words), stuck1(num_nets * words),
+            flip(num_nets * words), skip(ffs.size() * words), raw_q(ffs.size() * words);
+        for (std::size_t i = 0; i < ffs.size(); ++i) {
+          for (std::size_t w = 0; w < words; ++w) {
+            raw_q[i * words + w] = split.lane_word(q_net[i], static_cast<int>(w));
+          }
+        }
+        const auto observed = [&](std::size_t net, std::size_t w, std::uint64_t raw) {
+          const std::size_t i = net * words + w;
+          return ((raw ^ flip[i]) & ~(stuck0[i] | stuck1[i])) | stuck1[i];
+        };
+        Rng rng(0x1A7C4 + static_cast<std::uint64_t>(lane_words));
+        const std::string where =
+            entry.name + " " + variant_name + " W=" + std::to_string(lane_words);
+        std::vector<std::uint64_t> input_words;
+        for (int cycle = 0; cycle < 12; ++cycle) {
+          input_words.clear();
+          for (const Simulator::WireHandle& h : inputs) {
+            for (int i = 0; i < h.width; ++i) {
+              for (int w = 0; w < lane_words; ++w) {
+                const std::uint64_t word = rng.next();
+                input_words.push_back(word);
+                split.set_input_word(h, i, word, w);
+                stepped.set_input_word(h, i, word, w);
+              }
+            }
+          }
+          if (cycle % 5 == 4) {
+            split.clear_all_faults();
+            stepped.clear_all_faults();
+            for (auto* v : {&stuck0, &stuck1, &flip, &skip}) std::fill(v->begin(), v->end(), 0);
+          }
+          const auto inject = [&](const rtlil::SigBit& bit, FaultKind kind) {
+            LaneMask lanes;
+            for (std::size_t w = 0; w < words; ++w) lanes.w[w] = rng.next() & rng.next();
+            split.inject(bit, kind, lanes);
+            stepped.inject(bit, kind, lanes);
+            const auto net = static_cast<std::size_t>(split.net_index(bit));
+            for (std::size_t w = 0; w < words; ++w) {
+              const std::uint64_t l = lanes.w[w];
+              if (kind == FaultKind::kSkipCycle) {
+                // A skip on a non-register net is a documented no-op.
+                if (ff_of_q[net] >= 0) {
+                  skip[static_cast<std::size_t>(ff_of_q[net]) * words + w] |= l;
+                }
+                continue;
+              }
+              const std::size_t i = net * words + w;
+              stuck0[i] &= ~l;
+              stuck1[i] &= ~l;
+              flip[i] &= ~l;
+              if (kind == FaultKind::kStuckAt0) stuck0[i] |= l;
+              if (kind == FaultKind::kStuckAt1) stuck1[i] |= l;
+              if (kind == FaultKind::kTransientFlip) flip[i] |= l;
+            }
+          };
+          for (int f = static_cast<int>(rng.below(6)); f > 0; --f) {
+            const FaultKind kind = kinds[rng.below(4)];
+            inject(rng.below(2) == 0 ? ffs[rng.below(ffs.size())].q
+                                     : sites[static_cast<std::size_t>(rng.below(sites.size()))].bit,
+                   kind);
+          }
+          // A skip and a read fault on the same Q net, in either order: the
+          // skipped lanes keep the raw stored value, not the faulted reading.
+          const rtlil::SigBit q = ffs[rng.below(ffs.size())].q;
+          const FaultKind read_fault = kinds[rng.below(3)];
+          if (rng.below(2) == 0) {
+            inject(q, FaultKind::kSkipCycle);
+            inject(q, read_fault);
+          } else {
+            inject(q, read_fault);
+            inject(q, FaultKind::kSkipCycle);
+          }
+
+          // The edge: settle, read the fault-masked D words, latch.
+          split.eval();
+          std::vector<std::uint64_t> next_q(ffs.size() * words);
+          for (std::size_t i = 0; i < ffs.size(); ++i) {
+            for (std::size_t w = 0; w < words; ++w) {
+              const std::uint64_t dw =
+                  ffs[i].d.is_const()
+                      ? (ffs[i].d.const_value() ? ~0ULL : 0)
+                      : split.lane_word(split.net_index(ffs[i].d), static_cast<int>(w));
+              const std::uint64_t s = skip[i * words + w];
+              next_q[i * words + w] = (dw & ~s) | (raw_q[i * words + w] & s);
+            }
+          }
+          split.latch();
+          raw_q = next_q;
+          std::fill(flip.begin(), flip.end(), 0);
+          std::fill(skip.begin(), skip.end(), 0);
+          for (std::size_t i = 0; i < ffs.size(); ++i) {
+            for (std::size_t w = 0; w < words; ++w) {
+              ASSERT_EQ(split.lane_word(q_net[i], static_cast<int>(w)),
+                        observed(static_cast<std::size_t>(q_net[i]), w, raw_q[i * words + w]))
+                  << where << " cycle " << cycle << " ff bit " << i << " word " << w
+                  << " after latch()";
+            }
+          }
+          EXPECT_EQ(split.pending_transient_nets(), 0) << where;
+          EXPECT_EQ(split.pending_skip_ffs(), 0) << where;
+          split.eval();
+          stepped.step();
+
+          // The oracle: model state loaded directly, then one settle.
+          std::size_t next_input = 0;
+          for (const Simulator::WireHandle& h : inputs) {
+            for (int i = 0; i < h.width; ++i) {
+              for (int w = 0; w < lane_words; ++w) {
+                oracle.set_input_word(h, i, input_words[next_input++], w);
+              }
+            }
+          }
+          for (std::size_t i = 0; i < ffs.size(); ++i) {
+            const int bit = ffs[i].q.offset;
+            for (std::size_t w = 0; w < words; ++w) {
+              oracle.set_register_word(q_wire[i], bit, raw_q[i * words + w], static_cast<int>(w));
+            }
+          }
+          oracle.clear_all_faults();
+          for (std::size_t net = 2; net < num_nets; ++net) {
+            LaneMask s0, s1;
+            for (std::size_t w = 0; w < words; ++w) {
+              s0.w[w] = stuck0[net * words + w];
+              s1.w[w] = stuck1[net * words + w];
+            }
+            const auto n = static_cast<std::int32_t>(net);
+            if (s0.any()) oracle.inject_net(n, FaultKind::kStuckAt0, s0);
+            if (s1.any()) oracle.inject_net(n, FaultKind::kStuckAt1, s1);
+          }
+          oracle.eval();
+          for (std::int32_t net = 0; net < split.num_nets(); ++net) {
+            for (int w = 0; w < lane_words; ++w) {
+              ASSERT_EQ(split.lane_word(net, w), oracle.lane_word(net, w))
+                  << where << " cycle " << cycle << " net " << net << " word " << w
+                  << " eval(); latch(); eval();";
+              ASSERT_EQ(stepped.lane_word(net, w), oracle.lane_word(net, w))
+                  << where << " cycle " << cycle << " net " << net << " word " << w
+                  << " step()";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimLatch, LatchAfterAnUnsettledMutatorThrows) {
+  // latch() copies the settled D values, so every mutator since the last
+  // eval() — and a previous latch() — must make it refuse; an eval()
+  // re-arms it.
+  rtlil::Design d;
+  const ot::OtEntry entry = ot::ot_entry("pwrmgr_fsm");
+  const fsm::CompiledFsm c =
+      ot::build_ot_variant(entry, d, ot::Variant::kScfi, 2, "pwrmgr_latch_guard");
+  Simulator sim(*c.module, 2);
+  const Simulator::WireHandle in = sim.input_handle(c.symbol_input_wire);
+  const Simulator::WireHandle state = sim.probe(c.state_wire);
+  const std::vector<FaultSite> sites = enumerate_fault_sites(*c.module, c.state_wire);
+  ASSERT_FALSE(sites.empty());
+  const rtlil::SigBit site = sites.front().bit;
+  const rtlil::SigBit state_bit(c.module->wire(c.state_wire), 0);
+  const std::vector<std::pair<const char*, std::function<void()>>> mutators = {
+      {"set_input(name)", [&] { sim.set_input(c.symbol_input_wire, 1); }},
+      {"set_input(handle)", [&] { sim.set_input(in, 1); }},
+      {"set_input_lane", [&] { sim.set_input_lane(in, 70, 1); }},
+      {"set_input_word", [&] { sim.set_input_word(in, 0, ~0ULL, 1); }},
+      {"set_register(handle)", [&] { sim.set_register(state, 0); }},
+      {"set_register_word", [&] { sim.set_register_word(state, 0, ~0ULL, 1); }},
+      {"inject", [&] { sim.inject(site, FaultKind::kTransientFlip); }},
+      {"inject_net(skip)",
+       [&] { sim.inject_net(sim.net_index(state_bit), FaultKind::kSkipCycle, LaneMask(1)); }},
+      {"clear_fault", [&] { sim.clear_fault(site); }},
+      {"clear_all_faults", [&] { sim.clear_all_faults(); }},
+      {"latch", [&] { sim.latch(); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    sim.eval();
+    mutate();
+    EXPECT_THROW(sim.latch(), LogicBug) << name;
+    sim.eval();
+    EXPECT_NO_THROW(sim.latch()) << name;
+  }
+  // Settling mutators and reset() leave the netlist latchable.
+  sim.set_register(c.state_wire, 0);
+  EXPECT_NO_THROW(sim.latch());
+  sim.reset();
+  EXPECT_NO_THROW(sim.latch());
+  sim.step();
+  EXPECT_NO_THROW(sim.latch());
 }
 
 TEST(SimParallel, CampaignInvariantUnderLanesAndThreads) {

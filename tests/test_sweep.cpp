@@ -1538,6 +1538,29 @@ TEST(SweepOrchestrator, RejectsBadJobsAndConfig) {
   EXPECT_EQ(empty.size(), 0u);
 }
 
+TEST(SweepOrchestrator, BuildFailureRecordsCarryTheBuildTime) {
+  // A failed variant build is billed like a successful one: the group's
+  // first record carries the time spent up to the failure, the other
+  // records of the group nothing, so the group's seconds sum to its wall
+  // time instead of recording 0.
+  SweepJob flip;
+  flip.module = "no_such_module";
+  SweepJob stuck = flip;
+  stuck.synfi.kind = sim::FaultKind::kStuckAt1;
+  SweepOrchestrator orchestrator{SweepConfig{}};
+  ResultStore store;
+  const SweepStats stats = orchestrator.run({flip, stuck}, store);
+  EXPECT_EQ(stats.failed, 2);
+  ASSERT_EQ(store.size(), 2u);
+  const SweepResult* first = store.find(flip.key());
+  const SweepResult* second = store.find(stuck.key());
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(first->error.find("variant build failed"), std::string::npos);
+  EXPECT_GT(first->seconds, 0.0);
+  EXPECT_EQ(second->seconds, 0.0);
+}
+
 TEST(SweepOrchestrator, IsolatesFailingJobsAndResumesOnlyThose) {
   // The acceptance scenario: a corpus sweep with one job on a module whose
   // .kiss2 failed to parse (group-build failure: "bad" is not among the
