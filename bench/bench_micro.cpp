@@ -218,6 +218,31 @@ void BM_SynfiInjection(benchmark::State& state) {
 }
 BENCHMARK(BM_SynfiInjection)->ArgName("lanes")->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
+void BM_SynfiSatQueries(benchmark::State& state) {
+  // Incremental-SAT SYNFI queries/s over otbn_controller's whole logic on one
+  // thread. The Analyzer is kept warm: its cached SAT context, with every
+  // clause learned so far, answers each iteration's (site, edge) queries, so
+  // the loop measures the solver's per-query cost, not the miter build.
+  const scfi::ot::OtEntry entry = scfi::ot::ot_entry("otbn_controller");
+  scfi::rtlil::Design d;
+  const scfi::fsm::CompiledFsm c =
+      scfi::ot::build_ot_variant(entry, d, scfi::ot::Variant::kScfi, 2, "otbn_controller_bm");
+  scfi::synfi::Analyzer analyzer(entry.fsm, c);
+  scfi::synfi::SynfiConfig config;
+  config.backend = scfi::synfi::Backend::kSat;
+  config.wire_prefix = "";
+  config.threads = 1;
+  benchmark::DoNotOptimize(analyzer.run(config).injections);  // build the SAT context
+  std::int64_t queries = 0;
+  for (auto _ : state) {
+    const scfi::synfi::SynfiReport r = analyzer.run(config);
+    queries = r.injections;
+    benchmark::DoNotOptimize(queries);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * queries);
+}
+BENCHMARK(BM_SynfiSatQueries)->Unit(benchmark::kMillisecond);
+
 void BM_ScfiHardenPass(benchmark::State& state) {
   const scfi::fsm::Fsm f = bench_fsm();
   std::uint64_t counter = 0;

@@ -34,7 +34,9 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # sweeps whose idle workers help another group's run, the eval/latch split
 # of the simulator's clock edge, the Rng::below fast path and the pinned
 # campaign counts) so memory bugs in the hot engines surface without slowing
-# the tier-1 path. Then a standalone
+# the tier-1 path; the SAT solver's pinned search and its differential
+# property tests run here too, since its clause arena hands out raw pointers
+# into a growing vector. Then a standalone
 # ThreadSanitizer build of the header-only base/parallel.h tests (src/base
 # only: libscfi itself crashes under TSan before main, in the
 # target_clones ifunc resolvers of the simulator).
@@ -44,7 +46,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden'
+    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests
@@ -63,7 +65,7 @@ ctest --test-dir build --output-on-failure -R 'VerilogRoundtrip|FsmExtract'
 # Benchmark smoke test: make sure the perf harness still runs end to end.
 if [[ -x build/bench_micro ]]; then
   build/bench_micro --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_Simulator|BM_Campaign|BM_SynfiInjection'
+    --benchmark_filter='BM_Simulator|BM_Campaign|BM_SynfiInjection|BM_SynfiSatQueries'
 else
   echo "bench_micro not built (google-benchmark unavailable); skipping bench smoke"
 fi

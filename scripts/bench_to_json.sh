@@ -25,7 +25,7 @@ trap 'rm -f "$RAW" "$SCALE_RAW"' EXIT
 # Five repetitions per benchmark, recorded as median + MAD (median absolute
 # deviation): a single run moves by tens of percent on hosts whose speed
 # changes while the bench runs.
-"$BENCH" --benchmark_filter='BM_Simulator|BM_Campaign|BM_SynfiInjection' \
+"$BENCH" --benchmark_filter='BM_Simulator|BM_Campaign|BM_SynfiInjection|BM_SynfiSatQueries' \
          --benchmark_min_time=0.3 --benchmark_repetitions=5 \
          --benchmark_format=json > "$RAW"
 

@@ -1,6 +1,7 @@
 #include "sat/solver.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 
 #include "base/error.h"
@@ -27,10 +28,13 @@ int Solver::new_var() {
   phase_.push_back(kFalse);
   level_.push_back(0);
   reason_.push_back(-1);
+  seen_.push_back(0);
   activity_.push_back(0.0);
+  heap_pos_.push_back(-1);
   watches_.emplace_back();
   watches_.emplace_back();
-  return static_cast<int>(activity_.size());
+  heap_insert(num_vars() - 1);
+  return num_vars();
 }
 
 void Solver::add_clause(const std::vector<Lit>& lits) {
@@ -51,15 +55,24 @@ void Solver::add_clause(const std::vector<Lit>& lits) {
     return;
   }
   if (clause.size() == 1) {
-    // Defer unit enqueueing to solve() (top level); the dedicated unit list
-    // keeps the per-call scan O(units) instead of O(all clauses).
-    units_.push_back(clause[0]);
+    // Defer unit enqueueing to solve() (top level).
+    pending_units_.push_back(clause[0]);
     return;
   }
-  const int idx = static_cast<int>(clauses_.size());
-  clauses_.push_back(clause);
-  watches_[static_cast<std::size_t>(clause[0])].push_back(idx);
-  watches_[static_cast<std::size_t>(clause[1])].push_back(idx);
+  store_clause(clause);
+  replay_level0_ = true;
+}
+
+int Solver::store_clause(const std::vector<int>& lits) {
+  check(arena_.size() + lits.size() + 1 <= static_cast<std::size_t>(INT_MAX),
+        "Solver: clause arena exceeds int offsets");
+  const int ref = static_cast<int>(arena_.size());
+  arena_.push_back(static_cast<int>(lits.size()));
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  ++arena_clauses_;
+  watches_[static_cast<std::size_t>(lits[0])].push_back(ref);
+  watches_[static_cast<std::size_t>(lits[1])].push_back(ref);
+  return ref;
 }
 
 void Solver::enqueue(int l, int reason) {
@@ -73,12 +86,15 @@ void Solver::enqueue(int l, int reason) {
 int Solver::propagate() {
   while (qhead_ < trail_.size()) {
     const int l = trail_[qhead_++];
+    ++propagations_;
     const int falsified = neg(l);
     std::vector<int>& watch_list = watches_[static_cast<std::size_t>(falsified)];
     std::size_t keep = 0;
     for (std::size_t wi = 0; wi < watch_list.size(); ++wi) {
       const int ci = watch_list[wi];
-      std::vector<int>& clause = clauses_[static_cast<std::size_t>(ci)];
+      // The arena does not grow while propagating, so the pointer is stable.
+      int* const clause = arena_.data() + ci + 1;
+      const int size = clause[-1];
       // Normalize: watched literals are clause[0], clause[1].
       if (clause[0] == falsified) std::swap(clause[0], clause[1]);
       if (lit_value(clause[0]) == kTrue) {
@@ -86,7 +102,7 @@ int Solver::propagate() {
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < clause.size(); ++k) {
+      for (int k = 2; k < size; ++k) {
         if (lit_value(clause[k]) != kFalse) {
           std::swap(clause[1], clause[k]);
           watches_[static_cast<std::size_t>(clause[1])].push_back(ci);
@@ -118,6 +134,10 @@ void Solver::bump(int v) {
   if (activity_[static_cast<std::size_t>(v)] > 1e100) {
     for (double& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;
+    // Scaling can round distinct activities together; re-key the ties.
+    heap_rebuild();
+  } else if (heap_pos_[static_cast<std::size_t>(v)] >= 0) {
+    heap_sift_up(static_cast<std::size_t>(heap_pos_[static_cast<std::size_t>(v)]));
   }
 }
 
@@ -126,7 +146,6 @@ void Solver::decay() { var_inc_ /= 0.95; }
 void Solver::analyze(int conflict, std::vector<int>& learned, int& backtrack_level) {
   learned.clear();
   learned.push_back(0);  // placeholder for the asserting literal
-  std::vector<bool> seen(static_cast<std::size_t>(num_vars()), false);
   int counter = 0;
   int l = -1;
   int ci = conflict;
@@ -134,12 +153,16 @@ void Solver::analyze(int conflict, std::vector<int>& learned, int& backtrack_lev
   const int current_level = static_cast<int>(trail_lim_.size());
 
   for (;;) {
-    const std::vector<int>& clause = clauses_[static_cast<std::size_t>(ci)];
-    for (const int q : clause) {
+    const int* const clause = arena_.data() + ci + 1;
+    const int size = clause[-1];
+    for (int i = 0; i < size; ++i) {
+      const int q = clause[i];
       if (l != -1 && q == l) continue;
       const int v = var(q);
-      if (seen[static_cast<std::size_t>(v)] || level_[static_cast<std::size_t>(v)] == 0) continue;
-      seen[static_cast<std::size_t>(v)] = true;
+      if (seen_[static_cast<std::size_t>(v)] != 0 || level_[static_cast<std::size_t>(v)] == 0) {
+        continue;
+      }
+      seen_[static_cast<std::size_t>(v)] = 1;
       bump(v);
       if (level_[static_cast<std::size_t>(v)] >= current_level) {
         ++counter;
@@ -151,14 +174,19 @@ void Solver::analyze(int conflict, std::vector<int>& learned, int& backtrack_lev
     do {
       --trail_pos;
       l = trail_[trail_pos];
-    } while (!seen[static_cast<std::size_t>(var(l))]);
-    seen[static_cast<std::size_t>(var(l))] = false;
+    } while (seen_[static_cast<std::size_t>(var(l))] == 0);
+    seen_[static_cast<std::size_t>(var(l))] = 0;
     --counter;
     if (counter == 0) break;
     ci = reason_[static_cast<std::size_t>(var(l))];
     check(ci >= 0, "Solver::analyze: missing reason");
   }
   learned[0] = neg(l);
+  // Every current-level mark was cleared on the trail walk; the rest are
+  // exactly the lower-level literals of the learned clause.
+  for (std::size_t i = 1; i < learned.size(); ++i) {
+    seen_[static_cast<std::size_t>(var(learned[i]))] = 0;
+  }
 
   backtrack_level = 0;
   if (learned.size() > 1) {
@@ -185,36 +213,96 @@ void Solver::backtrack(int target) {
       phase_[static_cast<std::size_t>(v)] = assign_[static_cast<std::size_t>(v)];
       assign_[static_cast<std::size_t>(v)] = kUndef;
       reason_[static_cast<std::size_t>(v)] = -1;
+      if (heap_pos_[static_cast<std::size_t>(v)] == -1) {
+        heap_pos_[static_cast<std::size_t>(v)] = kPending;
+        heap_pending_.push_back(v);
+      }
     }
     qhead_ = trail_.size();
   }
 }
 
+void Solver::heap_insert(int v) {
+  heap_pos_[static_cast<std::size_t>(v)] = static_cast<int>(heap_.size());
+  heap_.push_back(v);
+  heap_sift_up(heap_.size() - 1);
+}
+
+void Solver::heap_sift_up(std::size_t i) {
+  const int v = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!heap_before(v, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    heap_pos_[static_cast<std::size_t>(heap_[i])] = static_cast<int>(i);
+    i = parent;
+  }
+  heap_[i] = v;
+  heap_pos_[static_cast<std::size_t>(v)] = static_cast<int>(i);
+}
+
+void Solver::heap_sift_down(std::size_t i) {
+  const int v = heap_[i];
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_before(heap_[child + 1], heap_[child])) ++child;
+    if (!heap_before(heap_[child], v)) break;
+    heap_[i] = heap_[child];
+    heap_pos_[static_cast<std::size_t>(heap_[i])] = static_cast<int>(i);
+    i = child;
+  }
+  heap_[i] = v;
+  heap_pos_[static_cast<std::size_t>(v)] = static_cast<int>(i);
+}
+
+int Solver::heap_pop() {
+  const int top = heap_.front();
+  heap_pos_[static_cast<std::size_t>(top)] = -1;
+  const int last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    heap_sift_down(0);
+  }
+  return top;
+}
+
+void Solver::heap_rebuild() {
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) heap_sift_down(i);
+}
+
 int Solver::pick_branch() {
-  int best = -1;
-  double best_activity = -1.0;
-  for (int v = 0; v < num_vars(); ++v) {
-    if (assign_[static_cast<std::size_t>(v)] != kUndef) continue;
-    if (activity_[static_cast<std::size_t>(v)] > best_activity) {
-      best_activity = activity_[static_cast<std::size_t>(v)];
-      best = v;
+  // Every unassigned variable is in the heap or pending; assigned ones leave
+  // the heap lazily. A pending variable that propagation assigned again
+  // since the backtrack stays out: it returns to the list when it is next
+  // unassigned.
+  for (const int v : heap_pending_) {
+    heap_pos_[static_cast<std::size_t>(v)] = -1;
+    if (assign_[static_cast<std::size_t>(v)] == kUndef) heap_insert(v);
+  }
+  heap_pending_.clear();
+  while (!heap_.empty()) {
+    const int v = heap_pop();
+    if (assign_[static_cast<std::size_t>(v)] == kUndef) {
+      return 2 * v + (phase_[static_cast<std::size_t>(v)] == kTrue ? 0 : 1);
     }
   }
-  if (best < 0) return -1;
-  return 2 * best + (phase_[static_cast<std::size_t>(best)] == kTrue ? 0 : 1);
+  return -1;
 }
 
 Result Solver::solve(const std::vector<Lit>& assumptions) {
   if (trivially_unsat_) return Result::kUnsat;
   backtrack(0);
-  // Re-propagate the retained level-0 trail from scratch: an incremental
-  // call may have left the queue head past entries whose consequences (under
-  // clauses learned later) were never drawn, and a level-0 conflict return
-  // leaves the trail itself inconsistent. Propagation is idempotent, so
-  // replaying the prefix is cheap and restores the invariant.
-  qhead_ = 0;
-  // Enqueue top-level units.
-  for (const int unit : units_) {
+  // The level-0 trail is at fixpoint whenever a call returns (a level-0
+  // conflict poisons the solver instead). A clause stored since then may be
+  // watched by literals already false at level 0, so replay the trail from
+  // its start; otherwise propagation resumes at the queued units.
+  if (replay_level0_) {
+    qhead_ = 0;
+    replay_level0_ = false;
+  }
+  for (const int unit : pending_units_) {
     const std::int8_t v = lit_value(unit);
     if (v == kFalse) {
       trivially_unsat_ = true;
@@ -222,6 +310,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
     }
     if (v == kUndef) enqueue(unit, -1);
   }
+  pending_units_.clear();
   if (propagate() >= 0) {
     // Conflict with no decisions or assumptions on the trail: the clause
     // database itself is contradictory, for this and every future call.
@@ -250,16 +339,9 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       // loop below replays them and reports kUnsat when the learned clause
       // contradicts one.
       backtrack(std::max(back_level, 0));
-      int reason = -1;
-      if (learned.size() >= 2) {
-        const int idx = static_cast<int>(clauses_.size());
-        clauses_.push_back(learned);
-        watches_[static_cast<std::size_t>(learned[0])].push_back(idx);
-        watches_[static_cast<std::size_t>(learned[1])].push_back(idx);
-        reason = idx;
-      } else {
-        units_.push_back(learned[0]);  // learned facts are globally valid
-      }
+      // A learned unit is asserted at level 0 below and stays on the trail.
+      ++learned_clauses_;
+      const int reason = learned.size() >= 2 ? store_clause(learned) : -1;
       if (lit_value(learned[0]) == kUndef) {
         enqueue(learned[0], reason);
       } else if (lit_value(learned[0]) == kFalse) {
@@ -311,6 +393,7 @@ void Solver::import_warm_start(const WarmStart& warm) {
   std::copy_n(warm.activity.begin(), n, activity_.begin());
   std::copy_n(warm.phase.begin(), std::min(phase_.size(), warm.phase.size()), phase_.begin());
   if (warm.var_inc > 0) var_inc_ = warm.var_inc;
+  heap_rebuild();
 }
 
 }  // namespace scfi::sat

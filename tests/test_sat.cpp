@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+
 #include "base/rng.h"
 #include "fsm/compile.h"
+#include "ot/zoo.h"
 #include "rtlil/design.h"
 #include "sat/cnf.h"
 #include "sat/miter.h"
@@ -284,6 +289,283 @@ TEST(Cnf, SelectorGatedFaultsTogglePerAssumption) {
   EXPECT_TRUE(s.value(yv));  // stuck-at-1 overrides the low input
   ASSERT_EQ(s.solve({av, sel1, sel2}), Result::kSat);
   EXPECT_TRUE(s.value(yv));  // both faults compose: flip then stuck-at-1
+}
+
+// ---------------------------------------------------------------------------
+// Search-trajectory pins. The solver's data structures (branching order,
+// clause storage, level-0 propagation) may change only if the search they
+// drive does not: every decision and conflict stays where it was. These
+// counts were captured on commit cf01f1a, before the order heap, the flat
+// clause arena and the incremental level-0 propagation replaced the linear
+// branching scan, the per-clause vectors and the per-call trail replay.
+
+struct SweepCounts {
+  std::uint64_t conflicts = 0;
+  std::uint64_t decisions = 0;
+  int sat = 0;
+  int queries = 0;
+  std::uint64_t model_hash = 0;  ///< FNV-1a over every kSat model, in order
+};
+
+void hash_model(const Solver& s, SweepCounts& counts) {
+  if (counts.model_hash == 0) counts.model_hash = 0xcbf29ce484222325ULL;
+  for (int v = 1; v <= s.num_vars(); ++v) {
+    counts.model_hash = (counts.model_hash ^ (s.value(v) ? 1U : 0U)) * 0x100000001b3ULL;
+  }
+}
+
+void push_code(std::vector<Lit>& lits, const std::vector<int>& vars, std::uint64_t code) {
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    lits.push_back(((code >> i) & 1) != 0 ? vars[i] : -vars[i]);
+  }
+}
+
+/// A selector-gated single-fault miter over one zoo module, built the way
+/// Cnf.SelectorGatedFaultsTogglePerAssumption builds its faulty copy: a
+/// golden and a faulty copy share the state and symbol inputs, every
+/// combinationally driven net of the faulty copy carries a selector-gated
+/// flip (the whole-logic region), exactly one selector is on, the faulty
+/// next state must differ from the golden one and still be a valid state
+/// code, and the alert must stay low. The sweep asks one query per
+/// (selector, state code, symbol code).
+SweepCounts sweep_zoo_miter() {
+  rtlil::Design d;
+  const fsm::CompiledFsm c = ot::build_ot_variant(ot::ot_entry("adc_ctrl_fsm"), d,
+                                                  ot::Variant::kScfi, 2, "adc");
+  const rtlil::Module& m = *c.module;
+  Solver s;
+  std::unordered_map<rtlil::SigBit, int> bound;
+  std::vector<int> xvars;
+  std::vector<int> svars;
+  const rtlil::Wire* symbol = m.wire(c.symbol_input_wire);
+  const rtlil::Wire* state = m.wire(c.state_wire);
+  for (int i = 0; i < symbol->width(); ++i) {
+    xvars.push_back(s.new_var());
+    bound.emplace(rtlil::SigBit(symbol, i), xvars.back());
+  }
+  for (int i = 0; i < state->width(); ++i) {
+    svars.push_back(s.new_var());
+    bound.emplace(rtlil::SigBit(state, i), svars.back());
+  }
+  const CnfCopy golden(s, m, bound);
+  std::vector<CnfFault> faults;
+  std::vector<Lit> selectors;
+  const rtlil::NetlistIndex index(m);
+  for (const rtlil::Wire* w : m.wires()) {
+    for (int i = 0; i < w->width(); ++i) {
+      const rtlil::Cell* driver = index.driver(rtlil::SigBit(w, i));
+      if (driver == nullptr || rtlil::is_ff(driver->type())) continue;
+      selectors.push_back(s.new_var());
+      faults.push_back(CnfFault{rtlil::SigBit(w, i), CnfFaultKind::kFlip, selectors.back()});
+    }
+  }
+  const CnfCopy faulty(s, m, bound, faults);
+  exactly_one(s, selectors);
+  const std::vector<int> fn = faulty.ff_next_vars(c.state_wire);
+  s.add_unit(-faulty.wire_vars(c.alert_wire)[0]);
+  s.add_unit(differ(s, golden.ff_next_vars(c.state_wire), fn));
+  s.add_unit(member_of(s, fn, c.state_codes));
+
+  SweepCounts counts;
+  std::vector<Lit> assumptions;
+  // Every eighth site keeps the sweep short; the skipped selectors stay in
+  // the CNF, so the solver still branches over the whole miter.
+  for (std::size_t i = 0; i < selectors.size(); i += 8) {
+    const Lit sel = selectors[i];
+    for (const std::uint64_t from : c.state_codes) {
+      for (const auto& [name, code] : c.symbol_codes) {
+        assumptions.assign({sel});
+        push_code(assumptions, svars, from);
+        push_code(assumptions, xvars, code);
+        ++counts.queries;
+        if (s.solve(assumptions) == Result::kSat) {
+          ++counts.sat;
+          hash_model(s, counts);
+        }
+      }
+    }
+  }
+  counts.conflicts = s.conflicts();
+  counts.decisions = s.decisions();
+  return counts;
+}
+
+/// A seeded random 3-SAT instance just below the phase transition, swept
+/// with random three-literal assumption sets.
+SweepCounts sweep_random_3sat() {
+  constexpr int kVars = 130;
+  constexpr int kClauses = 540;
+  Rng rng(2024);
+  Solver s;
+  for (int v = 0; v < kVars; ++v) s.new_var();
+  auto random_lit = [&] {
+    const int v = 1 + static_cast<int>(rng.below(kVars));
+    return rng.chance(0.5) ? v : -v;
+  };
+  for (int i = 0; i < kClauses; ++i) s.add_ternary(random_lit(), random_lit(), random_lit());
+  SweepCounts counts;
+  for (int q = 0; q < 300; ++q) {
+    ++counts.queries;
+    if (s.solve({random_lit(), random_lit(), random_lit()}) == Result::kSat) {
+      ++counts.sat;
+      hash_model(s, counts);
+    }
+  }
+  counts.conflicts = s.conflicts();
+  counts.decisions = s.decisions();
+  return counts;
+}
+
+TEST(SolverGolden, ZooSelectorMiterSweepKeepsItsSearch) {
+  const SweepCounts counts = sweep_zoo_miter();
+  EXPECT_EQ(counts.queries, 10556);
+  EXPECT_EQ(counts.sat, 177);
+  EXPECT_EQ(counts.conflicts, 336U);
+  EXPECT_EQ(counts.decisions, 22972U);
+  EXPECT_EQ(counts.model_hash, 3491160484054709903ULL);
+}
+
+TEST(SolverGolden, Random3SatAssumptionSweepKeepsItsSearch) {
+  const SweepCounts counts = sweep_random_3sat();
+  EXPECT_EQ(counts.queries, 300);
+  EXPECT_EQ(counts.sat, 86);
+  // Enough conflicts that the activities pass 1e100 and get rescaled.
+  EXPECT_EQ(counts.conflicts, 5957U);
+  EXPECT_EQ(counts.decisions, 7640U);
+  EXPECT_EQ(counts.model_hash, 10024990829034640942ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Differential property: random small CNFs, grown clause by clause between
+// solve(assumptions) calls, against brute-force enumeration. Adding clauses
+// after a call exercises the level-0 replay and the queued-unit path;
+// duplicate literals, tautologies, units, contradictory assumptions and the
+// odd empty clause ride along.
+
+TEST(SolverProperty, IncrementalVerdictsMatchBruteForce) {
+  Rng rng(77);
+  for (int instance = 0; instance < 600; ++instance) {
+    const int n = 1 + static_cast<int>(rng.below(14));
+    Solver s;
+    for (int v = 0; v < n; ++v) s.new_var();
+    // models[a] == 1 while assignment a (bit v-1 = value of v) satisfies
+    // every clause added so far.
+    std::vector<char> models(std::size_t{1} << n, 1);
+    std::vector<std::vector<Lit>> clauses;
+    auto random_lit = [&] {
+      const int v = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      return rng.chance(0.5) ? v : -v;
+    };
+    auto satisfies = [](std::uint64_t a, Lit lit) {
+      const bool value = ((a >> (std::abs(lit) - 1)) & 1) != 0;
+      return lit > 0 ? value : !value;
+    };
+    const int ops = 20 + static_cast<int>(rng.below(120));
+    for (int op = 0; op < ops; ++op) {
+      if (rng.chance(0.6)) {
+        std::vector<Lit> clause;
+        int len = rng.chance(0.7) ? 3 : 2 + static_cast<int>(rng.below(4));
+        if (rng.chance(0.06)) len = rng.chance(0.1) ? 0 : 1;
+        for (int i = 0; i < len; ++i) clause.push_back(random_lit());
+        s.add_clause(clause);
+        for (std::uint64_t a = 0; a < models.size(); ++a) {
+          bool sat = false;
+          for (const Lit lit : clause) sat = sat || satisfies(a, lit);
+          if (!sat) models[a] = 0;
+        }
+        clauses.push_back(clause);
+        continue;
+      }
+      std::vector<Lit> assumptions;
+      const int len = static_cast<int>(rng.below(6));
+      for (int i = 0; i < len; ++i) assumptions.push_back(random_lit());
+      bool expect_sat = false;
+      for (std::uint64_t a = 0; a < models.size() && !expect_sat; ++a) {
+        if (models[a] == 0) continue;
+        expect_sat = std::all_of(assumptions.begin(), assumptions.end(),
+                                 [&](Lit lit) { return satisfies(a, lit); });
+      }
+      const Result got = s.solve(assumptions);
+      ASSERT_EQ(got == Result::kSat, expect_sat) << "instance " << instance << " op " << op;
+      if (got != Result::kSat) continue;
+      for (const Lit lit : assumptions) {
+        ASSERT_TRUE(s.value(lit)) << "instance " << instance << " op " << op;
+      }
+      for (const std::vector<Lit>& clause : clauses) {
+        ASSERT_TRUE(std::any_of(clause.begin(), clause.end(), [&](Lit lit) { return s.value(lit); }))
+            << "instance " << instance << " op " << op;
+      }
+    }
+  }
+}
+
+TEST(SolverProperty, CountersTrackTheSearch) {
+  Solver s;
+  int p[4][3];
+  for (auto& row : p) {
+    for (int& x : row) x = s.new_var();
+  }
+  for (auto& row : p) s.add_ternary(row[0], row[1], row[2]);
+  for (int h = 0; h < 3; ++h) {
+    for (int i = 0; i < 4; ++i) {
+      for (int j = i + 1; j < 4; ++j) s.add_binary(-p[i][h], -p[j][h]);
+    }
+  }
+  // 4 ternary + 18 binary clauses.
+  EXPECT_EQ(s.arena_literals(), 4U * 3U + 18U * 2U);
+  EXPECT_EQ(s.propagations(), 0U);
+  EXPECT_EQ(s.solve(), Result::kUnsat);
+  EXPECT_GT(s.conflicts(), 0U);
+  EXPECT_GT(s.propagations(), s.decisions());
+  // Every analyzed conflict learns one clause; the final one is at level 0.
+  EXPECT_EQ(s.learned_clauses() + 1, s.conflicts());
+  EXPECT_GE(s.arena_literals(), 4U * 3U + 18U * 2U);
+}
+
+// The branching order is observable through a model: under (-a v -b) with
+// both saved phases true, whichever of a, b is decided first comes out true.
+TEST(SolverProperty, WarmStartReordersTheNextDecisions) {
+  Solver s;
+  const int a = s.new_var();
+  const int b = s.new_var();
+  s.add_binary(-a, -b);
+  Solver::WarmStart warm;
+  warm.activity = {1.0, 2.0};
+  warm.phase = {1, 1};
+  s.import_warm_start(warm);
+  ASSERT_EQ(s.solve(), Result::kSat);
+  EXPECT_FALSE(s.value(a));
+  EXPECT_TRUE(s.value(b));
+}
+
+TEST(SolverProperty, RescaleTiesBranchOnTheLowerIndex) {
+  // Two activities one ulp apart that the 1e-100 rescale rounds together:
+  // before it b leads, after it the tie goes to the lower index, a. The
+  // free filler variables shape the heap so that b sits above a when the
+  // rescale lands; without a rebuild, b would be decided first.
+  double y = 1.5;
+  while (std::nextafter(y, 2.0) * 1e-100 != y * 1e-100) y = std::nextafter(y, 2.0);
+  Solver s;
+  const int a = s.new_var();
+  const int b = s.new_var();
+  const int c = s.new_var();
+  const int e = s.new_var();
+  for (int i = 0; i < 7; ++i) s.new_var();
+  s.add_binary(-a, -b);
+  // Deciding c (the most active) conflicts at once; bumping it past 1e100
+  // triggers the rescale.
+  s.add_binary(-c, e);
+  s.add_binary(-c, -e);
+  Solver::WarmStart warm;
+  warm.activity = {y, std::nextafter(y, 2.0), 1e99, 0.0, y / 2, 1e98, 0.0, 0.0, y / 2, 1e98, 2 * y};
+  warm.phase.assign(warm.activity.size(), 1);
+  warm.var_inc = 1e100;
+  s.import_warm_start(warm);
+  ASSERT_EQ(s.solve(), Result::kSat);
+  EXPECT_EQ(s.conflicts(), 1U);
+  EXPECT_FALSE(s.value(c));
+  EXPECT_TRUE(s.value(a));
+  EXPECT_FALSE(s.value(b));
 }
 
 }  // namespace
