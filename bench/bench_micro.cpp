@@ -219,10 +219,11 @@ void BM_SynfiInjection(benchmark::State& state) {
 BENCHMARK(BM_SynfiInjection)->ArgName("lanes")->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_SynfiSatQueries(benchmark::State& state) {
-  // Incremental-SAT SYNFI queries/s over otbn_controller's whole logic on one
-  // thread. The Analyzer is kept warm: its cached SAT context, with every
-  // clause learned so far, answers each iteration's (site, edge) queries, so
-  // the loop measures the solver's per-query cost, not the miter build.
+  // Incremental-SAT SYNFI (site, edge) verdicts/s over otbn_controller's
+  // whole logic on one thread. The Analyzer is kept warm: its cached SAT
+  // context, with every clause learned so far, answers each iteration's edge
+  // queries, so the loop measures the solver's query cost, not the miter
+  // build. Items stay sites x edges verdicts, whatever the query count.
   const scfi::ot::OtEntry entry = scfi::ot::ot_entry("otbn_controller");
   scfi::rtlil::Design d;
   const scfi::fsm::CompiledFsm c =

@@ -62,8 +62,9 @@ void report(const char* label, const scfi::synfi::SynfiReport& r) {
 }
 
 /// Runs `iters` full sweeps on one reusable Analyzer and returns injections
-/// (queries) per second: the engine's steady-state query throughput, with
-/// the per-variant fixed cost paid once up front.
+/// per second — for the SAT back-end (site, edge) verdicts, not solve()
+/// calls: the engine's steady-state throughput, with the per-variant fixed
+/// cost paid once up front.
 double time_sweeps(const scfi::fsm::Fsm& f, const scfi::fsm::CompiledFsm& c,
                    const scfi::synfi::SynfiConfig& config, int iters,
                    scfi::synfi::SynfiReport* out = nullptr) {
@@ -229,9 +230,9 @@ int main(int argc, char** argv) {
       time_sweeps(f, c, sat_sweep, sat_iters, &sat_incremental_report);
 
   // k-fault threat model on the same §6.4 module at k = 2: the exhaustive
-  // combination sweep vs the incremental SAT participation queries. The two
+  // combination sweep vs the incremental SAT participation verdicts. The two
   // back-ends count different units by design (combinations x edges vs
-  // per-site participation queries), so the cross-check is verdict
+  // (site, edge) participation verdicts), so the cross-check is verdict
   // agreement — exploitable or not, and the same exploitable site set.
   scfi::synfi::SynfiConfig kfault_sweep;
   kfault_sweep.faults_k = 2;

@@ -292,6 +292,7 @@ int Solver::pick_branch() {
 }
 
 Result Solver::solve(const std::vector<Lit>& assumptions) {
+  ++solves_;
   if (trivially_unsat_) return Result::kUnsat;
   backtrack(0);
   // The level-0 trail is at fixpoint whenever a call returns (a level-0

@@ -65,6 +65,8 @@ class Solver {
   /// Model value of a literal after kSat.
   bool value(Lit lit) const;
 
+  /// solve() calls made, trivially UNSAT ones included.
+  std::uint64_t solves() const { return solves_; }
   /// Search statistics, summed over every solve() call.
   std::uint64_t conflicts() const { return conflicts_; }
   std::uint64_t decisions() const { return decisions_; }
@@ -157,6 +159,7 @@ class Solver {
   std::vector<int> heap_pos_;
   std::vector<int> heap_pending_;               // unassigned since the last pick
   double var_inc_ = 1.0;
+  std::uint64_t solves_ = 0;
   std::uint64_t conflicts_ = 0;
   std::uint64_t decisions_ = 0;
   std::uint64_t propagations_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <limits>
 #include <map>
@@ -503,13 +504,13 @@ void add_post_cycle_alert(sat::Solver& solver, const rtlil::Module& module,
 /// a faulty copy whose overrides are each gated on a fresh selector literal
 /// — one per region site — and the query-invariant property clauses (alert
 /// low, next-state mismatch, valid faulty codeword). k = 1 constrains the
-/// selectors with exactly_one, k > 1 with a cardinality counter. Every
-/// (site, edge) query is then a solve(assumptions) call — selector (+
-/// exactly-k) + state/symbol units — so the CNF and all learned clauses are
-/// shared across the whole sweep, and (held inside an Analyzer) across every
-/// later run() that touches the same region and fault kind. `free_symbol`
-/// only changes the assumptions, never the CNF, so one context serves both
-/// symbol modes.
+/// selectors with exactly_one, k > 1 with a cardinality counter. Every query
+/// is then a solve(assumptions) call — edge stimulus (+ exactly-k) plus the
+/// exclusion of the sites already found — so the CNF and all learned clauses
+/// are shared across the whole sweep, and (held inside an Analyzer) across
+/// every later run() that touches the same region and fault kind.
+/// `free_symbol` only changes the assumptions, never the CNF, so one context
+/// serves both symbol modes.
 struct SatContext {
   sat::Solver solver;
   MiterInterface iface;
@@ -563,61 +564,122 @@ std::unique_ptr<SatContext> build_sat_context(const CompiledFsm& variant,
   return ctx;
 }
 
-/// Answers the (site, edge) queries of sites [site_begin, site_end) via
-/// solve(assumptions). For k > 1 each query is a participation query: "is
-/// there an exactly-k fault set *including s* with an undetected
-/// valid-but-wrong next state?" — selector s plus the counter's exactly-k
-/// assumptions. Counting is per (site, edge) for every k (the exhaustive
-/// back-end counts per (combination, edge) instead; both agree on
-/// exploitable > 0 and on the exploitable site set).
-void run_sat_queries(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& config,
-                     std::size_t site_begin, std::size_t site_end,
-                     std::vector<char>& site_hit, PartialReport& out) {
+/// Adds the solve() calls a solver makes during its lifetime in scope to a
+/// run-wide total, also when the participant leaves by an exception.
+class SolveTally {
+ public:
+  SolveTally(const sat::Solver& solver, std::atomic<std::uint64_t>& total)
+      : solver_(solver), total_(total), start_(solver.solves()) {}
+  ~SolveTally() { total_ += solver_.solves() - start_; }
+  SolveTally(const SolveTally&) = delete;
+  SolveTally& operator=(const SolveTally&) = delete;
+
+ private:
+  const sat::Solver& solver_;
+  std::atomic<std::uint64_t>& total_;
+  const std::uint64_t start_;
+};
+
+/// Answers edges [edge_begin, edge_end) edge-major: "does some exactly-k
+/// fault set with a site not yet found on this edge break it?" A kSat model
+/// names its fault set through the true selectors; every newly true site is
+/// exploitable on the edge, because its set is a witness of the per-(site,
+/// edge) participation query. The found sites are then excluded and the
+/// edge asked again until the first kUnsat, which proves every remaining
+/// site safe. k = 1 excludes them by assuming their selectors false (the
+/// selectors sit under exactly_one). For k > 1 a found site may still pair
+/// with an unfound one, so the query instead requires one unfound selector
+/// through a clause under a fresh activation literal, retired by a unit
+/// after the call. Counting stays per (site, edge), as sites x edges
+/// verdicts, so the report equals the per-(site, edge) oracle's bit for bit
+/// (the exhaustive back-end counts per (combination, edge) instead; both
+/// agree on exploitable > 0 and on the exploitable site set).
+void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& config,
+                   std::size_t edge_begin, std::size_t edge_end,
+                   std::vector<char>& site_hit, PartialReport& out) {
+  sat::Solver& solver = ctx.solver;
+  const std::vector<sat::Lit>& selectors = ctx.selectors;
+  const std::size_t num_sites = selectors.size();
   const std::vector<sat::Lit> cardinality =
       ctx.counter != nullptr ? ctx.counter->assume_exactly(config.faults_k)
-                               : std::vector<sat::Lit>{};
+                             : std::vector<sat::Lit>{};
+  std::vector<sat::Lit> base;
   std::vector<sat::Lit> assumptions;
-  for (std::size_t s = site_begin; s < site_end; ++s) {
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      // One check per SAT query — the batch analog for this back-end.
+  std::vector<sat::Lit> unfound;
+  std::vector<std::size_t> fresh;
+  std::vector<char> found(num_sites);
+  for (std::size_t e = edge_begin; e < edge_end; ++e) {
+    base = cardinality;
+    push_equals(base, ctx.iface.svars, edges.from_code[e]);
+    if (!config.free_symbol) push_equals(base, ctx.iface.xvars, edges.code[e]);
+    std::fill(found.begin(), found.end(), 0);
+    std::int64_t hits = 0;
+    for (;;) {
+      // One check per edge query — the batch analog for this back-end.
       if (config.cancel != nullptr) config.cancel->check("synfi");
-      ++out.injections;
-      assumptions.clear();
-      assumptions.push_back(ctx.selectors[s]);
-      assumptions.insert(assumptions.end(), cardinality.begin(), cardinality.end());
-      push_equals(assumptions, ctx.iface.svars, edges.from_code[e]);
-      if (!config.free_symbol) push_equals(assumptions, ctx.iface.xvars, edges.code[e]);
-      if (ctx.solver.solve(assumptions) == sat::Result::kSat) {
-        ++out.exploitable;
+      assumptions = base;
+      sat::Lit act = 0;
+      if (ctx.counter == nullptr) {
+        for (std::size_t s = 0; s < num_sites; ++s) {
+          if (found[s]) assumptions.push_back(-selectors[s]);
+        }
+      } else if (hits > 0) {
+        act = solver.new_var();
+        unfound.assign(1, -act);
+        for (std::size_t s = 0; s < num_sites; ++s) {
+          if (!found[s]) unfound.push_back(selectors[s]);
+        }
+        solver.add_clause(unfound);
+        assumptions.push_back(act);
+      }
+      const sat::Result result = solver.solve(assumptions);
+      if (act != 0) solver.add_unit(-act);
+      if (result == sat::Result::kUnsat) break;
+
+      // Read the whole model first: the stall queries below replace it.
+      fresh.clear();
+      for (std::size_t s = 0; s < num_sites; ++s) {
+        if (!found[s] && solver.value(selectors[s])) fresh.push_back(s);
+      }
+      check(!fresh.empty(), "synfi: SAT model selects no new fault site");
+      for (const std::size_t s : fresh) {
+        found[s] = 1;
         site_hit[s] = 1;
-        // Stall iff some undetected model keeps the old state: decided by a
-        // second assumption query, so the count does not depend on which
-        // model the solver happened to find.
+        ++hits;
+        // Stall iff some undetected model with this site keeps the old
+        // state: decided by a second assumption query, so the count does not
+        // depend on which model the solver happened to find.
+        assumptions.assign(1, selectors[s]);
+        assumptions.insert(assumptions.end(), base.begin(), base.end());
         push_equals(assumptions, ctx.fn, edges.from_code[e]);
-        if (ctx.solver.solve(assumptions) == sat::Result::kSat) ++out.stalls;
-      } else {
-        // Conservatively attribute UNSAT to detection/masking; the
-        // simulation back-end provides the fine-grained split.
-        ++out.detected;
+        if (solver.solve(assumptions) == sat::Result::kSat) ++out.stalls;
       }
     }
+    // UNSAT is conservatively attributed to detection/masking; the
+    // simulation back-end provides the fine-grained split.
+    out.injections += static_cast<std::int64_t>(num_sites);
+    out.exploitable += hits;
+    out.detected += static_cast<std::int64_t>(num_sites) - hits;
   }
 }
 
-/// Reference SAT back-end: a fresh single-fault miter per (site, edge)
-/// query. Kept as the baseline the incremental engine is validated and
-/// benchmarked against (never cached — it IS the rebuild cost).
+/// Reference SAT back-end: a fresh miter per (site, edge) query over edges
+/// [edge_begin, edge_end). Kept as the oracle the edge-major engine is
+/// validated and benchmarked against (never cached — it IS the rebuild
+/// cost).
 void run_sat_rebuild(const CompiledFsm& variant, const std::vector<SigBit>& sites,
                      const EdgeTable& edges, const SynfiConfig& config,
-                     std::size_t site_begin, std::size_t site_end,
-                     std::vector<char>& site_hit, PartialReport& out) {
+                     std::size_t edge_begin, std::size_t edge_end,
+                     std::atomic<std::uint64_t>& solves, std::vector<char>& site_hit,
+                     PartialReport& out) {
   const rtlil::Module& module = *variant.module;
   const MiterWires wires = resolve_interface(module, variant);
-  for (std::size_t s = site_begin; s < site_end; ++s) {
-    for (std::size_t e = 0; e < edges.size(); ++e) {
+  for (std::size_t e = edge_begin; e < edge_end; ++e) {
+    for (std::size_t s = 0; s < sites.size(); ++s) {
       if (config.cancel != nullptr) config.cancel->check("synfi");
       ++out.injections;
       sat::Solver solver;
+      const SolveTally tally(solver, solves);
       const MiterInterface iface = bind_interface(solver, wires);
       const sat::CnfCopy golden(solver, module, iface.bound);
       std::vector<sat::CnfFault> fault_set;
@@ -703,6 +765,8 @@ struct Analyzer::Impl {
   /// Branching-heuristic snapshot shared across contexts of this variant;
   /// written only between runs.
   sat::Solver::WarmStart warm;
+  /// solve() calls of the last run, summed over its participants.
+  std::atomic<std::uint64_t> sat_solves{0};
 
   const std::vector<SigBit>& region(const std::string& prefix, bool include_inputs,
                                     sim::FaultTarget target) {
@@ -752,11 +816,14 @@ std::size_t Analyzer::cached_simulators() const { return impl_->free_sims.size()
 
 std::size_t Analyzer::cached_sat_shards() const { return impl_->sat_contexts.size(); }
 
+std::uint64_t Analyzer::last_sat_solves() const { return impl_->sat_solves.load(); }
+
 SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   require(user_config.lanes >= 1 && user_config.lanes <= sim::kMaxLanes,
           format("synfi: lanes must be in [1, %d] (64 x lane_words)", sim::kMaxLanes));
   require(user_config.threads >= 1, "synfi: threads must be >= 1");
   require(user_config.faults_k >= 1, "synfi: faults_k must be >= 1");
+  impl_->sat_solves = 0;
   // SCFI_LANE_WORDS_CAP clamps the *derived* simulator width (CI portable
   // leg); lanes is an execution knob, so the report is unchanged.
   SynfiConfig config = user_config;
@@ -779,15 +846,15 @@ SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   }
 
   // The run shares its units between participants: combination *ranks* for
-  // the exhaustive back-end (any combination can involve any site), sites
+  // the exhaustive back-end (any combination can involve any site), edges
   // for SAT. Every participant marks a full-region attribution bitmap and
   // sums its counters; both merge below, so any split gives the
   // single-threaded report exactly.
   const bool exhaustive = config.backend == Backend::kExhaustiveSim;
   const std::uint64_t units =
       exhaustive ? binomial(sites.size(), static_cast<std::size_t>(config.faults_k))
-                 : sites.size();
-  // Units per simulator batch / per SAT site.
+                 : edges.size();
+  // Units per simulator batch / per SAT edge.
   const std::uint64_t grain =
       exhaustive ? (static_cast<std::uint64_t>(config.lanes) + edges.size() - 1) / edges.size()
                  : 1;
@@ -820,12 +887,14 @@ SynfiReport Analyzer::run(const SynfiConfig& user_config) {
         own = build_sat_context(variant, sites, config.kind, config.faults_k, impl_->warm);
       }
       SatContext& ctx = own != nullptr ? *own : *owner_sat;
+      const SolveTally tally(ctx.solver, impl_->sat_solves);
       for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
-        run_sat_queries(ctx, edges, config, r.begin, r.end, hit, out);
+        run_sat_edges(ctx, edges, config, r.begin, r.end, hit, out);
       }
     } else {
       for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
-        run_sat_rebuild(variant, sites, edges, config, r.begin, r.end, hit, out);
+        run_sat_rebuild(variant, sites, edges, config, r.begin, r.end, impl_->sat_solves, hit,
+                        out);
       }
     }
     const std::lock_guard<std::mutex> lock(merge_mutex);

@@ -15,16 +15,22 @@
 //     against the expected/error/valid codewords and the alert word.
 //   * a SAT back-end (CDCL solver) that additionally supports leaving the
 //     control symbol unconstrained. By default it builds ONE golden +
-//     selector-gated-faulty miter per shard (every fault override
-//     conditioned on a fresh selector literal) and answers each (site, edge)
-//     query incrementally via `solve(assumptions)`, sharing the CNF and
-//     learned clauses across all queries. For k = 1 the selectors cover the
-//     shard's own sites under `exactly_one`; for k > 1 they cover the whole
-//     region under a cardinality counter, and each query asks whether some
-//     exactly-k fault set including the site breaks the edge.
-//     `sat_incremental = false` falls back to rebuilding the miter per query.
+//     selector-gated-faulty miter per (region, fault kind, k) — every fault
+//     override conditioned on a fresh selector literal, one per region site,
+//     under `exactly_one` for k = 1 and a cardinality counter for k > 1 —
+//     and asks edge-major, via `solve(assumptions)`, sharing the CNF and
+//     learned clauses across all queries: "does a fault set with a site not
+//     yet found break this edge?" Each kSat model names its fault set; its
+//     new sites are exploitable on the edge and are excluded before the
+//     edge is asked again, and the first kUnsat proves every remaining site
+//     safe. An edge thus costs one call plus two per exploitable site (the
+//     second decides the stall) at k = 1, and at most that for k > 1, where
+//     a site counts as exploitable when some exactly-k fault set including
+//     it breaks the edge — instead of one call per (site, edge).
+//     `sat_incremental = false` falls back to the oracle: a fresh miter per
+//     (site, edge) query.
 //
-// A run's units — combination ranks for the exhaustive back-end, sites for
+// A run's units — combination ranks for the exhaustive back-end, edges for
 // SAT — are shared through base/parallel.h's WorkShare: the calling thread
 // owns the range and helpers (`threads` - 1 of them, or the idle threads of
 // an enclosing sweep) steal halves of it. Counters merge as plain sums and
@@ -59,12 +65,12 @@ struct SynfiConfig {
   sim::FaultKind kind = sim::FaultKind::kTransientFlip;
   /// Concurrent faults per injection: 1 reproduces the classic single-fault
   /// sweep. The exhaustive back-end runs C(sites, k) x edges injections over
-  /// lazily streamed site combinations; for k > 1 the SAT back-end asks
-  /// per-site participation queries ("does some exactly-k fault set
-  /// including this site break this edge?") over one cardinality-constrained
-  /// miter. This is how the paper's distance claim is measured directly: an
-  /// encoding with minimum distance d must show no exploitable outcome for
-  /// any k < d.
+  /// lazily streamed site combinations; for k > 1 the SAT back-end decides,
+  /// per (site, edge), whether some exactly-k fault set including the site
+  /// breaks the edge, enumerating the exploitable sites of each edge over
+  /// one cardinality-constrained miter. This is how the paper's distance
+  /// claim is measured directly: an encoding with minimum distance d must
+  /// show no exploitable outcome for any k < d.
   int faults_k = 1;
   /// Restrict the fault region to one target class of the paper (§3.1):
   /// kStateRegister faults the state register Q bits themselves (the class
@@ -84,16 +90,17 @@ struct SynfiConfig {
   /// subject to the SCFI_LANE_WORDS_CAP runtime clamp.
   int lanes = sim::kNumLanes;
   /// Worker threads: the caller plus `threads` - 1 helpers share the
-  /// combination ranks (exhaustive) or the site list (SAT); <= 1 = inline.
+  /// combination ranks (exhaustive) or the edges (SAT); <= 1 = inline.
   /// Ignored when the calling thread has a current WorkBoard (a sweep
   /// worker): that board's idle threads help instead. The report is
   /// bit-identical for every lanes/threads combination.
   int threads = 1;
-  /// SAT back-end: answer queries on one reusable selector-gated solver via
-  /// assumptions (default) instead of rebuilding the miter per query.
+  /// SAT back-end: answer the edge-major queries on one reusable
+  /// selector-gated solver via assumptions (default) instead of rebuilding
+  /// the miter per (site, edge) query (the oracle).
   bool sat_incremental = true;
   /// Optional cooperative stop signal, polled once per simulator batch /
-  /// SAT query: when it fires, workers throw CancelledError at the next
+  /// SAT edge query: when it fires, workers throw CancelledError at the next
   /// check point instead of being killed. Execution knob like
   /// lanes/threads — never part of a job identity — and must outlive the
   /// run() call. nullptr = never cancelled.
@@ -108,9 +115,10 @@ struct SynfiReport {
   std::int64_t detected = 0;     ///< alert raised or ERROR state entered
   std::int64_t masked = 0;       ///< no architectural effect
   /// Exploitable injections that merely kept the old state. The SAT
-  /// back-end counts a query as a stall when *some* undetected model keeps
-  /// the old state (a second `solve(assumptions)` pass), which is
-  /// deterministic regardless of solver state or query order.
+  /// back-end counts an exploitable (site, edge) as a stall when *some*
+  /// undetected model with that site keeps the old state (a second
+  /// `solve(assumptions)` pass), which is deterministic regardless of solver
+  /// state or query order.
   std::int64_t stalls = 0;
   std::vector<std::string> exploitable_sites;
 
@@ -154,6 +162,9 @@ class Analyzer {
   /// incremental SAT contexts.
   std::size_t cached_simulators() const;
   std::size_t cached_sat_shards() const;
+  /// SAT solve() calls of the last run() (0 for the exhaustive back-end),
+  /// summed over its participants, including a run that threw.
+  std::uint64_t last_sat_solves() const;
 
  private:
   struct Impl;

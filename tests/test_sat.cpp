@@ -514,12 +514,17 @@ TEST(SolverProperty, CountersTrackTheSearch) {
   // 4 ternary + 18 binary clauses.
   EXPECT_EQ(s.arena_literals(), 4U * 3U + 18U * 2U);
   EXPECT_EQ(s.propagations(), 0U);
+  EXPECT_EQ(s.solves(), 0U);
   EXPECT_EQ(s.solve(), Result::kUnsat);
+  EXPECT_EQ(s.solves(), 1U);
   EXPECT_GT(s.conflicts(), 0U);
   EXPECT_GT(s.propagations(), s.decisions());
   // Every analyzed conflict learns one clause; the final one is at level 0.
   EXPECT_EQ(s.learned_clauses() + 1, s.conflicts());
   EXPECT_GE(s.arena_literals(), 4U * 3U + 18U * 2U);
+  // A poisoned solver still counts the calls it answers at once.
+  EXPECT_EQ(s.solve(), Result::kUnsat);
+  EXPECT_EQ(s.solves(), 2U);
 }
 
 // The branching order is observable through a model: under (-a v -b) with

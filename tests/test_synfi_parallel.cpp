@@ -4,12 +4,18 @@
 // SynfiReport must be bit-identical — every counter and the exact
 // `exploitable_sites` order. Covers the KISS2 corpus, the OT zoo, and the
 // assumption-based SAT backend against the per-query miter-rebuild baseline.
+// SynfiEdgeMajor pins the edge-major incremental SAT engine against that
+// per-(site, edge) oracle at k = 1 and 2, and its solve-call budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "base/error.h"
+#include "base/retry.h"
 #include "core/harden.h"
 #include "fsm/kiss2.h"
 #include "kiss2_corpus.h"
@@ -241,6 +247,129 @@ TEST(SynfiParallel, InvalidKnobsThrow) {
   config.lanes = 64;
   config.threads = 0;
   EXPECT_THROW(analyze(f, c, config), ScfiError);
+}
+
+// --- edge-major SAT --------------------------------------------------------
+
+/// One oracle case: the FSM of a zoo module (mds_ region, k = 1) or a KISS2
+/// corpus machine, with its region prefix and fault count. Zoo FSMs are
+/// hardened at level 1 without their datapath: single MDS-layer faults do
+/// break level-1 edges, so the model enumeration runs on every module (at
+/// level 2 each edge closes on its first, UNSAT query), and the rebuild
+/// oracle, which re-encodes the whole module for every (site, edge), stays
+/// affordable.
+struct EdgeMajorCase {
+  std::string module;
+  bool zoo;
+  std::string prefix;
+  int faults_k;
+};
+
+void PrintTo(const EdgeMajorCase& c, std::ostream* os) {
+  *os << c.module << " prefix '" << c.prefix << "' k=" << c.faults_k;
+}
+
+std::vector<EdgeMajorCase> edge_major_cases() {
+  std::vector<EdgeMajorCase> cases;
+  for (const ot::OtEntry& entry : ot::ot_zoo()) {
+    cases.push_back({entry.name, true, "mds_", 1});
+  }
+  for (const test::Kiss2Bench& bench : test::kKiss2Corpus) {
+    cases.push_back({std::string(bench.name), false, "", 1});
+    cases.push_back({std::string(bench.name), false, "mds_", 2});
+  }
+  return cases;
+}
+
+class SynfiEdgeMajor : public ::testing::TestWithParam<EdgeMajorCase> {};
+
+TEST_P(SynfiEdgeMajor, MatchesRebuild) {
+  const EdgeMajorCase& param = GetParam();
+  Fsm f;
+  if (param.zoo) {
+    f = ot::ot_entry(param.module).fsm;
+  } else {
+    const auto bench = std::find_if(
+        test::kKiss2Corpus.begin(), test::kKiss2Corpus.end(),
+        [&](const test::Kiss2Bench& b) { return b.name == param.module; });
+    f = fsm::parse_kiss2(std::string(bench->text), std::string(bench->name));
+  }
+  rtlil::Design d;
+  const CompiledFsm c = harden(f, d, param.zoo ? 1 : 2);
+  SynfiConfig config;
+  config.backend = Backend::kSat;
+  config.wire_prefix = param.prefix;
+  config.faults_k = param.faults_k;
+  const std::string label = param.module + " k=" + std::to_string(param.faults_k);
+
+  // The rebuild oracle pays a fresh miter per (site, edge); its edges are
+  // shared between three threads only to keep the suite short.
+  config.sat_incremental = false;
+  const SynfiReport rebuild = analyze_with(f, c, config, 1, 3);
+  config.sat_incremental = true;
+  for (const int threads : {1, 3}) {
+    expect_reports_equal(rebuild, analyze_with(f, c, config, 1, threads),
+                         label + " threads=" + std::to_string(threads));
+  }
+
+  SynfiConfig sim_config = config;
+  sim_config.backend = Backend::kExhaustiveSim;
+  EXPECT_EQ(analyze(f, c, sim_config).exploitable_sites, rebuild.exploitable_sites) << label;
+}
+
+INSTANTIATE_TEST_SUITE_P(ZooAndCorpus, SynfiEdgeMajor, ::testing::ValuesIn(edge_major_cases()),
+                         [](const ::testing::TestParamInfo<EdgeMajorCase>& info) {
+                           const EdgeMajorCase& c = info.param;
+                           return c.module + (c.prefix.empty() ? "_logic" : "_mds") + "_k" +
+                                  std::to_string(c.faults_k);
+                         });
+
+TEST(SynfiEdgeMajor, SolveCountIsEdgesPlusTwoPerHit) {
+  // k = 1: every edge ends with one UNSAT call, and every exploitable
+  // (site, edge) costs one SAT call that finds it plus its stall query.
+  const ot::OtEntry entry = ot::ot_entry("pwrmgr_fsm");
+  rtlil::Design d;
+  const CompiledFsm c =
+      ot::build_ot_variant(entry, d, ot::Variant::kScfi, 2, "pwrmgr_solve_count");
+  Analyzer analyzer(entry.fsm, c);
+  SynfiConfig config;
+  config.backend = Backend::kSat;
+  config.wire_prefix = "";
+  const auto edges = static_cast<std::uint64_t>(entry.fsm.cfg_edges().size());
+  for (const int threads : {1, 3}) {
+    config.threads = threads;
+    const SynfiReport r = analyzer.run(config);
+    EXPECT_GT(r.exploitable, 0);
+    EXPECT_EQ(analyzer.last_sat_solves(), edges + 2 * static_cast<std::uint64_t>(r.exploitable))
+        << "threads=" << threads;
+  }
+  config.backend = Backend::kExhaustiveSim;
+  analyzer.run(config);
+  EXPECT_EQ(analyzer.last_sat_solves(), 0u);
+}
+
+TEST(SynfiEdgeMajor, FiredCancelTokenStopsBeforeTheFirstSolve) {
+  rtlil::Design d;
+  const Fsm f = test::synfi_fsm();
+  const CompiledFsm c = harden(f, d, 2);
+  Analyzer analyzer(f, c);
+  SynfiConfig config;
+  config.backend = Backend::kSat;
+  config.wire_prefix = "";
+  CancelToken token;
+  token.cancel();
+  config.cancel = &token;
+  for (const int threads : {1, 3}) {
+    config.threads = threads;
+    EXPECT_THROW(analyzer.run(config), CancelledError) << "threads=" << threads;
+    EXPECT_EQ(analyzer.last_sat_solves(), 0u) << "threads=" << threads;
+  }
+  // The cached context the cancelled runs left behind still answers every
+  // query.
+  config.cancel = nullptr;
+  const SynfiReport reused = analyzer.run(config);
+  EXPECT_TRUE(reused == analyze(f, c, config));
+  EXPECT_GT(reused.exploitable, 0);
 }
 
 }  // namespace
