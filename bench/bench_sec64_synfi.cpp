@@ -13,7 +13,10 @@
 //     selector-gated solver answering every query via assumptions, and
 //   * Analyzer reuse: a many-region/fault-kind sweep over one otbn_controller
 //     variant through one synfi::Analyzer vs a fresh analyze() per query
-//     (the fixed simulator-build cost amortized vs paid per call).
+//     (the fixed simulator-build cost amortized vs paid per call), and
+//   * the whole-logic k = 2 exhaustive sweep of that variant, whose
+//     reported injections far outnumber the simulated ones: only the
+//     combinations of observable sites are simulated.
 //
 // Flags: --quick  (one timing iteration; CI smoke mode)
 //        --json   (machine-readable metrics only, for scripts/bench_to_json.sh)
@@ -272,6 +275,25 @@ int main(int argc, char** argv) {
   const double reuse_speedup =
       reuse.analyzer_seconds > 0 ? reuse.per_call_seconds / reuse.analyzer_seconds : 0.0;
 
+  // Whole-logic k = 2 on the same variant: C(1185, 2) x 15 reported
+  // injections, of which only the observable layers are simulated.
+  scfi::synfi::SynfiConfig logic_k2;
+  logic_k2.wire_prefix = "";
+  logic_k2.faults_k = 2;
+  logic_k2.lanes = scfi::sim::kMaxLanes;
+  logic_k2.threads = hw_threads;
+  scfi::synfi::Analyzer logic_analyzer(otbn_entry.fsm, otbn_variant);
+  scfi::synfi::SynfiReport logic_report;
+  const auto logic_t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < sim_iters; ++i) logic_report = logic_analyzer.run(logic_k2);
+  const double logic_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - logic_t0).count() /
+      sim_iters;
+  const auto logic_simulated =
+      static_cast<long long>(logic_analyzer.last_simulated_injections());
+  const double logic_rate =
+      logic_seconds > 0 ? static_cast<double>(logic_report.injections) / logic_seconds : 0.0;
+
   const bool engines_agree = scalar_report == batched_report &&
                              scalar_report == threaded_report &&
                              scalar_report == wide_report &&
@@ -317,6 +339,14 @@ int main(int argc, char** argv) {
     std::printf("  \"analyzer_per_call_seconds\": %.4f,\n", reuse.per_call_seconds);
     std::printf("  \"analyzer_reused_seconds\": %.4f,\n", reuse.analyzer_seconds);
     std::printf("  \"analyzer_reuse_speedup\": %.2f,\n", reuse_speedup);
+    std::printf("  \"logic_k2_module\": \"otbn_controller_scfi_n2\",\n");
+    std::printf("  \"logic_k2_sites\": %lld,\n", static_cast<long long>(logic_report.sites));
+    std::printf("  \"logic_k2_observable_sites\": %zu,\n",
+                logic_analyzer.last_observable_sites());
+    std::printf("  \"logic_k2_injections_per_sweep\": %lld,\n",
+                static_cast<long long>(logic_report.injections));
+    std::printf("  \"logic_k2_simulated_per_sweep\": %lld,\n", logic_simulated);
+    std::printf("  \"logic_k2_exhaustive\": %.1f,\n", logic_rate);
     std::printf("  \"threads\": %d\n", hw_threads);
     std::printf("}\n");
   } else {
@@ -344,6 +374,13 @@ int main(int argc, char** argv) {
     std::printf("    fresh analyze() per query       %12.4f s/sweep\n", reuse.per_call_seconds);
     std::printf("    one Analyzer, re-queried        %12.4f s/sweep  (%.1fx)\n",
                 reuse.analyzer_seconds, reuse_speedup);
+    std::printf("  whole logic k=2, otbn_controller (%lld sites, %zu observable):\n",
+                static_cast<long long>(logic_report.sites),
+                logic_analyzer.last_observable_sites());
+    std::printf("    reported / simulated injections %12lld / %lld\n",
+                static_cast<long long>(logic_report.injections), logic_simulated);
+    std::printf("    exhaustive + %2d threads         %12.0f inj/s  (%.4f s/sweep)\n",
+                hw_threads, logic_rate, logic_seconds);
     std::printf("  engine reports bit-identical:     %s\n", engines_agree ? "yes" : "NO");
   }
   return engines_agree ? 0 : 1;

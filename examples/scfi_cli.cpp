@@ -680,6 +680,12 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.sites), static_cast<long long>(r.injections),
                   static_cast<long long>(r.exploitable), r.exploitable_pct(),
                   static_cast<long long>(r.detected));
+      if (synfi_config.backend == scfi::synfi::Backend::kExhaustiveSim) {
+        std::printf("simulated %llu of %lld injections (%zu of %lld sites observable)\n",
+                    static_cast<unsigned long long>(analyzer.last_simulated_injections()),
+                    static_cast<long long>(r.injections), analyzer.last_observable_sites(),
+                    static_cast<long long>(r.sites));
+      }
       // The smallest exploitable fault count up to --faults-k; for an
       // encoding with minimum distance d this is d once k reaches it. The
       // report above answers k = --faults-k, so only smaller k re-run.

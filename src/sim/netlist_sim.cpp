@@ -205,6 +205,37 @@ std::int32_t Simulator::net_index(const SigBit& bit) const {
   return net;
 }
 
+std::vector<char> Simulator::fanin_cone(const std::vector<std::int32_t>& roots) const {
+  // Producing op of every net; -1 for constants, inputs and register
+  // outputs.
+  std::vector<std::int32_t> producer(static_cast<std::size_t>(num_nets_), -1);
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    producer[static_cast<std::size_t>(ops_[i].out)] = static_cast<std::int32_t>(i);
+  }
+  std::vector<char> in_cone(static_cast<std::size_t>(num_nets_), 0);
+  std::vector<std::int32_t> work;
+  const auto add = [&](std::int32_t net) {
+    if (in_cone[static_cast<std::size_t>(net)] == 0) {
+      in_cone[static_cast<std::size_t>(net)] = 1;
+      work.push_back(net);
+    }
+  };
+  for (const std::int32_t root : roots) add(root);
+  while (!work.empty()) {
+    const auto net = static_cast<std::size_t>(work.back());
+    work.pop_back();
+    if (producer[net] >= 0) {
+      const FlatOp& op = ops_[static_cast<std::size_t>(producer[net])];
+      add(op.a);
+      add(op.b);
+      add(op.c);
+    } else if (q_to_ff_[net] >= 0) {
+      add(ffs_[static_cast<std::size_t>(q_to_ff_[net])].d);
+    }
+  }
+  return in_cone;
+}
+
 std::int32_t Simulator::temp_net() {
   const std::int32_t net = num_nets_++;
   values_.resize(values_.size() + static_cast<std::size_t>(lane_words_), 0);

@@ -238,6 +238,13 @@ class Simulator {
   WireHandle probe(const std::string& wire) const;
   /// Net index of a (non-constant) signal bit.
   std::int32_t net_index(const rtlil::SigBit& bit) const;
+  /// Fan-in cone of `roots`, closed over flip-flops: one flag per net, set
+  /// for every root, every operand of an op whose output is set, and the D
+  /// net of every flip-flop whose Q net is set, iterated to a fixpoint. A
+  /// fault on an unflagged net can therefore never change a root, in this
+  /// cycle or any later one. One worklist pass, O(ops + nets); the constant
+  /// net 0 may be flagged (unused operand slots point at it).
+  std::vector<char> fanin_cone(const std::vector<std::int32_t>& roots) const;
 
   /// Drives every lane of an input wire with the same value.
   void set_input(WireHandle h, std::uint64_t value);

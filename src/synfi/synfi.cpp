@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 
@@ -162,6 +163,22 @@ struct PartialReport {
   std::int64_t detected = 0;
   std::int64_t masked = 0;
   std::int64_t stalls = 0;
+
+  /// Adds `other`'s counters `weight` times over; a weighted sum that
+  /// leaves 64 bits is an error, not a wrapped count.
+  void add(const PartialReport& other, std::uint64_t weight = 1) {
+    const auto term = [weight](std::int64_t& into, std::int64_t count) {
+      std::int64_t product = 0;
+      check(!__builtin_mul_overflow(count, weight, &product) &&
+                !__builtin_add_overflow(into, product, &into),
+            "synfi: injection count overflows 64 bits");
+    };
+    term(injections, other.injections);
+    term(exploitable, other.exploitable);
+    term(detected, other.detected);
+    term(masked, other.masked);
+    term(stalls, other.stalls);
+  }
 };
 
 /// The stimulus of every batch alignment. Jobs stay in (combo-major,
@@ -214,7 +231,10 @@ AlignedStimulus build_aligned_stimulus(const EdgeTable& edges, int symbol_w, int
 /// stimulus is too. Per-job state/symbol stimulus is fully overwritten every
 /// batch and outcome classification reads only the state/alert cone, so
 /// carried-over simulator state cannot change any verdict (the same property
-/// that makes the report lanes/threads-invariant).
+/// that makes the report lanes/threads-invariant). That cone, closed over
+/// flip-flops, is `observable_nets()`: a fault outside it cannot reach the
+/// alert or the latched state in this batch or, through a register it
+/// corrupted, in any later one — which is what lets a run skip such faults.
 struct SimContext {
   sim::Simulator simulator;
   sim::Simulator::WireHandle symbol_h;
@@ -231,11 +251,29 @@ struct SimContext {
     aligned = build_aligned_stimulus(edges, symbol_h.width, state_h.width, lane_words,
                                      static_cast<std::size_t>(lane_words) * 64);
   }
+
+  /// Per-net flags: the fan-in cone of the alert and the state register
+  /// (whose D pins it reaches through the flip-flop closure).
+  std::vector<char> observable_nets() const {
+    std::vector<std::int32_t> roots;
+    for (std::int32_t i = 0; i < state_h.width; ++i) roots.push_back(state_h.base + i);
+    for (std::int32_t i = 0; i < alert_h.width && alert_h.valid(); ++i) {
+      roots.push_back(alert_h.base + i);
+    }
+    return simulator.fanin_cone(roots);
+  }
+};
+
+/// The observable sites an exhaustive layer combines: their simulator nets
+/// and their indices in the region (for attribution).
+struct LayerSites {
+  std::vector<std::int32_t> nets;
+  std::vector<std::size_t> ids;
 };
 
 /// Exhaustive-simulation back-end over the combination ranks `claim` hands
-/// out: every job is one lexicographic site combination x one edge
-/// (combo-major, edge-minor), all k faults of a combo injected into the same
+/// out: every job is one lexicographic m-combination of `live` x one edge
+/// (combo-major, edge-minor), all m faults of a combo injected into the same
 /// lane, and up to `config.lanes` jobs packed into every eval/step pass —
 /// 64 x lane_words jobs when the context's simulator carries a multi-word
 /// lane block. Claimed ranges hold whole combinations, so lane j of a batch
@@ -246,11 +284,11 @@ struct SimContext {
 /// outcomes are classified word-parallel, W lane words at a time. Lanes
 /// never interact, so the per-job outcome equals the scalar one-job-per-pass
 /// path bit for bit. Combinations straddle the whole region, so attribution
-/// goes into a caller-owned full-region bitmap.
-void run_exhaustive(SimContext& ctx, const CompiledFsm& variant,
-                    const std::vector<SigBit>& sites, const EdgeTable& edges,
-                    const SynfiConfig& config, WorkShare::Claim& claim,
-                    std::vector<char>& site_hit, PartialReport& out) {
+/// goes into a caller-owned full-region bitmap. m = 0 is the fault-free
+/// layer: one empty combination, so one job per edge.
+void run_exhaustive(SimContext& ctx, const CompiledFsm& variant, const LayerSites& live,
+                    std::size_t m, const EdgeTable& edges, const SynfiConfig& config,
+                    WorkShare::Claim& claim, std::vector<char>& site_hit, PartialReport& out) {
   sim::Simulator& simulator = ctx.simulator;
   const sim::Simulator::WireHandle symbol_h = ctx.symbol_h;
   const sim::Simulator::WireHandle state_h = ctx.state_h;
@@ -264,12 +302,7 @@ void run_exhaustive(SimContext& ctx, const CompiledFsm& variant,
   const auto fits = [state_w](std::uint64_t code) {
     return state_w >= 64 || (code >> state_w) == 0;
   };
-  const auto k = static_cast<std::size_t>(config.faults_k);
-
-  std::vector<std::int32_t> site_net;
-  site_net.reserve(sites.size());
-  for (const SigBit& site : sites) site_net.push_back(simulator.net_index(site));
-
+  const std::size_t n = live.nets.size();
   const std::size_t num_edges = edges.size();
   const auto lanes = static_cast<std::size_t>(config.lanes);
   // Runtime-width lane sets: words [0, W) of a kMaxLaneWords array, so the
@@ -293,7 +326,7 @@ void run_exhaustive(SimContext& ctx, const CompiledFsm& variant,
   std::vector<std::size_t> combo;
   std::uint64_t rank = 0;
   std::uint64_t rank_end = 0;
-  std::vector<std::size_t> lane_sites(total_lanes * k);
+  std::vector<std::size_t> lane_sites(total_lanes * m);
   std::size_t cur_edge = 0;
   for (bool more = true; more;) {
     // Cooperative cancellation at batch granularity: a fired token (sweep
@@ -328,22 +361,22 @@ void run_exhaustive(SimContext& ctx, const CompiledFsm& variant,
           break;
         }
         if (range.begin == rank_end && !combo.empty()) {
-          next_combination(combo, sites.size());
+          next_combination(combo, n);
         } else {
-          combo = unrank_combination(range.begin, sites.size(), k);
+          combo = unrank_combination(range.begin, n, m);
         }
         rank = range.begin;
         rank_end = range.end;
       }
       const sim::LaneMask mask = sim::LaneMask::lane(static_cast<int>(batch_jobs));
-      for (std::size_t j = 0; j < k; ++j) {
-        simulator.inject_net(site_net[combo[j]], config.kind, mask);
-        lane_sites[batch_jobs * k + j] = combo[j];
+      for (std::size_t j = 0; j < m; ++j) {
+        simulator.inject_net(live.nets[combo[j]], config.kind, mask);
+        lane_sites[batch_jobs * m + j] = live.ids[combo[j]];
       }
       ++batch_jobs;
       if (++cur_edge == num_edges) {
         cur_edge = 0;
-        if (++rank < rank_end) next_combination(combo, sites.size());
+        if (++rank < rank_end) next_combination(combo, n);
       }
     }
     if (batch_jobs == 0) break;
@@ -416,7 +449,7 @@ void run_exhaustive(SimContext& ctx, const CompiledFsm& variant,
       out.stalls += std::popcount(expl & match_from[j]);
       for (std::uint64_t hits = expl; hits != 0; hits &= hits - 1) {
         const auto lane = (j << 6) + static_cast<std::size_t>(std::countr_zero(hits));
-        for (std::size_t m = 0; m < k; ++m) site_hit[lane_sites[lane * k + m]] = 1;
+        for (std::size_t j = 0; j < m; ++j) site_hit[lane_sites[lane * m + j]] = 1;
       }
     }
   }
@@ -746,6 +779,14 @@ using RegionKey = std::tuple<std::string, bool, sim::FaultTarget>;
 /// the stimulus live in the assumptions.
 using SatKey = std::tuple<std::string, bool, sim::FaultTarget, sim::FaultKind, int>;
 
+/// One cached fault region. `nets` and `observable` belong to the
+/// exhaustive back-end and are filled by its first run over the region.
+struct Region {
+  std::vector<SigBit> sites;
+  std::vector<std::int32_t> nets;  ///< simulator net per site
+  std::vector<char> observable;    ///< per site: in the observable cone
+};
+
 }  // namespace
 
 struct Analyzer::Impl {
@@ -753,11 +794,16 @@ struct Analyzer::Impl {
   const CompiledFsm* variant;
   EdgeTable edges;
 
-  std::map<RegionKey, std::vector<SigBit>> regions;
+  std::map<RegionKey, Region> regions;
   /// Idle simulator contexts: a run's participants check one out each and
   /// return it when they leave.
   std::vector<std::unique_ptr<SimContext>> free_sims;
   std::mutex sim_mutex;
+  /// Per-net observability of the variant (SimContext::observable_nets),
+  /// computed by the first exhaustive run.
+  std::vector<char> observable_nets;
+  /// The fault-free layer's counters: they depend on the edges only.
+  std::optional<PartialReport> fault_free;
   /// The owner's SAT context per key. Helpers build their own and drop it
   /// when they leave, so the cache holds one context per key whatever the
   /// thread count.
@@ -767,16 +813,19 @@ struct Analyzer::Impl {
   sat::Solver::WarmStart warm;
   /// solve() calls of the last run, summed over its participants.
   std::atomic<std::uint64_t> sat_solves{0};
+  /// Fault-injected jobs the last exhaustive run simulated, and the
+  /// observable sites of its region.
+  std::uint64_t simulated = 0;
+  std::size_t observable_sites = 0;
 
-  const std::vector<SigBit>& region(const std::string& prefix, bool include_inputs,
-                                    sim::FaultTarget target) {
+  Region& region(const std::string& prefix, bool include_inputs, sim::FaultTarget target) {
     const RegionKey key{prefix, include_inputs, target};
     const auto it = regions.find(key);
     if (it != regions.end()) return it->second;
-    return regions
-        .emplace(key, enumerate_region(*variant->module, prefix, include_inputs, target,
-                                       variant->state_wire))
-        .first->second;
+    Region fresh;
+    fresh.sites = enumerate_region(*variant->module, prefix, include_inputs, target,
+                                   variant->state_wire);
+    return regions.emplace(key, std::move(fresh)).first->second;
   }
 
   /// A context for `lane_words`-word lane blocks; contexts compiled for
@@ -798,6 +847,124 @@ struct Analyzer::Impl {
     const std::lock_guard<std::mutex> lock(sim_mutex);
     free_sims.push_back(std::move(ctx));
   }
+
+  /// Exhaustive back-end: simulates the observable layers and weights them
+  /// (see the synfi.h header). Sites hit by an exploitable job are marked
+  /// in `site_hit`.
+  PartialReport run_exhaustive_layers(const SynfiConfig& config, Region& region,
+                                      int lane_words, std::vector<char>& site_hit) {
+    const std::size_t num_sites = region.sites.size();
+    if (region.nets.empty()) {
+      std::unique_ptr<SimContext> ctx = checkout_sim(lane_words);
+      if (observable_nets.empty()) observable_nets = ctx->observable_nets();
+      for (const SigBit& site : region.sites) {
+        const std::int32_t net = ctx->simulator.net_index(site);
+        region.nets.push_back(net);
+        region.observable.push_back(observable_nets[static_cast<std::size_t>(net)]);
+      }
+      checkin_sim(std::move(ctx));
+    }
+    // A skipped clock edge acts at the flip-flop, not through the cone, so
+    // skip-cycle faults are never pruned.
+    const bool prune = config.kind != sim::FaultKind::kSkipCycle;
+    LayerSites live;
+    for (std::size_t s = 0; s < num_sites; ++s) {
+      if (prune && region.observable[s] == 0) continue;
+      live.nets.push_back(region.nets[s]);
+      live.ids.push_back(s);
+    }
+    const std::size_t k = static_cast<std::size_t>(config.faults_k);
+    const std::size_t num_live = live.ids.size();
+    const std::size_t num_dead = num_sites - num_live;
+    observable_sites = num_live;
+
+    const std::size_t num_edges = edges.size();
+    const std::uint64_t grain = (static_cast<std::uint64_t>(config.lanes) + num_edges - 1) /
+                                num_edges;
+    PartialReport total;
+    bool dead_hit = false;
+    std::mutex merge_mutex;
+    // Layer m: every m-subset of the live sites, standing for the
+    // C(dead, k - m) injections that complete it with dead sites.
+    const std::size_t lowest = k > num_dead ? k - num_dead : 0;
+    for (std::size_t m = std::min(k, num_live) + 1; m-- > lowest;) {
+      PartialReport layer;
+      if (m == 0 && fault_free.has_value()) {
+        layer = *fault_free;
+      } else {
+        const std::uint64_t combos = binomial(num_live, m);
+        WorkShare::run(combos, grain, config.threads, [&](WorkShare::Claim& claim) {
+          PartialReport out;
+          std::vector<char> hit(num_sites, 0);
+          std::unique_ptr<SimContext> ctx = checkout_sim(lane_words);
+          run_exhaustive(*ctx, *variant, live, m, edges, config, claim, hit, out);
+          checkin_sim(std::move(ctx));
+          const std::lock_guard<std::mutex> lock(merge_mutex);
+          layer.add(out);
+          for (std::size_t s = 0; s < num_sites; ++s) site_hit[s] |= hit[s];
+        });
+        if (m == 0) {
+          fault_free = layer;
+        } else {
+          simulated += combos * num_edges;
+        }
+      }
+      total.add(layer, binomial(num_dead, k - m));
+      // Every dead site completes such a subset into an injection with
+      // the same outcome.
+      if (m < k && layer.exploitable > 0) dead_hit = true;
+    }
+    for (std::size_t s = 0; s < num_sites && dead_hit; ++s) {
+      if (prune && region.observable[s] == 0) site_hit[s] = 1;
+    }
+    return total;
+  }
+
+  /// SAT back-end: the run's participants share the edges.
+  PartialReport run_sat(const SynfiConfig& config, const std::vector<SigBit>& sites,
+                        std::vector<char>& site_hit) {
+    SatContext* owner_sat = nullptr;
+    if (config.sat_incremental) {
+      const SatKey key{config.wire_prefix, config.include_inputs, config.target, config.kind,
+                       config.faults_k};
+      auto it = sat_contexts.find(key);
+      if (it == sat_contexts.end()) {
+        it = sat_contexts
+                 .emplace(key,
+                          build_sat_context(*variant, sites, config.kind, config.faults_k, warm))
+                 .first;
+      }
+      owner_sat = it->second.get();
+    }
+    PartialReport total;
+    std::mutex merge_mutex;
+    WorkShare::run(edges.size(), 1, config.threads, [&](WorkShare::Claim& claim) {
+      PartialReport out;
+      std::vector<char> hit(sites.size(), 0);
+      if (config.sat_incremental) {
+        std::unique_ptr<SatContext> own;
+        if (!claim.owner()) {
+          own = build_sat_context(*variant, sites, config.kind, config.faults_k, warm);
+        }
+        SatContext& ctx = own != nullptr ? *own : *owner_sat;
+        const SolveTally tally(ctx.solver, sat_solves);
+        for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
+          run_sat_edges(ctx, edges, config, r.begin, r.end, hit, out);
+        }
+      } else {
+        for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
+          run_sat_rebuild(*variant, sites, edges, config, r.begin, r.end, sat_solves, hit, out);
+        }
+      }
+      const std::lock_guard<std::mutex> lock(merge_mutex);
+      total.add(out);
+      for (std::size_t s = 0; s < sites.size(); ++s) site_hit[s] |= hit[s];
+    });
+    // Refresh the warm-start snapshot from the owner's context so the next
+    // region/kind starts from trained activities.
+    if (owner_sat != nullptr) warm = owner_sat->solver.export_warm_start();
+    return total;
+  }
 };
 
 Analyzer::Analyzer(const Fsm& fsm, const CompiledFsm& variant) : impl_(new Impl) {
@@ -818,22 +985,25 @@ std::size_t Analyzer::cached_sat_shards() const { return impl_->sat_contexts.siz
 
 std::uint64_t Analyzer::last_sat_solves() const { return impl_->sat_solves.load(); }
 
+std::uint64_t Analyzer::last_simulated_injections() const { return impl_->simulated; }
+
+std::size_t Analyzer::last_observable_sites() const { return impl_->observable_sites; }
+
 SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   require(user_config.lanes >= 1 && user_config.lanes <= sim::kMaxLanes,
           format("synfi: lanes must be in [1, %d] (64 x lane_words)", sim::kMaxLanes));
   require(user_config.threads >= 1, "synfi: threads must be >= 1");
   require(user_config.faults_k >= 1, "synfi: faults_k must be >= 1");
   impl_->sat_solves = 0;
+  impl_->simulated = 0;
+  impl_->observable_sites = 0;
   // SCFI_LANE_WORDS_CAP clamps the *derived* simulator width (CI portable
   // leg); lanes is an execution knob, so the report is unchanged.
   SynfiConfig config = user_config;
   config.lanes = std::min(config.lanes, 64 * sim::lane_words_cap());
-  const int lane_words = sim::lane_words_for(config.lanes);
-  const CompiledFsm& variant = *impl_->variant;
-  const std::vector<SigBit>& sites =
-      impl_->region(config.wire_prefix, config.include_inputs, config.target);
+  Region& region = impl_->region(config.wire_prefix, config.include_inputs, config.target);
+  const std::vector<SigBit>& sites = region.sites;
   require(!sites.empty(), "synfi: no fault sites match prefix '" + config.wire_prefix + "'");
-  const EdgeTable& edges = impl_->edges;
 
   SynfiReport report;
   report.faults_k = config.faults_k;
@@ -841,75 +1011,24 @@ SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   // No k-subset of the region exists (or no edge to inject on): zero
   // injections by definition. Kept a report (not an error) so a degree probe
   // can scan past the region size of a small variant without special-casing.
-  if (static_cast<std::size_t>(config.faults_k) > sites.size() || edges.size() == 0) {
+  if (static_cast<std::size_t>(config.faults_k) > sites.size() || impl_->edges.size() == 0) {
     return report;
   }
 
-  // The run shares its units between participants: combination *ranks* for
-  // the exhaustive back-end (any combination can involve any site), edges
-  // for SAT. Every participant marks a full-region attribution bitmap and
-  // sums its counters; both merge below, so any split gives the
+  // Every participant marks a full-region attribution bitmap and sums its
+  // counters; both merge as sums/ORs, so any split gives the
   // single-threaded report exactly.
-  const bool exhaustive = config.backend == Backend::kExhaustiveSim;
-  const std::uint64_t units =
-      exhaustive ? binomial(sites.size(), static_cast<std::size_t>(config.faults_k))
-                 : edges.size();
-  // Units per simulator batch / per SAT edge.
-  const std::uint64_t grain =
-      exhaustive ? (static_cast<std::uint64_t>(config.lanes) + edges.size() - 1) / edges.size()
-                 : 1;
-  SatContext* owner_sat = nullptr;
-  if (!exhaustive && config.sat_incremental) {
-    const SatKey key{config.wire_prefix, config.include_inputs, config.target, config.kind,
-                     config.faults_k};
-    auto it = impl_->sat_contexts.find(key);
-    if (it == impl_->sat_contexts.end()) {
-      it = impl_->sat_contexts
-               .emplace(key, build_sat_context(variant, sites, config.kind, config.faults_k,
-                                             impl_->warm))
-               .first;
-    }
-    owner_sat = it->second.get();
-  }
-
-  std::mutex merge_mutex;
   std::vector<char> site_hit(sites.size(), 0);
-  WorkShare::run(units, grain, config.threads, [&](WorkShare::Claim& claim) {
-    PartialReport out;
-    std::vector<char> hit(sites.size(), 0);
-    if (exhaustive) {
-      std::unique_ptr<SimContext> ctx = impl_->checkout_sim(lane_words);
-      run_exhaustive(*ctx, variant, sites, edges, config, claim, hit, out);
-      impl_->checkin_sim(std::move(ctx));
-    } else if (config.sat_incremental) {
-      std::unique_ptr<SatContext> own;
-      if (!claim.owner()) {
-        own = build_sat_context(variant, sites, config.kind, config.faults_k, impl_->warm);
-      }
-      SatContext& ctx = own != nullptr ? *own : *owner_sat;
-      const SolveTally tally(ctx.solver, impl_->sat_solves);
-      for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
-        run_sat_edges(ctx, edges, config, r.begin, r.end, hit, out);
-      }
-    } else {
-      for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
-        run_sat_rebuild(variant, sites, edges, config, r.begin, r.end, impl_->sat_solves, hit,
-                        out);
-      }
-    }
-    const std::lock_guard<std::mutex> lock(merge_mutex);
-    report.injections += out.injections;
-    report.exploitable += out.exploitable;
-    report.detected += out.detected;
-    report.masked += out.masked;
-    report.stalls += out.stalls;
-    for (std::size_t s = 0; s < sites.size(); ++s) site_hit[s] |= hit[s];
-  });
-
-  // Refresh the warm-start snapshot from the owner's context so the next
-  // region/kind starts from trained activities.
-  if (owner_sat != nullptr) impl_->warm = owner_sat->solver.export_warm_start();
-
+  const PartialReport total =
+      config.backend == Backend::kExhaustiveSim
+          ? impl_->run_exhaustive_layers(config, region, sim::lane_words_for(config.lanes),
+                                         site_hit)
+          : impl_->run_sat(config, sites, site_hit);
+  report.injections = total.injections;
+  report.exploitable = total.exploitable;
+  report.detected = total.detected;
+  report.masked = total.masked;
+  report.stalls = total.stalls;
   for (std::size_t s = 0; s < sites.size(); ++s) {
     if (site_hit[s]) report.exploitable_sites.push_back(format_site(sites[s]));
   }

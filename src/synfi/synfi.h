@@ -13,6 +13,24 @@
 //     SoA lane blocks). Each lane carries its own state/symbol stimulus and
 //     all k faults of its combination; outcomes are classified word-parallel
 //     against the expected/error/valid codewords and the alert word.
+//     Only observable sites are simulated. A net is live (observable) when
+//     it lies in the combinational fan-in of the alert, of the state
+//     register's D pins, or of the D pin of any flip-flop whose Q is itself
+//     live, iterated to a fixpoint (sim::Simulator::fanin_cone, cached once
+//     per Analyzer). A fault on a dead net can never reach the alert or the
+//     latched state, so an injection's outcome is that of its live faults
+//     alone. With L live and D dead region sites and E edges, a run
+//     simulates layer m — all C(L, m) x E live m-combinations — for every m
+//     from min(k, L) down to max(0, k - D), and counts each layer
+//     C(D, k - m) times over; m = 0 is the fault-free batch, simulated once
+//     per Analyzer. The counters, including injections = C(L + D, k) x E,
+//     are exactly the full enumeration's. A dead site is exploitable when
+//     some layer with m < k has an exploitable job — any dead site completes
+//     it into an exploitable injection — so every dead site is credited
+//     together. D = 0 (e.g. the econd_ region) is the plain enumeration; the
+//     cone is bit-level, so even mds_ has dead sites (diffusion-word bits
+//     the state register never reads). Skip-cycle faults are never pruned:
+//     a skipped edge acts at the flip-flop, not through the cone.
 //   * a SAT back-end (CDCL solver) that additionally supports leaving the
 //     control symbol unconstrained. By default it builds ONE golden +
 //     selector-gated-faulty miter per (region, fault kind, k) — every fault
@@ -64,8 +82,9 @@ struct SynfiConfig {
   Backend backend = Backend::kExhaustiveSim;
   sim::FaultKind kind = sim::FaultKind::kTransientFlip;
   /// Concurrent faults per injection: 1 reproduces the classic single-fault
-  /// sweep. The exhaustive back-end runs C(sites, k) x edges injections over
-  /// lazily streamed site combinations; for k > 1 the SAT back-end decides,
+  /// sweep. The exhaustive back-end reports C(sites, k) x edges injections,
+  /// simulating the observable layers over lazily streamed site
+  /// combinations; for k > 1 the SAT back-end decides,
   /// per (site, edge), whether some exactly-k fault set including the site
   /// breaks the edge, enumerating the exploitable sites of each edge over
   /// one cardinality-constrained miter. This is how the paper's distance
@@ -165,6 +184,12 @@ class Analyzer {
   /// SAT solve() calls of the last run() (0 for the exhaustive back-end),
   /// summed over its participants, including a run that threw.
   std::uint64_t last_sat_solves() const;
+  /// Fault-injected (combination, edge) jobs the last exhaustive run()
+  /// simulated — the sum of C(L, m) x E over its layers m >= 1 (the
+  /// fault-free batch is not counted) — and the L observable sites of its
+  /// region. Both 0 after a SAT run.
+  std::uint64_t last_simulated_injections() const;
+  std::size_t last_observable_sites() const;
 
  private:
   struct Impl;

@@ -1692,14 +1692,15 @@ TEST(SweepOrchestrator, JobTimeoutRecordsFailureAndResumeRecovers) {
 }
 
 TEST(SweepStraggler, WholeLogicK2IsBitIdenticalForEveryJobsThreads) {
-  // The straggler shape: one otbn_controller group dwarfs the small ones, so
-  // once those close, idle workers help its run. Every split must give the
-  // same records key for key — counters, exploitable-site order, degree.
+  // The straggler shape: one i2c_fsm group (176 of 535 whole-logic sites
+  // observable, 49 edges) outlasts the small ones, so once those close,
+  // idle workers help its run. Every split must give the same records key
+  // for key — counters, exploitable-site order, degree.
   synfi::SynfiConfig whole;
   whole.wire_prefix = "";
   whole.faults_k = 2;
   const std::vector<SweepJob> jobs =
-      expand_jobs("otbn_controller,pwrmgr_fsm,adc_ctrl_fsm", {2}, {whole});
+      expand_jobs("i2c_fsm,pwrmgr_fsm,adc_ctrl_fsm", {2}, {whole});
   ASSERT_EQ(jobs.size(), 3u);
 
   struct JobsThreads {
@@ -1729,15 +1730,16 @@ TEST(SweepStraggler, WholeLogicK2IsBitIdenticalForEveryJobsThreads) {
 }
 
 TEST(SweepStraggler, JobTimeoutStopsTheHelpersOfItsRun) {
-  // A whole-logic k = 3 otbn_controller job would run for minutes; idle
-  // workers join its run as soon as the small groups close. Its deadline
-  // must stop every participant — the helpers check the job's token, not
-  // their own — so the sweep ends near the deadline with exactly one
-  // timed-out record, the small jobs ok, and the throwing job retried as
-  // before.
+  // A whole-logic k = 6 otbn_controller job would run for minutes: even
+  // with only its 88 observable sites simulated, its top layer alone is
+  // C(88, 6) x 15 = 8.1e9 jobs. Idle workers join its run as soon as the
+  // small groups close. Its deadline must stop every participant — the
+  // helpers check the job's token, not their own — so the sweep ends near
+  // the deadline with exactly one timed-out record, the small jobs ok, and
+  // the throwing job retried as before.
   synfi::SynfiConfig straggler;
   straggler.wire_prefix = "";
-  straggler.faults_k = 3;
+  straggler.faults_k = 6;
   std::vector<SweepJob> jobs = expand_jobs("otbn_controller", {2}, {straggler});
   for (const SweepJob& small : expand_jobs("pwrmgr_fsm,adc_ctrl_fsm", {2}, {{}})) {
     jobs.push_back(small);
