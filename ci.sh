@@ -24,7 +24,7 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # vectors would get. Explicitly-constructed wide Simulators are not
 # clamped, so the wide unit tests still run wide here.
 SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R 'SimParallel|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SynfiEdgeMajor|SynfiObservability'
+  -R 'SimParallel|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SynfiEdgeMajor|SynfiObservability|CampaignObservability'
 
 # Optional sanitizer lanes: a second compilation with AddressSanitizer +
 # UndefinedBehaviorSanitizer over the fast suites (base/store/planner/sweep
@@ -38,8 +38,8 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # property tests run here too, since its clause arena hands out raw pointers
 # into a growing vector, and so do the edge-major SAT SYNFI oracle, solve
 # count and cancellation tests, whose k > 1 queries add a clause per model,
-# and the observability-pruning suite, whose weighted layers are checked
-# against a brute-force enumeration.
+# and the observability-pruning suites, whose weighted SYNFI layers and
+# unsimulated campaign runs are checked against brute-force references.
 # Then a standalone ThreadSanitizer build of the header-only
 # base/parallel.h tests (src/base only: libscfi itself crashes under TSan
 # before main, in the target_clones ifunc resolvers of the simulator).
@@ -49,7 +49,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability'
+    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests

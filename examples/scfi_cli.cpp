@@ -716,6 +716,9 @@ int main(int argc, char** argv) {
                   " masked %d/%d\n",
                   campaign.fault.k, 100.0 * r.hijacked / r.runs, 100.0 * r.detection_rate(),
                   r.masked, r.runs);
+      std::printf("simulated %d of %d runs (%.1f%%); the rest had every fault outside the "
+                  "alert/state cone\n",
+                  r.simulated, r.runs, r.runs > 0 ? 100.0 * r.simulated / r.runs : 0.0);
       return 0;
     }
     return usage();

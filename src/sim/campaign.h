@@ -20,11 +20,24 @@
 // run under a constant footprint and the plan for run k never depends on
 // runs 0..k-1. Execution packs `lanes` runs into the bit-parallel simulator
 // (one lane per run, up to 512 lanes via multi-word lane blocks) and shares
-// whole batches between the calling thread and its helpers (`threads` - 1,
-// or an enclosing sweep's idle threads). Because each run's plan is a pure
+// units of `lanes` runs between the calling thread and its helpers
+// (`threads` - 1, or an enclosing sweep's idle threads). Because each run's plan is a pure
 // function of (seed, run_index) and per-run outcomes are independent, the
 // aggregate CampaignResult is bit-identical for every combination of
-// `lanes` and `threads`.
+// `lanes` and `threads`. Planning steps a unit's walks side by side, one
+// cycle of every walk at a time, so their dependent RNG draws overlap.
+//
+// Only runs with a live fault are simulated. A site is live when its net is
+// in the fan-in cone of the state register and the alert, closed over
+// flip-flops; a run whose faults are all on other sites, none a skip, acts
+// like its fault-free walk. One fault-free pass per campaign records, for
+// every reachable CFG edge, whether the final alert check fires after it,
+// and proves that table exact for every walk (the cone's registers are a
+// function of the FSM state, no step raises the alert, every step latches
+// its golden successor). Such a run then counts as detected or masked from
+// its last edge alone; if the proof fails, every run is simulated. Live
+// runs are packed densely into a participant's batches, across the units
+// it claims.
 #pragma once
 
 #include <cstdint>
@@ -82,9 +95,9 @@ struct CampaignConfig {
   /// ScfiError instead (a one-time warning is logged above half the cap).
   /// 0 disables the check. kStreaming plans per batch and ignores the cap.
   std::int64_t max_plan_bytes = 1LL << 31;  ///< 2 GiB
-  /// Optional cooperative stop signal, polled once per executed batch:
-  /// when it fires, workers throw CancelledError at the next batch
-  /// boundary instead of being killed mid-simulation. Execution knob like
+  /// Optional cooperative stop signal, polled once per claimed unit of
+  /// `lanes` runs: when it fires, workers throw CancelledError at the next
+  /// unit boundary instead of being killed mid-simulation. Execution knob like
   /// lanes/threads — never part of a job identity — and must outlive the
   /// run_campaign call. nullptr = never cancelled.
   const CancelToken* cancel = nullptr;
@@ -104,6 +117,11 @@ struct CampaignResult {
   int hijacked = 0;
   int lagged = 0;
   int silent_invalid = 0;
+  /// Diagnostic, not part of the result: the runs the executor simulated.
+  /// The rest had every fault on a site outside the fan-in cone of the state
+  /// register and the alert and were counted from their walk's fault-free
+  /// outcome. Neither compared by operator== nor stored.
+  int simulated = 0;
 
   /// Runs where the fault had any architectural effect.
   int effective() const { return detected + hijacked + lagged + silent_invalid; }
@@ -114,7 +132,11 @@ struct CampaignResult {
     return effective() > 0 ? static_cast<double>(detected) / effective() : 1.0;
   }
 
-  bool operator==(const CampaignResult& other) const = default;
+  bool operator==(const CampaignResult& other) const {
+    return runs == other.runs && masked == other.masked && detected == other.detected &&
+           hijacked == other.hijacked && lagged == other.lagged &&
+           silent_invalid == other.silent_invalid;
+  }
 };
 
 /// Runs the campaign on `variant` (any of the three compiled forms).

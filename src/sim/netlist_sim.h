@@ -245,6 +245,13 @@ class Simulator {
   /// cycle or any later one. One worklist pass, O(ops + nets); the constant
   /// net 0 may be flagged (unused operand slots point at it).
   std::vector<char> fanin_cone(const std::vector<std::int32_t>& roots) const;
+  /// The Q net of every flip-flop bit, in latch order.
+  std::vector<std::int32_t> register_nets() const {
+    std::vector<std::int32_t> nets;
+    nets.reserve(ffs_.size());
+    for (const FlatFf& ff : ffs_) nets.push_back(ff.q);
+    return nets;
+  }
 
   /// Drives every lane of an input wire with the same value.
   void set_input(WireHandle h, std::uint64_t value);

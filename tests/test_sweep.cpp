@@ -1675,7 +1675,7 @@ TEST(SweepOrchestrator, JobTimeoutRecordsFailureAndResumeRecovers) {
   EXPECT_TRUE(timed_out->status == JobStatus::kFailed);
   EXPECT_NE(timed_out->error.find("timed out"), std::string::npos);
 
-  // Campaign jobs poll the same token per executed batch.
+  // Campaign jobs poll the same token per claimed unit.
   const std::vector<SweepJob> campaign_jobs =
       expand_campaign_jobs("pwrmgr_fsm", {2}, {sim::CampaignConfig{}});
   ResultStore campaign_store;
