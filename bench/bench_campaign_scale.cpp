@@ -1,18 +1,18 @@
-// Campaign-at-scale benchmark: streaming vs. materialized planning.
+// Campaign-at-scale benchmark: one large campaign at two packings.
 //
 // Runs one large Monte-Carlo campaign on the SCFI-hardened bench controller
-// twice — once with the streaming jump-ahead planner (O(lanes) planning
-// memory) and once with the same plan materialized up front — and reports
-// wall-clock throughput plus the peak-RSS cost of materialization. The two
-// paths must produce bit-identical results (exit 1 otherwise), so this
-// doubles as an end-to-end differential check at sizes the unit tests do
-// not reach. With --runs above the max_plan_bytes cap the materialized leg
-// is skipped: that regime is exactly what streaming planning exists for
-// (a 10^8-run campaign finishes here in constant memory).
+// twice with the streaming jump-ahead planner (O(lanes) planning memory):
+// once at the requested --lanes/--threads (default: the widest lane block,
+// one thread) and once at 64 lanes on one thread. It reports wall-clock
+// throughput and peak RSS for both. A campaign's result is a pure function
+// of its seed, so the two packings must produce bit-identical results
+// (exit 1 otherwise), which makes this an end-to-end differential check at
+// sizes the unit tests do not reach (a 10^8-run campaign finishes here in
+// constant memory).
 //
 // Usage: bench_campaign_scale [--runs N] [--cycles N] [--faults N]
 //                             [--lanes K] [--threads K] [--seed N]
-//                             [--quick] [--json] [--skip-materialized]
+//                             [--quick] [--json]
 #include <sys/resource.h>
 
 #include <chrono>
@@ -73,11 +73,10 @@ int main(int argc, char** argv) {
   long long runs = 2'000'000;
   int cycles = 6;
   int faults = 1;
-  int lanes = scfi::sim::kNumLanes;
+  int lanes = scfi::sim::kMaxLanes;
   int threads = 1;
   unsigned long long seed = 1;
   bool json = false;
-  bool skip_materialized = false;
   bool quick = false;
   bool runs_set = false;
   bool cycles_set = false;
@@ -102,13 +101,10 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (arg == "--json") {
       json = true;
-    } else if (arg == "--skip-materialized") {
-      skip_materialized = true;
     } else {
       std::fprintf(stderr,
                    "usage: bench_campaign_scale [--runs N] [--cycles N] [--faults N] "
-                   "[--lanes K] [--threads K] [--seed N] [--quick] [--json] "
-                   "[--skip-materialized]\n");
+                   "[--lanes K] [--threads K] [--seed N] [--quick] [--json]\n");
       return 2;
     }
   }
@@ -136,62 +132,37 @@ int main(int argc, char** argv) {
   config.seed = seed;
   config.lanes = lanes;
   config.threads = threads;
-  const std::int64_t plan_bytes = scfi::sim::planned_bytes(config);
-  const bool plan_fits = plan_bytes <= config.max_plan_bytes;
-
-  // Streaming leg first: its footprint is the floor, so the later
-  // materialized leg's peak-RSS growth is attributable to the plan.
-  config.planner = scfi::sim::CampaignPlanner::kStreaming;
   scfi::sim::CampaignResult streaming_result;
   const Timing streaming = timed_campaign(fsm, variant, config, streaming_result);
 
-  bool ran_materialized = false;
-  bool agree = true;
-  Timing materialized;
-  scfi::sim::CampaignResult materialized_result;
-  if (!skip_materialized && plan_fits) {
-    config.planner = scfi::sim::CampaignPlanner::kStreamingMaterialized;
-    materialized = timed_campaign(fsm, variant, config, materialized_result);
-    ran_materialized = true;
-    agree = materialized_result == streaming_result;
-  }
+  // Second packing: 64 lanes (one lane word) on one thread.
+  scfi::sim::CampaignConfig second_config = config;
+  second_config.lanes = scfi::sim::kWordLanes;
+  second_config.threads = 1;
+  scfi::sim::CampaignResult second_result;
+  const Timing second = timed_campaign(fsm, variant, second_config, second_result);
+  const bool agree = second_result == streaming_result;
 
   if (json) {
+    // bench_to_json.sh refuses to record a run whose engines_agree is false.
     std::printf("{\"bench\":\"campaign_scale\",\"runs\":%lld,\"cycles\":%d,\"faults\":%d,"
-                "\"lanes\":%d,\"threads\":%d,\"planned_bytes\":%lld,",
-                runs, cycles, faults, lanes, threads, static_cast<long long>(plan_bytes));
+                "\"lanes\":%d,\"threads\":%d,",
+                runs, cycles, faults, lanes, threads);
     std::printf("\"streaming\":{\"seconds\":%.3f,\"runs_per_second\":%.1f,"
                 "\"peak_rss_kb\":%ld}",
                 streaming.seconds, streaming.runs_per_second, streaming.peak_rss_kb);
-    if (ran_materialized) {
-      // engines_agree only appears when the differential comparison actually
-      // ran — a skipped materialized leg must not read as a vacuous pass
-      // (bench_to_json.sh gates recording on this field being true).
-      std::printf(",\"materialized\":{\"seconds\":%.3f,\"runs_per_second\":%.1f,"
-                  "\"peak_rss_kb\":%ld,\"plan_rss_kb_delta\":%ld}"
-                  ",\"engines_agree\":%s}\n",
-                  materialized.seconds, materialized.runs_per_second, materialized.peak_rss_kb,
-                  materialized.peak_rss_kb - streaming.peak_rss_kb, agree ? "true" : "false");
-    } else {
-      std::printf("}\n");
-    }
+    std::printf(",\"second_packing\":{\"lanes\":%d,\"threads\":%d,\"seconds\":%.3f,"
+                "\"runs_per_second\":%.1f,\"peak_rss_kb\":%ld},\"engines_agree\":%s}\n",
+                second_config.lanes, second_config.threads, second.seconds,
+                second.runs_per_second, second.peak_rss_kb, agree ? "true" : "false");
   } else {
-    std::printf("campaign scale: %lld runs x %d cycles, %d fault(s), lanes=%d threads=%d\n",
-                runs, cycles, faults, lanes, threads);
-    std::printf("  plan estimate: %lld bytes (%s the %lld-byte cap)\n",
-                static_cast<long long>(plan_bytes), plan_fits ? "under" : "OVER",
-                static_cast<long long>(config.max_plan_bytes));
-    std::printf("  streaming:    %8.3fs  %12.1f runs/s  peak RSS %ld KiB\n",
-                streaming.seconds, streaming.runs_per_second, streaming.peak_rss_kb);
-    if (ran_materialized) {
-      std::printf("  materialized: %8.3fs  %12.1f runs/s  peak RSS %ld KiB (+%ld KiB plan)\n",
-                  materialized.seconds, materialized.runs_per_second, materialized.peak_rss_kb,
-                  materialized.peak_rss_kb - streaming.peak_rss_kb);
-      std::printf("  engines agree: %s\n", agree ? "yes" : "NO");
-    } else {
-      std::printf("  materialized: skipped (%s)\n",
-                  plan_fits ? "--skip-materialized" : "plan exceeds max_plan_bytes");
-    }
+    std::printf("campaign scale: %lld runs x %d cycles, %d fault(s)\n", runs, cycles, faults);
+    std::printf("  lanes=%-3d threads=%-2d %8.3fs  %12.1f runs/s  peak RSS %ld KiB\n", lanes,
+                threads, streaming.seconds, streaming.runs_per_second, streaming.peak_rss_kb);
+    std::printf("  lanes=%-3d threads=%-2d %8.3fs  %12.1f runs/s  peak RSS %ld KiB\n",
+                second_config.lanes, second_config.threads, second.seconds,
+                second.runs_per_second, second.peak_rss_kb);
+    std::printf("  packings agree: %s\n", agree ? "yes" : "NO");
     std::printf("  hijack %.4f%%, detection %.2f%%, effective %d/%d\n",
                 100.0 * streaming_result.hijack_rate(),
                 100.0 * streaming_result.detection_rate(), streaming_result.effective(),

@@ -29,10 +29,9 @@ trap 'rm -f "$RAW" "$SCALE_RAW"' EXIT
          --benchmark_min_time=0.3 --benchmark_repetitions=5 \
          --benchmark_format=json > "$RAW"
 
-# Campaign-at-scale: streaming vs. materialized planner throughput and the
-# peak-RSS cost of materializing the plan, at a size big enough for the
-# plan to matter (~50 MB) but quick to run. The bench exits non-zero if the
-# two planners ever disagree, so a divergent run cannot land in the repo.
+# Campaign-at-scale: streaming-planner throughput and peak RSS of one large
+# campaign at two lane/thread packings. The bench exits non-zero if the two
+# packings ever disagree, so a divergent run cannot land in the repo.
 if [[ -x "$SCALE_BENCH" ]]; then
   "$SCALE_BENCH" --runs 2000000 --cycles 6 --json > "$SCALE_RAW"
 else
@@ -88,13 +87,9 @@ synfi = {n: v for n, v in out["results"].items()
 if synfi:
     best = max(synfi, key=synfi.get)
     out["synfi_best_lanes"] = int(best.rsplit(":", 1)[1])
-streaming = out["results"].get("BM_CampaignPlanner/0")
-materialized = out["results"].get("BM_CampaignPlanner/1")
-if streaming and materialized:
-    out["planner_streaming_vs_materialized"] = round(streaming / materialized, 2)
 
 if scale.get("bench") == "campaign_scale":
-    assert scale.get("engines_agree") is True, "campaign planners diverged; not recording"
+    assert scale.get("engines_agree") is True, "campaign packings diverged; not recording"
     out["campaign_scale"] = scale
 
 json.dump(out, open(sys.argv[3], "w"), indent=2)

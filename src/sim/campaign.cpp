@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <mutex>
 #include <numeric>
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "base/error.h"
-#include "base/log.h"
 #include "base/parallel.h"
 #include "base/retry.h"
 #include "base/rng.h"
@@ -82,8 +80,8 @@ struct WalkTables {
 
 /// Plans of consecutive runs, run-major: run r walks CFG edges walk(r)[0 ..
 /// cycles), visits golden states golden(r)[0 .. cycles] and schedules faults
-/// faults(r)[0 .. k). A materialized campaign, a streaming unit and an
-/// executor batch are all one of these.
+/// faults(r)[0 .. k). A planned unit and an executor batch are both one of
+/// these.
 struct RunPlans {
   std::size_t cycles = 0;
   std::size_t k = 0;
@@ -126,20 +124,20 @@ class RunPlanner {
     std::iota(pool_.begin(), pool_.end(), 0);
   }
 
-  /// Plans runs [base, base + n) into rows [row, row + n) of `out`. The n
+  /// Plans runs [base, base + n) into rows [0, n) of `out`. The n
   /// walks advance side by side, one cycle of every walk before the next
   /// cycle, so their dependent draw -> edge -> state chains overlap instead
   /// of running back to back. Distinct fault sites come from a partial
   /// Fisher-Yates over the site pool, undone after every run so each run
   /// starts from the identical permutation.
-  void plan_runs(std::int64_t base, int n, RunPlans& out, std::size_t row) {
+  void plan_runs(std::int64_t base, int n, RunPlans& out) {
     const auto count = static_cast<std::size_t>(n);
     rngs_.clear();
     for (std::size_t i = 0; i < count; ++i) {
       rngs_.emplace_back(config_->seed, static_cast<std::uint64_t>(base) + i);
     }
     state_.assign(count, reset_state_);
-    for (std::size_t i = 0; i < count; ++i) out.golden_of(row + i)[0] = reset_state_;
+    for (std::size_t i = 0; i < count; ++i) out.golden_of(i)[0] = reset_state_;
     const std::int32_t* offset = walk_->offset.data();
     const std::int32_t* edge = walk_->edge.data();
     const std::int32_t* to = walk_->to.data();
@@ -150,15 +148,15 @@ class RunPlanner {
         const std::int32_t e =
             edge[static_cast<std::size_t>(offset[s]) + rngs_[i].below(options)];
         state_[i] = to[static_cast<std::size_t>(e)];
-        out.walk(row + i)[t] = e;
-        out.golden_of(row + i)[t + 1] = state_[i];
+        out.walk(i)[t] = e;
+        out.golden_of(i)[t + 1] = state_[i];
       }
     }
     const auto sites = static_cast<std::int64_t>(pool_.size());
     const std::size_t num_kinds = config_->fault.kinds.size();
     for (std::size_t i = 0; i < count; ++i) {
       Rng& rng = rngs_[i];
-      PlannedFault* faults = out.faults_of(row + i);
+      PlannedFault* faults = out.faults_of(i);
       for (std::int64_t f = 0; f < config_->fault.k; ++f) {
         // Only a request beyond the population can repeat a site.
         std::int32_t site = 0;
@@ -669,17 +667,15 @@ void BatchExecutor::simulate() {
 }
 
 /// Shares the campaign's units (`lanes` consecutive runs each) between the
-/// run's participants and merges their counts. Each participant gets the
-/// runs of every unit it claims from `make_source()` (a source's
-/// unit(base, n) returns the plans and the row of run `base`), counts the
-/// runs Observability lets it skip, and queues the rest on its own
-/// BatchExecutor, so live runs from several units share a batch. The owner
-/// simulates on `owner_harness`, which observe() already built; helpers
-/// build their own.
-template <typename SourceFactory>
+/// run's participants and merges their counts. Each participant plans every
+/// unit it claims into a buffer of `lanes` rows, so it holds O(lanes) plan
+/// memory however large the campaign, counts the runs Observability lets it
+/// skip, and queues the rest on its own BatchExecutor, so live runs from
+/// several units share a batch. The owner simulates on `owner_harness`,
+/// which observe() already built; helpers build their own.
 void execute_all(const Fsm& fsm, const CompiledFsm& variant, const std::vector<FaultSite>& sites,
-                 const CampaignConfig& config, const StimulusTable& stim, Harness& owner_harness,
-                 const Observability& obs, SourceFactory make_source, CampaignResult& result) {
+                 const CampaignConfig& config, const StimulusTable& stim, const WalkTables& walk,
+                 Harness& owner_harness, const Observability& obs, CampaignResult& result) {
   const std::int64_t num_units =
       (static_cast<std::int64_t>(config.runs) + config.lanes - 1) / config.lanes;
   const auto k = static_cast<std::size_t>(config.fault.k);
@@ -687,7 +683,8 @@ void execute_all(const Fsm& fsm, const CompiledFsm& variant, const std::vector<F
   std::mutex merge_mutex;
   WorkShare::run(static_cast<std::uint64_t>(num_units), 1, config.threads,
                  [&](WorkShare::Claim& claim) {
-                   auto source = make_source();
+                   RunPlanner planner(walk, fsm.reset_state, sites.size(), config);
+                   RunPlans plans(config, static_cast<std::size_t>(config.lanes));
                    BatchExecutor executor(
                        claim.owner() ? std::move(owner_harness)
                                      : Harness(fsm, variant, stim, lane_words_for(config.lanes)),
@@ -700,12 +697,12 @@ void execute_all(const Fsm& fsm, const CompiledFsm& variant, const std::vector<F
                      const std::int64_t base = static_cast<std::int64_t>(unit.begin) * config.lanes;
                      const int n = static_cast<int>(
                          std::min<std::int64_t>(config.lanes, config.runs - base));
-                     const auto [plans, row] = source.unit(base, n);
-                     for (std::size_t r = row; r < row + static_cast<std::size_t>(n); ++r) {
-                       if (obs.must_simulate(plans->faults_of(r), k, config.fault.kinds)) {
-                         executor.add(*plans, r);
+                     planner.plan_runs(base, n, plans);
+                     for (std::size_t r = 0; r < static_cast<std::size_t>(n); ++r) {
+                       if (obs.must_simulate(plans.faults_of(r), k, config.fault.kinds)) {
+                         executor.add(plans, r);
                        } else if (obs.final_alert[static_cast<std::size_t>(
-                                      plans->walk(r)[last])] != 0) {
+                                      plans.walk(r)[last])] != 0) {
                          ++p.detected;
                        } else {
                          ++p.masked;
@@ -723,47 +720,7 @@ void execute_all(const Fsm& fsm, const CompiledFsm& variant, const std::vector<F
                  });
 }
 
-/// Unit source of the materialized planner: rows of the up-front plan.
-struct MaterializedSource {
-  const RunPlans* plan;
-
-  std::pair<const RunPlans*, std::size_t> unit(std::int64_t base, int /*n*/) const {
-    return {plan, static_cast<std::size_t>(base)};
-  }
-};
-
-/// Unit source of the streaming planner: plans each unit on demand into a
-/// buffer of `lanes` rows, so a participant holds O(lanes) plan memory
-/// however large the campaign.
-class StreamingSource {
- public:
-  StreamingSource(const WalkTables& walk, int reset_state, std::size_t num_sites,
-                  const CampaignConfig& config)
-      : planner_(walk, reset_state, num_sites, config),
-        buffer_(config, static_cast<std::size_t>(config.lanes)) {}
-
-  std::pair<const RunPlans*, std::size_t> unit(std::int64_t base, int n) {
-    planner_.plan_runs(base, n, buffer_, 0);
-    return {&buffer_, 0};
-  }
-
- private:
-  RunPlanner planner_;
-  RunPlans buffer_;
-};
-
 }  // namespace
-
-std::int64_t planned_bytes(const CampaignConfig& config) {
-  const auto runs = static_cast<std::int64_t>(config.runs);
-  const auto cycles = static_cast<std::int64_t>(config.cycles);
-  const std::int64_t edges = runs * cycles * static_cast<std::int64_t>(sizeof(std::int32_t));
-  const std::int64_t golden =
-      runs * (cycles + 1) * static_cast<std::int64_t>(sizeof(std::int32_t));
-  const std::int64_t faults = runs * static_cast<std::int64_t>(config.fault.k) *
-                              static_cast<std::int64_t>(sizeof(PlannedFault));
-  return edges + golden + faults;
-}
 
 CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
                             const CampaignConfig& user_config) {
@@ -775,24 +732,6 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
   // knob, so shrinking it cannot change the aggregate result.
   CampaignConfig config = user_config;
   config.lanes = std::min(config.lanes, kWordLanes * lane_words_cap());
-  const bool materializes = config.planner != CampaignPlanner::kStreaming;
-  if (materializes && config.max_plan_bytes > 0) {
-    const std::int64_t plan_bytes = planned_bytes(config);
-    require(plan_bytes <= config.max_plan_bytes,
-            format("run_campaign: campaign plan needs ~%lld bytes, above the "
-                   "max_plan_bytes cap of %lld; use the streaming planner or "
-                   "shrink runs/cycles or raise the cap",
-                   static_cast<long long>(plan_bytes),
-                   static_cast<long long>(config.max_plan_bytes)));
-    static std::atomic<bool> warned{false};
-    if (plan_bytes > config.max_plan_bytes / 2 && !warned.exchange(true)) {
-      log_warn(format("run_campaign: campaign plan materializes ~%lld bytes up front "
-                      "(cap %lld); plans are ~8 bytes per run-cycle plus 12 per fault "
-                      "— the streaming planner needs O(lanes) instead",
-                      static_cast<long long>(plan_bytes),
-                      static_cast<long long>(config.max_plan_bytes)));
-    }
-  }
   const std::vector<FaultSite> all_sites =
       enumerate_fault_sites(*variant.module, variant.state_wire);
   const std::vector<FaultSite> sites = filter_sites(all_sites, config.fault.target);
@@ -806,23 +745,7 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
 
   CampaignResult result;
   result.runs = config.runs;
-  if (materializes) {
-    // The streaming plan, materialized: the same plan_runs, one unit at a
-    // time, into the rows of one up-front plan.
-    RunPlans plan(config, static_cast<std::size_t>(config.runs));
-    RunPlanner planner(walk, fsm.reset_state, sites.size(), config);
-    for (std::int64_t base = 0; base < config.runs; base += config.lanes) {
-      planner.plan_runs(base, static_cast<int>(std::min<std::int64_t>(config.lanes,
-                                                                      config.runs - base)),
-                        plan, static_cast<std::size_t>(base));
-    }
-    execute_all(fsm, variant, sites, config, stim, harness, obs,
-                [&plan] { return MaterializedSource{&plan}; }, result);
-  } else {
-    execute_all(fsm, variant, sites, config, stim, harness, obs,
-                [&] { return StreamingSource(walk, fsm.reset_state, sites.size(), config); },
-                result);
-  }
+  execute_all(fsm, variant, sites, config, stim, walk, harness, obs, result);
   return result;
 }
 

@@ -13,16 +13,15 @@
 //   silent_invalid  — register holds a non-codeword, never detected
 //                     (impossible for SCFI, common for unprotected FSMs)
 //
-// Execution is two-phase, with the planning side selectable. The default
-// streaming planner derives every run's walk and fault schedule from a
-// jump-ahead RNG stream keyed by hash(seed, run_index): workers plan their
-// own batches on the fly with O(lanes) memory, so arbitrary-size campaigns
-// run under a constant footprint and the plan for run k never depends on
-// runs 0..k-1. Execution packs `lanes` runs into the bit-parallel simulator
-// (one lane per run, up to 512 lanes via multi-word lane blocks) and shares
-// units of `lanes` runs between the calling thread and its helpers
-// (`threads` - 1, or an enclosing sweep's idle threads). Because each run's plan is a pure
-// function of (seed, run_index) and per-run outcomes are independent, the
+// Execution is two-phase. The planner derives every run's walk and fault
+// schedule from a jump-ahead RNG stream keyed by hash(seed, run_index):
+// workers plan their own batches on the fly with O(lanes) memory, so
+// arbitrary-size campaigns run under a constant footprint and the plan for
+// run k never depends on runs 0..k-1. Execution packs `lanes` runs into the
+// bit-parallel simulator (one lane per run, up to 512 lanes via multi-word
+// lane blocks) and shares units of `lanes` runs between the calling thread
+// and its helpers (`threads` - 1, or an enclosing sweep's idle threads).
+// Because each run's plan is a pure function of (seed, run_index) and per-run outcomes are independent, the
 // aggregate CampaignResult is bit-identical for every combination of
 // `lanes` and `threads`. Planning steps a unit's walks side by side, one
 // cycle of every walk at a time, so their dependent RNG draws overlap.
@@ -52,21 +51,13 @@ class CancelToken;
 
 namespace scfi::sim {
 
-/// How run plans (walks + fault schedules) are produced. Both planners draw
-/// run k's plan from the jump-ahead stream Rng(seed, k); they differ only in
-/// when the plan exists in memory. (The legacy kSequential one-RNG planner —
-/// a differential oracle against pre-streaming expectations — served its one
-/// release and was removed; its seed→plan mapping differed from this family.)
+/// How run plans (walks + fault schedules) are produced. kStreaming, the one
+/// planner, draws run k's plan from the jump-ahead stream Rng(seed, k) inside
+/// the executing worker, one unit at a time. The enum and
+/// CampaignConfig::planner remain only because the sweep benchmark harness
+/// (perfbench/src/sweep_bench.cpp) sets them.
 enum class CampaignPlanner {
-  /// Default: each run's plan is drawn from Rng(seed, run_index) inside the
-  /// executing worker, one batch at a time — O(lanes) planning memory,
-  /// unbounded campaign sizes, max_plan_bytes not applicable.
   kStreaming,
-  /// The streaming plan, materialized up front run 0..runs-1 and executed
-  /// through the shared batch executor. Bit-identical to kStreaming by
-  /// construction — kept as the differential-test oracle for the on-the-fly
-  /// path. Subject to max_plan_bytes.
-  kStreamingMaterialized,
 };
 
 /// Campaign parameters. Raw-input (unencoded) variants support at most 64
@@ -88,13 +79,6 @@ struct CampaignConfig {
   /// Worker threads sharing batches (<=1 = inline); ignored under a
   /// current WorkBoard, whose idle threads help instead.
   int threads = 1;
-  /// Hard cap on a *materialized* plan (walks, golden sequences, fault
-  /// schedules — see planned_bytes()). The materializing planners allocate
-  /// the whole plan before the first simulated cycle, so a >10^7-run
-  /// campaign would otherwise claim gigabytes; exceeding the cap throws
-  /// ScfiError instead (a one-time warning is logged above half the cap).
-  /// 0 disables the check. kStreaming plans per batch and ignores the cap.
-  std::int64_t max_plan_bytes = 1LL << 31;  ///< 2 GiB
   /// Optional cooperative stop signal, polled once per claimed unit of
   /// `lanes` runs: when it fires, workers throw CancelledError at the next
   /// unit boundary instead of being killed mid-simulation. Execution knob like
@@ -102,13 +86,6 @@ struct CampaignConfig {
   /// run_campaign call. nullptr = never cancelled.
   const CancelToken* cancel = nullptr;
 };
-
-/// Estimated bytes the materializing planner (kStreamingMaterialized)
-/// allocates for `config`: ~8 bytes per run-cycle (a 4-byte
-/// walk edge plus a 4-byte golden state entry) plus 12 bytes per scheduled
-/// fault (site, cycle, kind index). The streaming planner's footprint is
-/// O(lanes x cycles) per worker instead.
-std::int64_t planned_bytes(const CampaignConfig& config);
 
 struct CampaignResult {
   int runs = 0;

@@ -1,7 +1,7 @@
 // The sweep fleet's job-claim protocol over the shared JSONL store.
 //
 // Fleet workers coordinate through nothing but the store file itself: a
-// worker claims a job by appending a schema-v5 `leased` record (worker id +
+// worker claims a job by appending a `leased` record (worker id +
 // wall-clock deadline) and owns the job iff, after the append, the latest
 // lease for that key is its own — O_APPEND makes concurrent appends
 // serialize, so "latest wins" is a total order and doubles as the race

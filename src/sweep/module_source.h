@@ -6,7 +6,7 @@
 // from .kiss2 files). `ModuleSource` abstracts over both so the orchestrator
 // and the job-matrix expanders never care which population a module came
 // from; the source's `label()` is threaded through `SweepJob::source` into
-// the result-store keys (schema v3), keeping zoo and corpus results
+// the result-store keys, keeping zoo and corpus results
 // distinguishable — and resumable — in one JSONL store.
 #pragma once
 
@@ -24,7 +24,7 @@ class ModuleSource {
   virtual ~ModuleSource() = default;
 
   /// Corpus identity threaded into job keys and the JSONL store. "" is the
-  /// built-in zoo — zoo keys are byte-identical to the schema-v2 era. The
+  /// built-in zoo — zoo keys carry no source prefix. The
   /// label, not the directory path, is the resume/diff identity, so a
   /// relative and an absolute path to the same corpus produce the same keys.
   virtual std::string label() const = 0;

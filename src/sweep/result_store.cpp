@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -175,12 +177,13 @@ class LineParser {
     return value;
   }
 
-  /// Exact 64-bit parse for fields (the campaign seed) where the double
-  /// round-trip of parse_number() would be lossy above 2^53 and silently
-  /// change the recomputed job key. Rejects negatives and out-of-range
-  /// values instead of letting strtoull wrap or saturate them into a
-  /// different (and silently resumable) key.
-  std::uint64_t parse_uint() {
+  /// Exact integer parse for every integer field: the campaign seed would
+  /// lose bits above 2^53 through parse_number()'s double and silently
+  /// change the recomputed job key, and a double cast to a narrower integer
+  /// is undefined when out of range. Rejects negatives, fractions,
+  /// exponents and values above `max` instead of wrapping or saturating
+  /// them into a different (and silently resumable) key.
+  std::uint64_t parse_uint(std::uint64_t max = UINT64_MAX) {
     skip_ws();
     require(pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9',
             "result store: malformed integer in JSONL line");
@@ -188,20 +191,18 @@ class LineParser {
     char* end = nullptr;
     errno = 0;
     const unsigned long long value = std::strtoull(begin, &end, 10);
-    require(end != begin && errno != ERANGE,
+    require(errno != ERANGE && *end != '.' && *end != 'e' && *end != 'E',
             "result store: malformed integer in JSONL line");
+    require(value <= max, "result store: integer out of range in JSONL line");
     pos_ += static_cast<std::size_t>(end - begin);
     return value;
   }
 
-  /// parse_uint bounded to int, for count fields the store writes as
-  /// non-negative integers — a double-typed parse cast to int would be UB
-  /// (and garbage keys) on corrupted out-of-range lines.
-  int parse_int_count() {
-    const std::uint64_t value = parse_uint();
-    require(value <= 0x7fffffffULL, "result store: count out of range in JSONL line");
-    return static_cast<int>(value);
-  }
+  /// parse_uint bounded to int, for the store's int-typed counts.
+  int parse_int_count() { return static_cast<int>(parse_uint(INT_MAX)); }
+
+  /// parse_uint bounded to int64, for the SYNFI report counters.
+  std::int64_t parse_int64() { return static_cast<std::int64_t>(parse_uint(INT64_MAX)); }
 
   bool parse_bool() {
     skip_ws();
@@ -244,8 +245,8 @@ class LineParser {
 }  // namespace
 
 std::string SweepJob::key() const {
-  // Zoo keys (empty source) are byte-identical to the schema-v2 era so old
-  // stores keep resuming and diffing against new runs.
+  // Zoo keys (empty source) carry no source prefix: the committed v6
+  // baseline and reference stores pin these keys byte for byte.
   const std::string qualified = source.empty() ? module : source + "::" + module;
   if (type == JobType::kCampaign) {
     return qualified + "|" + variant + "|n" + std::to_string(protection_level) + "|mc|" +
@@ -258,7 +259,7 @@ std::string SweepJob::key() const {
                     "|r=" + synfi.wire_prefix + "|" + backend_name(synfi.backend) + "|" +
                     fault_kind_name(synfi.kind);
   // Non-default threat models extend the key; the classic single-fault
-  // any-target sweep keeps its pre-v6 key byte-identical.
+  // any-target sweep's keys stay as the committed stores pin them.
   if (synfi.target != sim::FaultTarget::kAny) key += "|t=" + std::string(fault_target_name(synfi.target));
   if (synfi.faults_k != 1) key += "|k=" + std::to_string(synfi.faults_k);
   if (synfi.include_inputs) key += "|inputs";
@@ -339,19 +340,13 @@ std::string ResultStore::to_line(const SweepResult& result) {
   return out.str();
 }
 
-SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
+SweepResult ResultStore::parse_line(const std::string& line) {
   // Fields are collected first and committed at the end: the `kind`,
   // `target`, `detected`, and `masked` names are shared between the two job
   // types, so they can only be routed once the (possibly later) `type` field
-  // is known. v1 lines have no `type` field and migrate as SYNFI records;
-  // v2 lines have no `source` field and migrate as zoo records; v3 lines
-  // have no `status`/`attempts` fields and migrate as ok single-attempt
-  // records; v4 lines predate the fleet and carry no `worker`/`deadline`
-  // fields or `leased` status; v5 lines predate the k-fault threat model
-  // (no `faults_k`/`protection_degree`, and `target` only on campaigns) and
-  // migrate as single-fault records with a derived protection degree.
-  int schema = -1;
-  std::string type_str = "synfi";
+  // is known.
+  bool saw_schema = false;
+  std::string type_str;
   std::string kind_str;
   std::string target_str;
   bool saw_kind = false;
@@ -359,11 +354,7 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
   bool saw_source = false;
   bool saw_status = false;
   bool saw_error = false;
-  bool saw_attempts = false;
-  bool saw_worker = false;
   bool saw_deadline = false;
-  bool saw_faults_k = false;
-  bool saw_degree = false;
   int faults_k = 1;
   std::int64_t detected = 0;
   std::int64_t masked = 0;
@@ -375,10 +366,12 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
       const std::string field = parser.parse_string();
       parser.expect(':');
       if (field == "schema") {
-        schema = static_cast<int>(parser.parse_number());
-        require(schema >= 1 && schema <= kSchemaVersion,
+        const int schema = parser.parse_int_count();
+        require(schema == kSchemaVersion,
                 "result store: schema version " + std::to_string(schema) +
-                    " (expected 1.." + std::to_string(kSchemaVersion) + ")");
+                    " is not readable (only v" + std::to_string(kSchemaVersion) +
+                    "); regenerate the store by re-running its sweep");
+        saw_schema = true;
       } else if (field == "type") {
         type_str = parser.parse_string();
       } else if (field == "key") {
@@ -394,10 +387,8 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
         saw_error = true;
       } else if (field == "attempts") {
         result.attempts = parser.parse_int_count();
-        saw_attempts = true;
       } else if (field == "worker") {
         result.worker = parser.parse_string();
-        saw_worker = true;
       } else if (field == "deadline") {
         result.deadline = parser.parse_number();
         saw_deadline = true;
@@ -406,7 +397,7 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
       } else if (field == "variant") {
         result.job.variant = parser.parse_string();
       } else if (field == "level") {
-        result.job.protection_level = static_cast<int>(parser.parse_number());
+        result.job.protection_level = parser.parse_int_count();
       } else if (field == "region") {
         result.job.synfi.wire_prefix = parser.parse_string();
       } else if (field == "include_inputs") {
@@ -421,10 +412,8 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
         saw_target = true;
       } else if (field == "faults_k") {
         faults_k = parser.parse_int_count();
-        saw_faults_k = true;
       } else if (field == "protection_degree") {
         result.protection_degree = parser.parse_int_count();
-        saw_degree = true;
       } else if (field == "free_symbol") {
         result.job.synfi.free_symbol = parser.parse_bool();
       } else if (field == "runs") {
@@ -442,17 +431,17 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
       } else if (field == "silent_invalid") {
         result.campaign.silent_invalid = parser.parse_int_count();
       } else if (field == "sites") {
-        result.report.sites = static_cast<std::int64_t>(parser.parse_number());
+        result.report.sites = parser.parse_int64();
       } else if (field == "injections") {
-        result.report.injections = static_cast<std::int64_t>(parser.parse_number());
+        result.report.injections = parser.parse_int64();
       } else if (field == "exploitable") {
-        result.report.exploitable = static_cast<std::int64_t>(parser.parse_number());
+        result.report.exploitable = parser.parse_int64();
       } else if (field == "detected") {
-        detected = static_cast<std::int64_t>(parser.parse_number());
+        detected = parser.parse_int64();
       } else if (field == "masked") {
-        masked = static_cast<std::int64_t>(parser.parse_number());
+        masked = parser.parse_int64();
       } else if (field == "stalls") {
-        result.report.stalls = static_cast<std::int64_t>(parser.parse_number());
+        result.report.stalls = parser.parse_int64();
       } else if (field == "exploitable_sites") {
         result.report.exploitable_sites = parser.parse_string_array();
       } else if (field == "seconds") {
@@ -471,26 +460,11 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
     } while (parser.consume(','));
     parser.expect('}');
   }
-  require(schema > 0, "result store: JSONL line missing schema field");
+  require(saw_schema, "result store: JSONL line missing schema field");
   require(!result.job.module.empty(), "result store: JSONL line missing module field");
+  require(!type_str.empty() && saw_source && saw_status,
+          "result store: JSONL line missing a type, source, or status field");
   result.job.type = job_type_of(type_str);
-  require(schema >= 2 || result.job.type == JobType::kSynfi,
-          "result store: schema 1 lines cannot carry campaign records");
-  require(schema >= 3 || !saw_source,
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry a source field (corpus sources are v3)");
-  require(schema >= 4 || !(saw_status || saw_error || saw_attempts),
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry status/error/attempts fields (job status is v4)");
-  require(schema >= 5 ||
-              !(saw_worker || saw_deadline || result.status == JobStatus::kLeased),
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry worker/deadline fields or a leased status "
-              "(fleet leases are v5)");
-  require(schema >= 6 || !(saw_faults_k || saw_degree),
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry faults_k/protection_degree fields "
-              "(the k-fault threat model is v6)");
   require(result.attempts >= 1, "result store: attempts must be >= 1");
   require(result.status == JobStatus::kFailed || !saw_error,
           "result store: only failed records can carry an error field");
@@ -501,19 +475,12 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
   if (result.job.type == JobType::kCampaign) {
     if (saw_kind) result.job.campaign.fault.kinds = fault_kinds_of(kind_str);
     if (saw_target) result.job.campaign.fault.target = fault_target_of(target_str);
-    require(detected >= 0 && detected <= 0x7fffffffLL && masked >= 0 &&
-                masked <= 0x7fffffffLL,
-            "result store: count out of range in JSONL line");
+    require(detected <= INT_MAX && masked <= INT_MAX,
+            "result store: integer out of range in JSONL line");
     result.campaign.runs = result.job.campaign.runs;
     result.campaign.detected = static_cast<int>(detected);
     result.campaign.masked = static_cast<int>(masked);
   } else {
-    // `target` on a SYNFI line is itself a v6 extension — campaign lines
-    // carried one since v2, so the gate is per-type.
-    require(schema >= 6 || !saw_target,
-            "result store: schema " + std::to_string(schema) +
-                " synfi lines cannot carry a target field "
-                "(the k-fault threat model is v6)");
     if (saw_kind) result.job.synfi.kind = fault_kind_of(kind_str);
     if (saw_target) result.job.synfi.target = fault_target_of(target_str);
     require(faults_k >= 1, "result store: faults_k must be >= 1");
@@ -521,13 +488,7 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
     result.report.faults_k = faults_k;
     result.report.detected = detected;
     result.report.masked = masked;
-    // v5-and-older ok records are all single-fault sweeps, so their
-    // protection degree is fully determined by the verdict.
-    if (!saw_degree && result.status == JobStatus::kOk) {
-      result.protection_degree = result.report.exploitable > 0 ? 1 : 0;
-    }
   }
-  if (schema_out != nullptr) *schema_out = schema;
   return result;
 }
 
@@ -554,10 +515,7 @@ ResultStore ResultStore::load(const std::string& path, bool recover_torn_tail) {
   }
   for (std::size_t i = 0; i < lines.size(); ++i) {
     try {
-      int schema = 0;
-      store.add(parse_line(lines[i].second, &schema));
-      if (store.min_schema_ == 0 || schema < store.min_schema_) store.min_schema_ = schema;
-      if (schema > store.max_schema_) store.max_schema_ = schema;
+      store.add(parse_line(lines[i].second));
     } catch (const ScfiError& e) {
       if (recover_torn_tail && i + 1 == lines.size()) {
         log_warn("result store: dropping torn final line at " + path + ":" +
@@ -580,14 +538,6 @@ void ResultStore::add(SweepResult result) {
   }
   index_.emplace(key, results_.size());
   results_.push_back(std::move(result));
-}
-
-void ResultStore::require_uniform_schema(const std::string& what) const {
-  if (min_schema_ == 0 || min_schema_ == max_schema_) return;
-  throw ScfiError(what + ": store mixes schema versions v" + std::to_string(min_schema_) +
-                  " and v" + std::to_string(max_schema_) +
-                  "; refusing to migrate mid-operation — rewrite it explicitly with "
-                  "`scfi_cli store-compact --migrate` first");
 }
 
 bool ResultStore::contains(const std::string& key) const { return index_.count(key) > 0; }
@@ -686,7 +636,7 @@ void ResultStore::append_line(const std::string& path, const SweepResult& result
   require(synced, "result store: fsync of " + path + " failed");
 }
 
-ResultStore::CompactStats ResultStore::compact_file(const std::string& path, bool migrate) {
+ResultStore::CompactStats ResultStore::compact_file(const std::string& path) {
   std::error_code ec;
   require(std::filesystem::exists(path, ec),
           "store-compact: " + path + ": no such store file");
@@ -705,10 +655,6 @@ ResultStore::CompactStats ResultStore::compact_file(const std::string& path, boo
   // way an atomic rewrite to zero records would destroy whatever was there.
   require(store.size() > 0,
           "store-compact: " + path + ": store holds no complete records");
-  // save() rewrites every line at the current schema, so compacting a
-  // mixed-version store would silently migrate the old half of it; that
-  // needs the explicit --migrate opt-in.
-  if (!migrate) store.require_uniform_schema("store-compact: " + path);
   store.save(path);
   stats.records = store.size();
   return stats;

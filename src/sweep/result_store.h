@@ -54,19 +54,19 @@ JobType job_type_of(const std::string& name);
 enum class JobStatus {
   kOk,      ///< report payload is valid
   kFailed,  ///< job threw / timed out / crashed its worker; `error` says why
-  kLeased,  ///< claimed by `worker` until `deadline` (fleet mode, schema v5)
+  kLeased,  ///< claimed by `worker` until `deadline` (fleet mode)
 };
 const char* job_status_name(JobStatus status);
 JobStatus job_status_of(const std::string& name);
 
 /// One sweep job: which variant to build and which query to run on it.
 /// `synfi.lanes`/`synfi.threads` (and, for campaign jobs,
-/// `campaign.lanes`/`campaign.threads`/`campaign.planner`) are execution
-/// knobs owned by the orchestrator; everything else is job identity.
+/// `campaign.lanes`/`campaign.threads`) are execution knobs owned by the
+/// orchestrator; everything else is job identity.
 struct SweepJob {
   JobType type = JobType::kSynfi;
-  /// Module-source identity: "" for the built-in OT zoo (keys unchanged
-  /// from the schema-v2 era), otherwise the corpus label (e.g. "corpus" for
+  /// Module-source identity: "" for the built-in OT zoo (keys carry no
+  /// source prefix), otherwise the corpus label (e.g. "corpus" for
   /// a `--corpus bench/corpus` sweep). Part of the job identity so zoo and
   /// corpus results coexist — and resume independently — in one store.
   std::string source;
@@ -85,7 +85,7 @@ struct SweepJob {
   /// jobs prefix the module with the source label, e.g.
   /// "corpus::lion|scfi|n2|r=mds_|sim|flip". SYNFI jobs append "|t=<target>"
   /// and "|k=<n>" only when the threat model departs from the classic
-  /// single-fault any-target sweep, so every pre-v6 key stays byte-identical.
+  /// single-fault any-target sweep, whose keys the committed stores pin.
   std::string key() const;
 };
 
@@ -101,8 +101,7 @@ struct SweepResult {
   /// Ok SYNFI records only: the variant's measured protection degree — the
   /// smallest k in [1, job.synfi.faults_k] whose k-fault sweep found an
   /// exploitable outcome, 0 when none did. Deterministic given the job
-  /// identity, so it participates in reports_equal. v5 records (always
-  /// faults_k = 1) migrate it as exploitable > 0 ? 1 : 0.
+  /// identity, so it participates in reports_equal.
   int protection_degree = 0;
   std::string error;              ///< why the job failed (status == kFailed)
   int attempts = 1;               ///< executions spent, retries included
@@ -135,19 +134,16 @@ bool reports_equal(const SweepResult& a, const SweepResult& b);
 
 class ResultStore {
  public:
-  /// Bumped whenever the line schema changes. load()/parse_line() migrate
-  /// v1 lines (SYNFI-only, no `type` field), v2 lines (zoo-only, no
-  /// `source` field), v3 lines (always-ok, no `status`/`attempts` fields),
-  /// v4 lines (pre-fleet, no `worker`/`deadline` fields or `leased`
-  /// status), and v5 lines (single-fault threat model — no `faults_k` /
-  /// `protection_degree` / SYNFI `target` fields) to v6 records on the fly
-  /// and reject anything else; to_line() always writes the current version.
+  /// Bumped whenever the line schema changes. to_line() writes this
+  /// version and parse_line()/load() read only this version: a line of any
+  /// other version throws ScfiError naming it, and its store must be
+  /// regenerated.
   static constexpr int kSchemaVersion = 6;
 
   ResultStore() = default;
 
   /// Parses an existing JSONL store. A missing file yields an empty store;
-  /// a malformed line or schema mismatch throws ScfiError. With
+  /// a malformed line or another schema version throws ScfiError. With
   /// `recover_torn_tail`, a malformed FINAL line — the one shape a crash or
   /// SIGKILL between append_line's write and its fsync can leave behind —
   /// is dropped with a loud warning instead of aborting the load, so
@@ -164,18 +160,6 @@ class ResultStore {
   const SweepResult* find(const std::string& key) const;
   const std::vector<SweepResult>& results() const { return results_; }
   std::size_t size() const { return results_.size(); }
-
-  /// Smallest / largest on-disk schema version among the lines load() read,
-  /// 0 for a store never loaded from a file (records added programmatically
-  /// are implicitly current). load() migrates every line to the in-memory
-  /// v6 shape either way; these only report what the file itself said.
-  int min_schema() const { return min_schema_; }
-  int max_schema() const { return max_schema_; }
-  /// Throws ScfiError naming both versions when the loaded file mixed
-  /// schema versions. Verdict-bearing consumers (store-compact, sweep-diff)
-  /// call this instead of silently migrating half a store mid-comparison;
-  /// `what` prefixes the error ("sweep-diff: old.jsonl").
-  void require_uniform_schema(const std::string& what) const;
 
   /// Folds `other` into this store; on key collisions `other` wins.
   void merge(const ResultStore& other);
@@ -199,10 +183,10 @@ class ResultStore {
 
   /// Serializes one record as a single JSONL line (no trailing newline).
   static std::string to_line(const SweepResult& result);
-  /// Inverse of to_line; throws ScfiError on malformed input or wrong
-  /// schema version. `schema_out`, when non-null, receives the line's
-  /// on-disk schema version (the record itself is always migrated to v6).
-  static SweepResult parse_line(const std::string& line, int* schema_out = nullptr);
+  /// Inverse of to_line; throws ScfiError on malformed input, a missing
+  /// type/source/status field, or a schema version other than
+  /// kSchemaVersion. Unknown scalar fields are skipped.
+  static SweepResult parse_line(const std::string& line);
   /// Appends one record to a JSONL file (creating it if needed) as one
   /// O_APPEND write followed by fsync: records from concurrent workers
   /// never interleave, and once the call returns the record survives a
@@ -219,17 +203,12 @@ class ResultStore {
   /// tail) via the atomic save() path. A missing file, an empty file, or a
   /// file whose every line is torn is an error — ScfiError naming the path
   /// and the reason — not a silent no-op: compacting nothing means the
-  /// caller pointed at the wrong store. A store whose lines mix schema
-  /// versions is rejected the same way (see require_uniform_schema) unless
-  /// `migrate` is set, which deliberately rewrites every record at the
-  /// current version.
-  static CompactStats compact_file(const std::string& path, bool migrate = false);
+  /// caller pointed at the wrong store.
+  static CompactStats compact_file(const std::string& path);
 
  private:
   std::vector<SweepResult> results_;
   std::map<std::string, std::size_t> index_;  ///< key -> position in results_
-  int min_schema_ = 0;  ///< smallest on-disk schema seen by load(), 0 = none
-  int max_schema_ = 0;  ///< largest on-disk schema seen by load(), 0 = none
 };
 
 }  // namespace scfi::sweep

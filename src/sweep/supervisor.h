@@ -19,7 +19,7 @@
 // `drain_grace` seconds (past it the job's CancelToken fires and the job
 // is recorded as cancelled), and exit. The supervisor then merges and
 // compacts the store — leases are protocol traffic and are dropped — so
-// what is left on disk is a plain schema-v5 result store a later
+// what is left on disk is a plain result store a later
 // `--resume` (fleet or single-process) picks up seamlessly.
 //
 // Liveness is watched over a per-worker pipe: the worker writes a byte

@@ -218,7 +218,6 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
           result.job = pending[j];
           if (result.job.type == JobType::kCampaign) {
             sim::CampaignConfig config = result.job.campaign;
-            config.planner = sim::CampaignPlanner::kStreaming;
             config.lanes = lanes;
             if (cancellable) config.cancel = &cancel;
             result.campaign = sim::run_campaign(entry->fsm, *compiled, config);

@@ -24,7 +24,7 @@
 //
 // The fleet is failure-isolated: a job that throws mid-execution (or whose
 // variant fails to build) is retried up to `retries` times with exponential
-// backoff, then recorded as a schema-v4 failure record — it never takes
+// backoff, then recorded as a failure record — it never takes
 // down the other jobs. A per-job wall-clock deadline (`job_timeout`) is
 // enforced cooperatively via a CancelToken polled inside the SYNFI and
 // campaign inner loops. `fail_fast` restores the old abort-the-fleet
@@ -137,7 +137,7 @@ std::vector<SweepJob> expand_jobs(const std::string& module_globs,
 /// Campaign analog of expand_jobs: module-glob x levels x campaign configs,
 /// tagged JobType::kCampaign. Campaign jobs accept the "unprotected" and
 /// "redundancy" variants too (the campaign engine drives all three compiled
-/// forms). The configs' lanes/threads/planner knobs are overwritten by the
+/// forms). The configs' lanes/threads knobs are overwritten by the
 /// orchestrator at execution time and do not enter the job identity.
 std::vector<SweepJob> expand_campaign_jobs(const ModuleSource& source,
                                            const std::string& module_globs,

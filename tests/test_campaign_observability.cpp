@@ -4,8 +4,8 @@
 // walk's fault-free outcome. Every CampaignResult must equal a scalar,
 // run-by-run reference executor that replays each run's plan (re-derived
 // here from Rng(seed, run)) through the public sim::Simulator with no
-// pruning, at lanes 64/512 x threads 1/3 x both planners, and the executor
-// must simulate exactly the runs with a live fault.
+// pruning, at lanes 64/512 x threads 1/3, and the executor must simulate
+// exactly the runs with a live fault.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,32 +215,26 @@ const char* target_name(FaultTarget target) {
   return "?";
 }
 
-/// Checks `config` on `c` against the reference at every lanes x threads x
-/// planner shape.
+/// Checks `config` on `c` against the reference at every lanes x threads
+/// shape.
 void expect_matches_reference(const Fsm& f, const CompiledFsm& c, const CampaignConfig& config,
                               const std::string& where) {
   const Reference ref = reference(f, c, config);
-  for (const CampaignPlanner planner :
-       {CampaignPlanner::kStreaming, CampaignPlanner::kStreamingMaterialized}) {
-    for (const int lanes : {64, 512}) {
-      for (const int threads : {1, 3}) {
-        CampaignConfig shaped = config;
-        shaped.planner = planner;
-        shaped.lanes = lanes;
-        shaped.threads = threads;
-        const CampaignResult r = run_campaign(f, c, shaped);
-        const std::string shape = where + " lanes=" + std::to_string(lanes) +
-                                  " threads=" + std::to_string(threads) +
-                                  (planner == CampaignPlanner::kStreaming ? " streaming"
-                                                                          : " materialized");
-        EXPECT_EQ(r.runs, ref.result.runs) << shape;
-        EXPECT_EQ(r.masked, ref.result.masked) << shape;
-        EXPECT_EQ(r.detected, ref.result.detected) << shape;
-        EXPECT_EQ(r.hijacked, ref.result.hijacked) << shape;
-        EXPECT_EQ(r.lagged, ref.result.lagged) << shape;
-        EXPECT_EQ(r.silent_invalid, ref.result.silent_invalid) << shape;
-        EXPECT_EQ(r.simulated, ref.live_runs) << shape;
-      }
+  for (const int lanes : {64, 512}) {
+    for (const int threads : {1, 3}) {
+      CampaignConfig shaped = config;
+      shaped.lanes = lanes;
+      shaped.threads = threads;
+      const CampaignResult r = run_campaign(f, c, shaped);
+      const std::string shape =
+          where + " lanes=" + std::to_string(lanes) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(r.runs, ref.result.runs) << shape;
+      EXPECT_EQ(r.masked, ref.result.masked) << shape;
+      EXPECT_EQ(r.detected, ref.result.detected) << shape;
+      EXPECT_EQ(r.hijacked, ref.result.hijacked) << shape;
+      EXPECT_EQ(r.lagged, ref.result.lagged) << shape;
+      EXPECT_EQ(r.silent_invalid, ref.result.silent_invalid) << shape;
+      EXPECT_EQ(r.simulated, ref.live_runs) << shape;
     }
   }
 }

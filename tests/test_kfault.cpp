@@ -363,7 +363,7 @@ TEST(KFaultCampaign, MultiKindSpecDrawsEveryKind) {
 
 TEST(KFaultCampaign, SingleFaultInvariantAcrossLanesThreadsPlanners) {
   // The k = 1 acceptance bar: one FaultSpec result, bit-identical for
-  // every lanes/threads/planner combination.
+  // every lanes/threads combination.
   rtlil::Design d;
   const Fsm f = test::synfi_fsm();
   core::ScfiConfig hc;
@@ -376,15 +376,11 @@ TEST(KFaultCampaign, SingleFaultInvariantAcrossLanesThreadsPlanners) {
   const sim::CampaignResult reference = sim::run_campaign(f, c, base);
   for (const int lanes : {1, 64, 128}) {
     for (const int threads : {1, 3}) {
-      for (const auto planner :
-           {sim::CampaignPlanner::kStreaming, sim::CampaignPlanner::kStreamingMaterialized}) {
-        sim::CampaignConfig config = base;
-        config.lanes = lanes;
-        config.threads = threads;
-        config.planner = planner;
-        EXPECT_TRUE(sim::run_campaign(f, c, config) == reference)
-            << "lanes=" << lanes << " threads=" << threads;
-      }
+      sim::CampaignConfig config = base;
+      config.lanes = lanes;
+      config.threads = threads;
+      EXPECT_TRUE(sim::run_campaign(f, c, config) == reference)
+          << "lanes=" << lanes << " threads=" << threads;
     }
   }
 }
@@ -510,67 +506,6 @@ TEST(ResultStoreKFault, ThreatModelEntersTheKeyOnlyWhenWidened) {
   campaign.campaign.fault.kinds = {sim::FaultKind::kTransientFlip,
                                    sim::FaultKind::kSkipCycle};
   EXPECT_EQ(campaign.key(), "pwrmgr_fsm|scfi|n2|mc|flip+skip|t=any|runs=100|c=8|f=2|s=1");
-}
-
-TEST(ResultStoreKFault, MixedSchemaStoresAreRejectedUntilMigrated) {
-  const std::string path = ::testing::TempDir() + "/mixed_schema.jsonl";
-  std::remove(path.c_str());
-
-  // One current line and one v5 line in the same store.
-  sweep::SweepResult current;
-  current.job.module = "pwrmgr_fsm";
-  current.report.faults_k = 1;
-  sweep::ResultStore::append_line(path, current);
-  const std::string v5_line =
-      "{\"schema\":5,\"type\":\"synfi\",\"key\":\"aes_control|scfi|n2|r=mds_|sim|flip\","
-      "\"source\":\"\",\"module\":\"aes_control\",\"variant\":\"scfi\",\"level\":2,"
-      "\"status\":\"ok\",\"region\":\"mds_\",\"include_inputs\":false,\"backend\":\"sim\","
-      "\"kind\":\"flip\",\"free_symbol\":false,\"sites\":10,\"injections\":100,"
-      "\"exploitable\":0,\"detected\":90,\"masked\":10,\"stalls\":0,"
-      "\"exploitable_sites\":[],\"attempts\":1,\"seconds\":0.100000}";
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  ASSERT_NE(f, nullptr);
-  std::fputs((v5_line + "\n").c_str(), f);
-  std::fclose(f);
-
-  // load() migrates both records but remembers what the file said...
-  const sweep::ResultStore store = sweep::ResultStore::load(path);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.min_schema(), 5);
-  EXPECT_EQ(store.max_schema(), 6);
-  // ...and verdict-bearing consumers refuse the mix, naming both versions.
-  try {
-    store.require_uniform_schema("test-store");
-    FAIL() << "mixed-schema store accepted";
-  } catch (const ScfiError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("v5"), std::string::npos) << what;
-    EXPECT_NE(what.find("v6"), std::string::npos) << what;
-    EXPECT_NE(what.find("store-compact"), std::string::npos) << what;
-  }
-  EXPECT_THROW(sweep::ResultStore::compact_file(path), ScfiError);
-
-  // --migrate deliberately rewrites everything at the current version;
-  // afterwards the store is uniform and compaction succeeds.
-  const auto stats = sweep::ResultStore::compact_file(path, /*migrate=*/true);
-  EXPECT_EQ(stats.records, 2u);
-  const sweep::ResultStore migrated = sweep::ResultStore::load(path);
-  EXPECT_EQ(migrated.min_schema(), 6);
-  EXPECT_EQ(migrated.max_schema(), 6);
-  EXPECT_NO_THROW(migrated.require_uniform_schema("test-store"));
-  EXPECT_NO_THROW(sweep::ResultStore::compact_file(path));
-
-  // A uniform store — even an all-v5 one — passes the check: uniformity,
-  // not age, is the property the verdict consumers need.
-  const std::string old_path = ::testing::TempDir() + "/uniform_v5.jsonl";
-  std::remove(old_path.c_str());
-  std::FILE* old_file = std::fopen(old_path.c_str(), "wb");
-  ASSERT_NE(old_file, nullptr);
-  std::fputs((v5_line + "\n").c_str(), old_file);
-  std::fclose(old_file);
-  EXPECT_NO_THROW(sweep::ResultStore::load(old_path).require_uniform_schema("old"));
-  std::remove(old_path.c_str());
-  std::remove(path.c_str());
 }
 
 }  // namespace

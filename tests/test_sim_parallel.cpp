@@ -538,69 +538,30 @@ TEST(SimParallel, CampaignInvariantUnderLanesAndThreads) {
   core::ScfiConfig sc;
   sc.protection_level = 3;
   const fsm::CompiledFsm hardened = core::scfi_harden(f, d, sc);
-  for (const CampaignPlanner planner :
-       {CampaignPlanner::kStreaming, CampaignPlanner::kStreamingMaterialized}) {
-    for (const fsm::CompiledFsm* variant : {&plain, &hardened}) {
-      for (const FaultKind kind : {FaultKind::kTransientFlip, FaultKind::kStuckAt1}) {
-        CampaignConfig base;
-        base.runs = 200;
-        base.cycles = 12;
-        base.fault.k = 2;
-        base.fault.kinds = {kind};
-        base.seed = 99;
-        base.planner = planner;
-        base.lanes = 1;
-        const CampaignResult scalar = run_campaign(f, *variant, base);
-        // All four lane-block widths (1/2/4/8 words -> 64/128/256/512
-        // lanes) plus ragged shapes, against the scalar reference.
-        for (const int lanes : {7, 64, 100, 128, 256, 512}) {
-          CampaignConfig cfg = base;
-          cfg.lanes = lanes;
-          EXPECT_EQ(run_campaign(f, *variant, cfg), scalar) << "lanes=" << lanes;
-        }
-        for (const int lanes : {64, 512}) {
-          CampaignConfig threaded = base;
-          threaded.lanes = lanes;
-          threaded.threads = 4;
-          EXPECT_EQ(run_campaign(f, *variant, threaded), scalar)
-              << "lanes=" << lanes << " threads=4";
-        }
-      }
-    }
-  }
-}
-
-TEST(SimParallel, StreamingMatchesMaterializedOracle) {
-  // The on-the-fly streaming planner must be bit-identical to the same plan
-  // materialized up front and fed through the shared batch executor — the
-  // differential oracle for the O(lanes)-memory path — for every lanes /
-  // threads packing.
-  const fsm::Fsm f = test::synfi_fsm();
-  rtlil::Design d;
-  const fsm::CompiledFsm plain = fsm::compile_unprotected(f, d);
-  core::ScfiConfig sc;
-  sc.protection_level = 2;
-  const fsm::CompiledFsm hardened = core::scfi_harden(f, d, sc);
   for (const fsm::CompiledFsm* variant : {&plain, &hardened}) {
-    CampaignConfig base;
-    base.runs = 500;
-    base.cycles = 10;
-    base.fault.k = 3;
-    base.seed = 2024;
-    base.planner = CampaignPlanner::kStreamingMaterialized;
-    const CampaignResult oracle = run_campaign(f, *variant, base);
-    struct LanesThreads {
-      int lanes;
-      int threads;
-    };
-    for (const LanesThreads lt : {LanesThreads{1, 1}, {7, 1}, {64, 1}, {64, 4}, {13, 3},
-                                  {128, 1}, {256, 4}, {512, 1}, {512, 4}, {100, 3}}) {
-      CampaignConfig cfg = base;
-      cfg.planner = CampaignPlanner::kStreaming;
-      cfg.lanes = lt.lanes;
-      cfg.threads = lt.threads;
-      EXPECT_EQ(run_campaign(f, *variant, cfg), oracle)
-          << "lanes=" << lt.lanes << " threads=" << lt.threads;
+    for (const FaultKind kind : {FaultKind::kTransientFlip, FaultKind::kStuckAt1}) {
+      CampaignConfig base;
+      base.runs = 200;
+      base.cycles = 12;
+      base.fault.k = 2;
+      base.fault.kinds = {kind};
+      base.seed = 99;
+      base.lanes = 1;
+      const CampaignResult scalar = run_campaign(f, *variant, base);
+      // All four lane-block widths (1/2/4/8 words -> 64/128/256/512
+      // lanes) plus ragged shapes, against the scalar reference.
+      for (const int lanes : {7, 64, 100, 128, 256, 512}) {
+        CampaignConfig cfg = base;
+        cfg.lanes = lanes;
+        EXPECT_EQ(run_campaign(f, *variant, cfg), scalar) << "lanes=" << lanes;
+      }
+      for (const int lanes : {64, 512}) {
+        CampaignConfig threaded = base;
+        threaded.lanes = lanes;
+        threaded.threads = 4;
+        EXPECT_EQ(run_campaign(f, *variant, threaded), scalar)
+            << "lanes=" << lanes << " threads=4";
+      }
     }
   }
 }
@@ -649,44 +610,10 @@ TEST(SimParallel, DistinctFaultSitesWhenPopulationSuffices) {
   EXPECT_GT(r.effective(), 0);
 }
 
-TEST(SimParallel, PlanBytesCapAppliesToMaterializingPlannersOnly) {
-  const fsm::Fsm f = test::paper_fsm();
-  rtlil::Design d;
-  const fsm::CompiledFsm plain = fsm::compile_unprotected(f, d);
-
-  CampaignConfig cfg;
-  cfg.runs = 100;
-  cfg.cycles = 8;
-  cfg.fault.k = 2;
-  // ~8 bytes per run-cycle plus 12 per scheduled fault (site, cycle, kind).
-  EXPECT_EQ(planned_bytes(cfg), 100 * (8 * 4 + (8 + 1) * 4) + 100 * 2 * 12);
-
-  // A 10^8-run campaign would materialize ~8 GB of plan; the default cap
-  // rejects the materializing planner up front (ScfiError, not OOM). The
-  // estimate itself must not overflow.
-  CampaignConfig huge = cfg;
-  huge.runs = 100'000'000;
-  EXPECT_GT(planned_bytes(huge), huge.max_plan_bytes);
-  huge.planner = CampaignPlanner::kStreamingMaterialized;
-  EXPECT_THROW(run_campaign(f, plain, huge), ScfiError);
-
-  // A tight explicit cap rejects even a small campaign when materializing;
-  // cap 0 disables the check.
-  CampaignConfig capped = cfg;
-  capped.planner = CampaignPlanner::kStreamingMaterialized;
-  capped.max_plan_bytes = 16;
-  EXPECT_THROW(run_campaign(f, plain, capped), ScfiError);
-  capped.max_plan_bytes = 0;
-  CampaignConfig uncapped = cfg;
-  uncapped.planner = CampaignPlanner::kStreamingMaterialized;
-  EXPECT_EQ(run_campaign(f, plain, capped), run_campaign(f, plain, uncapped));
-}
-
 TEST(SimParallel, OverCapCampaignRunsWithStreamingPlanner) {
-  // A campaign whose materialized plan would blow a (here deliberately
-  // tiny) max_plan_bytes cap runs to completion with the streaming planner
-  // — the cap only guards up-front materialization — and stays bit-identical
-  // across lane/thread packings while accounting every run.
+  // A large campaign runs to completion with the streaming planner and
+  // stays bit-identical across lane/thread packings while accounting every
+  // run.
   const fsm::Fsm f = test::paper_fsm();
   rtlil::Design d;
   const fsm::CompiledFsm plain = fsm::compile_unprotected(f, d);
@@ -696,14 +623,6 @@ TEST(SimParallel, OverCapCampaignRunsWithStreamingPlanner) {
   cfg.cycles = 3;
   cfg.fault.k = 1;
   cfg.seed = 11;
-  cfg.max_plan_bytes = 1 << 16;  // 64 KiB: far below the ~10 MB plan
-  ASSERT_GT(planned_bytes(cfg), cfg.max_plan_bytes);
-
-  CampaignConfig materialized = cfg;
-  materialized.planner = CampaignPlanner::kStreamingMaterialized;
-  EXPECT_THROW(run_campaign(f, plain, materialized), ScfiError);
-
-  cfg.planner = CampaignPlanner::kStreaming;
   const CampaignResult r = run_campaign(f, plain, cfg);
   EXPECT_EQ(r.runs, cfg.runs);
   EXPECT_EQ(r.masked + r.detected + r.hijacked + r.lagged + r.silent_invalid, cfg.runs);

@@ -1,6 +1,6 @@
 // The sweep subsystem contract: the JSONL result-store schema is pinned by
-// golden lines (schema v5 — bump ResultStore::kSchemaVersion when it has
-// to change; v1..v4 lines migrate on load), load/save/merge/diff
+// golden lines (schema v6 — bump ResultStore::kSchemaVersion when it has
+// to change; a line of any other version is rejected), load/save/merge/diff
 // round-trip, SweepOrchestrator results — SYNFI and Monte-Carlo campaign
 // jobs alike, from the zoo or a KISS2 corpus — are bit-identical to direct
 // per-module analyze()/run_campaign() for every jobs/threads combination
@@ -16,10 +16,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +41,7 @@ namespace scfi::sweep {
 namespace {
 
 /// A store record with every field populated, fixed so the golden line
-/// below pins the v1 schema byte for byte.
+/// below pins the schema byte for byte.
 SweepResult golden_result() {
   SweepResult result;
   result.job.module = "pwrmgr_fsm";
@@ -72,31 +74,6 @@ constexpr const char* kGoldenLine =
     "\"stalls\":1,\"exploitable_sites\":[\"mds_x_12[0]\",\"mds_a_3[1]\"],"
     "\"attempts\":1,\"seconds\":0.125000}";
 
-/// The same record as a schema-v5 line (single-fault threat model: no
-/// `faults_k`/`protection_degree`/SYNFI `target` fields); load() must keep
-/// accepting these, defaulting the threat model to one any-target fault and
-/// deriving the degree from the single-fault verdict.
-constexpr const char* kGoldenLineV5 =
-    "{\"schema\":5,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,"
-    "\"status\":\"ok\",\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"sites\":75,\"injections\":1275,\"exploitable\":2,\"detected\":1200,\"masked\":73,"
-    "\"stalls\":1,\"exploitable_sites\":[\"mds_x_12[0]\",\"mds_a_3[1]\"],"
-    "\"attempts\":1,\"seconds\":0.125000}";
-
-/// The same record as a schema-v3 line (pre-status: no `status`/`attempts`
-/// fields); load() must keep accepting these and migrate them to ok
-/// single-attempt records.
-constexpr const char* kGoldenLineV3 =
-    "{\"schema\":3,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,"
-    "\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"sites\":75,\"injections\":1275,\"exploitable\":2,\"detected\":1200,\"masked\":73,"
-    "\"stalls\":1,\"exploitable_sites\":[\"mds_x_12[0]\",\"mds_a_3[1]\"],"
-    "\"seconds\":0.125000}";
-
 /// A failed record: full job identity, no payload counters, the error and
 /// attempt count instead.
 SweepResult golden_failed_result() {
@@ -124,45 +101,8 @@ constexpr const char* kGoldenFailedLine =
     "\"error\":\"synfi: no fault sites match prefix 'mds_'\","
     "\"attempts\":3,\"seconds\":0.125000}";
 
-constexpr const char* kGoldenFailedLineV5 =
-    "{\"schema\":5,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,"
-    "\"status\":\"failed\",\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"error\":\"synfi: no fault sites match prefix 'mds_'\","
-    "\"attempts\":3,\"seconds\":0.125000}";
-
-/// The same record as a schema-v1 line (pre-campaign: no `type` field);
-/// load() must keep accepting these and migrate them to SYNFI records.
-constexpr const char* kGoldenLineV1 =
-    "{\"schema\":1,\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"sites\":75,\"injections\":1275,\"exploitable\":2,\"detected\":1200,\"masked\":73,"
-    "\"stalls\":1,\"exploitable_sites\":[\"mds_x_12[0]\",\"mds_a_3[1]\"],"
-    "\"seconds\":0.125000}";
-
-/// The same record as a schema-v2 line (pre-corpus: no `source` field);
-/// load() must keep accepting these and migrate them to zoo records.
-constexpr const char* kGoldenLineV2 =
-    "{\"schema\":2,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"sites\":75,\"injections\":1275,\"exploitable\":2,\"detected\":1200,\"masked\":73,"
-    "\"stalls\":1,\"exploitable_sites\":[\"mds_x_12[0]\",\"mds_a_3[1]\"],"
-    "\"seconds\":0.125000}";
-
-/// A schema-v2 campaign line: the `type` routing must survive the v3 bump.
-constexpr const char* kGoldenCampaignLineV2 =
-    "{\"schema\":2,\"type\":\"campaign\","
-    "\"key\":\"pwrmgr_fsm|scfi|n2|mc|flip|t=any|runs=2000|c=12|f=1|s=7\","
-    "\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":2,\"kind\":\"flip\","
-    "\"target\":\"any\",\"runs\":2000,\"cycles\":12,\"faults\":1,\"seed\":7,"
-    "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
-    "\"seconds\":0.250000}";
-
-/// A campaign record with every field populated, pinning the v2 campaign
-/// line byte for byte.
+/// A campaign record with every field populated, pinning the campaign line
+/// byte for byte.
 SweepResult golden_campaign_result() {
   SweepResult result;
   result.job.type = JobType::kCampaign;
@@ -192,29 +132,8 @@ constexpr const char* kGoldenCampaignLine =
     "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
     "\"attempts\":1,\"seconds\":0.250000}";
 
-/// The same campaign record as a schema-v5 line (campaign lines carry the
-/// threat model since v2 — kind/target/faults — so only the version bumps).
-constexpr const char* kGoldenCampaignLineV5 =
-    "{\"schema\":5,\"type\":\"campaign\","
-    "\"key\":\"pwrmgr_fsm|scfi|n2|mc|flip|t=any|runs=2000|c=12|f=1|s=7\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":2,"
-    "\"status\":\"ok\",\"kind\":\"flip\","
-    "\"target\":\"any\",\"runs\":2000,\"cycles\":12,\"faults\":1,\"seed\":7,"
-    "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
-    "\"attempts\":1,\"seconds\":0.250000}";
-
-/// The same campaign record as a schema-v3 line.
-constexpr const char* kGoldenCampaignLineV3 =
-    "{\"schema\":3,\"type\":\"campaign\","
-    "\"key\":\"pwrmgr_fsm|scfi|n2|mc|flip|t=any|runs=2000|c=12|f=1|s=7\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":2,"
-    "\"kind\":\"flip\","
-    "\"target\":\"any\",\"runs\":2000,\"cycles\":12,\"faults\":1,\"seed\":7,"
-    "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
-    "\"seconds\":0.250000}";
-
 /// A corpus-sourced campaign record: the source label prefixes the key and
-/// is carried in the v3 `source` field.
+/// is carried in the `source` field.
 SweepResult golden_corpus_result() {
   SweepResult result = golden_campaign_result();
   result.job.source = "corpus";
@@ -231,55 +150,7 @@ constexpr const char* kGoldenCorpusLine =
     "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
     "\"attempts\":1,\"seconds\":0.250000}";
 
-constexpr const char* kGoldenCorpusLineV5 =
-    "{\"schema\":5,\"type\":\"campaign\","
-    "\"key\":\"corpus::mcnc/lion|scfi|n2|mc|flip|t=any|runs=2000|c=12|f=1|s=7\","
-    "\"source\":\"corpus\",\"module\":\"mcnc/lion\",\"variant\":\"scfi\",\"level\":2,"
-    "\"status\":\"ok\",\"kind\":\"flip\","
-    "\"target\":\"any\",\"runs\":2000,\"cycles\":12,\"faults\":1,\"seed\":7,"
-    "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
-    "\"attempts\":1,\"seconds\":0.250000}";
-
-/// The same corpus record as a schema-v3 line.
-constexpr const char* kGoldenCorpusLineV3 =
-    "{\"schema\":3,\"type\":\"campaign\","
-    "\"key\":\"corpus::mcnc/lion|scfi|n2|mc|flip|t=any|runs=2000|c=12|f=1|s=7\","
-    "\"source\":\"corpus\",\"module\":\"mcnc/lion\",\"variant\":\"scfi\",\"level\":2,"
-    "\"kind\":\"flip\","
-    "\"target\":\"any\",\"runs\":2000,\"cycles\":12,\"faults\":1,\"seed\":7,"
-    "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
-    "\"seconds\":0.250000}";
-
-/// The ok and failed goldens as schema-v4 lines (pre-fleet: no
-/// `worker`/`deadline` fields, no `leased` status); load() must keep
-/// accepting these and migrate them to v5 unchanged.
-constexpr const char* kGoldenLineV4 =
-    "{\"schema\":4,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,"
-    "\"status\":\"ok\",\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"sites\":75,\"injections\":1275,\"exploitable\":2,\"detected\":1200,\"masked\":73,"
-    "\"stalls\":1,\"exploitable_sites\":[\"mds_x_12[0]\",\"mds_a_3[1]\"],"
-    "\"attempts\":1,\"seconds\":0.125000}";
-
-constexpr const char* kGoldenFailedLineV4 =
-    "{\"schema\":4,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,"
-    "\"status\":\"failed\",\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"error\":\"synfi: no fault sites match prefix 'mds_'\","
-    "\"attempts\":3,\"seconds\":0.125000}";
-
-constexpr const char* kGoldenCampaignLineV4 =
-    "{\"schema\":4,\"type\":\"campaign\","
-    "\"key\":\"pwrmgr_fsm|scfi|n2|mc|flip|t=any|runs=2000|c=12|f=1|s=7\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":2,"
-    "\"status\":\"ok\",\"kind\":\"flip\","
-    "\"target\":\"any\",\"runs\":2000,\"cycles\":12,\"faults\":1,\"seed\":7,"
-    "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
-    "\"attempts\":1,\"seconds\":0.250000}";
-
-/// A fleet lease record (v5): status `leased` with the holder and its
+/// A fleet lease record: status `leased` with the holder and its
 /// expiry; no payload counters.
 SweepResult golden_leased_result() {
   SweepResult result;
@@ -301,16 +172,25 @@ constexpr const char* kGoldenLeasedLine =
     "\"deadline\":1754700000.500000,"
     "\"attempts\":1,\"seconds\":0.000000}";
 
-constexpr const char* kGoldenLeasedLineV5 =
-    "{\"schema\":5,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,"
-    "\"status\":\"leased\",\"worker\":\"w2.1\",\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\",\"free_symbol\":true,"
-    "\"deadline\":1754700000.500000,"
-    "\"attempts\":1,\"seconds\":0.000000}";
-
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// The head of a minimal v6 SYNFI line: the identity fields parse_line
+/// requires, except `status`. Each rejection case appends what it tests.
+constexpr const char* kV6Synfi =
+    "{\"schema\":6,\"type\":\"synfi\",\"source\":\"\",\"module\":\"m\",";
+
+/// parse_line must throw ScfiError for `line`, and for the stated reason:
+/// the message must contain `why`.
+void expect_rejected(const std::string& line, const std::string& why) {
+  try {
+    ResultStore::parse_line(line);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const ScfiError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << line << " -> " << e.what();
+  }
 }
 
 TEST(ResultStore, GoldenLinePinsSchema) {
@@ -319,68 +199,6 @@ TEST(ResultStore, GoldenLinePinsSchema) {
   EXPECT_EQ(ResultStore::to_line(golden_corpus_result()), kGoldenCorpusLine);
   EXPECT_EQ(ResultStore::to_line(golden_failed_result()), kGoldenFailedLine);
   EXPECT_EQ(ResultStore::to_line(golden_leased_result()), kGoldenLeasedLine);
-}
-
-TEST(ResultStore, SchemaV4LinesMigrateToCurrent) {
-  // v4 predates the fleet: lines migrate with empty worker / zero deadline
-  // (and, like every pre-v6 line, a single-fault any-target threat model)
-  // and re-serialize as the current version.
-  for (const auto& [v4, v6] : {std::pair{kGoldenLineV4, kGoldenLine},
-                               {kGoldenFailedLineV4, kGoldenFailedLine},
-                               {kGoldenCampaignLineV4, kGoldenCampaignLine}}) {
-    const SweepResult migrated = ResultStore::parse_line(v4);
-    EXPECT_EQ(migrated.worker, "");
-    EXPECT_EQ(migrated.deadline, 0.0);
-    EXPECT_EQ(ResultStore::to_line(migrated), v6);
-  }
-  // Pre-v5 lines cannot smuggle in the fleet fields (worker/deadline and
-  // the leased status are v5).
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":4,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"ok\",\"worker\":\"w0.0\"}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":4,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"leased\",\"deadline\":1.0}"),
-               ScfiError);
-}
-
-TEST(ResultStore, SchemaV5LinesMigrateToKFaultRecords) {
-  // v5 predates the k-fault threat model: SYNFI lines migrate with
-  // faults_k = 1, an any-target filter, and a protection degree derived
-  // from the single-fault verdict (exploitable > 0 -> degree 1); campaign
-  // lines carried kind/target/faults since v2, so only the version bumps.
-  int schema = 0;
-  for (const auto& [v5, v6] : {std::pair{kGoldenLineV5, kGoldenLine},
-                               {kGoldenFailedLineV5, kGoldenFailedLine},
-                               {kGoldenCampaignLineV5, kGoldenCampaignLine},
-                               {kGoldenCorpusLineV5, kGoldenCorpusLine},
-                               {kGoldenLeasedLineV5, kGoldenLeasedLine}}) {
-    const SweepResult migrated = ResultStore::parse_line(v5, &schema);
-    EXPECT_EQ(schema, 5);
-    EXPECT_EQ(migrated.job.synfi.faults_k, 1);
-    EXPECT_TRUE(migrated.job.synfi.target == sim::FaultTarget::kAny);
-    EXPECT_EQ(migrated.job.campaign.fault.k, 1);
-    EXPECT_EQ(ResultStore::to_line(migrated), v6);
-  }
-  // The ok golden has exploitable = 2, so its migrated degree is 1; a
-  // clean v5 record migrates to degree 0.
-  EXPECT_EQ(ResultStore::parse_line(kGoldenLineV5).protection_degree, 1);
-  std::string clean = kGoldenLineV5;
-  clean.replace(clean.find("\"exploitable\":2"), 15, "\"exploitable\":0");
-  EXPECT_EQ(ResultStore::parse_line(clean).protection_degree, 0);
-  // parse_line reports the current version for current lines.
-  ResultStore::parse_line(kGoldenLine, &schema);
-  EXPECT_EQ(schema, 6);
-  // Pre-v6 lines cannot smuggle in the threat-model fields (faults_k,
-  // protection_degree, and the SYNFI target are v6).
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":5,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"ok\",\"faults_k\":2}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":5,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"ok\",\"protection_degree\":1}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":5,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"ok\",\"target\":\"state\"}"),
-               ScfiError);
 }
 
 TEST(ResultStore, LeasedRecordRoundTripAndValidation) {
@@ -400,51 +218,15 @@ TEST(ResultStore, LeasedRecordRoundTripAndValidation) {
   EXPECT_FALSE(reports_equal(parsed, golden_failed_result()));
 
   // The deadline travels with leases only, and leases must carry one.
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":5,\"type\":\"synfi\",\"module\":\"m\","
+  EXPECT_THROW(ResultStore::parse_line(std::string(kV6Synfi) +
                                        "\"status\":\"ok\",\"deadline\":1.0}"),
                ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":5,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"leased\"}"),
+  EXPECT_THROW(ResultStore::parse_line(std::string(kV6Synfi) + "\"status\":\"leased\"}"),
                ScfiError);
   // Only failed records carry an error message.
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":5,\"type\":\"synfi\",\"module\":\"m\","
+  EXPECT_THROW(ResultStore::parse_line(std::string(kV6Synfi) +
                                        "\"status\":\"leased\",\"deadline\":1.0,"
                                        "\"error\":\"boom\"}"),
-               ScfiError);
-}
-
-TEST(ResultStore, SchemaV3LinesMigrateToOkRecords) {
-  // v3 predates job status: lines migrate as ok single-attempt records and
-  // re-serialize as the current version, byte for byte.
-  for (const auto& [v3, v4] : {std::pair{kGoldenLineV3, kGoldenLine},
-                               {kGoldenCampaignLineV3, kGoldenCampaignLine},
-                               {kGoldenCorpusLineV3, kGoldenCorpusLine}}) {
-    const SweepResult migrated = ResultStore::parse_line(v3);
-    EXPECT_TRUE(migrated.status == JobStatus::kOk);
-    EXPECT_EQ(migrated.attempts, 1);
-    EXPECT_EQ(migrated.error, "");
-    EXPECT_EQ(ResultStore::to_line(migrated), v4);
-  }
-  // Pre-v4 lines cannot smuggle in the status fields (job status is v4).
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":3,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"ok\"}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":3,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"attempts\":2}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":2,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"error\":\"boom\"}"),
-               ScfiError);
-  // Malformed v4 status values are rejected, as are zero attempt counts and
-  // ok records carrying an error message.
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":4,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"exploded\"}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":4,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"attempts\":0}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":4,\"type\":\"synfi\",\"module\":\"m\","
-                                       "\"status\":\"ok\",\"error\":\"boom\"}"),
                ScfiError);
 }
 
@@ -523,29 +305,6 @@ TEST(ResultStore, CorpusLineRoundTripAndKeyPrefix) {
   EXPECT_NE(zoo.key(), expected.key());
 }
 
-TEST(ResultStore, SchemaV2LinesMigrateToZooRecords) {
-  const SweepResult migrated = ResultStore::parse_line(kGoldenLineV2);
-  const SweepResult expected = golden_result();
-  EXPECT_EQ(migrated.job.source, "");
-  EXPECT_EQ(migrated.key(), expected.key());
-  EXPECT_TRUE(migrated.report == expected.report);
-  // Re-serializing a migrated record writes the current schema version.
-  EXPECT_EQ(ResultStore::to_line(migrated), kGoldenLine);
-  // Campaign routing survives the migration too.
-  const SweepResult campaign = ResultStore::parse_line(kGoldenCampaignLineV2);
-  EXPECT_TRUE(campaign.job.type == JobType::kCampaign);
-  EXPECT_EQ(campaign.key(), golden_campaign_result().key());
-  EXPECT_EQ(ResultStore::to_line(campaign), kGoldenCampaignLine);
-  // A v2 (or v1) line cannot smuggle in a source field (corpora are v3).
-  EXPECT_THROW(
-      ResultStore::parse_line("{\"schema\":2,\"type\":\"synfi\",\"module\":\"m\","
-                              "\"source\":\"corpus\"}"),
-      ScfiError);
-  EXPECT_THROW(
-      ResultStore::parse_line("{\"schema\":1,\"module\":\"m\",\"source\":\"corpus\"}"),
-      ScfiError);
-}
-
 TEST(ResultStore, CampaignSeedRoundTripsExactly) {
   // Seeds above 2^53 must survive the JSONL round trip bit-exactly — a
   // double-typed parse would silently round the seed and change the
@@ -557,12 +316,16 @@ TEST(ResultStore, CampaignSeedRoundTripsExactly) {
   EXPECT_EQ(parsed.key(), result.key());
   // Negative or out-of-range seeds are malformed lines, not values to wrap
   // or saturate into a different (silently resumable) key.
-  const std::string prefix = "{\"schema\":2,\"type\":\"campaign\",\"module\":\"m\",\"seed\":";
+  const std::string prefix =
+      "{\"schema\":6,\"type\":\"campaign\",\"source\":\"\",\"module\":\"m\","
+      "\"status\":\"ok\",\"seed\":";
   EXPECT_THROW(ResultStore::parse_line(prefix + "-1}"), ScfiError);
   EXPECT_THROW(ResultStore::parse_line(prefix + "18446744073709551616}"), ScfiError);
   // Count fields are int-bounded: an out-of-range or negative count is a
   // malformed line, not a value to wrap through a double->int cast.
-  const std::string count_prefix = "{\"schema\":2,\"type\":\"campaign\",\"module\":\"m\",\"runs\":";
+  const std::string count_prefix =
+      "{\"schema\":6,\"type\":\"campaign\",\"source\":\"\",\"module\":\"m\","
+      "\"status\":\"ok\",\"runs\":";
   EXPECT_THROW(ResultStore::parse_line(count_prefix + "9999999999}"), ScfiError);
   EXPECT_THROW(ResultStore::parse_line(count_prefix + "-5}"), ScfiError);
 }
@@ -579,20 +342,6 @@ TEST(ResultStore, CampaignLineRoundTrip) {
   EXPECT_TRUE(parsed.campaign == expected.campaign);
   EXPECT_TRUE(reports_equal(parsed, expected));
   EXPECT_EQ(ResultStore::to_line(parsed), kGoldenCampaignLine);
-}
-
-TEST(ResultStore, SchemaV1LinesMigrateToSynfiRecords) {
-  const SweepResult migrated = ResultStore::parse_line(kGoldenLineV1);
-  const SweepResult expected = golden_result();
-  EXPECT_TRUE(migrated.job.type == JobType::kSynfi);
-  EXPECT_EQ(migrated.key(), expected.key());
-  EXPECT_TRUE(migrated.report == expected.report);
-  // Re-serializing a migrated record writes the current schema version.
-  EXPECT_EQ(ResultStore::to_line(migrated), kGoldenLine);
-  // A v1 line cannot smuggle in a campaign record (the type postdates v1).
-  EXPECT_THROW(
-      ResultStore::parse_line("{\"schema\":1,\"type\":\"campaign\",\"module\":\"m\"}"),
-      ScfiError);
 }
 
 TEST(ResultStore, ParseRoundTrip) {
@@ -612,15 +361,66 @@ TEST(ResultStore, ParseRoundTrip) {
 }
 
 TEST(ResultStore, ParseRejectsBadInput) {
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":99,\"module\":\"m\"}"), ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"module\":\"m\"}"), ScfiError);  // no schema
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":1}"), ScfiError);      // no module
-  EXPECT_THROW(ResultStore::parse_line("not json"), ScfiError);
+  const std::string ok = std::string(kV6Synfi) + "\"status\":\"ok\"";
+  ASSERT_NO_THROW(ResultStore::parse_line(ok + "}"));  // each case breaks one thing
+  expect_rejected("{\"schema\":99,\"module\":\"m\"}", "schema version 99");
+  expect_rejected("{\"module\":\"m\"}", "missing schema");
+  expect_rejected("{\"schema\":6,\"type\":\"synfi\",\"source\":\"\",\"status\":\"ok\"}",
+                  "missing module");
+  expect_rejected("not json", "expected '{'");
+  // type, source and status have no defaults: a v6 line always has them.
+  expect_rejected("{\"schema\":6,\"source\":\"\",\"module\":\"m\",\"status\":\"ok\"}",
+                  "missing a type, source, or status");
+  expect_rejected("{\"schema\":6,\"type\":\"synfi\",\"module\":\"m\",\"status\":\"ok\"}",
+                  "missing a type, source, or status");
+  expect_rejected(std::string(kV6Synfi) + "\"level\":2}", "missing a type, source, or status");
   // Malformed \u escapes surface as ScfiError (with file:line context from
   // load()), never as a bare std::invalid_argument.
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":1,\"module\":\"\\uzzzz\"}"), ScfiError);
-  EXPECT_THROW(ResultStore::parse_line("{\"schema\":1,\"module\":\"\\u00x1\"}"), ScfiError);
+  expect_rejected(
+      "{\"schema\":6,\"type\":\"synfi\",\"source\":\"\",\"status\":\"ok\",\"module\":\"\\uzzzz\"}",
+      "\\u escape");
+  expect_rejected(
+      "{\"schema\":6,\"type\":\"synfi\",\"source\":\"\",\"status\":\"ok\",\"module\":\"\\u00x1\"}",
+      "\\u escape");
+  // Status values, attempt counts and error fields are validated.
+  expect_rejected(std::string(kV6Synfi) + "\"status\":\"exploded\"}", "unknown job status");
+  expect_rejected(ok + ",\"attempts\":0}", "attempts must be >= 1");
+  expect_rejected(ok + ",\"error\":\"boom\"}", "only failed records");
+  // Integer fields take only non-negative integers in range: a double cast
+  // to an integer would be undefined out of range and would load a garbage
+  // key (level 1e20 became n-2147483648, -3 became n-3).
+  expect_rejected("{\"schema\":6,\"type\":\"synfi\",\"module\":\"m\",\"level\":1e20}",
+                  "malformed integer");
+  expect_rejected("{\"schema\":6,\"type\":\"synfi\",\"module\":\"m\",\"level\":-3}",
+                  "malformed integer");
+  expect_rejected("{\"schema\":1e300,\"type\":\"synfi\",\"module\":\"m\"}", "malformed integer");
+  expect_rejected(ok + ",\"sites\":1e30}", "malformed integer");
+  expect_rejected(ok + ",\"level\":2.5}", "malformed integer");
+  expect_rejected(ok + ",\"level\":2147483648}", "out of range");
+  expect_rejected(ok + ",\"injections\":9223372036854775808}", "out of range");
+  expect_rejected(ok + ",\"stalls\":-1}", "malformed integer");
 }
+
+/// Table of the schema versions the store no longer reads: v1..v5 and the
+/// not-yet-defined v7.
+class OtherSchemaVersion : public testing::TestWithParam<int> {};
+
+TEST_P(OtherSchemaVersion, LineIsRejectedNamingItsVersion) {
+  // Only v6 is read. Older and newer lines are not migrated but rejected
+  // with an error that names their version, so their store is regenerated.
+  const int version = GetParam();
+  const std::string head = "{\"schema\":6";
+  ASSERT_EQ(std::string(kGoldenLine).rfind(head, 0), 0u);
+  const std::string line =
+      "{\"schema\":" + std::to_string(version) + (kGoldenLine + head.size());
+  expect_rejected(line, "schema version " + std::to_string(version) + " ");
+  expect_rejected(line, "regenerate");
+}
+
+INSTANTIATE_TEST_SUITE_P(ResultStore, OtherSchemaVersion, testing::Values(1, 2, 3, 4, 5, 7),
+                         [](const testing::TestParamInfo<int>& info) {
+                           return "V" + std::to_string(info.param);
+                         });
 
 TEST(ResultStore, EscapedStringsRoundTrip) {
   SweepResult result = golden_result();
@@ -630,6 +430,123 @@ TEST(ResultStore, EscapedStringsRoundTrip) {
   const SweepResult parsed = ResultStore::parse_line(line);
   EXPECT_EQ(parsed.job.module, result.job.module);
   EXPECT_EQ(parsed.report.exploitable_sites, result.report.exploitable_sites);
+}
+
+/// Random store-record generator for the round-trip property test. Strings
+/// lean on the bytes the JSON writer escapes, integers mix small values
+/// with values above 2^53, and times are whole microseconds so that the
+/// writer's six decimals print them exactly.
+class RandomRecords {
+ public:
+  explicit RandomRecords(std::uint64_t seed) : rng_(seed) {}
+
+  SweepResult next(JobType type, JobStatus status) {
+    SweepResult r;
+    SweepJob& job = r.job;
+    job.type = type;
+    job.source = coin() ? "" : text(1);
+    job.module = text(1);
+    job.variant = text(0);
+    job.protection_level = count();
+    if (type == JobType::kCampaign) {
+      job.campaign.runs = count();
+      job.campaign.cycles = count();
+      job.campaign.fault.k = count();
+      job.campaign.fault.target = target();
+      job.campaign.fault.kinds.clear();
+      for (int n = 1 + static_cast<int>(rng_() % 4); n > 0; --n) {
+        job.campaign.fault.kinds.push_back(kind());
+      }
+      job.campaign.seed = coin() ? rng_() % 1000 : rng_();
+    } else {
+      job.synfi.wire_prefix = text(0);
+      job.synfi.include_inputs = coin();
+      job.synfi.backend = coin() ? synfi::Backend::kSat : synfi::Backend::kExhaustiveSim;
+      job.synfi.kind = kind();
+      job.synfi.target = target();
+      job.synfi.faults_k = 1 + static_cast<int>(rng_() % 4);
+      job.synfi.free_symbol = coin();
+    }
+    r.status = status;
+    if (status == JobStatus::kOk && type == JobType::kCampaign) {
+      r.campaign.runs = job.campaign.runs;
+      r.campaign.masked = count();
+      r.campaign.detected = count();
+      r.campaign.hijacked = count();
+      r.campaign.lagged = count();
+      r.campaign.silent_invalid = count();
+    } else if (status == JobStatus::kOk) {
+      r.report.faults_k = job.synfi.faults_k;
+      r.report.sites = counter();
+      r.report.injections = counter();
+      r.report.exploitable = counter();
+      r.report.detected = counter();
+      r.report.masked = counter();
+      r.report.stalls = counter();
+      for (int n = static_cast<int>(rng_() % 4); n > 0; --n) {
+        r.report.exploitable_sites.push_back(text(0));
+      }
+      r.protection_degree = static_cast<int>(rng_() % 4);
+    }
+    if (status == JobStatus::kFailed) r.error = text(0);
+    // Whole microseconds around the epoch seconds of a lease deadline.
+    if (status == JobStatus::kLeased) r.deadline = micros(1'700'000'000'000'000ULL);
+    r.worker = coin() ? "" : text(1);
+    r.attempts = 1 + static_cast<int>(rng_() % 5);
+    r.seconds = micros(0);
+    return r;
+  }
+
+ private:
+  bool coin() { return (rng_() & 1) != 0; }
+  std::string text(std::size_t min_size) {
+    static constexpr char kAlphabet[] = "az_Z09|:/.[]{},\"\\\t\n\r\x01\x1f ";
+    std::string s(min_size + rng_() % 10, ' ');
+    for (char& c : s) c = kAlphabet[rng_() % (sizeof(kAlphabet) - 1)];
+    return s;
+  }
+  int count() {
+    return static_cast<int>(coin() ? rng_() % 100 : rng_() % (std::uint64_t{INT_MAX} + 1));
+  }
+  std::int64_t counter() {
+    return static_cast<std::int64_t>(coin() ? rng_() % 100 : rng_() >> 1);
+  }
+  double micros(std::uint64_t base) {
+    return static_cast<double>(base + rng_() % 100'000'000'000ULL) / 1e6;
+  }
+  sim::FaultKind kind() {
+    static constexpr sim::FaultKind kKinds[] = {
+        sim::FaultKind::kTransientFlip, sim::FaultKind::kStuckAt0, sim::FaultKind::kStuckAt1,
+        sim::FaultKind::kSkipCycle};
+    return kKinds[rng_() % 4];
+  }
+  sim::FaultTarget target() {
+    static constexpr sim::FaultTarget kTargets[] = {
+        sim::FaultTarget::kAny, sim::FaultTarget::kControlInputs,
+        sim::FaultTarget::kStateRegister, sim::FaultTarget::kLogic};
+    return kTargets[rng_() % 4];
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(ResultStore, RandomRecordsRoundTrip) {
+  RandomRecords gen(20261017);
+  for (int i = 0; i < 200; ++i) {
+    for (const JobType type : {JobType::kSynfi, JobType::kCampaign}) {
+      for (const JobStatus status : {JobStatus::kOk, JobStatus::kFailed, JobStatus::kLeased}) {
+        const SweepResult record = gen.next(type, status);
+        const std::string line = ResultStore::to_line(record);
+        const SweepResult parsed = ResultStore::parse_line(line);
+        ASSERT_EQ(ResultStore::to_line(parsed), line);
+        EXPECT_EQ(parsed.key(), record.key()) << line;
+        EXPECT_TRUE(reports_equal(parsed, record)) << line;
+        EXPECT_EQ(parsed.worker, record.worker) << line;
+        EXPECT_EQ(parsed.attempts, record.attempts) << line;
+        EXPECT_EQ(parsed.error, record.error) << line;
+      }
+    }
+  }
 }
 
 TEST(ResultStore, SaveLoadAppendDedupe) {
@@ -691,7 +608,7 @@ TEST(ResultStore, TornTailRecoveryIsOptInAndLastLineOnly) {
   // produces it — so even recovery mode refuses the file.
   {
     std::ofstream out(path, std::ios::trunc);
-    out << "{\"schema\":3,\"type\":\"synfi\",\"module\":\"m\"" << "\n"
+    out << "{\"schema\":6,\"type\":\"synfi\",\"module\":\"m\"" << "\n"
         << ResultStore::to_line(a) << "\n";
   }
   EXPECT_THROW(ResultStore::load(path, /*recover_torn_tail=*/true), ScfiError);
@@ -699,7 +616,7 @@ TEST(ResultStore, TornTailRecoveryIsOptInAndLastLineOnly) {
   // A store that is ONLY a torn line recovers to empty rather than failing.
   {
     std::ofstream out(path, std::ios::trunc);
-    out << "{\"schema\":3,\"ty";
+    out << "{\"schema\":6,\"ty";
   }
   EXPECT_EQ(ResultStore::load(path, /*recover_torn_tail=*/true).size(), 0u);
 }
@@ -719,7 +636,7 @@ TEST(ResultStore, SaveIsAtomicAndCompactsLatestWins) {
   ResultStore::append_line(path, b);
   {
     std::ofstream out(path, std::ios::app);
-    out << "{\"schema\":3,\"torn";
+    out << "{\"schema\":6,\"torn";
   }
 
   ResultStore store = ResultStore::load(path, /*recover_torn_tail=*/true);
@@ -754,7 +671,7 @@ TEST(ResultStore, CompactFileRewritesLatestWinsAndReportsStats) {
   ResultStore::append_line(path, golden_campaign_result());
   {
     std::ofstream out(path, std::ios::app);
-    out << "{\"schema\":5,\"torn";  // crash-shaped torn tail: salvaged, not fatal
+    out << "{\"schema\":6,\"torn";  // crash-shaped torn tail: salvaged, not fatal
   }
 
   const ResultStore::CompactStats stats = ResultStore::compact_file(path);
@@ -797,7 +714,7 @@ TEST(ResultStore, CompactFileFailsLoudlyOnMissingOrEmptyStore) {
   const std::string torn = temp_path("compact_torn_only.jsonl");
   {
     std::ofstream out(torn, std::ios::trunc);
-    out << "{\"schema\":5,\"torn";
+    out << "{\"schema\":6,\"torn";
   }
   EXPECT_THROW(ResultStore::compact_file(torn), ScfiError);
 }
