@@ -6,7 +6,7 @@
 //   scfi_cli area    <file.kiss2> [-n LEVEL]
 //   scfi_cli synfi   <file.kiss2> [-n LEVEL] [--backend sim|sat] [--faults-k K]
 //                    [--target any|inputs|state|logic] [--lanes K]
-//                    [--threads K] [--no-incremental]
+//                    [--threads K]
 //   scfi_cli attack  <file.kiss2> [-n LEVEL] [--faults K] [--faults-k K]
 //                    [--target any|inputs|state|logic] [--lanes K] [--threads K]
 //   scfi_cli sweep   [--corpus DIR] [--modules GLOBS] [--levels 2,3]
@@ -118,7 +118,7 @@ int usage() {
                "  harden/area/synfi/attack: -n LEVEL  protection level (default 2)\n"
                "  harden:  -o out.v --json out.json\n"
                "  synfi:   --backend sim|sat --faults-k K --target any|inputs|state|logic\n"
-               "           --lanes K --threads K --no-incremental\n"
+               "           --lanes K --threads K\n"
                "  attack:  --faults K (alias --faults-k) --target any|inputs|state|logic\n"
                "           --lanes K --threads K\n"
                "  (--lanes: simulator runs per pass, 1..512 = 64 x lane_words;\n"
@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
   std::string campaign_variants = "scfi";
   std::string campaign_target = "any";
   bool resume = false;
-  bool no_incremental = false;
   bool level_set = false;
   int level = 2;
   int faults = 1;
@@ -282,8 +281,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--backend" && has_value) {
         backend_name = argv[++i];
         scfi::sweep::backend_of(backend_name);  // validate now, use later
-      } else if (arg == "--no-incremental") {
-        no_incremental = true;
       } else if (arg == "--modules" && has_value) {
         modules = argv[++i];
       } else if (arg == "--levels" && has_value) {
@@ -477,7 +474,6 @@ int main(int argc, char** argv) {
             config.target = scfi::sweep::fault_target_of(t);
             config.faults_k = faults_k;
             config.backend = scfi::sweep::backend_of(backend_name);
-            config.sat_incremental = !no_incremental;
             configs.push_back(config);
           }
         }
@@ -660,11 +656,8 @@ int main(int argc, char** argv) {
       synfi_config.target = scfi::sweep::fault_target_of(target);
       synfi_config.lanes = lanes > 0 ? lanes : scfi::synfi::auto_lanes(*hard.module);
       synfi_config.threads = threads;
-      synfi_config.sat_incremental = !no_incremental;
-      std::printf(
-          "synfi config: backend=%s k=%d target=%s lanes=%d threads=%d incremental=%s\n",
-          backend_name.c_str(), faults_k, target.c_str(), synfi_config.lanes, threads,
-          no_incremental ? "no" : "yes");
+      std::printf("synfi config: backend=%s k=%d target=%s lanes=%d threads=%d\n",
+                  backend_name.c_str(), faults_k, target.c_str(), synfi_config.lanes, threads);
       scfi::synfi::Analyzer analyzer(fsm, hard);
       const scfi::synfi::SynfiReport r = analyzer.run(synfi_config);
       std::printf("synfi: %lld sites, %lld injections, %lld exploitable (%.2f%%), %lld detected\n",

@@ -96,8 +96,8 @@ json.dump(out, open(sys.argv[3], "w"), indent=2)
 print(f"wrote {sys.argv[3]}")
 EOF
 
-# SYNFI analysis engines: batched-vs-scalar exhaustive simulation and
-# incremental-vs-rebuild SAT. The bench emits the JSON itself; validate and
+# SYNFI analysis engines: batched-vs-scalar exhaustive simulation and the
+# incremental SAT back-end. The bench emits the JSON itself; validate and
 # pretty-print it through python so a malformed run cannot land in the repo.
 if [[ -x "$SYNFI_BENCH" ]]; then
   "$SYNFI_BENCH" --json > "$RAW"

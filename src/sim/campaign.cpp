@@ -1,7 +1,6 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <mutex>
 #include <numeric>
@@ -13,6 +12,7 @@
 #include "base/retry.h"
 #include "base/rng.h"
 #include "base/strutil.h"
+#include "sim/lane_classifier.h"
 
 namespace scfi::sim {
 namespace {
@@ -233,14 +233,13 @@ StimulusTable build_stimulus(const Fsm& fsm, const CompiledFsm& variant,
   return table;
 }
 
-/// A private Simulator of the variant with the campaign's wires resolved,
-/// and the per-lane stimulus driver.
+/// A private LaneClassifier of the variant (its Simulator, state register
+/// and alert), and the per-lane stimulus driver.
 class Harness {
  public:
   Harness(const Fsm& fsm, const CompiledFsm& variant, const StimulusTable& stim, int lane_words)
-      : sim(*variant.module, lane_words), stim_(&stim) {
-    state_h = sim.probe(variant.state_wire);
-    if (!variant.alert_wire.empty()) alert_h = sim.probe(variant.alert_wire);
+      : classifier(variant, lane_words), stim_(&stim) {
+    Simulator& sim = classifier.sim;
     if (stim.encoded) {
       symbol_h_ = sim.input_handle(variant.symbol_input_wire);
     } else {
@@ -248,7 +247,6 @@ class Harness {
     }
     in_width_ = stim.encoded ? symbol_h_.width : stim.num_inputs;
     check(in_width_ <= 64, "run_campaign: stimulus wider than one 64-bit code");
-    check(state_h.width <= 64, "run_campaign: state wire too wide");
     in_mask_ = in_width_ == 64 ? ~0ULL : (1ULL << in_width_) - 1;
     in_words_.resize(static_cast<std::size_t>(in_width_ * sim.lane_words()));
   }
@@ -257,6 +255,7 @@ class Harness {
   /// every other lane with zeros.
   template <typename EdgeOf>
   void drive(int n, EdgeOf edge_of) {
+    Simulator& sim = classifier.sim;
     const int W = sim.lane_words();
     std::fill(in_words_.begin(), in_words_.end(), 0);
     for (int lane = 0; lane < n; ++lane) {
@@ -280,16 +279,7 @@ class Harness {
     }
   }
 
-  /// Lane word `w` of the alert (any alert bit set); 0 without an alert.
-  std::uint64_t alert_word(int w) const {
-    std::uint64_t alert = 0;
-    for (std::int32_t i = 0; i < alert_h.width; ++i) alert |= sim.lane_word(alert_h.base + i, w);
-    return alert;
-  }
-
-  Simulator sim;
-  Simulator::WireHandle state_h;
-  Simulator::WireHandle alert_h;
+  LaneClassifier classifier;
 
  private:
   const StimulusTable* stim_;
@@ -345,14 +335,11 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
   const bool prunable_kind =
       std::any_of(config.fault.kinds.begin(), config.fault.kinds.end(),
                   [](FaultKind kind) { return kind != FaultKind::kSkipCycle; });
-  if (config.cycles < 1 || !prunable_kind) return {};
-  Simulator& sim = h.sim;
+  if (!prunable_kind) return {};
+  Simulator& sim = h.classifier.sim;
   const int lanes = sim.num_lanes();
 
-  std::vector<std::int32_t> roots;
-  for (std::int32_t i = 0; i < h.state_h.width; ++i) roots.push_back(h.state_h.base + i);
-  for (std::int32_t i = 0; i < h.alert_h.width; ++i) roots.push_back(h.alert_h.base + i);
-  const std::vector<char> cone = sim.fanin_cone(roots);
+  const std::vector<char> cone = h.classifier.observable_nets();
   Observability obs;
   obs.live_site.reserve(sites.size());
   for (const FaultSite& s : sites) {
@@ -432,7 +419,8 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
       sim.eval();
       for (int j = 0; j < n; ++j) {
         const std::vector<std::int32_t>& path = paths[static_cast<std::size_t>(j)];
-        const bool alert = h.alert_h.valid() && sim.get_lane(h.alert_h, j) != 0;
+        const bool alert =
+            h.classifier.alert_h.valid() && sim.get_lane(h.classifier.alert_h, j) != 0;
         if (t < path.size() && alert) return {};
         if (t == path.size()) obs.final_alert[static_cast<std::size_t>(path.back())] = alert;
       }
@@ -442,7 +430,7 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
         const std::vector<std::int32_t>& path = paths[static_cast<std::size_t>(j)];
         if (t >= path.size()) continue;
         const auto to = static_cast<std::size_t>(walk.to[static_cast<std::size_t>(path[t])]);
-        const std::uint64_t state = sim.get_lane(h.state_h, j);
+        const std::uint64_t state = sim.get_lane(h.classifier.state_h, j);
         if (state != variant.state_codes[to] ||
             (variant.has_error_state && state == variant.error_code)) {
           return {};
@@ -463,10 +451,8 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
 /// configuration pays for exactly one word.
 class BatchExecutor {
  public:
-  BatchExecutor(Harness harness, const CompiledFsm& variant, const std::vector<FaultSite>& sites,
-                const CampaignConfig& config)
-      : variant_(&variant),
-        config_(&config),
+  BatchExecutor(Harness harness, const std::vector<FaultSite>& sites, const CampaignConfig& config)
+      : config_(&config),
         h_(std::move(harness)),
         batch_(config, static_cast<std::size_t>(config.lanes)),
         scheduled_(static_cast<std::size_t>(config.lanes) *
@@ -474,10 +460,7 @@ class BatchExecutor {
         cycle_begin_(static_cast<std::size_t>(config.cycles) + 1),
         cycle_fill_(static_cast<std::size_t>(config.cycles)) {
     site_net_.reserve(sites.size());
-    for (const FaultSite& s : sites) site_net_.push_back(h_.sim.net_index(s.bit));
-    const auto W = static_cast<std::size_t>(h_.sim.lane_words());
-    state_words_.resize(static_cast<std::size_t>(h_.state_h.width) * W);
-    state_eq_.resize(variant.state_codes.size() * W);
+    for (const FaultSite& s : sites) site_net_.push_back(h_.classifier.sim.net_index(s.bit));
   }
 
   /// Queues run `run` of `plans`, simulating the batch once it is full.
@@ -497,11 +480,8 @@ class BatchExecutor {
   CampaignResult counts;
 
  private:
-  using Lanes = std::array<std::uint64_t, kMaxLaneWords>;  // words [0, W) used
-
   void simulate();
 
-  const CompiledFsm* variant_;
   const CampaignConfig* config_;
   Harness h_;
   RunPlans batch_;
@@ -517,14 +497,12 @@ class BatchExecutor {
   std::vector<ScheduledFault> scheduled_;
   std::vector<int> cycle_begin_;
   std::vector<int> cycle_fill_;
-  std::vector<std::uint64_t> state_words_;  ///< state bit i, word w: [i * W + w]
-  std::vector<std::uint64_t> state_eq_;     ///< state s, word w: [s * W + w]
 };
 
 void BatchExecutor::simulate() {
-  const CompiledFsm& variant = *variant_;
   const CampaignConfig& config = *config_;
-  Simulator& sim = h_.sim;
+  LaneClassifier& classifier = h_.classifier;
+  Simulator& sim = classifier.sim;
   const int W = sim.lane_words();
   const int k = config.fault.k;
   const int batch_runs = filled_;
@@ -549,14 +527,14 @@ void BatchExecutor::simulate() {
   }
 
   sim.reset();
-  Lanes done{};      // lane terminated (detected)
-  Lanes detected{};  // subset of done
+  LaneWords done{};      // lane terminated (detected)
+  LaneWords detected{};  // subset of done
   // Folds the alert wire into detected/done for lanes still running.
   const auto absorb_alerts = [&] {
-    if (!h_.alert_h.valid()) return;
+    if (!classifier.alert_h.valid()) return;
     for (int w = 0; w < W; ++w) {
       const auto j = static_cast<std::size_t>(w);
-      const std::uint64_t newly = h_.alert_word(w) & batch_mask.w[j] & ~done[j];
+      const std::uint64_t newly = classifier.alert_word(w) & batch_mask.w[j] & ~done[j];
       detected[j] |= newly;
       done[j] |= newly;
     }
@@ -569,12 +547,10 @@ void BatchExecutor::simulate() {
     }
     return true;
   };
-  const int state_w = h_.state_h.width;
-  const std::size_t num_states = variant.state_codes.size();
   const auto cycles = static_cast<std::size_t>(config.cycles);
-  Lanes deviated{};  // reached a valid state != golden
-  Lanes invalid{};   // reached a non-codeword
-  Lanes not_lag{};   // deviation beyond a missed transition
+  LaneWords deviated{};  // reached a valid state != golden
+  LaneWords invalid{};   // reached a non-codeword
+  LaneWords not_lag{};   // deviation beyond a missed transition
   for (std::size_t t = 0; t < cycles && !all_done(); ++t) {
     h_.drive(batch_runs, [&](int lane) { return batch_.walk(static_cast<std::size_t>(lane))[t]; });
     // Inject this cycle's faults, lane by lane.
@@ -588,59 +564,32 @@ void BatchExecutor::simulate() {
     sim.eval();
     absorb_alerts();
     sim.latch();
-    // Word-parallel classification: compare the state register of all
-    // lanes against every codeword at once instead of decoding per lane.
-    for (int i = 0; i < state_w; ++i) {
-      for (int w = 0; w < W; ++w) {
-        state_words_[static_cast<std::size_t>(i * W + w)] = sim.lane_word(h_.state_h.base + i, w);
-      }
-    }
-    // A code with bits beyond the register width can never match.
-    const auto fits = [state_w](std::uint64_t code) {
-      return state_w >= 64 || (code >> state_w) == 0;
-    };
-    Lanes live{};
+    // Word-parallel classification of the lanes still running: a lane
+    // latched to the error code is detected, the rest are compared against
+    // their golden states.
+    LaneWords live{};
     for (int w = 0; w < W; ++w) {
       live[static_cast<std::size_t>(w)] =
           batch_mask.w[static_cast<std::size_t>(w)] & ~done[static_cast<std::size_t>(w)];
     }
-    if (variant.has_error_state) {
-      for (int w = 0; w < W; ++w) {
-        std::uint64_t err = fits(variant.error_code) ? live[static_cast<std::size_t>(w)] : 0;
-        for (int i = 0; i < state_w && err != 0; ++i) {
-          const std::uint64_t sw = state_words_[static_cast<std::size_t>(i * W + w)];
-          err &= ((variant.error_code >> i) & 1) ? sw : ~sw;
-        }
-        detected[static_cast<std::size_t>(w)] |= err;
-        done[static_cast<std::size_t>(w)] |= err;
-        live[static_cast<std::size_t>(w)] &= ~err;
-      }
+    classifier.match(live);
+    for (int w = 0; w < W; ++w) {
+      const auto j = static_cast<std::size_t>(w);
+      const std::uint64_t err = classifier.error()[j];
+      detected[j] |= err;
+      done[j] |= err;
+      live[j] &= ~err;
     }
-    Lanes valid{};
-    for (std::size_t s = 0; s < num_states; ++s) {
-      const std::uint64_t code = variant.state_codes[s];
-      for (int w = 0; w < W; ++w) {
-        std::uint64_t eq = fits(code) ? live[static_cast<std::size_t>(w)] : 0;
-        for (int i = 0; i < state_w && eq != 0; ++i) {
-          const std::uint64_t sw = state_words_[static_cast<std::size_t>(i * W + w)];
-          eq &= ((code >> i) & 1) ? sw : ~sw;
-        }
-        state_eq_[s * static_cast<std::size_t>(W) + static_cast<std::size_t>(w)] = eq;
-        valid[static_cast<std::size_t>(w)] |= eq;
-      }
-    }
-    Lanes match_expect{};
-    Lanes match_prev{};
+    const LaneWords& valid = classifier.valid();
+    LaneWords match_expect{};
+    LaneWords match_prev{};
     for (int lane = 0; lane < batch_runs; ++lane) {
       const auto wj = static_cast<std::size_t>(lane >> 6);
       const std::uint64_t bit = 1ULL << (lane & 63);
       if (!(live[wj] & bit)) continue;
       const std::int32_t* golden = batch_.golden_of(static_cast<std::size_t>(lane));
-      match_expect[wj] |=
-          state_eq_[static_cast<std::size_t>(golden[t + 1]) * static_cast<std::size_t>(W) + wj] &
-          bit;
-      match_prev[wj] |=
-          state_eq_[static_cast<std::size_t>(golden[t]) * static_cast<std::size_t>(W) + wj] & bit;
+      match_expect[wj] |= classifier.state_eq(static_cast<std::size_t>(golden[t + 1]), wj) & bit;
+      match_prev[wj] |= classifier.state_eq(static_cast<std::size_t>(golden[t]), wj) & bit;
     }
     for (int w = 0; w < W; ++w) {
       const auto j = static_cast<std::size_t>(w);
@@ -688,7 +637,7 @@ void execute_all(const Fsm& fsm, const CompiledFsm& variant, const std::vector<F
                    BatchExecutor executor(
                        claim.owner() ? std::move(owner_harness)
                                      : Harness(fsm, variant, stim, lane_words_for(config.lanes)),
-                       variant, sites, config);
+                       sites, config);
                    CampaignResult& p = executor.counts;
                    for (UnitRange unit = claim.next(1); !unit.empty(); unit = claim.next(1)) {
                      // Cooperative cancellation at unit granularity: a fired
@@ -727,6 +676,11 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
   check(variant.module != nullptr, "run_campaign: variant has no module");
   require(user_config.lanes >= 1 && user_config.lanes <= kMaxLanes,
           format("run_campaign: lanes must be in [1, %d] (64 x lane_words)", kMaxLanes));
+  require(user_config.runs >= 0, "run_campaign: runs must be >= 0");
+  require(user_config.cycles >= 1, "run_campaign: cycles must be >= 1");
+  require(user_config.fault.k >= 0, "run_campaign: fault.k must be >= 0");
+  require(!user_config.fault.kinds.empty(), "run_campaign: fault.kinds must not be empty");
+  require(user_config.threads >= 1, "run_campaign: threads must be >= 1");
   // SCFI_LANE_WORDS_CAP clamps the *derived* simulator width (the CI
   // portable leg forces 1-word blocks this way). lanes is an execution
   // knob, so shrinking it cannot change the aggregate result.

@@ -76,7 +76,7 @@ struct CampaignConfig {
   /// Widths past 64 select a multi-word SoA lane block (lane_words in
   /// {2, 4, 8}), subject to the SCFI_LANE_WORDS_CAP runtime clamp.
   int lanes = kNumLanes;
-  /// Worker threads sharing batches (<=1 = inline); ignored under a
+  /// Worker threads sharing batches (1 = inline); ignored under a
   /// current WorkBoard, whose idle threads help instead.
   int threads = 1;
   /// Optional cooperative stop signal, polled once per claimed unit of
@@ -116,7 +116,10 @@ struct CampaignResult {
   }
 };
 
-/// Runs the campaign on `variant` (any of the three compiled forms).
+/// Runs the campaign on `variant` (any of the three compiled forms). Throws
+/// ScfiError up front when a knob is out of range: runs < 0, cycles < 1,
+/// fault.k < 0 (k = 0 is a fault-free campaign), empty fault.kinds,
+/// threads < 1, or lanes outside [1, kMaxLanes].
 CampaignResult run_campaign(const fsm::Fsm& fsm, const fsm::CompiledFsm& variant,
                             const CampaignConfig& config);
 

@@ -1,0 +1,111 @@
+// The outcome reads both fault engines share (the exhaustive SYNFI back-end
+// and the campaign executor): a Simulator of a compiled FSM variant with its
+// state register and alert resolved, the state + alert observability cone,
+// and a word-parallel match of every lane's latched state against the state
+// codes and the error code. What a match means (masked, detected, hijacked,
+// ...) stays with each caller, which gathers per-lane expectations from its
+// own plan.
+#pragma once
+
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "base/error.h"
+#include "fsm/compile.h"
+#include "sim/netlist_sim.h"
+
+namespace scfi::sim {
+
+/// A runtime-width lane set: words [0, W) of a kMaxLaneWords array (the
+/// layout of LaneMask::w), so a one-word block pays for one word.
+using LaneWords = std::array<std::uint64_t, kMaxLaneWords>;
+
+class LaneClassifier {
+ public:
+  /// `variant` must outlive the classifier; its state register must fit in
+  /// 64 bits.
+  LaneClassifier(const fsm::CompiledFsm& variant, int lane_words)
+      : sim(*variant.module, lane_words), variant_(&variant) {
+    state_h = sim.probe(variant.state_wire);
+    if (!variant.alert_wire.empty()) alert_h = sim.probe(variant.alert_wire);
+    check(state_h.width <= 64, "state wire '" + variant.state_wire + "' is wider than 64 bits");
+    state_words_.resize(static_cast<std::size_t>(state_h.width * lane_words));
+    state_eq_.resize(variant.state_codes.size() * static_cast<std::size_t>(lane_words));
+  }
+
+  /// Lane word `w` of the alert (any alert bit set); 0 without an alert.
+  std::uint64_t alert_word(int w) const {
+    std::uint64_t alert = 0;
+    for (std::int32_t i = 0; i < alert_h.width; ++i) alert |= sim.lane_word(alert_h.base + i, w);
+    return alert;
+  }
+
+  /// Per-net flags: the fan-in cone of the state register and the alert,
+  /// closed over flip-flops. A fault outside it can never change either.
+  std::vector<char> observable_nets() const {
+    std::vector<std::int32_t> roots;
+    for (std::int32_t i = 0; i < state_h.width; ++i) roots.push_back(state_h.base + i);
+    for (std::int32_t i = 0; i < alert_h.width; ++i) roots.push_back(alert_h.base + i);
+    return sim.fanin_cone(roots);
+  }
+
+  /// Matches the state register of the lanes in `lanes`, as it is now (call
+  /// it right after latch()), against the error code and every state code.
+  /// Error-code lanes are reported by error() only; a code with a bit above
+  /// the register width never matches; other lanes match nothing.
+  void match(const LaneWords& lanes) {
+    const int W = sim.lane_words();
+    for (int i = 0; i < state_h.width; ++i) {
+      for (int w = 0; w < W; ++w) {
+        state_words_[static_cast<std::size_t>(i * W + w)] = sim.lane_word(state_h.base + i, w);
+      }
+    }
+    LaneWords open = lanes;
+    error_ = LaneWords{};
+    valid_ = LaneWords{};
+    for (int w = 0; w < W; ++w) {
+      const auto j = static_cast<std::size_t>(w);
+      if (variant_->has_error_state) error_[j] = code_eq(variant_->error_code, open[j], w);
+      open[j] &= ~error_[j];
+      for (std::size_t s = 0; s < variant_->state_codes.size(); ++s) {
+        const std::uint64_t eq = code_eq(variant_->state_codes[s], open[j], w);
+        state_eq_[s * static_cast<std::size_t>(W) + j] = eq;
+        valid_[j] |= eq;
+      }
+    }
+  }
+
+  /// After match(): the lanes of word `w` holding state code `s`, those
+  /// holding the error code, and those holding any state code.
+  std::uint64_t state_eq(std::size_t s, std::size_t w) const {
+    return state_eq_[s * static_cast<std::size_t>(sim.lane_words()) + w];
+  }
+  const LaneWords& error() const { return error_; }
+  const LaneWords& valid() const { return valid_; }
+
+  Simulator sim;
+  Simulator::WireHandle state_h;
+  Simulator::WireHandle alert_h;
+
+ private:
+  /// Lanes of `candidates` (word `w`) whose latched state equals `code`.
+  std::uint64_t code_eq(std::uint64_t code, std::uint64_t candidates, int w) const {
+    const int state_w = state_h.width;
+    const int W = sim.lane_words();
+    std::uint64_t eq = state_w >= 64 || (code >> state_w) == 0 ? candidates : 0;
+    for (int i = 0; i < state_w && eq != 0; ++i) {
+      const std::uint64_t sw = state_words_[static_cast<std::size_t>(i * W + w)];
+      eq &= ((code >> i) & 1) ? sw : ~sw;
+    }
+    return eq;
+  }
+
+  const fsm::CompiledFsm* variant_;
+  std::vector<std::uint64_t> state_words_;  ///< state bit i, word w: [i * W + w]
+  std::vector<std::uint64_t> state_eq_;     ///< state code s, word w: [s * W + w]
+  LaneWords error_{};
+  LaneWords valid_{};
+};
+
+}  // namespace scfi::sim

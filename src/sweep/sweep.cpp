@@ -65,6 +65,14 @@ void validate_jobs(const std::vector<SweepJob>& jobs, const ModuleSource* source
   for (const SweepJob& job : jobs) {
     variant_of(job);
     source_of(job, source);
+    // A clock glitch acts at a flip-flop and has no CNF form, so such a job
+    // could only fail on every attempt.
+    if (job.type == JobType::kSynfi && job.synfi.backend == synfi::Backend::kSat &&
+        job.synfi.kind == sim::FaultKind::kSkipCycle) {
+      throw ScfiError("sweep: job '" + job.key() +
+                      "' asks the SAT backend for skip-cycle faults, which it cannot model; "
+                      "use the exhaustive simulation backend");
+    }
   }
 }
 

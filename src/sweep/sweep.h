@@ -99,12 +99,13 @@ class SweepOrchestrator {
   /// Jobs with an empty `source` resolve against the built-in zoo; jobs
   /// whose `source` matches `source->label()` resolve against `source` (so
   /// zoo and corpus jobs can share one fleet run); any other source label
-  /// throws up front, as do unknown/unanalyzable variants (malformed job
-  /// matrices are caller bugs, not fleet failures). Execution errors —
-  /// unknown modules, variant-build failures, jobs that throw or exceed
-  /// `job_timeout` — become failure records unless `fail_fast` is set, in
-  /// which case run() throws: the first error when one worker failed, or
-  /// one ScfiError aggregating every worker's error when several did.
+  /// throws up front, as do unknown/unanalyzable variants and SAT jobs
+  /// with skip-cycle faults (malformed job matrices are caller bugs, not
+  /// fleet failures). Execution errors — unknown modules, variant-build
+  /// failures, jobs that throw or exceed `job_timeout` — become failure
+  /// records unless `fail_fast` is set, in which case run() throws: the
+  /// first error when one worker failed, or one ScfiError aggregating every
+  /// worker's error when several did.
   SweepStats run(const std::vector<SweepJob>& jobs, ResultStore& store,
                  const std::string& out_path = "", bool resume = false,
                  const ModuleSource* source = nullptr);
@@ -114,9 +115,10 @@ class SweepOrchestrator {
 };
 
 /// The up-front malformed-matrix check run() performs — unknown or
-/// unanalyzable variants, unresolvable source labels — exposed so the fleet
-/// supervisor can reject a bad matrix in the parent process before forking
-/// any worker. Throws ScfiError on the first bad job.
+/// unanalyzable variants, unresolvable source labels, SAT SYNFI jobs with
+/// skip-cycle faults — exposed so the fleet supervisor can reject a bad
+/// matrix in the parent process before forking any worker. Throws
+/// ScfiError on the first bad job.
 void validate_jobs(const std::vector<SweepJob>& jobs, const ModuleSource* source);
 
 /// Expands a module-glob x levels x configs matrix into the flat SYNFI job

@@ -1,7 +1,6 @@
 #include "synfi/synfi.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <limits>
@@ -9,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 
 #include "base/error.h"
 #include "base/parallel.h"
@@ -17,6 +15,8 @@
 #include "base/strutil.h"
 #include "sat/cnf.h"
 #include "sat/miter.h"
+#include "sim/lane_classifier.h"
+#include "synfi/exploit_miter.h"
 
 namespace scfi::synfi {
 namespace {
@@ -25,55 +25,6 @@ using fsm::CfgEdge;
 using fsm::CompiledFsm;
 using fsm::Fsm;
 using rtlil::SigBit;
-
-std::string format_site(const SigBit& site) {
-  return site.wire->name() + "[" + std::to_string(site.offset) + "]";
-}
-
-std::vector<SigBit> enumerate_region(const rtlil::Module& module, const std::string& prefix,
-                                     bool include_inputs, sim::FaultTarget target,
-                                     const std::string& state_wire) {
-  std::vector<SigBit> sites;
-  // FT1: the state register Q bits themselves — the class the encoding
-  // distance protects. These are FF-driven, so the combinational walk below
-  // would skip them; resolve the state wire directly instead.
-  if (target == sim::FaultTarget::kStateRegister) {
-    const rtlil::Wire* w = module.wire(state_wire);
-    check(w != nullptr, "synfi: variant has no state wire '" + state_wire + "'");
-    for (int i = 0; i < w->width(); ++i) sites.emplace_back(w, i);
-    return sites;
-  }
-  const rtlil::NetlistIndex index(module);
-  for (const rtlil::Wire* w : module.wires()) {
-    if (!prefix.empty() && !starts_with(w->name(), prefix)) continue;
-    if (w->is_input()) {
-      if (target == sim::FaultTarget::kControlInputs ||
-          (target == sim::FaultTarget::kAny && include_inputs)) {
-        for (int i = 0; i < w->width(); ++i) sites.emplace_back(w, i);
-      }
-      continue;
-    }
-    if (target == sim::FaultTarget::kControlInputs) continue;
-    for (int i = 0; i < w->width(); ++i) {
-      const SigBit bit(w, i);
-      const rtlil::Cell* driver = index.driver(bit);
-      if (driver == nullptr || rtlil::is_ff(driver->type())) continue;
-      sites.push_back(bit);
-    }
-  }
-  return sites;
-}
-
-sat::CnfFaultKind to_cnf_kind(sim::FaultKind kind) {
-  require(kind != sim::FaultKind::kSkipCycle,
-          "synfi: the SAT backend cannot model skip-cycle (clock-glitch) faults; "
-          "use the exhaustive simulation backend");
-  switch (kind) {
-    case sim::FaultKind::kStuckAt0: return sat::CnfFaultKind::kStuckAt0;
-    case sim::FaultKind::kStuckAt1: return sat::CnfFaultKind::kStuckAt1;
-    default: return sat::CnfFaultKind::kFlip;
-  }
-}
 
 // --- lazy combination streaming ---------------------------------------------
 //
@@ -232,35 +183,19 @@ AlignedStimulus build_aligned_stimulus(const EdgeTable& edges, int symbol_w, int
 /// batch and outcome classification reads only the state/alert cone, so
 /// carried-over simulator state cannot change any verdict (the same property
 /// that makes the report lanes/threads-invariant). That cone, closed over
-/// flip-flops, is `observable_nets()`: a fault outside it cannot reach the
-/// alert or the latched state in this batch or, through a register it
-/// corrupted, in any later one — which is what lets a run skip such faults.
+/// flip-flops, is `classifier.observable_nets()`: a fault outside it cannot
+/// reach the alert or the latched state in this batch or, through a register
+/// it corrupted, in any later one — which is what lets a run skip such faults.
 struct SimContext {
-  sim::Simulator simulator;
+  sim::LaneClassifier classifier;
   sim::Simulator::WireHandle symbol_h;
-  sim::Simulator::WireHandle state_h;
-  sim::Simulator::WireHandle alert_h;
   AlignedStimulus aligned;
 
   SimContext(const CompiledFsm& variant, const EdgeTable& edges, int lane_words)
-      : simulator(*variant.module, lane_words) {
-    symbol_h = simulator.input_handle(variant.symbol_input_wire);
-    state_h = simulator.probe(variant.state_wire);
-    if (!variant.alert_wire.empty()) alert_h = simulator.probe(variant.alert_wire);
-    check(state_h.width <= 64, "synfi: state wire too wide");
-    aligned = build_aligned_stimulus(edges, symbol_h.width, state_h.width, lane_words,
+      : classifier(variant, lane_words) {
+    symbol_h = classifier.sim.input_handle(variant.symbol_input_wire);
+    aligned = build_aligned_stimulus(edges, symbol_h.width, classifier.state_h.width, lane_words,
                                      static_cast<std::size_t>(lane_words) * 64);
-  }
-
-  /// Per-net flags: the fan-in cone of the alert and the state register
-  /// (whose D pins it reaches through the flip-flop closure).
-  std::vector<char> observable_nets() const {
-    std::vector<std::int32_t> roots;
-    for (std::int32_t i = 0; i < state_h.width; ++i) roots.push_back(state_h.base + i);
-    for (std::int32_t i = 0; i < alert_h.width && alert_h.valid(); ++i) {
-      roots.push_back(alert_h.base + i);
-    }
-    return simulator.fanin_cone(roots);
   }
 };
 
@@ -286,39 +221,26 @@ struct LayerSites {
 /// path bit for bit. Combinations straddle the whole region, so attribution
 /// goes into a caller-owned full-region bitmap. m = 0 is the fault-free
 /// layer: one empty combination, so one job per edge.
-void run_exhaustive(SimContext& ctx, const CompiledFsm& variant, const LayerSites& live,
-                    std::size_t m, const EdgeTable& edges, const SynfiConfig& config,
-                    WorkShare::Claim& claim, std::vector<char>& site_hit, PartialReport& out) {
-  sim::Simulator& simulator = ctx.simulator;
+void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
+                    const EdgeTable& edges, const SynfiConfig& config, WorkShare::Claim& claim,
+                    std::vector<char>& site_hit, PartialReport& out) {
+  sim::LaneClassifier& classifier = ctx.classifier;
+  sim::Simulator& simulator = classifier.sim;
   const sim::Simulator::WireHandle symbol_h = ctx.symbol_h;
-  const sim::Simulator::WireHandle state_h = ctx.state_h;
-  const sim::Simulator::WireHandle alert_h = ctx.alert_h;
+  const sim::Simulator::WireHandle state_h = classifier.state_h;
   const int W = simulator.lane_words();
   const std::size_t total_lanes = static_cast<std::size_t>(W) * 64;
   const int state_w = state_h.width;
   const int symbol_w = symbol_h.width;
-  const std::size_t num_states = variant.state_codes.size();
-  // A code with bits beyond the register width can never match.
-  const auto fits = [state_w](std::uint64_t code) {
-    return state_w >= 64 || (code >> state_w) == 0;
-  };
   const std::size_t n = live.nets.size();
   const std::size_t num_edges = edges.size();
   const auto lanes = static_cast<std::size_t>(config.lanes);
-  // Runtime-width lane sets: words [0, W) of a kMaxLaneWords array, so the
-  // classic one-word configuration pays for exactly one word.
-  using LaneWords = std::array<std::uint64_t, sim::kMaxLaneWords>;
+  using sim::LaneWords;
   const auto alert_words = [&] {
     LaneWords words{};
-    for (int w = 0; w < W && alert_h.valid(); ++w) {
-      for (std::int32_t i = 0; i < alert_h.width; ++i) {
-        words[static_cast<std::size_t>(w)] |= simulator.lane_word(alert_h.base + i, w);
-      }
-    }
+    for (int w = 0; w < W; ++w) words[static_cast<std::size_t>(w)] = classifier.alert_word(w);
     return words;
   };
-  std::vector<std::uint64_t> state_words(static_cast<std::size_t>(state_w * W));
-  std::vector<std::uint64_t> state_eq(num_states * static_cast<std::size_t>(W));
 
   // Streamed combination bookkeeping: `combo` is combination `rank` while
   // rank < rank_end, advanced lexicographically; each lane records the
@@ -389,46 +311,16 @@ void run_exhaustive(SimContext& ctx, const CompiledFsm& variant, const LayerSite
     simulator.latch();
     simulator.eval();
     const LaneWords alert_post = alert_words();
-    for (int i = 0; i < state_w; ++i) {
-      for (int w = 0; w < W; ++w) {
-        state_words[static_cast<std::size_t>(i * W + w)] =
-            simulator.lane_word(state_h.base + i, w);
-      }
-    }
-
-    // Word-parallel classification: equality masks of the latched state
-    // against every codeword at once instead of decoding lane by lane.
-    const auto code_eq = [&](std::uint64_t code, int w) {
-      std::uint64_t eq = fits(code) ? batch_mask.w[static_cast<std::size_t>(w)] : 0;
-      for (int i = 0; i < state_w && eq != 0; ++i) {
-        const std::uint64_t sw = state_words[static_cast<std::size_t>(i * W + w)];
-        eq &= ((code >> i) & 1) ? sw : ~sw;
-      }
-      return eq;
-    };
-    for (std::size_t sc = 0; sc < num_states; ++sc) {
-      for (int w = 0; w < W; ++w) {
-        state_eq[sc * static_cast<std::size_t>(W) + static_cast<std::size_t>(w)] =
-            code_eq(variant.state_codes[sc], w);
-      }
-    }
-    LaneWords err_eq{};
-    for (int w = 0; w < W && variant.has_error_state; ++w) {
-      err_eq[static_cast<std::size_t>(w)] = code_eq(variant.error_code, w);
-    }
+    // Word-parallel classification against every codeword at once.
+    classifier.match(batch_mask.w);
+    const LaneWords& err_eq = classifier.error();
     LaneWords match_expect{};
     LaneWords match_from{};
     for (std::size_t lane = 0; lane < batch_jobs; ++lane) {
       const std::size_t wj = lane >> 6;
       const std::uint64_t bit = 1ULL << (lane & 63);
-      match_expect[wj] |= state_eq[static_cast<std::size_t>(lane_to[lane]) *
-                                       static_cast<std::size_t>(W) +
-                                   wj] &
-                          bit;
-      match_from[wj] |= state_eq[static_cast<std::size_t>(lane_from[lane]) *
-                                     static_cast<std::size_t>(W) +
-                                 wj] &
-                        bit;
+      match_expect[wj] |= classifier.state_eq(static_cast<std::size_t>(lane_to[lane]), wj) & bit;
+      match_from[wj] |= classifier.state_eq(static_cast<std::size_t>(lane_from[lane]), wj) & bit;
     }
 
     out.injections += static_cast<std::int64_t>(batch_jobs);
@@ -455,42 +347,6 @@ void run_exhaustive(SimContext& ctx, const CompiledFsm& variant, const LayerSite
   }
 }
 
-/// Interface wires of the miter, resolved once per context construction.
-struct MiterWires {
-  const rtlil::Wire* symbol = nullptr;
-  const rtlil::Wire* state = nullptr;
-};
-
-MiterWires resolve_interface(const rtlil::Module& module, const CompiledFsm& variant) {
-  MiterWires wires;
-  wires.symbol = module.wire(variant.symbol_input_wire);
-  wires.state = module.wire(variant.state_wire);
-  check(wires.symbol != nullptr && wires.state != nullptr, "synfi: missing interface wires");
-  return wires;
-}
-
-/// Interface variables shared between the golden and faulty CNF copies.
-struct MiterInterface {
-  std::unordered_map<SigBit, int> bound;
-  std::vector<int> xvars;
-  std::vector<int> svars;
-};
-
-MiterInterface bind_interface(sat::Solver& solver, const MiterWires& wires) {
-  MiterInterface iface;
-  for (int i = 0; i < wires.symbol->width(); ++i) {
-    const int v = solver.new_var();
-    iface.bound.emplace(SigBit(wires.symbol, i), v);
-    iface.xvars.push_back(v);
-  }
-  for (int i = 0; i < wires.state->width(); ++i) {
-    const int v = solver.new_var();
-    iface.bound.emplace(SigBit(wires.state, i), v);
-    iface.svars.push_back(v);
-  }
-  return iface;
-}
-
 void push_equals(std::vector<sat::Lit>& lits, const std::vector<int>& vars,
                  std::uint64_t value) {
   for (std::size_t i = 0; i < vars.size(); ++i) {
@@ -498,45 +354,9 @@ void push_equals(std::vector<sat::Lit>& lits, const std::vector<int>& vars,
   }
 }
 
-/// The exhaustive back-end's detection window spans the latch: the symbol is
-/// held for one evaluation past the fault cycle and the alert is sampled
-/// again (alert_post) before a run is classified, so a fault set whose wrong
-/// state trips the alert one cycle later still counts as detected. Mirror
-/// that here with a post-cycle copy of the module — every FF Q bit bound to
-/// the faulty copy's D reader (the latched faulty state), symbol bits shared
-/// with the fault cycle — and require its alert to stay low as well.
-/// Stuck-at overrides persist across the clock edge exactly like the
-/// simulator's persistent faults; transient flips are cleared at the end of
-/// the fault cycle and do not carry over.
-void add_post_cycle_alert(sat::Solver& solver, const rtlil::Module& module,
-                          const CompiledFsm& variant, const MiterWires& wires,
-                          const MiterInterface& iface, const sat::CnfCopy& faulty,
-                          const std::vector<sat::CnfFault>& faults, sim::FaultKind kind) {
-  if (variant.alert_wire.empty()) return;
-  std::unordered_map<SigBit, int> bound;
-  for (int i = 0; i < wires.symbol->width(); ++i) {
-    bound.emplace(SigBit(wires.symbol, i), iface.xvars[static_cast<std::size_t>(i)]);
-  }
-  for (const rtlil::Cell* cell : module.cells()) {
-    if (!rtlil::is_ff(cell->type())) continue;
-    const rtlil::SigSpec& q = cell->port("Q");
-    const rtlil::SigSpec& d = cell->port("D");
-    for (int i = 0; i < q.width(); ++i) {
-      const SigBit qb = q.bit(i);
-      if (!qb.is_const()) bound.emplace(qb, faulty.reader_var(d.bit(i)));
-    }
-  }
-  const bool persistent =
-      kind == sim::FaultKind::kStuckAt0 || kind == sim::FaultKind::kStuckAt1;
-  const sat::CnfCopy post(solver, module, bound,
-                          persistent ? faults : std::vector<sat::CnfFault>{});
-  solver.add_unit(-post.wire_vars(variant.alert_wire)[0]);
-}
-
-/// One live incremental SAT context: the solver holds the golden copy plus
-/// a faulty copy whose overrides are each gated on a fresh selector literal
-/// — one per region site — and the query-invariant property clauses (alert
-/// low, next-state mismatch, valid faulty codeword). k = 1 constrains the
+/// One live incremental SAT context: the solver holds the exploitability
+/// miter (encode_exploit_miter) whose faulty copy's overrides are each gated
+/// on a fresh selector literal — one per region site. k = 1 constrains the
 /// selectors with exactly_one, k > 1 with a cardinality counter. Every query
 /// is then a solve(assumptions) call — edge stimulus (+ exactly-k) plus the
 /// exclusion of the sites already found — so the CNF and all learned clauses
@@ -546,9 +366,8 @@ void add_post_cycle_alert(sat::Solver& solver, const rtlil::Module& module,
 /// serves both symbol modes.
 struct SatContext {
   sat::Solver solver;
-  MiterInterface iface;
+  ExploitMiter miter;
   std::vector<sat::Lit> selectors;  ///< one per region site
-  std::vector<int> fn;              ///< faulty next-state variables
   /// k > 1 only: the Sinz counter over *all* region selectors, so "exactly
   /// k faults" is a per-query assumption set.
   std::unique_ptr<sat::CardinalityCounter> counter;
@@ -558,37 +377,28 @@ std::unique_ptr<SatContext> build_sat_context(const CompiledFsm& variant,
                                               const std::vector<SigBit>& sites,
                                               sim::FaultKind kind, int faults_k,
                                               const sat::Solver::WarmStart& warm) {
-  const rtlil::Module& module = *variant.module;
-  const MiterWires wires = resolve_interface(module, variant);
   auto ctx = std::make_unique<SatContext>();
   sat::Solver& solver = ctx->solver;
-  ctx->iface = bind_interface(solver, wires);
-
-  const sat::CnfCopy golden(solver, module, ctx->iface.bound);
-  std::vector<sat::CnfFault> faults;
-  ctx->selectors.reserve(sites.size());
-  faults.reserve(sites.size());
-  for (std::size_t s = 0; s < sites.size(); ++s) {
-    const sat::Lit sel = solver.new_var();
-    ctx->selectors.push_back(sel);
-    faults.push_back(sat::CnfFault{sites[s], to_cnf_kind(kind), sel});
-  }
-  const sat::CnfCopy faulty(solver, module, ctx->iface.bound, faults);
-  if (faults_k > 1) {
-    ctx->counter =
-        std::make_unique<sat::CardinalityCounter>(solver, ctx->selectors, faults_k);
-  } else {
-    sat::exactly_one(solver, ctx->selectors);
-  }
-
-  const std::vector<int> gn = golden.ff_next_vars(variant.state_wire);
-  ctx->fn = faulty.ff_next_vars(variant.state_wire);
-  if (!variant.alert_wire.empty()) {
-    solver.add_unit(-faulty.wire_vars(variant.alert_wire)[0]);
-  }
-  add_post_cycle_alert(solver, module, variant, wires, ctx->iface, faulty, faults, kind);
-  solver.add_unit(sat::differ(solver, gn, ctx->fn));
-  solver.add_unit(sat::member_of(solver, ctx->fn, variant.state_codes));
+  const auto gated_faults = [&] {
+    std::vector<sat::CnfFault> faults;
+    ctx->selectors.reserve(sites.size());
+    faults.reserve(sites.size());
+    for (const SigBit& site : sites) {
+      const sat::Lit sel = solver.new_var();
+      ctx->selectors.push_back(sel);
+      faults.push_back(sat::CnfFault{site, cnf_fault_kind(kind), sel});
+    }
+    return faults;
+  };
+  const auto bound_selectors = [&] {
+    if (faults_k > 1) {
+      ctx->counter =
+          std::make_unique<sat::CardinalityCounter>(solver, ctx->selectors, faults_k);
+    } else {
+      sat::exactly_one(solver, ctx->selectors);
+    }
+  };
+  ctx->miter = encode_exploit_miter(solver, variant, kind, gated_faults, bound_selectors);
 
   // Seed the branching heuristic from what an earlier context of this
   // variant already learned. Pure heuristic state: search order may change, the
@@ -624,9 +434,10 @@ class SolveTally {
 /// with an unfound one, so the query instead requires one unfound selector
 /// through a clause under a fresh activation literal, retired by a unit
 /// after the call. Counting stays per (site, edge), as sites x edges
-/// verdicts, so the report equals the per-(site, edge) oracle's bit for bit
-/// (the exhaustive back-end counts per (combination, edge) instead; both
-/// agree on exploitable > 0 and on the exploitable site set).
+/// verdicts, so the report equals the per-(site, edge) rebuild oracle's
+/// (tests/synfi_oracle.h) bit for bit (the exhaustive back-end counts per
+/// (combination, edge) instead; both agree on exploitable > 0 and on the
+/// exploitable site set).
 void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& config,
                    std::size_t edge_begin, std::size_t edge_end,
                    std::vector<char>& site_hit, PartialReport& out) {
@@ -643,8 +454,8 @@ void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& c
   std::vector<char> found(num_sites);
   for (std::size_t e = edge_begin; e < edge_end; ++e) {
     base = cardinality;
-    push_equals(base, ctx.iface.svars, edges.from_code[e]);
-    if (!config.free_symbol) push_equals(base, ctx.iface.xvars, edges.code[e]);
+    push_equals(base, ctx.miter.svars, edges.from_code[e]);
+    if (!config.free_symbol) push_equals(base, ctx.miter.xvars, edges.code[e]);
     std::fill(found.begin(), found.end(), 0);
     std::int64_t hits = 0;
     for (;;) {
@@ -684,7 +495,7 @@ void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& c
         // depend on which model the solver happened to find.
         assumptions.assign(1, selectors[s]);
         assumptions.insert(assumptions.end(), base.begin(), base.end());
-        push_equals(assumptions, ctx.fn, edges.from_code[e]);
+        push_equals(assumptions, ctx.miter.fn, edges.from_code[e]);
         if (solver.solve(assumptions) == sat::Result::kSat) ++out.stalls;
       }
     }
@@ -693,80 +504,6 @@ void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& c
     out.injections += static_cast<std::int64_t>(num_sites);
     out.exploitable += hits;
     out.detected += static_cast<std::int64_t>(num_sites) - hits;
-  }
-}
-
-/// Reference SAT back-end: a fresh miter per (site, edge) query over edges
-/// [edge_begin, edge_end). Kept as the oracle the edge-major engine is
-/// validated and benchmarked against (never cached — it IS the rebuild
-/// cost).
-void run_sat_rebuild(const CompiledFsm& variant, const std::vector<SigBit>& sites,
-                     const EdgeTable& edges, const SynfiConfig& config,
-                     std::size_t edge_begin, std::size_t edge_end,
-                     std::atomic<std::uint64_t>& solves, std::vector<char>& site_hit,
-                     PartialReport& out) {
-  const rtlil::Module& module = *variant.module;
-  const MiterWires wires = resolve_interface(module, variant);
-  for (std::size_t e = edge_begin; e < edge_end; ++e) {
-    for (std::size_t s = 0; s < sites.size(); ++s) {
-      if (config.cancel != nullptr) config.cancel->check("synfi");
-      ++out.injections;
-      sat::Solver solver;
-      const SolveTally tally(solver, solves);
-      const MiterInterface iface = bind_interface(solver, wires);
-      const sat::CnfCopy golden(solver, module, iface.bound);
-      std::vector<sat::CnfFault> fault_set;
-      if (config.faults_k == 1) {
-        fault_set.push_back(sat::CnfFault{sites[s], to_cnf_kind(config.kind)});
-      } else {
-        // Participation query, rebuilt per call: the queried site is an
-        // always-on override, every other region site a gated one, and an
-        // exactly-(k-1) counter over the gates is asserted as units.
-        std::vector<sat::Lit> others;
-        fault_set.reserve(sites.size());
-        others.reserve(sites.size() - 1);
-        for (std::size_t t = 0; t < sites.size(); ++t) {
-          if (t == s) {
-            fault_set.push_back(sat::CnfFault{sites[t], to_cnf_kind(config.kind)});
-          } else {
-            const sat::Lit sel = solver.new_var();
-            others.push_back(sel);
-            fault_set.push_back(sat::CnfFault{sites[t], to_cnf_kind(config.kind), sel});
-          }
-        }
-        const sat::CardinalityCounter counter(solver, others, config.faults_k - 1);
-        for (const sat::Lit lit : counter.assume_exactly(config.faults_k - 1)) {
-          solver.add_unit(lit);
-        }
-      }
-      const sat::CnfCopy faulty(solver, module, iface.bound, fault_set);
-
-      // Stimulus constraints.
-      std::vector<sat::Lit> units;
-      push_equals(units, iface.svars, edges.from_code[e]);
-      if (!config.free_symbol) push_equals(units, iface.xvars, edges.code[e]);
-      for (const sat::Lit lit : units) solver.add_unit(lit);
-
-      const std::vector<int> gn = golden.ff_next_vars(variant.state_wire);
-      const std::vector<int> fn = faulty.ff_next_vars(variant.state_wire);
-      if (!variant.alert_wire.empty()) {
-        solver.add_unit(-faulty.wire_vars(variant.alert_wire)[0]);
-      }
-      add_post_cycle_alert(solver, module, variant, wires, iface, faulty, fault_set,
-                           config.kind);
-      solver.add_unit(sat::differ(solver, gn, fn));
-      solver.add_unit(sat::member_of(solver, fn, variant.state_codes));
-
-      if (solver.solve() == sat::Result::kSat) {
-        ++out.exploitable;
-        site_hit[s] = 1;
-        std::vector<sat::Lit> stall_assumptions;
-        push_equals(stall_assumptions, fn, edges.from_code[e]);
-        if (solver.solve(stall_assumptions) == sat::Result::kSat) ++out.stalls;
-      } else {
-        ++out.detected;
-      }
-    }
   }
 }
 
@@ -799,7 +536,7 @@ struct Analyzer::Impl {
   /// return it when they leave.
   std::vector<std::unique_ptr<SimContext>> free_sims;
   std::mutex sim_mutex;
-  /// Per-net observability of the variant (SimContext::observable_nets),
+  /// Per-net observability of the variant (LaneClassifier::observable_nets),
   /// computed by the first exhaustive run.
   std::vector<char> observable_nets;
   /// The fault-free layer's counters: they depend on the edges only.
@@ -823,8 +560,8 @@ struct Analyzer::Impl {
     const auto it = regions.find(key);
     if (it != regions.end()) return it->second;
     Region fresh;
-    fresh.sites = enumerate_region(*variant->module, prefix, include_inputs, target,
-                                   variant->state_wire);
+    fresh.sites = region_sites(*variant->module, prefix, include_inputs, target,
+                               variant->state_wire);
     return regions.emplace(key, std::move(fresh)).first->second;
   }
 
@@ -837,7 +574,7 @@ struct Analyzer::Impl {
       while (!free_sims.empty()) {
         std::unique_ptr<SimContext> ctx = std::move(free_sims.back());
         free_sims.pop_back();
-        if (ctx->simulator.lane_words() == lane_words) return ctx;
+        if (ctx->classifier.sim.lane_words() == lane_words) return ctx;
       }
     }
     return std::make_unique<SimContext>(*variant, edges, lane_words);
@@ -856,9 +593,9 @@ struct Analyzer::Impl {
     const std::size_t num_sites = region.sites.size();
     if (region.nets.empty()) {
       std::unique_ptr<SimContext> ctx = checkout_sim(lane_words);
-      if (observable_nets.empty()) observable_nets = ctx->observable_nets();
+      if (observable_nets.empty()) observable_nets = ctx->classifier.observable_nets();
       for (const SigBit& site : region.sites) {
-        const std::int32_t net = ctx->simulator.net_index(site);
+        const std::int32_t net = ctx->classifier.sim.net_index(site);
         region.nets.push_back(net);
         region.observable.push_back(observable_nets[static_cast<std::size_t>(net)]);
       }
@@ -897,7 +634,7 @@ struct Analyzer::Impl {
           PartialReport out;
           std::vector<char> hit(num_sites, 0);
           std::unique_ptr<SimContext> ctx = checkout_sim(lane_words);
-          run_exhaustive(*ctx, *variant, live, m, edges, config, claim, hit, out);
+          run_exhaustive(*ctx, live, m, edges, config, claim, hit, out);
           checkin_sim(std::move(ctx));
           const std::lock_guard<std::mutex> lock(merge_mutex);
           layer.add(out);
@@ -923,38 +660,28 @@ struct Analyzer::Impl {
   /// SAT back-end: the run's participants share the edges.
   PartialReport run_sat(const SynfiConfig& config, const std::vector<SigBit>& sites,
                         std::vector<char>& site_hit) {
-    SatContext* owner_sat = nullptr;
-    if (config.sat_incremental) {
-      const SatKey key{config.wire_prefix, config.include_inputs, config.target, config.kind,
-                       config.faults_k};
-      auto it = sat_contexts.find(key);
-      if (it == sat_contexts.end()) {
-        it = sat_contexts
-                 .emplace(key,
-                          build_sat_context(*variant, sites, config.kind, config.faults_k, warm))
-                 .first;
-      }
-      owner_sat = it->second.get();
+    const SatKey key{config.wire_prefix, config.include_inputs, config.target, config.kind,
+                     config.faults_k};
+    auto it = sat_contexts.find(key);
+    if (it == sat_contexts.end()) {
+      it = sat_contexts
+               .emplace(key, build_sat_context(*variant, sites, config.kind, config.faults_k, warm))
+               .first;
     }
+    SatContext& owner_sat = *it->second;
     PartialReport total;
     std::mutex merge_mutex;
     WorkShare::run(edges.size(), 1, config.threads, [&](WorkShare::Claim& claim) {
       PartialReport out;
       std::vector<char> hit(sites.size(), 0);
-      if (config.sat_incremental) {
-        std::unique_ptr<SatContext> own;
-        if (!claim.owner()) {
-          own = build_sat_context(*variant, sites, config.kind, config.faults_k, warm);
-        }
-        SatContext& ctx = own != nullptr ? *own : *owner_sat;
-        const SolveTally tally(ctx.solver, sat_solves);
-        for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
-          run_sat_edges(ctx, edges, config, r.begin, r.end, hit, out);
-        }
-      } else {
-        for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
-          run_sat_rebuild(*variant, sites, edges, config, r.begin, r.end, sat_solves, hit, out);
-        }
+      std::unique_ptr<SatContext> own;
+      if (!claim.owner()) {
+        own = build_sat_context(*variant, sites, config.kind, config.faults_k, warm);
+      }
+      SatContext& ctx = own != nullptr ? *own : owner_sat;
+      const SolveTally tally(ctx.solver, sat_solves);
+      for (UnitRange r = claim.next(1); !r.empty(); r = claim.next(1)) {
+        run_sat_edges(ctx, edges, config, r.begin, r.end, hit, out);
       }
       const std::lock_guard<std::mutex> lock(merge_mutex);
       total.add(out);
@@ -962,7 +689,7 @@ struct Analyzer::Impl {
     });
     // Refresh the warm-start snapshot from the owner's context so the next
     // region/kind starts from trained activities.
-    if (owner_sat != nullptr) warm = owner_sat->solver.export_warm_start();
+    warm = owner_sat.solver.export_warm_start();
     return total;
   }
 };
@@ -1030,7 +757,7 @@ SynfiReport Analyzer::run(const SynfiConfig& user_config) {
   report.masked = total.masked;
   report.stalls = total.stalls;
   for (std::size_t s = 0; s < sites.size(); ++s) {
-    if (site_hit[s]) report.exploitable_sites.push_back(format_site(sites[s]));
+    if (site_hit[s]) report.exploitable_sites.push_back(site_name(sites[s]));
   }
   return report;
 }

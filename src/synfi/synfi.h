@@ -44,9 +44,10 @@
 //     safe. An edge thus costs one call plus two per exploitable site (the
 //     second decides the stall) at k = 1, and at most that for k > 1, where
 //     a site counts as exploitable when some exactly-k fault set including
-//     it breaks the edge — instead of one call per (site, edge).
-//     `sat_incremental = false` falls back to the oracle: a fresh miter per
-//     (site, edge) query.
+//     it breaks the edge — instead of one call per (site, edge). This is
+//     the one SAT path; the miter is synfi/exploit_miter.h's property, and
+//     the per-(site, edge) rebuild oracle it is tested against lives with
+//     the tests (tests/synfi_oracle.h).
 //
 // A run's units — combination ranks for the exhaustive back-end, edges for
 // SAT — are shared through base/parallel.h's WorkShare: the calling thread
@@ -114,10 +115,6 @@ struct SynfiConfig {
   /// worker): that board's idle threads help instead. The report is
   /// bit-identical for every lanes/threads combination.
   int threads = 1;
-  /// SAT back-end: answer the edge-major queries on one reusable
-  /// selector-gated solver via assumptions (default) instead of rebuilding
-  /// the miter per (site, edge) query (the oracle).
-  bool sat_incremental = true;
   /// Optional cooperative stop signal, polled once per simulator batch /
   /// SAT edge query: when it fires, workers throw CancelledError at the next
   /// check point instead of being killed. Execution knob like
@@ -153,7 +150,7 @@ struct SynfiReport {
 /// Stateful analysis engine bound to ONE compiled variant. Construction and
 /// the first `run()` pay the fixed costs — edge table, simulator contexts
 /// (with their aligned stimulus), per-region site enumeration, and (for the
-/// incremental SAT back-end) the selector-gated solver — and every further
+/// SAT back-end) the selector-gated solver — and every further
 /// `run()` re-queries the cached state, so a many-region / many-fault-kind
 /// sweep over one variant no longer rebuilds the Simulator or CNF per call.
 /// A run's participants check simulator contexts out of a free list; the

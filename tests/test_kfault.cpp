@@ -23,6 +23,7 @@
 #include "sim/netlist_sim.h"
 #include "sweep/result_store.h"
 #include "synfi/synfi.h"
+#include "synfi_oracle.h"
 #include "test_helpers.h"
 
 namespace scfi {
@@ -205,9 +206,7 @@ TEST(KFaultSynfi, SimCombinationsAgreeWithSatParticipation) {
   EXPECT_EQ(sim_sites, sat_sites);
 
   // The rebuild-per-query SAT path answers the same participation queries.
-  synfi::SynfiConfig rebuild = sat_config;
-  rebuild.sat_incremental = false;
-  EXPECT_TRUE(synfi::analyze(f, c, rebuild) == sat_report);
+  EXPECT_TRUE(test::sat_rebuild_oracle(f, c, sat_config) == sat_report);
 }
 
 TEST(KFaultSynfi, KLargerThanSitesIsEmptySweep) {

@@ -19,6 +19,7 @@
 #include "rtlil/design.h"
 #include "sim/campaign.h"
 #include "sim/fault.h"
+#include "sim/lane_classifier.h"
 #include "sim/netlist_sim.h"
 #include "test_helpers.h"
 
@@ -631,6 +632,97 @@ TEST(SimParallel, OverCapCampaignRunsWithStreamingPlanner) {
   threaded.lanes = 7;
   threaded.threads = 4;
   EXPECT_EQ(run_campaign(f, plain, threaded), r);
+}
+
+TEST(SimParallel, LaneClassifierMatchesCodesInTheGivenLanes) {
+  // The codeword match both fault engines classify with, against a
+  // per-lane decode. The variant's code table is doctored: a code whose
+  // low bits equal state 0's but with a bit above the register width (it
+  // must never match), and a state code equal to the error code (its lanes
+  // must show up as error lanes only).
+  const fsm::Fsm f = test::toggle_fsm();
+  rtlil::Design d;
+  core::ScfiConfig config;
+  config.protection_level = 2;
+  fsm::CompiledFsm c = core::scfi_harden(f, d, config);
+  ASSERT_TRUE(c.has_error_state);
+  const int width = c.module->wire(c.state_wire)->width();
+  ASSERT_LT(width, 63);
+  const std::uint64_t s0 = c.state_codes[0];
+  const std::uint64_t s1 = c.state_codes[1];
+  c.state_codes = {s0, s1, (1ULL << width) | s0, c.error_code};
+  std::uint64_t junk = 1;  // in range, neither a state code nor the error code
+  while (junk == s0 || junk == s1 || junk == c.error_code) ++junk;
+  ASSERT_LT(junk, 1ULL << width);
+  const std::uint64_t values[] = {s0, s1, c.error_code, junk};
+
+  for (const int lane_words : {1, 8}) {
+    LaneClassifier classifier(c, lane_words);
+    const int lanes = 64 * lane_words;
+    const auto value_of = [&](int lane) { return values[(lane * 7 + lane / 5) % 4]; };
+    const auto in_set = [](int lane) { return lane % 3 != 0; };
+    LaneWords set{};
+    for (int lane = 0; lane < lanes; ++lane) {
+      if (in_set(lane)) set[static_cast<std::size_t>(lane >> 6)] |= 1ULL << (lane & 63);
+    }
+    for (int i = 0; i < width; ++i) {
+      for (int w = 0; w < lane_words; ++w) {
+        std::uint64_t word = 0;
+        for (int j = 0; j < 64; ++j) word |= ((value_of(w * 64 + j) >> i) & 1) << j;
+        classifier.sim.set_register_word(classifier.state_h, i, word, w);
+      }
+    }
+    classifier.match(set);
+    for (int lane = 0; lane < lanes; ++lane) {
+      const auto w = static_cast<std::size_t>(lane >> 6);
+      const auto bit = [&](std::uint64_t word) { return ((word >> (lane & 63)) & 1) != 0; };
+      const bool live = in_set(lane);
+      const std::uint64_t v = value_of(lane);
+      const std::string where =
+          "lane_words=" + std::to_string(lane_words) + " lane=" + std::to_string(lane);
+      EXPECT_EQ(bit(classifier.error()[w]), live && v == c.error_code) << where;
+      EXPECT_EQ(bit(classifier.state_eq(0, w)), live && v == s0) << where;
+      EXPECT_EQ(bit(classifier.state_eq(1, w)), live && v == s1) << where;
+      EXPECT_FALSE(bit(classifier.state_eq(2, w))) << where;
+      EXPECT_FALSE(bit(classifier.state_eq(3, w))) << where;
+      EXPECT_EQ(bit(classifier.valid()[w]), live && (v == s0 || v == s1)) << where;
+    }
+  }
+}
+
+TEST(CampaignKnobs, InvalidConfigThrows) {
+  const ot::OtEntry entry = ot::ot_entry("adc_ctrl_fsm");
+  rtlil::Design d;
+  const fsm::CompiledFsm c =
+      ot::build_ot_variant(entry, d, ot::Variant::kScfi, 2, entry.name + "_knobs");
+  CampaignConfig base;
+  base.runs = 100;
+  base.lanes = 64;
+  struct Case {
+    const char* what;
+    std::function<void(CampaignConfig&)> edit;
+  };
+  const std::vector<Case> invalid = {
+      {"empty kinds", [](CampaignConfig& cfg) { cfg.fault.kinds.clear(); }},
+      {"cycles = 0", [](CampaignConfig& cfg) { cfg.cycles = 0; }},
+      {"cycles = -3", [](CampaignConfig& cfg) { cfg.cycles = -3; }},
+      {"k = -1", [](CampaignConfig& cfg) { cfg.fault.k = -1; }},
+      {"runs = -1", [](CampaignConfig& cfg) { cfg.runs = -1; }},
+      {"threads = 0", [](CampaignConfig& cfg) { cfg.threads = 0; }},
+      {"lanes = 0", [](CampaignConfig& cfg) { cfg.lanes = 0; }},
+  };
+  for (const Case& bad : invalid) {
+    CampaignConfig cfg = base;
+    bad.edit(cfg);
+    EXPECT_THROW(run_campaign(entry.fsm, c, cfg), ScfiError) << bad.what;
+  }
+  // The boundaries stay legal: zero-fault and zero-run campaigns.
+  CampaignConfig fault_free = base;
+  fault_free.fault.k = 0;
+  EXPECT_EQ(run_campaign(entry.fsm, c, fault_free).runs, 100);
+  CampaignConfig empty = base;
+  empty.runs = 0;
+  EXPECT_EQ(run_campaign(entry.fsm, c, empty).runs, 0);
 }
 
 }  // namespace

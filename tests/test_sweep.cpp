@@ -1437,6 +1437,12 @@ TEST(SweepOrchestrator, RejectsBadJobsAndConfig) {
   campaign.module = "pwrmgr_fsm";
   campaign.variant = "no_such_variant";
   EXPECT_THROW(orchestrator.run({campaign}, store), ScfiError);
+  // The SAT backend cannot model a clock glitch: retrying could never help.
+  SweepJob sat_skip;
+  sat_skip.module = "pwrmgr_fsm";
+  sat_skip.synfi.backend = synfi::Backend::kSat;
+  sat_skip.synfi.kind = sim::FaultKind::kSkipCycle;
+  EXPECT_THROW(orchestrator.run({sat_skip}, store), ScfiError);
   EXPECT_EQ(store.size(), 0u);
 
   // An unknown MODULE, by contrast, is an execution failure: it is

@@ -16,6 +16,7 @@
 #include "rtlil/design.h"
 #include "sat/solver.h"
 #include "synfi/synfi.h"
+#include "synfi_oracle.h"
 #include "test_helpers.h"
 
 namespace scfi::synfi {
@@ -139,11 +140,9 @@ TEST(SynfiAnalyzer, SatReuseAcrossThreadCountsMatchesRebuild) {
 
   SynfiConfig sat;
   sat.backend = Backend::kSat;
-  sat.sat_incremental = false;
-  const SynfiReport rebuild = analyze(f, c, sat);
+  const SynfiReport rebuild = test::sat_rebuild_oracle(f, c, sat);
 
   Analyzer analyzer(f, c);
-  sat.sat_incremental = true;
   for (const int threads : {1, 2, 1, 3}) {
     sat.threads = threads;
     EXPECT_TRUE(analyzer.run(sat) == rebuild) << "threads=" << threads;

@@ -3,9 +3,10 @@
 // which literally replays the one-(site,edge)-job-per-pass flow) the
 // SynfiReport must be bit-identical — every counter and the exact
 // `exploitable_sites` order. Covers the KISS2 corpus, the OT zoo, and the
-// assumption-based SAT backend against the per-query miter-rebuild baseline.
-// SynfiEdgeMajor pins the edge-major incremental SAT engine against that
-// per-(site, edge) oracle at k = 1 and 2, and its solve-call budget.
+// assumption-based SAT backend against the per-query miter-rebuild oracle
+// (synfi_oracle.h). SynfiEdgeMajor pins the edge-major incremental SAT
+// engine against that per-(site, edge) oracle at k = 1 and 2, and its
+// solve-call budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "ot/zoo.h"
 #include "rtlil/design.h"
 #include "synfi/synfi.h"
+#include "synfi_oracle.h"
 #include "test_helpers.h"
 
 namespace scfi::synfi {
@@ -119,9 +121,7 @@ TEST_P(CorpusParallel, SatIncrementalMatchesRebuild) {
   SynfiConfig config;
   config.backend = Backend::kSat;
 
-  config.sat_incremental = false;
-  const SynfiReport rebuild = analyze_with(f, c, config, 1, 1);
-  config.sat_incremental = true;
+  const SynfiReport rebuild = test::sat_rebuild_oracle(f, c, config);
   const SynfiReport incremental = analyze_with(f, c, config, 1, 1);
   expect_reports_equal(rebuild, incremental, f.name + " sat incremental-vs-rebuild");
   for (const LanesThreads& lt : combos()) {
@@ -182,9 +182,7 @@ TEST(SynfiParallel, ZooSatIncrementalMatchesRebuild) {
       ot::build_ot_variant(entry, d, ot::Variant::kScfi, 2, "pwrmgr_synfi_sat");
   SynfiConfig config;
   config.backend = Backend::kSat;
-  config.sat_incremental = false;
-  const SynfiReport rebuild = analyze_with(entry.fsm, c, config, 1, 1);
-  config.sat_incremental = true;
+  const SynfiReport rebuild = test::sat_rebuild_oracle(entry.fsm, c, config);
   for (const int threads : {1, 3}) {
     const SynfiReport got = analyze_with(entry.fsm, c, config, 1, threads);
     expect_reports_equal(rebuild, got, "pwrmgr sat threads=" + std::to_string(threads));
@@ -224,9 +222,7 @@ TEST(SynfiParallel, FreeSymbolIncrementalMatchesRebuild) {
   SynfiConfig config;
   config.backend = Backend::kSat;
   config.free_symbol = true;
-  config.sat_incremental = false;
-  const SynfiReport rebuild = analyze_with(f, c, config, 1, 1);
-  config.sat_incremental = true;
+  const SynfiReport rebuild = test::sat_rebuild_oracle(f, c, config);
   const SynfiReport incremental = analyze_with(f, c, config, 1, 2);
   expect_reports_equal(rebuild, incremental, "free-symbol sat");
 }
@@ -304,9 +300,9 @@ TEST_P(SynfiEdgeMajor, MatchesRebuild) {
 
   // The rebuild oracle pays a fresh miter per (site, edge); its edges are
   // shared between three threads only to keep the suite short.
-  config.sat_incremental = false;
-  const SynfiReport rebuild = analyze_with(f, c, config, 1, 3);
-  config.sat_incremental = true;
+  SynfiConfig oracle = config;
+  oracle.threads = 3;
+  const SynfiReport rebuild = test::sat_rebuild_oracle(f, c, oracle);
   for (const int threads : {1, 3}) {
     expect_reports_equal(rebuild, analyze_with(f, c, config, 1, threads),
                          label + " threads=" + std::to_string(threads));
