@@ -22,9 +22,11 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # layout, so the parallel-engine suites re-verify bit-identity with the
 # multi-word SIMD path switched off — the coverage a machine without wide
 # vectors would get. Explicitly-constructed wide Simulators are not
-# clamped, so the wide unit tests still run wide here.
+# clamped, so the wide unit tests still run wide here. SimSlice runs here
+# too: the cone-sliced simulator is the one both engines classify on, so
+# its agreement with the unsliced one is part of the same contract.
 SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R 'SimParallel|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SynfiEdgeMajor|SynfiObservability|CampaignObservability'
+  -R 'SimParallel|SimSlice|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SynfiEdgeMajor|SynfiObservability|CampaignObservability'
 
 # Optional sanitizer lanes: a second compilation with AddressSanitizer +
 # UndefinedBehaviorSanitizer over the fast suites (base/store/planner/sweep
@@ -40,7 +42,9 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # count and cancellation tests, whose k > 1 queries add a clause per model,
 # and the observability-pruning suites, whose weighted SYNFI layers and
 # unsimulated campaign runs are checked against brute-force references, and
-# the campaign knob checks (an empty kind set used to read past its end).
+# the campaign knob checks (an empty kind set used to read past its end),
+# and the sliced-simulator check (slicing renumbers the flip-flops that
+# the skip and latch tables index).
 # Then a standalone ThreadSanitizer build of the header-only
 # base/parallel.h tests (src/base only: libscfi itself crashes under TSan
 # before main, in the target_clones ifunc resolvers of the simulator).
@@ -52,7 +56,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests

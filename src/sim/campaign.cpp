@@ -339,7 +339,7 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
   Simulator& sim = h.classifier.sim;
   const int lanes = sim.num_lanes();
 
-  const std::vector<char> cone = h.classifier.observable_nets();
+  const std::vector<char>& cone = h.classifier.observable_nets();
   Observability obs;
   obs.live_site.reserve(sites.size());
   for (const FaultSite& s : sites) {
@@ -348,10 +348,8 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
   if (std::all_of(obs.live_site.begin(), obs.live_site.end(), [](char c) { return c != 0; })) {
     return {};
   }
-  std::vector<std::int32_t> regs;
-  for (const std::int32_t q : sim.register_nets()) {
-    if (cone[static_cast<std::size_t>(q)] != 0) regs.push_back(q);
-  }
+  // The simulator is sliced to the cone, so these are the cone's registers.
+  const std::vector<std::int32_t> regs = sim.register_nets();
 
   // BFS from reset: the edge that first reaches each state, and the
   // reachable CFG edges in visiting order.

@@ -5,6 +5,11 @@
 // codes and the error code. What a match means (masked, detected, hijacked,
 // ...) stays with each caller, which gathers per-lane expectations from its
 // own plan.
+//
+// The Simulator is sliced to that cone at construction: it settles and
+// latches only cone ops and registers. The engines read only the state
+// register, the alert and cone registers, so every outcome is the unsliced
+// one; nets outside observable_nets() are stale.
 #pragma once
 
 #include <array>
@@ -30,6 +35,10 @@ class LaneClassifier {
     state_h = sim.probe(variant.state_wire);
     if (!variant.alert_wire.empty()) alert_h = sim.probe(variant.alert_wire);
     check(state_h.width <= 64, "state wire '" + variant.state_wire + "' is wider than 64 bits");
+    std::vector<std::int32_t> roots;
+    for (std::int32_t i = 0; i < state_h.width; ++i) roots.push_back(state_h.base + i);
+    for (std::int32_t i = 0; i < alert_h.width; ++i) roots.push_back(alert_h.base + i);
+    cone_ = sim.slice_to_cone(roots);
     state_words_.resize(static_cast<std::size_t>(state_h.width * lane_words));
     state_eq_.resize(variant.state_codes.size() * static_cast<std::size_t>(lane_words));
   }
@@ -43,12 +52,7 @@ class LaneClassifier {
 
   /// Per-net flags: the fan-in cone of the state register and the alert,
   /// closed over flip-flops. A fault outside it can never change either.
-  std::vector<char> observable_nets() const {
-    std::vector<std::int32_t> roots;
-    for (std::int32_t i = 0; i < state_h.width; ++i) roots.push_back(state_h.base + i);
-    for (std::int32_t i = 0; i < alert_h.width; ++i) roots.push_back(alert_h.base + i);
-    return sim.fanin_cone(roots);
-  }
+  const std::vector<char>& observable_nets() const { return cone_; }
 
   /// Matches the state register of the lanes in `lanes`, as it is now (call
   /// it right after latch()), against the error code and every state code.
@@ -102,6 +106,7 @@ class LaneClassifier {
   }
 
   const fsm::CompiledFsm* variant_;
+  std::vector<char> cone_;                  ///< per net: in the state/alert cone
   std::vector<std::uint64_t> state_words_;  ///< state bit i, word w: [i * W + w]
   std::vector<std::uint64_t> state_eq_;     ///< state code s, word w: [s * W + w]
   LaneWords error_{};

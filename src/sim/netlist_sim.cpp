@@ -268,15 +268,32 @@ void Simulator::compile() {
       ffs_.push_back(FlatFf{net_of(d.bit(i)), net_of(q.bit(i)), ff->reset_value().bit(i)});
     }
   }
-  latch_buf_.resize(ffs_.size() * words);
   transient_slot_.assign(static_cast<std::size_t>(num_nets_), -1);
   faulted_mark_.assign(static_cast<std::size_t>(num_nets_), 0);
+  index_ffs();
+  build_tape();
+}
+
+void Simulator::index_ffs() {
+  latch_buf_.assign(ffs_.size() * static_cast<std::size_t>(lane_words_), 0);
   q_to_ff_.assign(static_cast<std::size_t>(num_nets_), -1);
   for (std::size_t i = 0; i < ffs_.size(); ++i) {
     q_to_ff_[static_cast<std::size_t>(ffs_[i].q)] = static_cast<std::int32_t>(i);
   }
   skip_slot_.assign(ffs_.size(), -1);
-  build_tape();
+}
+
+std::vector<char> Simulator::slice_to_cone(const std::vector<std::int32_t>& roots) {
+  std::vector<char> cone = fanin_cone(roots);
+  const auto dead = [&](std::int32_t net) { return cone[static_cast<std::size_t>(net)] == 0; };
+  clear_all_faults();  // pending skips name ffs_ indices, renumbered below
+  // Filtering keeps the (level, kind) order of the tape.
+  std::erase_if(tape_, [&](const FlatOp& op) { return dead(op.out); });
+  std::erase_if(ffs_, [&](const FlatFf& ff) { return dead(ff.q); });
+  build_segments();
+  index_ffs();
+  reset();
+  return cone;
 }
 
 void Simulator::build_tape() {
@@ -306,6 +323,11 @@ void Simulator::build_tape() {
                    });
   tape_.reserve(ops_.size());
   for (const std::uint32_t i : order) tape_.push_back(ops_[i]);
+  build_segments();
+}
+
+void Simulator::build_segments() {
+  segments_.clear();
   for (std::size_t i = 0; i < tape_.size(); ++i) {
     if (segments_.empty() || segments_.back().kind != tape_[i].kind) {
       segments_.push_back(TapeSegment{tape_[i].kind, static_cast<std::uint32_t>(i),

@@ -39,6 +39,14 @@
 // inject*, clear_*) or latch() itself ran since the last eval() — because
 // the D values it would copy are then stale.
 //
+// slice_to_cone() restricts eval() and latch() to the fan-in cone of some
+// roots (sim/lane_classifier.h slices to the state register and alert).
+// Cone nets keep the unsliced values under any stimulus and faults, as the
+// cone is closed over operands and flip-flops. After slicing, nets outside
+// it are stale, register_nets() lists only the kept flip-flops (a
+// kSkipCycle on a dropped one is a no-op, as on a wire: it reaches no
+// root), and eval_reference() still runs the full compile-order tape.
+//
 // The string-based API drives and reads lane 0 and broadcasts writes to all
 // lanes, so single-lane callers see exactly the scalar semantics. Hot loops
 // should pre-resolve WireHandles (input_handle()/probe()) and net indices
@@ -245,7 +253,11 @@ class Simulator {
   /// cycle or any later one. One worklist pass, O(ops + nets); the constant
   /// net 0 may be flagged (unused operand slots point at it).
   std::vector<char> fanin_cone(const std::vector<std::int32_t>& roots) const;
-  /// The Q net of every flip-flop bit, in latch order.
+  /// Drops the tape ops and flip-flops outside fanin_cone(roots) (see the
+  /// header), clears every fault, resets, and returns the cone flags. Call
+  /// it at most once: fanin_cone() afterwards sees only the kept flip-flops.
+  std::vector<char> slice_to_cone(const std::vector<std::int32_t>& roots);
+  /// The Q net of every (kept) flip-flop bit, in latch order.
   std::vector<std::int32_t> register_nets() const {
     std::vector<std::int32_t> nets;
     nets.reserve(ffs_.size());
@@ -314,6 +326,8 @@ class Simulator {
   void compile();
   void compile_cell(const rtlil::Cell& cell);
   void build_tape();
+  void build_segments();  ///< maximal same-kind runs of tape_
+  void index_ffs();       ///< q_to_ff_, skip_slot_ and latch_buf_ from ffs_
   /// Emits a balanced gate tree over `terms`, writing the result to `out`.
   void emit_tree(detail::FlatOp::Kind kind, std::vector<std::int32_t> terms,
                  std::int32_t out);

@@ -501,23 +501,25 @@ ResultStore ResultStore::load(const std::string& path, bool recover_torn_tail) {
   std::ifstream in(path);
   require(in.good(), "result store: cannot read " + path);
   // Lines are collected before parsing so the final line is known up front:
-  // recovery may salvage ONLY a torn last line (the one shape a crash
-  // mid-append can leave); a malformed line anywhere earlier is corruption
-  // no crash explains and still aborts the load.
+  // recovery may salvage ONLY a torn last line, one without its newline
+  // (the one shape a crash mid-append can leave); a malformed line anywhere
+  // earlier, or a complete last line, is corruption no crash explains.
   std::vector<std::pair<std::size_t, std::string>> lines;
   std::string line;
   std::size_t line_no = 0;
+  bool last_terminated = true;
   while (std::getline(in, line)) {
     ++line_no;
     std::string trimmed = trim(line);
     if (trimmed.empty()) continue;
     lines.emplace_back(line_no, std::move(trimmed));
+    last_terminated = !in.eof();
   }
   for (std::size_t i = 0; i < lines.size(); ++i) {
     try {
       store.add(parse_line(lines[i].second));
     } catch (const ScfiError& e) {
-      if (recover_torn_tail && i + 1 == lines.size()) {
+      if (recover_torn_tail && i + 1 == lines.size() && !last_terminated) {
         log_warn("result store: dropping torn final line at " + path + ":" +
                  std::to_string(lines[i].first) + " (" + e.what() +
                  "); the interrupted job will re-execute on resume");

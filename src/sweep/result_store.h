@@ -144,12 +144,12 @@ class ResultStore {
 
   /// Parses an existing JSONL store. A missing file yields an empty store;
   /// a malformed line or another schema version throws ScfiError. With
-  /// `recover_torn_tail`, a malformed FINAL line — the one shape a crash or
-  /// SIGKILL between append_line's write and its fsync can leave behind —
-  /// is dropped with a loud warning instead of aborting the load, so
+  /// `recover_torn_tail`, a malformed FINAL line without its newline — the
+  /// one shape a crash or SIGKILL during append_line can leave behind — is
+  /// dropped with a loud warning instead of aborting the load, so
   /// `--resume` can replay on top of a torn store (the dropped job simply
-  /// re-executes). Corruption anywhere but the last line still throws:
-  /// only a torn tail is explainable by a crash.
+  /// re-executes). Corruption anywhere else, a complete last line included,
+  /// still throws: only a torn tail is explainable by a crash.
   static ResultStore load(const std::string& path, bool recover_torn_tail = false);
 
   /// Adds a result; an existing record with the same key is replaced

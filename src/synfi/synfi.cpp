@@ -185,7 +185,8 @@ AlignedStimulus build_aligned_stimulus(const EdgeTable& edges, int symbol_w, int
 /// that makes the report lanes/threads-invariant). That cone, closed over
 /// flip-flops, is `classifier.observable_nets()`: a fault outside it cannot
 /// reach the alert or the latched state in this batch or, through a register
-/// it corrupted, in any later one — which is what lets a run skip such faults.
+/// it corrupted, in any later one — which is what lets a run skip such faults
+/// and lets the classifier's simulator settle and latch only the cone.
 struct SimContext {
   sim::LaneClassifier classifier;
   sim::Simulator::WireHandle symbol_h;
@@ -536,9 +537,6 @@ struct Analyzer::Impl {
   /// return it when they leave.
   std::vector<std::unique_ptr<SimContext>> free_sims;
   std::mutex sim_mutex;
-  /// Per-net observability of the variant (LaneClassifier::observable_nets),
-  /// computed by the first exhaustive run.
-  std::vector<char> observable_nets;
   /// The fault-free layer's counters: they depend on the edges only.
   std::optional<PartialReport> fault_free;
   /// The owner's SAT context per key. Helpers build their own and drop it
@@ -593,11 +591,11 @@ struct Analyzer::Impl {
     const std::size_t num_sites = region.sites.size();
     if (region.nets.empty()) {
       std::unique_ptr<SimContext> ctx = checkout_sim(lane_words);
-      if (observable_nets.empty()) observable_nets = ctx->classifier.observable_nets();
+      const std::vector<char>& cone = ctx->classifier.observable_nets();
       for (const SigBit& site : region.sites) {
         const std::int32_t net = ctx->classifier.sim.net_index(site);
         region.nets.push_back(net);
-        region.observable.push_back(observable_nets[static_cast<std::size_t>(net)]);
+        region.observable.push_back(cone[static_cast<std::size_t>(net)]);
       }
       checkin_sim(std::move(ctx));
     }

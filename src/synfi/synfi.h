@@ -13,24 +13,26 @@
 //     SoA lane blocks). Each lane carries its own state/symbol stimulus and
 //     all k faults of its combination; outcomes are classified word-parallel
 //     against the expected/error/valid codewords and the alert word.
-//     Only observable sites are simulated. A net is live (observable) when
-//     it lies in the combinational fan-in of the alert, of the state
-//     register's D pins, or of the D pin of any flip-flop whose Q is itself
-//     live, iterated to a fixpoint (sim::Simulator::fanin_cone, cached once
-//     per Analyzer). A fault on a dead net can never reach the alert or the
-//     latched state, so an injection's outcome is that of its live faults
-//     alone. With L live and D dead region sites and E edges, a run
-//     simulates layer m — all C(L, m) x E live m-combinations — for every m
-//     from min(k, L) down to max(0, k - D), and counts each layer
+//     Only observable sites are simulated. A net is live (observable) when it
+//     lies in the combinational fan-in of the alert, of the state register's
+//     D pins, or of the D pin of any flip-flop whose Q is itself live,
+//     iterated to a fixpoint (sim::LaneClassifier::observable_nets). A fault
+//     on a dead net can never reach the alert or the latched state, so an
+//     injection's outcome is that of its live faults alone, and the
+//     classifier's simulator, sliced to the cone, settles and latches only
+//     live ops and registers. With L live and D dead region sites and E
+//     edges, a run simulates layer m — all C(L, m) x E live m-combinations —
+//     for every m from min(k, L) down to max(0, k - D), and counts each layer
 //     C(D, k - m) times over; m = 0 is the fault-free batch, simulated once
-//     per Analyzer. The counters, including injections = C(L + D, k) x E,
-//     are exactly the full enumeration's. A dead site is exploitable when
-//     some layer with m < k has an exploitable job — any dead site completes
-//     it into an exploitable injection — so every dead site is credited
+//     per Analyzer. The counters, including injections = C(L + D, k) x E, are
+//     exactly the full enumeration's. A dead site is exploitable when some
+//     layer with m < k has an exploitable job — any dead site completes it
+//     into an exploitable injection — so every dead site is credited
 //     together. D = 0 (e.g. the econd_ region) is the plain enumeration; the
-//     cone is bit-level, so even mds_ has dead sites (diffusion-word bits
-//     the state register never reads). Skip-cycle faults are never pruned:
-//     a skipped edge acts at the flip-flop, not through the cone.
+//     cone is bit-level, so even mds_ has dead sites (diffusion-word bits the
+//     state register never reads). Skip-cycle faults are never pruned: a
+//     skipped edge acts at the flip-flop, not through the cone (on a dead
+//     flip-flop it is simulated as the no-op it is).
 //   * a SAT back-end (CDCL solver) that additionally supports leaving the
 //     control symbol unconstrained. By default it builds ONE golden +
 //     selector-gated-faulty miter per (region, fault kind, k) — every fault

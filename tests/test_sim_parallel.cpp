@@ -690,6 +690,134 @@ TEST(SimParallel, LaneClassifierMatchesCodesInTheGivenLanes) {
   }
 }
 
+TEST(SimSlice, ConeNetsMatchUnslicedSimulator) {
+  // The simulator both fault engines run is sliced to the state/alert cone
+  // (LaneClassifier's constructor). Against an unsliced Simulator of the
+  // same variant, under the same random per-lane symbols, states and
+  // faults of every kind — on live nets, dead nets and dead flip-flops —
+  // every cone net must agree lane for lane after every settle and latch.
+  constexpr FaultKind kKinds[] = {FaultKind::kTransientFlip, FaultKind::kStuckAt0,
+                                  FaultKind::kStuckAt1, FaultKind::kSkipCycle};
+  constexpr int kCycles = 6;
+  constexpr int kFaultsPerCycle = 8;
+  std::size_t dead_ffs_seen = 0;
+  for (const ot::OtEntry& entry : ot::ot_zoo()) {
+    for (const ot::Variant variant :
+         {ot::Variant::kScfi, ot::Variant::kUnprotected, ot::Variant::kRedundancy}) {
+      rtlil::Design d;
+      const fsm::CompiledFsm c =
+          ot::build_ot_variant(entry, d, variant, 2, entry.name + "_slice");
+      for (const int lane_words : {1, 2, 4, 8}) {
+        const std::string where = entry.name + " variant=" +
+                                  std::to_string(static_cast<int>(variant)) +
+                                  " W=" + std::to_string(lane_words);
+        LaneClassifier classifier(c, lane_words);
+        Simulator& sliced = classifier.sim;
+        Simulator full(*c.module, lane_words);
+        const std::vector<char>& cone = classifier.observable_nets();
+        std::vector<std::int32_t> live_nets;
+        std::vector<std::int32_t> dead_nets;
+        for (std::int32_t net = 2; net < full.num_nets(); ++net) {
+          (cone[static_cast<std::size_t>(net)] != 0 ? live_nets : dead_nets).push_back(net);
+        }
+        const std::vector<std::int32_t> all_regs = full.register_nets();
+        std::vector<std::int32_t> live_regs;
+        std::vector<std::int32_t> dead_regs;
+        for (const std::int32_t q : all_regs) {
+          (cone[static_cast<std::size_t>(q)] != 0 ? live_regs : dead_regs).push_back(q);
+        }
+        EXPECT_EQ(sliced.register_nets(), live_regs) << where;
+        dead_ffs_seen += dead_regs.size();
+
+        Rng rng(0x511CE + static_cast<std::uint64_t>(lane_words));
+        // Per-lane words ([bit * W + word]) of a `width`-bit value: random
+        // bits, with about half the lanes overwritten by one of `codes`.
+        const auto lane_values = [&](int width, const std::vector<std::uint64_t>& codes) {
+          std::vector<std::uint64_t> words(static_cast<std::size_t>(width * lane_words));
+          for (std::uint64_t& word : words) word = rng.next();
+          for (int lane = 0; lane < 64 * lane_words && !codes.empty(); ++lane) {
+            if (rng.below(2) == 0) continue;
+            const std::uint64_t code = rng.pick(codes);
+            const std::uint64_t bit = 1ULL << (lane & 63);
+            for (int i = 0; i < std::min(width, 64); ++i) {
+              std::uint64_t& word = words[static_cast<std::size_t>(i * lane_words + (lane >> 6))];
+              word = ((code >> i) & 1) != 0 ? word | bit : word & ~bit;
+            }
+          }
+          return words;
+        };
+        std::vector<std::uint64_t> symbol_codes;
+        for (const auto& [symbol, code] : c.symbol_codes) symbol_codes.push_back(code);
+        const Simulator::WireHandle state_h = full.probe(c.state_wire);
+        const std::vector<std::uint64_t> state = lane_values(state_h.width, c.state_codes);
+        for (int i = 0; i < state_h.width; ++i) {
+          for (int w = 0; w < lane_words; ++w) {
+            const std::uint64_t word = state[static_cast<std::size_t>(i * lane_words + w)];
+            sliced.set_register_word(state_h, i, word, w);
+            full.set_register_word(state_h, i, word, w);
+          }
+        }
+        const auto first_mismatch = [&]() -> std::int32_t {
+          for (const std::int32_t net : live_nets) {
+            for (int w = 0; w < lane_words; ++w) {
+              if (sliced.lane_word(net, w) != full.lane_word(net, w)) return net;
+            }
+          }
+          return -1;
+        };
+
+        for (int t = 0; t < kCycles; ++t) {
+          for (const rtlil::Wire* wire : c.module->wires()) {
+            if (!wire->is_input()) continue;
+            const Simulator::WireHandle h = full.input_handle(wire->name());
+            const std::vector<std::uint64_t> in = lane_values(
+                h.width, wire->name() == c.symbol_input_wire ? symbol_codes
+                                                             : std::vector<std::uint64_t>{});
+            for (int i = 0; i < h.width; ++i) {
+              for (int w = 0; w < lane_words; ++w) {
+                const std::uint64_t word = in[static_cast<std::size_t>(i * lane_words + w)];
+                sliced.set_input_word(h, i, word, w);
+                full.set_input_word(h, i, word, w);
+              }
+            }
+          }
+          // A skip on a dead flip-flop arms nothing on the sliced simulator.
+          for (const std::int32_t q : dead_regs) {
+            const LaneMask lanes = LaneMask::lane(
+                static_cast<int>(rng.below(static_cast<std::uint64_t>(sliced.num_lanes()))));
+            sliced.inject_net(q, FaultKind::kSkipCycle, lanes);
+            full.inject_net(q, FaultKind::kSkipCycle, lanes);
+          }
+          EXPECT_EQ(sliced.pending_skip_ffs(), 0) << where << " t=" << t;
+          EXPECT_EQ(full.pending_skip_ffs(), static_cast<int>(dead_regs.size()))
+              << where << " t=" << t;
+          for (int f = 0; f < kFaultsPerCycle; ++f) {
+            const FaultKind kind = kKinds[rng.below(4)];
+            const std::vector<std::int32_t>& pool =
+                kind == FaultKind::kSkipCycle
+                    ? (rng.below(2) == 0 && !dead_regs.empty() ? dead_regs : all_regs)
+                    : (rng.below(2) == 0 && !dead_nets.empty() ? dead_nets : live_nets);
+            if (pool.empty()) continue;
+            const std::int32_t net = rng.pick(pool);
+            const LaneMask lanes = LaneMask::lane(
+                static_cast<int>(rng.below(static_cast<std::uint64_t>(sliced.num_lanes()))));
+            sliced.inject_net(net, kind, lanes);
+            full.inject_net(net, kind, lanes);
+          }
+          sliced.eval();
+          full.eval();
+          EXPECT_EQ(first_mismatch(), -1) << where << " t=" << t << " settled";
+          sliced.latch();
+          full.latch();
+          EXPECT_EQ(first_mismatch(), -1) << where << " t=" << t << " latched";
+        }
+      }
+    }
+  }
+  // The dead flip-flop cases above are not vacuous.
+  EXPECT_GT(dead_ffs_seen, 0u);
+}
+
 TEST(CampaignKnobs, InvalidConfigThrows) {
   const ot::OtEntry entry = ot::ot_entry("adc_ctrl_fsm");
   rtlil::Design d;

@@ -619,6 +619,21 @@ TEST(ResultStore, TornTailRecoveryIsOptInAndLastLineOnly) {
     out << "{\"schema\":6,\"ty";
   }
   EXPECT_EQ(ResultStore::load(path, /*recover_torn_tail=*/true).size(), 0u);
+
+  // A complete (newline-terminated) final line of another schema is no torn
+  // tail either: recovery refuses it and names its line.
+  {
+    const std::string line = ResultStore::to_line(b);
+    std::ofstream out(path, std::ios::trunc);
+    out << ResultStore::to_line(a) << "\n"
+        << "{\"schema\":7" << line.substr(std::string("{\"schema\":6").size()) << "\n";
+  }
+  try {
+    ResultStore::load(path, /*recover_torn_tail=*/true);
+    FAIL() << "recovery dropped a complete final line";
+  } catch (const ScfiError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ResultStore, SaveIsAtomicAndCompactsLatestWins) {
