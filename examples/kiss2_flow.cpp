@@ -2,11 +2,10 @@
 // it, and emit DOT (CFG), Verilog (hardened netlist) and a KISS2 round-trip
 // — the interoperability path for third-party state machines.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "backends/verilog.h"
+#include "base/error.h"
 #include "core/harden.h"
 #include "fsm/dot.h"
 #include "fsm/kiss2.h"
@@ -40,19 +39,14 @@ const char* kKiss2 = R"(
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string text = kKiss2;
-  if (argc > 1) {
-    std::ifstream in(argv[1]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
-      return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
+  scfi::fsm::Fsm fsm;
+  try {
+    fsm = argc > 1 ? scfi::fsm::parse_kiss2_file(argv[1], "dk27")
+                   : scfi::fsm::parse_kiss2(kKiss2, "dk27");
+  } catch (const scfi::ScfiError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
   }
-
-  scfi::fsm::Fsm fsm = scfi::fsm::parse_kiss2(text, "dk27");
   std::printf("parsed '%s': %d states, %zu transitions, %d inputs\n", fsm.name.c_str(),
               fsm.num_states(), fsm.transitions.size(), fsm.num_inputs());
 

@@ -7,10 +7,11 @@
 //   scfi_cli synfi   <file.kiss2> [-n LEVEL] [--backend sim|sat] [--faults-k K]
 //                    [--target any|inputs|state|logic] [--lanes K]
 //                    [--threads K]
-//   scfi_cli attack  <file.kiss2> [-n LEVEL] [--faults K] [--faults-k K]
+//   scfi_cli attack  <file.kiss2> [-n LEVEL] [--faults-k K | --faults K]
 //                    [--target any|inputs|state|logic] [--lanes K] [--threads K]
-//   scfi_cli sweep   [--corpus DIR] [--modules GLOBS] [--levels 2,3]
-//                    [--regions mds_,all] [--kinds flip,stuck0,stuck1]
+//   scfi_cli sweep   [--corpus DIR | --corpus-verilog DIR] [--modules GLOBS]
+//                    [--levels 2,3] [--regions mds_,all]
+//                    [--kinds flip,stuck0,stuck1]
 //                    [--backend sim|sat] [--faults-k K] [--target any,state,...]
 //                    [--campaign-runs N] [--campaign-cycles N]
 //                    [--campaign-faults N] [--campaign-seed N]
@@ -32,12 +33,15 @@
 // parses a structural Verilog netlist with the frontends reader, elaborates
 // every module, and reports ports plus every extracted FSM (state register,
 // encoding, states/transitions); --dot additionally dumps each machine as
-// Graphviz. `sweep` runs the SYNFI job matrix over every module matching
-// the globs — drawn from the OpenTitan zoo, or, with --corpus DIR, from the
-// .kiss2 files discovered recursively under DIR, or, with --corpus-verilog
-// DIR, from the FSMs extracted out of the .v netlists under DIR (files that
-// fail to parse/elaborate/extract are reported per module and skipped, not
-// fatal) — plus, with --campaign-runs > 0, a Monte-Carlo
+// Graphviz. `attack --faults` is an alias of `--faults-k` (faults per run);
+// when both are given the last one wins. `sweep` runs the SYNFI job matrix
+// over every module matching the globs — drawn from the OpenTitan zoo, or,
+// with --corpus DIR, from the .kiss2 files discovered recursively under DIR,
+// or, with --corpus-verilog DIR, from the FSMs extracted out of the .v
+// netlists under DIR (both corpora share one scan: files that fail to
+// parse/elaborate/extract, and entries whose name another entry also has,
+// are reported per module and skipped, not fatal) — plus, with
+// --campaign-runs > 0, a Monte-Carlo
 // campaign job per module x level x kind x campaign-variant — and streams
 // JSONL results into --out; --resume skips jobs already ok there (failed
 // and timed-out keys re-execute). A job that throws is retried --retries
@@ -64,7 +68,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -104,11 +107,7 @@ const char* kDemo = R"(
 
 scfi::fsm::Fsm load_fsm(const std::string& path) {
   if (path.empty()) return scfi::fsm::parse_kiss2(kDemo, "demo");
-  std::ifstream in(path);
-  if (!in) throw scfi::ScfiError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return scfi::fsm::parse_kiss2(buffer.str(), path);
+  return scfi::fsm::parse_kiss2_file(path, path);
 }
 
 int usage() {
@@ -119,7 +118,8 @@ int usage() {
                "  harden:  -o out.v --json out.json\n"
                "  synfi:   --backend sim|sat --faults-k K --target any|inputs|state|logic\n"
                "           --lanes K --threads K\n"
-               "  attack:  --faults K (alias --faults-k) --target any|inputs|state|logic\n"
+               "  attack:  --faults-k K (alias --faults; the last one given wins)\n"
+               "           --target any|inputs|state|logic\n"
                "           --lanes K --threads K\n"
                "  (--lanes: simulator runs per pass, 1..512 = 64 x lane_words;\n"
                "   widths past 64 use multi-word SIMD lane blocks; default auto-\n"
@@ -227,8 +227,7 @@ int main(int argc, char** argv) {
   bool resume = false;
   bool level_set = false;
   int level = 2;
-  int faults = 1;
-  int faults_k = 1;
+  int faults_k = 1;  // --faults-k, or its alias --faults; the last one given wins
   std::string target = "any";
   // 0 = auto: pick the lane count per module via synfi::auto_lanes. An
   // explicit --lanes is never second-guessed.
@@ -261,10 +260,8 @@ int main(int argc, char** argv) {
         verilog_out = argv[++i];
       } else if (arg == "--json" && has_value) {
         json_out = argv[++i];
-      } else if (arg == "--faults" && has_value) {
-        faults = parse_positive("--faults", argv[++i]);
-      } else if (arg == "--faults-k" && has_value) {
-        faults_k = parse_positive("--faults-k", argv[++i]);
+      } else if ((arg == "--faults-k" || arg == "--faults") && has_value) {
+        faults_k = parse_positive(arg, argv[++i]);
       } else if (arg == "--target" && has_value) {
         target = argv[++i];
         for (const std::string& t : scfi::split(target, ",")) {
@@ -687,9 +684,7 @@ int main(int argc, char** argv) {
       scfi::sim::CampaignConfig campaign;
       campaign.runs = 1000;
       campaign.cycles = 20;
-      // --faults is the historical name, --faults-k the threat-model
-      // spelling shared with synfi/sweep; either sets the per-run count.
-      campaign.fault.k = faults_k > 1 ? faults_k : faults;
+      campaign.fault.k = faults_k;
       campaign.fault.target = scfi::sweep::fault_target_of(target);
       campaign.lanes = lanes > 0 ? lanes : scfi::synfi::auto_lanes(*hard.module);
       campaign.threads = threads;

@@ -1,7 +1,7 @@
 #include "core/pass.h"
 
 #include "base/error.h"
-#include "sim/extract.h"
+#include "fsm/extract.h"
 
 namespace scfi::core {
 
@@ -10,10 +10,8 @@ PassResult run_scfi_pass(rtlil::Design& design, const std::string& module_name,
   rtlil::Module* source = design.module(module_name);
   require(source != nullptr, "run_scfi_pass: no module " + module_name);
 
-  sim::ExtractOptions extract_options;
-  extract_options.state_wire = options.state_wire;
   PassResult result;
-  result.extracted = sim::extract_fsm(*source, extract_options);
+  result.extracted = fsm::extract_fsm(*source, options.state_wire).fsm;
   // Reuse the source module's name for the hardened FSM.
   result.extracted.name = module_name;
   result.hardened = scfi_harden(result.extracted, design, options.config, &result.report);

@@ -1,6 +1,7 @@
-// End-to-end SCFI pass over a design: detect the FSM in a compiled module
-// (via exhaustive-simulation extraction), harden it, and report — the analog
-// of inserting the SCFI pass into the Yosys flow (paper §5).
+// End-to-end SCFI pass over a design: recover the FSM held in a compiled
+// module's state register (fsm::extract_fsm, over the module's whole
+// interface), harden it, and report — the analog of inserting the SCFI pass
+// into the Yosys flow (paper §5).
 #pragma once
 
 #include <optional>
@@ -14,7 +15,9 @@ namespace scfi::core {
 
 struct PassOptions {
   ScfiConfig config;
-  std::string state_wire = "state_q";  ///< state register of the source module
+  /// State register of the source module; must be a self-contained
+  /// register (fsm::find_state_registers), else the pass throws ScfiError.
+  std::string state_wire = "state_q";
   /// Run the SYNFI-style exhaustive fault analysis on the hardened module as
   /// part of the pass (the paper's §7 "integrate the formal analysis into
   /// the Yosys pass" extension). Throws ScfiError when faults inside the

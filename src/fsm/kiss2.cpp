@@ -1,7 +1,9 @@
 #include "fsm/kiss2.h"
 
+#include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "base/error.h"
@@ -109,6 +111,14 @@ std::string write_kiss2(const Fsm& fsm) {
   }
   out << ".e\n";
   return out.str();
+}
+
+Fsm parse_kiss2_file(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  require(static_cast<bool>(in), "kiss2: cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return parse_kiss2(buffer.str(), name);
 }
 
 }  // namespace scfi::fsm

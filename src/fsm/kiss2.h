@@ -17,6 +17,10 @@ namespace scfi::fsm {
 /// ScfiError naming the offending line (never a bare std:: exception).
 Fsm parse_kiss2(const std::string& text, const std::string& name = "kiss2");
 
+/// parse_kiss2 over the contents of the file at `path`; throws ScfiError when
+/// the file cannot be read.
+Fsm parse_kiss2_file(const std::string& path, const std::string& name);
+
 /// Serializes an FSM to KISS2 text.
 std::string write_kiss2(const Fsm& fsm);
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <tuple>
 
 #include "base/error.h"
 #include "base/log.h"
@@ -26,15 +25,48 @@ bool matches_any(const std::string& name, const std::vector<std::string>& patter
 /// Corpus label: explicit, or the directory's base name. A trailing slash
 /// ("bench/corpus/", what shell completion produces) leaves filename()
 /// empty; the base name is then one level up.
-std::string derive_label(const std::filesystem::path& root, const std::string& dir,
-                         const std::string& label) {
+std::string derive_label(const std::string& kind, const std::filesystem::path& root,
+                         const std::string& dir, const std::string& label) {
   if (!label.empty()) return label;
   std::filesystem::path base = root.filename();
   if (base.empty()) base = root.parent_path().filename();
   const std::string derived = base.generic_string();
   require(!derived.empty() && derived != "." && derived != "..",
-          "corpus: cannot derive a label from '" + dir + "'; pass one explicitly");
+          kind + ": cannot derive a label from '" + dir + "'; pass one explicitly");
   return derived;
+}
+
+CorpusFile load_kiss2(const std::string& path, const std::string& name) {
+  CorpusFile file;
+  file.entries.push_back({name, fsm::parse_kiss2_file(path, name), {}});
+  return file;
+}
+
+CorpusFile load_verilog(const std::string& path, const std::string& name) {
+  rtlil::Design design;
+  const std::vector<rtlil::Module*> modules = frontends::read_verilog_file(path, design);
+  CorpusFile file;
+  for (const rtlil::Module* module : modules) {
+    const std::string module_name = modules.size() == 1 ? name : name + "/" + module->name();
+    std::vector<fsm::ExtractedFsm> machines;
+    try {
+      machines = fsm::extract_fsms(*module);
+    } catch (const ScfiError& e) {
+      file.skipped.emplace_back(module_name, e.what());
+      continue;
+    }
+    // A netlist without a state machine cannot feed the hardening sweep;
+    // record it instead of silently shrinking the corpus.
+    if (machines.empty()) {
+      file.skipped.emplace_back(module_name, "no FSM found in module " + module->name());
+    }
+    for (fsm::ExtractedFsm& machine : machines) {
+      const std::string entry_name =
+          machines.size() == 1 ? module_name : module_name + "." + machine.state_wire;
+      file.entries.push_back({entry_name, std::move(machine.fsm), {}});
+    }
+  }
+  return file;
 }
 
 }  // namespace
@@ -45,46 +77,71 @@ std::vector<ot::OtEntry> ZooSource::modules(const std::string& globs) const {
 
 ot::OtEntry ZooSource::module(const std::string& name) const { return ot::ot_entry(name); }
 
-Kiss2CorpusSource::Kiss2CorpusSource(const std::string& dir, const std::string& label) {
+CorpusSource::CorpusSource(const std::string& kind, const std::string& dir,
+                           const std::string& label, const std::string& extension,
+                           Loader load)
+    : kind_(kind) {
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::path root = fs::path(dir).lexically_normal();
   require(fs::is_directory(root, ec),
-          "corpus: " + dir + " is not a directory of .kiss2 files");
-  label_ = derive_label(root, dir, label);
+          kind + ": " + dir + " is not a directory of " + extension + " files");
+  label_ = derive_label(kind, root, dir, label);
 
-  for (const fs::directory_entry& entry :
+  const auto skip = [&](const std::string& name, const std::string& path,
+                        const std::string& reason) {
+    errors_.push_back(CorpusError{name, path, reason});
+    log_warn(kind + ": skipping " + name + " (" + path + "): " + reason);
+  };
+  struct Found {
+    ot::OtEntry entry;
+    std::string path;
+  };
+  std::vector<Found> found;
+  for (const fs::directory_entry& file :
        fs::recursive_directory_iterator(root, fs::directory_options::skip_permission_denied)) {
-    if (!entry.is_regular_file(ec) || entry.path().extension() != ".kiss2") continue;
-    const std::string name = entry.path()
-                                 .lexically_relative(root)
-                                 .replace_extension()
-                                 .generic_string();
-    std::ifstream in(entry.path());
-    if (!in) {
-      errors_.push_back(CorpusError{name, entry.path().generic_string(), "cannot open file"});
-      continue;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
+    if (!file.is_regular_file(ec) || file.path().extension() != extension) continue;
+    const std::string path = file.path().generic_string();
+    const std::string name =
+        file.path().lexically_relative(root).replace_extension().generic_string();
+    CorpusFile loaded;
     try {
-      ot::OtEntry parsed;
-      parsed.name = name;
-      parsed.fsm = fsm::parse_kiss2(buffer.str(), name);
-      entries_.push_back(std::move(parsed));  // no datapath: a bare FSM module
+      loaded = load(path, name);
     } catch (const ScfiError& e) {
-      // Loud per-module error record; the rest of the corpus still sweeps.
-      errors_.push_back(CorpusError{name, entry.path().generic_string(), e.what()});
-      log_warn("corpus: skipping " + entry.path().generic_string() + ": " + e.what());
+      loaded.skipped.emplace_back(name, e.what());
+    }
+    for (const auto& [module, reason] : loaded.skipped) skip(module, path, reason);
+    for (ot::OtEntry& entry : loaded.entries) {
+      entry.fsm.name = entry.name;
+      found.push_back(Found{std::move(entry), path});
     }
   }
-  const auto by_name = [](const ot::OtEntry& a, const ot::OtEntry& b) { return a.name < b.name; };
-  std::sort(entries_.begin(), entries_.end(), by_name);
-  std::sort(errors_.begin(), errors_.end(),
-            [](const CorpusError& a, const CorpusError& b) { return a.module < b.module; });
+
+  // Name sort; a name that several entries share identifies none of them,
+  // so every one of them is skipped, naming the other paths.
+  std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
+    return std::tie(a.entry.name, a.path) < std::tie(b.entry.name, b.path);
+  });
+  for (std::size_t i = 0, j = 0; i < found.size(); i = j) {
+    while (j < found.size() && found[j].entry.name == found[i].entry.name) ++j;
+    if (j - i == 1) {
+      entries_.push_back(std::move(found[i].entry));
+      continue;
+    }
+    for (std::size_t k = i; k < j; ++k) {
+      std::string others;
+      for (std::size_t o = i; o < j; ++o) {
+        if (o != k) others += (others.empty() ? "" : ", ") + found[o].path;
+      }
+      skip(found[k].entry.name, found[k].path, "entry name also produced by " + others);
+    }
+  }
+  std::sort(errors_.begin(), errors_.end(), [](const CorpusError& a, const CorpusError& b) {
+    return std::tie(a.module, a.path) < std::tie(b.module, b.path);
+  });
 }
 
-std::vector<ot::OtEntry> Kiss2CorpusSource::modules(const std::string& globs) const {
+std::vector<ot::OtEntry> CorpusSource::modules(const std::string& globs) const {
   const std::vector<std::string> patterns = split(globs, ",");
   std::vector<ot::OtEntry> matched;
   for (const ot::OtEntry& entry : entries_) {
@@ -93,88 +150,17 @@ std::vector<ot::OtEntry> Kiss2CorpusSource::modules(const std::string& globs) co
   return matched;
 }
 
-ot::OtEntry Kiss2CorpusSource::module(const std::string& name) const {
+ot::OtEntry CorpusSource::module(const std::string& name) const {
   for (const ot::OtEntry& entry : entries_) {
     if (entry.name == name) return entry;
   }
-  throw ScfiError("corpus " + label_ + ": unknown module " + name);
+  throw ScfiError(kind_ + " " + label_ + ": unknown module " + name);
 }
 
-VerilogCorpusSource::VerilogCorpusSource(const std::string& dir, const std::string& label) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path root = fs::path(dir).lexically_normal();
-  require(fs::is_directory(root, ec),
-          "corpus-verilog: " + dir + " is not a directory of .v netlists");
-  label_ = derive_label(root, dir, label);
+Kiss2CorpusSource::Kiss2CorpusSource(const std::string& dir, const std::string& label)
+    : CorpusSource("corpus", dir, label, ".kiss2", load_kiss2) {}
 
-  for (const fs::directory_entry& entry :
-       fs::recursive_directory_iterator(root, fs::directory_options::skip_permission_denied)) {
-    if (!entry.is_regular_file(ec) || entry.path().extension() != ".v") continue;
-    const std::string base = entry.path()
-                                 .lexically_relative(root)
-                                 .replace_extension()
-                                 .generic_string();
-    const std::string path = entry.path().generic_string();
-    rtlil::Design design;
-    std::vector<rtlil::Module*> modules;
-    try {
-      modules = frontends::read_verilog_file(path, design);
-    } catch (const ScfiError& e) {
-      // Loud per-file error record; the rest of the corpus still sweeps.
-      errors_.push_back(CorpusError{base, path, e.what()});
-      log_warn("corpus-verilog: skipping " + path + ": " + e.what());
-      continue;
-    }
-    for (const rtlil::Module* module : modules) {
-      const std::string module_name =
-          modules.size() == 1 ? base : base + "/" + module->name();
-      std::vector<fsm::ExtractedFsm> machines;
-      try {
-        machines = fsm::extract_fsms(*module);
-      } catch (const ScfiError& e) {
-        errors_.push_back(CorpusError{module_name, path, e.what()});
-        log_warn("corpus-verilog: skipping " + module_name + ": " + e.what());
-        continue;
-      }
-      if (machines.empty()) {
-        // A netlist without a state machine cannot feed the hardening
-        // sweep; record it loudly instead of silently shrinking the corpus.
-        errors_.push_back(CorpusError{module_name, path, "no FSM found in module " +
-                                                             module->name()});
-        log_warn("corpus-verilog: no FSM found in " + module_name);
-        continue;
-      }
-      for (fsm::ExtractedFsm& machine : machines) {
-        ot::OtEntry parsed;
-        parsed.name = machines.size() == 1 ? module_name
-                                           : module_name + "." + machine.state_wire;
-        parsed.fsm = std::move(machine.fsm);
-        parsed.fsm.name = parsed.name;
-        entries_.push_back(std::move(parsed));  // no datapath: a bare FSM module
-      }
-    }
-  }
-  const auto by_name = [](const ot::OtEntry& a, const ot::OtEntry& b) { return a.name < b.name; };
-  std::sort(entries_.begin(), entries_.end(), by_name);
-  std::sort(errors_.begin(), errors_.end(),
-            [](const CorpusError& a, const CorpusError& b) { return a.module < b.module; });
-}
-
-std::vector<ot::OtEntry> VerilogCorpusSource::modules(const std::string& globs) const {
-  const std::vector<std::string> patterns = split(globs, ",");
-  std::vector<ot::OtEntry> matched;
-  for (const ot::OtEntry& entry : entries_) {
-    if (matches_any(entry.name, patterns)) matched.push_back(entry);
-  }
-  return matched;
-}
-
-ot::OtEntry VerilogCorpusSource::module(const std::string& name) const {
-  for (const ot::OtEntry& entry : entries_) {
-    if (entry.name == name) return entry;
-  }
-  throw ScfiError("corpus-verilog " + label_ + ": unknown module " + name);
-}
+VerilogCorpusSource::VerilogCorpusSource(const std::string& dir, const std::string& label)
+    : CorpusSource("corpus-verilog", dir, label, ".v", load_verilog) {}
 
 }  // namespace scfi::sweep

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ot/zoo.h"
@@ -46,73 +47,86 @@ class ZooSource final : public ModuleSource {
   ot::OtEntry module(const std::string& name) const override;
 };
 
-/// One corpus file the scan could not ingest (.kiss2 parse error, Verilog
-/// parse/elaboration error, FSM extraction failure). Recorded (and logged)
-/// loudly per module instead of aborting the whole sweep: one malformed
-/// benchmark must not take down a corpus-scale campaign.
+/// One corpus entry the scan could not ingest (.kiss2 parse error, Verilog
+/// parse/elaboration error, FSM extraction failure, entry name collision).
+/// Recorded (and logged) loudly per module instead of aborting the whole
+/// sweep: one malformed benchmark must not take down a corpus-scale
+/// campaign.
 struct CorpusError {
-  std::string module;   ///< module name the file would have had
+  std::string module;   ///< entry name the module would have had
   std::string path;     ///< file path as discovered
-  std::string message;  ///< the parse error
+  std::string message;  ///< why it was skipped
 };
 
-/// A directory of `.kiss2` files, discovered recursively at construction.
-/// Module names are the file paths relative to the corpus root, minus the
-/// `.kiss2` extension, with '/' separators (e.g. "mcnc/lion"); entries are
-/// name-sorted so discovery order is deterministic across filesystems.
-class Kiss2CorpusSource final : public ModuleSource {
+/// What one corpus file yields: named machines, and the modules in it that
+/// were skipped as (entry name, reason).
+struct CorpusFile {
+  std::vector<ot::OtEntry> entries;
+  std::vector<std::pair<std::string, std::string>> skipped;
+};
+
+/// A directory of module files, scanned recursively once at construction.
+/// Entry names are the file path relative to the corpus root minus the
+/// extension, with '/' separators (e.g. "mcnc/lion"); a file that holds
+/// several machines suffixes them (see VerilogCorpusSource). Entries are
+/// bare FSMs (no datapath), name-sorted so discovery order is deterministic
+/// across filesystems. Whatever the scan skips — an unreadable or malformed
+/// file, a module without an FSM, every entry whose name another entry also
+/// has — becomes a CorpusError and a logged warning, and the sweep runs on
+/// over the rest.
+class CorpusSource : public ModuleSource {
  public:
-  /// Scans `dir` (throws ScfiError when it is not a directory). `label`
-  /// defaults to the directory's base name, e.g. "corpus" for
+  std::string label() const override { return label_; }
+  std::vector<ot::OtEntry> modules(const std::string& globs) const override;
+  ot::OtEntry module(const std::string& name) const override;
+
+  /// What the scan skipped (already logged), sorted by module name.
+  const std::vector<CorpusError>& errors() const { return errors_; }
+  std::size_t size() const { return entries_.size(); }
+
+ protected:
+  /// Reads one file, given its path and base entry name. A loader that
+  /// throws ScfiError skips the whole file under that name.
+  using Loader = CorpusFile (*)(const std::string& path, const std::string& name);
+
+  /// Scans `dir` for `extension` files, handing each to `load` with its
+  /// path and base entry name (throws ScfiError when `dir` is not a
+  /// directory). `kind` prefixes messages; `label` defaults to the
+  /// directory's base name.
+  CorpusSource(const std::string& kind, const std::string& dir, const std::string& label,
+               const std::string& extension, Loader load);
+
+ private:
+  std::string kind_;
+  std::string label_;
+  std::vector<ot::OtEntry> entries_;  ///< name-sorted, unique names
+  std::vector<CorpusError> errors_;
+};
+
+/// A directory of `.kiss2` files (fsm::parse_kiss2_file), one machine per
+/// file.
+class Kiss2CorpusSource final : public CorpusSource {
+ public:
+  /// `label` defaults to the directory's base name, e.g. "corpus" for
   /// "bench/corpus/".
   explicit Kiss2CorpusSource(const std::string& dir, const std::string& label = "");
-
-  std::string label() const override { return label_; }
-  std::vector<ot::OtEntry> modules(const std::string& globs) const override;
-  ot::OtEntry module(const std::string& name) const override;
-
-  /// Files that failed to parse during the scan (already logged as
-  /// warnings); the sweep runs on over the remaining entries.
-  const std::vector<CorpusError>& errors() const { return errors_; }
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  std::string label_;
-  std::vector<ot::OtEntry> entries_;  ///< parse-clean entries, name-sorted
-  std::vector<CorpusError> errors_;
 };
 
-/// A directory of structural Verilog netlists (`.v`), discovered recursively
-/// at construction. Every file goes through the frontends reader
-/// (parse + elaborate + validate) and each module's state machines are
-/// recovered by fsm::extract_fsms — the paper's real-RTL front door: the
-/// sweep hardens what was *extracted from a netlist*, not a hand-written
-/// FSM description.
+/// A directory of structural Verilog netlists (`.v`). Every file goes
+/// through the frontends reader (parse + elaborate + validate) and each
+/// module's state machines are recovered by fsm::extract_fsms — the paper's
+/// real-RTL front door: the sweep hardens what was *extracted from a
+/// netlist*, not a hand-written FSM description.
 ///
-/// Entry names are the file path relative to the corpus root minus the `.v`
-/// extension (like the KISS2 corpus); a file with several modules appends
-/// "/<module>", and a module with several state registers appends
-/// ".<state_wire>", so every extracted machine has a stable store key.
-/// Files that fail to parse/elaborate — and modules where no FSM can be
-/// extracted — become loud per-module CorpusErrors, and the sweep runs on.
-class VerilogCorpusSource final : public ModuleSource {
+/// A file with several modules appends "/<module>" to the entry name, and a
+/// module with several state registers appends ".<state_wire>", so every
+/// extracted machine has a stable store key. A module without an FSM is a
+/// CorpusError like a file that fails to parse or elaborate.
+class VerilogCorpusSource final : public CorpusSource {
  public:
-  /// Scans `dir` (throws ScfiError when it is not a directory). `label`
-  /// defaults to the directory's base name, e.g. "corpus-verilog" for
-  /// "bench/corpus-verilog/".
+  /// `label` defaults to the directory's base name, e.g. "corpus-verilog"
+  /// for "bench/corpus-verilog/".
   explicit VerilogCorpusSource(const std::string& dir, const std::string& label = "");
-
-  std::string label() const override { return label_; }
-  std::vector<ot::OtEntry> modules(const std::string& globs) const override;
-  ot::OtEntry module(const std::string& name) const override;
-
-  const std::vector<CorpusError>& errors() const { return errors_; }
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  std::string label_;
-  std::vector<ot::OtEntry> entries_;  ///< extraction-clean entries, name-sorted
-  std::vector<CorpusError> errors_;
 };
 
 }  // namespace scfi::sweep

@@ -1,8 +1,9 @@
 // FSM extraction from netlists: candidate detection edge cases, encoding
-// classification, and the acceptance gate — every zoo FSM, emitted through
-// the Verilog writer and read back, must be recovered transition-equivalent
-// to the original (checked by an exhaustive product-state bisimulation of
-// the original and the extracted-then-recompiled machines).
+// classification, the named entry the SCFI pass calls, and the acceptance
+// gate — every zoo FSM, emitted through the Verilog writer and read back,
+// must be recovered transition-equivalent to the original (checked by an
+// exhaustive product-state bisimulation of the original and the
+// extracted-then-recompiled machines).
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -17,6 +18,7 @@
 
 #include "backends/verilog.h"
 #include "base/error.h"
+#include "base/rng.h"
 #include "frontends/verilog_parse.h"
 #include "fsm/compile.h"
 #include "fsm/extract.h"
@@ -150,6 +152,129 @@ TEST(FsmExtract, ConeRelevantInputBoundIsEnforced) {
   ExtractOptions exact;
   exact.max_inputs = 4;
   EXPECT_EQ(extract_fsms(m, exact).size(), 1u);
+}
+
+TEST(FsmExtract, RecoversToggle) {
+  rtlil::Design d;
+  const Fsm f = test::toggle_fsm();
+  const CompiledFsm c = compile_unprotected(f, d);
+  const Fsm g = extract_fsm(*c.module, c.state_wire).fsm;
+  EXPECT_EQ(g.num_states(), 2);
+  // Behavioural equivalence over a walk.
+  int sf = f.reset_state;
+  int sg = g.reset_state;
+  for (int t = 0; t < 20; ++t) {
+    const std::vector<bool> in{t % 3 != 0};
+    sf = f.step_raw(sf, in).first;
+    sg = g.step_raw(sg, in).first;
+    // States correspond via their codes: compiled code == index for binary.
+    EXPECT_EQ(g.states[static_cast<std::size_t>(sg)], "s" + std::to_string(sf));
+  }
+}
+
+TEST(FsmExtract, RecoversPaperFsmBehaviour) {
+  rtlil::Design d;
+  const Fsm f = test::paper_fsm();
+  const CompiledFsm c = compile_unprotected(f, d);
+  const Fsm g = extract_fsm(*c.module, c.state_wire).fsm;
+  EXPECT_EQ(g.num_states(), f.num_states());
+  Rng rng(5);
+  int sf = f.reset_state;
+  int sg = g.reset_state;
+  for (int t = 0; t < 500; ++t) {
+    std::vector<bool> in;
+    for (int i = 0; i < f.num_inputs(); ++i) in.push_back(rng.chance(0.5));
+    sf = f.step_raw(sf, in).first;
+    sg = g.step_raw(sg, in).first;
+    EXPECT_EQ(g.states[static_cast<std::size_t>(sg)], "s" + std::to_string(sf));
+  }
+}
+
+/// The ScfiError message `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const ScfiError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FsmExtract, NamedRegisterIsRecoveredOverEveryPortBit) {
+  // q <= q ^ x with a 2-bit input x and a 2-bit output y = q, plus an input
+  // u and an output z = u that no state cone reaches.
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("xorreg");
+  Wire* x = m.add_input("x", 2);
+  Wire* u = m.add_input("u", 1);
+  Wire* q = m.add_wire("q", 2);
+  rtlil::Cell* ff = m.add_cell("q_ff", rtlil::CellType::kDff);
+  ff->set_port("D", m.make_xor(SigSpec(q), SigSpec(x)));
+  ff->set_port("Q", SigSpec(q));
+  ff->set_reset_value(Const(std::vector<bool>{false, false}));
+  m.drive(SigSpec(m.add_output("y", 2)), SigSpec(q));
+  m.drive(SigSpec(m.add_output("z", 1)), SigSpec(u));
+  rtlil::validate_module(m);
+
+  const ExtractedFsm named = extract_fsm(m, "q");
+  EXPECT_EQ(named.state_wire, "q");
+  EXPECT_EQ(named.fsm.inputs, (std::vector<std::string>{"x[0]", "x[1]", "u"}));
+  EXPECT_EQ(named.fsm.outputs, (std::vector<std::string>{"y[0]", "y[1]", "z"}));
+  EXPECT_EQ(named.state_codes, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  // Discovery keeps only the bits the register's cones reach.
+  const std::vector<ExtractedFsm> found = extract_fsms(m);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].fsm.inputs, (std::vector<std::string>{"x[0]", "x[1]"}));
+  EXPECT_EQ(found[0].fsm.outputs, (std::vector<std::string>{"y[0]", "y[1]"}));
+
+  // Every (state, input) step matches the netlist: next = q ^ x, outputs
+  // are the current code and u.
+  const Fsm& g = named.fsm;
+  for (int s = 0; s < g.num_states(); ++s) {
+    const std::uint64_t code = named.state_codes[static_cast<std::size_t>(s)];
+    for (unsigned combo = 0; combo < 8; ++combo) {
+      const std::vector<bool> in{(combo & 1) != 0, (combo & 2) != 0, (combo & 4) != 0};
+      const auto [next, taken] = g.step_raw(s, in);
+      EXPECT_EQ(named.state_codes[static_cast<std::size_t>(next)], code ^ (combo & 3));
+      std::string expected_out = "000";
+      expected_out[0] = (code & 1) ? '1' : '0';
+      expected_out[1] = (code & 2) ? '1' : '0';
+      expected_out[2] = (combo & 4) ? '1' : '0';
+      const std::string out =
+          taken < 0 ? "000" : g.transitions[static_cast<std::size_t>(taken)].output;
+      EXPECT_EQ(out, expected_out) << "state " << code << " combo " << combo;
+    }
+  }
+}
+
+TEST(FsmExtract, NamedWireMustBeASelfContainedRegister) {
+  // follow_q <= src_q, src_q <= src_q ^ t: follow_q's next state depends on
+  // another register, so recovering it alone would be wrong.
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("follower");
+  add_toggle(m, "src_q", "t", "o");
+  Wire* follow = m.add_wire("follow_q", 1);
+  rtlil::Cell* ff = m.add_cell("follow_ff", rtlil::CellType::kDff);
+  ff->set_port("D", SigSpec(m.wire("src_q")));
+  ff->set_port("Q", SigSpec(follow));
+  ff->set_reset_value(Const(std::vector<bool>{false}));
+  rtlil::validate_module(m);
+
+  EXPECT_EQ(extract_fsm(m, "src_q").fsm.num_states(), 2);
+  const std::string follower = error_of([&] { extract_fsm(m, "follow_q"); });
+  EXPECT_NE(follower.find("follow_q"), std::string::npos) << follower;
+  const std::string input = error_of([&] { extract_fsm(m, "t"); });
+  EXPECT_NE(input.find("follower.t"), std::string::npos) << input;
+}
+
+TEST(FsmExtract, UnknownWireThrows) {
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("toggler");
+  add_toggle(m, "q", "t", "o");
+  rtlil::validate_module(m);
+  const std::string unknown = error_of([&] { extract_fsm(m, "state_q"); });
+  EXPECT_NE(unknown.find("state_q"), std::string::npos) << unknown;
 }
 
 // --- zoo equivalence (the acceptance gate) ----------------------------------

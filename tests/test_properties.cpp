@@ -9,11 +9,11 @@
 #include "base/rng.h"
 #include "core/harden.h"
 #include "fsm/compile.h"
+#include "fsm/extract.h"
 #include "fsm/kiss2.h"
 #include "redundancy/redundancy.h"
 #include "rtlil/design.h"
 #include "sim/campaign.h"
-#include "sim/extract.h"
 #include "sim/netlist_sim.h"
 #include "synth/lower.h"
 #include "synth/opt.h"
@@ -159,7 +159,7 @@ TEST_P(RandomFsm, ExtractionRecoversBehaviour) {
   const fsm::Fsm f = random_fsm(rng, 3 + GetParam() % 5, 2 + GetParam() % 3, 1);
   rtlil::Design d;
   const fsm::CompiledFsm c = fsm::compile_unprotected(f, d);
-  const fsm::Fsm g = sim::extract_fsm(*c.module);
+  const fsm::Fsm g = fsm::extract_fsm(*c.module, c.state_wire).fsm;
   Rng walk(GetParam() + 5);
   int sf = f.reset_state;
   int sg = g.reset_state;

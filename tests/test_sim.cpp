@@ -6,7 +6,6 @@
 #include "base/rng.h"
 #include "fsm/compile.h"
 #include "rtlil/design.h"
-#include "sim/extract.h"
 #include "sim/fault.h"
 #include "sim/netlist_sim.h"
 #include "sim/vcd.h"
@@ -177,42 +176,6 @@ TEST(FaultSites, ClassesAreComplete) {
   EXPECT_EQ(filter_sites(sites, FaultTarget::kStateRegister).size(),
             static_cast<std::size_t>(regs));
   EXPECT_EQ(filter_sites(sites, FaultTarget::kAny).size(), sites.size());
-}
-
-TEST(Extract, RecoversToggle) {
-  Design d;
-  const fsm::Fsm f = test::toggle_fsm();
-  const fsm::CompiledFsm c = fsm::compile_unprotected(f, d);
-  const fsm::Fsm g = sim::extract_fsm(*c.module);
-  EXPECT_EQ(g.num_states(), 2);
-  // Behavioural equivalence over a walk.
-  int sf = f.reset_state;
-  int sg = g.reset_state;
-  for (int t = 0; t < 20; ++t) {
-    const std::vector<bool> in{t % 3 != 0};
-    sf = f.step_raw(sf, in).first;
-    sg = g.step_raw(sg, in).first;
-    // States correspond via their codes: compiled code == index for binary.
-    EXPECT_EQ(g.states[static_cast<std::size_t>(sg)], "s" + std::to_string(sf));
-  }
-}
-
-TEST(Extract, RecoversPaperFsmBehaviour) {
-  Design d;
-  const fsm::Fsm f = test::paper_fsm();
-  const fsm::CompiledFsm c = fsm::compile_unprotected(f, d);
-  const fsm::Fsm g = sim::extract_fsm(*c.module);
-  EXPECT_EQ(g.num_states(), f.num_states());
-  Rng rng(5);
-  int sf = f.reset_state;
-  int sg = g.reset_state;
-  for (int t = 0; t < 500; ++t) {
-    std::vector<bool> in;
-    for (int i = 0; i < f.num_inputs(); ++i) in.push_back(rng.chance(0.5));
-    sf = f.step_raw(sf, in).first;
-    sg = g.step_raw(sg, in).first;
-    EXPECT_EQ(g.states[static_cast<std::size_t>(sg)], "s" + std::to_string(sf));
-  }
 }
 
 TEST(Vcd, EmitsDocument) {

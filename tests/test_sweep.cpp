@@ -1131,6 +1131,64 @@ TEST(ModuleSource, CorpusDiscoveryGlobsAndErrors) {
   EXPECT_EQ(Kiss2CorpusSource(dir + "/").label(), "corpus_discovery");
 }
 
+TEST(ModuleSource, VerilogCorpusNamesErrorsAndCollisions) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) / "vcorpus_names";
+  fs::remove_all(root);
+  fs::create_directories(root / "top");
+  const auto write = [](const fs::path& path, const std::string& text) {
+    std::ofstream out(path);
+    out << text;
+  };
+  // q <= q ^ t: a one-register toggle machine named `name`.
+  const auto toggle = [](const std::string& name) {
+    return "module " + name + " (clk, rst_n, t, o);\n  input clk, rst_n, t;\n  output o;\n"
+           "  reg q;\n  always @(posedge clk or negedge rst_n)\n"
+           "    if (!rst_n) q <= 1'b0; else q <= q ^ t;\n  assign o = q;\nendmodule\n";
+  };
+  // Two modules in one file get "/<module>"; top.v's ctl and top/ctl.v's
+  // ctl would both be "top/ctl".
+  write(root / "top.v", toggle("ctl") + toggle("dp"));
+  write(root / "top" / "ctl.v", toggle("ctl"));
+  // Two state registers in one module get ".<state_wire>".
+  write(root / "pair.v",
+        "module pair (clk, rst_n, a, b, oa, ob);\n  input clk, rst_n, a, b;\n"
+        "  output oa, ob;\n  reg qa, qb;\n  always @(posedge clk or negedge rst_n)\n"
+        "    if (!rst_n) begin qa <= 1'b0; qb <= 1'b0; end\n"
+        "    else begin qa <= qa ^ a; qb <= qb ^ b; end\n"
+        "  assign oa = qa;\n  assign ob = qb;\nendmodule\n");
+  // A register without feedback holds no FSM.
+  write(root / "pipe.v",
+        "module pipe (clk, rst_n, d, y);\n  input clk, rst_n, d;\n  output y;\n  reg r;\n"
+        "  always @(posedge clk or negedge rst_n)\n"
+        "    if (!rst_n) r <= 1'b0; else r <= d;\n  assign y = r;\nendmodule\n");
+
+  const VerilogCorpusSource corpus(root.generic_string());
+  EXPECT_EQ(corpus.label(), "vcorpus_names");
+  const std::vector<ot::OtEntry> all = corpus.modules("*");
+  std::vector<std::string> names;
+  for (const ot::OtEntry& entry : all) names.push_back(entry.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"pair.qa", "pair.qb", "top/dp"}));
+  EXPECT_EQ(corpus.size(), 3u);
+  EXPECT_EQ(corpus.module("top/dp").fsm.name, "top/dp");
+  EXPECT_EQ(corpus.module("pair.qb").fsm.inputs, (std::vector<std::string>{"b"}));
+  EXPECT_THROW(corpus.module("top/ctl"), ScfiError);
+
+  // The machine-less module and both colliding entries are recorded, each
+  // collision naming the other entry's path.
+  const std::string top = (root / "top.v").generic_string();
+  const std::string nested = (root / "top" / "ctl.v").generic_string();
+  ASSERT_EQ(corpus.errors().size(), 3u);
+  EXPECT_EQ(corpus.errors()[0].module, "pipe");
+  EXPECT_NE(corpus.errors()[0].message.find("no FSM found"), std::string::npos);
+  EXPECT_EQ(corpus.errors()[1].module, "top/ctl");
+  EXPECT_EQ(corpus.errors()[1].path, top);
+  EXPECT_NE(corpus.errors()[1].message.find(nested), std::string::npos);
+  EXPECT_EQ(corpus.errors()[2].module, "top/ctl");
+  EXPECT_EQ(corpus.errors()[2].path, nested);
+  EXPECT_NE(corpus.errors()[2].message.find(top), std::string::npos);
+}
+
 TEST(SweepJobs, ExpandFromCorpusCarriesSourceLabel) {
   const std::string dir = write_test_corpus("corpus_expand");
   const Kiss2CorpusSource corpus(dir, "mcnc");
