@@ -56,7 +56,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests
@@ -144,7 +144,7 @@ VCORPUS_LOG="$(build/scfi_cli sweep --corpus-verilog bench/corpus-verilog --leve
   --kinds flip --campaign-runs 2000 --campaign-cycles 12 --jobs 2 --threads 2 \
   --out "$VCORPUS_OUT" 2>&1)"
 tail -1 <<<"$VCORPUS_LOG"
-grep -q 'corpus corpus-verilog: 9 module(s), 0 parse error(s)' <<<"$VCORPUS_LOG" \
+grep -q 'corpus corpus-verilog: 9 module(s), 0 skipped' <<<"$VCORPUS_LOG" \
   || { echo "corpus-verilog smoke: expected 9 clean modules"; exit 1; }
 [[ "$(wc -l < "$VCORPUS_OUT")" -eq 18 ]] \
   || { echo "corpus-verilog smoke: expected 18 JSONL records"; exit 1; }
@@ -203,7 +203,7 @@ build/scfi_cli store-compact "$CRASH_KILL"
 
 # Fleet smoke: the same corpus matrix through the supervised multi-process
 # fleet (--fleet 2), with one worker SIGKILLed mid-sweep. The supervisor
-# must reap the dead worker, release its lease, respawn the slot, and still
+# must reap the dead worker, requeue its job, respawn the slot, and still
 # finish cleanly with a store bit-identical to the single-process run
 # (modulo timing/attempts/worker tags — all diagnostics, stripped below).
 # Workers are forked children of the supervisor (fork, no exec), so they
@@ -229,7 +229,7 @@ diff <(sed -E "$NORMALIZE" "$CRASH_FULL" | LC_ALL=C sort) \
   || { echo "fleet smoke: fleet store differs from single-process run"; exit 1; }
 
 # Poison-job quarantine smoke: SCFI_FLEET_POISON makes the worker that
-# claims the named key SIGKILL itself, so the job crashes its worker on
+# is dispatched the named key SIGKILL itself, so the job crashes its worker on
 # every attempt. After --max-crashes (default 2) crashes the supervisor
 # must quarantine the key as a failed record with error "crashed", finish
 # every other job, and exit non-zero for the failed key.

@@ -18,10 +18,9 @@
 //                    [--campaign-variants scfi,unprotected,redundancy]
 //                    [--campaign-target any,inputs,state,logic]
 //                    [--out results.jsonl] [--resume] [--jobs K] [--threads K]
-//                    [--retries N] [--job-timeout SECONDS] [--fail-fast]
-//                    [--fleet N] [--max-crashes N] [--lease SECONDS]
-//                    [--heartbeat-timeout SECONDS] [--drain-grace SECONDS]
-//                    [--wedge SECONDS]
+//                    [--retries N] [--job-timeout SECONDS]
+//                    [--fleet N] [--max-crashes N] [--heartbeat-timeout SECONDS]
+//                    [--drain-grace SECONDS] [--wedge SECONDS]
 //   scfi_cli sweep-diff <baseline.jsonl> <candidate.jsonl>
 //                    [--max-exploitable-increase N]
 //                    [--max-hijack-rate-increase F] [--max-detection-rate-drop F]
@@ -46,16 +45,15 @@
 // JSONL results into --out; --resume skips jobs already ok there (failed
 // and timed-out keys re-execute). A job that throws is retried --retries
 // times with backoff, then recorded as a failure record (the sweep exits 1
-// but the other jobs complete); --job-timeout bounds each job's wall clock;
-// --fail-fast aborts the fleet on the first error.
-// --fleet N forks N supervised worker subprocesses that shard the matrix
-// through lease records in the shared --out store (see
-// src/sweep/README.md): a worker that crashes or stops heartbeating is
-// reaped and respawned, its job returns to the pool, and a job that kills
-// its worker --max-crashes times is quarantined as a failed record with
-// error "crashed". SIGTERM/SIGINT drains the fleet gracefully: workers
-// finish their in-flight job within --drain-grace seconds, the store is
-// merged and compacted, and the exit code reports unfinished work.
+// but the other jobs complete); --job-timeout bounds each job's wall clock.
+// --fleet N forks N supervised worker subprocesses; the supervisor hands
+// each idle worker its next job and writes every record into the --out
+// store (see src/sweep/README.md): a worker that crashes or stops
+// heartbeating is reaped and respawned, its job returns to the queue, and a
+// job that kills its worker --max-crashes times is quarantined as a failed
+// record with error "crashed". SIGTERM/SIGINT drains the fleet gracefully:
+// workers finish their in-flight job within --drain-grace seconds, the
+// store is saved compacted, and the exit code reports unfinished work.
 // `sweep-diff` compares two stores and exits non-zero when a metric
 // regresses beyond its threshold (rates are fractions: 0.005 = half a
 // percentage point); campaign rates gate on Wilson-interval separation at
@@ -139,9 +137,9 @@ int usage() {
                "           (--jobs: variant groups open at once; --threads: thread\n"
                "            budget, max(jobs, threads) threads run and the idle ones\n"
                "            help the open groups' runs)\n"
-               "           --retries N --job-timeout SECONDS --fail-fast\n"
+               "           --retries N --job-timeout SECONDS\n"
                "           --fleet N (supervised worker subprocesses; needs --out)\n"
-               "           --max-crashes N --lease SECONDS --heartbeat-timeout SECONDS\n"
+               "           --max-crashes N --heartbeat-timeout SECONDS\n"
                "           --drain-grace SECONDS --wedge SECONDS\n"
                "  sweep-diff: <baseline.jsonl> <candidate.jsonl>\n"
                "           --max-exploitable-increase N --max-hijack-rate-increase F\n"
@@ -240,10 +238,8 @@ int main(int argc, char** argv) {
   long long campaign_seed = 1;
   int retries = 2;
   double job_timeout = 0.0;
-  bool fail_fast = false;
   int fleet = 0;
   int max_crashes = 2;
-  double lease_seconds = 120.0;
   double heartbeat_timeout = 10.0;
   double drain_grace = 30.0;
   double wedge_seconds = 0.0;
@@ -302,14 +298,10 @@ int main(int argc, char** argv) {
         retries = static_cast<int>(value);
       } else if (arg == "--job-timeout" && has_value) {
         job_timeout = parse_seconds("--job-timeout", argv[++i]);
-      } else if (arg == "--fail-fast") {
-        fail_fast = true;
       } else if (arg == "--fleet" && has_value) {
         fleet = parse_positive("--fleet", argv[++i]);
       } else if (arg == "--max-crashes" && has_value) {
         max_crashes = parse_positive("--max-crashes", argv[++i]);
-      } else if (arg == "--lease" && has_value) {
-        lease_seconds = parse_seconds("--lease", argv[++i]);
       } else if (arg == "--heartbeat-timeout" && has_value) {
         heartbeat_timeout = parse_seconds("--heartbeat-timeout", argv[++i]);
       } else if (arg == "--drain-grace" && has_value) {
@@ -444,7 +436,7 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "corpus error: %s: %s\n", error.path.c_str(),
                        error.message.c_str());
         }
-        std::printf("corpus %s: %zu module(s), %zu parse error(s)\n",
+        std::printf("corpus %s: %zu module(s), %zu skipped\n",
                     corpus.label().c_str(), corpus.size(), corpus.errors().size());
       };
       std::unique_ptr<scfi::sweep::ModuleSource> source;
@@ -524,20 +516,14 @@ int main(int argc, char** argv) {
       };
 
       if (fleet > 0) {
-        // Fleet mode: the supervisor forks workers that coordinate through
-        // the shared store file, so --out is the medium, not an option, and
-        // --fail-fast makes no sense (process isolation IS the failure
-        // policy).
+        // Fleet mode: the supervisor forks the workers and writes their
+        // records into the --out store.
         scfi::require(!sweep_out.empty(),
-                      "scfi_cli: --fleet needs --out (the shared JSONL store the "
-                      "workers coordinate through)");
-        scfi::require(!fail_fast,
-                      "scfi_cli: --fail-fast is a single-process mode (the fleet "
-                      "isolates failures per worker instead)");
+                      "scfi_cli: --fleet needs --out (the JSONL store the supervisor "
+                      "writes)");
         scfi::sweep::FleetConfig fleet_config;
         fleet_config.workers = fleet;
         fleet_config.max_crashes = max_crashes;
-        fleet_config.lease_seconds = lease_seconds;
         fleet_config.heartbeat_timeout = heartbeat_timeout;
         fleet_config.drain_grace = drain_grace;
         fleet_config.wedge_seconds = wedge_seconds;
@@ -547,7 +533,7 @@ int main(int argc, char** argv) {
         fleet_config.job.retries = retries;
         fleet_config.job.job_timeout = job_timeout;
         if (const char* poison = std::getenv("SCFI_FLEET_POISON")) {
-          fleet_config.poison_key = poison;  // test hook: crash the claimer
+          fleet_config.poison_key = poison;  // test hook: crash its worker
         }
         std::printf(
             "sweep config: %zu job(s), fleet=%d threads=%d lanes=%s backend=%s%s out=%s\n",
@@ -556,7 +542,7 @@ int main(int argc, char** argv) {
         scfi::sweep::FleetSupervisor supervisor(fleet_config);
         const scfi::sweep::FleetStats stats =
             supervisor.run(sweep_jobs, sweep_out, resume, source.get());
-        // The supervisor's final merge left a compacted finals-only store.
+        // The supervisor's final save left a compacted store.
         const scfi::sweep::ResultStore merged = scfi::sweep::ResultStore::load(sweep_out);
         for (const scfi::sweep::SweepResult& r : merged.results()) print_record(r);
         std::printf(
@@ -586,7 +572,6 @@ int main(int argc, char** argv) {
       sweep_config.lanes = lanes;
       sweep_config.retries = retries;
       sweep_config.job_timeout = job_timeout;
-      sweep_config.fail_fast = fail_fast;
       const std::string out_note = sweep_out.empty() ? "" : " out=" + sweep_out;
       std::printf("sweep config: %zu job(s), jobs=%d threads=%d lanes=%s backend=%s%s%s\n",
                   sweep_jobs.size(), jobs, threads, lanes_note.c_str(), backend_name.c_str(),

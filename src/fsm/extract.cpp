@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "base/error.h"
@@ -122,32 +123,67 @@ struct Cube {
 /// (next, output) until no merge applies — adjacent-implicant compaction
 /// (Quine-McCluskey restricted to exact unions). The resulting guards of one
 /// state partition the input space, so priority order never matters.
+///
+/// Each step merges the first mergeable pair (i, j) in index order into i.
+/// The scan then resumes instead of restarting: only cube i changed, so the
+/// next first pair is (a, i) for the smallest earlier a that now pairs with
+/// i (merged into a, which then changes in turn), else the first pair in
+/// the changed cube's row; the rows scanned before it pair with nothing
+/// else, so once that row is done the scan goes on where it had stopped.
+/// Guards stay pairwise distinct (they start as distinct minterms), so a
+/// cube's partners are found by looking up its guard with one determined
+/// position flipped.
 void compact_cubes(std::vector<Cube>& cubes) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < cubes.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < cubes.size() && !changed; ++j) {
-        if (cubes[i].next != cubes[j].next || cubes[i].output != cubes[j].output) continue;
-        const std::string& a = cubes[i].guard;
-        const std::string& b = cubes[j].guard;
-        int diff = -1;
-        bool mergeable = true;
-        for (std::size_t k = 0; k < a.size(); ++k) {
-          if (a[k] == b[k]) continue;
-          if (a[k] == '-' || b[k] == '-' || diff >= 0) {
-            mergeable = false;
-            break;
-          }
-          diff = static_cast<int>(k);
-        }
-        if (!mergeable || diff < 0) continue;
-        cubes[i].guard[static_cast<std::size_t>(diff)] = '-';
-        cubes.erase(cubes.begin() + static_cast<std::ptrdiff_t>(j));
-        changed = true;
-      }
+  const std::size_t n = cubes.size();
+  std::unordered_map<std::string, std::size_t> by_guard;  // live cubes only
+  for (std::size_t c = 0; c < n; ++c) by_guard.emplace(cubes[c].guard, c);
+  std::vector<bool> live(n, true);
+  // The smallest index in [lo, hi) of a cube mergeable with cube c, or n.
+  const auto partner = [&](std::size_t c, std::size_t lo, std::size_t hi) {
+    std::size_t best = n;
+    std::string guard = cubes[c].guard;
+    for (char& bit : guard) {
+      if (bit == '-') continue;
+      const char was = bit;
+      bit = was == '0' ? '1' : '0';
+      const auto it = by_guard.find(guard);
+      bit = was;
+      if (it == by_guard.end() || it->second < lo || it->second >= std::min(hi, best)) continue;
+      const Cube& other = cubes[it->second];
+      if (other.next == cubes[c].next && other.output == cubes[c].output) best = it->second;
     }
+    return best;
+  };
+  // Merges cube `from` into cube `into`: their one differing position
+  // becomes '-'.
+  const auto merge = [&](std::size_t into, std::size_t from) {
+    std::string& guard = cubes[into].guard;
+    by_guard.erase(guard);
+    by_guard.erase(cubes[from].guard);
+    live[from] = false;
+    for (std::size_t k = 0; k < guard.size(); ++k) {
+      if (guard[k] != cubes[from].guard[k]) guard[k] = '-';
+    }
+    by_guard.emplace(guard, into);
+  };
+  std::size_t scanned = 0;  // rows below pair with nothing but cube i
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t j = partner(i, i + 1, n);
+    if (j == n) {
+      for (i = std::max(i + 1, scanned); i < n && !live[i];) ++i;
+      scanned = i;
+      continue;
+    }
+    merge(i, j);
+    for (std::size_t a; (a = partner(i, 0, i)) != n; i = a) merge(a, i);
   }
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < n; ++c) {
+    if (!live[c]) continue;
+    if (kept != c) cubes[kept] = std::move(cubes[c]);
+    ++kept;
+  }
+  cubes.resize(kept);
 }
 
 /// Every bit of the module's input (`inputs`) or output ports that `keep`

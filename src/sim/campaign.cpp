@@ -4,7 +4,7 @@
 #include <bit>
 #include <mutex>
 #include <numeric>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "base/error.h"
@@ -20,32 +20,6 @@ namespace {
 using fsm::CfgEdge;
 using fsm::CompiledFsm;
 using fsm::Fsm;
-
-/// Caches concrete raw-input assignments per CFG edge.
-class RawInputPlanner {
- public:
-  explicit RawInputPlanner(const Fsm& fsm) : fsm_(&fsm) {}
-
-  const std::vector<bool>& input_for(const CfgEdge& edge) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(edge.from))
-                               << 32) |
-                              static_cast<std::uint32_t>(edge.transition_index);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    std::optional<std::vector<bool>> bits;
-    if (edge.transition_index >= 0) {
-      bits = fsm_->concrete_input_for(edge.transition_index);
-    } else {
-      bits = fsm_->concrete_input_for_idle(edge.from);
-    }
-    check(bits.has_value(), "campaign: no concrete input for CFG edge");
-    return cache_.emplace(key, std::move(*bits)).first->second;
-  }
-
- private:
-  const Fsm* fsm_;
-  std::unordered_map<std::uint64_t, std::vector<bool>> cache_;
-};
 
 /// One scheduled fault: site index (into the filtered site list), cycle, and
 /// an index into the spec's kind set. Single-kind specs never draw for the
@@ -219,13 +193,15 @@ StimulusTable build_stimulus(const Fsm& fsm, const CompiledFsm& variant,
                    "symbol-encoded variant",
                    fsm.num_inputs()));
     table.num_inputs = fsm.num_inputs();
-    RawInputPlanner planner(fsm);
     table.edge_bits.reserve(cfg.size());
     for (const CfgEdge& e : cfg) {
-      const std::vector<bool>& bits = planner.input_for(e);
+      const std::optional<std::vector<bool>> bits =
+          e.transition_index >= 0 ? fsm.concrete_input_for(e.transition_index)
+                                  : fsm.concrete_input_for_idle(e.from);
+      check(bits.has_value(), "campaign: no concrete input for CFG edge");
       std::uint64_t packed = 0;
-      for (std::size_t i = 0; i < bits.size(); ++i) {
-        if (bits[i]) packed |= 1ULL << i;
+      for (std::size_t i = 0; i < bits->size(); ++i) {
+        if ((*bits)[i]) packed |= 1ULL << i;
       }
       table.edge_bits.push_back(packed);
     }

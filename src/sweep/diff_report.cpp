@@ -26,21 +26,18 @@ WilsonInterval wilson_interval(std::int64_t successes, std::int64_t trials, doub
 
 namespace {
 
-/// A changed pair where at least one side is a non-ok record. Same-status
-/// pairs never reach here (reports_equal treats two failures — or two
-/// leases — as equal), so this is always a status transition: a job that
-/// used to pass and now does not (failed, or still leased because the
-/// sweep never finished it) is a regression regardless of thresholds; a
-/// transition INTO ok is a recovery and never gates.
+/// A changed pair where at least one side is a failed record. Same-status
+/// pairs never reach here (reports_equal treats two failures as equal), so
+/// this is always a status transition: a job that used to pass and now
+/// fails is a regression regardless of thresholds; a transition INTO ok is
+/// a recovery and never gates.
 DiffEntry compare_status(const SweepResult& base, const SweepResult& cand) {
   DiffEntry entry;
   entry.key = base.key();
   entry.type = base.job.type;
   if (cand.status != JobStatus::kOk) {
     entry.regression = true;
-    const char* to = cand.status == JobStatus::kLeased ? "LEASED (sweep did not finish it)"
-                                                       : "FAILED";
-    entry.note = std::string(job_status_name(base.status)) + " -> " + to +
+    entry.note = std::string(job_status_name(base.status)) + " -> FAILED" +
                  (cand.error.empty() ? "" : " (" + cand.error + ")");
   } else {
     entry.regression = false;

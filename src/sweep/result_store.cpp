@@ -106,7 +106,6 @@ JobType job_type_of(const std::string& name) {
 const char* job_status_name(JobStatus status) {
   switch (status) {
     case JobStatus::kFailed: return "failed";
-    case JobStatus::kLeased: return "leased";
     default: return "ok";
   }
 }
@@ -114,17 +113,14 @@ const char* job_status_name(JobStatus status) {
 JobStatus job_status_of(const std::string& name) {
   if (name == "ok") return JobStatus::kOk;
   if (name == "failed") return JobStatus::kFailed;
-  if (name == "leased") return JobStatus::kLeased;
-  throw ScfiError("sweep: unknown job status '" + name +
-                  "' (expected ok, failed, or leased)");
+  throw ScfiError("sweep: unknown job status '" + name + "' (expected ok or failed)");
 }
 
 bool reports_equal(const SweepResult& a, const SweepResult& b) {
   if (a.job.type != b.job.type) return false;
   if (a.status != b.status) return false;
-  // Two failures (or two leases) compare equal regardless of error text,
-  // attempt count, worker id, or deadline: those are diagnostics, like
-  // timing, not part of the verdict.
+  // Two failures compare equal regardless of error text, attempt count, or
+  // worker id: those are diagnostics, like timing, not part of the verdict.
   if (a.status != JobStatus::kOk) return true;
   if (a.job.type == JobType::kCampaign) return a.campaign == b.campaign;
   return a.report == b.report && a.protection_degree == b.protection_degree;
@@ -282,9 +278,8 @@ std::string ResultStore::to_line(const SweepResult& result) {
     out << ",\"worker\":\"" << backends::json_escape(result.worker) << "\"";
   }
   const bool ok = result.status == JobStatus::kOk;
-  // Identity fields are written even for failed/leased records (resume and
-  // the lease protocol need the key to round-trip); the payload counters
-  // exist only on ok records.
+  // Identity fields are written even for failed records (resume needs the
+  // key to round-trip); the payload counters exist only on ok records.
   if (job.type == JobType::kCampaign) {
     const sim::CampaignResult& c = result.campaign;
     out << ",\"kind\":\"" << fault_kinds_name(job.campaign.fault.kinds) << "\"";
@@ -328,11 +323,6 @@ std::string ResultStore::to_line(const SweepResult& result) {
   if (result.status == JobStatus::kFailed) {
     out << ",\"error\":\"" << backends::json_escape(result.error) << "\"";
   }
-  if (result.status == JobStatus::kLeased) {
-    char deadline[32];
-    std::snprintf(deadline, sizeof(deadline), "%.6f", result.deadline);
-    out << ",\"deadline\":" << deadline;
-  }
   out << ",\"attempts\":" << result.attempts;
   char seconds[32];
   std::snprintf(seconds, sizeof(seconds), "%.6f", result.seconds);
@@ -354,7 +344,6 @@ SweepResult ResultStore::parse_line(const std::string& line) {
   bool saw_source = false;
   bool saw_status = false;
   bool saw_error = false;
-  bool saw_deadline = false;
   int faults_k = 1;
   std::int64_t detected = 0;
   std::int64_t masked = 0;
@@ -389,9 +378,6 @@ SweepResult ResultStore::parse_line(const std::string& line) {
         result.attempts = parser.parse_int_count();
       } else if (field == "worker") {
         result.worker = parser.parse_string();
-      } else if (field == "deadline") {
-        result.deadline = parser.parse_number();
-        saw_deadline = true;
       } else if (field == "module") {
         result.job.module = parser.parse_string();
       } else if (field == "variant") {
@@ -468,10 +454,6 @@ SweepResult ResultStore::parse_line(const std::string& line) {
   require(result.attempts >= 1, "result store: attempts must be >= 1");
   require(result.status == JobStatus::kFailed || !saw_error,
           "result store: only failed records can carry an error field");
-  require(result.status == JobStatus::kLeased || !saw_deadline,
-          "result store: only leased records can carry a deadline field");
-  require(result.status != JobStatus::kLeased || saw_deadline,
-          "result store: leased records must carry a deadline field");
   if (result.job.type == JobType::kCampaign) {
     if (saw_kind) result.job.campaign.fault.kinds = fault_kinds_of(kind_str);
     if (saw_target) result.job.campaign.fault.target = fault_target_of(target_str);

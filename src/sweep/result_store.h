@@ -47,14 +47,10 @@ JobType job_type_of(const std::string& name);
 
 /// Outcome of a sweep job. A failed record keeps the full job identity (so
 /// resume knows the key) but carries an error message instead of a report
-/// payload. A leased record is NOT terminal: it is the fleet's job-claim
-/// protocol — a worker appends one to claim the key until `deadline`, and
-/// the latest-wins append order arbitrates races. Resume treats leased like
-/// failed (the job re-executes); only ok records are skipped.
+/// payload. Resume skips only ok records; a failed job re-executes.
 enum class JobStatus {
   kOk,      ///< report payload is valid
   kFailed,  ///< job threw / timed out / crashed its worker; `error` says why
-  kLeased,  ///< claimed by `worker` until `deadline` (fleet mode)
 };
 const char* job_status_name(JobStatus status);
 JobStatus job_status_of(const std::string& name);
@@ -114,22 +110,18 @@ struct SweepResult {
   /// build time and the others 0. Diagnostics only: never part of the key
   /// or of reports_equal.
   double seconds = 0.0;
-  /// Fleet worker id ("w<slot>.<generation>"): the holder on leased records,
-  /// the executor on fleet-written final records, "" outside fleet mode.
-  /// Pure diagnostics — never part of the verdict or the key.
+  /// Fleet worker id ("w<slot>.<generation>") that executed the job, ""
+  /// outside fleet mode. Pure diagnostics — never part of the verdict or
+  /// the key.
   std::string worker;
-  /// Lease expiry in fractional unix seconds (leased records only): past it
-  /// the claim is void and any worker may re-lease the key. 0 (or any past
-  /// instant) on an appended lease is an explicit release.
-  double deadline = 0.0;
 
   std::string key() const { return job.key(); }
 };
 
 /// Verdict comparison: differing statuses never compare equal; two failed
-/// (or two leased) records always do (the error text, attempt count, worker
-/// id, and lease deadline are diagnostics, like timing); two ok records
-/// compare the report of the job's type.
+/// records always do (the error text, attempt count, and worker id are
+/// diagnostics, like timing); two ok records compare the report of the
+/// job's type.
 bool reports_equal(const SweepResult& a, const SweepResult& b);
 
 class ResultStore {
@@ -188,7 +180,7 @@ class ResultStore {
   /// kSchemaVersion. Unknown scalar fields are skipped.
   static SweepResult parse_line(const std::string& line);
   /// Appends one record to a JSONL file (creating it if needed) as one
-  /// O_APPEND write followed by fsync: records from concurrent workers
+  /// O_APPEND write followed by fsync: records from concurrent writers
   /// never interleave, and once the call returns the record survives a
   /// crash or power cut. A kill inside the call can at worst leave one
   /// torn final line, which load()'s recovery mode salvages.

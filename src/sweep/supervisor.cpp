@@ -1,26 +1,27 @@
 #include "sweep/supervisor.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
+#include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <mutex>
+#include <numeric>
+#include <stop_token>
 #include <thread>
 
 #include "base/error.h"
 #include "base/log.h"
 #include "base/rng.h"
 #include "base/strutil.h"
-#include "sweep/lease.h"
 
 namespace scfi::sweep {
 namespace {
@@ -28,16 +29,15 @@ namespace {
 // Both processes share the handler: the supervisor's SIGTERM/SIGINT starts
 // the fleet drain; a worker (which inherits the handler across fork, and
 // also receives terminal SIGINT directly as part of the foreground process
-// group) stops claiming and finishes its in-flight job. Each process has
-// its own copy of the flag after fork.
+// group) takes no further job and finishes its in-flight one. Each process
+// has its own copy of the flag after fork.
 volatile std::sig_atomic_t g_drain = 0;
 void drain_handler(int) { g_drain = 1; }
 
-/// Worker exit codes the supervisor dispatches on. Anything else — and any
-/// signal death — is a crash.
-constexpr int kExitClean = 0;     ///< all jobs done, or drained
+/// Worker exit codes. A clean exit retires the slot; anything else — and
+/// any signal death — is a crash.
+constexpr int kExitClean = 0;     ///< job pipe closed, or drained
 constexpr int kExitInternal = 2;  ///< unexpected exception escaped the worker
-constexpr int kExitCorrupt = 3;   ///< store corruption no crash explains: abort the fleet
 
 double steady_seconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
@@ -48,47 +48,62 @@ void sleep_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+/// Writes all of `bytes` to `fd`; throws on any error but EINTR.
+void write_all(int fd, const std::string& bytes) {
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    require(n > 0, "fleet worker: write to the supervisor pipe failed");
+    written += static_cast<std::size_t>(n);
+  }
+}
+
+/// Reads the next dispatched job index from the job pipe; false at EOF
+/// (the supervisor closed the pipe: no more work for this worker).
+bool read_job(int fd, std::uint64_t& index) {
+  char* bytes = reinterpret_cast<char*>(&index);
+  std::size_t got = 0;
+  while (got < sizeof(index)) {
+    const ssize_t n = ::read(fd, bytes + got, sizeof(index) - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 && got == 0) return false;
+    require(n > 0, "fleet worker: job pipe read failed");
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 struct WorkerArgs {
   const FleetConfig* fleet = nullptr;
   const std::vector<SweepJob>* pending = nullptr;  ///< inherited via fork
   const ModuleSource* source = nullptr;
-  std::string store_path;
-  std::uint64_t baseline = 0;
   std::string worker_id;  ///< "w<slot>.<generation>"
-  int slot = 0;
-  int heartbeat_fd = -1;
+  int job_fd = -1;        ///< read end: job indices from the supervisor
+  int result_fd = -1;     ///< write end: heartbeats and final records
 };
 
-/// The worker subprocess body: claim one job at a time through the lease
-/// ledger, execute it, append the final record, repeat until every pending
-/// key is done or a drain is requested. Runs a heartbeat thread on the
-/// side that (a) writes liveness bytes to the supervisor pipe, (b) renews
-/// the held lease at half-life, and (c) arms the drain token's grace
-/// deadline when a drain arrives. Returns the process exit code.
+/// The worker subprocess body: read a job index, execute that job, send its
+/// final record back as one line, repeat until the job pipe closes or a
+/// drain is requested. A heartbeat thread on the side (a) writes an empty
+/// line to the result pipe every `heartbeat_interval` and (b) arms the
+/// drain token's grace deadline when a drain arrives. Returns the process
+/// exit code.
 int worker_body(const WorkerArgs& args) {
   set_log_worker(args.worker_id);
   const FleetConfig& fleet = *args.fleet;
-  const std::vector<SweepJob>& pending = *args.pending;
 
-  LeaseLedger ledger(args.store_path, args.baseline);
-
-  // State shared with the heartbeat thread. The mutex orders lease
-  // renewals against the final-record append: job_active is cleared under
-  // the lock IN THE SAME critical section as the final append, so a
-  // renewal can never land after this worker's own final record and
-  // resurrect the job.
+  // State shared with the heartbeat thread. The mutex also serializes the
+  // result pipe's two writers, so a heartbeat never lands inside a record.
   std::mutex mutex;
   bool job_active = false;
-  const SweepJob* active_job = nullptr;
-  double lease_until = 0.0;
   double job_started = 0.0;  // steady seconds
   bool drain_armed = false;
-  std::atomic<bool> stop_heartbeat{false};
   CancelToken drain_token;
 
-  std::thread heartbeat([&] {
-    while (!stop_heartbeat.load(std::memory_order_relaxed)) {
-      bool silent = false;
+  // Stopped and joined when worker_body returns or throws.
+  const std::jthread heartbeat([&](const std::stop_token& stop) {
+    while (!stop.stop_requested()) {
       {
         const std::lock_guard<std::mutex> lock(mutex);
         if (g_drain != 0 && !drain_armed) {
@@ -97,139 +112,64 @@ int worker_body(const WorkerArgs& args) {
           log_info("drain requested: finishing in-flight work within " +
                    format("%.1fs", fleet.drain_grace));
         }
-        if (job_active) {
-          if (fleet.wedge_seconds > 0.0 &&
-              steady_seconds() - job_started > fleet.wedge_seconds) {
-            // Volunteer for the supervisor's stale-heartbeat SIGKILL: the
-            // in-flight job blew its wedge budget and may never reach a
-            // cooperative cancellation point.
-            silent = true;
-          }
-          const double now = lease_now();
-          if (now > lease_until - fleet.lease_seconds / 2.0) {
-            ResultStore::append_line(
-                args.store_path,
-                make_lease(*active_job, args.worker_id, now + fleet.lease_seconds));
-            lease_until = now + fleet.lease_seconds;
-          }
+        // Past the wedge budget the worker goes silent on purpose and
+        // volunteers for the supervisor's stale-heartbeat SIGKILL: the job
+        // may never reach a cooperative cancellation point.
+        const bool wedged = job_active && fleet.wedge_seconds > 0.0 &&
+                            steady_seconds() - job_started > fleet.wedge_seconds;
+        if (!wedged) {
+          const char newline = '\n';
+          // If the supervisor died this write raises SIGPIPE, whose default
+          // disposition kills us — exactly the no-orphan policy.
+          (void)!::write(args.result_fd, &newline, 1);
         }
-      }
-      if (!silent) {
-        const char byte = 'h';
-        // If the supervisor died this write raises SIGPIPE, whose default
-        // disposition kills us — exactly the no-orphan policy.
-        (void)!::write(args.heartbeat_fd, &byte, 1);
       }
       sleep_seconds(fleet.heartbeat_interval);
     }
   });
 
   SweepConfig job_config = fleet.job;
-  job_config.jobs = 1;  // one job at a time: a crash attributes to one lease
-  job_config.fail_fast = false;
+  job_config.jobs = 1;  // one job at a time: a crash attributes to one job
   job_config.cancel = &drain_token;
 
-  // Slot-scatter: start the claim scan at a per-slot offset so N fresh
-  // workers spread over the matrix instead of racing for job 0.
-  const std::size_t scatter =
-      pending.empty() ? 0
-                      : (static_cast<std::size_t>(args.slot) * pending.size()) /
-                            static_cast<std::size_t>(std::max(1, fleet.workers));
-
-  int exit_code = kExitClean;
-  for (;;) {
-    if (g_drain != 0) break;
-    try {
-      ledger.poll();
-    } catch (const ScfiError& e) {
-      log_error(std::string(e.what()));
-      exit_code = kExitCorrupt;
-      break;
-    }
-    const double now = lease_now();
-    const SweepJob* chosen = nullptr;
-    bool all_done = true;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const SweepJob& job = pending[(scatter + i) % pending.size()];
-      const std::string key = job.key();
-      if (ledger.done(key)) continue;
-      all_done = false;
-      if (chosen == nullptr && ledger.claimable(key, now)) chosen = &job;
-    }
-    if (all_done) break;
-    if (chosen == nullptr) {
-      // Everything left is leased by live peers; wait for finals, releases,
-      // or expiries.
-      sleep_seconds(fleet.poll_interval);
-      continue;
-    }
-
-    // Claim: append our lease, then re-read — we own the job iff the
-    // latest lease for the key is ours and no final landed meanwhile.
-    // (Two workers can pass this check in a tight race; that costs one
-    // duplicate execution, never a wrong result — jobs are deterministic
-    // and the latest final wins.)
-    const std::string key = chosen->key();
-    const double until = now + fleet.lease_seconds;
-    try {
-      ResultStore::append_line(args.store_path, make_lease(*chosen, args.worker_id, until));
-      ledger.poll();
-    } catch (const ScfiError& e) {
-      log_error(std::string(e.what()));
-      exit_code = kExitCorrupt;
-      break;
-    }
-    const SweepResult* latest = ledger.latest_lease(key);
-    if (ledger.done(key) || latest == nullptr || latest->worker != args.worker_id) {
-      continue;  // lost the race; pick another job
-    }
-
+  std::uint64_t index = 0;
+  while (g_drain == 0 && read_job(args.job_fd, index)) {
+    const SweepJob& job = args.pending->at(index);
+    const std::string key = job.key();
     if (!fleet.poison_key.empty() && key == fleet.poison_key) {
-      // Test hook: die holding the lease, like a segfault mid-job.
-      log_warn("poison key claimed; killing self: " + key);
+      // Test hook: die holding the job, like a segfault mid-job.
+      log_warn("poison key dispatched; killing self: " + key);
       (void)::raise(SIGKILL);
     }
-
     {
       const std::lock_guard<std::mutex> lock(mutex);
       job_active = true;
-      active_job = chosen;
-      lease_until = until;
       job_started = steady_seconds();
     }
-    log_info("claimed " + key);
+    log_info("started " + key);
 
     SweepResult record;
     try {
       ResultStore local;
-      SweepOrchestrator orchestrator(job_config);
-      orchestrator.run({*chosen}, local, "", false, args.source);
-      record = *local.find(key);  // fail_fast=false: ok or failed, always present
+      SweepOrchestrator(job_config).run({job}, local, "", false, args.source);
+      record = *local.find(key);  // execution errors become failed records
     } catch (...) {
       // Orchestrator-level escape (not a job failure — those become
       // records). Record it rather than dying: the job would fail
       // identically on a peer.
-      record.job = *chosen;
+      record.job = job;
       record.status = JobStatus::kFailed;
       record.error = describe_current_exception();
     }
     record.worker = args.worker_id;
-    try {
+    {
       const std::lock_guard<std::mutex> lock(mutex);
       job_active = false;
-      active_job = nullptr;
-      ResultStore::append_line(args.store_path, record);
-    } catch (const ScfiError& e) {
-      log_error(std::string(e.what()));
-      exit_code = kExitCorrupt;
-      break;
+      write_all(args.result_fd, ResultStore::to_line(record) + "\n");
     }
     log_info("finished " + key + " (" + job_status_name(record.status) + ")");
   }
-
-  stop_heartbeat.store(true, std::memory_order_relaxed);
-  heartbeat.join();
-  return exit_code;
+  return kExitClean;
 }
 
 int worker_main(const WorkerArgs& args) noexcept {
@@ -248,7 +188,10 @@ int worker_main(const WorkerArgs& args) noexcept {
 /// worker process: crashes respawn a new generation into the same slot.
 struct Slot {
   pid_t pid = -1;
-  int read_fd = -1;       ///< supervisor end of the heartbeat pipe
+  int job_fd = -1;      ///< supervisor end of the job pipe (write)
+  int result_fd = -1;   ///< supervisor end of the result pipe (nonblocking read)
+  std::string inbox;    ///< bytes of a result line not yet newline-terminated
+  std::int64_t job = -1;  ///< index into `pending` the worker holds; -1 = idle
   int generation = 0;
   int failures = 0;       ///< consecutive crashes (respawn-backoff input)
   double last_heartbeat = 0.0;  ///< steady seconds
@@ -257,12 +200,16 @@ struct Slot {
   std::string worker_id;
 };
 
+void close_fd(int& fd) {
+  if (fd >= 0) ::close(fd);
+  fd = -1;
+}
+
 }  // namespace
 
 FleetSupervisor::FleetSupervisor(const FleetConfig& config) : config_(config) {
   require(config_.workers >= 1, "fleet: workers must be >= 1");
   require(config_.max_crashes >= 1, "fleet: max-crashes must be >= 1");
-  require(config_.lease_seconds > 0.0, "fleet: lease duration must be > 0");
   require(config_.heartbeat_interval > 0.0, "fleet: heartbeat interval must be > 0");
   require(config_.heartbeat_timeout > config_.heartbeat_interval,
           "fleet: heartbeat timeout must exceed the heartbeat interval");
@@ -274,26 +221,18 @@ FleetSupervisor::FleetSupervisor(const FleetConfig& config) : config_(config) {
 FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
                                 const std::string& store_path, bool resume,
                                 const ModuleSource* source) {
-  require(!store_path.empty(),
-          "fleet: a store path is required (the store file is the fleet's "
-          "coordination medium)");
+  require(!store_path.empty(), "fleet: a store path is required");
   // A malformed matrix is a caller bug: reject it in the parent before any
   // worker is forked.
   validate_jobs(jobs, source);
 
   FleetStats stats;
 
-  // Compact the store up front: history shrinks to latest-wins records
-  // (torn tail salvaged), and every byte past the resulting size is THIS
-  // run's protocol traffic — the ledger baseline.
-  ResultStore store;
-  struct stat st;
-  if (::stat(store_path.c_str(), &st) == 0) {
-    store = ResultStore::load(store_path, /*recover_torn_tail=*/true);
-  }
+  // The supervisor is the store's only writer. Rewrite the store first:
+  // history shrinks to latest-wins records, and a torn tail (which has no
+  // newline) is dropped before the first append could glue onto it.
+  ResultStore store = ResultStore::load(store_path, /*recover_torn_tail=*/true);
   store.save(store_path);
-  require(::stat(store_path.c_str(), &st) == 0, "fleet: cannot stat " + store_path);
-  const std::uint64_t baseline = static_cast<std::uint64_t>(st.st_size);
 
   std::vector<SweepJob> pending;
   for (const SweepJob& job : jobs) {
@@ -308,23 +247,43 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
   }
   if (pending.empty()) return stats;
 
-  std::map<std::string, const SweepJob*> job_by_key;
-  std::vector<std::string> pending_keys;
-  pending_keys.reserve(pending.size());
-  for (const SweepJob& job : pending) {
-    job_by_key[job.key()] = &job;
-    pending_keys.push_back(job.key());
-  }
+  std::deque<std::int64_t> queue(pending.size());  // jobs not yet dispatched
+  std::iota(queue.begin(), queue.end(), std::int64_t{0});
+  std::vector<int> crash_counts(pending.size(), 0);
+  std::vector<Slot> slots(static_cast<std::size_t>(config_.workers));
+  Rng rng(config_.jitter_seed);
 
+  // SIGPIPE is ignored in the supervisor (a dispatch to a worker that just
+  // died must fail with EPIPE, not kill the fleet) and restored to the
+  // default in every worker (the no-orphan policy).
   using SignalHandler = void (*)(int);
   g_drain = 0;
   const SignalHandler old_term = std::signal(SIGTERM, drain_handler);
   const SignalHandler old_int = std::signal(SIGINT, drain_handler);
+  const SignalHandler old_pipe = std::signal(SIGPIPE, SIG_IGN);
 
-  Rng rng(config_.jitter_seed);
-  LeaseLedger ledger(store_path, baseline);
-  std::vector<Slot> slots(static_cast<std::size_t>(config_.workers));
-  std::map<std::string, int> crash_counts;
+  // However run() leaves — normally with no worker left, or by an
+  // exception — no worker outlives it and the caller's signal
+  // dispositions come back.
+  struct Teardown {
+    std::vector<Slot>& slots;
+    SignalHandler term, intr, pipe;
+    ~Teardown() {
+      for (Slot& slot : slots) {
+        if (slot.pid > 0) {
+          (void)::kill(slot.pid, SIGKILL);
+          int status = 0;
+          while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
+          }
+        }
+        close_fd(slot.job_fd);
+        close_fd(slot.result_fd);
+      }
+      (void)std::signal(SIGTERM, term);
+      (void)std::signal(SIGINT, intr);
+      (void)std::signal(SIGPIPE, pipe);
+    }
+  } teardown{slots, old_term, old_int, old_pipe};
 
   // Fork one worker into `slot`. fork() without exec is safe here: the
   // supervisor is single-threaded (workers start their heartbeat thread
@@ -332,38 +291,42 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
   // before _exit.
   const auto spawn = [&](int index) {
     Slot& slot = slots[static_cast<std::size_t>(index)];
-    int fds[2];
-    require(::pipe(fds) == 0, "fleet: pipe() failed");
-    const int flags = ::fcntl(fds[0], F_GETFL, 0);
-    require(flags >= 0 && ::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK) == 0,
-            "fleet: cannot set the heartbeat pipe nonblocking");
-    const std::string worker_id =
-        format("w%d.%d", index, slot.generation);
+    int job_pipe[2];
+    int result_pipe[2];
+    require(::pipe(job_pipe) == 0 && ::pipe(result_pipe) == 0, "fleet: pipe() failed");
+    const int flags = ::fcntl(result_pipe[0], F_GETFL, 0);
+    require(flags >= 0 && ::fcntl(result_pipe[0], F_SETFL, flags | O_NONBLOCK) == 0,
+            "fleet: cannot set the result pipe nonblocking");
+    const std::string worker_id = format("w%d.%d", index, slot.generation);
     const pid_t pid = ::fork();
     require(pid >= 0, "fleet: fork() failed");
     if (pid == 0) {
-      // Child. Close every supervisor-side read end — ours and the copies
-      // of our siblings' pipes we inherited. A stray inherited read end
-      // would keep a sibling's pipe open after the supervisor died and
-      // defeat the SIGPIPE orphan policy.
-      for (const Slot& s : slots) {
-        if (s.read_fd >= 0) ::close(s.read_fd);
+      (void)std::signal(SIGPIPE, SIG_DFL);
+      // Close every supervisor-side end — ours and the copies of our
+      // siblings' pipes we inherited. A stray inherited job-pipe write end
+      // would keep a sibling from ever seeing EOF.
+      for (Slot& s : slots) {
+        close_fd(s.job_fd);
+        close_fd(s.result_fd);
       }
-      ::close(fds[0]);
+      ::close(job_pipe[1]);
+      ::close(result_pipe[0]);
       WorkerArgs args;
       args.fleet = &config_;
       args.pending = &pending;
       args.source = source;
-      args.store_path = store_path;
-      args.baseline = baseline;
       args.worker_id = worker_id;
-      args.slot = index;
-      args.heartbeat_fd = fds[1];
+      args.job_fd = job_pipe[0];
+      args.result_fd = result_pipe[1];
       ::_exit(worker_main(args));
     }
-    ::close(fds[1]);
+    ::close(job_pipe[0]);
+    ::close(result_pipe[1]);
     slot.pid = pid;
-    slot.read_fd = fds[0];
+    slot.job_fd = job_pipe[1];
+    slot.result_fd = result_pipe[0];
+    slot.inbox.clear();
+    slot.job = -1;
     slot.worker_id = worker_id;
     slot.last_heartbeat = steady_seconds();
     slot.respawn_at = -1.0;
@@ -372,26 +335,68 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
                     static_cast<int>(pid)));
   };
 
+  // Records a final for a pending job: appended and fsynced at once (the
+  // crash-safe copy), kept in memory for the closing atomic save.
+  const auto finish = [&](SweepResult record) {
+    ResultStore::append_line(store_path, record);
+    if (record.status == JobStatus::kOk) {
+      ++stats.executed;
+    } else {
+      ++stats.failed;
+    }
+    store.add(std::move(record));
+  };
+
+  // Reads what the slot's worker sent; any byte is a heartbeat, and each
+  // complete non-empty line is the final record of the job the slot holds.
+  // At EOF (the worker is gone) the pipe is closed and a partial line is
+  // discarded: a record cut short by a crash never counts.
+  const auto read_results = [&](Slot& slot) {
+    char buffer[65536];
+    for (;;) {
+      const ssize_t n = ::read(slot.result_fd, buffer, sizeof(buffer));
+      if (n > 0) {
+        slot.inbox.append(buffer, static_cast<std::size_t>(n));
+        slot.last_heartbeat = steady_seconds();
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n == 0) close_fd(slot.result_fd);
+      break;  // EOF, or EAGAIN: nothing more for now
+    }
+    std::size_t start = 0;
+    for (std::size_t newline; (newline = slot.inbox.find('\n', start)) != std::string::npos;
+         start = newline + 1) {
+      if (newline == start) continue;  // heartbeat
+      const std::string line = slot.inbox.substr(start, newline - start);
+      SweepResult record;
+      try {
+        record = ResultStore::parse_line(line);
+      } catch (const ScfiError& e) {
+        throw ScfiError("fleet: worker " + slot.worker_id + " sent a malformed record: " +
+                        e.what());
+      }
+      require(slot.job >= 0 && record.key() == pending[static_cast<std::size_t>(slot.job)].key(),
+              "fleet: worker " + slot.worker_id + " sent a record for a job it does not hold: " +
+                  record.key());
+      slot.job = -1;
+      finish(std::move(record));
+    }
+    slot.inbox.erase(0, start);
+    if (slot.result_fd < 0) slot.inbox.clear();
+  };
+
   for (int s = 0; s < config_.workers; ++s) spawn(s);
 
   bool drain_forwarded = false;
   bool drain_killed = false;
   double drain_started = 0.0;
-  bool corrupt = false;
-  std::string corrupt_why;
-
-  const auto poll_ledger = [&] {
-    if (corrupt) return;
-    try {
-      ledger.poll();
-    } catch (const ScfiError& e) {
-      corrupt = true;
-      corrupt_why = e.what();
-    }
-  };
+  const int poll_ms = std::max(1, static_cast<int>(std::ceil(config_.poll_interval * 1000.0)));
 
   for (;;) {
     // 1. Drain: forward SIGTERM once; SIGKILL stragglers past the grace.
+    // Dispatch below stops and closes each job pipe as its worker goes
+    // idle, so the workers exit once their in-flight record is in.
     if (g_drain != 0 && !drain_forwarded) {
       drain_forwarded = true;
       stats.drained = true;
@@ -413,50 +418,32 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
       }
     }
 
-    // 2. Drain heartbeat bytes; any byte refreshes the slot's liveness.
+    // 2. Heartbeats and final records.
     for (Slot& slot : slots) {
-      if (slot.read_fd < 0) continue;
-      char buffer[256];
-      bool beat = false;
-      for (;;) {
-        const ssize_t n = ::read(slot.read_fd, buffer, sizeof(buffer));
-        if (n > 0) {
-          beat = true;
-          continue;
-        }
-        break;  // 0 = EOF (child gone; waitpid handles it), <0 = EAGAIN/EINTR
-      }
-      if (beat) slot.last_heartbeat = steady_seconds();
+      if (slot.result_fd >= 0) read_results(slot);
     }
 
-    poll_ledger();
-    if (corrupt) break;
-
-    // 3. Reap. A clean exit retires the slot; exit 3 aborts the fleet;
-    // everything else is a crash — attribute the held lease, quarantine or
-    // release it, and schedule a backed-off respawn.
-    for (;;) {
+    // 3. Reap. The dead worker's pipe is read to EOF first: its final
+    // record may have arrived after step 2. A clean exit retires the slot;
+    // anything else is a crash — the held job is quarantined or returned
+    // to the queue, and a backed-off respawn is scheduled.
+    for (Slot& slot : slots) {
       int status = 0;
-      const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-      if (pid <= 0) break;
-      Slot* slot = nullptr;
-      for (Slot& s : slots) {
-        if (s.pid == pid) slot = &s;
-      }
-      if (slot == nullptr) continue;
-      ::close(slot->read_fd);
-      slot->read_fd = -1;
-      slot->pid = -1;
+      if (slot.pid <= 0 || ::waitpid(slot.pid, &status, WNOHANG) != slot.pid) continue;
+      slot.pid = -1;
+      if (slot.result_fd >= 0) read_results(slot);
+      close_fd(slot.result_fd);
+      close_fd(slot.job_fd);
+      slot.inbox.clear();
+      const std::int64_t job = slot.job;
+      slot.job = -1;
       if (WIFEXITED(status) && WEXITSTATUS(status) == kExitClean) {
-        slot->retired = true;
-        slot->failures = 0;
-        log_info("fleet: worker " + slot->worker_id + " finished");
-        continue;
-      }
-      if (WIFEXITED(status) && WEXITSTATUS(status) == kExitCorrupt) {
-        corrupt = true;
-        corrupt_why =
-            "worker " + slot->worker_id + " reported store corruption (exit 3)";
+        // A worker that saw the drain before reading its dispatched job
+        // exits clean without it.
+        if (job >= 0) queue.push_back(job);
+        slot.retired = true;
+        slot.failures = 0;
+        log_info("fleet: worker " + slot.worker_id + " finished");
         continue;
       }
       ++stats.crashes;
@@ -464,74 +451,54 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
           WIFSIGNALED(status)
               ? format("killed by signal %d", WTERMSIG(status))
               : format("exit code %d", WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-      log_warn("fleet: worker " + slot->worker_id + " crashed (" + how + ")");
-
-      // The dead worker appended nothing after its death, but its last
-      // renewal may postdate our poll above — re-poll before attributing.
-      poll_ledger();
-      if (corrupt) break;
-      for (const std::string& key : pending_keys) {
-        if (ledger.done(key)) continue;  // sticky final: never resurrect
-        const SweepResult* lease = ledger.latest_lease(key);
-        if (lease == nullptr || lease->worker != slot->worker_id) continue;
-        int& count = crash_counts[key];
-        ++count;
+      log_warn("fleet: worker " + slot.worker_id + " crashed (" + how + ")");
+      if (job >= 0) {
+        const SweepJob& held = pending[static_cast<std::size_t>(job)];
+        const int count = ++crash_counts[static_cast<std::size_t>(job)];
         if (count >= config_.max_crashes) {
           SweepResult poison;
-          poison.job = *job_by_key.at(key);
+          poison.job = held;
           poison.status = JobStatus::kFailed;
           poison.error = "crashed";
           poison.attempts = count;
-          poison.worker = slot->worker_id;
-          ResultStore::append_line(store_path, poison);
+          poison.worker = slot.worker_id;
+          finish(std::move(poison));
           ++stats.quarantined;
-          log_warn(format("fleet: quarantined %s after %d crash(es)", key.c_str(), count));
+          log_warn(format("fleet: quarantined %s after %d crash(es)", held.key().c_str(),
+                          count));
         } else {
-          // Explicit release: back to the pool now, not at lease expiry.
-          ResultStore::append_line(store_path, make_lease(*job_by_key.at(key), "", 0.0));
-          log_warn("fleet: released lease on " + key);
+          queue.push_back(job);
+          log_warn("fleet: returned " + held.key() + " to the queue");
         }
       }
       if (drain_forwarded) {
-        slot->retired = true;
+        slot.retired = true;
         continue;
       }
-      ++slot->failures;
-      const double delay_ms =
-          config_.respawn_backoff.jittered_delay_ms(slot->failures, rng);
-      slot->respawn_at = steady_seconds() + delay_ms / 1000.0;
-      log_info(format("fleet: respawning slot %s in %.0fms", slot->worker_id.c_str(),
+      ++slot.failures;
+      const double delay_ms = config_.respawn_backoff.jittered_delay_ms(slot.failures, rng);
+      slot.respawn_at = steady_seconds() + delay_ms / 1000.0;
+      log_info(format("fleet: respawning slot %s in %.0fms", slot.worker_id.c_str(),
                       delay_ms));
     }
-    if (corrupt) break;
 
     // 4. Stale heartbeats: a silent worker is presumed wedged or dead and
     // SIGKILLed; the reaper above turns that into an ordinary crash.
-    const double now_steady = steady_seconds();
+    const double now = steady_seconds();
     for (Slot& slot : slots) {
-      if (slot.pid > 0 &&
-          now_steady - slot.last_heartbeat > config_.heartbeat_timeout) {
+      if (slot.pid > 0 && now - slot.last_heartbeat > config_.heartbeat_timeout) {
         log_warn(format("fleet: worker %s heartbeat stale for %.1fs; SIGKILL",
-                        slot.worker_id.c_str(), now_steady - slot.last_heartbeat));
+                        slot.worker_id.c_str(), now - slot.last_heartbeat));
         (void)::kill(slot.pid, SIGKILL);
-        slot.last_heartbeat = now_steady;  // one kill per silence, not per tick
+        slot.last_heartbeat = now;  // one kill per silence, not per tick
       }
     }
 
-    // 5. Respawn scheduled slots; terminate when nothing is running and
-    // nothing will be.
-    bool all_done = true;
-    for (const std::string& key : pending_keys) {
-      if (!ledger.done(key)) {
-        all_done = false;
-        break;
-      }
-    }
+    // 5. Respawn scheduled slots while work is queued.
     for (int s = 0; s < config_.workers; ++s) {
       Slot& slot = slots[static_cast<std::size_t>(s)];
-      if (slot.pid < 0 && !slot.retired && slot.respawn_at >= 0.0 &&
-          now_steady >= slot.respawn_at) {
-        if (all_done || drain_forwarded) {
+      if (slot.pid < 0 && !slot.retired && slot.respawn_at >= 0.0 && now >= slot.respawn_at) {
+        if (queue.empty() || drain_forwarded) {
           slot.retired = true;
           continue;
         }
@@ -540,69 +507,41 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
         spawn(s);
       }
     }
-    bool any_live = false;
+
+    // 6. Dispatch: each idle worker gets the next queued job. With nothing
+    // queued (or a drain under way) its job pipe closes and it exits.
+    for (Slot& slot : slots) {
+      if (slot.pid < 0 || slot.job >= 0 || slot.job_fd < 0) continue;
+      if (queue.empty() || drain_forwarded) {
+        close_fd(slot.job_fd);
+        continue;
+      }
+      const auto index = static_cast<std::uint64_t>(queue.front());
+      // An 8-byte write into an empty pipe is atomic; it fails only when
+      // the worker just died, and then the reaper handles it.
+      if (::write(slot.job_fd, &index, sizeof(index)) != sizeof(index)) continue;
+      slot.job = queue.front();
+      queue.pop_front();
+    }
+
+    // 7. Terminate when nothing is running and nothing will be; otherwise
+    // wait for the next line from any worker, at most one tick.
+    std::vector<pollfd> fds;
     bool any_scheduled = false;
     for (const Slot& slot : slots) {
-      if (slot.pid > 0) any_live = true;
+      if (slot.result_fd >= 0) fds.push_back(pollfd{slot.result_fd, POLLIN, 0});
       if (slot.pid < 0 && !slot.retired && slot.respawn_at >= 0.0) any_scheduled = true;
     }
+    const bool any_live = std::any_of(slots.begin(), slots.end(),
+                                      [](const Slot& slot) { return slot.pid > 0; });
     if (!any_live && !any_scheduled) break;
-
-    sleep_seconds(config_.poll_interval);
+    (void)::poll(fds.data(), fds.size(), poll_ms);
   }
 
-  // Tear down: on corruption nothing more can be trusted — kill what is
-  // left and surface the error after restoring the signal dispositions.
-  if (corrupt) {
-    for (Slot& slot : slots) {
-      if (slot.pid > 0) {
-        (void)::kill(slot.pid, SIGKILL);
-        int status = 0;
-        while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        slot.pid = -1;
-      }
-      if (slot.read_fd >= 0) {
-        ::close(slot.read_fd);
-        slot.read_fd = -1;
-      }
-    }
-  }
-  for (Slot& slot : slots) {
-    if (slot.read_fd >= 0) {
-      ::close(slot.read_fd);
-      slot.read_fd = -1;
-    }
-  }
-  (void)std::signal(SIGTERM, old_term);
-  (void)std::signal(SIGINT, old_int);
-  // A worker's last append can postdate the loop's final poll (it lands
-  // just before the exit we reaped); pick it up before accounting.
-  poll_ledger();
-  require(!corrupt, "fleet: " + corrupt_why);
-
-  // Final merge + compaction: a tolerant whole-file read (a SIGKILL
-  // mid-append can leave glued torn bytes strict load refuses), then the
-  // atomic save keeps finals only — leases are protocol traffic, not
-  // results, and are dropped from what lands on disk.
-  LeaseLedger merge(store_path, 0);
-  merge.poll();
-  ResultStore merged;
-  for (const SweepResult* record : merge.finals()) merged.add(*record);
-  merged.save(store_path);
-
-  // Accounting runs against THIS run's ledger, not the merged history: a
-  // drained key with a stale pre-run record is unfinished, not done.
-  for (const std::string& key : pending_keys) {
-    const SweepResult* final_record = ledger.final_record(key);
-    if (final_record == nullptr) {
-      ++stats.unfinished;
-    } else if (final_record->status == JobStatus::kOk) {
-      ++stats.executed;
-    } else {
-      ++stats.failed;
-    }
-  }
+  // Every final was appended as it arrived; the closing atomic save leaves
+  // the store latest-wins compact.
+  store.save(store_path);
+  stats.unfinished = static_cast<int>(pending.size()) - stats.executed - stats.failed;
   return stats;
 }
 

@@ -92,9 +92,9 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
   SweepStats stats;
 
   // Validate and filter up front so a malformed job matrix (a caller bug,
-  // unlike an execution failure) aborts before any work runs. The resume
-  // lease skips only keys whose stored record is ok: a failed or timed-out
-  // key re-executes, and the latest-wins append replaces its record.
+  // unlike an execution failure) aborts before any work runs. Resume skips
+  // only keys whose stored record is ok: a failed or timed-out key
+  // re-executes, and the latest-wins append replaces its record.
   std::vector<SweepJob> pending;
   validate_jobs(jobs, source);
   for (const SweepJob& job : jobs) {
@@ -185,7 +185,6 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
                                       variant_of(pending[group.job_indices.front()]),
                                       group.protection_level, group.module + "_sweep");
     } catch (...) {
-      if (config_.fail_fast) throw;
       const std::string why = describe_current_exception();
       const double build_seconds = seconds_since(group_start);
       for (const std::size_t j : group.job_indices) {
@@ -250,7 +249,6 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
           // The deadline — or the external stop — fired mid-attempt.
           // Deterministically final: the budget spans attempts, so
           // there is nothing to retry.
-          if (config_.fail_fast) throw;
           const bool external =
               config_.cancel != nullptr && config_.cancel->stop_requested();
           emit_failure(pending[j],
@@ -261,7 +259,6 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
                        attempt, billed());
           break;
         } catch (...) {
-          if (config_.fail_fast) throw;
           const std::string why = describe_current_exception();
           if (attempt > config_.retries || cancel.stop_requested()) {
             emit_failure(pending[j], why, attempt, billed());
@@ -290,9 +287,9 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
       for (;;) {
         std::optional<std::size_t> g;
         board.help_until([&] {
-          // An escaped worker error (fail_fast, or store/append I/O trouble)
-          // stops every worker from opening further groups; only the groups
-          // already in flight finish.
+          // An escaped worker error (store/append I/O trouble) stops every
+          // worker from opening further groups; only the groups already in
+          // flight finish.
           if (aborted || closed_groups == groups.size()) return true;
           if (next_group < groups.size() && open_groups < config_.jobs) {
             g = next_group++;
@@ -318,8 +315,8 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
   // joins; the aggregation below reports every one of them.
   run_shards(workers, worker);
   // Escaped errors abort the sweep — all of them reported, not just the
-  // first worker's: under fail_fast several workers can trip concurrently,
-  // and swallowing the others hides real failures.
+  // first worker's: several workers can trip concurrently, and swallowing
+  // the others hides real failures.
   std::vector<std::exception_ptr> raised;
   for (const std::exception_ptr& e : errors) {
     if (e) raised.push_back(e);

@@ -27,9 +27,8 @@
 // backoff, then recorded as a failure record — it never takes
 // down the other jobs. A per-job wall-clock deadline (`job_timeout`) is
 // enforced cooperatively via a CancelToken polled inside the SYNFI and
-// campaign inner loops. `fail_fast` restores the old abort-the-fleet
-// behavior for CI. A resumed sweep re-executes failed/timed-out keys and
-// skips only the ones that completed ok.
+// campaign inner loops. A resumed sweep re-executes failed/timed-out keys
+// and skips only the ones that completed ok.
 #pragma once
 
 #include <string>
@@ -66,10 +65,6 @@ struct SweepConfig {
   /// job; 0 = no deadline. Enforced cooperatively (checked per simulator
   /// batch / SAT query), so a job overruns by at most one batch.
   double job_timeout = 0.0;
-  /// Abort the whole sweep on the first job failure (the pre-v4 behavior,
-  /// kept for CI): the error propagates out of run() instead of becoming a
-  /// failure record, and no retries are attempted.
-  bool fail_fast = false;
   /// Delay schedule between retry attempts of one job.
   BackoffPolicy backoff;
   /// Optional external stop signal: every per-job deadline token chains to
@@ -95,7 +90,7 @@ class SweepOrchestrator {
   /// file as it finishes. With `resume`, jobs whose key is already in
   /// `store` with an ok record are skipped (load the store from `out_path`
   /// first to resume a previous invocation); failed/timed-out keys
-  /// re-execute, and the latest-wins append acts as the retry lease.
+  /// re-execute, and the latest-wins append replaces their records.
   /// Jobs with an empty `source` resolve against the built-in zoo; jobs
   /// whose `source` matches `source->label()` resolve against `source` (so
   /// zoo and corpus jobs can share one fleet run); any other source label
@@ -103,9 +98,9 @@ class SweepOrchestrator {
   /// with skip-cycle faults (malformed job matrices are caller bugs, not
   /// fleet failures). Execution errors — unknown modules, variant-build
   /// failures, jobs that throw or exceed `job_timeout` — become failure
-  /// records unless `fail_fast` is set, in which case run() throws: the
-  /// first error when one worker failed, or one ScfiError aggregating every
-  /// worker's error when several did.
+  /// records. Only a store append failure escapes run(): the first error
+  /// when one worker thread failed, or one ScfiError aggregating every
+  /// thread's error when several did.
   SweepStats run(const std::vector<SweepJob>& jobs, ResultStore& store,
                  const std::string& out_path = "", bool resume = false,
                  const ModuleSource* source = nullptr);

@@ -1,11 +1,9 @@
-// The sweep fleet contract: LeaseLedger folds the shared store's append
-// traffic into latest-wins leases and sticky finals (salvaging the glued
-// torn bytes a SIGKILL mid-append leaves), and FleetSupervisor drives N
-// forked workers to the same bit-identical results as a single-process
-// sweep — through worker crashes (respawned with backoff, leases released),
-// poison jobs (quarantined as failed/"crashed" after max_crashes), wedged
-// jobs (stopped heartbeat -> supervisor SIGKILL), and graceful SIGTERM
-// drain (in-flight work finishes or is recorded cancelled; a later resume
+// The sweep fleet contract: FleetSupervisor drives N forked workers to
+// the same bit-identical results as a single-process sweep — through
+// worker crashes (respawned with backoff, their job requeued), poison jobs
+// (quarantined as failed/"crashed" after max_crashes), wedged jobs
+// (stopped heartbeat -> supervisor SIGKILL), and graceful SIGTERM drain
+// (in-flight work finishes or is recorded cancelled; a later resume
 // completes the matrix).
 #include <gtest/gtest.h>
 
@@ -13,15 +11,12 @@
 
 #include <csignal>
 #include <chrono>
-#include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/error.h"
-#include "sweep/lease.h"
 #include "sweep/result_store.h"
 #include "sweep/supervisor.h"
 #include "sweep/sweep.h"
@@ -60,124 +55,6 @@ std::vector<SweepJob> slow_campaign_matrix(int runs) {
                                                                      sim::FaultKind::kStuckAt0};
                                                                  return c;
                                                                }()});
-}
-
-SweepResult ok_record(const SweepJob& job) {
-  SweepResult result;
-  result.job = job;
-  result.report.sites = 1;
-  result.report.injections = 1;
-  return result;
-}
-
-TEST(LeaseLedger, StateMachineAndStickyFinals) {
-  const std::string path = temp_path("ledger_states.jsonl");
-  const std::vector<SweepJob> jobs = synfi_matrix();
-  const std::string key = jobs[0].key();
-  { std::ofstream create(path); }  // the ledger tails an existing file
-
-  LeaseLedger ledger(path, 0);
-  ledger.poll();
-  const double now = lease_now();
-  EXPECT_TRUE(ledger.state(key, now) == LeaseState::kUnclaimed);
-  EXPECT_TRUE(ledger.claimable(key, now));
-  EXPECT_FALSE(ledger.done(key));
-
-  // A live lease blocks claiming; its expiry (or an explicit release)
-  // reopens the key.
-  ResultStore::append_line(path, make_lease(jobs[0], "w0.0", now + 60.0));
-  ledger.poll();
-  EXPECT_TRUE(ledger.state(key, now) == LeaseState::kLeased);
-  EXPECT_FALSE(ledger.claimable(key, now));
-  ASSERT_NE(ledger.latest_lease(key), nullptr);
-  EXPECT_EQ(ledger.latest_lease(key)->worker, "w0.0");
-  EXPECT_TRUE(ledger.state(key, now + 61.0) == LeaseState::kExpired);
-  EXPECT_TRUE(ledger.claimable(key, now + 61.0));
-  ResultStore::append_line(path, make_lease(jobs[0], "", 0.0));  // release
-  ledger.poll();
-  EXPECT_TRUE(ledger.state(key, now) == LeaseState::kExpired);
-  EXPECT_TRUE(ledger.claimable(key, now));
-
-  // A final is terminal — and sticky: a stale lease renewal landing after
-  // it (a slow worker that lost a steal race) cannot resurrect the job.
-  ResultStore::append_line(path, ok_record(jobs[0]));
-  ledger.poll();
-  EXPECT_TRUE(ledger.state(key, now) == LeaseState::kDone);
-  EXPECT_FALSE(ledger.claimable(key, now));
-  ResultStore::append_line(path, make_lease(jobs[0], "w1.0", now + 60.0));
-  ledger.poll();
-  EXPECT_TRUE(ledger.done(key));
-  EXPECT_TRUE(ledger.state(key, now) == LeaseState::kDone);
-
-  // Finals are latest-wins among themselves (a re-executed steal's record
-  // replaces its twin) and enumerate in first-appearance order.
-  SweepResult failed;
-  failed.job = jobs[1];
-  failed.status = JobStatus::kFailed;
-  failed.error = "boom";
-  ResultStore::append_line(path, failed);
-  ResultStore::append_line(path, ok_record(jobs[1]));
-  ledger.poll();
-  ASSERT_NE(ledger.final_record(jobs[1].key()), nullptr);
-  EXPECT_TRUE(ledger.final_record(jobs[1].key())->status == JobStatus::kOk);
-  const std::vector<const SweepResult*> finals = ledger.finals();
-  ASSERT_EQ(finals.size(), 2u);
-  EXPECT_EQ(finals[0]->key(), key);
-  EXPECT_EQ(finals[1]->key(), jobs[1].key());
-}
-
-TEST(LeaseLedger, BaselineOffsetSkipsPriorHistory) {
-  const std::string path = temp_path("ledger_baseline.jsonl");
-  const std::vector<SweepJob> jobs = synfi_matrix();
-  ResultStore::append_line(path, ok_record(jobs[0]));  // prior run's record
-  const std::uint64_t baseline = std::filesystem::file_size(path);
-  ResultStore::append_line(path, ok_record(jobs[1]));  // this run's record
-
-  LeaseLedger ledger(path, baseline);
-  ledger.poll();
-  EXPECT_FALSE(ledger.done(jobs[0].key()));  // pre-baseline: invisible
-  EXPECT_TRUE(ledger.done(jobs[1].key()));
-}
-
-TEST(LeaseLedger, CarriesPartialTailAndSalvagesGluedRecords) {
-  const std::string path = temp_path("ledger_tail.jsonl");
-  const std::vector<SweepJob> jobs = synfi_matrix();
-  const std::string full = ResultStore::to_line(ok_record(jobs[0]));
-
-  // A concurrent append caught mid-write: the partial line is carried
-  // until its newline arrives, never parsed early.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << full.substr(0, 25);
-  }
-  LeaseLedger ledger(path, 0);
-  ledger.poll();
-  EXPECT_FALSE(ledger.done(jobs[0].key()));
-  {
-    std::ofstream out(path, std::ios::app);
-    out << full.substr(25) << "\n";
-  }
-  ledger.poll();
-  EXPECT_TRUE(ledger.done(jobs[0].key()));
-
-  // A SIGKILL between a worker's write and completion leaves torn bytes
-  // the NEXT append glues a full record onto; the ledger re-parses from
-  // the line's last record start instead of aborting.
-  const std::string glued = ResultStore::to_line(ok_record(jobs[1]));
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "{\"schema\":5,\"type\":\"syn" << glued << "\n";
-  }
-  ledger.poll();
-  EXPECT_TRUE(ledger.done(jobs[1].key()));
-
-  // Corruption with no salvageable record still throws: only a crash
-  // shape is forgiven.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "utter garbage, no record start\n";
-  }
-  EXPECT_THROW(ledger.poll(), ScfiError);
 }
 
 TEST(FleetSupervisor, ValidatesConfigStoreAndMatrix) {

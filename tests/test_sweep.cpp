@@ -150,28 +150,6 @@ constexpr const char* kGoldenCorpusLine =
     "\"masked\":1500,\"detected\":480,\"hijacked\":3,\"lagged\":12,\"silent_invalid\":5,"
     "\"attempts\":1,\"seconds\":0.250000}";
 
-/// A fleet lease record: status `leased` with the holder and its
-/// expiry; no payload counters.
-SweepResult golden_leased_result() {
-  SweepResult result;
-  result.job = golden_result().job;
-  result.status = JobStatus::kLeased;
-  result.worker = "w2.1";
-  result.deadline = 1754700000.5;
-  result.attempts = 1;
-  result.seconds = 0.0;
-  return result;
-}
-
-constexpr const char* kGoldenLeasedLine =
-    "{\"schema\":6,\"type\":\"synfi\",\"key\":\"pwrmgr_fsm|scfi|n3|r=mds_|sat|stuck1|free\","
-    "\"source\":\"\",\"module\":\"pwrmgr_fsm\",\"variant\":\"scfi\",\"level\":3,"
-    "\"status\":\"leased\",\"worker\":\"w2.1\",\"region\":\"mds_\","
-    "\"include_inputs\":false,\"backend\":\"sat\",\"kind\":\"stuck1\","
-    "\"target\":\"any\",\"faults_k\":1,\"free_symbol\":true,"
-    "\"deadline\":1754700000.500000,"
-    "\"attempts\":1,\"seconds\":0.000000}";
-
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
@@ -198,36 +176,6 @@ TEST(ResultStore, GoldenLinePinsSchema) {
   EXPECT_EQ(ResultStore::to_line(golden_campaign_result()), kGoldenCampaignLine);
   EXPECT_EQ(ResultStore::to_line(golden_corpus_result()), kGoldenCorpusLine);
   EXPECT_EQ(ResultStore::to_line(golden_failed_result()), kGoldenFailedLine);
-  EXPECT_EQ(ResultStore::to_line(golden_leased_result()), kGoldenLeasedLine);
-}
-
-TEST(ResultStore, LeasedRecordRoundTripAndValidation) {
-  const SweepResult parsed = ResultStore::parse_line(kGoldenLeasedLine);
-  EXPECT_TRUE(parsed.status == JobStatus::kLeased);
-  EXPECT_EQ(parsed.worker, "w2.1");
-  EXPECT_DOUBLE_EQ(parsed.deadline, 1754700000.5);
-  EXPECT_EQ(ResultStore::to_line(parsed), kGoldenLeasedLine);
-
-  // Two leases compare equal (protocol traffic, not a verdict) but never
-  // equal an ok or failed record.
-  SweepResult other = golden_leased_result();
-  other.worker = "w0.7";
-  other.deadline = 1.0;
-  EXPECT_TRUE(reports_equal(parsed, other));
-  EXPECT_FALSE(reports_equal(parsed, golden_result()));
-  EXPECT_FALSE(reports_equal(parsed, golden_failed_result()));
-
-  // The deadline travels with leases only, and leases must carry one.
-  EXPECT_THROW(ResultStore::parse_line(std::string(kV6Synfi) +
-                                       "\"status\":\"ok\",\"deadline\":1.0}"),
-               ScfiError);
-  EXPECT_THROW(ResultStore::parse_line(std::string(kV6Synfi) + "\"status\":\"leased\"}"),
-               ScfiError);
-  // Only failed records carry an error message.
-  EXPECT_THROW(ResultStore::parse_line(std::string(kV6Synfi) +
-                                       "\"status\":\"leased\",\"deadline\":1.0,"
-                                       "\"error\":\"boom\"}"),
-               ScfiError);
 }
 
 TEST(ResultStore, FailedRecordRoundTripAndEquality) {
@@ -489,8 +437,6 @@ class RandomRecords {
       r.protection_degree = static_cast<int>(rng_() % 4);
     }
     if (status == JobStatus::kFailed) r.error = text(0);
-    // Whole microseconds around the epoch seconds of a lease deadline.
-    if (status == JobStatus::kLeased) r.deadline = micros(1'700'000'000'000'000ULL);
     r.worker = coin() ? "" : text(1);
     r.attempts = 1 + static_cast<int>(rng_() % 5);
     r.seconds = micros(0);
@@ -534,7 +480,7 @@ TEST(ResultStore, RandomRecordsRoundTrip) {
   RandomRecords gen(20261017);
   for (int i = 0; i < 200; ++i) {
     for (const JobType type : {JobType::kSynfi, JobType::kCampaign}) {
-      for (const JobStatus status : {JobStatus::kOk, JobStatus::kFailed, JobStatus::kLeased}) {
+      for (const JobStatus status : {JobStatus::kOk, JobStatus::kFailed}) {
         const SweepResult record = gen.next(type, status);
         const std::string line = ResultStore::to_line(record);
         const SweepResult parsed = ResultStore::parse_line(line);
@@ -573,6 +519,27 @@ TEST(ResultStore, SaveLoadAppendDedupe) {
 
   // Missing file -> empty store.
   EXPECT_EQ(ResultStore::load(temp_path("does_not_exist.jsonl")).size(), 0u);
+}
+
+TEST(ResultStore, LeasedLineFailsTheLoad) {
+  // `leased` is no job status: a store holding such a line, written by an
+  // older fleet, fails the load naming the line instead of loading it.
+  const std::string path = temp_path("store_leased_line.jsonl");
+  {
+    const std::string line = ResultStore::to_line(golden_result());
+    const std::string ok = "\"status\":\"ok\"";
+    std::string leased = line;
+    leased.replace(leased.find(ok), ok.size(), "\"status\":\"leased\"");
+    std::ofstream out(path, std::ios::trunc);
+    out << line << "\n" << leased << "\n";
+  }
+  try {
+    ResultStore::load(path);
+    FAIL() << "a leased line loaded";
+  } catch (const ScfiError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("unknown job status"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ResultStore, TornTailRecoveryIsOptInAndLastLineOnly) {
@@ -1519,19 +1486,13 @@ TEST(SweepOrchestrator, RejectsBadJobsAndConfig) {
   EXPECT_EQ(store.size(), 0u);
 
   // An unknown MODULE, by contrast, is an execution failure: it is
-  // isolated into a failure record (fail_fast restores the old abort).
+  // isolated into a failure record.
   SweepJob missing;
   missing.module = "no_such_module";
   const SweepStats stats = orchestrator.run({missing}, store);
   EXPECT_EQ(stats.failed, 1);
   ASSERT_EQ(store.size(), 1u);
   EXPECT_TRUE(store.find(missing.key())->status == JobStatus::kFailed);
-  SweepConfig strict;
-  strict.fail_fast = true;
-  SweepOrchestrator fail_fast{strict};
-  ResultStore empty;
-  EXPECT_THROW(fail_fast.run({missing}, empty), ScfiError);
-  EXPECT_EQ(empty.size(), 0u);
 }
 
 TEST(SweepOrchestrator, BuildFailureRecordsCarryTheBuildTime) {
