@@ -7,7 +7,7 @@
 //   scfi_cli synfi   <file.kiss2> [-n LEVEL] [--backend sim|sat] [--faults-k K]
 //                    [--target any|inputs|state|logic] [--lanes K]
 //                    [--threads K]
-//   scfi_cli attack  <file.kiss2> [-n LEVEL] [--faults-k K | --faults K]
+//   scfi_cli attack  <file.kiss2> [-n LEVEL] [--faults-k K]
 //                    [--target any|inputs|state|logic] [--lanes K] [--threads K]
 //   scfi_cli sweep   [--corpus DIR | --corpus-verilog DIR] [--modules GLOBS]
 //                    [--levels 2,3] [--regions mds_,all]
@@ -32,12 +32,12 @@
 // parses a structural Verilog netlist with the frontends reader, elaborates
 // every module, and reports ports plus every extracted FSM (state register,
 // encoding, states/transitions); --dot additionally dumps each machine as
-// Graphviz. `attack --faults` is an alias of `--faults-k` (faults per run);
-// when both are given the last one wins. `sweep` runs the SYNFI job matrix
-// over every module matching the globs — drawn from the OpenTitan zoo, or,
-// with --corpus DIR, from the .kiss2 files discovered recursively under DIR,
-// or, with --corpus-verilog DIR, from the FSMs extracted out of the .v
-// netlists under DIR (both corpora share one scan: files that fail to
+// Graphviz. `attack --faults-k` sets the faults per run. `sweep` runs the
+// SYNFI job matrix over every module matching the globs — drawn from the
+// OpenTitan zoo, or, with --corpus DIR, from the .kiss2 files discovered
+// recursively under DIR, or, with --corpus-verilog DIR, from the FSMs
+// extracted out of the .v netlists under DIR (both corpora share one scan:
+// files that fail to
 // parse/elaborate/extract, and entries whose name another entry also has,
 // are reported per module and skipped, not fatal) — plus, with
 // --campaign-runs > 0, a Monte-Carlo
@@ -116,7 +116,7 @@ int usage() {
                "  harden:  -o out.v --json out.json\n"
                "  synfi:   --backend sim|sat --faults-k K --target any|inputs|state|logic\n"
                "           --lanes K --threads K\n"
-               "  attack:  --faults-k K (alias --faults; the last one given wins)\n"
+               "  attack:  --faults-k K (faults per run)\n"
                "           --target any|inputs|state|logic\n"
                "           --lanes K --threads K\n"
                "  (--lanes: simulator runs per pass, 1..512 = 64 x lane_words;\n"
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   bool resume = false;
   bool level_set = false;
   int level = 2;
-  int faults_k = 1;  // --faults-k, or its alias --faults; the last one given wins
+  int faults_k = 1;
   std::string target = "any";
   // 0 = auto: pick the lane count per module via synfi::auto_lanes. An
   // explicit --lanes is never second-guessed.
@@ -256,8 +256,8 @@ int main(int argc, char** argv) {
         verilog_out = argv[++i];
       } else if (arg == "--json" && has_value) {
         json_out = argv[++i];
-      } else if ((arg == "--faults-k" || arg == "--faults") && has_value) {
-        faults_k = parse_positive(arg, argv[++i]);
+      } else if (arg == "--faults-k" && has_value) {
+        faults_k = parse_positive("--faults-k", argv[++i]);
       } else if (arg == "--target" && has_value) {
         target = argv[++i];
         for (const std::string& t : scfi::split(target, ",")) {

@@ -19,6 +19,27 @@ int minimal_width(int count) {
 
 SigSpec const_bit(bool v) { return SigSpec(SigBit(v)); }
 
+/// Next state as a balanced AND-OR ROM over mutually exclusive edge
+/// conditions: bit b is the OR of the conditions whose target code sets b,
+/// plus a "stay" term that keeps the current bit when no condition holds
+/// (always, for an empty edge set).
+SigSpec build_next_state_rom(Module& m, const SigSpec& state, const std::vector<SigSpec>& conds,
+                             const std::vector<std::uint64_t>& targets) {
+  SigSpec all;
+  for (const SigSpec& c : conds) all.append(c);
+  const SigSpec stay = all.width() == 0 ? const_bit(true)
+                                        : m.make_not(m.make_reduce_or(all, "anyact"), "stayc");
+  SigSpec next;
+  for (int bit = 0; bit < state.width(); ++bit) {
+    SigSpec terms = m.make_and(stay, state.extract(bit, 1), "stayt");
+    for (std::size_t e = 0; e < conds.size(); ++e) {
+      if ((targets[e] >> bit) & 1) terms.append(conds[e]);
+    }
+    next.append(terms.width() == 1 ? terms : m.make_reduce_or(terms, "nsrom"));
+  }
+  return next;
+}
+
 }  // namespace
 
 int CompiledFsm::decode_state(std::uint64_t reg_value) const {
@@ -70,9 +91,8 @@ SigSpec build_symbol_next_state(Module& m, const Fsm& fsm, const SigSpec& state,
                                 const SigSpec& xenc,
                                 const std::vector<std::uint64_t>& state_codes,
                                 const std::map<std::string, std::uint64_t>& symbol_codes) {
-  // Balanced AND-OR structure: the edge conditions are mutually exclusive
-  // (distinct states or distinct codewords), so each next-state bit is the
-  // OR of its asserting edges, with a "stay" term when nothing matches.
+  // The edge conditions are mutually exclusive (distinct states or distinct
+  // codewords), as the next-state ROM needs.
   std::vector<SigSpec> conds;
   std::vector<std::uint64_t> targets;
   for (const CfgEdge& e : fsm.cfg_edges()) {
@@ -88,18 +108,7 @@ SigSpec build_symbol_next_state(Module& m, const Fsm& fsm, const SigSpec& state,
     conds.push_back(m.make_and(state_eq, sym_eq, "cond"));
     targets.push_back(state_codes[static_cast<std::size_t>(e.to)]);
   }
-  SigSpec all;
-  for (const SigSpec& c : conds) all.append(c);
-  const SigSpec stay = m.make_not(m.make_reduce_or(all, "anyact"), "stayc");
-  SigSpec next;
-  for (int bit = 0; bit < state.width(); ++bit) {
-    SigSpec terms = m.make_and(stay, state.extract(bit, 1), "stayt");
-    for (std::size_t e = 0; e < conds.size(); ++e) {
-      if ((targets[e] >> bit) & 1) terms.append(conds[e]);
-    }
-    next.append(terms.width() == 1 ? terms : m.make_reduce_or(terms, "nsrom"));
-  }
-  return next;
+  return build_next_state_rom(m, state, conds, targets);
 }
 
 CompiledFsm compile_unprotected(const Fsm& fsm, rtlil::Design& design,
@@ -137,26 +146,12 @@ CompiledFsm compile_unprotected(const Fsm& fsm, rtlil::Design& design,
   const std::vector<SigSpec> actives =
       build_raw_edge_actives(*m, fsm, state, input_bits, out.state_codes);
 
-  // Next state as a balanced AND-OR network over the (mutually exclusive)
-  // edge activations, with a "stay" term when no transition fires.
-  SigSpec all;
-  for (const SigSpec& a : actives) all.append(a);
-  SigSpec stay;
-  if (all.width() == 0) {
-    stay = SigSpec(SigBit(true));
-  } else {
-    stay = m->make_not(m->make_reduce_or(all, "anyact"), "stayc");
+  // The edge activations are mutually exclusive, one per transition.
+  std::vector<std::uint64_t> targets;
+  for (const Transition& t : fsm.transitions) {
+    targets.push_back(out.state_codes[static_cast<std::size_t>(t.to)]);
   }
-  SigSpec next;
-  for (int bit = 0; bit < out.state_width; ++bit) {
-    SigSpec terms = m->make_and(stay, state.extract(bit, 1), "stayt");
-    for (std::size_t ti = 0; ti < fsm.transitions.size(); ++ti) {
-      const std::uint64_t code =
-          out.state_codes[static_cast<std::size_t>(fsm.transitions[ti].to)];
-      if ((code >> bit) & 1) terms.append(actives[ti]);
-    }
-    next.append(terms.width() == 1 ? terms : m->make_reduce_or(terms, "nsrom"));
-  }
+  const SigSpec next = build_next_state_rom(*m, state, actives, targets);
 
   rtlil::Cell* ff = m->add_cell("state_ff", rtlil::CellType::kDff);
   ff->set_port("D", next);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <span>
 
 #include "base/error.h"
 
@@ -80,12 +81,14 @@ bool Fsm::guard_matches(const std::string& guard, const std::vector<bool>& input
 }
 
 std::optional<std::vector<bool>> Fsm::concrete_input_for(int t) const {
+  const std::vector<int> from = transitions_from(transitions[static_cast<std::size_t>(t)].from);
+  const auto at = std::find(from.begin(), from.end(), t);
+  return unshadowed_input(t, std::span<const int>(from.begin(), at));
+}
+
+std::optional<std::vector<bool>> Fsm::unshadowed_input(int t,
+                                                       std::span<const int> earlier) const {
   const Transition& target = transitions[static_cast<std::size_t>(t)];
-  std::vector<int> earlier;  // higher-priority transitions of the same state
-  for (int ti : transitions_from(target.from)) {
-    if (ti == t) break;
-    earlier.push_back(ti);
-  }
   // Collect the don't-care positions of the target guard.
   std::vector<std::size_t> free_pos;
   std::vector<bool> bits(inputs.size(), false);
@@ -169,9 +172,19 @@ void Fsm::check() const {
     for (char c : t.guard) require(c == '0' || c == '1' || c == '-', "bad guard char");
     for (char c : t.output) require(c == '0' || c == '1' || c == '-', "bad output char");
   }
+  // Each state's transitions in priority order, built once: the checks
+  // below visit every transition, so a per-transition transitions_from()
+  // would make them quadratic in the transition count.
+  std::vector<std::vector<int>> from(static_cast<std::size_t>(num_states()));
+  std::vector<std::size_t> rank(transitions.size());  // position in its state's list
+  for (std::size_t i = 0; i < transitions.size(); ++i) {
+    std::vector<int>& ts = from[static_cast<std::size_t>(transitions[i].from)];
+    rank[i] = ts.size();
+    ts.push_back(static_cast<int>(i));
+  }
   for (int s = 0; s < num_states(); ++s) {
     std::set<std::string> guards;
-    for (int ti : transitions_from(s)) {
+    for (int ti : from[static_cast<std::size_t>(s)]) {
       const auto [unused, inserted] =
           guards.insert(transitions[static_cast<std::size_t>(ti)].guard);
       require(inserted, "fsm " + name + ": duplicate guard in state " +
@@ -179,7 +192,9 @@ void Fsm::check() const {
     }
   }
   for (std::size_t i = 0; i < transitions.size(); ++i) {
-    require(concrete_input_for(static_cast<int>(i)).has_value(),
+    const std::vector<int>& ts = from[static_cast<std::size_t>(transitions[i].from)];
+    require(unshadowed_input(static_cast<int>(i), std::span<const int>(ts.data(), rank[i]))
+                .has_value(),
             "fsm " + name + ": transition " + std::to_string(i) + " is fully shadowed");
   }
   // Reachability from reset over CFG edges.
@@ -189,7 +204,7 @@ void Fsm::check() const {
   while (!queue.empty()) {
     const int s = queue.front();
     queue.pop_front();
-    for (int ti : transitions_from(s)) {
+    for (int ti : from[static_cast<std::size_t>(s)]) {
       const int to = transitions[static_cast<std::size_t>(ti)].to;
       if (!seen[static_cast<std::size_t>(to)]) {
         seen[static_cast<std::size_t>(to)] = true;

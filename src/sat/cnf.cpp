@@ -4,10 +4,8 @@
 
 namespace scfi::sat {
 
-using rtlil::Cell;
-using rtlil::CellType;
+using rtlil::FlatOp;
 using rtlil::SigBit;
-using rtlil::SigSpec;
 
 CnfCopy::CnfCopy(Solver& solver, const rtlil::Module& module,
                  const std::unordered_map<SigBit, int>& bound,
@@ -18,27 +16,34 @@ CnfCopy::CnfCopy(Solver& solver, const rtlil::Module& module,
 CnfCopy::CnfCopy(Solver& solver, const rtlil::Module& module,
                  const std::unordered_map<SigBit, int>& bound,
                  const std::vector<CnfFault>& faults)
-    : solver_(&solver), module_(&module), vars_(bound), faults_(faults) {
-  const_true_ = solver.new_var();
-  solver.add_unit(const_true_);
-
-  // Allocate the readers' view of every faulted net up front so the cell
-  // encoding below routes consumers through it.
-  fault_vars_.reserve(faults_.size());
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    check(!faults_[i].bit.is_const(), "CnfCopy: cannot fault a constant bit");
-    check(fault_index_.emplace(faults_[i].bit, i).second, "CnfCopy: duplicate fault site");
-    fault_vars_.push_back(solver.new_var());
+    : solver_(&solver), module_(&module), flat_(rtlil::flatten(module)) {
+  const int const_true = solver.new_var();
+  solver.add_unit(const_true);
+  const auto nets = static_cast<std::size_t>(flat_.num_nets);
+  vars_.assign(nets, 0);
+  vars_[0] = -const_true;
+  vars_[1] = const_true;
+  for (const auto& [bit, var] : bound) {
+    if (!bit.is_const()) vars_[static_cast<std::size_t>(flat_.net_of(bit))] = var;
   }
 
-  const rtlil::NetlistIndex index(module);
-  for (const Cell* cell : index.topo_comb()) encode_cell(*cell);
+  // Allocate the readers' view of every faulted net up front so the op
+  // encoding below routes consumers through it.
+  overrides_.assign(nets, 0);
+  for (const CnfFault& f : faults) {
+    check(!f.bit.is_const(), "CnfCopy: cannot fault a constant bit");
+    int& fv = overrides_[static_cast<std::size_t>(flat_.net_of(f.bit))];
+    check(fv == 0, "CnfCopy: duplicate fault site");
+    fv = solver.new_var();
+  }
 
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    const CnfFault& f = faults_[i];
-    const int fv = fault_vars_[i];
+  for (const FlatOp& op : flat_.ops) encode(op);
+
+  for (const CnfFault& f : faults) {
+    const std::int32_t net = flat_.net_of(f.bit);
+    const int fv = overrides_[static_cast<std::size_t>(net)];
     // Ensure the faulted net has a variable even if nothing read it yet.
-    const int orig = lookup_driven(f.bit);
+    const int orig = driven(net);
     if (f.selector == 0) {
       switch (f.kind) {
         case CnfFaultKind::kFlip:
@@ -80,28 +85,16 @@ CnfCopy::CnfCopy(Solver& solver, const rtlil::Module& module,
   }
 }
 
-int CnfCopy::lookup_driven(const SigBit& bit) {
-  if (bit.is_const()) return bit.const_value() ? const_true_ : -const_true_;
-  const auto it = vars_.find(bit);
-  if (it != vars_.end()) return it->second;
-  const int v = solver_->new_var();
-  vars_.emplace(bit, v);
+int CnfCopy::driven(std::int32_t net) {
+  int& v = vars_[static_cast<std::size_t>(net)];
+  if (v == 0) v = solver_->new_var();
   return v;
 }
 
-int CnfCopy::fault_override(const SigBit& bit) const {
-  if (fault_index_.empty() || bit.is_const()) return 0;
-  const auto it = fault_index_.find(bit);
-  return it != fault_index_.end() ? fault_vars_[it->second] : 0;
+int CnfCopy::reader(std::int32_t net) {
+  const int fv = overrides_[static_cast<std::size_t>(net)];
+  return fv != 0 ? fv : driven(net);
 }
-
-int CnfCopy::lookup(const SigBit& bit) {
-  const int fv = fault_override(bit);
-  if (fv != 0) return fv;
-  return lookup_driven(bit);
-}
-
-int CnfCopy::emit_not(int a) { return -a; }
 
 int CnfCopy::emit_and(int a, int b) {
   const int y = solver_->new_var();
@@ -128,8 +121,6 @@ int CnfCopy::emit_xor(int a, int b) {
   return y;
 }
 
-int CnfCopy::emit_xnor(int a, int b) { return -emit_xor(a, b); }
-
 int CnfCopy::emit_mux(int s, int a, int b) {
   // y = s ? b : a
   const int y = solver_->new_var();
@@ -140,186 +131,65 @@ int CnfCopy::emit_mux(int s, int a, int b) {
   return y;
 }
 
-int CnfCopy::emit_tree_and(std::vector<int> terms) {
-  check(!terms.empty(), "CnfCopy: empty AND tree");
-  while (terms.size() > 1) {
-    std::vector<int> next;
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-      next.push_back(emit_and(terms[i], terms[i + 1]));
-    }
-    if (terms.size() % 2 == 1) next.push_back(terms.back());
-    terms = std::move(next);
+void CnfCopy::encode(const FlatOp& op) {
+  // Unused operand slots are net 0, whose variable is the constant: reading
+  // them allocates nothing.
+  const int a = reader(op.a);
+  const int b = reader(op.b);
+  const int c = reader(op.c);
+  int y = 0;
+  switch (op.kind) {
+    case FlatOp::Kind::kBuf: y = a; break;
+    case FlatOp::Kind::kNot: y = -a; break;
+    case FlatOp::Kind::kAnd: y = emit_and(a, b); break;
+    case FlatOp::Kind::kOr: y = emit_or(a, b); break;
+    case FlatOp::Kind::kXor: y = emit_xor(a, b); break;
+    case FlatOp::Kind::kXnor: y = -emit_xor(a, b); break;
+    case FlatOp::Kind::kMux: y = emit_mux(c, a, b); break;
+    case FlatOp::Kind::kAoi21: y = -emit_or(emit_and(a, b), c); break;
+    case FlatOp::Kind::kOai21: y = -emit_and(emit_or(a, b), c); break;
+    case FlatOp::Kind::kNand: y = -emit_and(a, b); break;
+    case FlatOp::Kind::kNor: y = -emit_or(a, b); break;
   }
-  return terms[0];
-}
-
-void CnfCopy::encode_cell(const Cell& cell) {
-  const SigSpec& y = cell.port(rtlil::output_port(cell.type()));
-  const auto bind_out = [&](int i, int lit) {
-    const SigBit bit = y.bit(i);
-    check(!bit.is_const(), "CnfCopy: cell drives constant");
-    const auto it = vars_.find(bit);
-    if (it == vars_.end()) {
-      vars_.emplace(bit, lit);
-    } else {
-      // Already referenced (or bound): tie with equivalence clauses.
-      solver_->add_binary(-it->second, lit);
-      solver_->add_binary(it->second, -lit);
-    }
-  };
-  const auto a_bits = [&](const char* p) {
-    std::vector<int> lits;
-    for (const SigBit& b : cell.port(p).bits()) lits.push_back(lookup(b));
-    return lits;
-  };
-  switch (cell.type()) {
-    case CellType::kBuf:
-    case CellType::kGateBuf: {
-      const std::vector<int> a = a_bits("A");
-      for (int i = 0; i < y.width(); ++i) bind_out(i, a[static_cast<std::size_t>(i)]);
-      break;
-    }
-    case CellType::kNot:
-    case CellType::kGateInv: {
-      const std::vector<int> a = a_bits("A");
-      for (int i = 0; i < y.width(); ++i) bind_out(i, -a[static_cast<std::size_t>(i)]);
-      break;
-    }
-    case CellType::kAnd:
-    case CellType::kGateAnd2:
-    case CellType::kGateNand2:
-    case CellType::kOr:
-    case CellType::kGateOr2:
-    case CellType::kGateNor2:
-    case CellType::kXor:
-    case CellType::kGateXor2:
-    case CellType::kXnor:
-    case CellType::kGateXnor2: {
-      const std::vector<int> a = a_bits("A");
-      const std::vector<int> b = a_bits("B");
-      for (int i = 0; i < y.width(); ++i) {
-        int lit = 0;
-        switch (cell.type()) {
-          case CellType::kAnd:
-          case CellType::kGateAnd2:
-            lit = emit_and(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]);
-            break;
-          case CellType::kGateNand2:
-            lit = -emit_and(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]);
-            break;
-          case CellType::kOr:
-          case CellType::kGateOr2:
-            lit = emit_or(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]);
-            break;
-          case CellType::kGateNor2:
-            lit = -emit_or(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]);
-            break;
-          case CellType::kXor:
-          case CellType::kGateXor2:
-            lit = emit_xor(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]);
-            break;
-          default:
-            lit = emit_xnor(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]);
-            break;
-        }
-        bind_out(i, lit);
-      }
-      break;
-    }
-    case CellType::kMux:
-    case CellType::kGateMux2: {
-      const std::vector<int> a = a_bits("A");
-      const std::vector<int> b = a_bits("B");
-      const int s = lookup(cell.port("S").bit(0));
-      for (int i = 0; i < y.width(); ++i) {
-        bind_out(i, emit_mux(s, a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]));
-      }
-      break;
-    }
-    case CellType::kGateAoi21: {
-      const int a = lookup(cell.port("A").bit(0));
-      const int b = lookup(cell.port("B").bit(0));
-      const int c = lookup(cell.port("C").bit(0));
-      bind_out(0, -emit_or(emit_and(a, b), c));
-      break;
-    }
-    case CellType::kGateOai21: {
-      const int a = lookup(cell.port("A").bit(0));
-      const int b = lookup(cell.port("B").bit(0));
-      const int c = lookup(cell.port("C").bit(0));
-      bind_out(0, -emit_and(emit_or(a, b), c));
-      break;
-    }
-    case CellType::kEq: {
-      const std::vector<int> a = a_bits("A");
-      const std::vector<int> b = a_bits("B");
-      std::vector<int> eqs;
-      for (std::size_t i = 0; i < a.size(); ++i) eqs.push_back(emit_xnor(a[i], b[i]));
-      bind_out(0, emit_tree_and(std::move(eqs)));
-      break;
-    }
-    case CellType::kReduceAnd:
-      bind_out(0, emit_tree_and(a_bits("A")));
-      break;
-    case CellType::kReduceOr: {
-      std::vector<int> terms = a_bits("A");
-      for (int& t : terms) t = -t;
-      bind_out(0, -emit_tree_and(std::move(terms)));
-      break;
-    }
-    case CellType::kReduceXor: {
-      std::vector<int> terms = a_bits("A");
-      int acc = terms[0];
-      for (std::size_t i = 1; i < terms.size(); ++i) acc = emit_xor(acc, terms[i]);
-      bind_out(0, acc);
-      break;
-    }
-    default:
-      unreachable(std::string("CnfCopy: unhandled cell type ") +
-                  rtlil::cell_type_name(cell.type()));
+  int& out = vars_[static_cast<std::size_t>(op.out)];
+  if (out == 0) {
+    out = y;
+  } else {
+    // Already referenced (or bound): tie with equivalence clauses.
+    solver_->add_binary(-out, y);
+    solver_->add_binary(out, -y);
   }
 }
 
-int CnfCopy::reader_var(const SigBit& bit) const {
-  const int fv = fault_override(bit);
+int CnfCopy::net_var(std::int32_t net) const {
+  const int fv = overrides_[static_cast<std::size_t>(net)];
   if (fv != 0) return fv;
-  return driven_var(bit);
-}
-
-int CnfCopy::driven_var(const SigBit& bit) const {
-  if (bit.is_const()) return bit.const_value() ? const_true_ : -const_true_;
-  const auto it = vars_.find(bit);
-  check(it != vars_.end(), "CnfCopy: bit has no variable");
-  return it->second;
+  const int v = vars_[static_cast<std::size_t>(net)];
+  check(v != 0, "CnfCopy: bit has no variable");
+  return v;
 }
 
 std::vector<int> CnfCopy::wire_vars(const std::string& wire) const {
   const rtlil::Wire* w = module_->wire(wire);
   require(w != nullptr, "CnfCopy::wire_vars: no wire " + wire);
+  const std::int32_t base = flat_.wire_base.at(w);
   std::vector<int> out;
-  for (int i = 0; i < w->width(); ++i) out.push_back(reader_var(SigBit(w, i)));
+  for (int i = 0; i < w->width(); ++i) out.push_back(net_var(base + i));
   return out;
 }
 
 std::vector<int> CnfCopy::ff_next_vars(const std::string& q_wire) const {
   const rtlil::Wire* w = module_->wire(q_wire);
   require(w != nullptr, "CnfCopy::ff_next_vars: no wire " + q_wire);
+  const std::int32_t base = flat_.wire_base.at(w);
   std::vector<int> out(static_cast<std::size_t>(w->width()), 0);
-  std::vector<bool> found(static_cast<std::size_t>(w->width()), false);
-  for (const Cell* cell : module_->cells()) {
-    if (!rtlil::is_ff(cell->type())) continue;
-    const SigSpec& q = cell->port("Q");
-    const SigSpec& d = cell->port("D");
-    for (int i = 0; i < q.width(); ++i) {
-      const SigBit qb = q.bit(i);
-      if (!qb.is_const() && qb.wire == w) {
-        out[static_cast<std::size_t>(qb.offset)] = reader_var(d.bit(i));
-        found[static_cast<std::size_t>(qb.offset)] = true;
-      }
+  for (const rtlil::FlatFf& ff : flat_.ffs) {
+    if (ff.q >= base && ff.q < base + w->width()) {
+      out[static_cast<std::size_t>(ff.q - base)] = net_var(ff.d);
     }
   }
-  for (bool f : found) {
-    require(f, "CnfCopy::ff_next_vars: wire " + q_wire + " not fully registered");
+  for (const int v : out) {
+    require(v != 0, "CnfCopy::ff_next_vars: wire " + q_wire + " not fully registered");
   }
   return out;
 }

@@ -1,14 +1,17 @@
 // Tseitin encoding of netlists into CNF, with support for shared-input
 // module copies and single-net fault overrides (the building block of the
-// SYNFI fault miters).
+// SYNFI fault miters). A copy encodes the bit ops of rtlil::flatten(), the
+// same flat netlist the simulator evaluates, so both engines share one
+// definition of every cell type; the encoder only knows the ops.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "rtlil/validate.h"
+#include "rtlil/flatten.h"
 #include "sat/solver.h"
 
 namespace scfi::sat {
@@ -45,12 +48,13 @@ class CnfCopy {
           const std::unordered_map<rtlil::SigBit, int>& bound,
           const std::vector<CnfFault>& faults);
 
-  /// Variable carrying the value of `bit` as seen by readers in this copy
-  /// (i.e. after the fault override, when it targets `bit`).
-  int reader_var(const rtlil::SigBit& bit) const;
+  /// Variable carrying the value of a net of netlist() as seen by readers
+  /// in this copy (i.e. after the fault override, when it targets the net).
+  /// Throws when nothing in the copy reads or drives the net.
+  int net_var(std::int32_t net) const;
 
-  /// Variable of the bit as driven (pre-fault).
-  int driven_var(const rtlil::SigBit& bit) const;
+  /// The flat netlist this copy encodes: net numbering, ops, flip-flops.
+  const rtlil::FlatNetlist& netlist() const { return flat_; }
 
   /// Convenience: reader variables of a whole wire, LSB first.
   std::vector<int> wire_vars(const std::string& wire) const;
@@ -61,26 +65,21 @@ class CnfCopy {
   Solver& solver() const { return *solver_; }
 
  private:
-  /// Readers' view of a faulted net (0 when `bit` has no fault override).
-  int fault_override(const rtlil::SigBit& bit) const;
-  int lookup(const rtlil::SigBit& bit);  ///< creates free vars on demand
-  int lookup_driven(const rtlil::SigBit& bit);
-  void encode_cell(const rtlil::Cell& cell);
-  int emit_tree_and(std::vector<int> terms);
+  /// Readers' view of a net (its fault override, if any); creates a free
+  /// variable on demand.
+  int reader(std::int32_t net);
+  int driven(std::int32_t net);  ///< pre-fault view; creates on demand
+  void encode(const rtlil::FlatOp& op);
   int emit_and(int a, int b);
   int emit_or(int a, int b);
   int emit_xor(int a, int b);
-  int emit_xnor(int a, int b);
-  int emit_not(int a);
   int emit_mux(int s, int a, int b);
 
   Solver* solver_;
   const rtlil::Module* module_;
-  std::unordered_map<rtlil::SigBit, int> vars_;  ///< driven values
-  std::vector<CnfFault> faults_;
-  std::vector<int> fault_vars_;                         ///< readers' view per fault
-  std::unordered_map<rtlil::SigBit, std::size_t> fault_index_;
-  int const_true_ = 0;
+  rtlil::FlatNetlist flat_;
+  std::vector<int> vars_;       ///< driven value per net (0 = not yet allocated)
+  std::vector<int> overrides_;  ///< readers' view per faulted net, else 0
 };
 
 }  // namespace scfi::sat

@@ -9,7 +9,7 @@
 namespace scfi::sim {
 namespace {
 
-using detail::FlatOp;
+using rtlil::FlatOp;
 using detail::TapeSegment;
 
 // --- kind-segmented eval core ----------------------------------------------
@@ -158,10 +158,7 @@ void run_tape_dispatch(int lane_words, bool faulty, const TapeSegment* segs,
 
 }  // namespace
 
-using rtlil::Cell;
-using rtlil::CellType;
 using rtlil::SigBit;
-using rtlil::SigSpec;
 
 int lane_words_for(int lanes) {
   require(lanes >= 1 && lanes <= kMaxLanes,
@@ -187,20 +184,21 @@ Simulator::Simulator(const rtlil::Module& module, int lane_words)
     : module_(&module), lane_words_(lane_words) {
   require(lane_words == 1 || lane_words == 2 || lane_words == 4 || lane_words == 8,
           "Simulator: lane_words must be one of {1, 2, 4, 8}");
-  compile();
+  flat_ = rtlil::flatten(module);
+  // reset() fills the lane blocks, constant nets included.
+  const auto nets = static_cast<std::size_t>(flat_.num_nets);
+  values_.assign(nets * static_cast<std::size_t>(lane_words_), 0);
+  mask_and_.assign(values_.size(), ~0ULL);
+  mask_xor_.assign(values_.size(), 0);
+  transient_slot_.assign(nets, -1);
+  faulted_mark_.assign(nets, 0);
+  index_ffs();
+  build_tape();
   reset();
 }
 
-std::int32_t Simulator::net_of(const SigBit& bit) const {
-  if (bit.is_const()) return bit.const_value() ? 1 : 0;
-  const auto it = wire_base_.find(bit.wire);
-  // Composed message: built only on the failure path (net_of runs per bit).
-  if (it == wire_base_.end()) unreachable("Simulator: unknown wire " + bit.wire->name());
-  return it->second + bit.offset;
-}
-
 std::int32_t Simulator::net_index(const SigBit& bit) const {
-  const std::int32_t net = net_of(bit);
+  const std::int32_t net = flat_.net_of(bit);
   check(net >= 2, "Simulator::net_index: constant bit has no net");
   return net;
 }
@@ -208,11 +206,11 @@ std::int32_t Simulator::net_index(const SigBit& bit) const {
 std::vector<char> Simulator::fanin_cone(const std::vector<std::int32_t>& roots) const {
   // Producing op of every net; -1 for constants, inputs and register
   // outputs.
-  std::vector<std::int32_t> producer(static_cast<std::size_t>(num_nets_), -1);
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    producer[static_cast<std::size_t>(ops_[i].out)] = static_cast<std::int32_t>(i);
+  std::vector<std::int32_t> producer(static_cast<std::size_t>(flat_.num_nets), -1);
+  for (std::size_t i = 0; i < flat_.ops.size(); ++i) {
+    producer[static_cast<std::size_t>(flat_.ops[i].out)] = static_cast<std::int32_t>(i);
   }
-  std::vector<char> in_cone(static_cast<std::size_t>(num_nets_), 0);
+  std::vector<char> in_cone(static_cast<std::size_t>(flat_.num_nets), 0);
   std::vector<std::int32_t> work;
   const auto add = [&](std::int32_t net) {
     if (in_cone[static_cast<std::size_t>(net)] == 0) {
@@ -225,71 +223,33 @@ std::vector<char> Simulator::fanin_cone(const std::vector<std::int32_t>& roots) 
     const auto net = static_cast<std::size_t>(work.back());
     work.pop_back();
     if (producer[net] >= 0) {
-      const FlatOp& op = ops_[static_cast<std::size_t>(producer[net])];
+      const FlatOp& op = flat_.ops[static_cast<std::size_t>(producer[net])];
       add(op.a);
       add(op.b);
       add(op.c);
     } else if (q_to_ff_[net] >= 0) {
-      add(ffs_[static_cast<std::size_t>(q_to_ff_[net])].d);
+      add(flat_.ffs[static_cast<std::size_t>(q_to_ff_[net])].d);
     }
   }
   return in_cone;
 }
 
-std::int32_t Simulator::temp_net() {
-  const std::int32_t net = num_nets_++;
-  values_.resize(values_.size() + static_cast<std::size_t>(lane_words_), 0);
-  mask_and_.resize(values_.size(), ~0ULL);
-  mask_xor_.resize(values_.size(), 0);
-  return net;
-}
-
-void Simulator::compile() {
-  const auto words = static_cast<std::size_t>(lane_words_);
-  // Nets 0 and 1 are the constants, in every lane of every word.
-  num_nets_ = 2;
-  values_.assign(2 * words, 0);
-  for (std::size_t w = 0; w < words; ++w) values_[words + w] = ~0ULL;
-  mask_and_.assign(2 * words, ~0ULL);
-  mask_xor_.assign(2 * words, 0);
-  for (const rtlil::Wire* w : module_->wires()) {
-    wire_base_[w] = num_nets_;
-    num_nets_ += w->width();
-    values_.resize(static_cast<std::size_t>(num_nets_) * words, 0);
-    mask_and_.resize(values_.size(), ~0ULL);
-    mask_xor_.resize(values_.size(), 0);
-  }
-  const rtlil::NetlistIndex index(*module_);
-  for (const Cell* cell : index.topo_comb()) compile_cell(*cell);
-  for (const Cell* ff : index.ffs()) {
-    const SigSpec& d = ff->port("D");
-    const SigSpec& q = ff->port("Q");
-    for (int i = 0; i < q.width(); ++i) {
-      ffs_.push_back(FlatFf{net_of(d.bit(i)), net_of(q.bit(i)), ff->reset_value().bit(i)});
-    }
-  }
-  transient_slot_.assign(static_cast<std::size_t>(num_nets_), -1);
-  faulted_mark_.assign(static_cast<std::size_t>(num_nets_), 0);
-  index_ffs();
-  build_tape();
-}
-
 void Simulator::index_ffs() {
-  latch_buf_.assign(ffs_.size() * static_cast<std::size_t>(lane_words_), 0);
-  q_to_ff_.assign(static_cast<std::size_t>(num_nets_), -1);
-  for (std::size_t i = 0; i < ffs_.size(); ++i) {
-    q_to_ff_[static_cast<std::size_t>(ffs_[i].q)] = static_cast<std::int32_t>(i);
+  latch_buf_.assign(flat_.ffs.size() * static_cast<std::size_t>(lane_words_), 0);
+  q_to_ff_.assign(static_cast<std::size_t>(flat_.num_nets), -1);
+  for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
+    q_to_ff_[static_cast<std::size_t>(flat_.ffs[i].q)] = static_cast<std::int32_t>(i);
   }
-  skip_slot_.assign(ffs_.size(), -1);
+  skip_slot_.assign(flat_.ffs.size(), -1);
 }
 
 std::vector<char> Simulator::slice_to_cone(const std::vector<std::int32_t>& roots) {
   std::vector<char> cone = fanin_cone(roots);
   const auto dead = [&](std::int32_t net) { return cone[static_cast<std::size_t>(net)] == 0; };
-  clear_all_faults();  // pending skips name ffs_ indices, renumbered below
+  clear_all_faults();  // pending skips name flat_.ffs indices, renumbered below
   // Filtering keeps the (level, kind) order of the tape.
   std::erase_if(tape_, [&](const FlatOp& op) { return dead(op.out); });
-  std::erase_if(ffs_, [&](const FlatFf& ff) { return dead(ff.q); });
+  std::erase_if(flat_.ffs, [&](const rtlil::FlatFf& ff) { return dead(ff.q); });
   build_segments();
   index_ffs();
   reset();
@@ -298,12 +258,12 @@ std::vector<char> Simulator::slice_to_cone(const std::vector<std::int32_t>& root
 
 void Simulator::build_tape() {
   // Topological level of every net: constants/inputs/FF outputs sit at 0,
-  // an op's output one past its deepest operand. ops_ is already in topo
+  // an op's output one past its deepest operand. flat_.ops is already in topo
   // order (producers before consumers), so one forward pass suffices.
-  std::vector<std::int32_t> level(static_cast<std::size_t>(num_nets_), 0);
-  std::vector<std::int32_t> op_level(ops_.size(), 0);
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const FlatOp& op = ops_[i];
+  std::vector<std::int32_t> level(static_cast<std::size_t>(flat_.num_nets), 0);
+  std::vector<std::int32_t> op_level(flat_.ops.size(), 0);
+  for (std::size_t i = 0; i < flat_.ops.size(); ++i) {
+    const FlatOp& op = flat_.ops[i];
     std::int32_t l = level[static_cast<std::size_t>(op.a)];
     l = std::max(l, level[static_cast<std::size_t>(op.b)]);
     l = std::max(l, level[static_cast<std::size_t>(op.c)]);
@@ -314,15 +274,15 @@ void Simulator::build_tape() {
   // construction, so grouping same-kind ops is a pure reordering of
   // commuting writes — eval order cannot change any value (eval_reference
   // is the differential oracle for exactly this claim).
-  std::vector<std::uint32_t> order(ops_.size());
+  std::vector<std::uint32_t> order(flat_.ops.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t x, std::uint32_t y) {
                      if (op_level[x] != op_level[y]) return op_level[x] < op_level[y];
-                     return ops_[x].kind < ops_[y].kind;
+                     return flat_.ops[x].kind < flat_.ops[y].kind;
                    });
-  tape_.reserve(ops_.size());
-  for (const std::uint32_t i : order) tape_.push_back(ops_[i]);
+  tape_.reserve(flat_.ops.size());
+  for (const std::uint32_t i : order) tape_.push_back(flat_.ops[i]);
   build_segments();
 }
 
@@ -338,129 +298,12 @@ void Simulator::build_segments() {
   }
 }
 
-void Simulator::emit_tree(FlatOp::Kind kind, std::vector<std::int32_t> terms,
-                          std::int32_t out) {
-  check(!terms.empty(), "Simulator::emit_tree: empty");
-  while (terms.size() > 2) {
-    std::vector<std::int32_t> next;
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-      const std::int32_t t = temp_net();
-      ops_.push_back(FlatOp{kind, t, terms[i], terms[i + 1], 0});
-      next.push_back(t);
-    }
-    if (terms.size() % 2 == 1) next.push_back(terms.back());
-    terms = std::move(next);
-  }
-  if (terms.size() == 2) {
-    ops_.push_back(FlatOp{kind, out, terms[0], terms[1], 0});
-  } else {
-    ops_.push_back(FlatOp{FlatOp::Kind::kBuf, out, terms[0], 0, 0});
-  }
-}
-
-void Simulator::compile_cell(const Cell& cell) {
-  const SigSpec& y = cell.port(rtlil::output_port(cell.type()));
-  const auto in = [&](const char* p) { return cell.port(p); };
-  const auto bits_of = [&](const SigSpec& s) {
-    std::vector<std::int32_t> nets;
-    nets.reserve(static_cast<std::size_t>(s.width()));
-    for (const SigBit& b : s.bits()) nets.push_back(net_of(b));
-    return nets;
-  };
-  switch (cell.type()) {
-    case CellType::kBuf:
-    case CellType::kGateBuf:
-      for (int i = 0; i < y.width(); ++i) {
-        ops_.push_back(FlatOp{FlatOp::Kind::kBuf, net_of(y.bit(i)), net_of(in("A").bit(i)), 0, 0});
-      }
-      break;
-    case CellType::kNot:
-    case CellType::kGateInv:
-      for (int i = 0; i < y.width(); ++i) {
-        ops_.push_back(FlatOp{FlatOp::Kind::kNot, net_of(y.bit(i)), net_of(in("A").bit(i)), 0, 0});
-      }
-      break;
-    case CellType::kAnd:
-    case CellType::kOr:
-    case CellType::kXor:
-    case CellType::kXnor:
-    case CellType::kGateAnd2:
-    case CellType::kGateOr2:
-    case CellType::kGateXor2:
-    case CellType::kGateXnor2:
-    case CellType::kGateNand2:
-    case CellType::kGateNor2: {
-      FlatOp::Kind k = FlatOp::Kind::kAnd;
-      switch (cell.type()) {
-        case CellType::kOr:
-        case CellType::kGateOr2: k = FlatOp::Kind::kOr; break;
-        case CellType::kXor:
-        case CellType::kGateXor2: k = FlatOp::Kind::kXor; break;
-        case CellType::kXnor:
-        case CellType::kGateXnor2: k = FlatOp::Kind::kXnor; break;
-        case CellType::kGateNand2: k = FlatOp::Kind::kNand; break;
-        case CellType::kGateNor2: k = FlatOp::Kind::kNor; break;
-        default: break;
-      }
-      for (int i = 0; i < y.width(); ++i) {
-        ops_.push_back(FlatOp{k, net_of(y.bit(i)), net_of(in("A").bit(i)),
-                              net_of(in("B").bit(i)), 0});
-      }
-      break;
-    }
-    case CellType::kMux:
-    case CellType::kGateMux2: {
-      const std::int32_t s = net_of(in("S").bit(0));
-      for (int i = 0; i < y.width(); ++i) {
-        ops_.push_back(FlatOp{FlatOp::Kind::kMux, net_of(y.bit(i)), net_of(in("A").bit(i)),
-                              net_of(in("B").bit(i)), s});
-      }
-      break;
-    }
-    case CellType::kGateAoi21:
-      ops_.push_back(FlatOp{FlatOp::Kind::kAoi21, net_of(y.bit(0)), net_of(in("A").bit(0)),
-                            net_of(in("B").bit(0)), net_of(in("C").bit(0))});
-      break;
-    case CellType::kGateOai21:
-      ops_.push_back(FlatOp{FlatOp::Kind::kOai21, net_of(y.bit(0)), net_of(in("A").bit(0)),
-                            net_of(in("B").bit(0)), net_of(in("C").bit(0))});
-      break;
-    case CellType::kEq: {
-      const std::vector<std::int32_t> a = bits_of(in("A"));
-      const std::vector<std::int32_t> b = bits_of(in("B"));
-      std::vector<std::int32_t> eq_bits;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        const std::int32_t t = temp_net();
-        ops_.push_back(FlatOp{FlatOp::Kind::kXnor, t, a[i], b[i], 0});
-        eq_bits.push_back(t);
-      }
-      emit_tree(FlatOp::Kind::kAnd, std::move(eq_bits), net_of(y.bit(0)));
-      break;
-    }
-    case CellType::kReduceAnd:
-      emit_tree(FlatOp::Kind::kAnd, bits_of(in("A")), net_of(y.bit(0)));
-      break;
-    case CellType::kReduceOr:
-      emit_tree(FlatOp::Kind::kOr, bits_of(in("A")), net_of(y.bit(0)));
-      break;
-    case CellType::kReduceXor:
-      emit_tree(FlatOp::Kind::kXor, bits_of(in("A")), net_of(y.bit(0)));
-      break;
-    case CellType::kDff:
-    case CellType::kGateDff:
-      unreachable("compile_cell: flip-flop in combinational list");
-    default:
-      unreachable(std::string("compile_cell: unhandled type ") +
-                  rtlil::cell_type_name(cell.type()));
-  }
-}
-
 void Simulator::reset() {
   clear_all_faults();
   const auto words = static_cast<std::size_t>(lane_words_);
   std::fill(values_.begin(), values_.end(), 0);
   for (std::size_t w = 0; w < words; ++w) values_[words + w] = ~0ULL;
-  for (const FlatFf& ff : ffs_) {
+  for (const rtlil::FlatFf& ff : flat_.ffs) {
     const std::uint64_t v = ff.reset ? ~0ULL : 0;
     for (std::size_t w = 0; w < words; ++w) {
       values_[static_cast<std::size_t>(ff.q) * words + w] = v;
@@ -472,7 +315,7 @@ void Simulator::reset() {
 Simulator::WireHandle Simulator::probe(const std::string& wire) const {
   const rtlil::Wire* w = module_->wire(wire);
   if (w == nullptr) throw ScfiError("Simulator::probe: no wire " + wire);
-  return WireHandle{wire_base_.at(w), w->width()};
+  return WireHandle{flat_.wire_base.at(w), w->width()};
 }
 
 Simulator::WireHandle Simulator::input_handle(const std::string& wire) const {
@@ -480,7 +323,7 @@ Simulator::WireHandle Simulator::input_handle(const std::string& wire) const {
   if (w == nullptr || !w->is_input()) {
     throw ScfiError("Simulator::input_handle: no input wire " + wire);
   }
-  return WireHandle{wire_base_.at(w), w->width()};
+  return WireHandle{flat_.wire_base.at(w), w->width()};
 }
 
 void Simulator::set_input(WireHandle h, std::uint64_t value) {
@@ -556,7 +399,7 @@ std::uint64_t Simulator::get(const std::string& wire) const {
   return get_lane(h, 0);
 }
 
-bool Simulator::get_bit(const SigBit& bit) const { return (load(net_of(bit), 0) & 1) != 0; }
+bool Simulator::get_bit(const SigBit& bit) const { return (load(flat_.net_of(bit), 0) & 1) != 0; }
 
 void Simulator::eval() {
   settled_ = true;
@@ -570,7 +413,7 @@ void Simulator::eval_reference() {
   // segmented tape and the no-fault fast path.
   settled_ = true;
   const int words = lane_words_;
-  for (const FlatOp& op : ops_) {
+  for (const FlatOp& op : flat_.ops) {
     for (int w = 0; w < words; ++w) {
       std::uint64_t v = 0;
       switch (op.kind) {
@@ -608,14 +451,14 @@ void Simulator::latch() {
   settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   if (faults_active_) {
-    for (std::size_t i = 0; i < ffs_.size(); ++i) {
+    for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
       for (std::size_t w = 0; w < words; ++w) {
-        latch_buf_[i * words + w] = load(ffs_[i].d, static_cast<int>(w));
+        latch_buf_[i * words + w] = load(flat_.ffs[i].d, static_cast<int>(w));
       }
     }
   } else {
-    for (std::size_t i = 0; i < ffs_.size(); ++i) {
-      const std::size_t d = static_cast<std::size_t>(ffs_[i].d) * words;
+    for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
+      const std::size_t d = static_cast<std::size_t>(flat_.ffs[i].d) * words;
       for (std::size_t w = 0; w < words; ++w) latch_buf_[i * words + w] = values_[d + w];
     }
   }
@@ -625,7 +468,7 @@ void Simulator::latch() {
   // the Q net corrupts readers, not the retained state itself.
   for (const auto& [ff, lanes] : skip_ffs_) {
     const std::size_t q =
-        static_cast<std::size_t>(ffs_[static_cast<std::size_t>(ff)].q) * words;
+        static_cast<std::size_t>(flat_.ffs[static_cast<std::size_t>(ff)].q) * words;
     const std::size_t base = static_cast<std::size_t>(ff) * words;
     for (std::size_t w = 0; w < words; ++w) {
       latch_buf_[base + w] =
@@ -634,8 +477,8 @@ void Simulator::latch() {
     skip_slot_[static_cast<std::size_t>(ff)] = -1;
   }
   skip_ffs_.clear();
-  for (std::size_t i = 0; i < ffs_.size(); ++i) {
-    const std::size_t q = static_cast<std::size_t>(ffs_[i].q) * words;
+  for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
+    const std::size_t q = static_cast<std::size_t>(flat_.ffs[i].q) * words;
     for (std::size_t w = 0; w < words; ++w) values_[q + w] = latch_buf_[i * words + w];
   }
   // Transient faults last one cycle: drop the flip in the recorded lanes.
@@ -656,7 +499,7 @@ void Simulator::set_register(const std::string& wire, std::uint64_t value) {
 }
 
 void Simulator::inject(const SigBit& bit, FaultKind kind, const LaneMask& lanes) {
-  inject_net(net_of(bit), kind, lanes);
+  inject_net(flat_.net_of(bit), kind, lanes);
 }
 
 void Simulator::inject_net(std::int32_t net, FaultKind kind, const LaneMask& lanes) {
@@ -735,7 +578,7 @@ void Simulator::inject_net(std::int32_t net, FaultKind kind, const LaneMask& lan
 }
 
 void Simulator::clear_fault(const SigBit& bit) {
-  inject_net(net_of(bit), FaultKind::kNone, kAllLanes);
+  inject_net(flat_.net_of(bit), FaultKind::kNone, kAllLanes);
 }
 
 void Simulator::clear_all_faults() {

@@ -1,8 +1,10 @@
 // Cycle-accurate two-valued netlist simulator with fault injection,
 // bit-parallel over 64 x `lane_words` independent lanes.
 //
-// The module (word-level, gate-level, or mixed) is flattened once into a
-// topologically-ordered list of bit operations. Net storage is a
+// The module (word-level, gate-level, or mixed) is flattened once by
+// rtlil::flatten() into a topologically-ordered list of bit operations and
+// a flip-flop table, the same flat netlist the CNF encoder (sat/cnf.h)
+// reads, so cell semantics are defined once for both. Net storage is a
 // structure-of-arrays *lane block*: every net owns `lane_words` consecutive
 // 64-bit words (values_[net * W + w]), so word w, bit k is the net's value
 // in lane w*64 + k and one eval() advances up to 512 independent simulations
@@ -57,10 +59,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "rtlil/validate.h"
+#include "rtlil/flatten.h"
 
 namespace scfi::sim {
 
@@ -161,22 +162,10 @@ int lane_words_cap();
 
 namespace detail {
 
-/// One flattened bit operation of the compiled netlist.
-struct FlatOp {
-  enum class Kind : std::uint8_t {
-    kBuf, kNot, kAnd, kOr, kXor, kXnor, kMux, kAoi21, kOai21, kNand, kNor
-  };
-  Kind kind;
-  std::int32_t out;
-  std::int32_t a = 0;
-  std::int32_t b = 0;
-  std::int32_t c = 0;  ///< S for mux, C for AOI/OAI
-};
-
 /// A maximal run of same-kind ops in the levelized tape: eval() executes
 /// [begin, end) of the sorted tape in one branch-free loop.
 struct TapeSegment {
-  FlatOp::Kind kind;
+  rtlil::FlatOp::Kind kind;
   std::uint32_t begin;
   std::uint32_t end;
 };
@@ -260,8 +249,8 @@ class Simulator {
   /// The Q net of every (kept) flip-flop bit, in latch order.
   std::vector<std::int32_t> register_nets() const {
     std::vector<std::int32_t> nets;
-    nets.reserve(ffs_.size());
-    for (const FlatFf& ff : ffs_) nets.push_back(ff.q);
+    nets.reserve(flat_.ffs.size());
+    for (const rtlil::FlatFf& ff : flat_.ffs) nets.push_back(ff.q);
     return nets;
   }
 
@@ -299,7 +288,7 @@ class Simulator {
   void clear_all_faults();
 
   /// Number of simulated nets (diagnostics).
-  int num_nets() const { return num_nets_; }
+  int num_nets() const { return flat_.num_nets; }
   /// Distinct nets queued for transient auto-clear (diagnostics: repeated
   /// inject_net calls on one net within a cycle coalesce into one entry).
   int pending_transient_nets() const {
@@ -310,9 +299,6 @@ class Simulator {
   int pending_skip_ffs() const { return static_cast<int>(skip_ffs_.size()); }
 
  private:
-  std::int32_t net_of(const rtlil::SigBit& bit) const;
-  std::int32_t temp_net();
-
   /// Fault-corrected 64-lane word `word`: lanes with a stuck fault have
   /// mask_and_ = 0 (and mask_xor_ = the stuck value); lanes with a transient
   /// flip have mask_xor_ = 1. Unfaulted lanes pass through.
@@ -323,33 +309,22 @@ class Simulator {
     return (values_[i] & mask_and_[i]) ^ mask_xor_[i];
   }
 
-  void compile();
-  void compile_cell(const rtlil::Cell& cell);
   void build_tape();
   void build_segments();  ///< maximal same-kind runs of tape_
-  void index_ffs();       ///< q_to_ff_, skip_slot_ and latch_buf_ from ffs_
-  /// Emits a balanced gate tree over `terms`, writing the result to `out`.
-  void emit_tree(detail::FlatOp::Kind kind, std::vector<std::int32_t> terms,
-                 std::int32_t out);
-
-  struct FlatFf {
-    std::int32_t d;
-    std::int32_t q;
-    bool reset;
-  };
+  void index_ffs();       ///< q_to_ff_, skip_slot_ and latch_buf_ from flat_.ffs
 
   const rtlil::Module* module_;
   int lane_words_ = 1;
-  std::int32_t num_nets_ = 0;
-  std::unordered_map<const rtlil::Wire*, std::int32_t> wire_base_;
+  /// Net numbering, the compile-order ops (the eval_reference() tape) and
+  /// the flip-flop table; slice_to_cone() drops flip-flops from flat_.ffs
+  /// but keeps every op.
+  rtlil::FlatNetlist flat_;
   // Structure-of-arrays lane blocks: index net * lane_words_ + word.
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> mask_and_;
   std::vector<std::uint64_t> mask_xor_;
-  std::vector<detail::FlatOp> ops_;         ///< compile order (oracle tape)
-  std::vector<detail::FlatOp> tape_;        ///< sorted by (level, kind)
+  std::vector<rtlil::FlatOp> tape_;  ///< flat_.ops sorted by (level, kind)
   std::vector<detail::TapeSegment> segments_;
-  std::vector<FlatFf> ffs_;
   std::vector<std::uint64_t> latch_buf_;  ///< scratch for latch(), ffs x words
   /// True whenever any fault may be armed (conservative; reset by
   /// clear_all_faults). While false, eval() skips the mask streams.
@@ -363,13 +338,13 @@ class Simulator {
   /// latch()'s clear pass stays O(distinct nets).
   std::vector<std::pair<std::int32_t, LaneMask>> transient_nets_;
   std::vector<std::int32_t> transient_slot_;
-  /// Flip-flops (by ffs_ index) whose next clock edge is suppressed in the
+  /// Flip-flops (by flat_.ffs index) whose next clock edge is suppressed in the
   /// recorded lanes (kSkipCycle), coalesced per FF via skip_slot_. Applied
   /// and cleared by the next latch(); independent of the read-time mask
   /// machinery, so arming a skip does not set faults_active_.
   std::vector<std::pair<std::int32_t, LaneMask>> skip_ffs_;
   std::vector<std::int32_t> skip_slot_;
-  /// Q-net -> ffs_ index (-1 for non-register nets), for kSkipCycle routing.
+  /// Q-net -> flat_.ffs index (-1 for non-register nets), for kSkipCycle routing.
   std::vector<std::int32_t> q_to_ff_;
   /// Every net whose mask block may have left identity since the last
   /// clear_all_faults(), deduplicated via faulted_mark_, so the clear pass

@@ -1,11 +1,13 @@
-// Cross-engine differential tests: for every gate type, the simulator, the
-// CNF encoder and the reference truth table must agree on all input
-// combinations; flip-flops and word-level cells are covered through small
-// compiled structures.
+// Cross-engine differential tests: for every gate type and every word-level
+// cell type, the simulator, the CNF encoder and the reference truth table
+// must agree on all input combinations.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
 #include <functional>
+#include <unordered_map>
+#include <vector>
 
 #include "rtlil/design.h"
 #include "sat/cnf.h"
@@ -111,54 +113,120 @@ INSTANTIATE_TEST_SUITE_P(AllGates, GateCross,
 struct WordCase {
   CellType type;
   int width;
-  std::function<std::uint64_t(std::uint64_t, std::uint64_t)> model;
+  /// Y as a function of A, B and the 1-bit S (mux select).
+  std::function<std::uint64_t(std::uint64_t, std::uint64_t, std::uint64_t)> model;
 };
 
 const WordCase kWordCases[] = {
-    {CellType::kNot, 5, [](std::uint64_t a, std::uint64_t) { return ~a & 0x1f; }},
-    {CellType::kAnd, 5, [](std::uint64_t a, std::uint64_t b) { return a & b; }},
-    {CellType::kOr, 5, [](std::uint64_t a, std::uint64_t b) { return a | b; }},
-    {CellType::kXor, 5, [](std::uint64_t a, std::uint64_t b) { return a ^ b; }},
-    {CellType::kXnor, 5, [](std::uint64_t a, std::uint64_t b) { return ~(a ^ b) & 0x1f; }},
+    {CellType::kNot, 5, [](std::uint64_t a, std::uint64_t, std::uint64_t) { return ~a & 0x1f; }},
+    {CellType::kAnd, 5, [](std::uint64_t a, std::uint64_t b, std::uint64_t) { return a & b; }},
+    {CellType::kOr, 5, [](std::uint64_t a, std::uint64_t b, std::uint64_t) { return a | b; }},
+    {CellType::kXor, 5, [](std::uint64_t a, std::uint64_t b, std::uint64_t) { return a ^ b; }},
+    {CellType::kXnor, 5,
+     [](std::uint64_t a, std::uint64_t b, std::uint64_t) { return ~(a ^ b) & 0x1f; }},
     {CellType::kEq, 5,
-     [](std::uint64_t a, std::uint64_t b) { return static_cast<std::uint64_t>(a == b); }},
+     [](std::uint64_t a, std::uint64_t b, std::uint64_t) {
+       return static_cast<std::uint64_t>(a == b);
+     }},
     {CellType::kReduceAnd, 5,
-     [](std::uint64_t a, std::uint64_t) { return static_cast<std::uint64_t>(a == 0x1f); }},
+     [](std::uint64_t a, std::uint64_t, std::uint64_t) {
+       return static_cast<std::uint64_t>(a == 0x1f);
+     }},
     {CellType::kReduceOr, 5,
-     [](std::uint64_t a, std::uint64_t) { return static_cast<std::uint64_t>(a != 0); }},
+     [](std::uint64_t a, std::uint64_t, std::uint64_t) {
+       return static_cast<std::uint64_t>(a != 0);
+     }},
     {CellType::kReduceXor, 5,
-     [](std::uint64_t a, std::uint64_t) {
+     [](std::uint64_t a, std::uint64_t, std::uint64_t) {
        return static_cast<std::uint64_t>(std::popcount(a) & 1);
      }},
+    {CellType::kBuf, 5, [](std::uint64_t a, std::uint64_t, std::uint64_t) { return a; }},
+    {CellType::kMux, 5,
+     [](std::uint64_t a, std::uint64_t b, std::uint64_t s) { return s != 0 ? b : a; }},
 };
+
+bool reads_b(CellType type) {
+  return type != CellType::kNot && type != CellType::kBuf && type != CellType::kReduceAnd &&
+         type != CellType::kReduceOr && type != CellType::kReduceXor;
+}
+
+/// One `wc.type` cell reading a, b (wc.width bits) and s (1 bit, mux only)
+/// and driving y.
+Module* word_module(Design& d, const WordCase& wc) {
+  Module* m = d.add_module("m");
+  rtlil::Wire* a = m->add_input("a", wc.width);
+  rtlil::Wire* b = m->add_input("b", wc.width);
+  rtlil::Wire* s = m->add_input("s", 1);
+  const bool one_bit_out = wc.type == CellType::kEq || wc.type == CellType::kReduceAnd ||
+                           wc.type == CellType::kReduceOr || wc.type == CellType::kReduceXor;
+  rtlil::Wire* y = m->add_output("y", one_bit_out ? 1 : wc.width);
+  rtlil::Cell* cell = m->add_cell("g", wc.type);
+  cell->set_port("A", SigSpec(a));
+  if (reads_b(wc.type)) cell->set_port("B", SigSpec(b));
+  if (wc.type == CellType::kMux) cell->set_port("S", SigSpec(s));
+  cell->set_port("Y", SigSpec(y));
+  return m;
+}
+
+/// Calls `f(a, b, s)` for every input combination the cell reads.
+void for_each_word_input(const WordCase& wc,
+                         const std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)>& f) {
+  const std::uint64_t values = 1ULL << wc.width;
+  for (std::uint64_t va = 0; va < values; ++va) {
+    for (std::uint64_t vb = 0; vb < (reads_b(wc.type) ? values : 1); ++vb) {
+      for (std::uint64_t vs = 0; vs < (wc.type == CellType::kMux ? 2u : 1u); ++vs) f(va, vb, vs);
+    }
+  }
+}
 
 class WordCross : public ::testing::TestWithParam<int> {};
 
 TEST_P(WordCross, SimExhaustive) {
   const WordCase& wc = kWordCases[GetParam()];
   Design d;
-  Module* m = d.add_module("m");
-  rtlil::Wire* a = m->add_input("a", wc.width);
-  rtlil::Wire* b = m->add_input("b", wc.width);
-  const bool unary = wc.type == CellType::kNot || wc.type == CellType::kReduceAnd ||
-                     wc.type == CellType::kReduceOr || wc.type == CellType::kReduceXor;
-  const bool one_bit_out = wc.type == CellType::kEq || wc.type == CellType::kReduceAnd ||
-                           wc.type == CellType::kReduceOr || wc.type == CellType::kReduceXor;
-  rtlil::Wire* y = m->add_output("y", one_bit_out ? 1 : wc.width);
-  rtlil::Cell* cell = m->add_cell("g", wc.type);
-  cell->set_port("A", SigSpec(a));
-  if (!unary) cell->set_port("B", SigSpec(b));
-  cell->set_port("Y", SigSpec(y));
-  sim::Simulator s(*m);
-  for (std::uint64_t va = 0; va < 32; ++va) {
-    for (std::uint64_t vb = 0; vb < (unary ? 1u : 32u); ++vb) {
-      s.set_input("a", va);
-      s.set_input("b", vb);
-      s.eval();
-      EXPECT_EQ(s.get("y"), wc.model(va, vb))
-          << rtlil::cell_type_name(wc.type) << " a=" << va << " b=" << vb;
-    }
+  sim::Simulator s(*word_module(d, wc));
+  for_each_word_input(wc, [&](std::uint64_t va, std::uint64_t vb, std::uint64_t vs) {
+    s.set_input("a", va);
+    s.set_input("b", vb);
+    s.set_input("s", vs);
+    s.eval();
+    EXPECT_EQ(s.get("y"), wc.model(va, vb, vs))
+        << rtlil::cell_type_name(wc.type) << " a=" << va << " b=" << vb << " s=" << vs;
+  });
+}
+
+TEST_P(WordCross, CnfExhaustive) {
+  const WordCase& wc = kWordCases[GetParam()];
+  Design d;
+  const Module* m = word_module(d, wc);
+  sat::Solver solver;
+  std::unordered_map<rtlil::SigBit, int> bound;
+  for (const char* name : {"a", "b", "s"}) {
+    const rtlil::Wire* w = m->wire(name);
+    for (int i = 0; i < w->width(); ++i) bound.emplace(rtlil::SigBit(w, i), solver.new_var());
   }
+  const sat::CnfCopy copy(solver, *m, bound);
+  const std::vector<int> vy = copy.wire_vars("y");
+  const auto assume = [&](std::vector<sat::Lit>& lits, const char* name, std::uint64_t v) {
+    const rtlil::Wire* w = m->wire(name);
+    for (int i = 0; i < w->width(); ++i) {
+      const int var = bound.at(rtlil::SigBit(w, i));
+      lits.push_back(((v >> i) & 1) != 0 ? var : -var);
+    }
+  };
+  for_each_word_input(wc, [&](std::uint64_t va, std::uint64_t vb, std::uint64_t vs) {
+    std::vector<sat::Lit> assumptions;
+    assume(assumptions, "a", va);
+    assume(assumptions, "b", vb);
+    assume(assumptions, "s", vs);
+    ASSERT_EQ(solver.solve(assumptions), sat::Result::kSat);
+    std::uint64_t y = 0;
+    for (std::size_t i = 0; i < vy.size(); ++i) {
+      if (solver.value(vy[i])) y |= 1ULL << i;
+    }
+    EXPECT_EQ(y, wc.model(va, vb, vs))
+        << rtlil::cell_type_name(wc.type) << " a=" << va << " b=" << vb << " s=" << vs;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWordOps, WordCross,

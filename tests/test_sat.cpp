@@ -422,7 +422,9 @@ TEST(SolverGolden, ZooSelectorMiterSweepKeepsItsSearch) {
   EXPECT_EQ(counts.sat, 177);
   EXPECT_EQ(counts.conflicts, 336U);
   EXPECT_EQ(counts.decisions, 22972U);
-  EXPECT_EQ(counts.model_hash, 3491160484054709903ULL);
+  // The hash reads every variable, so CnfCopy's variable numbering and gate
+  // polarity move it even when the search (the counts above) does not.
+  EXPECT_EQ(counts.model_hash, 674781740021710269ULL);
 }
 
 TEST(SolverGolden, Random3SatAssumptionSweepKeepsItsSearch) {
