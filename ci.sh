@@ -24,9 +24,10 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # vectors would get. Explicitly-constructed wide Simulators are not
 # clamped, so the wide unit tests still run wide here. SimSlice runs here
 # too: the cone-sliced simulator is the one both engines classify on, so
-# its agreement with the unsliced one is part of the same contract.
+# its agreement with the unsliced one is part of the same contract, and so
+# does Flatten, the cone and slice that simulator is built from.
 SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R 'SimParallel|SimSlice|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SynfiEdgeMajor|SynfiObservability|CampaignObservability'
+  -R 'SimParallel|SimSlice|SynfiParallel|CorpusParallel|ZooParallel|Campaign|Sweep|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SynfiEdgeMajor|SynfiObservability|CampaignObservability|Flatten'
 
 # Optional sanitizer lanes: a second compilation with AddressSanitizer +
 # UndefinedBehaviorSanitizer over the fast suites (base/store/planner/sweep
@@ -44,9 +45,11 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # unsimulated campaign runs are checked against brute-force references, and
 # the campaign knob checks (an empty kind set used to read past its end),
 # the sliced-simulator check (slicing renumbers the flip-flops that
-# the skip and latch tables index), and the CNF encoder's truth-table and
+# the skip and latch tables index), the CNF encoder's truth-table and
 # equivalence suites (the encoder indexes dense per-net variable and
-# override arrays by the flattened netlist's net numbers).
+# override arrays by the flattened netlist's net numbers), the flat
+# netlist's cone and slice (dense per-net flag and producer arrays), and
+# the Fsm suite (its witness search recurses over sub-cubes of a guard).
 # Then a standalone ThreadSanitizer build of the header-only
 # base/parallel.h tests (src/base only: libscfi itself crashes under TSan
 # before main, in the target_clones ifunc resolvers of the simulator).
@@ -58,7 +61,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests

@@ -8,6 +8,47 @@
 #include "base/error.h"
 
 namespace scfi::fsm {
+namespace {
+
+/// The least input in `cube` (a guard-like pattern) that the guards of
+/// `ts` do not match, reading inputs as numbers over the cube's '-'
+/// positions, the highest most significant; every '-' lies below `limit`.
+/// Splits the highest '-', 0 first: a sub-cube inside a guard holds no such
+/// input, one that meets no guard holds its all-zero completion, and only
+/// the guards that meet a cube are passed on to its halves.
+std::optional<std::vector<bool>> least_uncovered(const std::vector<Transition>& transitions,
+                                                 std::span<const int> ts, std::string cube,
+                                                 std::size_t limit = std::string::npos) {
+  std::vector<int> meeting;
+  for (const int t : ts) {
+    const std::string& guard = transitions[static_cast<std::size_t>(t)].guard;
+    check(guard.size() == cube.size(), "least_uncovered: width mismatch");
+    bool meets = true;
+    bool covers = true;
+    for (std::size_t i = 0; i < cube.size() && meets; ++i) {
+      if (guard[i] == '-') continue;
+      covers = covers && cube[i] != '-';
+      meets = cube[i] == '-' || guard[i] == cube[i];
+    }
+    if (meets && covers) return std::nullopt;
+    if (meets) meeting.push_back(t);
+  }
+  if (meeting.empty()) {
+    std::vector<bool> bits(cube.size());
+    for (std::size_t i = 0; i < cube.size(); ++i) bits[i] = cube[i] == '1';
+    return bits;
+  }
+  // A guard that meets the cube without covering it fixes one of its '-'.
+  const std::size_t pos = cube.rfind('-', limit - 1);
+  for (const char half : {'0', '1'}) {
+    cube[pos] = half;
+    auto found = least_uncovered(transitions, meeting, cube, pos);
+    if (found.has_value()) return found;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 int Fsm::state_index(const std::string& state_name) const {
   for (std::size_t i = 0; i < states.size(); ++i) {
@@ -83,57 +124,12 @@ bool Fsm::guard_matches(const std::string& guard, const std::vector<bool>& input
 std::optional<std::vector<bool>> Fsm::concrete_input_for(int t) const {
   const std::vector<int> from = transitions_from(transitions[static_cast<std::size_t>(t)].from);
   const auto at = std::find(from.begin(), from.end(), t);
-  return unshadowed_input(t, std::span<const int>(from.begin(), at));
-}
-
-std::optional<std::vector<bool>> Fsm::unshadowed_input(int t,
-                                                       std::span<const int> earlier) const {
-  const Transition& target = transitions[static_cast<std::size_t>(t)];
-  // Collect the don't-care positions of the target guard.
-  std::vector<std::size_t> free_pos;
-  std::vector<bool> bits(inputs.size(), false);
-  for (std::size_t i = 0; i < target.guard.size(); ++i) {
-    if (target.guard[i] == '-') {
-      free_pos.push_back(i);
-    } else {
-      bits[i] = target.guard[i] == '1';
-    }
-  }
-  const auto shadowed = [&](const std::vector<bool>& cand) {
-    for (int ti : earlier) {
-      if (guard_matches(transitions[static_cast<std::size_t>(ti)].guard, cand)) return true;
-    }
-    return false;
-  };
-  // Exhaust the free positions (capped; specs in this repo are small).
-  const std::size_t combos = free_pos.size() <= 16 ? (1ULL << free_pos.size()) : (1ULL << 16);
-  for (std::size_t c = 0; c < combos; ++c) {
-    std::vector<bool> cand = bits;
-    for (std::size_t i = 0; i < free_pos.size() && i < 16; ++i) {
-      cand[free_pos[i]] = (c >> i) & 1;
-    }
-    if (!shadowed(cand)) return cand;
-  }
-  return std::nullopt;
+  return least_uncovered(transitions, std::span<const int>(from.begin(), at),
+                         transitions[static_cast<std::size_t>(t)].guard);
 }
 
 std::optional<std::vector<bool>> Fsm::concrete_input_for_idle(int state) const {
-  const std::vector<int> from = transitions_from(state);
-  const auto matches_any = [&](const std::vector<bool>& cand) {
-    for (int ti : from) {
-      if (guard_matches(transitions[static_cast<std::size_t>(ti)].guard, cand)) return true;
-    }
-    return false;
-  };
-  // Exhaust up to 2^16 assignments; FSMs in this repo have few inputs.
-  const std::size_t n = inputs.size();
-  const std::size_t combos = n <= 16 ? (1ULL << n) : (1ULL << 16);
-  for (std::size_t c = 0; c < combos; ++c) {
-    std::vector<bool> cand(n, false);
-    for (std::size_t i = 0; i < n && i < 16; ++i) cand[i] = (c >> i) & 1;
-    if (!matches_any(cand)) return cand;
-  }
-  return std::nullopt;
+  return least_uncovered(transitions, transitions_from(state), std::string(inputs.size(), '-'));
 }
 
 CfgEdge Fsm::step_symbol(int state, const std::string& symbol) const {
@@ -193,7 +189,8 @@ void Fsm::check() const {
   }
   for (std::size_t i = 0; i < transitions.size(); ++i) {
     const std::vector<int>& ts = from[static_cast<std::size_t>(transitions[i].from)];
-    require(unshadowed_input(static_cast<int>(i), std::span<const int>(ts.data(), rank[i]))
+    require(least_uncovered(transitions, std::span<const int>(ts.data(), rank[i]),
+                            transitions[i].guard)
                 .has_value(),
             "fsm " + name + ": transition " + std::to_string(i) + " is fully shadowed");
   }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,11 +94,6 @@ class Fsm {
   /// Checks: non-empty, consistent widths, valid state refs, no duplicate
   /// guards per state, no fully shadowed transitions, all states reachable.
   void check() const;
-
- private:
-  /// concrete_input_for(t), given the higher-priority transitions of t's
-  /// state.
-  std::optional<std::vector<bool>> unshadowed_input(int t, std::span<const int> earlier) const;
 };
 
 }  // namespace scfi::fsm

@@ -1,5 +1,7 @@
 #include "rtlil/flatten.h"
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "base/error.h"
@@ -140,6 +142,7 @@ std::int32_t FlatNetlist::net_of(const SigBit& bit) const {
 
 FlatNetlist flatten(const Module& module) {
   FlatNetlist out;
+  out.module = &module;
   for (const Wire* w : module.wires()) {
     out.wire_base[w] = out.num_nets;
     out.num_nets += w->width();
@@ -154,6 +157,52 @@ FlatNetlist flatten(const Module& module) {
                                ff->reset_value().bit(i)});
     }
   }
+  return out;
+}
+
+std::vector<char> fanin_cone(const FlatNetlist& flat, const std::vector<std::int32_t>& roots) {
+  // Producing op and flip-flop of every net; -1 where there is none.
+  const auto nets = static_cast<std::size_t>(flat.num_nets);
+  std::vector<std::int32_t> producer(nets, -1);
+  for (std::size_t i = 0; i < flat.ops.size(); ++i) {
+    producer[static_cast<std::size_t>(flat.ops[i].out)] = static_cast<std::int32_t>(i);
+  }
+  std::vector<std::int32_t> q_to_ff(nets, -1);
+  for (std::size_t i = 0; i < flat.ffs.size(); ++i) {
+    q_to_ff[static_cast<std::size_t>(flat.ffs[i].q)] = static_cast<std::int32_t>(i);
+  }
+  std::vector<char> in_cone(nets, 0);
+  std::vector<std::int32_t> work;
+  const auto add = [&](std::int32_t net) {
+    if (in_cone[static_cast<std::size_t>(net)] == 0) {
+      in_cone[static_cast<std::size_t>(net)] = 1;
+      work.push_back(net);
+    }
+  };
+  for (const std::int32_t root : roots) add(root);
+  while (!work.empty()) {
+    const auto net = static_cast<std::size_t>(work.back());
+    work.pop_back();
+    if (producer[net] >= 0) {
+      const FlatOp& op = flat.ops[static_cast<std::size_t>(producer[net])];
+      add(op.a);
+      add(op.b);
+      add(op.c);
+    } else if (q_to_ff[net] >= 0) {
+      add(flat.ffs[static_cast<std::size_t>(q_to_ff[net])].d);
+    }
+  }
+  return in_cone;
+}
+
+FlatNetlist slice(const FlatNetlist& flat, const std::vector<char>& cone) {
+  check(cone.size() == static_cast<std::size_t>(flat.num_nets), "slice: cone of another netlist");
+  const auto live = [&](std::int32_t net) { return cone[static_cast<std::size_t>(net)] != 0; };
+  FlatNetlist out{flat.module, flat.num_nets, flat.wire_base, {}, {}};
+  std::copy_if(flat.ops.begin(), flat.ops.end(), std::back_inserter(out.ops),
+               [&](const FlatOp& op) { return live(op.out); });
+  std::copy_if(flat.ffs.begin(), flat.ffs.end(), std::back_inserter(out.ffs),
+               [&](const FlatFf& ff) { return live(ff.q); });
   return out;
 }
 

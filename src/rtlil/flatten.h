@@ -3,7 +3,7 @@
 // 64 x lane_words lanes at a time; the CNF encoder (sat/cnf.h) gives each
 // op its Tseitin clauses. Cell semantics (which op a word-level or gate
 // cell becomes, and the balanced trees of eq and reduce cells) therefore
-// live only here.
+// live only here, and so do a flat netlist's fan-in cones and slices.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +34,8 @@ struct FlatFf {
 };
 
 struct FlatNetlist {
+  /// The flattened module: wire names resolve through it.
+  const Module* module = nullptr;
   /// Nets 0 and 1 are the constants; wire w owns [wire_base[w],
   /// wire_base[w] + width); nets past the wires are tree temporaries.
   std::int32_t num_nets = 2;
@@ -51,5 +53,16 @@ struct FlatNetlist {
 
 /// Flattens `module`. Throws on combinational loops (via NetlistIndex).
 FlatNetlist flatten(const Module& module);
+
+/// Fan-in cone of `roots`, closed over flip-flops: one flag per net, set
+/// for every root, every operand of a flagged op output and the D of every
+/// flagged flip-flop Q, to a fixpoint, so a fault on an unflagged net never
+/// changes a root. O(ops + nets); net 0 may be flagged (unused operands).
+std::vector<char> fanin_cone(const FlatNetlist& flat, const std::vector<std::int32_t>& roots);
+
+/// `flat`'s ops whose output and flip-flops whose Q is flagged in `cone`,
+/// in order, over `flat`'s net numbering. Sliced to a fanin_cone(), the
+/// cone nets settle and latch as in `flat` under any stimulus and faults.
+FlatNetlist slice(const FlatNetlist& flat, const std::vector<char>& cone);
 
 }  // namespace scfi::rtlil

@@ -1,5 +1,7 @@
 #include "sat/cnf.h"
 
+#include <utility>
+
 #include "base/error.h"
 
 namespace scfi::sat {
@@ -16,15 +18,21 @@ CnfCopy::CnfCopy(Solver& solver, const rtlil::Module& module,
 CnfCopy::CnfCopy(Solver& solver, const rtlil::Module& module,
                  const std::unordered_map<SigBit, int>& bound,
                  const std::vector<CnfFault>& faults)
-    : solver_(&solver), module_(&module), flat_(rtlil::flatten(module)) {
+    : CnfCopy(solver, std::make_shared<const rtlil::FlatNetlist>(rtlil::flatten(module)), bound,
+              faults) {}
+
+CnfCopy::CnfCopy(Solver& solver, std::shared_ptr<const rtlil::FlatNetlist> flat,
+                 const std::unordered_map<SigBit, int>& bound,
+                 const std::vector<CnfFault>& faults)
+    : solver_(&solver), flat_(std::move(flat)) {
   const int const_true = solver.new_var();
   solver.add_unit(const_true);
-  const auto nets = static_cast<std::size_t>(flat_.num_nets);
+  const auto nets = static_cast<std::size_t>(flat_->num_nets);
   vars_.assign(nets, 0);
   vars_[0] = -const_true;
   vars_[1] = const_true;
   for (const auto& [bit, var] : bound) {
-    if (!bit.is_const()) vars_[static_cast<std::size_t>(flat_.net_of(bit))] = var;
+    if (!bit.is_const()) vars_[static_cast<std::size_t>(flat_->net_of(bit))] = var;
   }
 
   // Allocate the readers' view of every faulted net up front so the op
@@ -32,15 +40,15 @@ CnfCopy::CnfCopy(Solver& solver, const rtlil::Module& module,
   overrides_.assign(nets, 0);
   for (const CnfFault& f : faults) {
     check(!f.bit.is_const(), "CnfCopy: cannot fault a constant bit");
-    int& fv = overrides_[static_cast<std::size_t>(flat_.net_of(f.bit))];
+    int& fv = overrides_[static_cast<std::size_t>(flat_->net_of(f.bit))];
     check(fv == 0, "CnfCopy: duplicate fault site");
     fv = solver.new_var();
   }
 
-  for (const FlatOp& op : flat_.ops) encode(op);
+  for (const FlatOp& op : flat_->ops) encode(op);
 
   for (const CnfFault& f : faults) {
-    const std::int32_t net = flat_.net_of(f.bit);
+    const std::int32_t net = flat_->net_of(f.bit);
     const int fv = overrides_[static_cast<std::size_t>(net)];
     // Ensure the faulted net has a variable even if nothing read it yet.
     const int orig = driven(net);
@@ -170,20 +178,20 @@ int CnfCopy::net_var(std::int32_t net) const {
 }
 
 std::vector<int> CnfCopy::wire_vars(const std::string& wire) const {
-  const rtlil::Wire* w = module_->wire(wire);
+  const rtlil::Wire* w = flat_->module->wire(wire);
   require(w != nullptr, "CnfCopy::wire_vars: no wire " + wire);
-  const std::int32_t base = flat_.wire_base.at(w);
+  const std::int32_t base = flat_->wire_base.at(w);
   std::vector<int> out;
   for (int i = 0; i < w->width(); ++i) out.push_back(net_var(base + i));
   return out;
 }
 
 std::vector<int> CnfCopy::ff_next_vars(const std::string& q_wire) const {
-  const rtlil::Wire* w = module_->wire(q_wire);
+  const rtlil::Wire* w = flat_->module->wire(q_wire);
   require(w != nullptr, "CnfCopy::ff_next_vars: no wire " + q_wire);
-  const std::int32_t base = flat_.wire_base.at(w);
+  const std::int32_t base = flat_->wire_base.at(w);
   std::vector<int> out(static_cast<std::size_t>(w->width()), 0);
-  for (const rtlil::FlatFf& ff : flat_.ffs) {
+  for (const rtlil::FlatFf& ff : flat_->ffs) {
     if (ff.q >= base && ff.q < base + w->width()) {
       out[static_cast<std::size_t>(ff.q - base)] = net_var(ff.d);
     }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -30,31 +31,31 @@ struct CnfFault {
   Lit selector = 0;
 };
 
-/// One encoded copy of a module.
+/// One encoded copy of a flat netlist.
 class CnfCopy {
  public:
-  /// Encodes the combinational logic of `module` into `solver`.
+  /// Encodes the ops of `flat` into `solver`, with any number of
+  /// (optionally selector-gated) fault overrides on distinct bits.
   /// `bound` pre-binds wire bits to existing solver variables (use it to
   /// share inputs and state registers between copies). Flip-flops are cut:
   /// their Q bits become free variables (unless bound), their D bits are
   /// readable outputs.
+  CnfCopy(Solver& solver, std::shared_ptr<const rtlil::FlatNetlist> flat,
+          const std::unordered_map<rtlil::SigBit, int>& bound,
+          const std::vector<CnfFault>& faults);
+
+  /// Encodes rtlil::flatten(module), with at most one fault or with `faults`.
   CnfCopy(Solver& solver, const rtlil::Module& module,
           const std::unordered_map<rtlil::SigBit, int>& bound,
           const std::optional<CnfFault>& fault = std::nullopt);
-
-  /// Same, with any number of (optionally selector-gated) fault overrides.
-  /// Fault sites must be distinct bits.
   CnfCopy(Solver& solver, const rtlil::Module& module,
           const std::unordered_map<rtlil::SigBit, int>& bound,
           const std::vector<CnfFault>& faults);
 
-  /// Variable carrying the value of a net of netlist() as seen by readers
+  /// Variable carrying the value of a net of the netlist as seen by readers
   /// in this copy (i.e. after the fault override, when it targets the net).
   /// Throws when nothing in the copy reads or drives the net.
   int net_var(std::int32_t net) const;
-
-  /// The flat netlist this copy encodes: net numbering, ops, flip-flops.
-  const rtlil::FlatNetlist& netlist() const { return flat_; }
 
   /// Convenience: reader variables of a whole wire, LSB first.
   std::vector<int> wire_vars(const std::string& wire) const;
@@ -76,8 +77,7 @@ class CnfCopy {
   int emit_mux(int s, int a, int b);
 
   Solver* solver_;
-  const rtlil::Module* module_;
-  rtlil::FlatNetlist flat_;
+  std::shared_ptr<const rtlil::FlatNetlist> flat_;
   std::vector<int> vars_;       ///< driven value per net (0 = not yet allocated)
   std::vector<int> overrides_;  ///< readers' view per faulted net, else 0
 };

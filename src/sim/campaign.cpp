@@ -209,15 +209,15 @@ StimulusTable build_stimulus(const Fsm& fsm, const CompiledFsm& variant,
   return table;
 }
 
-/// A private LaneClassifier of the variant (its Simulator, state register
-/// and alert), and the per-lane stimulus driver.
+/// A private LaneClassifier of the campaign's VariantNetlist (its sliced
+/// Simulator, state register and alert), and the per-lane stimulus driver.
 class Harness {
  public:
-  Harness(const Fsm& fsm, const CompiledFsm& variant, const StimulusTable& stim, int lane_words)
-      : classifier(variant, lane_words), stim_(&stim) {
+  Harness(const Fsm& fsm, const VariantNetlist& net, const StimulusTable& stim, int lane_words)
+      : classifier(net, lane_words), stim_(&stim) {
     Simulator& sim = classifier.sim;
     if (stim.encoded) {
-      symbol_h_ = sim.input_handle(variant.symbol_input_wire);
+      symbol_h_ = sim.input_handle(net.variant->symbol_input_wire);
     } else {
       for (const std::string& name : fsm.inputs) raw_h_.push_back(sim.input_handle(name));
     }
@@ -268,7 +268,7 @@ class Harness {
 
 /// Which runs a campaign must simulate. A site is live when its net lies in
 /// the fan-in cone of the state register and the alert, closed over
-/// flip-flops (Simulator::fanin_cone): a fault anywhere else can never
+/// flip-flops (VariantNetlist::cone): a fault anywhere else can never
 /// change either, in its cycle or any later one. A run whose faults all sit
 /// on dead sites, none of them a skip (which acts at a flip-flop, not
 /// through the cone), therefore behaves exactly like the fault-free run of
@@ -596,7 +596,7 @@ void BatchExecutor::simulate() {
 /// skip, and queues the rest on its own BatchExecutor, so live runs from
 /// several units share a batch. The owner simulates on `owner_harness`,
 /// which observe() already built; helpers build their own.
-void execute_all(const Fsm& fsm, const CompiledFsm& variant, const std::vector<FaultSite>& sites,
+void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<FaultSite>& sites,
                  const CampaignConfig& config, const StimulusTable& stim, const WalkTables& walk,
                  Harness& owner_harness, const Observability& obs, CampaignResult& result) {
   const std::int64_t num_units =
@@ -610,7 +610,7 @@ void execute_all(const Fsm& fsm, const CompiledFsm& variant, const std::vector<F
                    RunPlans plans(config, static_cast<std::size_t>(config.lanes));
                    BatchExecutor executor(
                        claim.owner() ? std::move(owner_harness)
-                                     : Harness(fsm, variant, stim, lane_words_for(config.lanes)),
+                                     : Harness(fsm, net, stim, lane_words_for(config.lanes)),
                        sites, config);
                    CampaignResult& p = executor.counts;
                    for (UnitRange unit = claim.next(1); !unit.empty(); unit = claim.next(1)) {
@@ -668,12 +668,13 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
   const std::vector<CfgEdge> cfg = fsm.cfg_edges();
   const StimulusTable stim = build_stimulus(fsm, variant, cfg);
   const WalkTables walk(fsm, cfg);
-  Harness harness(fsm, variant, stim, lane_words_for(config.lanes));
+  const VariantNetlist net(variant);
+  Harness harness(fsm, net, stim, lane_words_for(config.lanes));
   const Observability obs = observe(harness, fsm, variant, cfg, walk, sites, config);
 
   CampaignResult result;
   result.runs = config.runs;
-  execute_all(fsm, variant, sites, config, stim, walk, harness, obs, result);
+  execute_all(fsm, net, sites, config, stim, walk, harness, obs, result);
   return result;
 }
 

@@ -1,19 +1,17 @@
 // The outcome reads both fault engines share (the exhaustive SYNFI back-end
 // and the campaign executor): a Simulator of a compiled FSM variant with its
-// state register and alert resolved, the state + alert observability cone,
-// and a word-parallel match of every lane's latched state against the state
-// codes and the error code. What a match means (masked, detected, hijacked,
-// ...) stays with each caller, which gathers per-lane expectations from its
-// own plan.
-//
-// The Simulator is sliced to that cone at construction: it settles and
-// latches only cone ops and registers. The engines read only the state
-// register, the alert and cone registers, so every outcome is the unsliced
-// one; nets outside observable_nets() are stale.
+// state register and alert resolved, and a word-parallel match of every
+// lane's latched state against the state codes and the error code. What a
+// match means (masked, detected, hijacked, ...) stays with each caller,
+// which gathers per-lane expectations from its own plan.
+// An analysis flattens and slices its variant once (VariantNetlist), and
+// every LaneClassifier of it simulates that slice.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "base/error.h"
@@ -26,19 +24,42 @@ namespace scfi::sim {
 /// layout of LaneMask::w), so a one-word block pays for one word.
 using LaneWords = std::array<std::uint64_t, kMaxLaneWords>;
 
+/// The flat netlists of one compiled variant, built once per analysis and
+/// shared, never changed, by all of its engine contexts.
+struct VariantNetlist {
+  /// `variant` must outlive this object. A missing state or alert wire
+  /// roots nothing; it fails where it is read.
+  explicit VariantNetlist(const fsm::CompiledFsm& variant)
+      : variant(&variant),
+        full(std::make_shared<const rtlil::FlatNetlist>(rtlil::flatten(*variant.module))) {
+    std::vector<std::int32_t> roots;
+    for (const std::string* name : {&variant.state_wire, &variant.alert_wire}) {
+      const rtlil::Wire* w = variant.module->wire(*name);
+      if (w == nullptr) continue;
+      for (int i = 0; i < w->width(); ++i) roots.push_back(full->wire_base.at(w) + i);
+    }
+    cone = rtlil::fanin_cone(*full, roots);
+    sliced = std::make_shared<const rtlil::FlatNetlist>(rtlil::slice(*full, cone));
+  }
+
+  const fsm::CompiledFsm* variant;
+  std::shared_ptr<const rtlil::FlatNetlist> full;  ///< the SAT miter encodes it
+  /// Per net: in the fan-in cone of the state register and the alert,
+  /// closed over flip-flops. A fault outside it can never change either.
+  std::vector<char> cone;
+  std::shared_ptr<const rtlil::FlatNetlist> sliced;  ///< `full` sliced to `cone`
+};
+
 class LaneClassifier {
  public:
-  /// `variant` must outlive the classifier; its state register must fit in
-  /// 64 bits.
-  LaneClassifier(const fsm::CompiledFsm& variant, int lane_words)
-      : sim(*variant.module, lane_words), variant_(&variant) {
+  /// Simulates `net`'s slice. `net` must outlive the classifier; the state
+  /// register must fit in 64 bits.
+  LaneClassifier(const VariantNetlist& net, int lane_words)
+      : sim(net.sliced, lane_words), net_(&net) {
+    const fsm::CompiledFsm& variant = *net.variant;
     state_h = sim.probe(variant.state_wire);
     if (!variant.alert_wire.empty()) alert_h = sim.probe(variant.alert_wire);
     check(state_h.width <= 64, "state wire '" + variant.state_wire + "' is wider than 64 bits");
-    std::vector<std::int32_t> roots;
-    for (std::int32_t i = 0; i < state_h.width; ++i) roots.push_back(state_h.base + i);
-    for (std::int32_t i = 0; i < alert_h.width; ++i) roots.push_back(alert_h.base + i);
-    cone_ = sim.slice_to_cone(roots);
     state_words_.resize(static_cast<std::size_t>(state_h.width * lane_words));
     state_eq_.resize(variant.state_codes.size() * static_cast<std::size_t>(lane_words));
   }
@@ -50,9 +71,9 @@ class LaneClassifier {
     return alert;
   }
 
-  /// Per-net flags: the fan-in cone of the state register and the alert,
-  /// closed over flip-flops. A fault outside it can never change either.
-  const std::vector<char>& observable_nets() const { return cone_; }
+  /// Per-net flags: the fan-in cone of the state register and the alert
+  /// (VariantNetlist::cone). Through `sim`, every other net is stale.
+  const std::vector<char>& observable_nets() const { return net_->cone; }
 
   /// Matches the state register of the lanes in `lanes`, as it is now (call
   /// it right after latch()), against the error code and every state code.
@@ -65,15 +86,16 @@ class LaneClassifier {
         state_words_[static_cast<std::size_t>(i * W + w)] = sim.lane_word(state_h.base + i, w);
       }
     }
+    const fsm::CompiledFsm& variant = *net_->variant;
     LaneWords open = lanes;
     error_ = LaneWords{};
     valid_ = LaneWords{};
     for (int w = 0; w < W; ++w) {
       const auto j = static_cast<std::size_t>(w);
-      if (variant_->has_error_state) error_[j] = code_eq(variant_->error_code, open[j], w);
+      if (variant.has_error_state) error_[j] = code_eq(variant.error_code, open[j], w);
       open[j] &= ~error_[j];
-      for (std::size_t s = 0; s < variant_->state_codes.size(); ++s) {
-        const std::uint64_t eq = code_eq(variant_->state_codes[s], open[j], w);
+      for (std::size_t s = 0; s < variant.state_codes.size(); ++s) {
+        const std::uint64_t eq = code_eq(variant.state_codes[s], open[j], w);
         state_eq_[s * static_cast<std::size_t>(W) + j] = eq;
         valid_[j] |= eq;
       }
@@ -105,8 +127,7 @@ class LaneClassifier {
     return eq;
   }
 
-  const fsm::CompiledFsm* variant_;
-  std::vector<char> cone_;                  ///< per net: in the state/alert cone
+  const VariantNetlist* net_;
   std::vector<std::uint64_t> state_words_;  ///< state bit i, word w: [i * W + w]
   std::vector<std::uint64_t> state_eq_;     ///< state code s, word w: [s * W + w]
   LaneWords error_{};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <utility>
 
 #include "base/error.h"
 
@@ -180,90 +181,45 @@ int lane_words_cap() {
   return cap;
 }
 
-Simulator::Simulator(const rtlil::Module& module, int lane_words)
-    : module_(&module), lane_words_(lane_words) {
+Simulator::Simulator(std::shared_ptr<const rtlil::FlatNetlist> flat, int lane_words)
+    : flat_(std::move(flat)), lane_words_(lane_words) {
   require(lane_words == 1 || lane_words == 2 || lane_words == 4 || lane_words == 8,
           "Simulator: lane_words must be one of {1, 2, 4, 8}");
-  flat_ = rtlil::flatten(module);
   // reset() fills the lane blocks, constant nets included.
-  const auto nets = static_cast<std::size_t>(flat_.num_nets);
+  const auto nets = static_cast<std::size_t>(flat_->num_nets);
   values_.assign(nets * static_cast<std::size_t>(lane_words_), 0);
   mask_and_.assign(values_.size(), ~0ULL);
   mask_xor_.assign(values_.size(), 0);
   transient_slot_.assign(nets, -1);
   faulted_mark_.assign(nets, 0);
-  index_ffs();
+  latch_buf_.assign(flat_->ffs.size() * static_cast<std::size_t>(lane_words_), 0);
+  q_to_ff_.assign(nets, -1);
+  for (std::size_t i = 0; i < flat_->ffs.size(); ++i) {
+    q_to_ff_[static_cast<std::size_t>(flat_->ffs[i].q)] = static_cast<std::int32_t>(i);
+  }
+  skip_slot_.assign(flat_->ffs.size(), -1);
   build_tape();
   reset();
 }
 
+Simulator::Simulator(const rtlil::Module& module, int lane_words)
+    : Simulator(std::make_shared<const rtlil::FlatNetlist>(rtlil::flatten(module)), lane_words) {}
+
 std::int32_t Simulator::net_index(const SigBit& bit) const {
-  const std::int32_t net = flat_.net_of(bit);
+  const std::int32_t net = flat_->net_of(bit);
   check(net >= 2, "Simulator::net_index: constant bit has no net");
   return net;
 }
 
-std::vector<char> Simulator::fanin_cone(const std::vector<std::int32_t>& roots) const {
-  // Producing op of every net; -1 for constants, inputs and register
-  // outputs.
-  std::vector<std::int32_t> producer(static_cast<std::size_t>(flat_.num_nets), -1);
-  for (std::size_t i = 0; i < flat_.ops.size(); ++i) {
-    producer[static_cast<std::size_t>(flat_.ops[i].out)] = static_cast<std::int32_t>(i);
-  }
-  std::vector<char> in_cone(static_cast<std::size_t>(flat_.num_nets), 0);
-  std::vector<std::int32_t> work;
-  const auto add = [&](std::int32_t net) {
-    if (in_cone[static_cast<std::size_t>(net)] == 0) {
-      in_cone[static_cast<std::size_t>(net)] = 1;
-      work.push_back(net);
-    }
-  };
-  for (const std::int32_t root : roots) add(root);
-  while (!work.empty()) {
-    const auto net = static_cast<std::size_t>(work.back());
-    work.pop_back();
-    if (producer[net] >= 0) {
-      const FlatOp& op = flat_.ops[static_cast<std::size_t>(producer[net])];
-      add(op.a);
-      add(op.b);
-      add(op.c);
-    } else if (q_to_ff_[net] >= 0) {
-      add(flat_.ffs[static_cast<std::size_t>(q_to_ff_[net])].d);
-    }
-  }
-  return in_cone;
-}
-
-void Simulator::index_ffs() {
-  latch_buf_.assign(flat_.ffs.size() * static_cast<std::size_t>(lane_words_), 0);
-  q_to_ff_.assign(static_cast<std::size_t>(flat_.num_nets), -1);
-  for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
-    q_to_ff_[static_cast<std::size_t>(flat_.ffs[i].q)] = static_cast<std::int32_t>(i);
-  }
-  skip_slot_.assign(flat_.ffs.size(), -1);
-}
-
-std::vector<char> Simulator::slice_to_cone(const std::vector<std::int32_t>& roots) {
-  std::vector<char> cone = fanin_cone(roots);
-  const auto dead = [&](std::int32_t net) { return cone[static_cast<std::size_t>(net)] == 0; };
-  clear_all_faults();  // pending skips name flat_.ffs indices, renumbered below
-  // Filtering keeps the (level, kind) order of the tape.
-  std::erase_if(tape_, [&](const FlatOp& op) { return dead(op.out); });
-  std::erase_if(flat_.ffs, [&](const rtlil::FlatFf& ff) { return dead(ff.q); });
-  build_segments();
-  index_ffs();
-  reset();
-  return cone;
-}
-
 void Simulator::build_tape() {
   // Topological level of every net: constants/inputs/FF outputs sit at 0,
-  // an op's output one past its deepest operand. flat_.ops is already in topo
-  // order (producers before consumers), so one forward pass suffices.
-  std::vector<std::int32_t> level(static_cast<std::size_t>(flat_.num_nets), 0);
-  std::vector<std::int32_t> op_level(flat_.ops.size(), 0);
-  for (std::size_t i = 0; i < flat_.ops.size(); ++i) {
-    const FlatOp& op = flat_.ops[i];
+  // an op's output one past its deepest operand. The ops are already in
+  // topo order (producers before consumers), so one forward pass suffices.
+  const std::vector<FlatOp>& ops = flat_->ops;
+  std::vector<std::int32_t> level(static_cast<std::size_t>(flat_->num_nets), 0);
+  std::vector<std::int32_t> op_level(ops.size(), 0);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const FlatOp& op = ops[i];
     std::int32_t l = level[static_cast<std::size_t>(op.a)];
     l = std::max(l, level[static_cast<std::size_t>(op.b)]);
     l = std::max(l, level[static_cast<std::size_t>(op.c)]);
@@ -274,20 +230,16 @@ void Simulator::build_tape() {
   // construction, so grouping same-kind ops is a pure reordering of
   // commuting writes — eval order cannot change any value (eval_reference
   // is the differential oracle for exactly this claim).
-  std::vector<std::uint32_t> order(flat_.ops.size());
+  std::vector<std::uint32_t> order(ops.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t x, std::uint32_t y) {
                      if (op_level[x] != op_level[y]) return op_level[x] < op_level[y];
-                     return flat_.ops[x].kind < flat_.ops[y].kind;
+                     return ops[x].kind < ops[y].kind;
                    });
-  tape_.reserve(flat_.ops.size());
-  for (const std::uint32_t i : order) tape_.push_back(flat_.ops[i]);
-  build_segments();
-}
-
-void Simulator::build_segments() {
-  segments_.clear();
+  tape_.reserve(ops.size());
+  for (const std::uint32_t i : order) tape_.push_back(ops[i]);
+  // Maximal same-kind runs of the tape.
   for (std::size_t i = 0; i < tape_.size(); ++i) {
     if (segments_.empty() || segments_.back().kind != tape_[i].kind) {
       segments_.push_back(TapeSegment{tape_[i].kind, static_cast<std::uint32_t>(i),
@@ -303,7 +255,7 @@ void Simulator::reset() {
   const auto words = static_cast<std::size_t>(lane_words_);
   std::fill(values_.begin(), values_.end(), 0);
   for (std::size_t w = 0; w < words; ++w) values_[words + w] = ~0ULL;
-  for (const rtlil::FlatFf& ff : flat_.ffs) {
+  for (const rtlil::FlatFf& ff : flat_->ffs) {
     const std::uint64_t v = ff.reset ? ~0ULL : 0;
     for (std::size_t w = 0; w < words; ++w) {
       values_[static_cast<std::size_t>(ff.q) * words + w] = v;
@@ -313,17 +265,17 @@ void Simulator::reset() {
 }
 
 Simulator::WireHandle Simulator::probe(const std::string& wire) const {
-  const rtlil::Wire* w = module_->wire(wire);
+  const rtlil::Wire* w = flat_->module->wire(wire);
   if (w == nullptr) throw ScfiError("Simulator::probe: no wire " + wire);
-  return WireHandle{flat_.wire_base.at(w), w->width()};
+  return WireHandle{flat_->wire_base.at(w), w->width()};
 }
 
 Simulator::WireHandle Simulator::input_handle(const std::string& wire) const {
-  const rtlil::Wire* w = module_->wire(wire);
+  const rtlil::Wire* w = flat_->module->wire(wire);
   if (w == nullptr || !w->is_input()) {
     throw ScfiError("Simulator::input_handle: no input wire " + wire);
   }
-  return WireHandle{flat_.wire_base.at(w), w->width()};
+  return WireHandle{flat_->wire_base.at(w), w->width()};
 }
 
 void Simulator::set_input(WireHandle h, std::uint64_t value) {
@@ -357,25 +309,6 @@ void Simulator::set_input_word(WireHandle h, int bit, std::uint64_t lanes, int w
           static_cast<std::size_t>(word)] = lanes;
 }
 
-void Simulator::set_register(WireHandle h, std::uint64_t value) {
-  settled_ = false;
-  const auto words = static_cast<std::size_t>(lane_words_);
-  for (std::int32_t i = 0; i < h.width; ++i) {
-    const std::uint64_t v = ((value >> i) & 1) ? ~0ULL : 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      values_[static_cast<std::size_t>(h.base + i) * words + w] = v;
-    }
-  }
-}
-
-void Simulator::set_register_word(WireHandle h, int bit, std::uint64_t lanes, int word) {
-  check(bit >= 0 && bit < h.width, "Simulator::set_register_word: bit out of range");
-  check(word >= 0 && word < lane_words_, "Simulator::set_register_word: word out of range");
-  settled_ = false;
-  values_[static_cast<std::size_t>(h.base + bit) * static_cast<std::size_t>(lane_words_) +
-          static_cast<std::size_t>(word)] = lanes;
-}
-
 std::uint64_t Simulator::get_lane(WireHandle h, int lane) const {
   check(h.width <= 64, "Simulator::get_lane: wire wider than 64 bits cannot be packed "
                        "into one per-lane value");
@@ -399,7 +332,7 @@ std::uint64_t Simulator::get(const std::string& wire) const {
   return get_lane(h, 0);
 }
 
-bool Simulator::get_bit(const SigBit& bit) const { return (load(flat_.net_of(bit), 0) & 1) != 0; }
+bool Simulator::get_bit(const SigBit& bit) const { return (load(flat_->net_of(bit), 0) & 1) != 0; }
 
 void Simulator::eval() {
   settled_ = true;
@@ -413,7 +346,7 @@ void Simulator::eval_reference() {
   // segmented tape and the no-fault fast path.
   settled_ = true;
   const int words = lane_words_;
-  for (const FlatOp& op : flat_.ops) {
+  for (const FlatOp& op : flat_->ops) {
     for (int w = 0; w < words; ++w) {
       std::uint64_t v = 0;
       switch (op.kind) {
@@ -451,14 +384,14 @@ void Simulator::latch() {
   settled_ = false;
   const auto words = static_cast<std::size_t>(lane_words_);
   if (faults_active_) {
-    for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
+    for (std::size_t i = 0; i < flat_->ffs.size(); ++i) {
       for (std::size_t w = 0; w < words; ++w) {
-        latch_buf_[i * words + w] = load(flat_.ffs[i].d, static_cast<int>(w));
+        latch_buf_[i * words + w] = load(flat_->ffs[i].d, static_cast<int>(w));
       }
     }
   } else {
-    for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
-      const std::size_t d = static_cast<std::size_t>(flat_.ffs[i].d) * words;
+    for (std::size_t i = 0; i < flat_->ffs.size(); ++i) {
+      const std::size_t d = static_cast<std::size_t>(flat_->ffs[i].d) * words;
       for (std::size_t w = 0; w < words; ++w) latch_buf_[i * words + w] = values_[d + w];
     }
   }
@@ -468,7 +401,7 @@ void Simulator::latch() {
   // the Q net corrupts readers, not the retained state itself.
   for (const auto& [ff, lanes] : skip_ffs_) {
     const std::size_t q =
-        static_cast<std::size_t>(flat_.ffs[static_cast<std::size_t>(ff)].q) * words;
+        static_cast<std::size_t>(flat_->ffs[static_cast<std::size_t>(ff)].q) * words;
     const std::size_t base = static_cast<std::size_t>(ff) * words;
     for (std::size_t w = 0; w < words; ++w) {
       latch_buf_[base + w] =
@@ -477,8 +410,8 @@ void Simulator::latch() {
     skip_slot_[static_cast<std::size_t>(ff)] = -1;
   }
   skip_ffs_.clear();
-  for (std::size_t i = 0; i < flat_.ffs.size(); ++i) {
-    const std::size_t q = static_cast<std::size_t>(flat_.ffs[i].q) * words;
+  for (std::size_t i = 0; i < flat_->ffs.size(); ++i) {
+    const std::size_t q = static_cast<std::size_t>(flat_->ffs[i].q) * words;
     for (std::size_t w = 0; w < words; ++w) values_[q + w] = latch_buf_[i * words + w];
   }
   // Transient faults last one cycle: drop the flip in the recorded lanes.
@@ -499,7 +432,7 @@ void Simulator::set_register(const std::string& wire, std::uint64_t value) {
 }
 
 void Simulator::inject(const SigBit& bit, FaultKind kind, const LaneMask& lanes) {
-  inject_net(flat_.net_of(bit), kind, lanes);
+  inject_net(flat_->net_of(bit), kind, lanes);
 }
 
 void Simulator::inject_net(std::int32_t net, FaultKind kind, const LaneMask& lanes) {
@@ -578,7 +511,7 @@ void Simulator::inject_net(std::int32_t net, FaultKind kind, const LaneMask& lan
 }
 
 void Simulator::clear_fault(const SigBit& bit) {
-  inject_net(flat_.net_of(bit), FaultKind::kNone, kAllLanes);
+  inject_net(flat_->net_of(bit), FaultKind::kNone, kAllLanes);
 }
 
 void Simulator::clear_all_faults() {

@@ -1,10 +1,11 @@
 // Cycle-accurate two-valued netlist simulator with fault injection,
 // bit-parallel over 64 x `lane_words` independent lanes.
 //
-// The module (word-level, gate-level, or mixed) is flattened once by
-// rtlil::flatten() into a topologically-ordered list of bit operations and
-// a flip-flop table, the same flat netlist the CNF encoder (sat/cnf.h)
-// reads, so cell semantics are defined once for both. Net storage is a
+// The simulator runs an rtlil::FlatNetlist (rtlil/flatten.h): a
+// topologically-ordered list of bit operations and a flip-flop table, the
+// same flat netlist the CNF encoder (sat/cnf.h) reads, so cell semantics are
+// defined once for both. It shares the netlist it is given, whole or an
+// rtlil::slice() of it, and evaluates exactly its ops. Net storage is a
 // structure-of-arrays *lane block*: every net owns `lane_words` consecutive
 // 64-bit words (values_[net * W + w]), so word w, bit k is the net's value
 // in lane w*64 + k and one eval() advances up to 512 independent simulations
@@ -41,14 +42,6 @@
 // inject*, clear_*) or latch() itself ran since the last eval() — because
 // the D values it would copy are then stale.
 //
-// slice_to_cone() restricts eval() and latch() to the fan-in cone of some
-// roots (sim/lane_classifier.h slices to the state register and alert).
-// Cone nets keep the unsliced values under any stimulus and faults, as the
-// cone is closed over operands and flip-flops. After slicing, nets outside
-// it are stale, register_nets() lists only the kept flip-flops (a
-// kSkipCycle on a dropped one is a no-op, as on a wire: it reaches no
-// root), and eval_reference() still runs the full compile-order tape.
-//
 // The string-based API drives and reads lane 0 and broadcasts writes to all
 // lanes, so single-lane callers see exactly the scalar semantics. Hot loops
 // should pre-resolve WireHandles (input_handle()/probe()) and net indices
@@ -58,6 +51,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -181,12 +175,15 @@ class Simulator {
     bool valid() const { return base >= 0; }
   };
 
-  /// `lane_words` selects the lane-block width (64 x lane_words lanes);
-  /// must be one of {1, 2, 4, 8}. The default 1-word block reproduces the
-  /// historical 64-lane engine (and is the portable fallback layout).
+  /// Simulates `flat`. `lane_words` selects the lane-block width (64 x
+  /// lane_words lanes); must be one of {1, 2, 4, 8}. The default 1-word
+  /// block reproduces the historical 64-lane engine (and is the portable
+  /// fallback layout).
+  explicit Simulator(std::shared_ptr<const rtlil::FlatNetlist> flat, int lane_words = 1);
+  /// Simulates rtlil::flatten(module).
   explicit Simulator(const rtlil::Module& module, int lane_words = 1);
 
-  const rtlil::Module& module() const { return *module_; }
+  const rtlil::Module& module() const { return *flat_->module; }
   int lane_words() const { return lane_words_; }
   int num_lanes() const { return lane_words_ * kWordLanes; }
 
@@ -235,22 +232,11 @@ class Simulator {
   WireHandle probe(const std::string& wire) const;
   /// Net index of a (non-constant) signal bit.
   std::int32_t net_index(const rtlil::SigBit& bit) const;
-  /// Fan-in cone of `roots`, closed over flip-flops: one flag per net, set
-  /// for every root, every operand of an op whose output is set, and the D
-  /// net of every flip-flop whose Q net is set, iterated to a fixpoint. A
-  /// fault on an unflagged net can therefore never change a root, in this
-  /// cycle or any later one. One worklist pass, O(ops + nets); the constant
-  /// net 0 may be flagged (unused operand slots point at it).
-  std::vector<char> fanin_cone(const std::vector<std::int32_t>& roots) const;
-  /// Drops the tape ops and flip-flops outside fanin_cone(roots) (see the
-  /// header), clears every fault, resets, and returns the cone flags. Call
-  /// it at most once: fanin_cone() afterwards sees only the kept flip-flops.
-  std::vector<char> slice_to_cone(const std::vector<std::int32_t>& roots);
-  /// The Q net of every (kept) flip-flop bit, in latch order.
+  /// The Q net of every flip-flop bit of the netlist, in latch order.
   std::vector<std::int32_t> register_nets() const {
     std::vector<std::int32_t> nets;
-    nets.reserve(flat_.ffs.size());
-    for (const rtlil::FlatFf& ff : flat_.ffs) nets.push_back(ff.q);
+    nets.reserve(flat_->ffs.size());
+    for (const rtlil::FlatFf& ff : flat_->ffs) nets.push_back(ff.q);
     return nets;
   }
 
@@ -263,11 +249,14 @@ class Simulator {
   /// block word `word` (lanes word*64 .. word*64+63).
   void set_input_word(WireHandle h, int bit, std::uint64_t lanes, int word = 0);
   /// Overwrites the stored register value in every lane; does NOT settle.
-  void set_register(WireHandle h, std::uint64_t value);
+  /// A register output is stored like an input.
+  void set_register(WireHandle h, std::uint64_t value) { set_input(h, value); }
   /// Overwrites one bit of a stored register value with an explicit 64-lane
   /// word for lane block word `word` (per-lane state stimulus); does NOT
   /// settle.
-  void set_register_word(WireHandle h, int bit, std::uint64_t lanes, int word = 0);
+  void set_register_word(WireHandle h, int bit, std::uint64_t lanes, int word = 0) {
+    set_input_word(h, bit, lanes, word);
+  }
   /// Fault-corrected wire value as one lane (0..num_lanes()-1) sees it.
   std::uint64_t get_lane(WireHandle h, int lane) const;
   std::uint64_t get(WireHandle h) const { return get_lane(h, 0); }
@@ -288,7 +277,7 @@ class Simulator {
   void clear_all_faults();
 
   /// Number of simulated nets (diagnostics).
-  int num_nets() const { return flat_.num_nets; }
+  int num_nets() const { return flat_->num_nets; }
   /// Distinct nets queued for transient auto-clear (diagnostics: repeated
   /// inject_net calls on one net within a cycle coalesce into one entry).
   int pending_transient_nets() const {
@@ -310,20 +299,16 @@ class Simulator {
   }
 
   void build_tape();
-  void build_segments();  ///< maximal same-kind runs of tape_
-  void index_ffs();       ///< q_to_ff_, skip_slot_ and latch_buf_ from flat_.ffs
 
-  const rtlil::Module* module_;
-  int lane_words_ = 1;
   /// Net numbering, the compile-order ops (the eval_reference() tape) and
-  /// the flip-flop table; slice_to_cone() drops flip-flops from flat_.ffs
-  /// but keeps every op.
-  rtlil::FlatNetlist flat_;
+  /// the flip-flop table.
+  std::shared_ptr<const rtlil::FlatNetlist> flat_;
+  int lane_words_ = 1;
   // Structure-of-arrays lane blocks: index net * lane_words_ + word.
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> mask_and_;
   std::vector<std::uint64_t> mask_xor_;
-  std::vector<rtlil::FlatOp> tape_;  ///< flat_.ops sorted by (level, kind)
+  std::vector<rtlil::FlatOp> tape_;  ///< flat_->ops sorted by (level, kind)
   std::vector<detail::TapeSegment> segments_;
   std::vector<std::uint64_t> latch_buf_;  ///< scratch for latch(), ffs x words
   /// True whenever any fault may be armed (conservative; reset by
@@ -338,13 +323,13 @@ class Simulator {
   /// latch()'s clear pass stays O(distinct nets).
   std::vector<std::pair<std::int32_t, LaneMask>> transient_nets_;
   std::vector<std::int32_t> transient_slot_;
-  /// Flip-flops (by flat_.ffs index) whose next clock edge is suppressed in the
+  /// Flip-flops (by flat_->ffs index) whose next clock edge is suppressed in the
   /// recorded lanes (kSkipCycle), coalesced per FF via skip_slot_. Applied
   /// and cleared by the next latch(); independent of the read-time mask
   /// machinery, so arming a skip does not set faults_active_.
   std::vector<std::pair<std::int32_t, LaneMask>> skip_ffs_;
   std::vector<std::int32_t> skip_slot_;
-  /// Q-net -> flat_.ffs index (-1 for non-register nets), for kSkipCycle routing.
+  /// Q-net -> flat_->ffs index (-1 for non-register nets), for kSkipCycle routing.
   std::vector<std::int32_t> q_to_ff_;
   /// Every net whose mask block may have left identity since the last
   /// clear_all_faults(), deduplicated via faulted_mark_, so the clear pass

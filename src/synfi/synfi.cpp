@@ -173,28 +173,24 @@ AlignedStimulus build_aligned_stimulus(const EdgeTable& edges, int symbol_w, int
   return a;
 }
 
-/// One reusable participant context of the exhaustive back-end: the
-/// compiled simulator, the resolved interface handles, and the aligned
-/// stimulus for the simulator's lane width. Building the Simulator (netlist
-/// flattening) and the stimulus (O(edges x lanes x width)) are the fixed
-/// costs a many-region sweep amortizes, so the Analyzer keeps its contexts
-/// alive across run() calls; the edge table is fixed per Analyzer, so the
-/// stimulus is too. Per-job state/symbol stimulus is fully overwritten every
-/// batch and outcome classification reads only the state/alert cone, so
-/// carried-over simulator state cannot change any verdict (the same property
-/// that makes the report lanes/threads-invariant). That cone, closed over
-/// flip-flops, is `classifier.observable_nets()`: a fault outside it cannot
-/// reach the alert or the latched state in this batch or, through a register
-/// it corrupted, in any later one — which is what lets a run skip such faults
-/// and lets the classifier's simulator settle and latch only the cone.
+/// One reusable participant context of the exhaustive back-end: a
+/// simulator of the Analyzer's sliced netlist, the resolved interface
+/// handles, and the aligned stimulus for the simulator's lane width.
+/// Building the Simulator (its levelized tape) and the stimulus (O(edges x
+/// lanes x width)) are the fixed costs a many-region sweep amortizes, so the
+/// Analyzer keeps its contexts alive across run() calls; the edge table is
+/// fixed per Analyzer, so the stimulus is too. Per-job state/symbol stimulus
+/// is fully overwritten every batch and outcome classification reads only
+/// the state/alert cone (sim::VariantNetlist::cone), so carried-over
+/// simulator state cannot change any verdict.
 struct SimContext {
   sim::LaneClassifier classifier;
   sim::Simulator::WireHandle symbol_h;
   AlignedStimulus aligned;
 
-  SimContext(const CompiledFsm& variant, const EdgeTable& edges, int lane_words)
-      : classifier(variant, lane_words) {
-    symbol_h = classifier.sim.input_handle(variant.symbol_input_wire);
+  SimContext(const sim::VariantNetlist& net, const EdgeTable& edges, int lane_words)
+      : classifier(net, lane_words) {
+    symbol_h = classifier.sim.input_handle(net.variant->symbol_input_wire);
     aligned = build_aligned_stimulus(edges, symbol_h.width, classifier.state_h.width, lane_words,
                                      static_cast<std::size_t>(lane_words) * 64);
   }
@@ -374,7 +370,7 @@ struct SatContext {
   std::unique_ptr<sat::CardinalityCounter> counter;
 };
 
-std::unique_ptr<SatContext> build_sat_context(const CompiledFsm& variant,
+std::unique_ptr<SatContext> build_sat_context(const sim::VariantNetlist& net,
                                               const std::vector<SigBit>& sites,
                                               sim::FaultKind kind, int faults_k,
                                               const sat::Solver::WarmStart& warm) {
@@ -399,7 +395,7 @@ std::unique_ptr<SatContext> build_sat_context(const CompiledFsm& variant,
       sat::exactly_one(solver, ctx->selectors);
     }
   };
-  ctx->miter = encode_exploit_miter(solver, variant, kind, gated_faults, bound_selectors);
+  ctx->miter = encode_exploit_miter(solver, net, kind, gated_faults, bound_selectors);
 
   // Seed the branching heuristic from what an earlier context of this
   // variant already learned. Pure heuristic state: search order may change, the
@@ -517,19 +513,21 @@ using RegionKey = std::tuple<std::string, bool, sim::FaultTarget>;
 /// the stimulus live in the assumptions.
 using SatKey = std::tuple<std::string, bool, sim::FaultTarget, sim::FaultKind, int>;
 
-/// One cached fault region. `nets` and `observable` belong to the
-/// exhaustive back-end and are filled by its first run over the region.
+/// One cached fault region: its sites, their nets and their cone flags.
 struct Region {
   std::vector<SigBit> sites;
-  std::vector<std::int32_t> nets;  ///< simulator net per site
-  std::vector<char> observable;    ///< per site: in the observable cone
+  std::vector<std::int32_t> nets;
+  std::vector<char> observable;
 };
 
 }  // namespace
 
 struct Analyzer::Impl {
-  const Fsm* fsm;
-  const CompiledFsm* variant;
+  Impl(const Fsm& fsm, const CompiledFsm& variant)
+      : net(variant), edges(build_edge_table(variant, fsm.cfg_edges())) {}
+
+  /// The variant flattened and sliced once; every context shares it.
+  const sim::VariantNetlist net;
   EdgeTable edges;
 
   std::map<RegionKey, Region> regions;
@@ -558,8 +556,11 @@ struct Analyzer::Impl {
     const auto it = regions.find(key);
     if (it != regions.end()) return it->second;
     Region fresh;
-    fresh.sites = region_sites(*variant->module, prefix, include_inputs, target,
-                               variant->state_wire);
+    fresh.sites = region_sites(net, prefix, include_inputs, target);
+    for (const SigBit& site : fresh.sites) {
+      fresh.nets.push_back(net.full->net_of(site));
+      fresh.observable.push_back(net.cone[static_cast<std::size_t>(fresh.nets.back())]);
+    }
     return regions.emplace(key, std::move(fresh)).first->second;
   }
 
@@ -575,7 +576,7 @@ struct Analyzer::Impl {
         if (ctx->classifier.sim.lane_words() == lane_words) return ctx;
       }
     }
-    return std::make_unique<SimContext>(*variant, edges, lane_words);
+    return std::make_unique<SimContext>(net, edges, lane_words);
   }
 
   void checkin_sim(std::unique_ptr<SimContext> ctx) {
@@ -589,16 +590,6 @@ struct Analyzer::Impl {
   PartialReport run_exhaustive_layers(const SynfiConfig& config, Region& region,
                                       int lane_words, std::vector<char>& site_hit) {
     const std::size_t num_sites = region.sites.size();
-    if (region.nets.empty()) {
-      std::unique_ptr<SimContext> ctx = checkout_sim(lane_words);
-      const std::vector<char>& cone = ctx->classifier.observable_nets();
-      for (const SigBit& site : region.sites) {
-        const std::int32_t net = ctx->classifier.sim.net_index(site);
-        region.nets.push_back(net);
-        region.observable.push_back(cone[static_cast<std::size_t>(net)]);
-      }
-      checkin_sim(std::move(ctx));
-    }
     // A skipped clock edge acts at the flip-flop, not through the cone, so
     // skip-cycle faults are never pruned.
     const bool prune = config.kind != sim::FaultKind::kSkipCycle;
@@ -663,7 +654,7 @@ struct Analyzer::Impl {
     auto it = sat_contexts.find(key);
     if (it == sat_contexts.end()) {
       it = sat_contexts
-               .emplace(key, build_sat_context(*variant, sites, config.kind, config.faults_k, warm))
+               .emplace(key, build_sat_context(net, sites, config.kind, config.faults_k, warm))
                .first;
     }
     SatContext& owner_sat = *it->second;
@@ -674,7 +665,7 @@ struct Analyzer::Impl {
       std::vector<char> hit(sites.size(), 0);
       std::unique_ptr<SatContext> own;
       if (!claim.owner()) {
-        own = build_sat_context(*variant, sites, config.kind, config.faults_k, warm);
+        own = build_sat_context(net, sites, config.kind, config.faults_k, warm);
       }
       SatContext& ctx = own != nullptr ? *own : owner_sat;
       const SolveTally tally(ctx.solver, sat_solves);
@@ -692,17 +683,15 @@ struct Analyzer::Impl {
   }
 };
 
-Analyzer::Analyzer(const Fsm& fsm, const CompiledFsm& variant) : impl_(new Impl) {
+Analyzer::Analyzer(const Fsm& fsm, const CompiledFsm& variant) {
   check(variant.module != nullptr, "synfi: variant has no module");
   require(variant.symbol_width > 0, "synfi: variant must use encoded control symbols");
-  impl_->fsm = &fsm;
-  impl_->variant = &variant;
-  impl_->edges = build_edge_table(variant, fsm.cfg_edges());
+  impl_ = std::make_unique<Impl>(fsm, variant);
 }
 
 Analyzer::~Analyzer() = default;
 
-const CompiledFsm& Analyzer::variant() const { return *impl_->variant; }
+const CompiledFsm& Analyzer::variant() const { return *impl_->net.variant; }
 
 std::size_t Analyzer::cached_simulators() const { return impl_->free_sims.size(); }
 

@@ -16,11 +16,11 @@
 //     Only observable sites are simulated. A net is live (observable) when it
 //     lies in the combinational fan-in of the alert, of the state register's
 //     D pins, or of the D pin of any flip-flop whose Q is itself live,
-//     iterated to a fixpoint (sim::LaneClassifier::observable_nets). A fault
-//     on a dead net can never reach the alert or the latched state, so an
-//     injection's outcome is that of its live faults alone, and the
-//     classifier's simulator, sliced to the cone, settles and latches only
-//     live ops and registers. With L live and D dead region sites and E
+//     iterated to a fixpoint (rtlil::fanin_cone). A fault on a dead net can
+//     never reach the alert or the latched state, so an injection's outcome
+//     is that of its live faults alone. The Analyzer slices its netlist to
+//     the cone once (sim::VariantNetlist), and its simulators run only the
+//     slice's ops and registers. With L live and D dead region sites and E
 //     edges, a run simulates layer m — all C(L, m) x E live m-combinations —
 //     for every m from min(k, L) down to max(0, k - D), and counts each layer
 //     C(D, k - m) times over; m = 0 is the fault-free batch, simulated once

@@ -28,7 +28,7 @@ struct Tally {
 
 /// One (site, edge) query on a fresh miter: counts it into `out` and marks
 /// the site in `hit` when it is exploitable.
-void query(const fsm::CompiledFsm& variant, const std::vector<rtlil::SigBit>& sites,
+void query(const sim::VariantNetlist& net, const std::vector<rtlil::SigBit>& sites,
            std::size_t site, std::uint64_t from_code, std::uint64_t symbol_code,
            const synfi::SynfiConfig& config, std::vector<char>& hit, Tally& out) {
   const sat::CnfFaultKind kind = synfi::cnf_fault_kind(config.kind);
@@ -53,7 +53,7 @@ void query(const fsm::CompiledFsm& variant, const std::vector<rtlil::SigBit>& si
     for (const sat::Lit lit : counter.assume_exactly(config.faults_k - 1)) solver.add_unit(lit);
   };
   const synfi::ExploitMiter miter =
-      synfi::encode_exploit_miter(solver, variant, config.kind, participation, exactly_k_minus_one);
+      synfi::encode_exploit_miter(solver, net, config.kind, participation, exactly_k_minus_one);
 
   std::vector<sat::Lit> stimulus;
   push_equals(stimulus, miter.svars, from_code);
@@ -77,9 +77,9 @@ void query(const fsm::CompiledFsm& variant, const std::vector<rtlil::SigBit>& si
 
 synfi::SynfiReport sat_rebuild_oracle(const fsm::Fsm& fsm, const fsm::CompiledFsm& variant,
                                       const synfi::SynfiConfig& config) {
+  const sim::VariantNetlist net(variant);
   const std::vector<rtlil::SigBit> sites =
-      synfi::region_sites(*variant.module, config.wire_prefix, config.include_inputs,
-                          config.target, variant.state_wire);
+      synfi::region_sites(net, config.wire_prefix, config.include_inputs, config.target);
   require(!sites.empty(), "sat_rebuild_oracle: empty fault region");
   const std::vector<fsm::CfgEdge> edges = fsm.cfg_edges();
   synfi::SynfiReport report;
@@ -99,7 +99,7 @@ synfi::SynfiReport sat_rebuild_oracle(const fsm::Fsm& fsm, const fsm::CompiledFs
         const std::uint64_t from_code = variant.state_codes[static_cast<std::size_t>(edge.from)];
         const std::uint64_t symbol_code = variant.symbol_codes.at(edge.symbol);
         for (std::size_t s = 0; s < sites.size(); ++s) {
-          query(variant, sites, s, from_code, symbol_code, config, hit, out);
+          query(net, sites, s, from_code, symbol_code, config, hit, out);
         }
       }
     }

@@ -115,7 +115,7 @@ Reference reference(const Fsm& f, const CompiledFsm& c, const CampaignConfig& co
   std::vector<std::int32_t> roots;
   for (std::int32_t i = 0; i < state.width; ++i) roots.push_back(state.base + i);
   for (std::int32_t i = 0; i < alert.width; ++i) roots.push_back(alert.base + i);
-  const std::vector<char> cone = sim.fanin_cone(roots);
+  const std::vector<char> cone = rtlil::fanin_cone(rtlil::flatten(*c.module), roots);
 
   Reference ref;
   ref.result.runs = config.runs;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "base/error.h"
+#include "base/rng.h"
 #include "fsm/compile.h"
 #include "fsm/dot.h"
 #include "fsm/kiss2.h"
@@ -110,6 +114,102 @@ TEST(Fsm, IdleInputExists) {
   const auto idle = f.concrete_input_for_idle(0);
   ASSERT_TRUE(idle.has_value());
   EXPECT_EQ(f.step_raw(0, *idle).second, -1);
+}
+
+TEST(Fsm, SeventeenInputTransitionIsNotShadowed) {
+  // Every input with bit 16 = 1 takes transition 1.
+  const Fsm f = parse_kiss2(R"(
+.i 17
+.o 1
+.s 2
+.r a
+----------------0 a b 1
+----------------- a a 0
+----------------- b a 0
+.e
+)");
+  EXPECT_NO_THROW(f.check());
+  std::vector<bool> expected(17, false);
+  expected[16] = true;
+  EXPECT_EQ(f.concrete_input_for(1), expected);
+}
+
+TEST(Fsm, SeventeenInputIdleEdge) {
+  // State a's only guard leaves every input with bit 16 = 1 to the idle edge.
+  Fsm f;
+  for (int i = 0; i < 17; ++i) f.inputs.push_back("x" + std::to_string(i));
+  f.add_transition("a", std::string(16, '-') + "0", "b");
+  f.add_transition("b", std::string(17, '-'), "a");
+  EXPECT_NO_THROW(f.check());
+  std::vector<bool> expected(17, false);
+  expected[16] = true;
+  EXPECT_EQ(f.concrete_input_for_idle(0), expected);
+  EXPECT_EQ(f.concrete_input_for_idle(1), std::nullopt);
+  const std::vector<CfgEdge> edges = f.cfg_edges();
+  EXPECT_EQ(std::count_if(edges.begin(), edges.end(),
+                          [](const CfgEdge& e) { return e.transition_index < 0; }),
+            1);
+}
+
+/// The first input of `cube` that matches none of `guards`, counting its
+/// free positions up as the bits of an integer (lowest position in bit 0).
+std::optional<std::vector<bool>> brute_force_witness(const std::string& cube,
+                                                     const std::vector<std::string>& guards) {
+  std::vector<std::size_t> free;
+  std::vector<bool> base(cube.size(), false);
+  for (std::size_t i = 0; i < cube.size(); ++i) {
+    if (cube[i] == '-') {
+      free.push_back(i);
+    } else {
+      base[i] = cube[i] == '1';
+    }
+  }
+  for (std::uint64_t c = 0; c < (1ULL << free.size()); ++c) {
+    std::vector<bool> cand = base;
+    for (std::size_t i = 0; i < free.size(); ++i) cand[free[i]] = ((c >> i) & 1) != 0;
+    if (std::none_of(guards.begin(), guards.end(),
+                     [&](const std::string& g) { return Fsm::guard_matches(g, cand); })) {
+      return cand;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(Fsm, WitnessesMatchBruteForce) {
+  int shadowed = 0;
+  int found = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(0xF5A, seed);
+    const std::size_t n = 1 + rng.below(12);
+    const double dash = 0.3 + 0.6 * rng.uniform();
+    Fsm f;
+    for (std::size_t i = 0; i < n; ++i) f.inputs.push_back("x" + std::to_string(i));
+    const std::uint64_t states = 1 + rng.below(3);
+    const std::uint64_t count = 1 + rng.below(12);
+    for (std::uint64_t t = 0; t < count; ++t) {
+      std::string guard(n, '-');
+      for (char& c : guard) {
+        if (!rng.chance(dash)) c = rng.chance(0.5) ? '1' : '0';
+      }
+      f.add_transition("s" + std::to_string(rng.below(states)), guard,
+                       "s" + std::to_string(rng.below(states)));
+    }
+    for (int s = 0; s < f.num_states(); ++s) {
+      std::vector<std::string> earlier;
+      for (const int t : f.transitions_from(s)) {
+        const std::string& guard = f.transitions[static_cast<std::size_t>(t)].guard;
+        const auto witness = f.concrete_input_for(t);
+        EXPECT_EQ(witness, brute_force_witness(guard, earlier)) << "seed " << seed << " t " << t;
+        (witness.has_value() ? found : shadowed) += 1;
+        earlier.push_back(guard);
+      }
+      EXPECT_EQ(f.concrete_input_for_idle(s), brute_force_witness(std::string(n, '-'), earlier))
+          << "seed " << seed << " state " << s;
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(shadowed, 0);
+  EXPECT_GT(found, 0);
 }
 
 TEST(Kiss2, RoundTrip) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/error.h"
 #include "rtlil/design.h"
+#include "rtlil/flatten.h"
 #include "rtlil/validate.h"
 
 namespace scfi::rtlil {
@@ -143,6 +149,106 @@ TEST(NetlistIndex, DriversAndReaders) {
   EXPECT_NE(index.driver(n.bit(0)), nullptr);
   EXPECT_EQ(index.readers(SigBit(a, 0)).size(), 1u);
   EXPECT_EQ(index.topo_comb().size(), 2u);
+}
+
+/// A hand-built module: y = !q1 is the root. q1 latches d1 = q2 ^ in, and
+/// q2 latches d2 = !q2, so q2 reaches y only through q1's D. dq latches
+/// dd = in & dq and feeds nothing live (a dead flip-flop with a dead op),
+/// and u = in | q1 reads live nets but is read by nothing (a dead op).
+struct FlattenFixture {
+  Design d;
+  Module* m = d.add_module("m");
+  Wire* in = m->add_input("in", 1);
+  Wire* q1 = m->add_wire("q1", 1);
+  Wire* q2 = m->add_wire("q2", 1);
+  Wire* d1 = m->add_wire("d1", 1);
+  Wire* d2 = m->add_wire("d2", 1);
+  Wire* dq = m->add_wire("dq", 1);
+  Wire* dd = m->add_wire("dd", 1);
+  Wire* u = m->add_wire("u", 1);
+  Wire* y = m->add_output("y", 1);
+
+  FlattenFixture() {
+    gate("g_y", CellType::kNot, {{"A", q1}, {"Y", y}});
+    gate("g_u", CellType::kOr, {{"A", in}, {"B", q1}, {"Y", u}});
+    gate("g_d1", CellType::kXor, {{"A", q2}, {"B", in}, {"Y", d1}});
+    gate("g_d2", CellType::kNot, {{"A", q2}, {"Y", d2}});
+    gate("g_dd", CellType::kAnd, {{"A", in}, {"B", dq}, {"Y", dd}});
+    flip_flop("ff1", d1, q1);
+    flip_flop("ff_dead", dd, dq);
+    flip_flop("ff2", d2, q2);
+    flat = flatten(*m);
+  }
+  void gate(const std::string& name, CellType type,
+            std::initializer_list<std::pair<const char*, Wire*>> ports) {
+    Cell* c = m->add_cell(name, type);
+    for (const auto& [port, wire] : ports) c->set_port(port, SigSpec(wire));
+  }
+  void flip_flop(const std::string& name, Wire* dw, Wire* qw) {
+    Cell* ff = m->add_cell(name, CellType::kDff);
+    ff->set_port("D", SigSpec(dw));
+    ff->set_port("Q", SigSpec(qw));
+    ff->set_reset_value(Const::from_uint(0, 1));
+  }
+  std::int32_t net(const Wire* w) const { return flat.net_of(SigBit(w, 0)); }
+
+  FlatNetlist flat;
+};
+
+TEST(Flatten, ConeReachesFlipFlopThroughAnotherFlipFlopsD) {
+  const FlattenFixture f;
+  const std::vector<char> cone = fanin_cone(f.flat, {f.net(f.y)});
+  ASSERT_EQ(cone.size(), static_cast<std::size_t>(f.flat.num_nets));
+  for (const Wire* w : {f.y, f.q1, f.d1, f.in, f.q2, f.d2}) {
+    EXPECT_NE(cone[static_cast<std::size_t>(f.net(w))], 0) << w->name();
+  }
+}
+
+TEST(Flatten, ConeSkipsDeadFlipFlopAndDeadOp) {
+  const FlattenFixture f;
+  const std::vector<char> cone = fanin_cone(f.flat, {f.net(f.y)});
+  for (const Wire* w : {f.dq, f.dd, f.u}) {
+    EXPECT_EQ(cone[static_cast<std::size_t>(f.net(w))], 0) << w->name();
+  }
+  // Rooted at the dead flip-flop instead, the cone is its own loop and input.
+  const std::vector<char> dead = fanin_cone(f.flat, {f.net(f.dq)});
+  for (const Wire* w : {f.dq, f.dd, f.in}) {
+    EXPECT_NE(dead[static_cast<std::size_t>(f.net(w))], 0) << w->name();
+  }
+  for (const Wire* w : {f.y, f.q1, f.q2, f.u}) {
+    EXPECT_EQ(dead[static_cast<std::size_t>(f.net(w))], 0) << w->name();
+  }
+}
+
+TEST(Flatten, SliceKeepsNumberingAndLiveOpsInOrder) {
+  const FlattenFixture f;
+  const std::vector<char> cone = fanin_cone(f.flat, {f.net(f.y)});
+  const FlatNetlist sliced = slice(f.flat, cone);
+  EXPECT_EQ(sliced.module, f.m);
+  EXPECT_EQ(sliced.num_nets, f.flat.num_nets);
+  EXPECT_EQ(sliced.wire_base, f.flat.wire_base);
+  std::vector<std::int32_t> live_outs;
+  for (const FlatOp& op : f.flat.ops) {
+    if (cone[static_cast<std::size_t>(op.out)] != 0) live_outs.push_back(op.out);
+  }
+  ASSERT_EQ(live_outs.size(), 3u);  // y, d1, d2
+  ASSERT_EQ(sliced.ops.size(), live_outs.size());
+  std::size_t kept = 0;
+  for (const FlatOp& op : f.flat.ops) {
+    if (cone[static_cast<std::size_t>(op.out)] == 0) continue;
+    const FlatOp& s = sliced.ops[kept++];
+    EXPECT_EQ(s.kind, op.kind);
+    EXPECT_EQ(s.out, op.out);
+    EXPECT_EQ(s.a, op.a);
+    EXPECT_EQ(s.b, op.b);
+    EXPECT_EQ(s.c, op.c);
+  }
+  // The live flip-flops, in cell order; the dead one is gone.
+  ASSERT_EQ(sliced.ffs.size(), 2u);
+  EXPECT_EQ(sliced.ffs[0].q, f.net(f.q1));
+  EXPECT_EQ(sliced.ffs[0].d, f.net(f.d1));
+  EXPECT_EQ(sliced.ffs[1].q, f.net(f.q2));
+  EXPECT_EQ(sliced.ffs[1].d, f.net(f.d2));
 }
 
 TEST(Design, ModuleLifecycle) {

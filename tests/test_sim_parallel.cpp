@@ -656,8 +656,9 @@ TEST(SimParallel, LaneClassifierMatchesCodesInTheGivenLanes) {
   ASSERT_LT(junk, 1ULL << width);
   const std::uint64_t values[] = {s0, s1, c.error_code, junk};
 
+  const VariantNetlist net(c);
   for (const int lane_words : {1, 8}) {
-    LaneClassifier classifier(c, lane_words);
+    LaneClassifier classifier(net, lane_words);
     const int lanes = 64 * lane_words;
     const auto value_of = [&](int lane) { return values[(lane * 7 + lane / 5) % 4]; };
     const auto in_set = [](int lane) { return lane % 3 != 0; };
@@ -707,11 +708,12 @@ TEST(SimSlice, ConeNetsMatchUnslicedSimulator) {
       rtlil::Design d;
       const fsm::CompiledFsm c =
           ot::build_ot_variant(entry, d, variant, 2, entry.name + "_slice");
+      const VariantNetlist net(c);
       for (const int lane_words : {1, 2, 4, 8}) {
         const std::string where = entry.name + " variant=" +
                                   std::to_string(static_cast<int>(variant)) +
                                   " W=" + std::to_string(lane_words);
-        LaneClassifier classifier(c, lane_words);
+        LaneClassifier classifier(net, lane_words);
         Simulator& sliced = classifier.sim;
         Simulator full(*c.module, lane_words);
         const std::vector<char>& cone = classifier.observable_nets();
