@@ -10,9 +10,11 @@
 //   * exhaustive simulation, scalar (lanes=1) vs 64 batched injection jobs
 //     per simulator pass (and the `threads` knob on top),
 //   * the SAT back-end, the selector-gated solver answering its edge-major
-//     queries via assumptions (its k = 1 verdicts are cross-checked against
-//     the exhaustive back-end; the bit-exact check against the
-//     per-(site, edge) rebuild oracle lives in the tests), and
+//     queries via assumptions, at k = 1 and 2 and on pwrmgr_fsm's whole
+//     logic at k = 2, where half the sites lie outside the state/alert cone
+//     (its verdicts are cross-checked against the exhaustive back-end; the
+//     bit-exact check against the per-(site, edge) rebuild oracle lives in
+//     the tests), and
 //   * Analyzer reuse: a many-region/fault-kind sweep over one otbn_controller
 //     variant through one synfi::Analyzer vs a fresh analyze() per query
 //     (the fixed simulator-build cost amortized vs paid per call), and
@@ -255,6 +257,24 @@ int main(int argc, char** argv) {
   const double kfault_sat = time_sweeps(f, c, kfault_sweep, sat_iters, &kfault_sat_report);
   const bool kfault_agree = verdicts_agree(kfault_sim_report, kfault_sat_report);
 
+  // Whole-logic k = 2 SAT on a zoo module: about half of pwrmgr_fsm's sites
+  // lie outside the state/alert cone, so this times the sliced miter and
+  // the dead-site queries, cross-checked against the exhaustive back-end.
+  const scfi::ot::OtEntry pwrmgr_entry = scfi::ot::ot_entry("pwrmgr_fsm");
+  scfi::rtlil::Design pwrmgr_design;
+  const scfi::fsm::CompiledFsm pwrmgr_variant = scfi::ot::build_ot_variant(
+      pwrmgr_entry, pwrmgr_design, scfi::ot::Variant::kScfi, 2, "pwrmgr_sat_bench");
+  scfi::synfi::SynfiConfig sat_logic;
+  sat_logic.wire_prefix = "";
+  sat_logic.faults_k = 2;
+  const scfi::synfi::SynfiReport sat_logic_sim_report =
+      scfi::synfi::analyze(pwrmgr_entry.fsm, pwrmgr_variant, sat_logic);
+  sat_logic.backend = scfi::synfi::Backend::kSat;
+  scfi::synfi::SynfiReport sat_logic_report;
+  const double sat_logic_rate =
+      time_sweeps(pwrmgr_entry.fsm, pwrmgr_variant, sat_logic, sat_iters, &sat_logic_report);
+  const bool sat_logic_agree = verdicts_agree(sat_logic_sim_report, sat_logic_report);
+
   // Analyzer reuse on the biggest zoo module: a many-region / fault-kind
   // sweep where the per-call simulator build dominates the small region
   // queries (the workload SweepOrchestrator runs per variant).
@@ -300,7 +320,8 @@ int main(int argc, char** argv) {
                              scalar_report == threaded_report &&
                              scalar_report == wide_report &&
                              scalar_report == wide_threaded_report &&
-                             sat_agree && kfault_agree && reuse.reports_agree;
+                             sat_agree && kfault_agree && sat_logic_agree &&
+                             reuse.reports_agree;
   const double batch_speedup = sim_scalar > 0 ? sim_batched / sim_scalar : 0.0;
   const double wide_speedup = sim_batched > 0 ? sim_wide / sim_batched : 0.0;
 
@@ -330,6 +351,10 @@ int main(int argc, char** argv) {
                 static_cast<long long>(kfault_sim_report.injections));
     std::printf("  \"kfault_sim\": %.1f,\n", kfault_sim);
     std::printf("  \"kfault_sat_incremental\": %.1f,\n", kfault_sat);
+    std::printf("  \"sat_logic_k2_module\": \"pwrmgr_fsm_scfi_n2\",\n");
+    std::printf("  \"sat_logic_k2_queries_per_sweep\": %lld,\n",
+                static_cast<long long>(sat_logic_report.injections));
+    std::printf("  \"sat_logic_k2_incremental\": %.1f,\n", sat_logic_rate);
     std::printf("  \"analyzer_reuse_module\": \"otbn_controller_scfi_n2\",\n");
     std::printf("  \"analyzer_reuse_configs\": %zu,\n", reuse_configs.size());
     std::printf("  \"analyzer_reuse_injections\": %lld,\n",
@@ -365,6 +390,9 @@ int main(int argc, char** argv) {
     std::printf("  k-fault (k=2), synfi14 MDS region:\n");
     std::printf("    exhaustive combinations         %12.0f inj/s\n", kfault_sim);
     std::printf("    SAT participation queries       %12.0f q/s\n", kfault_sat);
+    std::printf("  k-fault (k=2), pwrmgr_fsm whole logic (%lld queries/sweep):\n",
+                static_cast<long long>(sat_logic_report.injections));
+    std::printf("    SAT participation queries       %12.0f q/s\n", sat_logic_rate);
     std::printf("  Analyzer reuse, otbn_controller (%zu region/kind queries, %lld injections):\n",
                 reuse_configs.size(), static_cast<long long>(reuse.injections));
     std::printf("    fresh analyze() per query       %12.4f s/sweep\n", reuse.per_call_seconds);

@@ -3,7 +3,8 @@
 # plus a smoke run of the micro-benchmarks, the SYNFI engines, the sweep
 # fleet (SYNFI + Monte-Carlo campaign jobs, over the zoo and the committed
 # KISS2 corpus), Wilson-bounded sweep-diff regression gates against the
-# committed baseline stores, and crash smokes for both the JSONL store
+# committed baseline stores, an exact-match gate on a SAT back-end sweep,
+# and crash smokes for both the JSONL store
 # (SIGKILL + torn tail + --resume) and the multi-process fleet supervisor
 # (SIGKILL a worker mid-sweep; poison-job quarantine). Mirrors the verify
 # command in ROADMAP.md; run from the repository root.
@@ -125,6 +126,20 @@ grep -q 'executed 0 job(s), skipped 12' <<<"$RESUME_LOG" \
 # key that vanished); sub-threshold metric drift is printed but does not
 # gate.
 build/scfi_cli sweep-diff bench/baselines/sweep_smoke.jsonl "$SWEEP_OUT" --fail-on-removed
+
+# SAT back-end gate: pwrmgr_fsm's MDS and whole-logic k = 2 sweep on the
+# incremental SAT back-end, whose miter encodes the state/alert cone slice
+# and gives selectors only to the sites inside it (the others share one
+# query per edge). No verdict may move at all, so the store must equal the
+# committed baseline record for record (stalls and exploitable-site lists
+# included), not merely show no regression.
+SAT_OUT="$(dirname "$SWEEP_OUT")/sat_smoke.jsonl"
+build/scfi_cli sweep --modules pwrmgr_fsm --levels 2 --regions mds_,all \
+  --kinds flip,stuck1 --backend sat --faults-k 2 --jobs 2 --threads 2 --out "$SAT_OUT"
+SAT_DIFF="$(build/scfi_cli sweep-diff bench/baselines/sat_smoke.jsonl "$SAT_OUT" --fail-on-removed)"
+echo "$SAT_DIFF"
+grep -q 'stores are identical' <<<"$SAT_DIFF" \
+  || { echo "sat smoke: store differs from bench/baselines/sat_smoke.jsonl"; exit 1; }
 
 # KISS2-corpus sweep smoke: the same fleet run drawing modules from the
 # committed bench/corpus/ directory instead of the zoo (SYNFI + campaign

@@ -43,7 +43,9 @@ struct VariantNetlist {
   }
 
   const fsm::CompiledFsm* variant;
-  std::shared_ptr<const rtlil::FlatNetlist> full;  ///< the SAT miter encodes it
+  /// Every net and op; fault regions are listed over it (the engines run
+  /// and encode `sliced`).
+  std::shared_ptr<const rtlil::FlatNetlist> full;
   /// Per net: in the fan-in cone of the state register and the alert,
   /// closed over flip-flops. A fault outside it can never change either.
   std::vector<char> cone;

@@ -351,43 +351,59 @@ void push_equals(std::vector<sat::Lit>& lits, const std::vector<int>& vars,
   }
 }
 
+/// One cached fault region: its sites, their nets and their cone flags.
+struct Region {
+  std::vector<SigBit> sites;
+  std::vector<std::int32_t> nets;
+  std::vector<char> observable;
+};
+
 /// One live incremental SAT context: the solver holds the exploitability
-/// miter (encode_exploit_miter) whose faulty copy's overrides are each gated
-/// on a fresh selector literal — one per region site. k = 1 constrains the
-/// selectors with exactly_one, k > 1 with a cardinality counter. Every query
-/// is then a solve(assumptions) call — edge stimulus (+ exactly-k) plus the
-/// exclusion of the sites already found — so the CNF and all learned clauses
-/// are shared across the whole sweep, and (held inside an Analyzer) across
-/// every later run() that touches the same region and fault kind.
+/// miter (encode_exploit_miter) over the Analyzer's sliced netlist, whose
+/// faulty copy's overrides are each gated on a fresh selector literal — one
+/// per live region site (Region::observable). A dead site's fault changes
+/// no net of the slice, so it gets no override; run_sat_edges accounts for
+/// the dead sites without one. k = 1 constrains the selectors with
+/// exactly_one, k > 1 with a cardinality counter. Every query is then a
+/// solve(assumptions) call — edge stimulus (+ the counter's bounds) plus
+/// the exclusion of the sites already found — so the CNF and all learned
+/// clauses are shared across the whole sweep, and (held inside an Analyzer)
+/// across every later run() that touches the same region and fault kind.
 /// `free_symbol` only changes the assumptions, never the CNF, so one context
 /// serves both symbol modes.
 struct SatContext {
   sat::Solver solver;
   ExploitMiter miter;
-  std::vector<sat::Lit> selectors;  ///< one per region site
-  /// k > 1 only: the Sinz counter over *all* region selectors, so "exactly
-  /// k faults" is a per-query assumption set.
+  std::vector<sat::Lit> selectors;    ///< one per live region site
+  std::vector<std::size_t> live_ids;  ///< the region index of each selector
+  std::vector<std::size_t> dead_ids;  ///< the region's other sites
+  /// k > 1 with a live site only: the Sinz counter over the live selectors,
+  /// so how many of them fire is bounded per query by assumptions.
   std::unique_ptr<sat::CardinalityCounter> counter;
 };
 
 std::unique_ptr<SatContext> build_sat_context(const sim::VariantNetlist& net,
-                                              const std::vector<SigBit>& sites,
-                                              sim::FaultKind kind, int faults_k,
-                                              const sat::Solver::WarmStart& warm) {
+                                              const Region& region, sim::FaultKind kind,
+                                              int faults_k, const sat::Solver::WarmStart& warm) {
+  const sat::CnfFaultKind cnf_kind = cnf_fault_kind(kind);
   auto ctx = std::make_unique<SatContext>();
   sat::Solver& solver = ctx->solver;
   const auto gated_faults = [&] {
     std::vector<sat::CnfFault> faults;
-    ctx->selectors.reserve(sites.size());
-    faults.reserve(sites.size());
-    for (const SigBit& site : sites) {
+    for (std::size_t s = 0; s < region.sites.size(); ++s) {
+      if (region.observable[s] == 0) {
+        ctx->dead_ids.push_back(s);
+        continue;
+      }
       const sat::Lit sel = solver.new_var();
       ctx->selectors.push_back(sel);
-      faults.push_back(sat::CnfFault{site, cnf_fault_kind(kind), sel});
+      ctx->live_ids.push_back(s);
+      faults.push_back(sat::CnfFault{region.sites[s], cnf_kind, sel});
     }
     return faults;
   };
   const auto bound_selectors = [&] {
+    if (ctx->selectors.empty()) return;
     if (faults_k > 1) {
       ctx->counter =
           std::make_unique<sat::CardinalityCounter>(solver, ctx->selectors, faults_k);
@@ -395,7 +411,8 @@ std::unique_ptr<SatContext> build_sat_context(const sim::VariantNetlist& net,
       sat::exactly_one(solver, ctx->selectors);
     }
   };
-  ctx->miter = encode_exploit_miter(solver, net, kind, gated_faults, bound_selectors);
+  ctx->miter =
+      encode_exploit_miter(solver, *net.variant, net.sliced, kind, gated_faults, bound_selectors);
 
   // Seed the branching heuristic from what an earlier context of this
   // variant already learned. Pure heuristic state: search order may change, the
@@ -421,38 +438,67 @@ class SolveTally {
 };
 
 /// Answers edges [edge_begin, edge_end) edge-major: "does some exactly-k
-/// fault set with a site not yet found on this edge break it?" A kSat model
-/// names its fault set through the true selectors; every newly true site is
-/// exploitable on the edge, because its set is a witness of the per-(site,
-/// edge) participation query. The found sites are then excluded and the
-/// edge asked again until the first kUnsat, which proves every remaining
-/// site safe. k = 1 excludes them by assuming their selectors false (the
-/// selectors sit under exactly_one). For k > 1 a found site may still pair
-/// with an unfound one, so the query instead requires one unfound selector
-/// through a clause under a fresh activation literal, retired by a unit
-/// after the call. Counting stays per (site, edge), as sites x edges
-/// verdicts, so the report equals the per-(site, edge) rebuild oracle's
-/// (tests/synfi_oracle.h) bit for bit (the exhaustive back-end counts per
-/// (combination, edge) instead; both agree on exploitable > 0 and on the
-/// exploitable site set).
+/// fault set with a site not yet found on this edge break it?" A dead site
+/// changes nothing, so a k-set breaks the edge exactly when its m live sites
+/// do, and a k-set with m live sites exists when the other k - m can be
+/// dead: max(1, k - D) <= m <= k for D dead sites (m = 0 is the fault-free
+/// machine, which breaks no edge). Live queries assume those bounds on the
+/// counter (k = 1: exactly_one). A kSat model names its live set through
+/// the true selectors; every newly true site is exploitable on the edge,
+/// because its set is a witness of the per-(site, edge) participation
+/// query. The found sites are then excluded and the edge asked again until
+/// the first kUnsat, which proves every remaining live site safe. k = 1
+/// excludes them by assuming their selectors false (the selectors sit under
+/// exactly_one). For k > 1 a found site may still pair with an unfound one,
+/// so the query instead requires one unfound selector through a clause
+/// under a fresh activation literal, retired by a unit after the call. A
+/// dead site takes one of the k slots itself, so it is exploitable exactly
+/// when some live set with max(1, k - D) <= m <= k - 1 breaks the edge: one
+/// more query answers that for all D dead sites at once (never at k = 1).
+/// Counting stays per (site, edge), as sites x edges verdicts, so the
+/// report equals the per-(site, edge) rebuild oracle's (tests/synfi_oracle.h)
+/// bit for bit (the exhaustive back-end counts per (combination, edge)
+/// instead; both agree on exploitable > 0 and on the exploitable site set).
 void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& config,
                    std::size_t edge_begin, std::size_t edge_end,
                    std::vector<char>& site_hit, PartialReport& out) {
   sat::Solver& solver = ctx.solver;
   const std::vector<sat::Lit>& selectors = ctx.selectors;
-  const std::size_t num_sites = selectors.size();
-  const std::vector<sat::Lit> cardinality =
-      ctx.counter != nullptr ? ctx.counter->assume_exactly(config.faults_k)
-                             : std::vector<sat::Lit>{};
+  const std::size_t num_live = selectors.size();
+  const auto num_dead = static_cast<std::int64_t>(ctx.dead_ids.size());
+  const std::int64_t num_sites = static_cast<std::int64_t>(num_live) + num_dead;
+  if (num_live == 0) {
+    // No fault set of the region changes the slice: nothing to ask.
+    const auto injections = num_sites * static_cast<std::int64_t>(edge_end - edge_begin);
+    out.injections += injections;
+    out.detected += injections;
+    return;
+  }
+  std::vector<sat::Lit> live_bounds;
+  std::vector<sat::Lit> dead_bounds;
+  if (ctx.counter != nullptr) {
+    const int k = config.faults_k;
+    const sat::Lit fewest =
+        ctx.counter->at_least(static_cast<int>(std::max<std::int64_t>(1, k - num_dead)));
+    live_bounds = ctx.counter->assume_at_most(k);
+    live_bounds.insert(live_bounds.begin(), fewest);
+    if (num_dead > 0) {
+      dead_bounds = ctx.counter->assume_at_most(k - 1);
+      dead_bounds.insert(dead_bounds.begin(), fewest);
+    }
+  }
+  std::vector<sat::Lit> stimulus;
   std::vector<sat::Lit> base;
   std::vector<sat::Lit> assumptions;
   std::vector<sat::Lit> unfound;
   std::vector<std::size_t> fresh;
-  std::vector<char> found(num_sites);
+  std::vector<char> found(num_live);
   for (std::size_t e = edge_begin; e < edge_end; ++e) {
-    base = cardinality;
-    push_equals(base, ctx.miter.svars, edges.from_code[e]);
-    if (!config.free_symbol) push_equals(base, ctx.miter.xvars, edges.code[e]);
+    stimulus.clear();
+    push_equals(stimulus, ctx.miter.svars, edges.from_code[e]);
+    if (!config.free_symbol) push_equals(stimulus, ctx.miter.xvars, edges.code[e]);
+    base = live_bounds;
+    base.insert(base.end(), stimulus.begin(), stimulus.end());
     std::fill(found.begin(), found.end(), 0);
     std::int64_t hits = 0;
     for (;;) {
@@ -461,13 +507,13 @@ void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& c
       assumptions = base;
       sat::Lit act = 0;
       if (ctx.counter == nullptr) {
-        for (std::size_t s = 0; s < num_sites; ++s) {
+        for (std::size_t s = 0; s < num_live; ++s) {
           if (found[s]) assumptions.push_back(-selectors[s]);
         }
       } else if (hits > 0) {
         act = solver.new_var();
         unfound.assign(1, -act);
-        for (std::size_t s = 0; s < num_sites; ++s) {
+        for (std::size_t s = 0; s < num_live; ++s) {
           if (!found[s]) unfound.push_back(selectors[s]);
         }
         solver.add_clause(unfound);
@@ -479,13 +525,13 @@ void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& c
 
       // Read the whole model first: the stall queries below replace it.
       fresh.clear();
-      for (std::size_t s = 0; s < num_sites; ++s) {
+      for (std::size_t s = 0; s < num_live; ++s) {
         if (!found[s] && solver.value(selectors[s])) fresh.push_back(s);
       }
       check(!fresh.empty(), "synfi: SAT model selects no new fault site");
       for (const std::size_t s : fresh) {
         found[s] = 1;
-        site_hit[s] = 1;
+        site_hit[ctx.live_ids[s]] = 1;
         ++hits;
         // Stall iff some undetected model with this site keeps the old
         // state: decided by a second assumption query, so the count does not
@@ -496,11 +542,23 @@ void run_sat_edges(SatContext& ctx, const EdgeTable& edges, const SynfiConfig& c
         if (solver.solve(assumptions) == sat::Result::kSat) ++out.stalls;
       }
     }
+    // The dead sites share one verdict and one stall answer per edge.
+    if (!dead_bounds.empty()) {
+      if (config.cancel != nullptr) config.cancel->check("synfi");
+      assumptions = dead_bounds;
+      assumptions.insert(assumptions.end(), stimulus.begin(), stimulus.end());
+      if (solver.solve(assumptions) == sat::Result::kSat) {
+        for (const std::size_t s : ctx.dead_ids) site_hit[s] = 1;
+        hits += num_dead;
+        push_equals(assumptions, ctx.miter.fn, edges.from_code[e]);
+        if (solver.solve(assumptions) == sat::Result::kSat) out.stalls += num_dead;
+      }
+    }
     // UNSAT is conservatively attributed to detection/masking; the
     // simulation back-end provides the fine-grained split.
-    out.injections += static_cast<std::int64_t>(num_sites);
+    out.injections += num_sites;
     out.exploitable += hits;
-    out.detected += static_cast<std::int64_t>(num_sites) - hits;
+    out.detected += num_sites - hits;
   }
 }
 
@@ -512,13 +570,6 @@ using RegionKey = std::tuple<std::string, bool, sim::FaultTarget>;
 /// fault kind and the fault count (cardinality network); free_symbol and
 /// the stimulus live in the assumptions.
 using SatKey = std::tuple<std::string, bool, sim::FaultTarget, sim::FaultKind, int>;
-
-/// One cached fault region: its sites, their nets and their cone flags.
-struct Region {
-  std::vector<SigBit> sites;
-  std::vector<std::int32_t> nets;
-  std::vector<char> observable;
-};
 
 }  // namespace
 
@@ -647,14 +698,15 @@ struct Analyzer::Impl {
   }
 
   /// SAT back-end: the run's participants share the edges.
-  PartialReport run_sat(const SynfiConfig& config, const std::vector<SigBit>& sites,
+  PartialReport run_sat(const SynfiConfig& config, const Region& region,
                         std::vector<char>& site_hit) {
+    const std::size_t num_sites = region.sites.size();
     const SatKey key{config.wire_prefix, config.include_inputs, config.target, config.kind,
                      config.faults_k};
     auto it = sat_contexts.find(key);
     if (it == sat_contexts.end()) {
       it = sat_contexts
-               .emplace(key, build_sat_context(net, sites, config.kind, config.faults_k, warm))
+               .emplace(key, build_sat_context(net, region, config.kind, config.faults_k, warm))
                .first;
     }
     SatContext& owner_sat = *it->second;
@@ -662,10 +714,10 @@ struct Analyzer::Impl {
     std::mutex merge_mutex;
     WorkShare::run(edges.size(), 1, config.threads, [&](WorkShare::Claim& claim) {
       PartialReport out;
-      std::vector<char> hit(sites.size(), 0);
+      std::vector<char> hit(num_sites, 0);
       std::unique_ptr<SatContext> own;
       if (!claim.owner()) {
-        own = build_sat_context(net, sites, config.kind, config.faults_k, warm);
+        own = build_sat_context(net, region, config.kind, config.faults_k, warm);
       }
       SatContext& ctx = own != nullptr ? *own : owner_sat;
       const SolveTally tally(ctx.solver, sat_solves);
@@ -674,7 +726,7 @@ struct Analyzer::Impl {
       }
       const std::lock_guard<std::mutex> lock(merge_mutex);
       total.add(out);
-      for (std::size_t s = 0; s < sites.size(); ++s) site_hit[s] |= hit[s];
+      for (std::size_t s = 0; s < num_sites; ++s) site_hit[s] |= hit[s];
     });
     // Refresh the warm-start snapshot from the owner's context so the next
     // region/kind starts from trained activities.
@@ -737,7 +789,7 @@ SynfiReport Analyzer::run(const SynfiConfig& user_config) {
       config.backend == Backend::kExhaustiveSim
           ? impl_->run_exhaustive_layers(config, region, sim::lane_words_for(config.lanes),
                                          site_hit)
-          : impl_->run_sat(config, sites, site_hit);
+          : impl_->run_sat(config, region, site_hit);
   report.injections = total.injections;
   report.exploitable = total.exploitable;
   report.detected = total.detected;

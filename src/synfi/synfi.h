@@ -35,21 +35,28 @@
 //     flip-flop it is simulated as the no-op it is).
 //   * a SAT back-end (CDCL solver) that additionally supports leaving the
 //     control symbol unconstrained. By default it builds ONE golden +
-//     selector-gated-faulty miter per (region, fault kind, k) — every fault
-//     override conditioned on a fresh selector literal, one per region site,
-//     under `exactly_one` for k = 1 and a cardinality counter for k > 1 —
-//     and asks edge-major, via `solve(assumptions)`, sharing the CNF and
-//     learned clauses across all queries: "does a fault set with a site not
-//     yet found break this edge?" Each kSat model names its fault set; its
-//     new sites are exploitable on the edge and are excluded before the
-//     edge is asked again, and the first kUnsat proves every remaining site
-//     safe. An edge thus costs one call plus two per exploitable site (the
-//     second decides the stall) at k = 1, and at most that for k > 1, where
-//     a site counts as exploitable when some exactly-k fault set including
-//     it breaks the edge — instead of one call per (site, edge). This is
-//     the one SAT path; the miter is synfi/exploit_miter.h's property, and
-//     the per-(site, edge) rebuild oracle it is tested against lives with
-//     the tests (tests/synfi_oracle.h).
+//     selector-gated-faulty miter per (region, fault kind, k) over the same
+//     cone slice — every fault override conditioned on a fresh selector
+//     literal, one per live region site, under `exactly_one` for k = 1 and
+//     a cardinality counter for k > 1 — and asks edge-major, via
+//     `solve(assumptions)`, sharing the CNF and learned clauses across all
+//     queries: "does a fault set with a site not yet found break this
+//     edge?" Each kSat model names its fault set; its new sites are
+//     exploitable on the edge and are excluded before the edge is asked
+//     again, and the first kUnsat proves every remaining live site safe. A
+//     site counts as exploitable when some exactly-k fault set including it
+//     breaks the edge. Its dead sites change nothing, so for k > 1 the live
+//     queries bound the live part m of the set to max(1, k - D) <= m <= k,
+//     and all D dead sites share one verdict: exploitable when some live set
+//     with max(1, k - D) <= m <= k - 1 breaks the edge (one more query, plus
+//     one for their stalls). At k = 1 a dead site is never exploitable. An
+//     edge thus costs one call plus two per exploitable site (the second
+//     decides the stall) at k = 1, at most that plus two for k > 1, and none
+//     when the region has no live site — instead of one call per (site,
+//     edge). This is the one SAT path; the miter is synfi/exploit_miter.h's
+//     property, and the per-(site, edge) rebuild oracle it is tested
+//     against, which encodes the unsliced netlist and gates every region
+//     site, lives with the tests (tests/synfi_oracle.h).
 //
 // A run's units — combination ranks for the exhaustive back-end, edges for
 // SAT — are shared through base/parallel.h's WorkShare: the calling thread

@@ -53,7 +53,8 @@ void query(const sim::VariantNetlist& net, const std::vector<rtlil::SigBit>& sit
     for (const sat::Lit lit : counter.assume_exactly(config.faults_k - 1)) solver.add_unit(lit);
   };
   const synfi::ExploitMiter miter =
-      synfi::encode_exploit_miter(solver, net, config.kind, participation, exactly_k_minus_one);
+      synfi::encode_exploit_miter(solver, *net.variant, net.full, config.kind, participation,
+                                  exactly_k_minus_one);
 
   std::vector<sat::Lit> stimulus;
   push_equals(stimulus, miter.svars, from_code);

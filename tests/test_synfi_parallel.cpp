@@ -5,7 +5,8 @@
 // `exploitable_sites` order. Covers the KISS2 corpus, the OT zoo, and the
 // assumption-based SAT backend against the per-query miter-rebuild oracle
 // (synfi_oracle.h). SynfiEdgeMajor pins the edge-major incremental SAT
-// engine against that per-(site, edge) oracle at k = 1 and 2, and its
+// engine against that per-(site, edge) oracle at k = 1, 2, 3 and 5, on
+// regions with and without sites outside the state/alert cone, and its
 // solve-call budget.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,8 @@
 #include "kiss2_corpus.h"
 #include "ot/zoo.h"
 #include "rtlil/design.h"
+#include "sim/lane_classifier.h"
+#include "synfi/exploit_miter.h"
 #include "synfi/synfi.h"
 #include "synfi_oracle.h"
 #include "test_helpers.h"
@@ -259,10 +262,38 @@ struct EdgeMajorCase {
   bool zoo;
   std::string prefix;
   int faults_k;
+  /// How the region splits into D dead and L live sites (outside and inside
+  /// the state/alert cone), for the cases that pin the dead-site path.
+  enum class Shape {
+    kAny,
+    kDeadHit,  ///< D >= 1 and a dead site is exploitable
+    kFewDead,  ///< 0 < D < k - 1
+    kFewLive,  ///< 0 < L < k
+    kNoLive,   ///< L = 0
+    kNoDead,   ///< D = 0 and a single fault breaks an edge
+  } shape = Shape::kAny;
 };
 
 void PrintTo(const EdgeMajorCase& c, std::ostream* os) {
   *os << c.module << " prefix '" << c.prefix << "' k=" << c.faults_k;
+}
+
+/// k > 1 cases for the live/dead split of the SAT back-end, which gives
+/// selectors only to live sites: whole logic at k = 2 and 3 (D >= 50; every
+/// dead site is exploitable once some live (k - 1)-set breaks an edge), MDS
+/// words with D = 3 at k = 5 (the live sets need m >= 2), with L = 2 at
+/// k = 3 and wholly outside the cone, and the 4-site mode logic at k = 3,
+/// where single faults break edges but no dead site can fill a k-set.
+std::vector<EdgeMajorCase> dead_site_cases() {
+  using Shape = EdgeMajorCase::Shape;
+  return {
+      {"lion", false, "", 2, Shape::kDeadHit},   {"lion", false, "", 3, Shape::kDeadHit},
+      {"mc", false, "", 2, Shape::kDeadHit},     {"mc", false, "", 3, Shape::kDeadHit},
+      {"lion", false, "mds_x_50", 5, Shape::kFewDead},
+      {"lion", false, "mds_x_60", 3, Shape::kFewLive},
+      {"lion", false, "mds_x_70", 2, Shape::kNoLive},
+      {"lion", false, "mo", 3, Shape::kNoDead},
+  };
 }
 
 std::vector<EdgeMajorCase> edge_major_cases() {
@@ -274,7 +305,15 @@ std::vector<EdgeMajorCase> edge_major_cases() {
     cases.push_back({std::string(bench.name), false, "", 1});
     cases.push_back({std::string(bench.name), false, "mds_", 2});
   }
+  for (const EdgeMajorCase& c : dead_site_cases()) cases.push_back(c);
   return cases;
+}
+
+Fsm kiss2_fsm(const std::string& name) {
+  const auto bench =
+      std::find_if(test::kKiss2Corpus.begin(), test::kKiss2Corpus.end(),
+                   [&](const test::Kiss2Bench& b) { return b.name == name; });
+  return fsm::parse_kiss2(std::string(bench->text), std::string(bench->name));
 }
 
 class SynfiEdgeMajor : public ::testing::TestWithParam<EdgeMajorCase> {};
@@ -316,9 +355,81 @@ TEST_P(SynfiEdgeMajor, MatchesRebuild) {
 INSTANTIATE_TEST_SUITE_P(ZooAndCorpus, SynfiEdgeMajor, ::testing::ValuesIn(edge_major_cases()),
                          [](const ::testing::TestParamInfo<EdgeMajorCase>& info) {
                            const EdgeMajorCase& c = info.param;
-                           return c.module + (c.prefix.empty() ? "_logic" : "_mds") + "_k" +
-                                  std::to_string(c.faults_k);
+                           const std::string region = c.prefix.empty()  ? "logic"
+                                                      : c.prefix == "mds_" ? "mds"
+                                                                           : c.prefix;
+                           return c.module + "_" + region + "_k" + std::to_string(c.faults_k);
                          });
+
+TEST(SynfiEdgeMajor, DeadSiteCasesHaveTheirShape) {
+  // The dead-site cases above only pin the dead-site path if their regions
+  // split as intended; the split is read from the cone here, independently
+  // of the Analyzer.
+  using Shape = EdgeMajorCase::Shape;
+  for (const EdgeMajorCase& param : dead_site_cases()) {
+    const Fsm f = kiss2_fsm(param.module);
+    rtlil::Design d;
+    const CompiledFsm c = harden(f, d, 2);
+    const std::string label = param.module + " '" + param.prefix + "' k=" +
+                              std::to_string(param.faults_k);
+    const sim::VariantNetlist net(c);
+    std::vector<std::string> dead;
+    std::size_t live = 0;
+    for (const rtlil::SigBit& site :
+         region_sites(net, param.prefix, false, sim::FaultTarget::kAny)) {
+      if (net.cone[static_cast<std::size_t>(net.full->net_of(site))] != 0) {
+        ++live;
+      } else {
+        dead.push_back(site_name(site));
+      }
+    }
+    const auto k = static_cast<std::size_t>(param.faults_k);
+    ASSERT_GE(live + dead.size(), k) << label;
+
+    Analyzer analyzer(f, c);
+    SynfiConfig config;
+    config.backend = Backend::kSat;
+    config.wire_prefix = param.prefix;
+    config.faults_k = param.faults_k;
+    const SynfiReport r = analyzer.run(config);
+    const auto dead_hit = [&] {
+      return std::any_of(dead.begin(), dead.end(), [&](const std::string& name) {
+        return std::count(r.exploitable_sites.begin(), r.exploitable_sites.end(), name) > 0;
+      });
+    };
+    switch (param.shape) {
+      case Shape::kDeadHit:
+        EXPECT_GE(dead.size(), 1u) << label;
+        EXPECT_TRUE(dead_hit()) << label;
+        break;
+      case Shape::kFewDead:
+        EXPECT_GT(dead.size(), 0u) << label;
+        EXPECT_LT(dead.size() + 1, k) << label;
+        break;
+      case Shape::kFewLive:
+        EXPECT_GT(live, 0u) << label;
+        EXPECT_LT(live, k) << label;
+        break;
+      case Shape::kNoDead: {
+        EXPECT_TRUE(dead.empty()) << label;
+        SynfiConfig single = config;
+        single.faults_k = 1;
+        EXPECT_GT(analyzer.run(single).exploitable, 0) << label;
+        break;
+      }
+      case Shape::kNoLive:
+        // Nothing is asked: every injection is detected without a solve.
+        EXPECT_EQ(live, 0u) << label;
+        EXPECT_EQ(r.exploitable, 0) << label;
+        EXPECT_EQ(r.detected, r.injections) << label;
+        EXPECT_GT(r.injections, 0) << label;
+        EXPECT_EQ(analyzer.last_sat_solves(), 0u) << label;
+        break;
+      case Shape::kAny:
+        break;
+    }
+  }
+}
 
 TEST(SynfiEdgeMajor, SolveCountIsEdgesPlusTwoPerHit) {
   // k = 1: every edge ends with one UNSAT call, and every exploitable
