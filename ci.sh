@@ -14,6 +14,20 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Lazy-message gate: check()/require() build a string_view message only when
+# they fail, but a message composed at the call site ("..." + name) is built
+# on every call. The rtlil builders, NetlistIndex and FSM extraction run
+# their checks per cell and per bit, so a composed message there must sit
+# inside the failing branch instead (see base/error.h). The pattern matches
+# a whole, possibly multi-line, call with its balanced parentheses.
+perl -0777 -ne '
+  while (/\b(?:check|require)\s*(\((?:[^()"]++|"(?:[^"\\]|\\.)*"|(?1))*\))/g) {
+    my $call = $&;
+    if ($1 =~ /"\s*\+|\+\s*"/) { $call =~ s/\s+/ /g; print "$ARGV: $call\n"; $bad = 1; }
+  }
+  END { exit($bad ? 1 : 0) }' src/rtlil/*.h src/rtlil/*.cpp src/fsm/extract.cpp \
+  || { echo "lazy-message gate: composed check()/require() message on a per-cell path"; exit 1; }
+
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
@@ -49,8 +63,12 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # the skip and latch tables index), the CNF encoder's truth-table and
 # equivalence suites (the encoder indexes dense per-net variable and
 # override arrays by the flattened netlist's net numbers), the flat
-# netlist's cone and slice (dense per-net flag and producer arrays), and
-# the Fsm suite (its witness search recurses over sub-cubes of a guard).
+# netlist's cone and slice (dense per-net flag and producer arrays), the
+# Fsm suite (its witness search recurses over sub-cubes of a guard), the
+# Validate error-text pins (the rtlil checks build their messages only on
+# failure), and FsmExtract, whose FsmExtractOracle cases replay every
+# lane-parallel recovery through the scalar reference (lane words, per-net
+# trace stamps and index-addressed cube compaction).
 # Then a standalone ThreadSanitizer build of the header-only
 # base/parallel.h tests (src/base only: libscfi itself crashes under TSan
 # before main, in the target_clones ifunc resolvers of the simulator).
@@ -62,7 +80,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests

@@ -129,7 +129,9 @@ int usage() {
                "           --corpus-verilog DIR (sweep FSMs extracted from .v netlists)\n"
                "           --modules GLOBS --levels 2,3 --regions mds_,all\n"
                "           --kinds flip,stuck0,stuck1 --backend sim|sat\n"
-               "           --faults-k K --target any,state,... (synfi target classes)\n"
+               "           --faults-k K --target any,state,... (synfi target classes;\n"
+               "            a state job runs once per kind, under region all, and an\n"
+               "            inputs job fails when its region selects no input port)\n"
                "           --campaign-runs N --campaign-cycles N --campaign-faults N\n"
                "           --campaign-seed N --campaign-variants scfi,unprotected\n"
                "           --campaign-target any,inputs,state,logic\n"
@@ -453,20 +455,17 @@ int main(int argc, char** argv) {
       }
       // Job matrix: modules x levels x (regions x kinds x targets), all on
       // one backend and one attacker strength (--faults-k).
-      std::vector<scfi::synfi::SynfiConfig> configs;
-      for (const std::string& region : scfi::split(regions, ",")) {
-        for (const std::string& kind : scfi::split(kinds, ",")) {
-          for (const std::string& t : scfi::split(target, ",")) {
-            scfi::synfi::SynfiConfig config;
-            config.wire_prefix = region == "all" ? "" : region;
-            config.kind = scfi::sweep::fault_kind_of(kind);
-            config.target = scfi::sweep::fault_target_of(t);
-            config.faults_k = faults_k;
-            config.backend = scfi::sweep::backend_of(backend_name);
-            configs.push_back(config);
-          }
-        }
+      std::vector<scfi::sim::FaultKind> kind_list;
+      for (const std::string& kind : scfi::split(kinds, ",")) {
+        kind_list.push_back(scfi::sweep::fault_kind_of(kind));
       }
+      std::vector<scfi::sim::FaultTarget> target_list;
+      for (const std::string& t : scfi::split(target, ",")) {
+        target_list.push_back(scfi::sweep::fault_target_of(t));
+      }
+      const std::vector<scfi::synfi::SynfiConfig> configs =
+          scfi::sweep::synfi_matrix(scfi::split(regions, ","), kind_list, target_list, faults_k,
+                                    scfi::sweep::backend_of(backend_name));
       std::vector<scfi::sweep::SweepJob> sweep_jobs =
           scfi::sweep::expand_jobs(*source, modules, parse_levels(levels), configs);
       if (campaign_runs > 0) {

@@ -9,7 +9,15 @@
 // literal message stays a pointer, so a passing guard costs one branch and
 // no allocation. A message composed at the call site (format(),
 // concatenation) is still built before the call even when the check passes,
-// so keep those off per-cycle and per-draw paths.
+// so keep those off per-cycle and per-draw paths. The rtlil per-cell and
+// per-bit paths are such paths too: Cell::port, Module::add_wire/add_cell,
+// Design::add_module and NetlistIndex's per-bit driver checks run for every
+// cell or bit of every netlist built, flattened or extracted, so they test
+// the condition first and compose their message only inside the failing
+// branch: `if (!ok) [[unlikely]] throw ScfiError(...)`, or
+// detail::throw_check_failed(...) for a check()'s LogicBug text. ci.sh
+// rejects a composed check()/require() message in src/rtlil/ and
+// src/fsm/extract.cpp.
 #pragma once
 
 #include <stdexcept>

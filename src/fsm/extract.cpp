@@ -1,95 +1,153 @@
 #include "fsm/extract.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "base/error.h"
-#include "rtlil/validate.h"
+#include "rtlil/flatten.h"
 #include "sim/netlist_sim.h"
 
 namespace scfi::fsm {
 namespace {
 
-using rtlil::Cell;
-using rtlil::NetlistIndex;
+using rtlil::FlatNetlist;
 using rtlil::SigBit;
 using rtlil::Wire;
 
-/// Combinational fan-in cone of a set of bits: the flip-flop output wires
-/// and primary-input bits it transitively depends on.
-struct Cone {
-  std::set<const Wire*> ff_wires;
-  std::unordered_set<SigBit> input_bits;
-};
-
-void trace_cone(const NetlistIndex& index, const rtlil::SigSpec& start, Cone& cone) {
-  std::vector<SigBit> stack;
-  std::unordered_set<SigBit> visited;
-  for (const SigBit& b : start.bits()) stack.push_back(b);
-  while (!stack.empty()) {
-    const SigBit bit = stack.back();
-    stack.pop_back();
-    if (bit.is_const() || !visited.insert(bit).second) continue;
-    Cell* driver = index.driver(bit);
-    if (driver == nullptr) {
-      // validate_module guarantees inputs are never driven; an undriven
-      // non-input bit is a floating net and contributes nothing.
-      if (bit.wire->is_input()) cone.input_bits.insert(bit);
-      continue;
+/// One module's flat netlist (rtlil::flatten, the netlist the simulator
+/// runs) with the per-net structure extraction reads: the op driving each
+/// net, whether a flip-flop latches it, and the wire that owns it.
+class ModuleScan {
+ public:
+  explicit ModuleScan(const rtlil::Module& module)
+      : flat(std::make_shared<const FlatNetlist>(rtlil::flatten(module))) {
+    const auto nets = static_cast<std::size_t>(flat->num_nets);
+    producer_.assign(nets, -1);
+    q_ff_.assign(nets, -1);
+    owner_.assign(nets, -1);
+    seen_.assign(nets, 0);
+    for (std::size_t i = 0; i < flat->ops.size(); ++i) {
+      producer_[static_cast<std::size_t>(flat->ops[i].out)] = static_cast<std::int32_t>(i);
     }
-    if (rtlil::is_ff(driver->type())) {
-      cone.ff_wires.insert(bit.wire);
-      continue;
+    for (std::size_t i = 0; i < flat->ffs.size(); ++i) {
+      q_ff_[static_cast<std::size_t>(flat->ffs[i].q)] = static_cast<std::int32_t>(i);
     }
-    for (const std::string& port : rtlil::input_ports(driver->type())) {
-      for (const SigBit& b : driver->port(port).bits()) stack.push_back(b);
+    const std::vector<Wire*>& wires = module.wires();
+    base_.reserve(wires.size());
+    for (std::size_t w = 0; w < wires.size(); ++w) {
+      const std::int32_t base = flat->wire_base.at(wires[w]);
+      base_.push_back(base);
+      for (int off = 0; off < wires[w]->width(); ++off) {
+        owner_[static_cast<std::size_t>(base + off)] = static_cast<std::int32_t>(w);
+      }
     }
   }
-}
 
-/// Candidate state registers with the flip-flop cells that drive them.
-struct Candidate {
-  const Wire* wire = nullptr;
-  std::vector<Cell*> ffs;
+  const rtlil::Module& module() const { return *flat->module; }
+  /// First net of wire `w` (an index into module().wires()).
+  std::int32_t base(std::size_t w) const { return base_[w]; }
+  /// The flip-flop latching `net`, or null.
+  const rtlil::FlatFf* ff_of(std::int32_t net) const {
+    const std::int32_t i = q_ff_[static_cast<std::size_t>(net)];
+    return i < 0 ? nullptr : &flat->ffs[static_cast<std::size_t>(i)];
+  }
+  /// Index of the wire owning `net`; -1 for constants and tree temporaries.
+  std::int32_t owner(std::int32_t net) const { return owner_[static_cast<std::size_t>(net)]; }
+  bool is_input(std::int32_t net) const {
+    const std::int32_t w = owner(net);
+    return w >= 0 && module().wires()[static_cast<std::size_t>(w)]->is_input();
+  }
+
+  /// Traces the combinational fan-in cone of `roots`, stopping at
+  /// flip-flop outputs. Returns whether the flip-flops it reaches are all
+  /// bits of wire `self` and there is at least one; the input-port nets it
+  /// reaches are appended to `inputs` (the trace stops early, and leaves
+  /// `inputs` partial, when it meets another register).
+  bool trace(std::span<const std::int32_t> roots, std::int32_t self,
+             std::vector<std::int32_t>& inputs) {
+    ++stamp_;
+    stack_.assign(roots.begin(), roots.end());
+    bool reaches_self = false;
+    while (!stack_.empty()) {
+      const std::int32_t net = stack_.back();
+      stack_.pop_back();
+      // Nets 0/1 are the constants (and every unused operand slot).
+      if (net < 2 || seen_[static_cast<std::size_t>(net)] == stamp_) continue;
+      seen_[static_cast<std::size_t>(net)] = stamp_;
+      if (const std::int32_t op = producer_[static_cast<std::size_t>(net)]; op >= 0) {
+        const rtlil::FlatOp& o = flat->ops[static_cast<std::size_t>(op)];
+        stack_.insert(stack_.end(), {o.a, o.b, o.c});
+      } else if (q_ff_[static_cast<std::size_t>(net)] >= 0) {
+        if (owner(net) != self) return false;
+        reaches_self = true;
+      } else if (is_input(net)) {
+        // Validation guarantees inputs are never driven; an undriven
+        // non-input net is floating and contributes nothing.
+        inputs.push_back(net);
+      }
+    }
+    return reaches_self;
+  }
+
+  std::shared_ptr<const FlatNetlist> flat;
+
+ private:
+  std::vector<std::int32_t> base_;
+  std::vector<std::int32_t> producer_;
+  std::vector<std::int32_t> q_ff_;
+  std::vector<std::int32_t> owner_;
+  std::vector<std::uint32_t> seen_;  ///< == stamp_: visited by the current trace
+  std::uint32_t stamp_ = 0;
+  std::vector<std::int32_t> stack_;
 };
 
-std::vector<Candidate> find_candidates(const rtlil::Module& module, const NetlistIndex& index) {
+/// A candidate state register: its wire (and index in module wire order)
+/// and the next-state (D) net of each bit.
+struct Candidate {
+  const Wire* wire = nullptr;
+  std::int32_t index = 0;
+  std::vector<std::int32_t> next;
+};
+
+std::vector<Candidate> find_candidates(ModuleScan& scan) {
+  const rtlil::Module& module = scan.module();
+  const std::vector<Wire*>& wires = module.wires();
+  // A register must be drivable independently: none of its flip-flop cells
+  // may latch bits of another wire too (concat Q targets span registers).
+  std::vector<char> shared(wires.size(), 0);
+  for (const rtlil::Cell* cell : module.cells()) {
+    if (!rtlil::is_ff(cell->type())) continue;
+    const std::vector<SigBit>& q = cell->port("Q").bits();
+    const bool one_wire = std::all_of(q.begin(), q.end(), [&](const SigBit& b) {
+      return b.wire == q.front().wire;
+    });
+    if (one_wire) continue;
+    for (const SigBit& b : q) {
+      if (const std::int32_t w = scan.owner(scan.flat->net_of(b)); w >= 0) {
+        shared[static_cast<std::size_t>(w)] = 1;
+      }
+    }
+  }
   std::vector<Candidate> out;
-  for (const Wire* w : module.wires()) {
-    if (w->width() < 1 || w->width() > 64) continue;
+  std::vector<std::int32_t> inputs;
+  for (std::size_t w = 0; w < wires.size(); ++w) {
+    const int width = wires[w]->width();
+    if (width > 64 || shared[w] != 0) continue;
     // Every bit must come out of a flip-flop.
-    std::set<Cell*> ff_cells;
-    bool all_ff = true;
-    for (int off = 0; off < w->width() && all_ff; ++off) {
-      Cell* driver = index.driver(SigBit(w, off));
-      if (driver == nullptr || !rtlil::is_ff(driver->type())) {
-        all_ff = false;
-        break;
-      }
-      ff_cells.insert(driver);
+    Candidate c{wires[w], static_cast<std::int32_t>(w), {}};
+    for (int off = 0; off < width; ++off) {
+      const rtlil::FlatFf* ff = scan.ff_of(scan.base(w) + off);
+      if (ff == nullptr) break;
+      c.next.push_back(ff->d);
     }
-    if (!all_ff) continue;
-    // The register must be drivable independently: none of its flip-flops
-    // may latch bits of another wire (concat Q targets span registers).
-    bool self_owned = true;
-    for (const Cell* cell : ff_cells) {
-      for (const SigBit& q : cell->port("Q").bits()) {
-        if (q.is_const() || q.wire != w) self_owned = false;
-      }
-    }
-    if (!self_owned) continue;
+    if (static_cast<int>(c.next.size()) != width) continue;
     // Self-feeding and self-contained: the next-state cone's flip-flop
     // support is exactly this wire.
-    Cone cone;
-    for (const Cell* cell : ff_cells) trace_cone(index, cell->port("D"), cone);
-    if (cone.ff_wires.size() != 1 || *cone.ff_wires.begin() != w) continue;
-    Candidate c;
-    c.wire = w;
-    c.ffs.assign(ff_cells.begin(), ff_cells.end());
+    inputs.clear();
+    if (!scan.trace(c.next, c.index, inputs)) continue;
     out.push_back(std::move(c));
   }
   return out;
@@ -112,11 +170,14 @@ StateEncoding classify(const std::vector<std::uint64_t>& codes) {
   return StateEncoding::kOther;
 }
 
-/// One recovered (input-cube) -> (next state, outputs) row.
+/// One recovered (input cube) -> (next state, outputs) row. Input bit i is
+/// bit i of the words: determined where `care` is set, with its value in
+/// `value` (0 wherever care is clear).
 struct Cube {
-  std::string guard;
+  std::uint64_t care = 0;
+  std::uint64_t value = 0;
   std::uint64_t next = 0;
-  std::string output;
+  std::uint32_t output = 0;  ///< index of the output pattern
 };
 
 /// Merges cubes that differ in exactly one determined position and agree on
@@ -130,41 +191,35 @@ struct Cube {
 /// i (merged into a, which then changes in turn), else the first pair in
 /// the changed cube's row; the rows scanned before it pair with nothing
 /// else, so once that row is done the scan goes on where it had stopped.
-/// Guards stay pairwise distinct (they start as distinct minterms), so a
-/// cube's partners are found by looking up its guard with one determined
-/// position flipped.
+///
+/// `cubes` must start as the minterms in combination order (cube c is
+/// combination c). A merge keeps the lower index, which is the smaller
+/// minterm, so a live cube's index stays its smallest combination: its
+/// `value`. The partner of a live cube across determined position b is
+/// therefore the cube at index value ^ b, when that one is live with the
+/// same care mask.
 void compact_cubes(std::vector<Cube>& cubes) {
   const std::size_t n = cubes.size();
-  std::unordered_map<std::string, std::size_t> by_guard;  // live cubes only
-  for (std::size_t c = 0; c < n; ++c) by_guard.emplace(cubes[c].guard, c);
   std::vector<bool> live(n, true);
   // The smallest index in [lo, hi) of a cube mergeable with cube c, or n.
   const auto partner = [&](std::size_t c, std::size_t lo, std::size_t hi) {
     std::size_t best = n;
-    std::string guard = cubes[c].guard;
-    for (char& bit : guard) {
-      if (bit == '-') continue;
-      const char was = bit;
-      bit = was == '0' ? '1' : '0';
-      const auto it = by_guard.find(guard);
-      bit = was;
-      if (it == by_guard.end() || it->second < lo || it->second >= std::min(hi, best)) continue;
-      const Cube& other = cubes[it->second];
-      if (other.next == cubes[c].next && other.output == cubes[c].output) best = it->second;
+    const Cube& cube = cubes[c];
+    for (std::uint64_t rest = cube.care; rest != 0; rest &= rest - 1) {
+      const auto k = static_cast<std::size_t>(cube.value ^ (rest & -rest));
+      if (k < lo || k >= std::min(hi, best) || !live[k]) continue;
+      const Cube& other = cubes[k];
+      if (other.care == cube.care && other.next == cube.next && other.output == cube.output) {
+        best = k;
+      }
     }
     return best;
   };
-  // Merges cube `from` into cube `into`: their one differing position
-  // becomes '-'.
+  // Merges cube `from` into the lower cube `into`: their one differing
+  // position becomes a don't-care (it is 0 in `into`'s value already).
   const auto merge = [&](std::size_t into, std::size_t from) {
-    std::string& guard = cubes[into].guard;
-    by_guard.erase(guard);
-    by_guard.erase(cubes[from].guard);
     live[from] = false;
-    for (std::size_t k = 0; k < guard.size(); ++k) {
-      if (guard[k] != cubes[from].guard[k]) guard[k] = '-';
-    }
-    by_guard.emplace(guard, into);
+    cubes[into].care &= ~(cubes[into].value ^ cubes[from].value);
   };
   std::size_t scanned = 0;  // rows below pair with nothing but cube i
   for (std::size_t i = 0; i < n;) {
@@ -179,93 +234,146 @@ void compact_cubes(std::vector<Cube>& cubes) {
   }
   std::size_t kept = 0;
   for (std::size_t c = 0; c < n; ++c) {
-    if (!live[c]) continue;
-    if (kept != c) cubes[kept] = std::move(cubes[c]);
-    ++kept;
+    if (live[c]) cubes[kept++] = cubes[c];
   }
   cubes.resize(kept);
 }
 
-/// Every bit of the module's input (`inputs`) or output ports that `keep`
-/// accepts, in module wire order, then bit offset.
+/// The KISS2 guard of `cube` over `n` inputs: '0'/'1' where determined,
+/// '-' elsewhere.
+std::string guard_string(const Cube& cube, int n) {
+  std::string guard(static_cast<std::size_t>(n), '-');
+  for (int i = 0; i < n; ++i) {
+    if ((cube.care >> i) & 1) {
+      guard[static_cast<std::size_t>(i)] = ((cube.value >> i) & 1) ? '1' : '0';
+    }
+  }
+  return guard;
+}
+
+/// Every bit of the module's input (`inputs`) or output ports whose net
+/// `keep` accepts, in module wire order, then bit offset.
 template <typename Keep>
-std::vector<SigBit> port_bits(const rtlil::Module& module, bool inputs, Keep keep) {
+std::vector<SigBit> port_bits(const ModuleScan& scan, bool inputs, Keep keep) {
   std::vector<SigBit> out;
-  for (const Wire* w : module.wires()) {
-    if (inputs ? !w->is_input() : !w->is_output()) continue;
-    for (int off = 0; off < w->width(); ++off) {
-      if (keep(SigBit(w, off))) out.emplace_back(w, off);
+  const std::vector<Wire*>& wires = scan.module().wires();
+  for (std::size_t w = 0; w < wires.size(); ++w) {
+    if (inputs ? !wires[w]->is_input() : !wires[w]->is_output()) continue;
+    for (int off = 0; off < wires[w]->width(); ++off) {
+      if (keep(scan.base(w) + off)) out.emplace_back(wires[w], off);
     }
   }
   return out;
 }
 
+/// Lane patterns of the low six input bits: lane l of a 64-lane word
+/// carries input combination base + l, so input bit i < 6 is bit i of l.
+constexpr std::uint64_t kLanePattern[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+
 /// Recovers the machine of `cand` by exhaustive simulation: BFS from the
-/// reset code over every combination of `in_bits` (the other inputs stay 0),
-/// observing `out_bits`, then per-state cube compaction.
-ExtractedFsm recover(const rtlil::Module& module, const Candidate& cand,
+/// reset code over every combination of `in_bits` (the other inputs stay 0
+/// and every other register holds its reset value), observing `out_bits`,
+/// then per-state cube compaction. One eval() settles 64 consecutive
+/// combinations, one per lane; results are consumed in combination order.
+ExtractedFsm recover(const ModuleScan& scan, sim::Simulator& sim, const Candidate& cand,
                      const std::vector<SigBit>& in_bits, const std::vector<SigBit>& out_bits,
                      const ExtractOptions& options) {
-  const std::string where = "fsm extract: " + module.name() + "." + cand.wire->name() + ": ";
-  sim::Simulator sim(module);
-  struct InputBit {
-    sim::Simulator::WireHandle handle;
-    int offset = 0;
+  const rtlil::Module& module = scan.module();
+  const auto fail = [&](const std::string& what) {
+    throw ScfiError("fsm extract: " + module.name() + "." + cand.wire->name() + ": " + what);
   };
-  std::vector<InputBit> input_bits;
+  const int n = static_cast<int>(in_bits.size());
+  const int bound = std::min(options.max_inputs, 63);
+  if (n > bound) {
+    fail(std::to_string(n) + " input bits exceed the exhaustive bound of " +
+         std::to_string(bound));
+  }
+  std::vector<std::int32_t> in_nets;
   std::vector<std::string> input_names;
   for (const SigBit& bit : in_bits) {
-    input_bits.push_back(InputBit{sim.input_handle(bit.wire->name()), bit.offset});
+    in_nets.push_back(scan.flat->net_of(bit));
     input_names.push_back(bit_name(bit));
   }
+  std::vector<std::int32_t> out_nets;
   std::vector<std::string> output_names;
-  for (const SigBit& bit : out_bits) output_names.push_back(bit_name(bit));
-  const int n = static_cast<int>(input_bits.size());
-  require(n <= options.max_inputs,
-          where + std::to_string(n) + " input bits exceed the exhaustive bound of " +
-              std::to_string(options.max_inputs));
+  for (const SigBit& bit : out_bits) {
+    out_nets.push_back(scan.flat->net_of(bit));
+    output_names.push_back(bit_name(bit));
+  }
+  const auto one_bit = [](std::int32_t net) { return sim::Simulator::WireHandle{net, 1}; };
+  const std::int32_t state_base = scan.flat->wire_base.at(cand.wire);
+  const sim::Simulator::WireHandle state_h{state_base, cand.wire->width()};
+  std::vector<const rtlil::FlatFf*> held;  // every other register bit
+  for (const rtlil::FlatFf& ff : scan.flat->ffs) {
+    if (scan.owner(ff.q) != cand.index) held.push_back(&ff);
+  }
 
-  const sim::Simulator::WireHandle state_h = sim.probe(cand.wire->name());
   sim.reset();  // zeroes every input; irrelevant ones stay 0 throughout
   const std::uint64_t reset_code = sim.get(state_h);
+  for (int i = 0; i < std::min(n, 6); ++i) {
+    sim.set_input_word(one_bit(in_nets[static_cast<std::size_t>(i)]), 0, kLanePattern[i]);
+  }
+  const std::uint64_t combos = 1ULL << n;
+  const int lanes = static_cast<int>(std::min<std::uint64_t>(combos, 64));
+  const std::uint64_t all_inputs = combos - 1;
 
-  // BFS over reachable codes.
+  // Distinct output patterns; cubes name theirs by index.
+  std::vector<std::string> patterns;
+  std::unordered_map<std::string, std::uint32_t> pattern_index;
+  std::vector<std::uint64_t> out_words(out_nets.size());
+  std::vector<std::uint64_t> next_words(static_cast<std::size_t>(state_h.width));
+
+  // BFS over reachable codes: `order` is the queue and the state numbering.
   std::vector<std::uint64_t> order{reset_code};
-  std::map<std::uint64_t, int> index_of{{reset_code, 0}};
-  std::map<std::uint64_t, std::vector<Cube>> rows;
-  std::deque<std::uint64_t> queue{reset_code};
-  while (!queue.empty()) {
-    const std::uint64_t code = queue.front();
-    queue.pop_front();
-    std::vector<Cube>& cubes = rows[code];
-    for (std::uint64_t combo = 0; combo < (1ULL << n); ++combo) {
-      for (int i = 0; i < n; ++i) {
-        const InputBit& in = input_bits[static_cast<std::size_t>(i)];
-        sim.set_input_word(in.handle, in.offset, ((combo >> i) & 1) ? ~0ULL : 0ULL);
+  std::unordered_map<std::uint64_t, int> index_of{{reset_code, 0}};
+  std::vector<std::vector<Cube>> rows;
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    const std::uint64_t code = order[s];
+    std::vector<Cube> cubes;
+    cubes.reserve(static_cast<std::size_t>(combos));
+    for (std::uint64_t base = 0; base < combos; base += 64) {
+      for (int i = 6; i < n; ++i) {
+        sim.set_input_word(one_bit(in_nets[static_cast<std::size_t>(i)]), 0,
+                           ((base >> i) & 1) ? ~0ULL : 0ULL);
       }
       sim.set_register(state_h, code);
+      for (const rtlil::FlatFf* ff : held) {
+        sim.set_register_word(one_bit(ff->q), 0, ff->reset ? ~0ULL : 0ULL);
+      }
       sim.eval();
-      std::string out_pattern(out_bits.size(), '0');
-      for (std::size_t i = 0; i < out_bits.size(); ++i) {
-        if (sim.get_bit(out_bits[i])) out_pattern[i] = '1';
-      }
+      for (std::size_t j = 0; j < out_nets.size(); ++j) out_words[j] = sim.lane_word(out_nets[j]);
       sim.latch();
-      const std::uint64_t next = sim.get(state_h);
-      if (index_of.count(next) == 0) {
-        require(static_cast<int>(order.size()) < options.max_states,
-                where + "more than " + std::to_string(options.max_states) +
-                    " reachable states (runaway register, not an FSM?)");
-        index_of[next] = static_cast<int>(order.size());
-        order.push_back(next);
-        queue.push_back(next);
+      for (int b = 0; b < state_h.width; ++b) {
+        next_words[static_cast<std::size_t>(b)] = sim.lane_word(state_base + b);
       }
-      std::string guard(static_cast<std::size_t>(n), '0');
-      for (int i = 0; i < n; ++i) {
-        if ((combo >> i) & 1) guard[static_cast<std::size_t>(i)] = '1';
+      for (int lane = 0; lane < lanes; ++lane) {
+        std::uint64_t next = 0;
+        for (int b = 0; b < state_h.width; ++b) {
+          next |= ((next_words[static_cast<std::size_t>(b)] >> lane) & 1) << b;
+        }
+        std::string pattern(out_nets.size(), '0');
+        for (std::size_t j = 0; j < out_nets.size(); ++j) {
+          if ((out_words[j] >> lane) & 1) pattern[j] = '1';
+        }
+        const auto [it, fresh] =
+            pattern_index.try_emplace(pattern, static_cast<std::uint32_t>(patterns.size()));
+        if (fresh) patterns.push_back(std::move(pattern));
+        if (index_of.count(next) == 0) {
+          if (static_cast<int>(order.size()) >= options.max_states) {
+            fail("more than " + std::to_string(options.max_states) +
+                 " reachable states (runaway register, not an FSM?)");
+          }
+          index_of.emplace(next, static_cast<int>(order.size()));
+          order.push_back(next);
+        }
+        cubes.push_back(
+            Cube{all_inputs, base + static_cast<std::uint64_t>(lane), next, it->second});
       }
-      cubes.push_back(Cube{std::move(guard), next, std::move(out_pattern)});
     }
     compact_cubes(cubes);
+    rows.push_back(std::move(cubes));
   }
 
   ExtractedFsm out;
@@ -277,18 +385,19 @@ ExtractedFsm recover(const rtlil::Module& module, const Candidate& cand,
   out.fsm.outputs = output_names;
   for (const std::uint64_t code : order) out.fsm.add_state("s" + std::to_string(code));
   out.fsm.reset_state = 0;
-  for (const std::uint64_t code : order) {
-    std::vector<Cube>& cubes = rows[code];
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    const std::uint64_t code = order[s];
+    std::vector<Cube>& cubes = rows[s];
     // Self-loops last; the quiet catch-all stay becomes the implicit idle.
     std::stable_sort(cubes.begin(), cubes.end(), [code](const Cube& a, const Cube& b) {
       return (a.next != code) > (b.next != code);
     });
     for (const Cube& cube : cubes) {
-      const bool all_dash = cube.guard.find_first_not_of('-') == std::string::npos;
-      const bool quiet_output = cube.output.find('1') == std::string::npos;
-      if (cube.next == code && all_dash && quiet_output) continue;
-      out.fsm.add_transition("s" + std::to_string(code), cube.guard,
-                             "s" + std::to_string(cube.next), cube.output);
+      const std::string& output = patterns[cube.output];
+      const bool quiet_output = output.find('1') == std::string::npos;
+      if (cube.next == code && cube.care == 0 && quiet_output) continue;
+      out.fsm.add_transition("s" + std::to_string(code), guard_string(cube, n),
+                             "s" + std::to_string(cube.next), output);
     }
   }
   out.fsm.check();
@@ -298,24 +407,24 @@ ExtractedFsm recover(const rtlil::Module& module, const Candidate& cand,
 /// Discovery's bits for `cand`: the outputs whose cone holds this register
 /// and no other state, and the inputs that reach its next-state cone or one
 /// of those outputs.
-ExtractedFsm discover(const rtlil::Module& module, const NetlistIndex& index,
-                      const Candidate& cand, const ExtractOptions& options) {
-  Cone state_cone;
-  for (const Cell* cell : cand.ffs) trace_cone(index, cell->port("D"), state_cone);
-  std::unordered_set<SigBit> relevant = state_cone.input_bits;
+ExtractedFsm discover(ModuleScan& scan, sim::Simulator& sim, const Candidate& cand,
+                      const ExtractOptions& options) {
+  std::vector<char> relevant(static_cast<std::size_t>(scan.flat->num_nets), 0);
+  std::vector<std::int32_t> reached;
+  scan.trace(cand.next, cand.index, reached);
   std::vector<SigBit> outputs;
   if (options.capture_outputs) {
-    outputs = port_bits(module, false, [&](const SigBit& bit) {
-      Cone cone;
-      trace_cone(index, rtlil::SigSpec(bit), cone);
-      if (cone.ff_wires.size() != 1 || *cone.ff_wires.begin() != cand.wire) return false;
-      relevant.insert(cone.input_bits.begin(), cone.input_bits.end());
-      return true;
+    outputs = port_bits(scan, false, [&](std::int32_t net) {
+      const std::size_t before = reached.size();
+      if (scan.trace(std::span<const std::int32_t>(&net, 1), cand.index, reached)) return true;
+      reached.resize(before);
+      return false;
     });
   }
-  const std::vector<SigBit> inputs =
-      port_bits(module, true, [&](const SigBit& bit) { return relevant.count(bit) != 0; });
-  return recover(module, cand, inputs, outputs, options);
+  for (const std::int32_t net : reached) relevant[static_cast<std::size_t>(net)] = 1;
+  const std::vector<SigBit> inputs = port_bits(
+      scan, true, [&](std::int32_t net) { return relevant[static_cast<std::size_t>(net)] != 0; });
+  return recover(scan, sim, cand, inputs, outputs, options);
 }
 
 }  // namespace
@@ -333,34 +442,34 @@ const char* encoding_name(StateEncoding encoding) {
 }
 
 std::vector<std::string> find_state_registers(const rtlil::Module& module) {
-  const NetlistIndex index(module);
+  ModuleScan scan(module);
   std::vector<std::string> out;
-  for (const Candidate& c : find_candidates(module, index)) {
-    out.push_back(c.wire->name());
-  }
+  for (const Candidate& c : find_candidates(scan)) out.push_back(c.wire->name());
   return out;
 }
 
 std::vector<ExtractedFsm> extract_fsms(const rtlil::Module& module,
                                        const ExtractOptions& options) {
-  const NetlistIndex index(module);
+  ModuleScan scan(module);
+  const std::vector<Candidate> candidates = find_candidates(scan);
   std::vector<ExtractedFsm> out;
-  for (const Candidate& c : find_candidates(module, index)) {
-    out.push_back(discover(module, index, c, options));
-  }
+  if (candidates.empty()) return out;
+  sim::Simulator sim(scan.flat);
+  for (const Candidate& c : candidates) out.push_back(discover(scan, sim, c, options));
   return out;
 }
 
 ExtractedFsm extract_fsm(const rtlil::Module& module, const std::string& state_wire,
                          const ExtractOptions& options) {
   const std::string where = "fsm extract: " + module.name() + "." + state_wire + ": ";
-  require(module.wire(state_wire) != nullptr, where + "no such wire");
-  const NetlistIndex index(module);
-  for (const Candidate& c : find_candidates(module, index)) {
+  if (module.wire(state_wire) == nullptr) throw ScfiError(where + "no such wire");
+  ModuleScan scan(module);
+  for (const Candidate& c : find_candidates(scan)) {
     if (c.wire->name() != state_wire) continue;
-    const auto every = [](const SigBit&) { return true; };
-    return recover(module, c, port_bits(module, true, every),
-                   options.capture_outputs ? port_bits(module, false, every)
+    const auto every = [](std::int32_t) { return true; };
+    sim::Simulator sim(scan.flat);
+    return recover(scan, sim, c, port_bits(scan, true, every),
+                   options.capture_outputs ? port_bits(scan, false, every)
                                            : std::vector<SigBit>{},
                    options);
   }

@@ -12,6 +12,20 @@
 // followed by adjacent-implicant cube compaction; the encoding of the
 // discovered codes is classified as binary / one-hot / other.
 //
+// Both run on the module's one rtlil::flatten result: the cone traces read
+// its ops by net id and its flip-flop table, and the simulator runs it.
+//
+// The recovery contract: every eval() settles 64 consecutive input
+// combinations, one per lane of a 64-lane word (input bit i < 6 carries the
+// fixed lane pattern of bit i of the lane number, bit i >= 6 is constant
+// across the word), with the state register set to the code being expanded,
+// the inputs outside the chosen bits at 0 and every other register at its
+// reset value. The lanes are read back in combination order, so the BFS
+// order, the state numbering, the cubes and the point where the
+// `max_states` bound throws are those of one combination per eval().
+// Cubes are (care, value) bit words inside; guards become '0'/'1'/'-'
+// strings only in the returned Fsm.
+//
 // Two entries share that one recovery and differ only in the port bits they
 // hand it. extract_fsms() discovers every candidate and keeps, per machine,
 // the inputs its cones reach and the outputs that depend on it alone;

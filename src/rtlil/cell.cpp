@@ -58,9 +58,11 @@ const char* cell_type_name(CellType type) {
   unreachable("cell_type_name: unknown type");
 }
 
-const SigSpec& Cell::port(const std::string& port) const {
+const SigSpec& Cell::port(std::string_view port) const {
   const auto it = ports_.find(port);
-  check(it != ports_.end(), "cell " + name_ + " has no port " + port);
+  if (it == ports_.end()) [[unlikely]] {
+    detail::throw_check_failed("cell " + name_ + " has no port " + std::string(port));
+  }
   return it->second;
 }
 

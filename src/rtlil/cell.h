@@ -2,8 +2,10 @@
 // gates live in one type system so passes can handle mixed netlists.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "rtlil/sig.h"
 
@@ -57,11 +59,12 @@ class Cell {
   CellType type() const { return type_; }
   void set_type(CellType t) { type_ = t; }
 
-  bool has_port(const std::string& port) const { return ports_.count(port) != 0; }
-  const SigSpec& port(const std::string& port) const;
+  bool has_port(std::string_view port) const { return ports_.find(port) != ports_.end(); }
+  /// Throws LogicBug when the cell has no such port.
+  const SigSpec& port(std::string_view port) const;
   void set_port(const std::string& port, SigSpec sig);
   void unset_port(const std::string& port) { ports_.erase(port); }
-  const std::map<std::string, SigSpec>& ports() const { return ports_; }
+  const std::map<std::string, SigSpec, std::less<>>& ports() const { return ports_; }
 
   /// Reset value for kDff/kGateDff cells (width matches Q).
   const Const& reset_value() const { return reset_; }
@@ -81,7 +84,7 @@ class Cell {
  private:
   std::string name_;
   CellType type_;
-  std::map<std::string, SigSpec> ports_;
+  std::map<std::string, SigSpec, std::less<>> ports_;
   Const reset_;
   int drive_ = 0;
   int share_group_ = 0;

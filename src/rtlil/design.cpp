@@ -7,12 +7,11 @@
 namespace scfi::rtlil {
 
 Module* Design::add_module(const std::string& name) {
-  require(modules_.count(name) == 0, "duplicate module name: " + name);
-  auto mod = std::make_unique<Module>(name);
-  Module* raw = mod.get();
-  modules_.emplace(name, std::move(mod));
-  order_.push_back(raw);
-  return raw;
+  const auto [it, inserted] = modules_.try_emplace(name);
+  if (!inserted) [[unlikely]] throw ScfiError("duplicate module name: " + name);
+  it->second = std::make_unique<Module>(name);
+  order_.push_back(it->second.get());
+  return it->second.get();
 }
 
 Module* Design::module(const std::string& name) const {

@@ -8,13 +8,12 @@
 namespace scfi::rtlil {
 
 Wire* Module::add_wire(const std::string& name, int width) {
-  require(width > 0, "wire " + name + " must have positive width");
-  require(wires_.count(name) == 0, "duplicate wire name: " + name);
-  auto wire = std::make_unique<Wire>(name, width);
-  Wire* raw = wire.get();
-  wires_.emplace(name, std::move(wire));
-  wire_order_.push_back(raw);
-  return raw;
+  if (width <= 0) [[unlikely]] throw ScfiError("wire " + name + " must have positive width");
+  const auto [it, inserted] = wires_.try_emplace(name);
+  if (!inserted) [[unlikely]] throw ScfiError("duplicate wire name: " + name);
+  it->second = std::make_unique<Wire>(name, width);
+  wire_order_.push_back(it->second.get());
+  return it->second.get();
 }
 
 Wire* Module::add_input(const std::string& name, int width) {
@@ -42,12 +41,11 @@ void Module::remove_wires(const std::vector<Wire*>& dead) {
 }
 
 Cell* Module::add_cell(const std::string& name, CellType type) {
-  require(cells_.count(name) == 0, "duplicate cell name: " + name);
-  auto cell = std::make_unique<Cell>(name, type);
-  Cell* raw = cell.get();
-  cells_.emplace(name, std::move(cell));
-  cell_order_.push_back(raw);
-  return raw;
+  const auto [it, inserted] = cells_.try_emplace(name);
+  if (!inserted) [[unlikely]] throw ScfiError("duplicate cell name: " + name);
+  it->second = std::make_unique<Cell>(name, type);
+  cell_order_.push_back(it->second.get());
+  return it->second.get();
 }
 
 void Module::remove_cells(const std::vector<Cell*>& dead) {
@@ -70,7 +68,9 @@ SigSpec Module::fresh(int width, const std::string& hint) {
 
 namespace {
 void same_width(const SigSpec& a, const SigSpec& b, const char* what) {
-  check(a.width() == b.width(), std::string(what) + ": operand width mismatch");
+  if (a.width() != b.width()) [[unlikely]] {
+    detail::throw_check_failed(std::string(what) + ": operand width mismatch");
+  }
 }
 }  // namespace
 

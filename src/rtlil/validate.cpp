@@ -1,6 +1,7 @@
 #include "rtlil/validate.h"
 
 #include <deque>
+#include <string_view>
 
 #include "base/error.h"
 
@@ -10,7 +11,12 @@ const char* output_port(CellType type) {
   return is_ff(type) ? "Q" : "Y";
 }
 
-std::vector<std::string> input_ports(CellType type) {
+std::span<const std::string> input_ports(CellType type) {
+  static const std::string kA[] = {"A"};
+  static const std::string kAB[] = {"A", "B"};
+  static const std::string kABS[] = {"A", "B", "S"};
+  static const std::string kABC[] = {"A", "B", "C"};
+  static const std::string kD[] = {"D"};
   switch (type) {
     case CellType::kNot:
     case CellType::kBuf:
@@ -19,7 +25,7 @@ std::vector<std::string> input_ports(CellType type) {
     case CellType::kReduceXor:
     case CellType::kGateInv:
     case CellType::kGateBuf:
-      return {"A"};
+      return kA;
     case CellType::kAnd:
     case CellType::kOr:
     case CellType::kXor:
@@ -31,16 +37,16 @@ std::vector<std::string> input_ports(CellType type) {
     case CellType::kGateOr2:
     case CellType::kGateXor2:
     case CellType::kGateXnor2:
-      return {"A", "B"};
+      return kAB;
     case CellType::kMux:
     case CellType::kGateMux2:
-      return {"A", "B", "S"};
+      return kABS;
     case CellType::kGateAoi21:
     case CellType::kGateOai21:
-      return {"A", "B", "C"};
+      return kABC;
     case CellType::kDff:
     case CellType::kGateDff:
-      return {"D"};
+      return kD;
   }
   unreachable("input_ports: unknown cell type");
 }
@@ -51,8 +57,8 @@ void check_widths(const Cell& cell) {
   const auto fail = [&cell](const std::string& msg) {
     throw ScfiError("cell " + cell.name() + " (" + cell_type_name(cell.type()) + "): " + msg);
   };
-  const auto need = [&](const char* port) -> const SigSpec& {
-    if (!cell.has_port(port)) fail(std::string("missing port ") + port);
+  const auto need = [&](std::string_view port) -> const SigSpec& {
+    if (!cell.has_port(port)) fail(std::string("missing port ").append(port));
     return cell.port(port);
   };
   const SigSpec& y = need(output_port(cell.type()));
@@ -96,7 +102,7 @@ void check_widths(const Cell& cell) {
     default:
       // One-bit gates.
       for (const std::string& p : input_ports(cell.type())) {
-        if (need(p.c_str()).width() != 1) fail("port " + p + " must be 1 bit");
+        if (need(p).width() != 1) fail("port " + p + " must be 1 bit");
       }
       if (y.width() != 1) fail("Y must be 1 bit");
       break;
@@ -110,12 +116,17 @@ NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
     check_widths(*cell);
     const SigSpec& out = cell->port(output_port(cell->type()));
     for (const SigBit& bit : out.bits()) {
-      require(!bit.is_const(), "cell " + cell->name() + " drives a constant bit");
-      require(!bit.wire->is_input(), "cell " + cell->name() + " drives input wire " +
-                                         bit.wire->name());
+      if (bit.is_const()) [[unlikely]] {
+        throw ScfiError("cell " + cell->name() + " drives a constant bit");
+      }
+      if (bit.wire->is_input()) [[unlikely]] {
+        throw ScfiError("cell " + cell->name() + " drives input wire " + bit.wire->name());
+      }
       const auto [it, inserted] = driver_.emplace(bit, cell);
-      require(inserted, "multiple drivers on wire " + bit.wire->name() + " (cells " +
-                            it->second->name() + ", " + cell->name() + ")");
+      if (!inserted) [[unlikely]] {
+        throw ScfiError("multiple drivers on wire " + bit.wire->name() + " (cells " +
+                        it->second->name() + ", " + cell->name() + ")");
+      }
     }
     for (const std::string& p : input_ports(cell->type())) {
       for (const SigBit& bit : cell->port(p).bits()) {

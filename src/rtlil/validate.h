@@ -6,6 +6,7 @@
 // and the optimization passes.
 #pragma once
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,8 +18,9 @@ namespace scfi::rtlil {
 /// Names of the output ports of a cell type ("Y" or "Q").
 const char* output_port(CellType type);
 
-/// Names of the input ports of a cell type, in canonical order.
-std::vector<std::string> input_ports(CellType type);
+/// Names of the input ports of a cell type, in canonical order (static
+/// storage: the call allocates nothing).
+std::span<const std::string> input_ports(CellType type);
 
 /// Validates port presence/widths and driver uniqueness; throws ScfiError
 /// with a diagnostic on the first violation. Also rejects combinational

@@ -376,6 +376,29 @@ std::vector<SweepJob> expand_jobs(const ModuleSource& source, const std::string&
   return jobs;
 }
 
+std::vector<synfi::SynfiConfig> synfi_matrix(const std::vector<std::string>& regions,
+                                             const std::vector<sim::FaultKind>& kinds,
+                                             const std::vector<sim::FaultTarget>& targets,
+                                             int faults_k, synfi::Backend backend) {
+  std::vector<synfi::SynfiConfig> configs;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    for (const sim::FaultKind kind : kinds) {
+      for (const sim::FaultTarget target : targets) {
+        const bool state = target == sim::FaultTarget::kStateRegister;
+        if (state && r > 0) continue;
+        synfi::SynfiConfig config;
+        config.wire_prefix = state || regions[r] == "all" ? "" : regions[r];
+        config.kind = kind;
+        config.target = target;
+        config.faults_k = faults_k;
+        config.backend = backend;
+        configs.push_back(config);
+      }
+    }
+  }
+  return configs;
+}
+
 std::vector<SweepJob> expand_jobs(const std::string& module_globs,
                                   const std::vector<int>& levels,
                                   const std::vector<synfi::SynfiConfig>& configs,

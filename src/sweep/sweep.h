@@ -125,6 +125,16 @@ std::vector<SweepJob> expand_jobs(const ModuleSource& source, const std::string&
                                   const std::vector<synfi::SynfiConfig>& configs,
                                   const std::string& variant = "scfi");
 
+/// The SYNFI config matrix of a sweep: one config per region x kind x
+/// target, in that nesting, on one back-end and attacker strength. Region
+/// "all" means every wire (an empty prefix). A `state` target faults the
+/// state register's Q bits whatever the prefix, so it expands once per
+/// kind, under region "all", where the first region would place it.
+std::vector<synfi::SynfiConfig> synfi_matrix(const std::vector<std::string>& regions,
+                                             const std::vector<sim::FaultKind>& kinds,
+                                             const std::vector<sim::FaultTarget>& targets,
+                                             int faults_k, synfi::Backend backend);
+
 /// Zoo convenience overload (modules in Table 1 order).
 std::vector<SweepJob> expand_jobs(const std::string& module_globs,
                                   const std::vector<int>& levels,

@@ -6,6 +6,7 @@
 // extracted-then-recompiled machines).
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <queue>
 #include <set>
@@ -22,6 +23,8 @@
 #include "frontends/verilog_parse.h"
 #include "fsm/compile.h"
 #include "fsm/extract.h"
+#include "fsm/kiss2.h"
+#include "fsm_extract_oracle.h"
 #include "ot/zoo.h"
 #include "rtlil/design.h"
 #include "sim/netlist_sim.h"
@@ -410,6 +413,233 @@ TEST(FsmExtract, ZooFsmsSurviveWriterAndExtraction) {
     SCOPED_TRACE(entry.name);
     expect_extraction_equivalent(entry.fsm);
   }
+}
+
+// --- the scalar reference (recover at lane width) ---------------------------
+
+/// `got` and the reference `want` are the same machine byte for byte.
+void expect_same_machine(const ExtractedFsm& got, const ExtractedFsm& want) {
+  EXPECT_EQ(got.state_wire, want.state_wire);
+  EXPECT_EQ(got.state_codes, want.state_codes);
+  EXPECT_EQ(got.encoding, want.encoding);
+  EXPECT_EQ(write_kiss2(got.fsm), write_kiss2(want.fsm));
+}
+
+/// Every machine extract_fsms finds in `m` against the scalar reference over
+/// the same port bits; returns them.
+std::vector<ExtractedFsm> expect_discovery_matches_reference(const rtlil::Module& m,
+                                                             const ExtractOptions& options = {}) {
+  std::vector<ExtractedFsm> machines = extract_fsms(m, options);
+  for (const ExtractedFsm& x : machines) {
+    SCOPED_TRACE(m.name() + "." + x.state_wire);
+    expect_same_machine(
+        x, test::scalar_recover(m, x.state_wire, x.fsm.inputs, x.fsm.outputs, options));
+  }
+  return machines;
+}
+
+/// A seeded machine over `n` inputs and two outputs: `states` states on a
+/// ring (state s leaves for s + 1 on input s mod n), a guard on every input,
+/// and a few more random guards. Redrawn until Fsm::check accepts it.
+Fsm random_machine(std::uint64_t seed, int n, int states) {
+  Rng rng(seed);
+  const auto state = [](std::uint64_t s) { return "S" + std::to_string(s); };
+  const auto bit = [&] { return rng.chance(0.5) ? '1' : '0'; };
+  const auto output = [&] { return std::string{bit(), bit()}; };
+  const auto guard_on = [&](int input) {
+    std::string guard(static_cast<std::size_t>(n), '-');
+    guard[static_cast<std::size_t>(input)] = bit();
+    for (std::uint64_t extra = rng.below(3); extra > 0; --extra) {
+      guard[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)))] = bit();
+    }
+    return guard;
+  };
+  const auto s_count = static_cast<std::uint64_t>(states);
+  for (;;) {
+    Fsm f;
+    f.name = "rand" + std::to_string(seed);
+    for (int i = 0; i < n; ++i) f.inputs.push_back("i" + std::to_string(i));
+    f.outputs = {"o0", "o1"};
+    for (std::uint64_t s = 0; s < s_count; ++s) {
+      std::string ring(static_cast<std::size_t>(n), '-');
+      ring[s % static_cast<std::uint64_t>(n)] = '1';
+      f.add_transition(state(s), ring, state((s + 1) % s_count), output());
+    }
+    for (int i = 0; i < n; ++i) {
+      f.add_transition(state(rng.below(s_count)), guard_on(i), state(rng.below(s_count)),
+                       output());
+    }
+    for (std::uint64_t extra = rng.below(4); extra > 0; --extra) {
+      f.add_transition(state(rng.below(s_count)),
+                       guard_on(static_cast<int>(rng.below(static_cast<std::uint64_t>(n)))),
+                       state(rng.below(s_count)), output());
+    }
+    try {
+      f.check();
+      return f;
+    } catch (const ScfiError&) {
+      // A shadowed or duplicate guard: draw again.
+    }
+  }
+}
+
+TEST(FsmExtractOracle, GeneratedNetlistsMatchScalarReference) {
+  // n < 6 leaves part of the one lane word unused, n = 6 fills it, and
+  // n > 6 takes several words per state.
+  for (int n = 1; n <= 10; ++n) {
+    for (int seed = 1; seed <= 3; ++seed) {
+      const Fsm machine =
+          random_machine(static_cast<std::uint64_t>(seed * 100 + n), n, 2 + (seed + n) % 5);
+      SCOPED_TRACE(machine.name + " n=" + std::to_string(n));
+      rtlil::Design design;
+      const CompiledFsm compiled = compile_unprotected(machine, design);
+      const std::vector<ExtractedFsm> found = expect_discovery_matches_reference(*compiled.module);
+      ASSERT_EQ(found.size(), 1u);
+      EXPECT_EQ(found[0].fsm.num_inputs(), n);
+      EXPECT_EQ(found[0].fsm.num_states(), machine.num_states());
+      // The named entry over every port bit.
+      const ExtractedFsm named = extract_fsm(*compiled.module, compiled.state_wire);
+      expect_same_machine(named, test::scalar_recover(*compiled.module, compiled.state_wire,
+                                                      named.fsm.inputs, named.fsm.outputs));
+      // The same machine through the Verilog writer and reader (word-level
+      // cells instead of the compiler's netlist).
+      std::ostringstream verilog;
+      backends::write_verilog(*compiled.module, verilog);
+      rtlil::Design reread;
+      const std::vector<rtlil::Module*> mods =
+          frontends::read_verilog(verilog.str(), reread, machine.name + ".v");
+      ASSERT_EQ(mods.size(), 1u);
+      EXPECT_EQ(expect_discovery_matches_reference(*mods[0]).size(), 1u);
+    }
+  }
+}
+
+TEST(FsmExtractOracle, FourteenInputsAtTheBoundMatchScalarReference) {
+  const Fsm machine = random_machine(14, 14, 3);
+  rtlil::Design design;
+  const CompiledFsm compiled = compile_unprotected(machine, design);
+  ExtractOptions options;
+  ASSERT_EQ(options.max_inputs, 14);
+  const std::vector<ExtractedFsm> found =
+      expect_discovery_matches_reference(*compiled.module, options);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].fsm.num_inputs(), 14);
+  options.max_inputs = 13;
+  const std::string over = error_of([&] { extract_fsms(*compiled.module, options); });
+  EXPECT_EQ(over, error_of([&] {
+              test::scalar_recover(*compiled.module, compiled.state_wire, found[0].fsm.inputs,
+                                   found[0].fsm.outputs, options);
+            }));
+  EXPECT_NE(over.find("14 input bits exceed the exhaustive bound of 13"), std::string::npos)
+      << over;
+}
+
+TEST(FsmExtractOracle, CorpusVerilogMatchesScalarReference) {
+  namespace fs = std::filesystem;
+  fs::path root = "bench/corpus-verilog";
+  if (!fs::exists(root)) root = "../bench/corpus-verilog";
+  ASSERT_TRUE(fs::exists(root)) << "bench/corpus-verilog not found";
+  std::vector<fs::path> files;
+  for (const fs::directory_entry& entry : fs::recursive_directory_iterator(root)) {
+    if (entry.path().extension() == ".v") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  std::size_t machines = 0;
+  for (const fs::path& file : files) {
+    SCOPED_TRACE(file.string());
+    rtlil::Design design;
+    for (const rtlil::Module* m : frontends::read_verilog_file(file.string(), design)) {
+      machines += expect_discovery_matches_reference(*m).size();
+    }
+  }
+  EXPECT_GE(machines, files.size());
+}
+
+TEST(FsmExtractOracle, OtherRegistersHoldTheirResetValue) {
+  // q toggles on t; r is a free-running toggle that resets to 1. The named
+  // extraction of q observes y = q & r over every output bit, so its
+  // outputs see r, which must hold its reset value for every combination
+  // (not whatever the previous combinations latched into it).
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("two_regs");
+  add_toggle(m, "q", "t", "o");
+  Wire* r = m.add_wire("r", 1);
+  rtlil::Cell* ff = m.add_cell("r_ff", rtlil::CellType::kDff);
+  ff->set_port("D", m.make_not(SigSpec(r)));
+  ff->set_port("Q", SigSpec(r));
+  ff->set_reset_value(Const(std::vector<bool>{true}));
+  m.drive(SigSpec(m.add_output("y", 1)), m.make_and(SigSpec(m.wire("q")), SigSpec(r)));
+  rtlil::validate_module(m);
+
+  const ExtractedFsm named = extract_fsm(m, "q");
+  EXPECT_EQ(named.fsm.outputs, (std::vector<std::string>{"o", "y"}));
+  expect_same_machine(named, test::scalar_recover(m, "q", named.fsm.inputs, named.fsm.outputs));
+  // With r at 1, y follows q: every transition leaving s1 raises both.
+  for (const Transition& t : named.fsm.transitions) {
+    EXPECT_EQ(t.output, t.from == 1 ? "11" : "00") << t.guard;
+  }
+}
+
+TEST(FsmExtract, SelfFeedingRegisterThatReadsAnotherIsNoCandidate) {
+  // q <= q ^ r feeds itself but also reads the free-running r <= ~r, so
+  // only r is self-contained; o = q is no output of r's machine.
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("mixed");
+  Wire* q = m.add_wire("q", 1);
+  Wire* r = m.add_wire("r", 1);
+  rtlil::Cell* rq = m.add_cell("r_ff", rtlil::CellType::kDff);
+  rq->set_port("D", m.make_not(SigSpec(r)));
+  rq->set_port("Q", SigSpec(r));
+  rq->set_reset_value(Const(std::vector<bool>{false}));
+  rtlil::Cell* qq = m.add_cell("q_ff", rtlil::CellType::kDff);
+  qq->set_port("D", m.make_xor(SigSpec(q), SigSpec(r)));
+  qq->set_port("Q", SigSpec(q));
+  qq->set_reset_value(Const(std::vector<bool>{false}));
+  m.drive(SigSpec(m.add_output("o", 1)), SigSpec(q));
+  rtlil::validate_module(m);
+
+  EXPECT_EQ(find_state_registers(m), (std::vector<std::string>{"r"}));
+  const std::vector<ExtractedFsm> found = expect_discovery_matches_reference(m);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_TRUE(found[0].fsm.outputs.empty());
+  EXPECT_EQ(found[0].state_codes, (std::vector<std::uint64_t>{0, 1}));
+}
+
+TEST(FsmExtractOracle, RunawayCounterThrowsTheSameText) {
+  // A 9-bit ripple counter with enable: 512 reachable codes, past the
+  // default bound of 256 states.
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("runaway");
+  Wire* en = m.add_input("en", 1);
+  Wire* q = m.add_wire("q", 9);
+  SigSpec carry(en);
+  SigSpec next;
+  for (int i = 0; i < 9; ++i) {
+    const SigSpec bit(SigBit(q, i));
+    next.append(m.make_xor(bit, carry));
+    carry = m.make_and(bit, carry);
+  }
+  rtlil::Cell* ff = m.add_cell("q_ff", rtlil::CellType::kDff);
+  ff->set_port("D", next);
+  ff->set_port("Q", SigSpec(q));
+  ff->set_reset_value(Const(std::vector<bool>(9, false)));
+  m.drive(SigSpec(m.add_output("y", 9)), SigSpec(q));
+  rtlil::validate_module(m);
+
+  const std::string text = error_of([&] { extract_fsms(m); });
+  EXPECT_EQ(text,
+            "fsm extract: runaway.q: more than 256 reachable states (runaway register, not an "
+            "FSM?)");
+  std::vector<std::string> outputs;
+  for (int i = 0; i < 9; ++i) outputs.push_back("y[" + std::to_string(i) + "]");
+  EXPECT_EQ(error_of([&] { test::scalar_recover(m, "q", {"en"}, outputs); }), text);
+  // Under a bound it fits, both recover the same 512-state counter.
+  ExtractOptions roomy;
+  roomy.max_states = 512;
+  const std::vector<ExtractedFsm> found = expect_discovery_matches_reference(m, roomy);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].fsm.num_states(), 512);
 }
 
 }  // namespace

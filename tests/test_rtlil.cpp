@@ -137,6 +137,75 @@ TEST(Validate, FfBreaksLoop) {
   EXPECT_NO_THROW(validate_module(*m));
 }
 
+/// The message of the `E` that `fn` throws, or "" when it throws none.
+template <typename E, typename Fn>
+std::string error_text(Fn fn) {
+  try {
+    fn();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Validate, MissingPortTextIsPinned) {
+  const Cell c("inv0", CellType::kNot);
+  EXPECT_FALSE(c.has_port("A"));
+  EXPECT_EQ(error_text<LogicBug>([&] { (void)c.port("A"); }),
+            "internal check failed: cell inv0 has no port A");
+}
+
+TEST(Validate, DuplicateAndWidthTextsArePinned) {
+  Design d;
+  Module* m = d.add_module("m");
+  m->add_wire("w", 1);
+  m->add_cell("c", CellType::kBuf);
+  EXPECT_EQ(error_text<ScfiError>([&] { m->add_wire("w", 2); }), "duplicate wire name: w");
+  EXPECT_EQ(error_text<ScfiError>([&] { m->add_cell("c", CellType::kNot); }),
+            "duplicate cell name: c");
+  EXPECT_EQ(error_text<ScfiError>([&] { d.add_module("m"); }), "duplicate module name: m");
+  EXPECT_EQ(error_text<ScfiError>([&] { m->add_wire("z", 0); }),
+            "wire z must have positive width");
+  EXPECT_EQ(error_text<ScfiError>([&] { m->add_input("n", -1); }),
+            "wire n must have positive width");
+}
+
+TEST(Validate, DriverTextsArePinned) {
+  {
+    Design d;
+    Module* m = d.add_module("m");
+    Wire* a = m->add_input("a", 1);
+    Cell* c = m->add_cell("k", CellType::kBuf);
+    c->set_port("A", SigSpec(a));
+    c->set_port("Y", SigSpec(SigBit(true)));
+    EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }),
+              "cell k drives a constant bit");
+  }
+  {
+    Design d;
+    Module* m = d.add_module("m");
+    Wire* a = m->add_input("a", 1);
+    Cell* c = m->add_cell("c", CellType::kBuf);
+    c->set_port("A", SigSpec(SigBit(true)));
+    c->set_port("Y", SigSpec(a));
+    EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }),
+              "cell c drives input wire a");
+  }
+  {
+    Design d;
+    Module* m = d.add_module("m");
+    Wire* a = m->add_input("a", 1);
+    Wire* y = m->add_wire("y", 1);
+    for (int i = 0; i < 2; ++i) {
+      Cell* c = m->add_cell("c" + std::to_string(i), CellType::kBuf);
+      c->set_port("A", SigSpec(a));
+      c->set_port("Y", SigSpec(y));
+    }
+    EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }),
+              "multiple drivers on wire y (cells c0, c1)");
+  }
+}
+
 TEST(NetlistIndex, DriversAndReaders) {
   Design d;
   Module* m = d.add_module("m");

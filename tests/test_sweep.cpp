@@ -1049,6 +1049,32 @@ TEST(SweepJobs, ExpandMatrixAndGlobs) {
   EXPECT_THROW(expand_jobs("pwrmgr_fsm", {}, {mds}), ScfiError);
 }
 
+TEST(SweepJobs, StateTargetExpandsOncePerKind) {
+  using sim::FaultKind;
+  using sim::FaultTarget;
+  const std::vector<synfi::SynfiConfig> configs = synfi_matrix(
+      {"mds_", "all"}, {FaultKind::kTransientFlip, FaultKind::kStuckAt1},
+      {FaultTarget::kAny, FaultTarget::kStateRegister}, 2, synfi::Backend::kSat);
+  // 2 regions x 2 kinds of `any`, plus one `state` job per kind.
+  ASSERT_EQ(configs.size(), 6u);
+  const std::vector<SweepJob> jobs = expand_jobs("pwrmgr_fsm", {2}, configs);
+  std::vector<std::string> keys;
+  for (const SweepJob& job : jobs) keys.push_back(job.key());
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "pwrmgr_fsm|scfi|n2|r=mds_|sat|flip|k=2",
+                      "pwrmgr_fsm|scfi|n2|r=|sat|flip|t=state|k=2",
+                      "pwrmgr_fsm|scfi|n2|r=mds_|sat|stuck1|k=2",
+                      "pwrmgr_fsm|scfi|n2|r=|sat|stuck1|t=state|k=2",
+                      "pwrmgr_fsm|scfi|n2|r=|sat|flip|k=2",
+                      "pwrmgr_fsm|scfi|n2|r=|sat|stuck1|k=2",
+                  }));
+  // Every other target keeps one job per region.
+  EXPECT_EQ(synfi_matrix({"mds_", "all"}, {FaultKind::kTransientFlip},
+                         {FaultTarget::kControlInputs}, 1, synfi::Backend::kExhaustiveSim)
+                .size(),
+            2u);
+}
+
 /// Writes a throwaway corpus tree: two parse-clean machines (one nested, to
 /// exercise recursive discovery), one malformed file, and one non-.kiss2
 /// file that must be ignored.
