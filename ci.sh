@@ -3,8 +3,9 @@
 # plus a smoke run of the micro-benchmarks, the SYNFI engines, the sweep
 # fleet (SYNFI + Monte-Carlo campaign jobs, over the zoo and the committed
 # KISS2 corpus), Wilson-bounded sweep-diff regression gates against the
-# committed baseline stores, an exact-match gate on a SAT back-end sweep,
-# and crash smokes for both the JSONL store
+# committed baseline stores, exact-match gates on a SAT back-end sweep and
+# on an exhaustive back-end sweep at two lane widths (the SAT smoke and the
+# sim smoke), and crash smokes for both the JSONL store
 # (SIGKILL + torn tail + --resume) and the multi-process fleet supervisor
 # (SIGKILL a worker mid-sweep; poison-job quarantine). Mirrors the verify
 # command in ROADMAP.md; run from the repository root.
@@ -57,7 +58,9 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # into a growing vector, and so do the edge-major SAT SYNFI oracle, solve
 # count and cancellation tests, whose k > 1 queries add a clause per model,
 # and the observability-pruning suites, whose weighted SYNFI layers and
-# unsimulated campaign runs are checked against brute-force references, and
+# unsimulated campaign runs are checked against brute-force references, the
+# exhaustive segment suite (per-batch segment bounds and site arrays,
+# lane-range masks across word and batch boundaries), and
 # the campaign knob checks (an empty kind set used to read past its end),
 # the sliced-simulator check (slicing renumbers the flip-flops that
 # the skip and latch tables index), the CNF encoder's truth-table and
@@ -80,7 +83,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|SynfiParallelSegments|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests
@@ -158,6 +161,26 @@ SAT_DIFF="$(build/scfi_cli sweep-diff bench/baselines/sat_smoke.jsonl "$SAT_OUT"
 echo "$SAT_DIFF"
 grep -q 'stores are identical' <<<"$SAT_DIFF" \
   || { echo "sat smoke: store differs from bench/baselines/sat_smoke.jsonl"; exit 1; }
+
+# Exhaustive back-end gate: the zoo's MDS and whole-logic k = 2 sweep on
+# the exhaustive simulator, for flip, stuck-at-1 and skip faults on the
+# logic and on the state register (63 jobs). A combination's edges fill a
+# run of lanes (a segment) that gets each fault injected once, so the
+# sweep runs at the default lane width and at 100 lanes, where segments end
+# inside a lane word and span batches. Both stores must equal the committed
+# baseline record for record.
+SIM_ARGS=(sweep --levels 2 --regions mds_,all --kinds flip,stuck1,skip --target logic,state
+  --faults-k 2 --jobs 2 --threads 2)
+for SIM_LANES in default 100; do
+  SIM_OUT="$(dirname "$SWEEP_OUT")/sim_k2_smoke_$SIM_LANES.jsonl"
+  SIM_LANE_ARGS=()
+  [[ "$SIM_LANES" == default ]] || SIM_LANE_ARGS=(--lanes "$SIM_LANES")
+  build/scfi_cli "${SIM_ARGS[@]}" "${SIM_LANE_ARGS[@]}" --out "$SIM_OUT" > /dev/null
+  SIM_DIFF="$(build/scfi_cli sweep-diff bench/baselines/sim_k2_smoke.jsonl "$SIM_OUT" --fail-on-removed)"
+  echo "$SIM_DIFF"
+  grep -q 'stores are identical' <<<"$SIM_DIFF" \
+    || { echo "sim smoke (lanes $SIM_LANES): store differs from bench/baselines/sim_k2_smoke.jsonl"; exit 1; }
+done
 
 # KISS2-corpus sweep smoke: the same fleet run drawing modules from the
 # committed bench/corpus/ directory instead of the zoo (SYNFI + campaign

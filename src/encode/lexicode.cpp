@@ -9,11 +9,13 @@ namespace {
 
 constexpr int kMaxWidth = 28;
 
-bool try_greedy(const CodeSpec& spec, int width, std::vector<std::uint64_t>& out) {
-  out.clear();
+/// Extends `out`, the greedy code over candidates [0, from), by scanning
+/// candidates [from, 2^width) in order; true once it holds spec.count words.
+bool try_greedy(const CodeSpec& spec, int width, std::uint64_t from,
+                std::vector<std::uint64_t>& out) {
   const std::uint64_t space = 1ULL << width;
   const std::uint64_t all_ones = space - 1;
-  for (std::uint64_t cand = 0; cand < space; ++cand) {
+  for (std::uint64_t cand = from; cand < space; ++cand) {
     if (std::popcount(cand) < spec.min_weight) continue;
     if (spec.forbid_all_ones && cand == all_ones) continue;
     bool ok = true;
@@ -49,12 +51,21 @@ Code generate_code(const CodeSpec& spec) {
     require(spec.width <= kMaxWidth, "generate_code: width too large");
     start = spec.width;
   }
+  // The candidates of width w are the first 2^w of width w + 1, so a failed
+  // width's words are the next width's greedy prefix and the scan resumes
+  // after them. Only the excluded all-ones word differs between widths.
+  std::vector<std::uint64_t> words;
+  std::uint64_t scanned = 0;
   for (int width = start; width <= kMaxWidth; ++width) {
-    std::vector<std::uint64_t> words;
-    if (try_greedy(spec, width, words)) {
+    if (spec.forbid_all_ones) {
+      words.clear();
+      scanned = 0;
+    }
+    if (try_greedy(spec, width, scanned, words)) {
       return Code{width, spec.min_distance, std::move(words)};
     }
     if (spec.width > 0) break;  // fixed width requested: no widening
+    scanned = 1ULL << width;
   }
   throw ScfiError("generate_code: no feasible code within supported widths");
 }

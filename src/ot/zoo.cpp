@@ -67,9 +67,13 @@ fsm::CompiledFsm build_ot_variant(const OtEntry& entry, rtlil::Design& design, V
       break;
     }
   }
-  // Corpus-sourced entries (bare KISS2 machines) carry no datapath builder.
-  if (entry.datapath) entry.datapath(*compiled.module);
-  rtlil::validate_module(*compiled.module);
+  // Every builder above ends in rtlil::validate_module, so the module is
+  // checked again only when a datapath changed it. Corpus-sourced entries
+  // (bare KISS2 machines) carry no datapath builder.
+  if (entry.datapath) {
+    entry.datapath(*compiled.module);
+    rtlil::validate_module(*compiled.module);
+  }
   return compiled;
 }
 

@@ -82,6 +82,24 @@ class LaneClassifier {
   /// Error-code lanes are reported by error() only; a code with a bit above
   /// the register width never matches; other lanes match nothing.
   void match(const LaneWords& lanes) {
+    match_error(lanes);
+    const fsm::CompiledFsm& variant = *net_->variant;
+    const int W = sim.lane_words();
+    valid_ = LaneWords{};
+    for (int w = 0; w < W; ++w) {
+      const auto j = static_cast<std::size_t>(w);
+      const std::uint64_t open = lanes[j] & ~error_[j];
+      for (std::size_t s = 0; s < variant.state_codes.size(); ++s) {
+        const std::uint64_t eq = code_eq(variant.state_codes[s], open, w);
+        state_eq_[s * static_cast<std::size_t>(W) + j] = eq;
+        valid_[j] |= eq;
+      }
+    }
+  }
+
+  /// The part of match() that error() and state_word() read: state_eq()
+  /// and valid() stay as they were.
+  void match_error(const LaneWords& lanes) {
     const int W = sim.lane_words();
     for (int i = 0; i < state_h.width; ++i) {
       for (int w = 0; w < W; ++w) {
@@ -89,18 +107,11 @@ class LaneClassifier {
       }
     }
     const fsm::CompiledFsm& variant = *net_->variant;
-    LaneWords open = lanes;
     error_ = LaneWords{};
-    valid_ = LaneWords{};
+    if (!variant.has_error_state) return;
     for (int w = 0; w < W; ++w) {
       const auto j = static_cast<std::size_t>(w);
-      if (variant.has_error_state) error_[j] = code_eq(variant.error_code, open[j], w);
-      open[j] &= ~error_[j];
-      for (std::size_t s = 0; s < variant.state_codes.size(); ++s) {
-        const std::uint64_t eq = code_eq(variant.state_codes[s], open[j], w);
-        state_eq_[s * static_cast<std::size_t>(W) + j] = eq;
-        valid_[j] |= eq;
-      }
+      error_[j] = code_eq(variant.error_code, lanes[j], w);
     }
   }
 
@@ -111,6 +122,11 @@ class LaneClassifier {
   }
   const LaneWords& error() const { return error_; }
   const LaneWords& valid() const { return valid_; }
+  /// After match() or match_error(): lane word `w` of state register bit
+  /// `i`, as matched.
+  std::uint64_t state_word(int i, int w) const {
+    return state_words_[static_cast<std::size_t>(i * sim.lane_words() + w)];
+  }
 
   Simulator sim;
   Simulator::WireHandle state_h;

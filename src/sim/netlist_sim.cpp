@@ -458,7 +458,8 @@ void Simulator::inject_net(std::int32_t net, FaultKind kind, const LaneMask& lan
   // Clear the affected lanes back to pass-through, then overlay the fault.
   // Words with no selected lane are exact no-ops; skipping them keeps the
   // per-job cost of single-lane injection O(1) in the block width (the
-  // executors call this once per job, 64 x lane_words times per pass).
+  // campaign executor calls this once per job, 64 x lane_words times per
+  // pass; exhaustive SYNFI once per fault of a lane range).
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t l = lanes.w[w];
     if (l == 0) continue;

@@ -104,12 +104,17 @@ struct LaneMask {
     return m;
   }
   /// Lanes [0, n).
-  static constexpr LaneMask first_n(int n) {
+  static constexpr LaneMask first_n(int n) { return range(0, n); }
+  /// Lanes [begin, end); empty when begin >= end.
+  static constexpr LaneMask range(int begin, int end) {
     LaneMask m;
-    for (int j = 0; j * kWordLanes < n; ++j) {
-      const int in_word = n - j * kWordLanes;
+    const auto below = [](int n) {  // lanes [0, n) of one word, n in [0, 64]
+      return n >= kWordLanes ? ~0ULL : (1ULL << n) - 1;
+    };
+    for (int j = begin / kWordLanes; begin < end && j * kWordLanes < end; ++j) {
+      const int lo = j * kWordLanes;
       m.w[static_cast<std::size_t>(j)] =
-          in_word >= kWordLanes ? ~0ULL : (1ULL << in_word) - 1;
+          below(end - lo) & ~below(begin > lo ? begin - lo : 0);
     }
     return m;
   }

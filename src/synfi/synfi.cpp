@@ -79,13 +79,12 @@ bool next_combination(std::vector<std::size_t>& c, std::size_t n) {
 }
 
 /// Loop-invariant per-edge stimulus, resolved once per Analyzer and shared
-/// by both back-ends: symbol codeword plus from/to state indices (no map
-/// lookups inside the query loops).
+/// by both back-ends: symbol codeword plus the codes of the from/to states
+/// (no map lookups inside the query loops).
 struct EdgeTable {
-  std::vector<std::uint64_t> code;   ///< encoded control symbol per edge
+  std::vector<std::uint64_t> code;  ///< encoded control symbol per edge
   std::vector<std::uint64_t> from_code;
-  std::vector<std::int32_t> from;    ///< state index per edge
-  std::vector<std::int32_t> to;
+  std::vector<std::uint64_t> to_code;
   std::size_t size() const { return code.size(); }
 };
 
@@ -93,13 +92,11 @@ EdgeTable build_edge_table(const CompiledFsm& variant, const std::vector<CfgEdge
   EdgeTable table;
   table.code.reserve(edges.size());
   table.from_code.reserve(edges.size());
-  table.from.reserve(edges.size());
-  table.to.reserve(edges.size());
+  table.to_code.reserve(edges.size());
   for (const CfgEdge& edge : edges) {
     table.code.push_back(variant.symbol_codes.at(edge.symbol));
     table.from_code.push_back(variant.state_codes[static_cast<std::size_t>(edge.from)]);
-    table.from.push_back(edge.from);
-    table.to.push_back(edge.to);
+    table.to_code.push_back(variant.state_codes[static_cast<std::size_t>(edge.to)]);
   }
   return table;
 }
@@ -134,30 +131,31 @@ struct PartialReport {
 
 /// The stimulus of every batch alignment. Jobs stay in (combo-major,
 /// edge-minor) order, so a batch whose first job has edge e0 drives lane j
-/// with edge (e0 + j) mod E: its per-word symbol/state stimulus depends only
-/// on e0, and its per-lane from/to state indices are the window starting at
-/// e0 of the edge sequence unrolled to E + lanes entries. Precomputed so
-/// the batch loop never repacks bits or divides.
+/// with edge (e0 + j) mod E: its per-word symbol stimulus, its from-state
+/// stimulus and the to-state code it expects depend only on e0. Precomputed
+/// so the batch loop never repacks bits or divides. `st_words` doubles as
+/// the from-state code a stalled lane still holds.
 struct AlignedStimulus {
   std::vector<std::uint64_t> in_words;  ///< [e0][symbol bit][word] -> lane word
   std::vector<std::uint64_t> st_words;  ///< [e0][state bit][word] -> lane word
-  std::vector<std::int32_t> lane_from;  ///< state index per unrolled edge
-  std::vector<std::int32_t> lane_to;
+  std::vector<std::uint64_t> to_words;  ///< [e0][state bit][word] -> lane word
 };
 
 AlignedStimulus build_aligned_stimulus(const EdgeTable& edges, int symbol_w, int state_w,
                                        int W, std::size_t total_lanes) {
   const std::size_t num_edges = edges.size();
   AlignedStimulus a;
-  for (std::size_t i = 0; i < num_edges + total_lanes; ++i) {
-    a.lane_from.push_back(edges.from[i % num_edges]);
-    a.lane_to.push_back(edges.to[i % num_edges]);
-  }
   a.in_words.assign(num_edges * static_cast<std::size_t>(symbol_w * W), 0);
   a.st_words.assign(num_edges * static_cast<std::size_t>(state_w * W), 0);
+  a.to_words.assign(num_edges * static_cast<std::size_t>(state_w * W), 0);
   for (std::size_t r = 0; r < num_edges; ++r) {
+    // The word match compares the register's bits only, so a code with a
+    // bit above them would match where LaneClassifier::state_eq does not.
+    check(state_w >= 64 || ((edges.from_code[r] | edges.to_code[r]) >> state_w) == 0,
+          "synfi: state code wider than the state register");
     std::uint64_t* in = &a.in_words[r * static_cast<std::size_t>(symbol_w * W)];
     std::uint64_t* st = &a.st_words[r * static_cast<std::size_t>(state_w * W)];
+    std::uint64_t* to = &a.to_words[r * static_cast<std::size_t>(state_w * W)];
     for (std::size_t lane = 0; lane < total_lanes; ++lane) {
       const std::size_t e = (r + lane) % num_edges;
       const std::size_t wj = lane >> 6;
@@ -167,6 +165,7 @@ AlignedStimulus build_aligned_stimulus(const EdgeTable& edges, int symbol_w, int
       }
       for (int i = 0; i < state_w; ++i) {
         if ((edges.from_code[e] >> i) & 1) st[static_cast<std::size_t>(i * W) + wj] |= bit;
+        if ((edges.to_code[e] >> i) & 1) to[static_cast<std::size_t>(i * W) + wj] |= bit;
       }
     }
   }
@@ -205,19 +204,25 @@ struct LayerSites {
 
 /// Exhaustive-simulation back-end over the combination ranks `claim` hands
 /// out: every job is one lexicographic m-combination of `live` x one edge
-/// (combo-major, edge-minor), all m faults of a combo injected into the same
-/// lane, and up to `config.lanes` jobs packed into every eval/step pass —
-/// 64 x lane_words jobs when the context's simulator carries a multi-word
-/// lane block. Claimed ranges hold whole combinations, so lane j of a batch
-/// whose first job has edge e0 always carries edge (e0 + j) mod E, across
-/// range boundaries too; a claim that does not continue the previous one
-/// just unranks its first combination. Lane j carries job j's state/symbol
-/// stimulus (per-lane register/input words) and a single-lane fault mask;
-/// outcomes are classified word-parallel, W lane words at a time. Lanes
-/// never interact, so the per-job outcome equals the scalar one-job-per-pass
-/// path bit for bit. Combinations straddle the whole region, so attribution
-/// goes into a caller-owned full-region bitmap. m = 0 is the fault-free
-/// layer: one empty combination, so one job per edge.
+/// (combo-major, edge-minor), and up to `config.lanes` jobs are packed into
+/// every eval/step pass — 64 x lane_words jobs when the context's simulator
+/// carries a multi-word lane block. Claimed ranges hold whole combinations,
+/// so lane j of a batch whose first job has edge e0 always carries edge
+/// (e0 + j) mod E, across range boundaries too; a claim that does not
+/// continue the previous one just unranks its first combination. Lane j
+/// carries job j's state/symbol stimulus (per-lane register/input words).
+/// A combination's jobs fill a contiguous run of at most E lanes, a
+/// *segment*; a batch may start or end inside one, so one combination can
+/// span two batches. Each member net of a segment's combination is injected
+/// once with the segment's lane-range mask, which leaves every lane the same
+/// faults as injecting it lane by lane. Outcomes are classified W lane words
+/// at a time: the latched state is matched against the expected (to) and
+/// the old (from) state code of every lane by word ops over the aligned
+/// stimulus. Lanes never interact, so the per-job outcome equals the scalar
+/// one-job-per-pass path bit for bit. Combinations straddle the whole
+/// region, so attribution goes into a caller-owned full-region bitmap: an
+/// exploitable lane credits the sites of its segment. m = 0 is the
+/// fault-free layer: one empty combination, so one job per edge.
 void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
                     const EdgeTable& edges, const SynfiConfig& config, WorkShare::Claim& claim,
                     std::vector<char>& site_hit, PartialReport& out) {
@@ -226,7 +231,6 @@ void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
   const sim::Simulator::WireHandle symbol_h = ctx.symbol_h;
   const sim::Simulator::WireHandle state_h = classifier.state_h;
   const int W = simulator.lane_words();
-  const std::size_t total_lanes = static_cast<std::size_t>(W) * 64;
   const int state_w = state_h.width;
   const int symbol_w = symbol_h.width;
   const std::size_t n = live.nets.size();
@@ -240,23 +244,25 @@ void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
   };
 
   // Streamed combination bookkeeping: `combo` is combination `rank` while
-  // rank < rank_end, advanced lexicographically; each lane records the
-  // sites of its combo so exploitable lanes can credit every member.
+  // rank < rank_end, advanced lexicographically. Per batch, segment_begin
+  // holds the first lane of every segment plus the batch's end, and
+  // segment_sites the m region sites of each segment, so an exploitable
+  // lane can credit every member of its combination.
   std::vector<std::size_t> combo;
   std::uint64_t rank = 0;
   std::uint64_t rank_end = 0;
-  std::vector<std::size_t> lane_sites(total_lanes * m);
+  std::vector<std::size_t> segment_begin;
+  std::vector<std::size_t> segment_sites;
   std::size_t cur_edge = 0;
   for (bool more = true; more;) {
     // Cooperative cancellation at batch granularity: a fired token (sweep
     // job deadline) stops the participant here, never mid-batch.
     if (config.cancel != nullptr) config.cancel->check("synfi");
+    const std::size_t state_at = cur_edge * static_cast<std::size_t>(state_w * W);
     const std::uint64_t* in_words =
         &ctx.aligned.in_words[cur_edge * static_cast<std::size_t>(symbol_w * W)];
-    const std::uint64_t* st_words =
-        &ctx.aligned.st_words[cur_edge * static_cast<std::size_t>(state_w * W)];
-    const std::int32_t* lane_from = &ctx.aligned.lane_from[cur_edge];
-    const std::int32_t* lane_to = &ctx.aligned.lane_to[cur_edge];
+    const std::uint64_t* st_words = &ctx.aligned.st_words[state_at];
+    const std::uint64_t* to_words = &ctx.aligned.to_words[state_at];
 
     simulator.clear_all_faults();
     for (int i = 0; i < symbol_w; ++i) {
@@ -269,6 +275,8 @@ void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
         simulator.set_register_word(state_h, i, st_words[i * W + w], w);
       }
     }
+    segment_begin.clear();
+    segment_sites.clear();
     std::size_t batch_jobs = 0;
     while (batch_jobs < lanes) {
       if (rank == rank_end) {
@@ -287,18 +295,24 @@ void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
         rank = range.begin;
         rank_end = range.end;
       }
-      const sim::LaneMask mask = sim::LaneMask::lane(static_cast<int>(batch_jobs));
+      // One segment: the combination's remaining edges that fit the batch.
+      const std::size_t take = std::min(num_edges - cur_edge, lanes - batch_jobs);
+      const sim::LaneMask mask = sim::LaneMask::range(static_cast<int>(batch_jobs),
+                                                      static_cast<int>(batch_jobs + take));
+      segment_begin.push_back(batch_jobs);
       for (std::size_t j = 0; j < m; ++j) {
         simulator.inject_net(live.nets[combo[j]], config.kind, mask);
-        lane_sites[batch_jobs * m + j] = live.ids[combo[j]];
+        segment_sites.push_back(live.ids[combo[j]]);
       }
-      ++batch_jobs;
-      if (++cur_edge == num_edges) {
+      batch_jobs += take;
+      cur_edge += take;
+      if (cur_edge == num_edges) {
         cur_edge = 0;
         if (++rank < rank_end) next_combination(combo, n);
       }
     }
     if (batch_jobs == 0) break;
+    segment_begin.push_back(batch_jobs);
     const sim::LaneMask batch_mask = sim::LaneMask::first_n(static_cast<int>(batch_jobs));
 
     // One edge: the pre-edge settle feeds both alert_pre and the latch;
@@ -308,23 +322,25 @@ void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
     simulator.latch();
     simulator.eval();
     const LaneWords alert_post = alert_words();
-    // Word-parallel classification against every codeword at once.
-    classifier.match(batch_mask.w);
+    // Word-parallel classification: the error code through the classifier,
+    // the expected and the old state code against the aligned stimulus (a
+    // lane holding the error code matches neither, as in state_eq).
+    classifier.match_error(batch_mask.w);
     const LaneWords& err_eq = classifier.error();
-    LaneWords match_expect{};
-    LaneWords match_from{};
-    for (std::size_t lane = 0; lane < batch_jobs; ++lane) {
-      const std::size_t wj = lane >> 6;
-      const std::uint64_t bit = 1ULL << (lane & 63);
-      match_expect[wj] |= classifier.state_eq(static_cast<std::size_t>(lane_to[lane]), wj) & bit;
-      match_from[wj] |= classifier.state_eq(static_cast<std::size_t>(lane_from[lane]), wj) & bit;
-    }
 
     out.injections += static_cast<std::int64_t>(batch_jobs);
+    std::size_t segment = 0;
     for (int w = 0; w < W; ++w) {
       const auto j = static_cast<std::size_t>(w);
       const std::uint64_t mask = batch_mask.w[j];
-      const std::uint64_t masked = match_expect[j] & ~alert_pre[j] & mask;
+      std::uint64_t match_expect = mask & ~err_eq[j];
+      std::uint64_t match_from = match_expect;
+      for (int i = 0; i < state_w; ++i) {
+        const std::uint64_t latched = classifier.state_word(i, w);
+        match_expect &= ~(latched ^ to_words[i * W + w]);
+        match_from &= ~(latched ^ st_words[i * W + w]);
+      }
+      const std::uint64_t masked = match_expect & ~alert_pre[j];
       const std::uint64_t detected =
           (alert_pre[j] | alert_post[j] | err_eq[j]) & ~masked & mask;
       // Everything else is an undetected deviation: a valid-but-wrong state
@@ -335,10 +351,13 @@ void run_exhaustive(SimContext& ctx, const LayerSites& live, std::size_t m,
       out.masked += std::popcount(masked);
       out.detected += std::popcount(detected);
       out.exploitable += std::popcount(expl);
-      out.stalls += std::popcount(expl & match_from[j]);
+      out.stalls += std::popcount(expl & match_from);
+      // Hits come in lane order, so the segment index only moves forward;
+      // the rest of a credited segment's hits change nothing.
       for (std::uint64_t hits = expl; hits != 0; hits &= hits - 1) {
         const auto lane = (j << 6) + static_cast<std::size_t>(std::countr_zero(hits));
-        for (std::size_t j = 0; j < m; ++j) site_hit[lane_sites[lane * m + j]] = 1;
+        while (segment_begin[segment + 1] <= lane) ++segment;
+        for (std::size_t s = 0; s < m; ++s) site_hit[segment_sites[segment * m + s]] = 1;
       }
     }
   }

@@ -10,9 +10,12 @@
 //     pairs — a single fault is a 1-combination — streamed in lexicographic
 //     combination order and packed `lanes` at a time into the bit-parallel
 //     simulator (up to 64 x lane_words = 512 lanes per pass via multi-word
-//     SoA lane blocks). Each lane carries its own state/symbol stimulus and
-//     all k faults of its combination; outcomes are classified word-parallel
-//     against the expected/error/valid codewords and the alert word.
+//     SoA lane blocks). Each lane carries its own state/symbol stimulus; a
+//     combination's edges fill a contiguous run of lanes (a segment, which
+//     may continue in the next batch), and each of its faults is injected
+//     once into the whole segment. Outcomes are classified word-parallel
+//     against the expected, old and error codewords and the alert word, and
+//     an exploitable lane credits the sites of its segment.
 //     Only observable sites are simulated. A net is live (observable) when it
 //     lies in the combinational fan-in of the alert, of the state register's
 //     D pins, or of the D pin of any flip-flop whose Q is itself live,

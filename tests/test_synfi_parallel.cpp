@@ -7,13 +7,16 @@
 // (synfi_oracle.h). SynfiEdgeMajor pins the edge-major incremental SAT
 // engine against that per-(site, edge) oracle at k = 1, 2, 3 and 5, on
 // regions with and without sites outside the state/alert cone, and its
-// solve-call budget.
+// solve-call budget. SynfiParallelSegments checks the exhaustive engine's
+// segments (a combination's run of lanes, injected once) on an 81-edge
+// machine, whose combinations span batches, and on a 12-edge one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -478,6 +481,128 @@ TEST(SynfiEdgeMajor, FiredCancelTokenStopsBeforeTheFirstSolve) {
   EXPECT_TRUE(reused == analyze(f, c, config));
   EXPECT_GT(reused.exploitable, 0);
 }
+
+// --- exhaustive segments ---------------------------------------------------
+
+TEST(SynfiParallel, LaneMaskRangeCoversWordBoundaries) {
+  static_assert(sim::LaneMask::range(3, 3) == sim::LaneMask{});
+  static_assert(sim::LaneMask::range(0, 64) == sim::LaneMask{~0ULL});
+  static_assert(sim::LaneMask::range(62, 66).w[0] == 3ULL << 62);
+  static_assert(sim::LaneMask::range(62, 66).w[1] == 3ULL);
+  const std::vector<int> bounds = {0, 1, 37, 63, 64, 65, 100, 127, 128, 129, 255, 256, 448, 511,
+                                   sim::kMaxLanes};
+  for (const int begin : bounds) {
+    for (const int end : bounds) {
+      const sim::LaneMask m = sim::LaneMask::range(begin, end);
+      for (int lane = 0; lane < sim::kMaxLanes; ++lane) {
+        ASSERT_EQ(m.test(lane), begin <= lane && lane < end)
+            << "range(" << begin << ", " << end << ") lane " << lane;
+      }
+    }
+    EXPECT_TRUE(sim::LaneMask::first_n(begin) == sim::LaneMask::range(0, begin)) << begin;
+  }
+}
+
+/// 9 states x 8 fully decoded 3-bit guards, plus each state's idle
+/// self-loop: 81 CFG edges, so one combination's jobs are more than a lane
+/// word holds and, at fewer lanes than edges, every combination spans
+/// batches.
+Fsm wide_fsm() {
+  Fsm f;
+  f.name = "wide81";
+  f.inputs = {"a", "b", "c"};
+  f.outputs = {"o"};
+  for (int s = 0; s < 9; ++s) {
+    for (int g = 0; g < 8; ++g) {
+      const std::string guard = {(g & 4) != 0 ? '1' : '0', (g & 2) != 0 ? '1' : '0',
+                                 (g & 1) != 0 ? '1' : '0'};
+      f.add_transition("S" + std::to_string(s), guard, "S" + std::to_string((s + g + 1) % 9),
+                       (g & 1) != 0 ? "1" : "0");
+    }
+  }
+  f.reset_state = 0;
+  return f;
+}
+
+/// One segment case: a module and the fault kind swept over its two
+/// regions at k = 1, 2, 3.
+struct SegmentCase {
+  std::string module;
+  sim::FaultKind kind;
+  std::string kind_name;
+};
+
+void PrintTo(const SegmentCase& c, std::ostream* os) { *os << c.module << " " << c.kind_name; }
+
+class SynfiParallelSegments : public ::testing::TestWithParam<SegmentCase> {};
+
+TEST_P(SynfiParallelSegments, EveryLaneSplitMatchesOneLanePerPass) {
+  // Two regions per module: the state register, where skip-cycle faults
+  // act, and a diffusion-word prefix with sites outside the state/alert
+  // cone, where only some sites are credited. At lanes = 1 every segment is
+  // a single lane: the reference.
+  const SegmentCase& param = GetParam();
+  const bool wide = param.module == "wide81";
+  const Fsm f = wide ? wide_fsm() : kiss2_fsm(param.module);
+  const std::size_t edges = f.cfg_edges().size();
+  if (wide) {
+    ASSERT_GT(edges, 64u);
+  } else {
+    ASSERT_LT(edges, 64u);
+  }
+  rtlil::Design d;
+  const CompiledFsm c = harden(f, d, 2);
+  Analyzer analyzer(f, c);
+  const std::string prefix = wide ? "mds_x_20" : "mds_x_6";
+  for (const std::string& region : {std::string("state"), prefix}) {
+    SynfiConfig config;
+    config.kind = param.kind;
+    if (region == "state") {
+      config.target = sim::FaultTarget::kStateRegister;
+    } else {
+      config.wire_prefix = region;
+    }
+    for (int k = 1; k <= 3; ++k) {
+      config.faults_k = k;
+      const std::string label =
+          param.module + " " + region + " " + param.kind_name + " k=" + std::to_string(k);
+      config.lanes = 1;
+      config.threads = 1;
+      const SynfiReport ref = analyzer.run(config);
+      EXPECT_GT(ref.injections, 0) << label;
+      EXPECT_EQ(ref.masked + ref.detected + ref.exploitable, ref.injections) << label;
+      for (const int lanes : {1, 37, 64, 100, 512}) {
+        for (const int threads : {1, 3}) {
+          config.lanes = lanes;
+          config.threads = threads;
+          expect_reports_equal(ref, analyzer.run(config),
+                               label + " lanes=" + std::to_string(lanes) +
+                                   " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+std::vector<SegmentCase> segment_cases() {
+  std::vector<SegmentCase> cases;
+  const std::vector<std::pair<sim::FaultKind, std::string>> kinds = {
+      {sim::FaultKind::kTransientFlip, "flip"},
+      {sim::FaultKind::kStuckAt0, "stuck0"},
+      {sim::FaultKind::kStuckAt1, "stuck1"},
+      {sim::FaultKind::kSkipCycle, "skip"},
+  };
+  for (const char* module : {"wide81", "lion"}) {
+    for (const auto& [kind, name] : kinds) cases.push_back({module, kind, name});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(WideAndNarrow, SynfiParallelSegments,
+                         ::testing::ValuesIn(segment_cases()),
+                         [](const ::testing::TestParamInfo<SegmentCase>& info) {
+                           return info.param.module + "_" + info.param.kind_name;
+                         });
 
 }  // namespace
 }  // namespace scfi::synfi
