@@ -5,7 +5,8 @@
 # KISS2 corpus), Wilson-bounded sweep-diff regression gates against the
 # committed baseline stores, exact-match gates on a SAT back-end sweep and
 # on an exhaustive back-end sweep at two lane widths (the SAT smoke and the
-# sim smoke), and crash smokes for both the JSONL store
+# sim smoke) and on the zoo's campaign sweep at two lane widths (the
+# campaign smoke), and crash smokes for both the JSONL store
 # (SIGKILL + torn tail + --resume) and the multi-process fleet supervisor
 # (SIGKILL a worker mid-sweep; poison-job quarantine). Mirrors the verify
 # command in ROADMAP.md; run from the repository root.
@@ -58,7 +59,8 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # into a growing vector, and so do the edge-major SAT SYNFI oracle, solve
 # count and cancellation tests, whose k > 1 queries add a clause per model,
 # and the observability-pruning suites, whose weighted SYNFI layers and
-# unsimulated campaign runs are checked against brute-force references, the
+# unsimulated campaign runs are checked against brute-force references
+# (as are the campaign lane pool's mid-walk starts and refilled lanes), the
 # exhaustive segment suite (per-batch segment bounds and site arrays,
 # lane-range masks across word and batch boundaries), and
 # the campaign knob checks (an empty kind set used to read past its end),
@@ -180,6 +182,29 @@ for SIM_LANES in default 100; do
   echo "$SIM_DIFF"
   grep -q 'stores are identical' <<<"$SIM_DIFF" \
     || { echo "sim smoke (lanes $SIM_LANES): store differs from bench/baselines/sim_k2_smoke.jsonl"; exit 1; }
+done
+
+# Campaign executor gate: the zoo's Monte-Carlo campaigns at protection
+# level 2 on all three variants, for flip, stuck-at-1 and skip faults, two
+# faults per run, on any site and on the state register (126 campaign jobs
+# beside 21 SYNFI jobs). The executor's lanes start runs mid-walk and free
+# themselves as runs are decided, so the sweep runs at the default lane
+# width and at 100 lanes, where lanes end inside a lane word. Each count is
+# a pure function of its run plans, so both stores must equal the committed
+# baseline record for record, not merely fall inside a Wilson interval.
+CAMPAIGN_ARGS=(sweep --modules '*' --levels 2 --kinds flip,stuck1,skip --campaign-runs 3000
+  --campaign-cycles 16 --campaign-faults 2 --campaign-target any,state
+  --campaign-variants scfi,unprotected,redundancy --jobs 2 --threads 2)
+for CAMPAIGN_LANES in default 100; do
+  CAMPAIGN_OUT="$(dirname "$SWEEP_OUT")/campaign_smoke_$CAMPAIGN_LANES.jsonl"
+  CAMPAIGN_LANE_ARGS=()
+  [[ "$CAMPAIGN_LANES" == default ]] || CAMPAIGN_LANE_ARGS=(--lanes "$CAMPAIGN_LANES")
+  build/scfi_cli "${CAMPAIGN_ARGS[@]}" "${CAMPAIGN_LANE_ARGS[@]}" --out "$CAMPAIGN_OUT" > /dev/null
+  CAMPAIGN_DIFF="$(build/scfi_cli sweep-diff bench/baselines/campaign_smoke.jsonl "$CAMPAIGN_OUT" \
+    --fail-on-removed)"
+  echo "$CAMPAIGN_DIFF"
+  grep -q 'stores are identical' <<<"$CAMPAIGN_DIFF" \
+    || { echo "campaign smoke (lanes $CAMPAIGN_LANES): store differs from bench/baselines/campaign_smoke.jsonl"; exit 1; }
 done
 
 # KISS2-corpus sweep smoke: the same fleet run drawing modules from the

@@ -54,8 +54,8 @@ struct WalkTables {
 
 /// Plans of consecutive runs, run-major: run r walks CFG edges walk(r)[0 ..
 /// cycles), visits golden states golden(r)[0 .. cycles] and schedules faults
-/// faults(r)[0 .. k). A planned unit and an executor batch are both one of
-/// these.
+/// faults(r)[0 .. k). A planned unit and a lane pool's rows (one per lane)
+/// are both one of these.
 struct RunPlans {
   std::size_t cycles = 0;
   std::size_t k = 0;
@@ -169,7 +169,7 @@ class RunPlanner {
   std::vector<std::int32_t> state_;
 };
 
-/// Everything the per-batch executor needs, resolved once per campaign:
+/// Everything the executor needs, resolved once per campaign:
 /// symbol codes / raw input bits per CFG edge, packed as integers.
 struct StimulusTable {
   bool encoded = false;
@@ -227,17 +227,19 @@ class Harness {
     in_words_.resize(static_cast<std::size_t>(in_width_ * sim.lane_words()));
   }
 
-  /// Drives lane i in [0, n) with the stimulus of CFG edge edge_of(i), and
-  /// every other lane with zeros.
+  /// Drives lane i in [0, n) with the stimulus of CFG edge edge_of(i), or
+  /// with zeros where edge_of(i) < 0, and every other lane with zeros.
   template <typename EdgeOf>
   void drive(int n, EdgeOf edge_of) {
     Simulator& sim = classifier.sim;
     const int W = sim.lane_words();
     std::fill(in_words_.begin(), in_words_.end(), 0);
     for (int lane = 0; lane < n; ++lane) {
+      const std::int32_t edge = edge_of(lane);
+      if (edge < 0) continue;
       const auto wj = static_cast<std::size_t>(lane >> 6);
       const std::uint64_t bit = 1ULL << (lane & 63);
-      const auto e = static_cast<std::size_t>(edge_of(lane));
+      const auto e = static_cast<std::size_t>(edge);
       std::uint64_t bits = (stim_->encoded ? stim_->edge_code[e] : stim_->edge_bits[e]) & in_mask_;
       for (; bits != 0; bits &= bits - 1) {
         in_words_[static_cast<std::size_t>(std::countr_zero(bits) * W) + wj] |= bit;
@@ -266,23 +268,32 @@ class Harness {
   std::vector<std::uint64_t> in_words_;  ///< per-lane words, index [i * W + w]
 };
 
-/// Which runs a campaign must simulate. A site is live when its net lies in
-/// the fan-in cone of the state register and the alert, closed over
-/// flip-flops (VariantNetlist::cone): a fault anywhere else can never
-/// change either, in its cycle or any later one. A run whose faults all sit
-/// on dead sites, none of them a skip (which acts at a flip-flop, not
-/// through the cone), therefore behaves exactly like the fault-free run of
-/// its walk. That run never deviates and, when the fault-free table below
-/// is exact, is classified by its last edge alone: `detected` when the
-/// executor's final check, the post-edge settle with the last stimulus
-/// still driven, raises the alert, `masked` otherwise.
+/// Which runs a campaign must simulate, and where a simulated run starts.
+/// A site is live when its net lies in the fan-in cone of the state
+/// register and the alert, closed over flip-flops (VariantNetlist::cone): a
+/// fault anywhere else can never change either, in its cycle or any later
+/// one. A run whose faults all sit on dead sites, none of them a skip (which
+/// acts at a flip-flop, not through the cone), therefore behaves exactly
+/// like the fault-free run of its walk. When the fault-free proof below
+/// holds (`exact`), that run never deviates and is classified by its last
+/// edge alone: `detected` when the executor's final check, the post-edge
+/// settle with the last stimulus still driven, raises the alert, `masked`
+/// otherwise. The same proof lets a simulated run skip its fault-free
+/// prefix: up to its earliest fault cycle c it raises no alert and latches
+/// its golden states, so it starts at c with the cone registers at the
+/// valuation of golden state c.
 struct Observability {
-  std::vector<char> live_site;    ///< per site; empty = every run is simulated
+  bool exact = false;             ///< false: every run is simulated from reset
+  std::vector<char> live_site;    ///< per site
   std::vector<char> final_alert;  ///< per CFG edge
+  /// valuation[s * R + r]: the value of cone register r (in
+  /// Simulator::register_nets() order, R of them) in reachable FSM state s;
+  /// -1 in an unreachable one.
+  std::vector<signed char> valuation;
 
   bool must_simulate(const PlannedFault* faults, std::size_t k,
                      const std::vector<FaultKind>& kinds) const {
-    if (live_site.empty()) return true;
+    if (!exact) return true;
     for (std::size_t f = 0; f < k; ++f) {
       if (live_site[static_cast<std::size_t>(faults[f].site)] != 0 ||
           kinds[static_cast<std::size_t>(faults[f].kind)] == FaultKind::kSkipCycle) {
@@ -297,21 +308,17 @@ struct Observability {
 /// pass (one per sim.num_lanes() reachable edges):
 /// lane j drives the BFS path from reset to the source of reachable CFG
 /// edge e_j, then e_j, then holds e_j's stimulus for one more settle, whose
-/// alert is final_alert[e_j]. The table is exact for every walk only if the
-/// cone's registers are a function of the FSM state: the pass checks that
-/// every reachable state shows one valuation of them in every lane, that
-/// no step raises the alert and that every step latches its golden
-/// successor. Each reachable edge is then checked from its source's one
-/// valuation, so by induction every walk from reset matches it. Returns an
-/// empty Observability (prune nothing) when a check fails or nothing is
-/// prunable.
+/// alert is final_alert[e_j]. The table and the start valuations are exact
+/// for every walk only if the cone's registers are a function of the FSM
+/// state: the pass checks that every reachable state shows one valuation of
+/// them in every lane, that no step raises the alert and that every step
+/// latches its golden successor. Each reachable edge is then checked from
+/// its source's one valuation, so by induction every walk from reset
+/// matches it. Returns an Observability that is not `exact` (prune nothing,
+/// start every run at reset) when a check fails.
 Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
                       const std::vector<CfgEdge>& cfg, const WalkTables& walk,
-                      const std::vector<FaultSite>& sites, const CampaignConfig& config) {
-  const bool prunable_kind =
-      std::any_of(config.fault.kinds.begin(), config.fault.kinds.end(),
-                  [](FaultKind kind) { return kind != FaultKind::kSkipCycle; });
-  if (!prunable_kind) return {};
+                      const std::vector<FaultSite>& sites) {
   Simulator& sim = h.classifier.sim;
   const int lanes = sim.num_lanes();
 
@@ -320,9 +327,6 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
   obs.live_site.reserve(sites.size());
   for (const FaultSite& s : sites) {
     obs.live_site.push_back(cone[static_cast<std::size_t>(sim.net_index(s.bit))]);
-  }
-  if (std::all_of(obs.live_site.begin(), obs.live_site.end(), [](char c) { return c != 0; })) {
-    return {};
   }
   // The simulator is sliced to the cone, so these are the cone's registers.
   const std::vector<std::int32_t> regs = sim.register_nets();
@@ -349,8 +353,8 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
     }
   }
 
-  // valuation[s * regs + r]: register r's value in state s; -1 = not seen.
-  std::vector<signed char> valuation(num_states * regs.size(), -1);
+  std::vector<signed char>& valuation = obs.valuation;
+  valuation.assign(num_states * regs.size(), -1);
   obs.final_alert.assign(cfg.size(), 0);
   std::vector<std::vector<std::int32_t>> paths;
   for (std::size_t first = 0; first < reachable.size(); first += static_cast<std::size_t>(lanes)) {
@@ -412,180 +416,223 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
       }
     }
   }
+  obs.exact = true;
   return obs;
 }
 
-/// A participant's executor: its private Harness and a batch of up to
-/// `lanes` runs that it fills run by run and simulates whenever the batch
-/// is full (and once more, by flush(), for the rest). Outcomes are per-lane
-/// and the counts are plain integer sums, so how runs are packed into
-/// batches and shared between threads cannot change the aggregate result.
-/// Lane sets are runtime-width word arrays (W = lane_words_for(lanes))
-/// rather than full kMaxLaneWords LaneMask blocks, so the classic 64-lane
-/// configuration pays for exactly one word.
-class BatchExecutor {
+/// A participant's executor: its private Harness and a pool of `lanes`
+/// lanes, each carrying one run at its own cycle. add() starts a run in a
+/// free lane, stepping the pool first when none is free, and flush() steps
+/// until every lane is free again. A run starts at its earliest fault cycle
+/// c with its lane's registers at the valuation of golden state c (at cycle
+/// 0 with the reset values when the Observability proof failed) and retires
+/// as soon as its outcome is fixed: on an alert or the error code
+/// (detected), or after its own final check. Outcomes are per lane and the
+/// counts are plain integer sums, so how runs share lanes, steps and
+/// threads cannot change the aggregate result. Lane sets are runtime-width
+/// word arrays (W = lane_words_for(lanes)) rather than full kMaxLaneWords
+/// LaneMask blocks, so the classic 64-lane configuration pays for exactly
+/// one word.
+class LanePool {
  public:
-  BatchExecutor(Harness harness, const std::vector<FaultSite>& sites, const CampaignConfig& config)
+  LanePool(Harness harness, const std::vector<FaultSite>& sites, const Observability& obs,
+           const CampaignConfig& config)
       : config_(&config),
+        obs_(&obs),
         h_(std::move(harness)),
-        batch_(config, static_cast<std::size_t>(config.lanes)),
-        scheduled_(static_cast<std::size_t>(config.lanes) *
-                   static_cast<std::size_t>(config.fault.k)),
-        cycle_begin_(static_cast<std::size_t>(config.cycles) + 1),
-        cycle_fill_(static_cast<std::size_t>(config.cycles)) {
+        rows_(config, static_cast<std::size_t>(config.lanes)),
+        cursor_(static_cast<std::size_t>(config.lanes), 0) {
+    Simulator& sim = h_.classifier.sim;
     site_net_.reserve(sites.size());
-    for (const FaultSite& s : sites) site_net_.push_back(h_.classifier.sim.net_index(s.bit));
+    for (const FaultSite& s : sites) site_net_.push_back(sim.net_index(s.bit));
+    sim.reset();
+    for (const std::int32_t net : sim.register_nets()) {
+      regs_.push_back(Simulator::WireHandle{net, 1});
+      reset_values_.push_back(static_cast<signed char>(sim.lane_word(net) & 1));
+    }
+    start_bits_.resize(regs_.size() * static_cast<std::size_t>(sim.lane_words()));
+    for (int lane = config.lanes - 1; lane >= 0; --lane) free_.push_back(lane);
   }
 
-  /// Queues run `run` of `plans`, simulating the batch once it is full.
+  /// Starts run `run` of `plans` in a free lane, stepping until one is.
   void add(const RunPlans& plans, std::size_t run) {
-    batch_.copy_run(plans, run, static_cast<std::size_t>(filled_));
-    if (++filled_ == config_->lanes) flush();
+    while (free_.empty()) step();
+    const int lane = free_.back();
+    free_.pop_back();
+    rows_.copy_run(plans, run, static_cast<std::size_t>(lane));
+    start(lane);
+    ++counts.simulated;
   }
 
-  /// Simulates the queued runs, if any.
+  /// Steps until every started run has retired.
   void flush() {
-    if (filled_ == 0) return;
-    simulate();
-    counts.simulated += filled_;
-    filled_ = 0;
+    while (free_.size() < static_cast<std::size_t>(config_->lanes)) step();
   }
 
   CampaignResult counts;
 
  private:
-  void simulate();
+  void start(int lane);
+  void step();
+  void retire(int lane);
 
   const CampaignConfig* config_;
+  const Observability* obs_;
   Harness h_;
-  RunPlans batch_;
-  int filled_ = 0;
+  RunPlans rows_;  ///< row `lane`: the run that lane carries
   std::vector<std::int32_t> site_net_;
-  /// The batch's faults bucketed by cycle: cycle t injects
-  /// scheduled_[cycle_begin_[t] .. cycle_begin_[t + 1]).
-  struct ScheduledFault {
-    std::int32_t net;
-    FaultKind kind;
-    int lane;
-  };
-  std::vector<ScheduledFault> scheduled_;
-  std::vector<int> cycle_begin_;
-  std::vector<int> cycle_fill_;
+  std::vector<Simulator::WireHandle> regs_;  ///< the cone registers, one bit each
+  std::vector<signed char> reset_values_;    ///< per register
+  std::vector<int> free_;                    ///< lanes carrying no run
+  /// Per lane: the cycle its next step simulates; `cycles` = its final check.
+  std::vector<std::int32_t> cursor_;
+  LaneWords busy_{};     // lane carries a run
+  LaneWords final_{};    // the lane's next step is its final check
+  LaneWords started_{};  // started since the last step: registers still to set
+  /// start_bits_[r * W + w]: register r's start value in the started lanes.
+  std::vector<std::uint64_t> start_bits_;
+  LaneWords deviated_{};  // reached a valid state != golden
+  LaneWords invalid_{};   // reached a non-codeword
+  LaneWords not_lag_{};   // deviation beyond a missed transition
 };
 
-void BatchExecutor::simulate() {
+void LanePool::start(int lane) {
+  const auto row = static_cast<std::size_t>(lane);
+  const PlannedFault* faults = rows_.faults_of(row);
+  std::int32_t cycle = 0;
+  const signed char* values = reset_values_.data();
+  if (obs_->exact && config_->fault.k > 0) {
+    cycle = std::min_element(faults, faults + config_->fault.k,
+                             [](const PlannedFault& a, const PlannedFault& b) {
+                               return a.cycle < b.cycle;
+                             })->cycle;
+    values = obs_->valuation.data() +
+             static_cast<std::size_t>(rows_.golden_of(row)[cycle]) * regs_.size();
+  }
+  cursor_[row] = cycle;
+  const auto wj = static_cast<std::size_t>(lane >> 6);
+  const std::uint64_t bit = 1ULL << (lane & 63);
+  busy_[wj] |= bit;
+  started_[wj] |= bit;
+  deviated_[wj] &= ~bit;
+  invalid_[wj] &= ~bit;
+  not_lag_[wj] &= ~bit;
+  const auto W = static_cast<std::size_t>(h_.classifier.sim.lane_words());
+  for (std::size_t r = 0; r < regs_.size(); ++r) {
+    if (values[r] == 1) start_bits_[r * W + wj] |= bit;
+  }
+}
+
+void LanePool::retire(int lane) {
+  // Transient flips and skips end with the latch of their cycle; a stuck
+  // fault stays until it is cleared here, before the lane's next run.
+  const PlannedFault* faults = rows_.faults_of(static_cast<std::size_t>(lane));
+  for (int f = 0; f < config_->fault.k; ++f) {
+    const FaultKind kind = config_->fault.kinds[static_cast<std::size_t>(faults[f].kind)];
+    if (kind == FaultKind::kStuckAt0 || kind == FaultKind::kStuckAt1) {
+      h_.classifier.sim.inject_net(site_net_[static_cast<std::size_t>(faults[f].site)],
+                                   FaultKind::kNone, LaneMask::lane(lane));
+    }
+  }
+  free_.push_back(lane);
+}
+
+void LanePool::step() {
   const CampaignConfig& config = *config_;
   LaneClassifier& classifier = h_.classifier;
   Simulator& sim = classifier.sim;
   const int W = sim.lane_words();
   const int k = config.fault.k;
-  const int batch_runs = filled_;
-  const LaneMask batch_mask = LaneMask::first_n(batch_runs);
-  // Stable counting sort of the batch's faults by cycle, in the (lane, f)
-  // order the cycle loop injects them, so a cycle touches only its own.
-  std::fill(cycle_begin_.begin(), cycle_begin_.end(), 0);
-  for (int lane = 0; lane < batch_runs; ++lane) {
-    const PlannedFault* faults = batch_.faults_of(static_cast<std::size_t>(lane));
-    for (int f = 0; f < k; ++f) ++cycle_begin_[static_cast<std::size_t>(faults[f].cycle) + 1];
-  }
-  std::partial_sum(cycle_begin_.begin(), cycle_begin_.end(), cycle_begin_.begin());
-  std::copy_n(cycle_begin_.begin(), cycle_fill_.size(), cycle_fill_.begin());
-  for (int lane = 0; lane < batch_runs; ++lane) {
-    const PlannedFault* faults = batch_.faults_of(static_cast<std::size_t>(lane));
-    for (int f = 0; f < k; ++f) {
-      const PlannedFault& p = faults[f];
-      scheduled_[static_cast<std::size_t>(cycle_fill_[static_cast<std::size_t>(p.cycle)]++)] =
-          ScheduledFault{site_net_[static_cast<std::size_t>(p.site)],
-                         config.fault.kinds[static_cast<std::size_t>(p.kind)], lane};
-    }
-  }
-
-  sim.reset();
-  LaneWords done{};      // lane terminated (detected)
-  LaneWords detected{};  // subset of done
-  // Folds the alert wire into detected/done for lanes still running.
-  const auto absorb_alerts = [&] {
-    if (!classifier.alert_h.valid()) return;
-    for (int w = 0; w < W; ++w) {
-      const auto j = static_cast<std::size_t>(w);
-      const std::uint64_t newly = classifier.alert_word(w) & batch_mask.w[j] & ~done[j];
-      detected[j] |= newly;
-      done[j] |= newly;
-    }
+  const std::int32_t cycles = config.cycles;
+  const auto for_each_lane = [](std::uint64_t bits, int w, auto fn) {
+    for (; bits != 0; bits &= bits - 1) fn(w * 64 + std::countr_zero(bits));
   };
-  const auto all_done = [&] {
-    for (int w = 0; w < W; ++w) {
-      if (done[static_cast<std::size_t>(w)] != batch_mask.w[static_cast<std::size_t>(w)]) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const auto cycles = static_cast<std::size_t>(config.cycles);
-  LaneWords deviated{};  // reached a valid state != golden
-  LaneWords invalid{};   // reached a non-codeword
-  LaneWords not_lag{};   // deviation beyond a missed transition
-  for (std::size_t t = 0; t < cycles && !all_done(); ++t) {
-    h_.drive(batch_runs, [&](int lane) { return batch_.walk(static_cast<std::size_t>(lane))[t]; });
-    // Inject this cycle's faults, lane by lane.
-    for (int i = cycle_begin_[t]; i < cycle_begin_[t + 1]; ++i) {
-      const ScheduledFault& sf = scheduled_[static_cast<std::size_t>(i)];
-      sim.inject_net(sf.net, sf.kind, LaneMask::lane(sf.lane));
-    }
-    // One settle per edge: the alert is read before the latch, and
-    // classification reads only the latched state register, so the
-    // post-edge settle is left to the next cycle (or the final check).
-    sim.eval();
-    absorb_alerts();
-    sim.latch();
-    // Word-parallel classification of the lanes still running: a lane
-    // latched to the error code is detected, the rest are compared against
-    // their golden states.
-    LaneWords live{};
-    for (int w = 0; w < W; ++w) {
-      live[static_cast<std::size_t>(w)] =
-          batch_mask.w[static_cast<std::size_t>(w)] & ~done[static_cast<std::size_t>(w)];
-    }
-    classifier.match(live);
-    for (int w = 0; w < W; ++w) {
-      const auto j = static_cast<std::size_t>(w);
-      const std::uint64_t err = classifier.error()[j];
-      detected[j] |= err;
-      done[j] |= err;
-      live[j] &= ~err;
-    }
-    const LaneWords& valid = classifier.valid();
-    LaneWords match_expect{};
-    LaneWords match_prev{};
-    for (int lane = 0; lane < batch_runs; ++lane) {
-      const auto wj = static_cast<std::size_t>(lane >> 6);
-      const std::uint64_t bit = 1ULL << (lane & 63);
-      if (!(live[wj] & bit)) continue;
-      const std::int32_t* golden = batch_.golden_of(static_cast<std::size_t>(lane));
-      match_expect[wj] |= classifier.state_eq(static_cast<std::size_t>(golden[t + 1]), wj) & bit;
-      match_prev[wj] |= classifier.state_eq(static_cast<std::size_t>(golden[t]), wj) & bit;
-    }
-    for (int w = 0; w < W; ++w) {
-      const auto j = static_cast<std::size_t>(w);
-      invalid[j] |= live[j] & ~valid[j];
-      not_lag[j] |= live[j] & ~valid[j];
-      const std::uint64_t dev = live[j] & valid[j] & ~match_expect[j];
-      deviated[j] |= dev;
-      not_lag[j] |= dev & ~match_prev[j];
-    }
-  }
-  // Final combinational alert check (covers a deviation on the last cycle).
-  sim.eval();
-  absorb_alerts();
   for (int w = 0; w < W; ++w) {
     const auto j = static_cast<std::size_t>(w);
+    if (started_[j] == 0) continue;
+    for (std::size_t r = 0; r < regs_.size(); ++r) {
+      std::uint64_t& bits = start_bits_[r * static_cast<std::size_t>(W) + j];
+      sim.set_register_lanes(regs_[r], 0, started_[j], bits, w);
+      bits = 0;
+    }
+    started_[j] = 0;
+  }
+  // Every lane drives its own edge (a final check its last one again) and
+  // gets the faults due at its cursor; free lanes drive zeros.
+  h_.drive(config.lanes, [&](int lane) -> std::int32_t {
+    const auto row = static_cast<std::size_t>(lane);
+    if (!((busy_[row >> 6] >> (lane & 63)) & 1)) return -1;
+    return rows_.walk(row)[std::min(cursor_[row], cycles - 1)];
+  });
+  for (int w = 0; w < W; ++w) {
+    const auto j = static_cast<std::size_t>(w);
+    for_each_lane(busy_[j] & ~final_[j], w, [&](int lane) {
+      const auto row = static_cast<std::size_t>(lane);
+      const PlannedFault* faults = rows_.faults_of(row);
+      for (int f = 0; f < k; ++f) {
+        if (faults[f].cycle != cursor_[row]) continue;
+        sim.inject_net(site_net_[static_cast<std::size_t>(faults[f].site)],
+                       config.fault.kinds[static_cast<std::size_t>(faults[f].kind)],
+                       LaneMask::lane(lane));
+      }
+    });
+  }
+  // One settle per step: the alert is read before the latch, and
+  // classification reads only the latched state register, so the post-edge
+  // settle is left to the lane's next step (or its final check).
+  sim.eval();
+  ++counts.evals;
+  LaneWords detected{};
+  if (classifier.alert_h.valid()) {
+    for (int w = 0; w < W; ++w) {
+      const auto j = static_cast<std::size_t>(w);
+      detected[j] = classifier.alert_word(w) & busy_[j];
+    }
+  }
+  sim.latch();
+  // Word-parallel classification of the lanes that simulated a cycle: a
+  // lane latched to the error code is detected, the rest are compared
+  // against their golden states.
+  LaneWords live{};
+  for (int w = 0; w < W; ++w) {
+    const auto j = static_cast<std::size_t>(w);
+    live[j] = busy_[j] & ~final_[j] & ~detected[j];
+  }
+  classifier.match(live);
+  const LaneWords& valid = classifier.valid();
+  for (int w = 0; w < W; ++w) {
+    const auto j = static_cast<std::size_t>(w);
+    detected[j] |= classifier.error()[j];
+    live[j] &= ~classifier.error()[j];
+    std::uint64_t match_expect = 0;
+    std::uint64_t match_prev = 0;
+    for_each_lane(live[j], w, [&](int lane) {
+      const auto row = static_cast<std::size_t>(lane);
+      const std::uint64_t bit = 1ULL << (lane & 63);
+      const std::int32_t* golden = rows_.golden_of(row) + cursor_[row];
+      match_expect |= classifier.state_eq(static_cast<std::size_t>(golden[1]), j) & bit;
+      match_prev |= classifier.state_eq(static_cast<std::size_t>(golden[0]), j) & bit;
+    });
+    invalid_[j] |= live[j] & ~valid[j];
+    not_lag_[j] |= live[j] & ~valid[j];
+    const std::uint64_t dev = live[j] & valid[j] & ~match_expect;
+    deviated_[j] |= dev;
+    not_lag_[j] |= dev & ~match_prev;
+    // Retire the detected lanes and the final checks; the rest advance.
     counts.detected += std::popcount(detected[j]);
-    const std::uint64_t live = batch_mask.w[j] & ~done[j];
-    counts.silent_invalid += std::popcount(live & invalid[j]);
-    const std::uint64_t dev = live & ~invalid[j] & deviated[j];
-    counts.hijacked += std::popcount(dev & not_lag[j]);
-    counts.lagged += std::popcount(dev & ~not_lag[j]);
-    counts.masked += std::popcount(live & ~invalid[j] & ~deviated[j]);
+    const std::uint64_t checked = final_[j] & ~detected[j];
+    counts.silent_invalid += std::popcount(checked & invalid_[j]);
+    const std::uint64_t checked_dev = checked & ~invalid_[j] & deviated_[j];
+    counts.hijacked += std::popcount(checked_dev & not_lag_[j]);
+    counts.lagged += std::popcount(checked_dev & ~not_lag_[j]);
+    counts.masked += std::popcount(checked & ~invalid_[j] & ~deviated_[j]);
+    const std::uint64_t retired = detected[j] | final_[j];
+    for_each_lane(retired, w, [&](int lane) { retire(lane); });
+    busy_[j] &= ~retired;
+    final_[j] &= ~retired;
+    for_each_lane(live[j], w, [&](int lane) {
+      if (++cursor_[static_cast<std::size_t>(lane)] == cycles) final_[j] |= 1ULL << (lane & 63);
+    });
   }
 }
 
@@ -593,8 +640,8 @@ void BatchExecutor::simulate() {
 /// run's participants and merges their counts. Each participant plans every
 /// unit it claims into a buffer of `lanes` rows, so it holds O(lanes) plan
 /// memory however large the campaign, counts the runs Observability lets it
-/// skip, and queues the rest on its own BatchExecutor, so live runs from
-/// several units share a batch. The owner simulates on `owner_harness`,
+/// skip, and starts the rest on its own LanePool, so live runs from several
+/// units share its steps. The owner simulates on `owner_harness`,
 /// which observe() already built; helpers build their own.
 void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<FaultSite>& sites,
                  const CampaignConfig& config, const StimulusTable& stim, const WalkTables& walk,
@@ -608,10 +655,10 @@ void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<Fa
                  [&](WorkShare::Claim& claim) {
                    RunPlanner planner(walk, fsm.reset_state, sites.size(), config);
                    RunPlans plans(config, static_cast<std::size_t>(config.lanes));
-                   BatchExecutor executor(
+                   LanePool executor(
                        claim.owner() ? std::move(owner_harness)
                                      : Harness(fsm, net, stim, lane_words_for(config.lanes)),
-                       sites, config);
+                       sites, obs, config);
                    CampaignResult& p = executor.counts;
                    for (UnitRange unit = claim.next(1); !unit.empty(); unit = claim.next(1)) {
                      // Cooperative cancellation at unit granularity: a fired
@@ -640,6 +687,7 @@ void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<Fa
                    result.lagged += p.lagged;
                    result.silent_invalid += p.silent_invalid;
                    result.simulated += p.simulated;
+                   result.evals += p.evals;
                  });
 }
 
@@ -670,7 +718,7 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
   const WalkTables walk(fsm, cfg);
   const VariantNetlist net(variant);
   Harness harness(fsm, net, stim, lane_words_for(config.lanes));
-  const Observability obs = observe(harness, fsm, variant, cfg, walk, sites, config);
+  const Observability obs = observe(harness, fsm, variant, cfg, walk, sites);
 
   CampaignResult result;
   result.runs = config.runs;

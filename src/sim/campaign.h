@@ -15,28 +15,37 @@
 //
 // Execution is two-phase. The planner derives every run's walk and fault
 // schedule from a jump-ahead RNG stream keyed by hash(seed, run_index):
-// workers plan their own batches on the fly with O(lanes) memory, so
+// workers plan their own units on the fly with O(lanes) memory, so
 // arbitrary-size campaigns run under a constant footprint and the plan for
-// run k never depends on runs 0..k-1. Execution packs `lanes` runs into the
-// bit-parallel simulator (one lane per run, up to 512 lanes via multi-word
-// lane blocks) and shares units of `lanes` runs between the calling thread
-// and its helpers (`threads` - 1, or an enclosing sweep's idle threads).
-// Because each run's plan is a pure function of (seed, run_index) and per-run outcomes are independent, the
-// aggregate CampaignResult is bit-identical for every combination of
+// run k never depends on runs 0..k-1. Execution runs each participant's
+// runs in a pool of `lanes` lanes of the bit-parallel simulator (one lane
+// per run, up to 512 lanes via multi-word lane blocks) and shares units of
+// `lanes` runs between the calling thread and its helpers (`threads` - 1,
+// or an enclosing sweep's idle threads). Each lane carries its own run at
+// its own cycle: every step drives each lane's own edge, injects the faults
+// due at its cycle, settles, absorbs the alert, latches and classifies. A
+// lane retires as soon as its run's outcome is fixed — on an alert or the
+// error code, or after its final check (the post-edge settle with its last
+// edge still driven) — and takes the next run. Because each run's plan is a
+// pure function of (seed, run_index) and per-run outcomes are independent,
+// the aggregate CampaignResult is bit-identical for every combination of
 // `lanes` and `threads`. Planning steps a unit's walks side by side, one
 // cycle of every walk at a time, so their dependent RNG draws overlap.
 //
-// Only runs with a live fault are simulated. A site is live when its net is
-// in the fan-in cone of the state register and the alert, closed over
-// flip-flops; a run whose faults are all on other sites, none a skip, acts
-// like its fault-free walk. One fault-free pass per campaign records, for
-// every reachable CFG edge, whether the final alert check fires after it,
-// and proves that table exact for every walk (the cone's registers are a
-// function of the FSM state, no step raises the alert, every step latches
-// its golden successor). Such a run then counts as detected or masked from
-// its last edge alone; if the proof fails, every run is simulated. Live
-// runs are packed densely into a participant's batches, across the units
-// it claims.
+// Only runs with a live fault are simulated, and each from its first fault.
+// A site is live when its net is in the fan-in cone of the state register
+// and the alert, closed over flip-flops; a run whose faults are all on
+// other sites, none a skip, acts like its fault-free walk. One fault-free
+// pass per campaign records, for every reachable CFG edge, whether the
+// final alert check fires after it, and the cone registers' value in every
+// reachable state, and proves both exact for every walk (the cone's
+// registers are a function of the FSM state, no step raises the alert,
+// every step latches its golden successor). A run with only dead faults
+// then counts as detected or masked from its last edge alone, and a live
+// run starts at its earliest fault cycle c with its lane's registers at the
+// value of golden state c. If the proof fails, every run is simulated from
+// reset at cycle 0. Live runs from all the units a participant claims share
+// its lane pool.
 #pragma once
 
 #include <cstdint>
@@ -72,12 +81,13 @@ struct CampaignConfig {
   FaultSpec fault;
   std::uint64_t seed = 1;
   CampaignPlanner planner = CampaignPlanner::kStreaming;
-  /// Runs per simulator batch (1..kMaxLanes = 64*lane_words); 1 = scalar.
-  /// Widths past 64 select a multi-word SoA lane block (lane_words in
-  /// {2, 4, 8}), subject to the SCFI_LANE_WORDS_CAP runtime clamp.
+  /// Lanes of each participant's simulator pool, one run in flight per
+  /// lane (1..kMaxLanes = 64*lane_words); 1 = scalar. Widths past 64 select
+  /// a multi-word SoA lane block (lane_words in {2, 4, 8}), subject to the
+  /// SCFI_LANE_WORDS_CAP runtime clamp.
   int lanes = kNumLanes;
-  /// Worker threads sharing batches (1 = inline); ignored under a
-  /// current WorkBoard, whose idle threads help instead.
+  /// Worker threads sharing units of `lanes` runs (1 = inline); ignored
+  /// under a current WorkBoard, whose idle threads help instead.
   int threads = 1;
   /// Optional cooperative stop signal, polled once per claimed unit of
   /// `lanes` runs: when it fires, workers throw CancelledError at the next
@@ -99,6 +109,10 @@ struct CampaignResult {
   /// register and the alert and were counted from their walk's fault-free
   /// outcome. Neither compared by operator== nor stored.
   int simulated = 0;
+  /// Diagnostic, not part of the result: the settles (eval() calls) the
+  /// executor ran, one per step of a participant's lane pool. Neither
+  /// compared by operator== nor stored.
+  std::int64_t evals = 0;
 
   /// Runs where the fault had any architectural effect.
   int effective() const { return detected + hijacked + lagged + silent_invalid; }

@@ -309,6 +309,17 @@ void Simulator::set_input_word(WireHandle h, int bit, std::uint64_t lanes, int w
           static_cast<std::size_t>(word)] = lanes;
 }
 
+void Simulator::set_register_lanes(WireHandle h, int bit, std::uint64_t lanes,
+                                   std::uint64_t value, int word) {
+  check(bit >= 0 && bit < h.width, "Simulator::set_register_lanes: bit out of range");
+  check(word >= 0 && word < lane_words_, "Simulator::set_register_lanes: word out of range");
+  settled_ = false;
+  std::uint64_t& stored = values_[static_cast<std::size_t>(h.base + bit) *
+                                      static_cast<std::size_t>(lane_words_) +
+                                  static_cast<std::size_t>(word)];
+  stored = (stored & ~lanes) | (value & lanes);
+}
+
 std::uint64_t Simulator::get_lane(WireHandle h, int lane) const {
   check(h.width <= 64, "Simulator::get_lane: wire wider than 64 bits cannot be packed "
                        "into one per-lane value");

@@ -262,6 +262,11 @@ class Simulator {
   void set_register_word(WireHandle h, int bit, std::uint64_t lanes, int word = 0) {
     set_input_word(h, bit, lanes, word);
   }
+  /// Overwrites one bit of a stored register value in the lanes of `lanes`
+  /// (lane block word `word`) with their bits of `value`, leaving the other
+  /// lanes' stored bits untouched; does NOT settle.
+  void set_register_lanes(WireHandle h, int bit, std::uint64_t lanes, std::uint64_t value,
+                          int word = 0);
   /// Fault-corrected wire value as one lane (0..num_lanes()-1) sees it.
   std::uint64_t get_lane(WireHandle h, int lane) const;
   std::uint64_t get(WireHandle h) const { return get_lane(h, 0); }
@@ -339,7 +344,8 @@ class Simulator {
   /// Every net whose mask block may have left identity since the last
   /// clear_all_faults(), deduplicated via faulted_mark_, so the clear pass
   /// restores O(distinct armed nets x lane_words) words instead of
-  /// re-filling the whole mask arrays (the executors clear once per batch).
+  /// re-filling the whole mask arrays (exhaustive SYNFI clears once per
+  /// batch).
   std::vector<std::int32_t> faulted_nets_;
   std::vector<char> faulted_mark_;
 };

@@ -50,7 +50,7 @@ struct SweepConfig {
   /// >= 1.
   int threads = 1;
   /// Simulator lanes per pass: (site, edge) injection jobs for
-  /// exhaustive-backend SYNFI queries, campaign runs per batch for
+  /// exhaustive-backend SYNFI queries, campaign runs in flight for
   /// campaign jobs. 1..sim::kMaxLanes (64 x lane_words); widths past 64
   /// use multi-word SoA lane blocks. 0 picks the count per compiled module
   /// via synfi::auto_lanes (small modules peak at 128–256 lanes; the

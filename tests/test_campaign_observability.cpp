@@ -5,7 +5,10 @@
 // run-by-run reference executor that replays each run's plan (re-derived
 // here from Rng(seed, run)) through the public sim::Simulator with no
 // pruning, at lanes 64/512 x threads 1/3, and the executor must simulate
-// exactly the runs with a live fault.
+// exactly the runs with a live fault. The same reference checks the lane
+// pool's schedule: runs that start mid-walk (every state-target run), lanes
+// refilled after a run retires (1 and 37 lanes), and the settle count when
+// every run is decided in its first step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,12 +218,13 @@ const char* target_name(FaultTarget target) {
   return "?";
 }
 
-/// Checks `config` on `c` against the reference at every lanes x threads
-/// shape.
+/// Checks `config` on `c` against the reference at every `lane_widths` x
+/// threads {1, 3} shape.
 void expect_matches_reference(const Fsm& f, const CompiledFsm& c, const CampaignConfig& config,
-                              const std::string& where) {
+                              const std::string& where,
+                              const std::vector<int>& lane_widths = {64, 512}) {
   const Reference ref = reference(f, c, config);
-  for (const int lanes : {64, 512}) {
+  for (const int lanes : lane_widths) {
     for (const int threads : {1, 3}) {
       CampaignConfig shaped = config;
       shaped.lanes = lanes;
@@ -238,6 +242,9 @@ void expect_matches_reference(const Fsm& f, const CompiledFsm& c, const Campaign
     }
   }
 }
+
+const std::vector<FaultKind> kStuckAndSkip = {FaultKind::kStuckAt0, FaultKind::kStuckAt1,
+                                              FaultKind::kSkipCycle};
 
 class CampaignObservability : public testing::TestWithParam<std::string> {};
 
@@ -263,6 +270,31 @@ TEST_P(CampaignObservability, MatchesScalarReference) {
                                        (stuck_and_skip ? " stuck/skip" : " flip") +
                                        " k=" + std::to_string(k));
         }
+      }
+    }
+  }
+}
+
+TEST_P(CampaignObservability, StateTargetMatchesScalarReference) {
+  // Every state-register site is live, so every run is simulated, and the
+  // executor starts each one at its earliest fault cycle from the
+  // fault-free register valuation of that cycle's golden state.
+  const std::unique_ptr<Subject> s = make_subject(GetParam());
+  for (const auto& [label, c] : s->variants) {
+    for (const bool stuck_and_skip : {false, true}) {
+      for (const int k : {1, 2}) {
+        CampaignConfig config;
+        config.runs = 700;
+        config.cycles = 10;
+        config.seed = 5;
+        config.fault.k = k;
+        config.fault.target = FaultTarget::kStateRegister;
+        config.fault.kinds =
+            stuck_and_skip ? kStuckAndSkip : std::vector<FaultKind>{FaultKind::kTransientFlip};
+        expect_matches_reference(s->fsm, c, config,
+                                 GetParam() + " " + label + " target=state" +
+                                     (stuck_and_skip ? " stuck/skip" : " flip") +
+                                     " k=" + std::to_string(k));
       }
     }
   }
@@ -342,6 +374,51 @@ TEST(CampaignObservabilityEdges, RegisterOutsideTheStateDisablesPruning) {
   const Reference ref = reference(f, c, config);
   EXPECT_LT(ref.live_runs, config.runs);
   EXPECT_EQ(r, ref.result);
+}
+
+TEST(CampaignObservabilityPool, RefilledLanesMatchScalarReference) {
+  // At 1 and 37 lanes nearly every run inherits a lane from an earlier run
+  // of the same participant, often one that retired early on an alert. A
+  // stuck fault left on the refilled lane, or a register left at the old
+  // run's value, changes the new run's outcome.
+  const std::unique_ptr<Subject> s = make_subject("otbn_controller");
+  for (const auto& [label, c] : s->variants) {
+    for (const FaultTarget target : {FaultTarget::kAny, FaultTarget::kStateRegister}) {
+      CampaignConfig config;
+      config.runs = 500;
+      config.cycles = 12;
+      config.seed = 37;
+      config.fault.k = 2;
+      config.fault.target = target;
+      config.fault.kinds = kStuckAndSkip;
+      expect_matches_reference(s->fsm, c, config,
+                               "otbn_controller " + label + " target=" + target_name(target),
+                               {1, 37});
+    }
+  }
+}
+
+TEST(CampaignObservabilityPool, DecidedRunsFreeTheirLanes) {
+  // A state-register flip on the SCFI variant raises the alert in the step
+  // that injects it, so every run retires in its first step and the next
+  // run takes its lane: the executor settles about once per `lanes` runs,
+  // plus at most one walk and its final check for the last runs. A batch
+  // that held its lanes through the whole walk would settle cycles + 1
+  // times per `lanes` runs.
+  const std::unique_ptr<Subject> s = make_subject("aes_control");
+  const CompiledFsm& c = s->variants.back().second;
+  CampaignConfig config;
+  config.runs = 3000;
+  config.cycles = 24;
+  config.lanes = 64;
+  config.fault.k = 1;
+  config.fault.target = FaultTarget::kStateRegister;
+  const CampaignResult r = run_campaign(s->fsm, c, config);
+  EXPECT_EQ(r.simulated, config.runs);
+  EXPECT_EQ(r.detected, config.runs);
+  const std::int64_t batches = (r.simulated + config.lanes - 1) / config.lanes;
+  EXPECT_LE(r.evals, batches + config.cycles + 1);
+  EXPECT_EQ(r, reference(s->fsm, c, config).result);
 }
 
 }  // namespace

@@ -532,6 +532,28 @@ TEST(SimLatch, LatchAfterAnUnsettledMutatorThrows) {
   EXPECT_NO_THROW(sim.latch());
 }
 
+TEST(SimLatch, SetRegisterLanesWritesOnlyItsLanes) {
+  // The campaign's lane pool starts a run in one lane of a word whose other
+  // lanes are mid-run: the write must leave their stored bits, stuck lanes
+  // included, as they were, and like every mutator it unsettles.
+  rtlil::Design d;
+  const ot::OtEntry entry = ot::ot_entry("pwrmgr_fsm");
+  const fsm::CompiledFsm c =
+      ot::build_ot_variant(entry, d, ot::Variant::kScfi, 2, "pwrmgr_register_lanes");
+  Simulator sim(*c.module, 2);
+  const Simulator::WireHandle state = sim.probe(c.state_wire);
+  const std::int32_t bit0 = state.base;
+  const std::uint64_t word0 = sim.lane_word(bit0, 0);
+  sim.set_register_word(state, 0, 0xF0F0ULL, 1);
+  sim.inject_net(bit0, FaultKind::kStuckAt0, LaneMask::lane(64 + 12));
+  sim.eval();
+  sim.set_register_lanes(state, 0, 0x00FFULL, 0x0A0AULL, 1);
+  EXPECT_THROW(sim.latch(), LogicBug);
+  sim.inject_net(bit0, FaultKind::kNone, LaneMask::lane(64 + 12));
+  EXPECT_EQ(sim.lane_word(bit0, 1), 0xF00AULL);
+  EXPECT_EQ(sim.lane_word(bit0, 0), word0);
+}
+
 TEST(SimParallel, CampaignInvariantUnderLanesAndThreads) {
   const fsm::Fsm f = test::synfi_fsm();
   rtlil::Design d;
