@@ -189,17 +189,23 @@ done
 # faults per run, on any site and on the state register (126 campaign jobs
 # beside 21 SYNFI jobs). The executor's lanes start runs mid-walk and free
 # themselves as runs are decided, so the sweep runs at the default lane
-# width and at 100 lanes, where lanes end inside a lane word. Each count is
-# a pure function of its run plans, so both stores must equal the committed
-# baseline record for record, not merely fall inside a Wilson interval.
+# width, at 100 lanes, where lanes end inside a lane word, and at the
+# default width under SCFI_LANE_WORDS_CAP=1, where every lane pool and every
+# planned unit is 64 runs wide. Each count is a pure function of its run
+# plans, so every store must equal the committed baseline record for
+# record, not merely fall inside a Wilson interval.
 CAMPAIGN_ARGS=(sweep --modules '*' --levels 2 --kinds flip,stuck1,skip --campaign-runs 3000
   --campaign-cycles 16 --campaign-faults 2 --campaign-target any,state
   --campaign-variants scfi,unprotected,redundancy --jobs 2 --threads 2)
-for CAMPAIGN_LANES in default 100; do
+for CAMPAIGN_LANES in default 100 cap1; do
   CAMPAIGN_OUT="$(dirname "$SWEEP_OUT")/campaign_smoke_$CAMPAIGN_LANES.jsonl"
   CAMPAIGN_LANE_ARGS=()
-  [[ "$CAMPAIGN_LANES" == default ]] || CAMPAIGN_LANE_ARGS=(--lanes "$CAMPAIGN_LANES")
-  build/scfi_cli "${CAMPAIGN_ARGS[@]}" "${CAMPAIGN_LANE_ARGS[@]}" --out "$CAMPAIGN_OUT" > /dev/null
+  [[ "$CAMPAIGN_LANES" == default || "$CAMPAIGN_LANES" == cap1 ]] \
+    || CAMPAIGN_LANE_ARGS=(--lanes "$CAMPAIGN_LANES")
+  CAMPAIGN_CAP=()
+  [[ "$CAMPAIGN_LANES" != cap1 ]] || CAMPAIGN_CAP=(SCFI_LANE_WORDS_CAP=1)
+  env "${CAMPAIGN_CAP[@]}" build/scfi_cli "${CAMPAIGN_ARGS[@]}" "${CAMPAIGN_LANE_ARGS[@]}" \
+    --out "$CAMPAIGN_OUT" > /dev/null
   CAMPAIGN_DIFF="$(build/scfi_cli sweep-diff bench/baselines/campaign_smoke.jsonl "$CAMPAIGN_OUT" \
     --fail-on-removed)"
   echo "$CAMPAIGN_DIFF"

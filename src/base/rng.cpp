@@ -5,10 +5,6 @@
 namespace scfi {
 namespace {
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64, used only to expand the seed into the xoshiro state.
 std::uint64_t splitmix(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -39,16 +35,10 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+Rng::Bound::Bound(std::uint64_t d) : d_(d) {
+  check(d > 0, "Rng::Bound divisor must be positive");
+  threshold_ = (0 - d) % d;
+  m_ = ~0ULL / d;
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {

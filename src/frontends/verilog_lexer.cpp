@@ -50,10 +50,6 @@ bool verilog_needs_escape(const std::string& name) {
   return reserved_words().count(name) != 0;
 }
 
-bool Token::is_punct(const char* p) const {
-  return kind == TokKind::kPunct && text == p;
-}
-
 bool Token::is_keyword(const char* kw) const {
   return kind == TokKind::kId && !escaped && text == kw;
 }

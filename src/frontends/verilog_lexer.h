@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace scfi::frontends {
@@ -24,7 +25,10 @@ struct Token {
   int line = 0;
   bool escaped = false;  ///< kId only: written as a `\`-escaped identifier
 
-  bool is_punct(const char* p) const;
+  /// Punctuation match. Inline over a string_view so that a literal's
+  /// length is known where it is called: a mismatch is a length or a byte
+  /// compare, with no strlen.
+  bool is_punct(std::string_view p) const { return kind == TokKind::kPunct && text == p; }
   /// Unescaped keyword/identifier match (an escaped `\wire ` is NOT the
   /// keyword `wire`).
   bool is_keyword(const char* kw) const;

@@ -157,10 +157,10 @@ class Parser {
   }
 
  private:
-  Token expect_punct(const char* p) {
+  Token expect_punct(std::string_view p) {
     const Token t = lex_.next();
     if (!t.is_punct(p)) {
-      lex_.fail(std::string("expected '") + p + "', got '" + t.text + "'", t.line);
+      lex_.fail("expected '" + std::string(p) + "', got '" + t.text + "'", t.line);
     }
     return t;
   }
@@ -568,7 +568,7 @@ class Parser {
     return e;
   }
 
-  ExprPtr parse_binary_chain(const char* punct, char op, ExprPtr (Parser::*sub)()) {
+  ExprPtr parse_binary_chain(std::string_view punct, char op, ExprPtr (Parser::*sub)()) {
     ExprPtr lhs = (this->*sub)();
     while (lex_.peek().is_punct(punct)) {
       const int line = lex_.next().line;

@@ -53,49 +53,58 @@ struct WalkTables {
 };
 
 /// Plans of consecutive runs, run-major: run r walks CFG edges walk(r)[0 ..
-/// cycles), visits golden states golden(r)[0 .. cycles] and schedules faults
-/// faults(r)[0 .. k). A planned unit and a lane pool's rows (one per lane)
-/// are both one of these.
+/// cycles) and schedules faults faults(r)[0 .. k). Its golden state at
+/// cycle t is the reset state at t = 0 and WalkTables::to[walk(r)[t - 1]]
+/// after that. A planned unit and a lane pool's rows (one per lane) are
+/// both one of these.
 struct RunPlans {
   std::size_t cycles = 0;
   std::size_t k = 0;
   std::vector<std::int32_t> edges;
-  std::vector<std::int32_t> golden;
   std::vector<PlannedFault> faults;
 
   RunPlans(const CampaignConfig& config, std::size_t runs)
       : cycles(static_cast<std::size_t>(config.cycles)),
         k(static_cast<std::size_t>(config.fault.k)),
         edges(runs * cycles),
-        golden(runs * (cycles + 1)),
         faults(runs * k) {}
 
   std::int32_t* walk(std::size_t run) { return edges.data() + run * cycles; }
   const std::int32_t* walk(std::size_t run) const { return edges.data() + run * cycles; }
-  std::int32_t* golden_of(std::size_t run) { return golden.data() + run * (cycles + 1); }
-  const std::int32_t* golden_of(std::size_t run) const {
-    return golden.data() + run * (cycles + 1);
-  }
   PlannedFault* faults_of(std::size_t run) { return faults.data() + run * k; }
   const PlannedFault* faults_of(std::size_t run) const { return faults.data() + run * k; }
 
   /// Copies run `from_run` of `from` into row `to_run`.
   void copy_run(const RunPlans& from, std::size_t from_run, std::size_t to_run) {
     std::copy_n(from.walk(from_run), cycles, walk(to_run));
-    std::copy_n(from.golden_of(from_run), cycles + 1, golden_of(to_run));
     std::copy_n(from.faults_of(from_run), k, faults_of(to_run));
   }
 };
 
 /// Draws run plans. Run r's walk and then its `fault.k` faults come from its
 /// own stream Rng(seed, r), so a plan is a pure function of (seed, r)
-/// however runs are grouped.
+/// however runs are grouped. Every draw is against a bound prepared once
+/// per planner (Rng::Bound), so planning divides nothing per draw and
+/// draws exactly what Rng::below(d) would.
 class RunPlanner {
  public:
   RunPlanner(const WalkTables& walk, int reset_state, std::size_t num_sites,
              const CampaignConfig& config)
-      : walk_(&walk), reset_state_(reset_state), config_(&config), pool_(num_sites) {
+      : walk_(&walk),
+        reset_state_(reset_state),
+        config_(&config),
+        pool_(num_sites),
+        cycle_bound_(static_cast<std::uint64_t>(config.cycles)),
+        kind_bound_(config.fault.kinds.size()) {
     std::iota(pool_.begin(), pool_.end(), 0);
+    for (std::size_t s = 0; s + 1 < walk.offset.size(); ++s) {
+      degree_bound_.emplace_back(static_cast<std::uint64_t>(walk.offset[s + 1] - walk.offset[s]));
+    }
+    // Fault f draws its site among the sites - f not yet taken, or among all
+    // of them once f is beyond the population.
+    for (std::size_t f = 0; f < static_cast<std::size_t>(config.fault.k); ++f) {
+      site_bound_.emplace_back(f < num_sites ? num_sites - f : num_sites);
+    }
   }
 
   /// Plans runs [base, base + n) into rows [0, n) of `out`. The n
@@ -111,49 +120,43 @@ class RunPlanner {
       rngs_.emplace_back(config_->seed, static_cast<std::uint64_t>(base) + i);
     }
     state_.assign(count, reset_state_);
-    for (std::size_t i = 0; i < count; ++i) out.golden_of(i)[0] = reset_state_;
     const std::int32_t* offset = walk_->offset.data();
     const std::int32_t* edge = walk_->edge.data();
     const std::int32_t* to = walk_->to.data();
+    const Rng::Bound* degree = degree_bound_.data();
     for (std::size_t t = 0; t < out.cycles; ++t) {
       for (std::size_t i = 0; i < count; ++i) {
         const auto s = static_cast<std::size_t>(state_[i]);
-        const auto options = static_cast<std::uint64_t>(offset[s + 1] - offset[s]);
         const std::int32_t e =
-            edge[static_cast<std::size_t>(offset[s]) + rngs_[i].below(options)];
+            edge[static_cast<std::size_t>(offset[s]) + rngs_[i].below(degree[s])];
         state_[i] = to[static_cast<std::size_t>(e)];
         out.walk(i)[t] = e;
-        out.golden_of(i)[t + 1] = state_[i];
       }
     }
-    const auto sites = static_cast<std::int64_t>(pool_.size());
-    const std::size_t num_kinds = config_->fault.kinds.size();
+    const std::size_t sites = pool_.size();
+    const bool draw_kind = config_->fault.kinds.size() > 1;
     for (std::size_t i = 0; i < count; ++i) {
       Rng& rng = rngs_[i];
       PlannedFault* faults = out.faults_of(i);
-      for (std::int64_t f = 0; f < config_->fault.k; ++f) {
+      for (std::size_t f = 0; f < site_bound_.size(); ++f) {
         // Only a request beyond the population can repeat a site.
         std::int32_t site = 0;
         if (f < sites) {
-          const std::int64_t j =
-              f + static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(sites - f)));
-          std::swap(pool_[static_cast<std::size_t>(f)], pool_[static_cast<std::size_t>(j)]);
+          const std::size_t j = f + rng.below(site_bound_[f]);
+          std::swap(pool_[f], pool_[j]);
           undo_.emplace_back(f, j);
-          site = pool_[static_cast<std::size_t>(f)];
+          site = pool_[f];
         } else {
-          site = static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(sites)));
+          site = static_cast<std::int32_t>(rng.below(site_bound_[f]));
         }
-        const auto cycle =
-            static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(config_->cycles)));
+        const auto cycle = static_cast<std::int32_t>(rng.below(cycle_bound_));
         // The kind draw is appended to the stream only for multi-kind specs,
         // so a single-kind spec's (seed, run) -> plan mapping is unchanged.
-        const std::int32_t kind =
-            num_kinds > 1 ? static_cast<std::int32_t>(rng.below(num_kinds)) : 0;
+        const std::int32_t kind = draw_kind ? static_cast<std::int32_t>(rng.below(kind_bound_)) : 0;
         faults[f] = PlannedFault{site, cycle, kind};
       }
       for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-        std::swap(pool_[static_cast<std::size_t>(it->first)],
-                  pool_[static_cast<std::size_t>(it->second)]);
+        std::swap(pool_[it->first], pool_[it->second]);
       }
       undo_.clear();
     }
@@ -164,7 +167,11 @@ class RunPlanner {
   std::int32_t reset_state_;
   const CampaignConfig* config_;
   std::vector<std::int32_t> pool_;
-  std::vector<std::pair<std::int64_t, std::int64_t>> undo_;
+  Rng::Bound cycle_bound_;
+  Rng::Bound kind_bound_;
+  std::vector<Rng::Bound> degree_bound_;  ///< per FSM state: its out-degree
+  std::vector<Rng::Bound> site_bound_;    ///< per fault index
+  std::vector<std::pair<std::size_t, std::size_t>> undo_;
   std::vector<Rng> rngs_;
   std::vector<std::int32_t> state_;
 };
@@ -269,12 +276,12 @@ class Harness {
 };
 
 /// Which runs a campaign must simulate, and where a simulated run starts.
-/// A site is live when its net lies in the fan-in cone of the state
-/// register and the alert, closed over flip-flops (VariantNetlist::cone): a
-/// fault anywhere else can never change either, in its cycle or any later
-/// one. A run whose faults all sit on dead sites, none of them a skip (which
-/// acts at a flip-flop, not through the cone), therefore behaves exactly
-/// like the fault-free run of its walk. When the fault-free proof below
+/// A fault is live when it can change the state register or the alert
+/// (VariantNetlist::live): a stuck-at or flip on a net in their fan-in cone,
+/// closed over flip-flops, or a skip on the Q of a flip-flop in that cone.
+/// Any other fault can never change either, in its cycle or any later one,
+/// so a run whose faults are all dead behaves exactly like the fault-free
+/// run of its walk. When the fault-free proof below
 /// holds (`exact`), that run never deviates and is classified by its last
 /// edge alone: `detected` when the executor's final check, the post-edge
 /// settle with the last stimulus still driven, raises the alert, `masked`
@@ -283,22 +290,21 @@ class Harness {
 /// its golden states, so it starts at c with the cone registers at the
 /// valuation of golden state c.
 struct Observability {
-  bool exact = false;             ///< false: every run is simulated from reset
-  std::vector<char> live_site;    ///< per site
+  bool exact = false;  ///< false: every run is simulated from reset
+  /// live[site * kinds + kind]: a fault of fault.kinds[kind] on the site is
+  /// live.
+  std::vector<char> live;
   std::vector<char> final_alert;  ///< per CFG edge
   /// valuation[s * R + r]: the value of cone register r (in
   /// Simulator::register_nets() order, R of them) in reachable FSM state s;
   /// -1 in an unreachable one.
   std::vector<signed char> valuation;
 
-  bool must_simulate(const PlannedFault* faults, std::size_t k,
-                     const std::vector<FaultKind>& kinds) const {
+  bool must_simulate(const PlannedFault* faults, std::size_t k, std::size_t kinds) const {
     if (!exact) return true;
     for (std::size_t f = 0; f < k; ++f) {
-      if (live_site[static_cast<std::size_t>(faults[f].site)] != 0 ||
-          kinds[static_cast<std::size_t>(faults[f].kind)] == FaultKind::kSkipCycle) {
-        return true;
-      }
+      const auto site = static_cast<std::size_t>(faults[f].site);
+      if (live[site * kinds + static_cast<std::size_t>(faults[f].kind)] != 0) return true;
     }
     return false;
   }
@@ -316,17 +322,18 @@ struct Observability {
 /// its source's one valuation, so by induction every walk from reset
 /// matches it. Returns an Observability that is not `exact` (prune nothing,
 /// start every run at reset) when a check fails.
-Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
+Observability observe(Harness& h, const Fsm& fsm, const VariantNetlist& net,
                       const std::vector<CfgEdge>& cfg, const WalkTables& walk,
-                      const std::vector<FaultSite>& sites) {
+                      const std::vector<FaultSite>& sites, const std::vector<FaultKind>& kinds) {
+  const CompiledFsm& variant = *net.variant;
   Simulator& sim = h.classifier.sim;
   const int lanes = sim.num_lanes();
 
-  const std::vector<char>& cone = h.classifier.observable_nets();
   Observability obs;
-  obs.live_site.reserve(sites.size());
+  obs.live.reserve(sites.size() * kinds.size());
   for (const FaultSite& s : sites) {
-    obs.live_site.push_back(cone[static_cast<std::size_t>(sim.net_index(s.bit))]);
+    const std::int32_t site_net = sim.net_index(s.bit);
+    for (const FaultKind kind : kinds) obs.live.push_back(net.live(site_net, kind));
   }
   // The simulator is sliced to the cone, so these are the cone's registers.
   const std::vector<std::int32_t> regs = sim.register_nets();
@@ -436,9 +443,11 @@ Observability observe(Harness& h, const Fsm& fsm, const CompiledFsm& variant,
 class LanePool {
  public:
   LanePool(Harness harness, const std::vector<FaultSite>& sites, const Observability& obs,
-           const CampaignConfig& config)
+           const WalkTables& walk, std::int32_t reset_state, const CampaignConfig& config)
       : config_(&config),
         obs_(&obs),
+        to_(walk.to.data()),
+        reset_state_(reset_state),
         h_(std::move(harness)),
         rows_(config, static_cast<std::size_t>(config.lanes)),
         cursor_(static_cast<std::size_t>(config.lanes), 0) {
@@ -476,8 +485,15 @@ class LanePool {
   void step();
   void retire(int lane);
 
+  /// The golden state of row `row` at cycle t.
+  std::int32_t golden(std::size_t row, std::int32_t t) const {
+    return t == 0 ? reset_state_ : to_[rows_.walk(row)[t - 1]];
+  }
+
   const CampaignConfig* config_;
   const Observability* obs_;
+  const std::int32_t* to_;  ///< WalkTables::to
+  std::int32_t reset_state_;
   Harness h_;
   RunPlans rows_;  ///< row `lane`: the run that lane carries
   std::vector<std::int32_t> site_net_;
@@ -506,8 +522,7 @@ void LanePool::start(int lane) {
                              [](const PlannedFault& a, const PlannedFault& b) {
                                return a.cycle < b.cycle;
                              })->cycle;
-    values = obs_->valuation.data() +
-             static_cast<std::size_t>(rows_.golden_of(row)[cycle]) * regs_.size();
+    values = obs_->valuation.data() + static_cast<std::size_t>(golden(row, cycle)) * regs_.size();
   }
   cursor_[row] = cycle;
   const auto wj = static_cast<std::size_t>(lane >> 6);
@@ -609,9 +624,10 @@ void LanePool::step() {
     for_each_lane(live[j], w, [&](int lane) {
       const auto row = static_cast<std::size_t>(lane);
       const std::uint64_t bit = 1ULL << (lane & 63);
-      const std::int32_t* golden = rows_.golden_of(row) + cursor_[row];
-      match_expect |= classifier.state_eq(static_cast<std::size_t>(golden[1]), j) & bit;
-      match_prev |= classifier.state_eq(static_cast<std::size_t>(golden[0]), j) & bit;
+      const std::int32_t t = cursor_[row];
+      const auto expect = static_cast<std::size_t>(to_[rows_.walk(row)[t]]);
+      match_expect |= classifier.state_eq(expect, j) & bit;
+      match_prev |= classifier.state_eq(static_cast<std::size_t>(golden(row, t)), j) & bit;
     });
     invalid_[j] |= live[j] & ~valid[j];
     not_lag_[j] |= live[j] & ~valid[j];
@@ -649,6 +665,7 @@ void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<Fa
   const std::int64_t num_units =
       (static_cast<std::int64_t>(config.runs) + config.lanes - 1) / config.lanes;
   const auto k = static_cast<std::size_t>(config.fault.k);
+  const std::size_t kinds = config.fault.kinds.size();
   const std::size_t last = static_cast<std::size_t>(config.cycles) - 1;
   std::mutex merge_mutex;
   WorkShare::run(static_cast<std::uint64_t>(num_units), 1, config.threads,
@@ -658,7 +675,7 @@ void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<Fa
                    LanePool executor(
                        claim.owner() ? std::move(owner_harness)
                                      : Harness(fsm, net, stim, lane_words_for(config.lanes)),
-                       sites, obs, config);
+                       sites, obs, walk, fsm.reset_state, config);
                    CampaignResult& p = executor.counts;
                    for (UnitRange unit = claim.next(1); !unit.empty(); unit = claim.next(1)) {
                      // Cooperative cancellation at unit granularity: a fired
@@ -669,7 +686,7 @@ void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<Fa
                          std::min<std::int64_t>(config.lanes, config.runs - base));
                      planner.plan_runs(base, n, plans);
                      for (std::size_t r = 0; r < static_cast<std::size_t>(n); ++r) {
-                       if (obs.must_simulate(plans.faults_of(r), k, config.fault.kinds)) {
+                       if (obs.must_simulate(plans.faults_of(r), k, kinds)) {
                          executor.add(plans, r);
                        } else if (obs.final_alert[static_cast<std::size_t>(
                                       plans.walk(r)[last])] != 0) {
@@ -718,7 +735,7 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
   const WalkTables walk(fsm, cfg);
   const VariantNetlist net(variant);
   Harness harness(fsm, net, stim, lane_words_for(config.lanes));
-  const Observability obs = observe(harness, fsm, variant, cfg, walk, sites);
+  const Observability obs = observe(harness, fsm, net, cfg, walk, sites, config.fault.kinds);
 
   CampaignResult result;
   result.runs = config.runs;

@@ -31,11 +31,18 @@
 // the aggregate CampaignResult is bit-identical for every combination of
 // `lanes` and `threads`. Planning steps a unit's walks side by side, one
 // cycle of every walk at a time, so their dependent RNG draws overlap.
+// Every draw is against a bound the planner prepares once per campaign (one
+// per FSM state's out-degree, one per fault index's site count, one for the
+// cycle and one for the kind; Rng::Bound), so planning divides nothing per
+// draw and draws exactly what Rng::below(d) would. A plan row holds only the
+// run's walk and its faults: its golden state at cycle t is the reset state
+// at t = 0 and the target of its edge t - 1 after that.
 //
 // Only runs with a live fault are simulated, and each from its first fault.
-// A site is live when its net is in the fan-in cone of the state register
-// and the alert, closed over flip-flops; a run whose faults are all on
-// other sites, none a skip, acts like its fault-free walk. One fault-free
+// A stuck-at or flip is live when its net is in the fan-in cone of the state
+// register and the alert, closed over flip-flops, and a skip when its net is
+// the Q of a flip-flop in that cone (a skip anywhere else is a no-op); a run
+// whose faults are all dead acts like its fault-free walk. One fault-free
 // pass per campaign records, for every reachable CFG edge, whether the
 // final alert check fires after it, and the cone registers' value in every
 // reachable state, and proves both exact for every walk (the cone's

@@ -40,6 +40,18 @@ struct VariantNetlist {
     }
     cone = rtlil::fanin_cone(*full, roots);
     sliced = std::make_shared<const rtlil::FlatNetlist>(rtlil::slice(*full, cone));
+    cone_q.assign(cone.size(), 0);
+    for (const rtlil::FlatFf& ff : sliced->ffs) cone_q[static_cast<std::size_t>(ff.q)] = 1;
+  }
+
+  /// Whether a fault of `kind` on `net` can ever change the state register
+  /// or the alert; both fault engines simulate only such faults. A mask
+  /// fault (stuck-at, flip) is live in the cone. A skip stalls the
+  /// flip-flop whose Q it hits and is a no-op on any other net, so it is
+  /// live only on the Q of a flip-flop of the slice.
+  bool live(std::int32_t net, FaultKind kind) const {
+    const auto n = static_cast<std::size_t>(net);
+    return (kind == FaultKind::kSkipCycle ? cone_q[n] : cone[n]) != 0;
   }
 
   const fsm::CompiledFsm* variant;
@@ -50,6 +62,8 @@ struct VariantNetlist {
   /// closed over flip-flops. A fault outside it can never change either.
   std::vector<char> cone;
   std::shared_ptr<const rtlil::FlatNetlist> sliced;  ///< `full` sliced to `cone`
+  /// Per net: the Q of a flip-flop of `sliced` (so in `cone`).
+  std::vector<char> cone_q;
 };
 
 class LaneClassifier {

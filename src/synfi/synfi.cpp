@@ -370,17 +370,16 @@ void push_equals(std::vector<sat::Lit>& lits, const std::vector<int>& vars,
   }
 }
 
-/// One cached fault region: its sites, their nets and their cone flags.
+/// One cached fault region: its sites and their nets.
 struct Region {
   std::vector<SigBit> sites;
   std::vector<std::int32_t> nets;
-  std::vector<char> observable;
 };
 
 /// One live incremental SAT context: the solver holds the exploitability
 /// miter (encode_exploit_miter) over the Analyzer's sliced netlist, whose
 /// faulty copy's overrides are each gated on a fresh selector literal — one
-/// per live region site (Region::observable). A dead site's fault changes
+/// per live region site (VariantNetlist::live). A dead site's fault changes
 /// no net of the slice, so it gets no override; run_sat_edges accounts for
 /// the dead sites without one. k = 1 constrains the selectors with
 /// exactly_one, k > 1 with a cardinality counter. Every query is then a
@@ -410,7 +409,7 @@ std::unique_ptr<SatContext> build_sat_context(const sim::VariantNetlist& net,
   const auto gated_faults = [&] {
     std::vector<sat::CnfFault> faults;
     for (std::size_t s = 0; s < region.sites.size(); ++s) {
-      if (region.observable[s] == 0) {
+      if (!net.live(region.nets[s], kind)) {
         ctx->dead_ids.push_back(s);
         continue;
       }
@@ -627,10 +626,7 @@ struct Analyzer::Impl {
     if (it != regions.end()) return it->second;
     Region fresh;
     fresh.sites = region_sites(net, prefix, include_inputs, target);
-    for (const SigBit& site : fresh.sites) {
-      fresh.nets.push_back(net.full->net_of(site));
-      fresh.observable.push_back(net.cone[static_cast<std::size_t>(fresh.nets.back())]);
-    }
+    for (const SigBit& site : fresh.sites) fresh.nets.push_back(net.full->net_of(site));
     return regions.emplace(key, std::move(fresh)).first->second;
   }
 
@@ -660,12 +656,9 @@ struct Analyzer::Impl {
   PartialReport run_exhaustive_layers(const SynfiConfig& config, Region& region,
                                       int lane_words, std::vector<char>& site_hit) {
     const std::size_t num_sites = region.sites.size();
-    // A skipped clock edge acts at the flip-flop, not through the cone, so
-    // skip-cycle faults are never pruned.
-    const bool prune = config.kind != sim::FaultKind::kSkipCycle;
     LayerSites live;
     for (std::size_t s = 0; s < num_sites; ++s) {
-      if (prune && region.observable[s] == 0) continue;
+      if (!net.live(region.nets[s], config.kind)) continue;
       live.nets.push_back(region.nets[s]);
       live.ids.push_back(s);
     }
@@ -711,7 +704,7 @@ struct Analyzer::Impl {
       if (m < k && layer.exploitable > 0) dead_hit = true;
     }
     for (std::size_t s = 0; s < num_sites && dead_hit; ++s) {
-      if (prune && region.observable[s] == 0) site_hit[s] = 1;
+      if (!net.live(region.nets[s], config.kind)) site_hit[s] = 1;
     }
     return total;
   }

@@ -33,9 +33,10 @@
 //     into an exploitable injection — so every dead site is credited
 //     together. D = 0 (e.g. the econd_ region) is the plain enumeration; the
 //     cone is bit-level, so even mds_ has dead sites (diffusion-word bits the
-//     state register never reads). Skip-cycle faults are never pruned: a
-//     skipped edge acts at the flip-flop, not through the cone (on a dead
-//     flip-flop it is simulated as the no-op it is).
+//     state register never reads). A skip-cycle fault stalls the flip-flop
+//     whose Q it hits and is a no-op on any other net, so a skip site is
+//     live only when it is the Q of a flip-flop in the cone
+//     (sim::VariantNetlist::live, the rule the campaign executor shares).
 //   * a SAT back-end (CDCL solver) that additionally supports leaving the
 //     control symbol unconstrained. By default it builds ONE golden +
 //     selector-gated-faulty miter per (region, fault kind, k) over the same

@@ -250,6 +250,64 @@ TEST(RngBelow, MatchesTwoDivisionReference) {
   EXPECT_GT(rejections, 1000);
 }
 
+TEST(RngBelow, PrecomputedBoundMatchesDivision) {
+  // below(Rng::Bound(d)) must return what below(d) and the textbook
+  // division form return and leave the stream where they leave it, for the
+  // bounds above, every d in 1..4096 and seeded random 64-bit divisors of
+  // every width, including on the rejection path. mod() must equal a % d on
+  // the edge numerators 0, d - 1, d and 2^64 - 1 and on multiples of d up
+  // to the largest, and their neighbours.
+  std::vector<std::uint64_t> bounds = {1,
+                                       2,
+                                       3,
+                                       24,
+                                       (1ULL << 32) + 1,
+                                       (1ULL << 63) + 1,
+                                       3ULL << 62,
+                                       ~0ULL};
+  for (std::uint64_t d = 1; d <= 4096; ++d) bounds.push_back(d);
+  Rng pick(2024);
+  for (int i = 0; i < 512; ++i) bounds.push_back((pick.next() >> (i % 64)) | 1);
+  int rejections = 0;
+  for (const std::uint64_t d : bounds) {
+    const Rng::Bound bound(d);
+    const std::uint64_t threshold = (0 - d) % d;
+    ASSERT_EQ(bound.threshold(), threshold) << "d " << d;
+    const std::uint64_t top = ~0ULL / d;  // the largest multiple is top * d
+    std::vector<std::uint64_t> numerators = {0, d - 1, d, ~0ULL, ~0ULL - 1};
+    for (const std::uint64_t q : {std::uint64_t{2}, std::uint64_t{3}, top / 2, top - 1, top}) {
+      if (q < 2 || q > top) continue;
+      numerators.push_back(q * d);
+      numerators.push_back(q * d - 1);
+      if (q * d != ~0ULL) numerators.push_back(q * d + 1);
+    }
+    for (const std::uint64_t a : numerators) {
+      ASSERT_EQ(bound.mod(a), a % d) << "a " << a << " d " << d;
+    }
+    const auto textbook_below = [&](Rng& rng) {
+      for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold) return r % d;
+        ++rejections;
+      }
+    };
+    for (std::uint64_t stream = 0; stream < 4; ++stream) {
+      Rng fast(d, stream);
+      Rng divided(d, stream);
+      Rng textbook(d, stream);
+      for (int i = 0; i < 64; ++i) {
+        const std::uint64_t want = textbook_below(textbook);
+        ASSERT_EQ(divided.below(d), want) << "d " << d << " stream " << stream;
+        ASSERT_EQ(fast.below(bound), want) << "d " << d << " stream " << stream;
+      }
+      const std::uint64_t next = textbook.next();
+      ASSERT_EQ(divided.next(), next) << "d " << d << ": below(d) out of step";
+      ASSERT_EQ(fast.next(), next) << "d " << d << ": below(Bound) out of step";
+    }
+  }
+  EXPECT_GT(rejections, 1000);
+}
+
 TEST(Rng, RangeInclusive) {
   Rng rng(3);
   bool low = false;

@@ -1,7 +1,8 @@
 // Observability pruning of the Monte-Carlo campaign executor: a run whose
-// faults all sit outside the fan-in cone of the state register and the
-// alert (and none of which is a skip) is not simulated but counted from its
-// walk's fault-free outcome. Every CampaignResult must equal a scalar,
+// faults are all dead — a stuck-at or flip outside the fan-in cone of the
+// state register and the alert, or a skip on a net that is not the Q of a
+// flip-flop in that cone — is not simulated but counted from its walk's
+// fault-free outcome. Every CampaignResult must equal a scalar,
 // run-by-run reference executor that replays each run's plan (re-derived
 // here from Rng(seed, run)) through the public sim::Simulator with no
 // pruning, at lanes 64/512 x threads 1/3, and the executor must simulate
@@ -72,7 +73,7 @@ std::unique_ptr<Subject> make_subject(const std::string& name) {
 }
 
 /// The reference's outcome of every run, and how many runs had a fault
-/// that can reach the state register or the alert (or a skip).
+/// that can reach the state register or the alert.
 struct Reference {
   CampaignResult result;
   int live_runs = 0;
@@ -118,7 +119,14 @@ Reference reference(const Fsm& f, const CompiledFsm& c, const CampaignConfig& co
   std::vector<std::int32_t> roots;
   for (std::int32_t i = 0; i < state.width; ++i) roots.push_back(state.base + i);
   for (std::int32_t i = 0; i < alert.width; ++i) roots.push_back(alert.base + i);
-  const std::vector<char> cone = rtlil::fanin_cone(rtlil::flatten(*c.module), roots);
+  const rtlil::FlatNetlist flat = rtlil::flatten(*c.module);
+  const std::vector<char> cone = rtlil::fanin_cone(flat, roots);
+  // A skip stalls the flip-flop whose Q it hits: it is live only on the Q of
+  // a flip-flop in the cone.
+  std::vector<char> cone_q(cone.size(), 0);
+  for (const rtlil::FlatFf& ff : flat.ffs) {
+    cone_q[static_cast<std::size_t>(ff.q)] = cone[static_cast<std::size_t>(ff.q)];
+  }
 
   Reference ref;
   ref.result.runs = config.runs;
@@ -155,8 +163,8 @@ Reference reference(const Fsm& f, const CompiledFsm& c, const CampaignConfig& co
                                  ? config.fault.kinds[rng.below(config.fault.kinds.size())]
                                  : config.fault.kinds.front();
       faults.push_back(Fault{site, cycle, kind});
-      live = live || kind == FaultKind::kSkipCycle ||
-             cone[static_cast<std::size_t>(sim.net_index(sites[site].bit))] != 0;
+      const auto net = static_cast<std::size_t>(sim.net_index(sites[site].bit));
+      live = live || (kind == FaultKind::kSkipCycle ? cone_q[net] : cone[net]) != 0;
     }
     ref.live_runs += live ? 1 : 0;
 
@@ -325,20 +333,38 @@ TEST(CampaignObservabilityEdges, FaultFreeRunsAreNeverSimulated) {
 }
 
 TEST(CampaignObservabilityEdges, SkipOnlyAndStateTargetsSimulateEveryRun) {
-  // A skip acts at a flip-flop, and every state-register bit is in the cone:
-  // neither can be pruned.
+  // Every state-register bit is the Q of a flip-flop in the cone, so neither
+  // a skip nor a flip on it can be pruned.
   const std::unique_ptr<Subject> s = make_subject("otbn_controller");
   const CompiledFsm& c = s->variants.back().second;
   CampaignConfig skips;
   skips.runs = 300;
   skips.cycles = 8;
-  skips.fault.target = FaultTarget::kLogic;
+  skips.fault.target = FaultTarget::kStateRegister;
   skips.fault.kinds = {FaultKind::kSkipCycle};
   EXPECT_EQ(run_campaign(s->fsm, c, skips).simulated, skips.runs);
   CampaignConfig state = skips;
-  state.fault.target = FaultTarget::kStateRegister;
   state.fault.kinds = {FaultKind::kTransientFlip};
   EXPECT_EQ(run_campaign(s->fsm, c, state).simulated, state.runs);
+}
+
+TEST(CampaignObservabilityEdges, SkipsOffConeRegistersAreNotSimulated) {
+  // A skip on a net that is not the Q of a cone flip-flop is a no-op, so a
+  // skip-only logic-target run is simulated only when one of its skips hits
+  // such a Q (on every variant, most logic sites are op outputs), and the
+  // unpruned reference agrees on every count.
+  const std::unique_ptr<Subject> s = make_subject("otbn_controller");
+  for (const auto& [label, c] : s->variants) {
+    CampaignConfig config;
+    config.runs = 300;
+    config.cycles = 8;
+    config.fault.k = 2;
+    config.fault.target = FaultTarget::kLogic;
+    config.fault.kinds = {FaultKind::kSkipCycle};
+    const Reference ref = reference(s->fsm, c, config);
+    EXPECT_LT(ref.live_runs, config.runs) << label;
+    expect_matches_reference(s->fsm, c, config, "otbn_controller " + label + " logic skip k=2");
+  }
 }
 
 TEST(CampaignObservabilityEdges, RegisterOutsideTheStateDisablesPruning) {

@@ -297,15 +297,21 @@ TEST(SynfiObservability, StateTargetMatchesBruteForce) {
   }
 }
 
-TEST(SynfiObservability, SkipCycleIsNeverPruned) {
-  // A skipped edge acts at the flip-flop: every site is simulated.
+TEST(SynfiObservability, SkipCycleIsLiveOnlyOnConeRegisters) {
+  // A skipped edge stalls the flip-flop whose Q it hits and is a no-op on
+  // any other net. Every state-register site is such a Q in the cone, so
+  // all of them are live; a logic region holds only combinationally driven
+  // bits, so none of its sites is, and only the fault-free batch runs.
   const Subject& s = zoo_subject("pwrmgr_fsm");
   SynfiConfig state = region("", 2, sim::FaultKind::kSkipCycle);
   state.target = sim::FaultTarget::kStateRegister;
-  expect_matches_brute_force(s, state, "skip state k=2");
-  const SynfiConfig logic = region("", 1, sim::FaultKind::kSkipCycle);
-  EXPECT_EQ(expect_matches_brute_force(s, logic, "skip logic k=1"),
-            region_sites(s.variant, logic).size());
+  EXPECT_EQ(expect_matches_brute_force(s, state, "skip state k=2"),
+            region_sites(s.variant, state).size());
+  for (const int k : {1, 2}) {
+    const std::string label = "skip logic k=" + std::to_string(k);
+    EXPECT_EQ(
+        expect_matches_brute_force(s, region("", k, sim::FaultKind::kSkipCycle), label), 0u);
+  }
 }
 
 TEST(SynfiObservability, SimulatedInjectionsCountOnlyLiveLayers) {
