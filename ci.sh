@@ -19,16 +19,19 @@ cd "$(dirname "$0")"
 # Lazy-message gate: check()/require() build a string_view message only when
 # they fail, but a message composed at the call site ("..." + name) is built
 # on every call. The rtlil builders, NetlistIndex and FSM extraction run
-# their checks per cell and per bit, so a composed message there must sit
-# inside the failing branch instead (see base/error.h). The pattern matches
-# a whole, possibly multi-line, call with its balanced parentheses.
+# their checks per cell and per bit, and the sweep orchestrator and the
+# store writer theirs per job and per record, so a composed message there
+# must sit inside the failing branch instead (see base/error.h). The
+# pattern matches a whole, possibly multi-line, call with its balanced
+# parentheses.
 perl -0777 -ne '
   while (/\b(?:check|require)\s*(\((?:[^()"]++|"(?:[^"\\]|\\.)*"|(?1))*\))/g) {
     my $call = $&;
     if ($1 =~ /"\s*\+|\+\s*"/) { $call =~ s/\s+/ /g; print "$ARGV: $call\n"; $bad = 1; }
   }
   END { exit($bad ? 1 : 0) }' src/rtlil/*.h src/rtlil/*.cpp src/fsm/extract.cpp \
-  || { echo "lazy-message gate: composed check()/require() message on a per-cell path"; exit 1; }
+  src/sweep/sweep.cpp src/sweep/store_writer.cpp \
+  || { echo "lazy-message gate: composed check()/require() message on a per-cell, per-job or per-record path"; exit 1; }
 
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
@@ -73,7 +76,9 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # Validate error-text pins (the rtlil checks build their messages only on
 # failure), and FsmExtract, whose FsmExtractOracle cases replay every
 # lane-parallel recovery through the scalar reference (lane words, per-net
-# trace stamps and index-addressed cube compaction).
+# trace stamps and index-addressed cube compaction), and the group-commit
+# store writer's suites, since the writer hands records from the thread
+# that wrote them to the thread that leads their fsync.
 # Then a standalone ThreadSanitizer build of the header-only
 # base/parallel.h tests (src/base only: libscfi itself crashes under TSan
 # before main, in the target_clones ifunc resolvers of the simulator).
@@ -85,7 +90,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|SynfiParallelSegments|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|SynfiParallelSegments|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.|StoreWriter|SweepGroupCommit'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests

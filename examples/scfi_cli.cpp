@@ -579,6 +579,10 @@ int main(int argc, char** argv) {
       const scfi::sweep::SweepStats stats =
           orchestrator.run(sweep_jobs, store, sweep_out, resume, source.get());
       for (const scfi::sweep::SweepResult& r : store.results()) print_record(r);
+      if (!sweep_out.empty()) {
+        std::printf("sweep store: %d record(s) appended to %s with %d fsync(s)\n",
+                    stats.executed + stats.failed, sweep_out.c_str(), stats.syncs);
+      }
       std::printf("sweep: executed %d job(s), skipped %d, failed %d, retried %d\n",
                   stats.executed, stats.skipped, stats.failed, stats.retried);
       // Failure records do not abort the fleet, but they must not look like

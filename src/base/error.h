@@ -16,8 +16,9 @@
 // the condition first and compose their message only inside the failing
 // branch: `if (!ok) [[unlikely]] throw ScfiError(...)`, or
 // detail::throw_check_failed(...) for a check()'s LogicBug text. ci.sh
-// rejects a composed check()/require() message in src/rtlil/ and
-// src/fsm/extract.cpp.
+// rejects a composed check()/require() message in src/rtlil/,
+// src/fsm/extract.cpp, and the per-job and per-record paths of
+// src/sweep/sweep.cpp and src/sweep/store_writer.cpp.
 #pragma once
 
 #include <stdexcept>

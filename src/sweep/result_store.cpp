@@ -566,18 +566,6 @@ void fsync_file(const std::string& path) {
   require(ok, "result store: fsync of " + path + " failed");
 }
 
-/// Best-effort fsync of `path`'s parent directory, making the rename that
-/// just landed there durable. Some filesystems reject directory fsync;
-/// that only weakens durability, never correctness, so failures are quiet.
-void fsync_parent_dir(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
 }  // namespace
 
 void ResultStore::save(const std::string& path) const {
@@ -596,28 +584,11 @@ void ResultStore::save(const std::string& path) const {
   fsync_file(tmp);
   require(std::rename(tmp.c_str(), path.c_str()) == 0,
           "result store: cannot rename " + tmp + " over " + path);
-  fsync_parent_dir(path);
+  StoreWriter::sync_parent_dir(path);
 }
 
 void ResultStore::append_line(const std::string& path, const SweepResult& result) {
-  const std::string line = to_line(result) + "\n";
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  require(fd >= 0, "result store: cannot append to " + path);
-  // One full O_APPEND write so concurrent workers' records never
-  // interleave, then fsync so a reported-durable record survives a crash.
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n = ::write(fd, line.data() + written, line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw ScfiError("result store: append to " + path + " failed");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  require(synced, "result store: fsync of " + path + " failed");
+  StoreWriter(path).append(result);
 }
 
 ResultStore::CompactStats ResultStore::compact_file(const std::string& path) {

@@ -13,7 +13,10 @@
 // interrupted sweep on top of a partially written file.
 #pragma once
 
+#include <condition_variable>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -179,11 +182,12 @@ class ResultStore {
   /// type/source/status field, or a schema version other than
   /// kSchemaVersion. Unknown scalar fields are skipped.
   static SweepResult parse_line(const std::string& line);
-  /// Appends one record to a JSONL file (creating it if needed) as one
-  /// O_APPEND write followed by fsync: records from concurrent writers
-  /// never interleave, and once the call returns the record survives a
-  /// crash or power cut. A kill inside the call can at worst leave one
-  /// torn final line, which load()'s recovery mode salvages.
+  /// Appends one record to a JSONL file (creating it if needed) through a
+  /// one-record StoreWriter: one O_APPEND write, then an fsync that this
+  /// call leads, so records from concurrent writers never interleave and
+  /// once the call returns the record survives a crash or power cut. A kill
+  /// inside the call can at worst leave one torn final line, which load()'s
+  /// recovery mode salvages.
   static void append_line(const std::string& path, const SweepResult& result);
 
   /// What `scfi_cli store-compact` reports after compact_file().
@@ -201,6 +205,81 @@ class ResultStore {
  private:
   std::vector<SweepResult> results_;
   std::map<std::string, std::size_t> index_;  ///< key -> position in results_
+};
+
+/// Group-commit appender to one JSONL store file: the one append and fsync
+/// path of the sweep subsystem (SweepOrchestrator::run, the fleet
+/// supervisor and append_line all append through it).
+///
+/// - One O_APPEND descriptor serves the writer's lifetime. When the open
+///   creates the file, the parent directory is fsynced too (best-effort,
+///   like save()), so a new store's directory entry survives a power cut.
+/// - append() serializes the record outside the writer's lock and writes
+///   it as one line with one write() under the lock, so lines of concurrent
+///   callers never interleave and the file order is the order of those
+///   writes.
+/// - A record is *credited* — handed to `credit` — only after an fsync
+///   that began after its write has finished. Credits come in file order,
+///   one call at a time, outside the lock, on the thread that led the
+///   fsync.
+/// - A caller that finds no fsync in flight leads one: it takes every
+///   written, uncredited line, fsyncs, credits them and returns. A caller
+///   that finds one in flight returns right after its write, and a later
+///   leader or sync() credits its line. So no caller waits on an fsync it
+///   does not lead, and a single-threaded caller leads every fsync: each
+///   of its append() calls returns with its record credited.
+/// - sync() is the barrier: it waits for the fsync in flight, then leads
+///   one more when any written line is still uncredited.
+/// - A failed write or fsync throws ScfiError naming the path and fails the
+///   writer for good: that batch is never credited, later append() calls
+///   throw without writing, and sync() throws while a written line is
+///   uncredited. Nothing is re-synced after a failed fsync, since a retry
+///   can report success for pages the kernel has already dropped.
+///
+/// Whatever a crash or power cut leaves, every credited record is on disk;
+/// a SIGKILL leaves at most one torn final line (see ResultStore::load).
+class StoreWriter {
+ public:
+  /// Receives each record once an fsync covers it; empty = credit nothing.
+  using Credit = std::function<void(SweepResult)>;
+
+  /// Opens `path` for appending, creating it if needed; throws ScfiError
+  /// naming the path when it cannot.
+  explicit StoreWriter(std::string path, Credit credit = {});
+  /// Closes the descriptor. Lines written after the last fsync are not
+  /// synced or credited: call sync() first.
+  ~StoreWriter();
+  StoreWriter(const StoreWriter&) = delete;
+  StoreWriter& operator=(const StoreWriter&) = delete;
+
+  /// Writes `result` as one line and, when no fsync is in flight, leads
+  /// one (see the class comment).
+  void append(SweepResult result);
+  /// Barrier: returns once every line written before the call is credited.
+  void sync();
+  /// File fsyncs issued so far, failed ones and the barrier's included
+  /// (the directory fsync after a create is not counted).
+  int syncs() const;
+
+  /// Best-effort fsync of `path`'s parent directory, which makes a create
+  /// or rename there durable. Some filesystems reject directory fsync;
+  /// that weakens durability, never correctness, so failures are quiet.
+  static void sync_parent_dir(const std::string& path);
+
+ private:
+  /// Runs one fsync over every uncredited line; `lock` is held on entry and
+  /// on exit, and no fsync is in flight on entry.
+  void lead(std::unique_lock<std::mutex>& lock);
+
+  std::string path_;
+  Credit credit_;
+  int fd_ = -1;
+  mutable std::mutex mutex_;
+  std::condition_variable idle_;        ///< an fsync finished
+  std::vector<SweepResult> unsynced_;   ///< written, not yet credited (file order)
+  bool syncing_ = false;                ///< an fsync is in flight
+  bool failed_ = false;                 ///< a write or fsync failed
+  int syncs_ = 0;
 };
 
 }  // namespace scfi::sweep

@@ -15,6 +15,7 @@
 #include <deque>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stop_token>
 #include <thread>
 
@@ -247,6 +248,18 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
   }
   if (pending.empty()) return stats;
 
+  // Opened after the start-up save, whose rename would orphan an earlier
+  // descriptor, and closed before the closing one.
+  std::optional<StoreWriter> writer;
+  writer.emplace(store_path, [&](SweepResult record) {
+    if (record.status == JobStatus::kOk) {
+      ++stats.executed;
+    } else {
+      ++stats.failed;
+    }
+    store.add(std::move(record));
+  });
+
   std::deque<std::int64_t> queue(pending.size());  // jobs not yet dispatched
   std::iota(queue.begin(), queue.end(), std::int64_t{0});
   std::vector<int> crash_counts(pending.size(), 0);
@@ -335,17 +348,11 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
                     static_cast<int>(pid)));
   };
 
-  // Records a final for a pending job: appended and fsynced at once (the
-  // crash-safe copy), kept in memory for the closing atomic save.
-  const auto finish = [&](SweepResult record) {
-    ResultStore::append_line(store_path, record);
-    if (record.status == JobStatus::kOk) {
-      ++stats.executed;
-    } else {
-      ++stats.failed;
-    }
-    store.add(std::move(record));
-  };
+  // Records a final for a pending job: appended through the store writer,
+  // which the single-threaded supervisor leads, so the record is fsynced
+  // (the crash-safe copy) and credited — counted, and kept in memory for
+  // the closing atomic save — before finish() returns.
+  const auto finish = [&](SweepResult record) { writer->append(std::move(record)); };
 
   // Reads what the slot's worker sent; any byte is a heartbeat, and each
   // complete non-empty line is the final record of the job the slot holds.
@@ -540,6 +547,7 @@ FleetStats FleetSupervisor::run(const std::vector<SweepJob>& jobs,
 
   // Every final was appended as it arrived; the closing atomic save leaves
   // the store latest-wins compact.
+  writer.reset();
   store.save(store_path);
   stats.unfinished = static_cast<int>(pending.size()) - stats.executed - stats.failed;
   return stats;

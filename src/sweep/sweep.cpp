@@ -52,10 +52,11 @@ struct VariantGroup {
 const ModuleSource& source_of(const SweepJob& job, const ModuleSource* provided) {
   static const ZooSource zoo;
   if (job.source.empty()) return zoo;
-  require(provided != nullptr && provided->label() == job.source,
-          "sweep: job source '" + job.source +
-              "' has no matching module source (pass the corpus the jobs "
-              "were expanded from)");
+  if (provided == nullptr || provided->label() != job.source) [[unlikely]] {
+    throw ScfiError("sweep: job source '" + job.source +
+                    "' has no matching module source (pass the corpus the jobs "
+                    "were expanded from)");
+  }
   return *provided;
 }
 
@@ -79,9 +80,10 @@ void validate_jobs(const std::vector<SweepJob>& jobs, const ModuleSource* source
 SweepOrchestrator::SweepOrchestrator(const SweepConfig& config) : config_(config) {
   require(config_.jobs >= 1, "sweep: jobs must be >= 1");
   require(config_.threads >= 1, "sweep: threads must be >= 1");
-  require(config_.lanes >= 0 && config_.lanes <= sim::kMaxLanes,
-          "sweep: lanes must be in [0 (auto), " + std::to_string(sim::kMaxLanes) +
-              "] (64 x lane_words)");
+  if (config_.lanes < 0 || config_.lanes > sim::kMaxLanes) [[unlikely]] {
+    throw ScfiError("sweep: lanes must be in [0 (auto), " + std::to_string(sim::kMaxLanes) +
+                    "] (64 x lane_words)");
+  }
   require(config_.retries >= 0, "sweep: retries must be >= 0");
   require(config_.job_timeout >= 0.0, "sweep: job timeout must be >= 0");
 }
@@ -138,19 +140,30 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
   int open_groups = 0;
   std::size_t closed_groups = 0;
   bool aborted = false;
-  std::mutex emit_mutex;
+  std::mutex emit_mutex;  // guards `stats.retried`, and `store` when there is no file
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
 
-  // Streams one finished record — ok or failed — under the emit lock.
-  const auto emit = [&](SweepResult result) {
-    const std::lock_guard<std::mutex> lock(emit_mutex);
-    if (!out_path.empty()) ResultStore::append_line(out_path, result);
+  // Counts a finished record — ok or failed — and adds it to `store`.
+  const auto credit = [&](SweepResult result) {
     if (result.status == JobStatus::kOk) {
       ++stats.executed;
     } else {
       ++stats.failed;
     }
     store.add(std::move(result));
+  };
+  // With a store file, records go through one group-commit writer, which
+  // credits each record once an fsync covers it (result_store.h): a worker
+  // writes its line and goes on to its next job.
+  std::optional<StoreWriter> writer;
+  if (!out_path.empty()) writer.emplace(out_path, credit);
+  const auto emit = [&](SweepResult result) {
+    if (writer) {
+      writer->append(std::move(result));
+      return;
+    }
+    const std::lock_guard<std::mutex> lock(emit_mutex);
+    credit(std::move(result));
   };
   const auto emit_failure = [&](const SweepJob& job, const std::string& error, int attempts,
                                 double seconds) {
@@ -220,8 +233,8 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
         return seconds_since(bill_start);
       };
       for (int attempt = 1;; ++attempt) {
+        SweepResult result;
         try {
-          SweepResult result;
           result.job = pending[j];
           if (result.job.type == JobType::kCampaign) {
             sim::CampaignConfig config = result.job.campaign;
@@ -243,8 +256,6 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
           }
           result.attempts = attempt;
           result.seconds = billed();
-          emit(std::move(result));
-          break;
         } catch (const CancelledError&) {
           // The deadline — or the external stop — fired mid-attempt.
           // Deterministically final: the budget spans attempts, so
@@ -276,7 +287,12 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
           if (delay_ms > 0.0) {
             std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay_ms));
           }
+          continue;
         }
+        // Outside the try: a store failure is the sweep's, not the job's,
+        // so it escapes to the worker instead of re-running the job.
+        emit(std::move(result));
+        break;
       }
     }
   };
@@ -321,9 +337,19 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
   for (const std::exception_ptr& e : errors) {
     if (e) raised.push_back(e);
   }
+  // The barrier: one more fsync credits whatever the workers' last leaders
+  // left uncredited. Its failure is reported with the workers' errors.
+  if (writer) {
+    try {
+      writer->sync();
+    } catch (...) {
+      raised.push_back(std::current_exception());
+    }
+    stats.syncs = writer->syncs();
+  }
   if (raised.size() == 1) std::rethrow_exception(raised.front());
   if (raised.size() > 1) {
-    std::string message = format("sweep: %zu worker(s) failed:", raised.size());
+    std::string message = format("sweep: %zu error(s):", raised.size());
     for (const std::exception_ptr& e : raised) {
       try {
         std::rethrow_exception(e);
@@ -343,9 +369,11 @@ namespace {
 std::vector<ot::OtEntry> matched_entries(const ModuleSource& source,
                                          const std::string& module_globs) {
   std::vector<ot::OtEntry> entries = source.modules(module_globs);
-  const std::string where =
-      source.label().empty() ? "zoo" : "corpus '" + source.label() + "'";
-  require(!entries.empty(), "sweep: no " + where + " module matches '" + module_globs + "'");
+  if (entries.empty()) [[unlikely]] {
+    const std::string where =
+        source.label().empty() ? "zoo" : "corpus '" + source.label() + "'";
+    throw ScfiError("sweep: no " + where + " module matches '" + module_globs + "'");
+  }
   return entries;
 }
 

@@ -79,6 +79,10 @@ struct SweepStats {
   int skipped = 0;   ///< jobs already ok in the store (resume)
   int failed = 0;    ///< jobs recorded as failure records
   int retried = 0;   ///< extra attempts spent across all jobs
+  /// File fsyncs the store writer issued, the closing barrier's included
+  /// (0 without a store file). Each covers one or more records, so
+  /// syncs <= executed + failed; a one-worker sweep syncs every record.
+  int syncs = 0;
 };
 
 class SweepOrchestrator {
@@ -86,8 +90,11 @@ class SweepOrchestrator {
   explicit SweepOrchestrator(const SweepConfig& config = {});
 
   /// Runs `jobs`, streaming each finished result — ok or failed — into
-  /// `store` and, when `out_path` is non-empty, appending it to that JSONL
-  /// file as it finishes. With `resume`, jobs whose key is already in
+  /// `store`. When `out_path` is non-empty, each result is appended to that
+  /// JSONL file as it finishes, through one StoreWriter, and is credited —
+  /// counted in the stats and added to `store` — only once an fsync that
+  /// covers it has finished: the next fsync a worker leads, or the barrier
+  /// fsync that ends run(). With `resume`, jobs whose key is already in
   /// `store` with an ok record are skipped (load the store from `out_path`
   /// first to resume a previous invocation); failed/timed-out keys
   /// re-execute, and the latest-wins append replaces their records.
@@ -98,9 +105,10 @@ class SweepOrchestrator {
   /// with skip-cycle faults (malformed job matrices are caller bugs, not
   /// fleet failures). Execution errors — unknown modules, variant-build
   /// failures, jobs that throw or exceed `job_timeout` — become failure
-  /// records. Only a store append failure escapes run(): the first error
-  /// when one worker thread failed, or one ScfiError aggregating every
-  /// thread's error when several did.
+  /// records. Only a store failure escapes run() — a worker's failed write
+  /// or fsync, or a failed barrier: that error when there is one, or one
+  /// ScfiError aggregating every error when there are several. A record
+  /// the failure left uncredited is absent from `store`.
   SweepStats run(const std::vector<SweepJob>& jobs, ResultStore& store,
                  const std::string& out_path = "", bool resume = false,
                  const ModuleSource* source = nullptr);
