@@ -19,18 +19,18 @@ cd "$(dirname "$0")"
 # Lazy-message gate: check()/require() build a string_view message only when
 # they fail, but a message composed at the call site ("..." + name) is built
 # on every call. The rtlil builders, NetlistIndex and FSM extraction run
-# their checks per cell and per bit, and the sweep orchestrator and the
-# store writer theirs per job and per record, so a composed message there
-# must sit inside the failing branch instead (see base/error.h). The
-# pattern matches a whole, possibly multi-line, call with its balanced
-# parentheses.
+# their checks per cell and per bit, the sweep orchestrator and the store
+# writer theirs per job and per record, and the store parser its checks per
+# JSON delimiter, so a composed message there must sit inside the failing
+# branch instead (see base/error.h). The pattern matches a whole, possibly
+# multi-line, call with its balanced parentheses.
 perl -0777 -ne '
   while (/\b(?:check|require)\s*(\((?:[^()"]++|"(?:[^"\\]|\\.)*"|(?1))*\))/g) {
     my $call = $&;
     if ($1 =~ /"\s*\+|\+\s*"/) { $call =~ s/\s+/ /g; print "$ARGV: $call\n"; $bad = 1; }
   }
   END { exit($bad ? 1 : 0) }' src/rtlil/*.h src/rtlil/*.cpp src/fsm/extract.cpp \
-  src/sweep/sweep.cpp src/sweep/store_writer.cpp \
+  src/sweep/sweep.cpp src/sweep/store_writer.cpp src/sweep/result_store.cpp \
   || { echo "lazy-message gate: composed check()/require() message on a per-cell, per-job or per-record path"; exit 1; }
 
 cmake -B build -S .

@@ -17,8 +17,9 @@
 // branch: `if (!ok) [[unlikely]] throw ScfiError(...)`, or
 // detail::throw_check_failed(...) for a check()'s LogicBug text. ci.sh
 // rejects a composed check()/require() message in src/rtlil/,
-// src/fsm/extract.cpp, and the per-job and per-record paths of
-// src/sweep/sweep.cpp and src/sweep/store_writer.cpp.
+// src/fsm/extract.cpp, and the per-job, per-record and per-delimiter paths
+// of src/sweep/sweep.cpp, src/sweep/store_writer.cpp and
+// src/sweep/result_store.cpp.
 #pragma once
 
 #include <stdexcept>

@@ -3,35 +3,12 @@
 #include "base/error.h"
 
 namespace scfi {
-namespace {
-
-// splitmix64, used only to expand the seed into the xoshiro state.
-std::uint64_t splitmix(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& word : s_) word = splitmix(x);
   // All-zero state would be a fixed point; splitmix of any seed avoids it,
   // but keep the guarantee explicit.
-  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
-  // Absorb the pair (seed, stream) into one splitmix counter — hash the seed
-  // first so that nearby (seed, stream) pairs land far apart — then expand
-  // into the xoshiro state exactly like the single-seed constructor.
-  std::uint64_t x = seed;
-  const std::uint64_t h = splitmix(x);
-  x = h ^ (stream * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL);
-  for (auto& word : s_) word = splitmix(x);
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <utility>
 
 #include "base/error.h"
 #include "base/parallel.h"
 #include "base/retry.h"
-#include "base/rng.h"
 #include "base/strutil.h"
+#include "sim/campaign_plan.h"
 #include "sim/lane_classifier.h"
 
 namespace scfi::sim {
@@ -20,161 +19,6 @@ namespace {
 using fsm::CfgEdge;
 using fsm::CompiledFsm;
 using fsm::Fsm;
-
-/// One scheduled fault: site index (into the filtered site list), cycle, and
-/// an index into the spec's kind set. Single-kind specs never draw for the
-/// kind, so their schedules stay bit-identical to the pre-FaultSpec planner.
-struct PlannedFault {
-  std::int32_t site = 0;
-  std::int32_t cycle = 0;
-  std::int32_t kind = 0;
-};
-
-/// The CFG as flat walk tables: state s leaves by edge[offset[s] ..
-/// offset[s + 1]) (CFG edge indices in CFG order), and CFG edge e enters
-/// state to[e].
-struct WalkTables {
-  std::vector<std::int32_t> offset;
-  std::vector<std::int32_t> edge;
-  std::vector<std::int32_t> to;
-
-  WalkTables(const Fsm& fsm, const std::vector<CfgEdge>& cfg)
-      : offset(static_cast<std::size_t>(fsm.num_states()) + 1, 0) {
-    for (const CfgEdge& e : cfg) ++offset[static_cast<std::size_t>(e.from) + 1];
-    std::partial_sum(offset.begin(), offset.end(), offset.begin());
-    edge.resize(cfg.size());
-    std::vector<std::int32_t> fill(offset.begin(), offset.end() - 1);
-    for (std::size_t e = 0; e < cfg.size(); ++e) {
-      edge[static_cast<std::size_t>(fill[static_cast<std::size_t>(cfg[e].from)]++)] =
-          static_cast<std::int32_t>(e);
-      to.push_back(cfg[e].to);
-    }
-  }
-};
-
-/// Plans of consecutive runs, run-major: run r walks CFG edges walk(r)[0 ..
-/// cycles) and schedules faults faults(r)[0 .. k). Its golden state at
-/// cycle t is the reset state at t = 0 and WalkTables::to[walk(r)[t - 1]]
-/// after that. A planned unit and a lane pool's rows (one per lane) are
-/// both one of these.
-struct RunPlans {
-  std::size_t cycles = 0;
-  std::size_t k = 0;
-  std::vector<std::int32_t> edges;
-  std::vector<PlannedFault> faults;
-
-  RunPlans(const CampaignConfig& config, std::size_t runs)
-      : cycles(static_cast<std::size_t>(config.cycles)),
-        k(static_cast<std::size_t>(config.fault.k)),
-        edges(runs * cycles),
-        faults(runs * k) {}
-
-  std::int32_t* walk(std::size_t run) { return edges.data() + run * cycles; }
-  const std::int32_t* walk(std::size_t run) const { return edges.data() + run * cycles; }
-  PlannedFault* faults_of(std::size_t run) { return faults.data() + run * k; }
-  const PlannedFault* faults_of(std::size_t run) const { return faults.data() + run * k; }
-
-  /// Copies run `from_run` of `from` into row `to_run`.
-  void copy_run(const RunPlans& from, std::size_t from_run, std::size_t to_run) {
-    std::copy_n(from.walk(from_run), cycles, walk(to_run));
-    std::copy_n(from.faults_of(from_run), k, faults_of(to_run));
-  }
-};
-
-/// Draws run plans. Run r's walk and then its `fault.k` faults come from its
-/// own stream Rng(seed, r), so a plan is a pure function of (seed, r)
-/// however runs are grouped. Every draw is against a bound prepared once
-/// per planner (Rng::Bound), so planning divides nothing per draw and
-/// draws exactly what Rng::below(d) would.
-class RunPlanner {
- public:
-  RunPlanner(const WalkTables& walk, int reset_state, std::size_t num_sites,
-             const CampaignConfig& config)
-      : walk_(&walk),
-        reset_state_(reset_state),
-        config_(&config),
-        pool_(num_sites),
-        cycle_bound_(static_cast<std::uint64_t>(config.cycles)),
-        kind_bound_(config.fault.kinds.size()) {
-    std::iota(pool_.begin(), pool_.end(), 0);
-    for (std::size_t s = 0; s + 1 < walk.offset.size(); ++s) {
-      degree_bound_.emplace_back(static_cast<std::uint64_t>(walk.offset[s + 1] - walk.offset[s]));
-    }
-    // Fault f draws its site among the sites - f not yet taken, or among all
-    // of them once f is beyond the population.
-    for (std::size_t f = 0; f < static_cast<std::size_t>(config.fault.k); ++f) {
-      site_bound_.emplace_back(f < num_sites ? num_sites - f : num_sites);
-    }
-  }
-
-  /// Plans runs [base, base + n) into rows [0, n) of `out`. The n
-  /// walks advance side by side, one cycle of every walk before the next
-  /// cycle, so their dependent draw -> edge -> state chains overlap instead
-  /// of running back to back. Distinct fault sites come from a partial
-  /// Fisher-Yates over the site pool, undone after every run so each run
-  /// starts from the identical permutation.
-  void plan_runs(std::int64_t base, int n, RunPlans& out) {
-    const auto count = static_cast<std::size_t>(n);
-    rngs_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      rngs_.emplace_back(config_->seed, static_cast<std::uint64_t>(base) + i);
-    }
-    state_.assign(count, reset_state_);
-    const std::int32_t* offset = walk_->offset.data();
-    const std::int32_t* edge = walk_->edge.data();
-    const std::int32_t* to = walk_->to.data();
-    const Rng::Bound* degree = degree_bound_.data();
-    for (std::size_t t = 0; t < out.cycles; ++t) {
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto s = static_cast<std::size_t>(state_[i]);
-        const std::int32_t e =
-            edge[static_cast<std::size_t>(offset[s]) + rngs_[i].below(degree[s])];
-        state_[i] = to[static_cast<std::size_t>(e)];
-        out.walk(i)[t] = e;
-      }
-    }
-    const std::size_t sites = pool_.size();
-    const bool draw_kind = config_->fault.kinds.size() > 1;
-    for (std::size_t i = 0; i < count; ++i) {
-      Rng& rng = rngs_[i];
-      PlannedFault* faults = out.faults_of(i);
-      for (std::size_t f = 0; f < site_bound_.size(); ++f) {
-        // Only a request beyond the population can repeat a site.
-        std::int32_t site = 0;
-        if (f < sites) {
-          const std::size_t j = f + rng.below(site_bound_[f]);
-          std::swap(pool_[f], pool_[j]);
-          undo_.emplace_back(f, j);
-          site = pool_[f];
-        } else {
-          site = static_cast<std::int32_t>(rng.below(site_bound_[f]));
-        }
-        const auto cycle = static_cast<std::int32_t>(rng.below(cycle_bound_));
-        // The kind draw is appended to the stream only for multi-kind specs,
-        // so a single-kind spec's (seed, run) -> plan mapping is unchanged.
-        const std::int32_t kind = draw_kind ? static_cast<std::int32_t>(rng.below(kind_bound_)) : 0;
-        faults[f] = PlannedFault{site, cycle, kind};
-      }
-      for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-        std::swap(pool_[it->first], pool_[it->second]);
-      }
-      undo_.clear();
-    }
-  }
-
- private:
-  const WalkTables* walk_;
-  std::int32_t reset_state_;
-  const CampaignConfig* config_;
-  std::vector<std::int32_t> pool_;
-  Rng::Bound cycle_bound_;
-  Rng::Bound kind_bound_;
-  std::vector<Rng::Bound> degree_bound_;  ///< per FSM state: its out-degree
-  std::vector<Rng::Bound> site_bound_;    ///< per fault index
-  std::vector<std::pair<std::size_t, std::size_t>> undo_;
-  std::vector<Rng> rngs_;
-  std::vector<std::int32_t> state_;
-};
 
 /// Everything the executor needs, resolved once per campaign:
 /// symbol codes / raw input bits per CFG edge, packed as integers.

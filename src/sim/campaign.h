@@ -29,14 +29,17 @@
 // edge still driven) — and takes the next run. Because each run's plan is a
 // pure function of (seed, run_index) and per-run outcomes are independent,
 // the aggregate CampaignResult is bit-identical for every combination of
-// `lanes` and `threads`. Planning steps a unit's walks side by side, one
-// cycle of every walk at a time, so their dependent RNG draws overlap.
-// Every draw is against a bound the planner prepares once per campaign (one
-// per FSM state's out-degree, one per fault index's site count, one for the
-// cycle and one for the kind; Rng::Bound), so planning divides nothing per
-// draw and draws exactly what Rng::below(d) would. A plan row holds only the
-// run's walk and its faults: its golden state at cycle t is the reset state
-// at t = 0 and the target of its edge t - 1 after that.
+// `lanes` and `threads`. Planning (sim/campaign_plan.h) walks eight runs at
+// a time: their xoshiro streams step together in vector words (RngGroup,
+// cloned per ISA like the simulator's tape) and their eight walks run side
+// by side over one packed row per FSM state. Every draw is against a bound
+// the planner prepares once per campaign (one per FSM state's out-degree,
+// one per fault index's site count, one for the cycle and one for the kind;
+// Rng::Bound), so planning divides nothing per draw and draws exactly what
+// Rng::below(d) would: a grouped run that drew a value some out-degree could
+// reject, and a unit's last lanes mod 8 runs, are planned alone. A plan row
+// holds only the run's walk and its faults: its golden state at cycle t is
+// the reset state at t = 0 and the target of its edge t - 1 after that.
 //
 // Only runs with a live fault are simulated, and each from its first fault.
 // A stuck-at or flip is live when its net is in the fan-in cone of the state

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "base/error.h"
+#include "base/simd_clones.h"
 
 namespace scfi::sim {
 namespace {
@@ -120,19 +121,8 @@ inline void run_tape(const TapeSegment* segs, std::size_t nsegs, const FlatOp* o
   }
 }
 
-// Runtime ISA selection without intrinsics: GCC emits one clone of the whole
-// (flattened) tape executor per target and picks the best at load time via
-// IFUNC, so an AVX-512 host streams 8-word blocks as full-width vector ops
-// while any other x86-64 falls back to the baseline encoding of the same
-// C++. `flatten` matters: the templated segment loops must be inlined into
-// each clone to be compiled with that clone's vector ISA.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && !defined(__SANITIZE_ADDRESS__)
-#define SCFI_SIMD_CLONES \
-  __attribute__((flatten, target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#else
-#define SCFI_SIMD_CLONES __attribute__((flatten))
-#endif
-
+// The tape executor is cloned per ISA (base/simd_clones.h): an AVX-512
+// host streams 8-word blocks as full-width vector ops.
 SCFI_SIMD_CLONES
 void run_tape_dispatch(int lane_words, bool faulty, const TapeSegment* segs,
                        std::size_t nsegs, const FlatOp* ops, std::uint64_t* v,

@@ -136,8 +136,9 @@ class LineParser {
 
   void expect(char c) {
     skip_ws();
-    require(pos_ < text_.size() && text_[pos_] == c,
-            std::string("result store: expected '") + c + "' in JSONL line");
+    if (pos_ >= text_.size() || text_[pos_] != c) [[unlikely]] {
+      throw ScfiError(std::string("result store: expected '") + c + "' in JSONL line");
+    }
     ++pos_;
   }
 
@@ -356,10 +357,11 @@ SweepResult ResultStore::parse_line(const std::string& line) {
       parser.expect(':');
       if (field == "schema") {
         const int schema = parser.parse_int_count();
-        require(schema == kSchemaVersion,
-                "result store: schema version " + std::to_string(schema) +
-                    " is not readable (only v" + std::to_string(kSchemaVersion) +
-                    "); regenerate the store by re-running its sweep");
+        if (schema != kSchemaVersion) [[unlikely]] {
+          throw ScfiError("result store: schema version " + std::to_string(schema) +
+                          " is not readable (only v" + std::to_string(kSchemaVersion) +
+                          "); regenerate the store by re-running its sweep");
+        }
         saw_schema = true;
       } else if (field == "type") {
         type_str = parser.parse_string();
@@ -481,7 +483,7 @@ ResultStore ResultStore::load(const std::string& path, bool recover_torn_tail) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return store;
   std::ifstream in(path);
-  require(in.good(), "result store: cannot read " + path);
+  if (!in.good()) [[unlikely]] throw ScfiError("result store: cannot read " + path);
   // Lines are collected before parsing so the final line is known up front:
   // recovery may salvage ONLY a torn last line, one without its newline
   // (the one shape a crash mid-append can leave); a malformed line anywhere
@@ -560,10 +562,12 @@ namespace {
 /// caller believes durable must actually be on disk).
 void fsync_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  require(fd >= 0, "result store: cannot reopen " + path + " for fsync");
+  if (fd < 0) [[unlikely]] {
+    throw ScfiError("result store: cannot reopen " + path + " for fsync");
+  }
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
-  require(ok, "result store: fsync of " + path + " failed");
+  if (!ok) [[unlikely]] throw ScfiError("result store: fsync of " + path + " failed");
 }
 
 }  // namespace
@@ -576,14 +580,17 @@ void ResultStore::save(const std::string& path) const {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::trunc);
-    require(out.good(), "result store: cannot write " + tmp);
+    if (!out.good()) [[unlikely]] throw ScfiError("result store: cannot write " + tmp);
     for (const SweepResult& result : results_) out << to_line(result) << "\n";
     out.flush();
-    require(out.good(), "result store: write to " + tmp + " failed");
+    if (!out.good()) [[unlikely]] {
+      throw ScfiError("result store: write to " + tmp + " failed");
+    }
   }
   fsync_file(tmp);
-  require(std::rename(tmp.c_str(), path.c_str()) == 0,
-          "result store: cannot rename " + tmp + " over " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) [[unlikely]] {
+    throw ScfiError("result store: cannot rename " + tmp + " over " + path);
+  }
   StoreWriter::sync_parent_dir(path);
 }
 
@@ -593,23 +600,29 @@ void ResultStore::append_line(const std::string& path, const SweepResult& result
 
 ResultStore::CompactStats ResultStore::compact_file(const std::string& path) {
   std::error_code ec;
-  require(std::filesystem::exists(path, ec),
-          "store-compact: " + path + ": no such store file");
+  if (!std::filesystem::exists(path, ec)) [[unlikely]] {
+    throw ScfiError("store-compact: " + path + ": no such store file");
+  }
   CompactStats stats;
   {
     std::ifstream in(path);
-    require(in.good(), "store-compact: " + path + ": cannot read store");
+    if (!in.good()) [[unlikely]] {
+      throw ScfiError("store-compact: " + path + ": cannot read store");
+    }
     std::string line;
     while (std::getline(in, line)) {
       if (!trim(line).empty()) ++stats.lines;
     }
   }
-  require(stats.lines > 0, "store-compact: " + path + ": store is empty");
+  if (stats.lines == 0) [[unlikely]] {
+    throw ScfiError("store-compact: " + path + ": store is empty");
+  }
   const ResultStore store = load(path, /*recover_torn_tail=*/true);
   // All-torn is indistinguishable from pointing at a non-store file; either
   // way an atomic rewrite to zero records would destroy whatever was there.
-  require(store.size() > 0,
-          "store-compact: " + path + ": store holds no complete records");
+  if (store.size() == 0) [[unlikely]] {
+    throw ScfiError("store-compact: " + path + ": store holds no complete records");
+  }
   store.save(path);
   stats.records = store.size();
   return stats;

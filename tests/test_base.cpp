@@ -308,6 +308,51 @@ TEST(RngBelow, PrecomputedBoundMatchesDivision) {
   EXPECT_GT(rejections, 1000);
 }
 
+TEST(RngGroup, StreamsMatchScalarStreams) {
+  // Element i of every next() is stream i's own next(), and stream(i)
+  // continues the stream exactly, for raw draws and bounded ones.
+  int pairs = 0;
+  for (std::uint64_t seed : {0ULL, 1ULL, 7ULL, 0x5cf15cf15cf15cf1ULL, ~0ULL}) {
+    for (std::uint64_t first : {0ULL, 1ULL, 3ULL, 512ULL, 99991ULL, ~0ULL - 2}) {
+      RngGroup group(seed, first);
+      std::vector<Rng> scalar;
+      for (std::size_t i = 0; i < RngGroup::kStreams; ++i) scalar.emplace_back(seed, first + i);
+      const int steps = static_cast<int>(first % 37) + static_cast<int>(seed % 5);
+      RngGroup::Word values;
+      for (int t = 0; t < steps; ++t) {
+        group.next(values);
+        for (std::size_t i = 0; i < RngGroup::kStreams; ++i) {
+          ASSERT_EQ(values[i], scalar[i].next())
+              << "seed " << seed << " first " << first << " step " << t << " stream " << i;
+        }
+      }
+      const Rng::Bound bound(24);
+      for (std::size_t i = 0; i < RngGroup::kStreams; ++i) {
+        Rng extracted = group.stream(i);
+        EXPECT_EQ(extracted.below(bound), scalar[i].below(bound));
+        for (int t = 0; t < 8; ++t) ASSERT_EQ(extracted.next(), scalar[i].next());
+      }
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 30);
+}
+
+TEST(RngGroup, ExtractionLeavesTheGroupInStep) {
+  // stream() copies a stream out; the group itself keeps stepping from the
+  // same position.
+  RngGroup group(11, 40);
+  RngGroup::Word values;
+  group.next(values);
+  Rng copy = group.stream(2);
+  group.next(values);
+  EXPECT_EQ(values[2], copy.next());
+  Rng reference(11, 42);
+  reference.next();
+  reference.next();
+  EXPECT_EQ(group.stream(2).next(), reference.next());
+}
+
 TEST(Rng, RangeInclusive) {
   Rng rng(3);
   bool low = false;

@@ -447,5 +447,31 @@ TEST(CampaignObservabilityPool, DecidedRunsFreeTheirLanes) {
   EXPECT_EQ(r, reference(s->fsm, c, config).result);
 }
 
+TEST(CampaignObservabilityGroups, GroupTailsAndMultiKindFaultsMatchScalarReference) {
+  // The planner steps runs in groups of RunPlanner::kGroup and plans a
+  // unit's last lanes mod kGroup runs alone. At 5 lanes every unit is all
+  // tail; at 100 lanes each unit ends in a 4-run tail. Three faults of
+  // three kinds draw a site, a cycle and a kind each from the stream a
+  // grouped walk left behind.
+  for (const std::string name : {"i2c_fsm", "kiss2:lion"}) {
+    const std::unique_ptr<Subject> s = make_subject(name);
+    for (const auto& [label, c] : s->variants) {
+      for (const FaultTarget target : {FaultTarget::kAny, FaultTarget::kStateRegister}) {
+        CampaignConfig config;
+        config.runs = 613;
+        config.cycles = 11;
+        config.seed = 32;
+        config.fault.k = 3;
+        config.fault.target = target;
+        config.fault.kinds = {FaultKind::kTransientFlip, FaultKind::kStuckAt0,
+                              FaultKind::kSkipCycle};
+        expect_matches_reference(s->fsm, c, config,
+                                 name + " " + label + " target=" + target_name(target) + " k=3",
+                                 {5, 100});
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scfi::sim

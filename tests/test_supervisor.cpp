@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <chrono>
 #include <filesystem>
@@ -183,11 +184,13 @@ TEST(FleetSupervisor, WedgedJobIsReapedViaStoppedHeartbeat) {
 }
 
 TEST(FleetSupervisor, SigtermDrainsGracefullyAndResumeCompletes) {
-  // ~1s-per-job campaigns; SIGTERM lands ~0.25s in, so the fleet is
-  // mid-flight: claimed jobs are cancelled within the (short) grace and
-  // recorded, unclaimed jobs stay unfinished, and nothing is torn — a
+  // Campaigns of about a second each; SIGTERM lands as soon as the first
+  // record reaches the store, when a worker has just taken the next job and
+  // the other still holds its first, so the fleet is mid-flight whatever
+  // the host's speed: claimed jobs are cancelled within the (short) grace
+  // and recorded, unclaimed jobs stay unfinished, and nothing is torn — a
   // resumed fleet completes the matrix to all-ok.
-  const std::vector<SweepJob> jobs = slow_campaign_matrix(500000);
+  const std::vector<SweepJob> jobs = slow_campaign_matrix(5000000);
   ASSERT_EQ(jobs.size(), 4u);
 
   const std::string path = temp_path("fleet_drain.jsonl");
@@ -198,11 +201,20 @@ TEST(FleetSupervisor, SigtermDrainsGracefullyAndResumeCompletes) {
   config.drain_grace = 0.1;
   FleetSupervisor fleet(config);
 
-  std::thread signaller([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    (void)::kill(::getpid(), SIGTERM);
+  // The supervisor saves the (empty) store before it installs its drain
+  // handler and appends the first final after; `done` keeps a signal from
+  // outliving run(), whose handler would be gone.
+  std::atomic<bool> done{false};
+  std::thread signaller([&] {
+    const auto empty = [&] {
+      std::error_code ec;
+      return !std::filesystem::exists(path, ec) || std::filesystem::file_size(path, ec) == 0;
+    };
+    while (!done && empty()) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!done) (void)::kill(::getpid(), SIGTERM);
   });
   const FleetStats stats = fleet.run(jobs, path);
+  done = true;
   signaller.join();
 
   EXPECT_TRUE(stats.drained);
