@@ -18,8 +18,9 @@ cd "$(dirname "$0")"
 
 # Lazy-message gate: check()/require() build a string_view message only when
 # they fail, but a message composed at the call site ("..." + name) is built
-# on every call. The rtlil builders, NetlistIndex and FSM extraction run
-# their checks per cell and per bit, the sweep orchestrator and the store
+# on every call. The rtlil builders, flatten's structural pass and FSM
+# extraction run their checks per cell and per bit, static timing and gate
+# sizing theirs per net once per upsize, the sweep orchestrator and the store
 # writer theirs per job and per record, and the store parser its checks per
 # JSON delimiter, so a composed message there must sit inside the failing
 # branch instead (see base/error.h). The pattern matches a whole, possibly
@@ -30,7 +31,8 @@ perl -0777 -ne '
     if ($1 =~ /"\s*\+|\+\s*"/) { $call =~ s/\s+/ /g; print "$ARGV: $call\n"; $bad = 1; }
   }
   END { exit($bad ? 1 : 0) }' src/rtlil/*.h src/rtlil/*.cpp src/fsm/extract.cpp \
-  src/sweep/sweep.cpp src/sweep/store_writer.cpp src/sweep/result_store.cpp \
+  src/synth/sta.cpp src/synth/sizing.cpp src/sweep/sweep.cpp \
+  src/sweep/store_writer.cpp src/sweep/result_store.cpp \
   || { echo "lazy-message gate: composed check()/require() message on a per-cell, per-job or per-record path"; exit 1; }
 
 cmake -B build -S .
@@ -78,7 +80,9 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # lane-parallel recovery through the scalar reference (lane words, per-net
 # trace stamps and index-addressed cube compaction), and the group-commit
 # store writer's suites, since the writer hands records from the thread
-# that wrote them to the thread that leads their fsync.
+# that wrote them to the thread that leads their fsync, and static timing
+# and gate sizing, which index per-net driver, reader and arrival arrays by
+# the flattened netlist's net numbers.
 # Then a standalone ThreadSanitizer build of the header-only
 # base/parallel.h tests (src/base only: libscfi itself crashes under TSan
 # before main, in the target_clones ifunc resolvers of the simulator).
@@ -90,7 +94,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|SynfiParallelSegments|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.|StoreWriter|SweepGroupCommit'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|SynfiParallelSegments|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.|StoreWriter|SweepGroupCommit|Sta\.|Sizing'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests

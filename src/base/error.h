@@ -11,7 +11,7 @@
 // concatenation) is still built before the call even when the check passes,
 // so keep those off per-cycle and per-draw paths. The rtlil per-cell and
 // per-bit paths are such paths too: Cell::port, Module::add_wire/add_cell,
-// Design::add_module and NetlistIndex's per-bit driver checks run for every
+// Design::add_module and flatten's per-bit driver checks run for every
 // cell or bit of every netlist built, flattened or extracted, so they test
 // the condition first and compose their message only inside the failing
 // branch: `if (!ok) [[unlikely]] throw ScfiError(...)`, or

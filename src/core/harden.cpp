@@ -2,7 +2,6 @@
 
 #include "base/error.h"
 #include "mds/registry.h"
-#include "rtlil/validate.h"
 
 namespace scfi::core {
 namespace {
@@ -281,8 +280,6 @@ fsm::CompiledFsm scfi_harden(const fsm::Fsm& fsm, rtlil::Design& design,
       m->make_or(m->make_or(m->make_not(ok, "nok"), m->make_not(err_ok, "nerr"), "alrt0"),
                  out_err, "alert");
   m->drive(SigSpec(alert), alert_sig);
-
-  rtlil::validate_module(*m);
 
   if (report != nullptr) {
     report->plan = plan;

@@ -22,9 +22,9 @@
 // kDff is posedge-clocked with an async active-low reset applied by the
 // simulator), so the clock/reset nets named in sensitivity lists are
 // consumed during elaboration and dropped from the module — they may not
-// feed any logic. `rtlil::validate_module` runs on every elaborated module
-// as the post-load gate. Every malformed input raises ScfiError naming the
-// file and line.
+// feed any logic. This input comes from outside the program, so every
+// elaborated module passes `rtlil::validate_module` (flatten's structural
+// pass) on load. Every malformed input raises ScfiError.
 #pragma once
 
 #include <iosfwd>

@@ -1,7 +1,6 @@
 #include "fsm/compile.h"
 
 #include "base/error.h"
-#include "rtlil/validate.h"
 
 namespace scfi::fsm {
 namespace {
@@ -171,7 +170,6 @@ CompiledFsm compile_unprotected(const Fsm& fsm, rtlil::Design& design,
     m->drive(SigSpec(y), acc);
   }
 
-  rtlil::validate_module(*m);
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include "base/strutil.h"
 #include "core/harden.h"
 #include "redundancy/redundancy.h"
-#include "rtlil/validate.h"
 #include "synth/lower.h"
 #include "synth/opt.h"
 
@@ -67,13 +66,10 @@ fsm::CompiledFsm build_ot_variant(const OtEntry& entry, rtlil::Design& design, V
       break;
     }
   }
-  // Every builder above ends in rtlil::validate_module, so the module is
-  // checked again only when a datapath changed it. Corpus-sourced entries
-  // (bare KISS2 machines) carry no datapath builder.
-  if (entry.datapath) {
-    entry.datapath(*compiled.module);
-    rtlil::validate_module(*compiled.module);
-  }
+  // Corpus-sourced entries (bare KISS2 machines) carry no datapath
+  // builder. The module is checked where an engine reads it: rtlil::flatten
+  // is the structural check.
+  if (entry.datapath) entry.datapath(*compiled.module);
   return compiled;
 }
 

@@ -46,8 +46,9 @@ std::vector<OtEntry> ot_entries(const std::string& globs);
 
 enum class Variant { kUnprotected, kRedundancy, kScfi };
 
-/// Compiles the FSM in the requested variant, attaches the datapath, and
-/// validates. `module_name` must be unique within the design.
+/// Compiles the FSM in the requested variant and attaches the datapath;
+/// the module is checked when it is flattened. `module_name` must be unique
+/// within the design.
 fsm::CompiledFsm build_ot_variant(const OtEntry& entry, rtlil::Design& design, Variant variant,
                                   int protection_level, const std::string& module_name);
 

@@ -2,7 +2,6 @@
 
 #include "base/error.h"
 #include "encode/lexicode.h"
-#include "rtlil/validate.h"
 
 namespace scfi::redundancy {
 
@@ -101,7 +100,6 @@ fsm::CompiledFsm build_redundant(const fsm::Fsm& fsm, rtlil::Design& design,
     m->drive(SigSpec(y), acc);
   }
 
-  rtlil::validate_module(*m);
   return out;
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "base/error.h"
 
@@ -32,102 +34,232 @@ void emit_tree(FlatNetlist& flat, FlatOp::Kind kind, std::vector<std::int32_t> t
   }
 }
 
-void compile_cell(FlatNetlist& flat, const Cell& cell) {
-  std::vector<FlatOp>& ops = flat.ops;
-  const auto net_of = [&](const SigBit& bit) { return flat.net_of(bit); };
-  const SigSpec& y = cell.port(output_port(cell.type()));
-  const auto in = [&](const char* p) { return cell.port(p); };
-  const auto bits_of = [&](const SigSpec& s) {
-    std::vector<std::int32_t> nets;
-    nets.reserve(static_cast<std::size_t>(s.width()));
-    for (const SigBit& b : s.bits()) nets.push_back(net_of(b));
-    return nets;
-  };
+/// The op of a bitwise cell: one per output bit.
+FlatOp::Kind bitwise_kind(CellType type) {
+  using K = FlatOp::Kind;
+  switch (type) {
+    case CellType::kBuf: case CellType::kGateBuf: return K::kBuf;
+    case CellType::kNot: case CellType::kGateInv: return K::kNot;
+    case CellType::kAnd: case CellType::kGateAnd2: return K::kAnd;
+    case CellType::kOr: case CellType::kGateOr2: return K::kOr;
+    case CellType::kXor: case CellType::kGateXor2: return K::kXor;
+    case CellType::kXnor: case CellType::kGateXnor2: return K::kXnor;
+    case CellType::kMux: case CellType::kGateMux2: return K::kMux;
+    case CellType::kGateNand2: return K::kNand;
+    case CellType::kGateNor2: return K::kNor;
+    case CellType::kGateAoi21: return K::kAoi21;
+    case CellType::kGateOai21: return K::kOai21;
+    default: unreachable(std::string("compile_cell: unhandled type ") + cell_type_name(type));
+  }
+}
+
+/// Emits the ops of the combinational `cell`, which drives the nets `y`
+/// and reads the nets `in` (its input ports in order, bit by bit).
+void compile_cell(FlatNetlist& flat, const Cell& cell, std::span<const std::int32_t> y,
+                  std::span<const std::int32_t> in) {
+  using K = FlatOp::Kind;
   switch (cell.type()) {
-    case CellType::kBuf:
-    case CellType::kGateBuf:
-      for (int i = 0; i < y.width(); ++i) {
-        ops.push_back(FlatOp{FlatOp::Kind::kBuf, net_of(y.bit(i)), net_of(in("A").bit(i)), 0, 0});
+    case CellType::kEq: {
+      // A and B are equally wide: Y is the AND over A XNOR B.
+      const std::size_t w = in.size() / 2;
+      std::vector<std::int32_t> eq_bits;
+      for (std::size_t i = 0; i < w; ++i) {
+        eq_bits.push_back(temp_net(flat));
+        flat.ops.push_back(FlatOp{K::kXnor, eq_bits.back(), in[i], in[w + i], 0});
       }
-      break;
+      return emit_tree(flat, K::kAnd, std::move(eq_bits), y[0]);
+    }
+    case CellType::kReduceAnd: return emit_tree(flat, K::kAnd, {in.begin(), in.end()}, y[0]);
+    case CellType::kReduceOr: return emit_tree(flat, K::kOr, {in.begin(), in.end()}, y[0]);
+    case CellType::kReduceXor: return emit_tree(flat, K::kXor, {in.begin(), in.end()}, y[0]);
+    default: break;
+  }
+  // Op i reads bit i of A and of B, and the one bit of S (mux) or C.
+  const K kind = bitwise_kind(cell.type());
+  const std::size_t w = y.size();
+  const std::size_t ports = input_ports(cell.type()).size();
+  for (std::size_t i = 0; i < w; ++i) {
+    flat.ops.push_back(FlatOp{kind, y[i], in[i], ports > 1 ? in[w + i] : 0,
+                              ports > 2 ? in[2 * w] : 0});
+  }
+}
+
+void check_widths(const Cell& cell) {
+  const auto fail = [&cell](const std::string& msg) {
+    throw ScfiError("cell " + cell.name() + " (" + cell_type_name(cell.type()) + "): " + msg);
+  };
+  const auto need = [&](std::string_view port) -> const SigSpec& {
+    if (!cell.has_port(port)) fail(std::string("missing port ").append(port));
+    return cell.port(port);
+  };
+  const SigSpec& y = need(output_port(cell.type()));
+  switch (cell.type()) {
     case CellType::kNot:
-    case CellType::kGateInv:
-      for (int i = 0; i < y.width(); ++i) {
-        ops.push_back(FlatOp{FlatOp::Kind::kNot, net_of(y.bit(i)), net_of(in("A").bit(i)), 0, 0});
-      }
+    case CellType::kBuf:
+      if (need("A").width() != y.width()) fail("A/Y width mismatch");
       break;
     case CellType::kAnd:
     case CellType::kOr:
     case CellType::kXor:
     case CellType::kXnor:
-    case CellType::kGateAnd2:
-    case CellType::kGateOr2:
-    case CellType::kGateXor2:
-    case CellType::kGateXnor2:
-    case CellType::kGateNand2:
-    case CellType::kGateNor2: {
-      FlatOp::Kind k = FlatOp::Kind::kAnd;
-      switch (cell.type()) {
-        case CellType::kOr:
-        case CellType::kGateOr2: k = FlatOp::Kind::kOr; break;
-        case CellType::kXor:
-        case CellType::kGateXor2: k = FlatOp::Kind::kXor; break;
-        case CellType::kXnor:
-        case CellType::kGateXnor2: k = FlatOp::Kind::kXnor; break;
-        case CellType::kGateNand2: k = FlatOp::Kind::kNand; break;
-        case CellType::kGateNor2: k = FlatOp::Kind::kNor; break;
-        default: break;
-      }
-      for (int i = 0; i < y.width(); ++i) {
-        ops.push_back(FlatOp{k, net_of(y.bit(i)), net_of(in("A").bit(i)),
-                             net_of(in("B").bit(i)), 0});
+      if (need("A").width() != y.width() || need("B").width() != y.width()) {
+        fail("A/B/Y width mismatch");
       }
       break;
-    }
     case CellType::kMux:
-    case CellType::kGateMux2: {
-      const std::int32_t s = net_of(in("S").bit(0));
-      for (int i = 0; i < y.width(); ++i) {
-        ops.push_back(FlatOp{FlatOp::Kind::kMux, net_of(y.bit(i)), net_of(in("A").bit(i)),
-                             net_of(in("B").bit(i)), s});
+      if (need("A").width() != y.width() || need("B").width() != y.width()) {
+        fail("A/B/Y width mismatch");
       }
+      if (need("S").width() != 1) fail("S must be 1 bit");
       break;
-    }
-    case CellType::kGateAoi21:
-      ops.push_back(FlatOp{FlatOp::Kind::kAoi21, net_of(y.bit(0)), net_of(in("A").bit(0)),
-                           net_of(in("B").bit(0)), net_of(in("C").bit(0))});
+    case CellType::kEq:
+      if (need("A").width() != need("B").width()) fail("A/B width mismatch");
+      if (y.width() != 1) fail("Y must be 1 bit");
       break;
-    case CellType::kGateOai21:
-      ops.push_back(FlatOp{FlatOp::Kind::kOai21, net_of(y.bit(0)), net_of(in("A").bit(0)),
-                           net_of(in("B").bit(0)), net_of(in("C").bit(0))});
-      break;
-    case CellType::kEq: {
-      const std::vector<std::int32_t> a = bits_of(in("A"));
-      const std::vector<std::int32_t> b = bits_of(in("B"));
-      std::vector<std::int32_t> eq_bits;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        const std::int32_t t = temp_net(flat);
-        ops.push_back(FlatOp{FlatOp::Kind::kXnor, t, a[i], b[i], 0});
-        eq_bits.push_back(t);
-      }
-      emit_tree(flat, FlatOp::Kind::kAnd, std::move(eq_bits), net_of(y.bit(0)));
-      break;
-    }
     case CellType::kReduceAnd:
-      emit_tree(flat, FlatOp::Kind::kAnd, bits_of(in("A")), net_of(y.bit(0)));
-      break;
     case CellType::kReduceOr:
-      emit_tree(flat, FlatOp::Kind::kOr, bits_of(in("A")), net_of(y.bit(0)));
-      break;
     case CellType::kReduceXor:
-      emit_tree(flat, FlatOp::Kind::kXor, bits_of(in("A")), net_of(y.bit(0)));
+      need("A");
+      if (y.width() != 1) fail("Y must be 1 bit");
       break;
     case CellType::kDff:
+      if (need("D").width() != y.width()) fail("D/Q width mismatch");
+      if (cell.reset_value().width() != y.width()) fail("reset width mismatch");
+      break;
     case CellType::kGateDff:
-      unreachable("compile_cell: flip-flop in combinational list");
+      if (need("D").width() != 1 || y.width() != 1) fail("gate DFF must be 1 bit");
+      if (cell.reset_value().width() != 1) fail("reset width mismatch");
+      break;
     default:
-      unreachable(std::string("compile_cell: unhandled type ") + cell_type_name(cell.type()));
+      // One-bit gates.
+      for (const std::string& p : input_ports(cell.type())) {
+        if (need(p).width() != 1) fail("port " + p + " must be 1 bit");
+      }
+      if (y.width() != 1) fail("Y must be 1 bit");
+      break;
   }
+}
+
+/// The constants and then every wire's bits, numbered; no ops yet.
+FlatNetlist number_wires(const Module& module) {
+  FlatNetlist flat;
+  flat.module = &module;
+  for (const Wire* w : module.wires()) {
+    flat.wire_base.emplace(w, flat.num_nets);
+    flat.num_nets += w->width();
+  }
+  return flat;
+}
+
+/// Nets per cell, in cell order: cell i owns nets[start[i], start[i + 1]).
+struct CellNets {
+  std::vector<std::int32_t> nets;
+  std::vector<std::size_t> start{0};
+
+  std::span<const std::int32_t> of(std::size_t cell) const {
+    return std::span(nets).subspan(start[cell], start[cell + 1] - start[cell]);
+  }
+};
+
+/// The structural pass's result: every cell's driven and read nets, in port
+/// and bit order (a constant bit reads net 0 or 1), and the combinational
+/// cells in dependency order, as indices into the module's cells().
+struct SortedCells {
+  CellNets outs;
+  CellNets ins;
+  std::vector<std::int32_t> comb;
+};
+
+/// The structural pass over `flat`'s wire nets; validate_module lists its
+/// checks.
+SortedCells sort_cells(const FlatNetlist& flat) {
+  const std::vector<Cell*>& cells = flat.module->cells();
+  // A bit's net. Module::remove_wires can leave a cell a dangling Wire*,
+  // so a bit that is on no wire of the module is rejected unread.
+  const auto net = [&flat](const Cell& cell, std::string_view port, const SigBit& bit) {
+    if (bit.is_const()) return std::int32_t{bit.const_value() ? 1 : 0};
+    const auto it = flat.wire_base.find(bit.wire);
+    if (it == flat.wire_base.end() || bit.offset < 0 || bit.offset >= it->first->width())
+        [[unlikely]] {
+      throw ScfiError("cell " + cell.name() + " port " + std::string(port) +
+                      ": bit is not on a wire of module " + flat.module->name());
+    }
+    return it->second + bit.offset;
+  };
+  SortedCells out;
+  std::vector<std::int32_t> driver(static_cast<std::size_t>(flat.num_nets), -1);  // cell index
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& cell = *cells[i];
+    check_widths(cell);
+    const char* y = output_port(cell.type());
+    for (const SigBit& bit : cell.port(y).bits()) {
+      if (bit.is_const()) [[unlikely]] {
+        throw ScfiError("cell " + cell.name() + " drives a constant bit");
+      }
+      const std::int32_t n = net(cell, y, bit);
+      if (bit.wire->is_input()) [[unlikely]] {
+        throw ScfiError("cell " + cell.name() + " drives input wire " + bit.wire->name());
+      }
+      std::int32_t& d = driver[static_cast<std::size_t>(n)];
+      if (d >= 0) [[unlikely]] {
+        throw ScfiError("multiple drivers on wire " + bit.wire->name() + " (cells " +
+                        cells[static_cast<std::size_t>(d)]->name() + ", " + cell.name() + ")");
+      }
+      d = static_cast<std::int32_t>(i);
+      out.outs.nets.push_back(n);
+    }
+    out.outs.start.push_back(out.outs.nets.size());
+    for (const std::string& p : input_ports(cell.type())) {
+      for (const SigBit& bit : cell.port(p).bits()) out.ins.nets.push_back(net(cell, p, bit));
+    }
+    out.ins.start.push_back(out.ins.nets.size());
+  }
+
+  // Kahn's sort at cell granularity, FIFO from cell order: a combinational
+  // cell waits once per read of a net that a combinational cell drives
+  // (flip-flop outputs and module inputs are sources). `readers` lists the
+  // waiting cells per net, in cell and read order (CSR over reader_start).
+  const auto comb = [&cells](std::size_t cell) { return !is_ff(cells[cell]->type()); };
+  const auto waits_on = [&](std::int32_t net) {
+    const std::int32_t d = driver[static_cast<std::size_t>(net)];
+    return d >= 0 && comb(static_cast<std::size_t>(d));
+  };
+  std::vector<std::int32_t> pending(cells.size(), 0);
+  std::vector<std::size_t> reader_start(static_cast<std::size_t>(flat.num_nets) + 1, 0);
+  std::size_t comb_cells = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!comb(i)) continue;
+    ++comb_cells;
+    for (const std::int32_t n : out.ins.of(i)) {
+      if (!waits_on(n)) continue;
+      ++pending[i];
+      ++reader_start[static_cast<std::size_t>(n) + 1];
+    }
+  }
+  for (std::size_t n = 1; n < reader_start.size(); ++n) reader_start[n] += reader_start[n - 1];
+  std::vector<std::int32_t> readers(reader_start.back());
+  std::vector<std::size_t> fill(reader_start.begin(), reader_start.end() - 1);
+  std::vector<std::int32_t>& queue = out.comb;
+  queue.reserve(comb_cells);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!comb(i)) continue;
+    for (const std::int32_t n : out.ins.of(i)) {
+      if (waits_on(n)) readers[fill[static_cast<std::size_t>(n)]++] = static_cast<std::int32_t>(i);
+    }
+    if (pending[i] == 0) queue.push_back(static_cast<std::int32_t>(i));
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const std::int32_t n : out.outs.of(static_cast<std::size_t>(queue[head]))) {
+      const auto at = static_cast<std::size_t>(n);
+      for (std::size_t r = reader_start[at]; r < reader_start[at + 1]; ++r) {
+        if (--pending[static_cast<std::size_t>(readers[r])] == 0) queue.push_back(readers[r]);
+      }
+    }
+  }
+  if (queue.size() != comb_cells) [[unlikely]] {
+    throw ScfiError("module " + flat.module->name() + ": combinational loop detected");
+  }
+  return out;
 }
 
 }  // namespace
@@ -141,24 +273,25 @@ std::int32_t FlatNetlist::net_of(const SigBit& bit) const {
 }
 
 FlatNetlist flatten(const Module& module) {
-  FlatNetlist out;
-  out.module = &module;
-  for (const Wire* w : module.wires()) {
-    out.wire_base[w] = out.num_nets;
-    out.num_nets += w->width();
+  FlatNetlist out = number_wires(module);
+  const SortedCells sorted = sort_cells(out);
+  const std::vector<Cell*>& cells = module.cells();
+  for (const std::int32_t c : sorted.comb) {
+    const auto i = static_cast<std::size_t>(c);
+    compile_cell(out, *cells[i], sorted.outs.of(i), sorted.ins.of(i));
   }
-  const NetlistIndex index(module);
-  for (const Cell* cell : index.topo_comb()) compile_cell(out, *cell);
-  for (const Cell* ff : index.ffs()) {
-    const SigSpec& d = ff->port("D");
-    const SigSpec& q = ff->port("Q");
-    for (int i = 0; i < q.width(); ++i) {
-      out.ffs.push_back(FlatFf{out.net_of(d.bit(i)), out.net_of(q.bit(i)),
-                               ff->reset_value().bit(i)});
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!is_ff(cells[i]->type())) continue;
+    const std::span<const std::int32_t> d = sorted.ins.of(i);
+    const std::span<const std::int32_t> q = sorted.outs.of(i);
+    for (std::size_t b = 0; b < q.size(); ++b) {
+      out.ffs.push_back(FlatFf{d[b], q[b], cells[i]->reset_value().bit(static_cast<int>(b))});
     }
   }
   return out;
 }
+
+void validate_module(const Module& module) { (void)sort_cells(number_wires(module)); }
 
 std::vector<char> fanin_cone(const FlatNetlist& flat, const std::vector<std::int32_t>& roots) {
   // Producing op and flip-flop of every net; -1 where there is none.

@@ -3,7 +3,8 @@
 // 64 x lane_words lanes at a time; the CNF encoder (sat/cnf.h) gives each
 // op its Tseitin clauses. Cell semantics (which op a word-level or gate
 // cell becomes, and the balanced trees of eq and reduce cells) therefore
-// live only here, and so do a flat netlist's fan-in cones and slices.
+// live only here, and so do a flat netlist's fan-in cones and slices and
+// the one structural check of a module (validate_module).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +52,8 @@ struct FlatNetlist {
   std::int32_t net_of(const SigBit& bit) const;
 };
 
-/// Flattens `module`. Throws on combinational loops (via NetlistIndex).
+/// Flattens `module`: checks it as validate_module does, then emits its
+/// combinational cells in dependency order and its flip-flops in cell order.
 FlatNetlist flatten(const Module& module);
 
 /// Fan-in cone of `roots`, closed over flip-flops: one flag per net, set

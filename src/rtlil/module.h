@@ -47,8 +47,11 @@ class Module {
   Wire* wire(const std::string& name) const;  ///< nullptr when absent
   const std::vector<Wire*>& wires() const { return wire_order_; }
 
-  /// Removes a wire that is no longer referenced by any cell (caller's
-  /// responsibility; validate() catches violations).
+  /// Removes wires that no cell references any more (the caller's
+  /// responsibility). A cell still holding a removed wire's bit holds a
+  /// dangling pointer: validate_module and flatten reject it by the pointer
+  /// value alone, never reading the wire, but cannot tell it from a wire
+  /// added later at the same address.
   void remove_wires(const std::vector<Wire*>& dead);
 
   // --- cells -------------------------------------------------------------

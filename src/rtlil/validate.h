@@ -1,15 +1,11 @@
-// Structural validation and netlist indexing.
+// Cell port conventions and structural validation.
 //
-// NetlistIndex computes, for a module, the driver of every wire bit and a
-// topological order of the combinational cells (throwing on combinational
-// loops). It is the shared backbone of the simulator, static timing analysis
-// and the optimization passes.
+// validate_module is rtlil::flatten's structural pass without the ops (both
+// live in rtlil/flatten.cpp): every engine checks the module it flattens.
 #pragma once
 
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "rtlil/module.h"
 
@@ -22,35 +18,9 @@ const char* output_port(CellType type);
 /// storage: the call allocates nothing).
 std::span<const std::string> input_ports(CellType type);
 
-/// Validates port presence/widths and driver uniqueness; throws ScfiError
-/// with a diagnostic on the first violation. Also rejects combinational
-/// loops (via NetlistIndex).
+/// Throws ScfiError on the first violation, cell by cell: missing ports and
+/// port widths, then a driven constant, input or twice-driven bit, and a bit
+/// on no wire of the module; last, a loop between combinational cells.
 void validate_module(const Module& module);
-
-class NetlistIndex {
- public:
-  explicit NetlistIndex(const Module& module);
-
-  const Module& module() const { return *module_; }
-
-  /// Driving cell of a wire bit; nullptr for inputs/undriven bits.
-  Cell* driver(const SigBit& bit) const;
-
-  /// Combinational cells in dependency order (inputs/FF outputs first).
-  const std::vector<Cell*>& topo_comb() const { return topo_comb_; }
-
-  /// All flip-flop cells.
-  const std::vector<Cell*>& ffs() const { return ffs_; }
-
-  /// All cells reading a given wire bit.
-  std::vector<Cell*> readers(const SigBit& bit) const;
-
- private:
-  const Module* module_;
-  std::unordered_map<SigBit, Cell*> driver_;
-  std::unordered_map<SigBit, std::vector<Cell*>> readers_;
-  std::vector<Cell*> topo_comb_;
-  std::vector<Cell*> ffs_;
-};
 
 }  // namespace scfi::rtlil

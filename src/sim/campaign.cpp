@@ -555,8 +555,13 @@ void execute_all(const Fsm& fsm, const VariantNetlist& net, const std::vector<Fa
 }  // namespace
 
 CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
+                            const CampaignConfig& config) {
+  return run_campaign(fsm, VariantNetlist(variant), config);
+}
+
+CampaignResult run_campaign(const Fsm& fsm, const VariantNetlist& net,
                             const CampaignConfig& user_config) {
-  check(variant.module != nullptr, "run_campaign: variant has no module");
+  const CompiledFsm& variant = *net.variant;
   require(user_config.lanes >= 1 && user_config.lanes <= kMaxLanes,
           format("run_campaign: lanes must be in [1, %d] (64 x lane_words)", kMaxLanes));
   require(user_config.runs >= 0, "run_campaign: runs must be >= 0");
@@ -577,7 +582,6 @@ CampaignResult run_campaign(const Fsm& fsm, const CompiledFsm& variant,
   const std::vector<CfgEdge> cfg = fsm.cfg_edges();
   const StimulusTable stim = build_stimulus(fsm, variant, cfg);
   const WalkTables walk(fsm, cfg);
-  const VariantNetlist net(variant);
   Harness harness(fsm, net, stim, lane_words_for(config.lanes));
   const Observability obs = observe(harness, fsm, net, cfg, walk, sites, config.fault.kinds);
 

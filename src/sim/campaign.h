@@ -70,6 +70,8 @@ class CancelToken;
 
 namespace scfi::sim {
 
+struct VariantNetlist;
+
 /// How run plans (walks + fault schedules) are produced. kStreaming, the one
 /// planner, draws run k's plan from the jump-ahead stream Rng(seed, k) inside
 /// the executing worker, one unit at a time. The enum and
@@ -145,6 +147,9 @@ struct CampaignResult {
 /// fault.k < 0 (k = 0 is a fault-free campaign), empty fault.kinds,
 /// threads < 1, or lanes outside [1, kMaxLanes].
 CampaignResult run_campaign(const fsm::Fsm& fsm, const fsm::CompiledFsm& variant,
+                            const CampaignConfig& config);
+/// The same over `net`, which the caller may share across campaigns.
+CampaignResult run_campaign(const fsm::Fsm& fsm, const VariantNetlist& net,
                             const CampaignConfig& config);
 
 }  // namespace scfi::sim

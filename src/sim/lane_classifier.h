@@ -5,7 +5,8 @@
 // match means (masked, detected, hijacked, ...) stays with each caller,
 // which gathers per-lane expectations from its own plan.
 // An analysis flattens and slices its variant once (VariantNetlist), and
-// every LaneClassifier of it simulates that slice.
+// every LaneClassifier of it simulates that slice (a sweep group's
+// Analyzer and campaign jobs share one).
 #pragma once
 
 #include <array>
@@ -29,9 +30,9 @@ using LaneWords = std::array<std::uint64_t, kMaxLaneWords>;
 struct VariantNetlist {
   /// `variant` must outlive this object. A missing state or alert wire
   /// roots nothing; it fails where it is read.
-  explicit VariantNetlist(const fsm::CompiledFsm& variant)
-      : variant(&variant),
-        full(std::make_shared<const rtlil::FlatNetlist>(rtlil::flatten(*variant.module))) {
+  explicit VariantNetlist(const fsm::CompiledFsm& variant) : variant(&variant) {
+    check(variant.module != nullptr, "VariantNetlist: variant has no module");
+    full = std::make_shared<const rtlil::FlatNetlist>(rtlil::flatten(*variant.module));
     std::vector<std::int32_t> roots;
     for (const std::string* name : {&variant.state_wire, &variant.alert_wire}) {
       const rtlil::Wire* w = variant.module->wire(*name);

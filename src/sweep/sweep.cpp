@@ -15,6 +15,7 @@
 #include "ot/zoo.h"
 #include "rtlil/design.h"
 #include "sim/campaign.h"
+#include "sim/lane_classifier.h"
 
 namespace scfi::sweep {
 namespace {
@@ -112,7 +113,8 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
   if (pending.empty()) return stats;
 
   // Group by compiled variant, preserving first-appearance order, so one
-  // Analyzer amortizes the build across every query of that variant.
+  // build, one flattened netlist and one Analyzer serve every query of
+  // that variant.
   std::vector<VariantGroup> groups;
   std::map<std::string, std::size_t> group_index;
   for (std::size_t j = 0; j < pending.size(); ++j) {
@@ -188,15 +190,19 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
     // Building the variant is deterministic — an unknown corpus module
     // or a compile failure would fail identically on every retry — so
     // a build error fails every job of the group in one attempt.
-    // `design` must outlive `compiled` (the compiled FSM points into it).
+    // `design` must outlive `compiled` (the compiled FSM points into it),
+    // and `compiled` the netlist. Flattening is the variant's one
+    // structural check, so a malformed module fails the build here too.
     rtlil::Design design;
     std::optional<ot::OtEntry> entry;
     std::optional<fsm::CompiledFsm> compiled;
+    std::shared_ptr<const sim::VariantNetlist> net;
     try {
       entry = source_of(pending[group.job_indices.front()], source).module(group.module);
       compiled = ot::build_ot_variant(*entry, design,
                                       variant_of(pending[group.job_indices.front()]),
                                       group.protection_level, group.module + "_sweep");
+      net = std::make_shared<const sim::VariantNetlist>(*compiled);
     } catch (...) {
       const std::string why = describe_current_exception();
       const double build_seconds = seconds_since(group_start);
@@ -240,11 +246,9 @@ SweepStats SweepOrchestrator::run(const std::vector<SweepJob>& jobs, ResultStore
             sim::CampaignConfig config = result.job.campaign;
             config.lanes = lanes;
             if (cancellable) config.cancel = &cancel;
-            result.campaign = sim::run_campaign(entry->fsm, *compiled, config);
+            result.campaign = sim::run_campaign(entry->fsm, *net, config);
           } else {
-            if (!analyzer) {
-              analyzer = std::make_unique<synfi::Analyzer>(entry->fsm, *compiled);
-            }
+            if (!analyzer) analyzer = std::make_unique<synfi::Analyzer>(entry->fsm, net);
             synfi::SynfiConfig config = result.job.synfi;
             config.lanes = lanes;
             if (cancellable) config.cancel = &cancel;

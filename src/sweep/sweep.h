@@ -5,8 +5,9 @@
 // A sweep is a set of SweepJobs — module x protection config x query, where
 // a query is either a SYNFI analysis or a Monte-Carlo campaign (tagged by
 // `SweepJob.type`). The orchestrator groups jobs by compiled variant so
-// that the variant is built once per group (and ONE synfi::Analyzer serves
-// every SYNFI query of that variant, amortizing the simulator/CNF build),
+// that the variant is built, flattened and sliced once per group (one
+// sim::VariantNetlist serves every campaign, and ONE synfi::Analyzer over
+// it every SYNFI query of that variant, amortizing the simulator/CNF build),
 // and runs them on one pool of max(jobs, threads) workers: at most `jobs`
 // groups are open at once, each running its jobs in order, and every other
 // worker helps the open groups' SYNFI and campaign runs by stealing halves

@@ -592,11 +592,14 @@ using SatKey = std::tuple<std::string, bool, sim::FaultTarget, sim::FaultKind, i
 }  // namespace
 
 struct Analyzer::Impl {
-  Impl(const Fsm& fsm, const CompiledFsm& variant)
-      : net(variant), edges(build_edge_table(variant, fsm.cfg_edges())) {}
+  Impl(const Fsm& fsm, std::shared_ptr<const sim::VariantNetlist> shared)
+      : shared_net(std::move(shared)),
+        net(*shared_net),
+        edges(build_edge_table(*net.variant, fsm.cfg_edges())) {}
 
   /// The variant flattened and sliced once; every context shares it.
-  const sim::VariantNetlist net;
+  const std::shared_ptr<const sim::VariantNetlist> shared_net;
+  const sim::VariantNetlist& net;
   EdgeTable edges;
 
   std::map<RegionKey, Region> regions;
@@ -747,10 +750,12 @@ struct Analyzer::Impl {
   }
 };
 
-Analyzer::Analyzer(const Fsm& fsm, const CompiledFsm& variant) {
-  check(variant.module != nullptr, "synfi: variant has no module");
-  require(variant.symbol_width > 0, "synfi: variant must use encoded control symbols");
-  impl_ = std::make_unique<Impl>(fsm, variant);
+Analyzer::Analyzer(const Fsm& fsm, const CompiledFsm& variant)
+    : Analyzer(fsm, std::make_shared<const sim::VariantNetlist>(variant)) {}
+
+Analyzer::Analyzer(const Fsm& fsm, std::shared_ptr<const sim::VariantNetlist> net) {
+  require(net->variant->symbol_width > 0, "synfi: variant must use encoded control symbols");
+  impl_ = std::make_unique<Impl>(fsm, std::move(net));
 }
 
 Analyzer::~Analyzer() = default;

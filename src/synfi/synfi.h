@@ -84,6 +84,10 @@ namespace scfi {
 class CancelToken;
 }
 
+namespace scfi::sim {
+struct VariantNetlist;
+}
+
 namespace scfi::synfi {
 
 enum class Backend { kExhaustiveSim, kSat };
@@ -180,6 +184,8 @@ struct SynfiReport {
 class Analyzer {
  public:
   Analyzer(const fsm::Fsm& fsm, const fsm::CompiledFsm& variant);
+  /// Over `net`, which the caller may share with sim::run_campaign.
+  Analyzer(const fsm::Fsm& fsm, std::shared_ptr<const sim::VariantNetlist> net);
   ~Analyzer();
   Analyzer(const Analyzer&) = delete;
   Analyzer& operator=(const Analyzer&) = delete;

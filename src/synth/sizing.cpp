@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "base/error.h"
-#include "rtlil/validate.h"
 #include "synth/sta.h"
 #include "synth/stat.h"
 #include "synth/techlib.h"
@@ -13,36 +11,21 @@ namespace {
 
 constexpr int kMaxUpsizes = 20000;
 
-/// Sum of the input capacitances loading a cell's output net.
-double output_load(const rtlil::NetlistIndex& index, const rtlil::Cell& cell) {
-  double load = 0.0;
-  for (const rtlil::SigBit& y : cell.port(rtlil::output_port(cell.type())).bits()) {
-    for (const rtlil::Cell* reader : index.readers(y)) {
-      load += techlib_gate(reader->type())
-                  .drive[static_cast<std::size_t>(reader->drive())]
-                  .input_cap;
-    }
-    if (!y.is_const() && y.wire->is_output()) load += 2.0;
-  }
-  return load;
-}
-
 /// Analytic benefit of upsizing one cell: reduction of its own stage delay
 /// minus the extra delay its increased input capacitance inflicts on the
 /// slowest upstream driver. Avoids a full STA per candidate.
-double upsize_gain(const rtlil::NetlistIndex& index, const rtlil::Cell& cell) {
+double upsize_gain(const TimingGraph& graph, const rtlil::Cell& cell) {
   const GateInfo& info = techlib_gate(cell.type());
   const GateTiming& now = info.drive[static_cast<std::size_t>(cell.drive())];
   const GateTiming& up = info.drive[static_cast<std::size_t>(cell.drive() + 1)];
-  const double load = output_load(index, cell);
+  const double load = graph.load(graph.flat.net_of(cell.port("Y").bit(0)));  // a one-bit gate
   const double own_gain = (now.intrinsic_ps - up.intrinsic_ps) + (now.slope_ps - up.slope_ps) * load;
   // Penalty: every driver of this cell sees +delta_cap on its net.
   const double delta_cap = up.input_cap - now.input_cap;
   double worst_penalty = 0.0;
   for (const std::string& p : rtlil::input_ports(cell.type())) {
-    if (!cell.has_port(p)) continue;
     for (const rtlil::SigBit& b : cell.port(p).bits()) {
-      const rtlil::Cell* driver = b.is_const() ? nullptr : index.driver(b);
+      const rtlil::Cell* driver = graph.driver[static_cast<std::size_t>(graph.flat.net_of(b))];
       if (driver == nullptr || rtlil::is_ff(driver->type())) continue;
       const GateTiming& dt =
           techlib_gate(driver->type()).drive[static_cast<std::size_t>(driver->drive())];
@@ -58,8 +41,10 @@ SizingResult size_for_period(rtlil::Module& module, double target_period_ps) {
   for (rtlil::Cell* cell : module.cells()) cell->set_drive(0);
 
   SizingResult result;
-  const rtlil::NetlistIndex index(module);
-  TimingReport timing = analyze_timing(module);
+  // Built once: an upsize changes drives only, so each round re-times
+  // the same graph.
+  const TimingGraph graph(module);
+  TimingReport timing = graph.analyze();
   int upsizes = 0;
   double last_period = timing.min_period_ps;
   int stagnant_rounds = 0;
@@ -69,7 +54,7 @@ SizingResult size_for_period(rtlil::Module& module, double target_period_ps) {
     for (const rtlil::Cell* path_cell : timing.critical_path) {
       if (path_cell->drive() + 1 >= kNumDrives) continue;
       auto* cell = const_cast<rtlil::Cell*>(path_cell);
-      const double gain = upsize_gain(index, *cell);
+      const double gain = upsize_gain(graph, *cell);
       const double area_cost =
           techlib_gate(cell->type()).drive[static_cast<std::size_t>(cell->drive() + 1)].area_ge -
           cell_area_ge(*cell);
@@ -93,7 +78,7 @@ SizingResult size_for_period(rtlil::Module& module, double target_period_ps) {
     }
     best_cell->set_drive(best_cell->drive() + 1);
     ++upsizes;
-    timing = analyze_timing(module);
+    timing = graph.analyze();
     // Abandon when several consecutive rounds fail to improve the period.
     if (timing.min_period_ps >= last_period - 1e-9) {
       if (++stagnant_rounds > 64) break;

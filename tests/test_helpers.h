@@ -2,7 +2,11 @@
 // builders.
 #pragma once
 
+#include <unordered_map>
+
 #include "fsm/fsm.h"
+#include "rtlil/module.h"
+#include "rtlil/validate.h"
 
 namespace scfi::test {
 
@@ -53,6 +57,24 @@ inline fsm::Fsm toggle_fsm() {
   f.add_transition("ON", "1", "OFF", "0");
   f.reset_state = 0;
   return f;
+}
+
+/// The driving cell of every driven wire bit of `module`.
+inline std::unordered_map<rtlil::SigBit, const rtlil::Cell*> drivers(const rtlil::Module& module) {
+  std::unordered_map<rtlil::SigBit, const rtlil::Cell*> out;
+  for (const rtlil::Cell* cell : module.cells()) {
+    for (const rtlil::SigBit& bit : cell->port(rtlil::output_port(cell->type())).bits()) {
+      out.emplace(bit, cell);
+    }
+  }
+  return out;
+}
+
+/// Whether a combinational cell drives `bit` (`driver` from drivers()).
+inline bool comb_driven(const std::unordered_map<rtlil::SigBit, const rtlil::Cell*>& driver,
+                        const rtlil::SigBit& bit) {
+  const auto it = driver.find(bit);
+  return it != driver.end() && !rtlil::is_ff(it->second->type());
 }
 
 }  // namespace scfi::test

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <deque>
 #include <initializer_list>
+#include <iterator>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "base/error.h"
+#include "base/rng.h"
 #include "rtlil/design.h"
 #include "rtlil/flatten.h"
 #include "rtlil/validate.h"
@@ -206,18 +213,318 @@ TEST(Validate, DriverTextsArePinned) {
   }
 }
 
-TEST(NetlistIndex, DriversAndReaders) {
+TEST(Validate, CellLevelLoopIsRejected) {
+  // Bit by bit there is no loop: y0 = in, w = !y0, y1 = w. But the sort
+  // orders cells, and wide waits for narrow's output while narrow waits
+  // for wide's bit 0.
   Design d;
   Module* m = d.add_module("m");
-  Wire* a = m->add_input("a", 1);
+  Wire* in = m->add_input("in", 1);
+  Wire* y = m->add_output("y", 2);
+  Wire* w = m->add_wire("w", 1);
+  Cell* wide = m->add_cell("wide", CellType::kBuf);
+  wide->set_port("A", SigSpec(std::vector<SigBit>{SigBit(in, 0), SigBit(w, 0)}));
+  wide->set_port("Y", SigSpec(y));
+  Cell* narrow = m->add_cell("narrow", CellType::kNot);
+  narrow->set_port("A", SigSpec(SigBit(y, 0)));
+  narrow->set_port("Y", SigSpec(w));
+  EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }),
+            "module m: combinational loop detected");
+  EXPECT_EQ(error_text<ScfiError>([&] { (void)flatten(*m); }),
+            "module m: combinational loop detected");
+}
+
+TEST(Validate, ForeignWireRejected) {
+  Design d;
+  Module* other = d.add_module("o");
+  Wire* a = other->add_input("a", 1);
+  Module* m = d.add_module("m");
   Wire* y = m->add_output("y", 1);
-  const SigSpec n = m->make_not(SigSpec(a));
-  m->drive(SigSpec(y), n);
-  const NetlistIndex index(*m);
-  EXPECT_EQ(index.driver(SigBit(a, 0)), nullptr);
-  EXPECT_NE(index.driver(n.bit(0)), nullptr);
-  EXPECT_EQ(index.readers(SigBit(a, 0)).size(), 1u);
-  EXPECT_EQ(index.topo_comb().size(), 2u);
+  Cell* inv = m->add_cell("inv", CellType::kNot);
+  inv->set_port("A", SigSpec(a));
+  inv->set_port("Y", SigSpec(y));
+  const std::string reads = "cell inv port A: bit is not on a wire of module m";
+  EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }), reads);
+  EXPECT_EQ(error_text<ScfiError>([&] { (void)flatten(*m); }), reads);
+
+  // Driving another module's wire is caught the same way.
+  Wire* b = other->add_wire("b", 1);
+  Wire* x = m->add_input("x", 1);
+  inv->set_port("A", SigSpec(x));
+  inv->set_port("Y", SigSpec(b));
+  EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }),
+            "cell inv port Y: bit is not on a wire of module m");
+
+  // So is a wire removed while a cell still reads it; the message never
+  // reads the dangling wire.
+  Wire* t = m->add_wire("t", 1);
+  inv->set_port("Y", SigSpec(y));
+  Cell* buf = m->add_cell("buf", CellType::kBuf);
+  buf->set_port("A", SigSpec(t));
+  buf->set_port("Y", SigSpec(m->add_wire("u", 1)));
+  inv->set_port("A", SigSpec(x));
+  EXPECT_NO_THROW(validate_module(*m));
+  m->remove_wires({t});
+  EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }),
+            "cell buf port A: bit is not on a wire of module m");
+}
+
+/// The checks validate_module made before they moved into flatten's pass,
+/// kept as the reference for the order in which the first failure is
+/// reported: per cell in cell order its port widths, then per driven bit a
+/// constant, a driven input and a second driver; then a combinational
+/// loop in a Kahn sort at cell granularity. "" when the module passes.
+std::string reference_check(const Module& module) {
+  const auto widths = [](const Cell& cell) {
+    const auto fail = [&cell](const std::string& msg) {
+      throw ScfiError("cell " + cell.name() + " (" + cell_type_name(cell.type()) + "): " + msg);
+    };
+    const auto need = [&](const std::string& port) -> const SigSpec& {
+      if (!cell.has_port(port)) fail("missing port " + port);
+      return cell.port(port);
+    };
+    const SigSpec& y = need(output_port(cell.type()));
+    switch (cell.type()) {
+      case CellType::kNot:
+      case CellType::kBuf:
+        if (need("A").width() != y.width()) fail("A/Y width mismatch");
+        break;
+      case CellType::kAnd:
+      case CellType::kOr:
+      case CellType::kXor:
+      case CellType::kXnor:
+        if (need("A").width() != y.width() || need("B").width() != y.width()) {
+          fail("A/B/Y width mismatch");
+        }
+        break;
+      case CellType::kMux:
+        if (need("A").width() != y.width() || need("B").width() != y.width()) {
+          fail("A/B/Y width mismatch");
+        }
+        if (need("S").width() != 1) fail("S must be 1 bit");
+        break;
+      case CellType::kEq:
+        if (need("A").width() != need("B").width()) fail("A/B width mismatch");
+        if (y.width() != 1) fail("Y must be 1 bit");
+        break;
+      case CellType::kReduceAnd:
+      case CellType::kReduceOr:
+      case CellType::kReduceXor:
+        need("A");
+        if (y.width() != 1) fail("Y must be 1 bit");
+        break;
+      case CellType::kDff:
+        if (need("D").width() != y.width()) fail("D/Q width mismatch");
+        if (cell.reset_value().width() != y.width()) fail("reset width mismatch");
+        break;
+      case CellType::kGateDff:
+        if (need("D").width() != 1 || y.width() != 1) fail("gate DFF must be 1 bit");
+        if (cell.reset_value().width() != 1) fail("reset width mismatch");
+        break;
+      default:
+        for (const std::string& p : input_ports(cell.type())) {
+          if (need(p).width() != 1) fail("port " + p + " must be 1 bit");
+        }
+        if (y.width() != 1) fail("Y must be 1 bit");
+        break;
+    }
+  };
+  try {
+    std::unordered_map<SigBit, const Cell*> driver;
+    std::unordered_map<SigBit, std::vector<const Cell*>> readers;
+    for (const Cell* cell : module.cells()) {
+      widths(*cell);
+      for (const SigBit& bit : cell->port(output_port(cell->type())).bits()) {
+        if (bit.is_const()) throw ScfiError("cell " + cell->name() + " drives a constant bit");
+        if (bit.wire->is_input()) {
+          throw ScfiError("cell " + cell->name() + " drives input wire " + bit.wire->name());
+        }
+        const auto [it, inserted] = driver.emplace(bit, cell);
+        if (!inserted) {
+          throw ScfiError("multiple drivers on wire " + bit.wire->name() + " (cells " +
+                          it->second->name() + ", " + cell->name() + ")");
+        }
+      }
+      for (const std::string& p : input_ports(cell->type())) {
+        for (const SigBit& bit : cell->port(p).bits()) {
+          if (!bit.is_const()) readers[bit].push_back(cell);
+        }
+      }
+    }
+    std::unordered_map<const Cell*, int> pending;
+    std::deque<const Cell*> ready;
+    std::size_t comb = 0;
+    for (const Cell* cell : module.cells()) {
+      if (is_ff(cell->type())) continue;
+      ++comb;
+      int deps = 0;
+      for (const std::string& p : input_ports(cell->type())) {
+        for (const SigBit& bit : cell->port(p).bits()) {
+          const auto it = bit.is_const() ? driver.end() : driver.find(bit);
+          if (it != driver.end() && !is_ff(it->second->type())) ++deps;
+        }
+      }
+      pending[cell] = deps;
+      if (deps == 0) ready.push_back(cell);
+    }
+    std::size_t sorted = 0;
+    while (!ready.empty()) {
+      const Cell* cell = ready.front();
+      ready.pop_front();
+      ++sorted;
+      for (const SigBit& bit : cell->port(output_port(cell->type())).bits()) {
+        const auto it = readers.find(bit);
+        if (it == readers.end()) continue;
+        for (const Cell* reader : it->second) {
+          if (!is_ff(reader->type()) && --pending[reader] == 0) ready.push_back(reader);
+        }
+      }
+    }
+    if (sorted != comb) {
+      throw ScfiError("module " + module.name() + ": combinational loop detected");
+    }
+  } catch (const ScfiError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A random valid module: every combinational cell reads inputs, constants,
+/// flip-flop outputs and earlier cells' outputs, and drives a fresh wire.
+void random_module(Module& m, Rng& rng) {
+  static constexpr CellType kComb[] = {
+      CellType::kNot,       CellType::kBuf,       CellType::kAnd,       CellType::kOr,
+      CellType::kXor,       CellType::kXnor,      CellType::kMux,       CellType::kEq,
+      CellType::kReduceAnd, CellType::kReduceOr,  CellType::kReduceXor, CellType::kGateInv,
+      CellType::kGateNand2, CellType::kGateXor2,  CellType::kGateMux2,  CellType::kGateAoi21};
+  std::vector<SigBit> pool;
+  const auto add_bits = [&pool](const Wire* w) {
+    for (int i = 0; i < w->width(); ++i) pool.emplace_back(w, i);
+  };
+  const auto width = [&rng] { return 1 + static_cast<int>(rng.below(3)); };
+  const auto pick = [&](int n) {
+    std::vector<SigBit> bits;
+    for (int i = 0; i < n; ++i) {
+      bits.push_back(rng.below(8) == 0 ? SigBit(rng.below(2) == 1)
+                                       : pool[rng.below(pool.size())]);
+    }
+    return SigSpec(std::move(bits));
+  };
+  for (int i = 0; i < 3; ++i) add_bits(m.add_input("in" + std::to_string(i), width()));
+  std::vector<Cell*> ffs;
+  for (int i = 0; i < 2; ++i) {
+    const int n = width();
+    Cell* ff = m.add_cell("ff" + std::to_string(i), i == 0 ? CellType::kDff : CellType::kGateDff);
+    const Wire* q = m.add_wire("q" + std::to_string(i), i == 0 ? n : 1);
+    ff->set_port("Q", SigSpec(q));
+    ff->set_reset_value(Const::from_uint(0, q->width()));
+    add_bits(q);
+    ffs.push_back(ff);
+  }
+  const int cells = 4 + static_cast<int>(rng.below(8));
+  for (int i = 0; i < cells; ++i) {
+    const CellType type = kComb[rng.below(std::size(kComb))];
+    const bool one_bit = is_gate(type);
+    const bool reduce = type == CellType::kEq || type == CellType::kReduceAnd ||
+                        type == CellType::kReduceOr || type == CellType::kReduceXor;
+    const int n = one_bit ? 1 : width();
+    Cell* cell = m.add_cell("c" + std::to_string(i), type);
+    for (const std::string& p : input_ports(type)) cell->set_port(p, pick(p == "S" ? 1 : n));
+    const Wire* y = m.add_wire("y" + std::to_string(i), reduce ? 1 : n);
+    cell->set_port("Y", SigSpec(y));
+    add_bits(y);
+  }
+  for (Cell* ff : ffs) ff->set_port("D", pick(ff->port("Q").width()));
+  Wire* out = m.add_output("out", 1);
+  m.drive(SigSpec(out), SigSpec(pool.back()));
+}
+
+/// One injected defect: a width change, a missing port, a driven constant,
+/// a driven input, a second driver, or a combinational cell made to read a
+/// later (or its own) combinational output, which may close a loop.
+void inject_defect(Module& m, Rng& rng) {
+  const std::vector<Cell*>& cells = m.cells();
+  Cell* cell = cells[rng.below(cells.size())];
+  if (cell->ports().empty()) return;
+  const auto port_of = [&](const Cell* c) {
+    std::vector<std::string> ports;
+    for (const auto& [name, sig] : c->ports()) ports.push_back(name);
+    return ports[rng.below(ports.size())];
+  };
+  const auto replace_bit = [&](Cell* c, const std::string& port, SigBit bit) {
+    std::vector<SigBit> bits = c->port(port).bits();
+    bits[rng.below(bits.size())] = bit;
+    c->set_port(port, SigSpec(std::move(bits)));
+  };
+  const std::string out = output_port(cell->type());
+  const Wire* input = m.wire("in0");
+  switch (rng.below(6)) {
+    case 0: {
+      const std::string port = port_of(cell);
+      std::vector<SigBit> bits = cell->port(port).bits();
+      if (bits.size() > 1 && rng.below(2) == 0) {
+        bits.pop_back();
+      } else {
+        bits.push_back(SigBit(false));
+      }
+      cell->set_port(port, SigSpec(std::move(bits)));
+      break;
+    }
+    case 1:
+      cell->unset_port(port_of(cell));
+      break;
+    case 2:
+      if (cell->has_port(out)) replace_bit(cell, out, SigBit(true));
+      break;
+    case 3:
+      if (cell->has_port(out)) replace_bit(cell, out, SigBit(input, 0));
+      break;
+    case 4: {
+      const Cell* other = cells[rng.below(cells.size())];
+      if (cell->has_port(out) && other->has_port(output_port(other->type())) &&
+          !other->port(output_port(other->type())).empty()) {
+        replace_bit(cell, out, other->port(output_port(other->type())).bit(0));
+      }
+      break;
+    }
+    default: {
+      const auto at = static_cast<std::size_t>(std::find(cells.begin(), cells.end(), cell) -
+                                               cells.begin());
+      const Cell* later = cells[at + rng.below(cells.size() - at)];
+      const std::string in = port_of(cell);
+      if (in != out && !is_ff(cell->type()) && later->has_port(output_port(later->type())) &&
+          !later->port(output_port(later->type())).empty() && !cell->port(in).empty()) {
+        replace_bit(cell, in, later->port(output_port(later->type())).bit(0));
+      }
+      break;
+    }
+  }
+}
+
+TEST(Flatten, ChecksMatchReference) {
+  Rng rng(0xf1a77e2);
+  std::map<std::string, int> seen;  // modules per kind of first failure
+  for (int trial = 0; trial < 600; ++trial) {
+    Design d;
+    Module* m = d.add_module("m" + std::to_string(trial));
+    random_module(*m, rng);
+    const int defects = 1 + static_cast<int>(rng.below(3));
+    for (int i = 0; i < defects; ++i) inject_defect(*m, rng);
+    const std::string expected = reference_check(*m);
+    EXPECT_EQ(error_text<ScfiError>([&] { (void)flatten(*m); }), expected) << "trial " << trial;
+    EXPECT_EQ(error_text<ScfiError>([&] { validate_module(*m); }), expected) << "trial " << trial;
+    const char* kind = "width";
+    for (const char* k : {"loop", "multiple drivers", "drives input", "drives a constant",
+                          "missing port"}) {
+      if (expected.find(k) != std::string::npos) kind = k;
+    }
+    ++seen[expected.empty() ? "ok" : kind];
+  }
+  // Every kind of first failure occurs, so the order among them is pinned.
+  for (const char* kind : {"ok", "width", "loop", "multiple drivers", "drives input",
+                           "drives a constant", "missing port"}) {
+    EXPECT_GT(seen[kind], 0) << kind;
+  }
 }
 
 /// A hand-built module: y = !q1 is the root. q1 latches d1 = q2 ^ in, and

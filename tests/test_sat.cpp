@@ -350,11 +350,10 @@ SweepCounts sweep_zoo_miter() {
   const CnfCopy golden(s, m, bound);
   std::vector<CnfFault> faults;
   std::vector<Lit> selectors;
-  const rtlil::NetlistIndex index(m);
+  const auto driver = test::drivers(m);
   for (const rtlil::Wire* w : m.wires()) {
     for (int i = 0; i < w->width(); ++i) {
-      const rtlil::Cell* driver = index.driver(rtlil::SigBit(w, i));
-      if (driver == nullptr || rtlil::is_ff(driver->type())) continue;
+      if (!test::comb_driven(driver, rtlil::SigBit(w, i))) continue;
       selectors.push_back(s.new_var());
       faults.push_back(CnfFault{rtlil::SigBit(w, i), CnfFaultKind::kFlip, selectors.back()});
     }

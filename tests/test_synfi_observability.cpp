@@ -21,11 +21,11 @@
 #include "kiss2_corpus.h"
 #include "ot/zoo.h"
 #include "rtlil/design.h"
-#include "rtlil/validate.h"
 #include "sim/netlist_sim.h"
 #include "sweep/result_store.h"
 #include "sweep/sweep.h"
 #include "synfi/synfi.h"
+#include "test_helpers.h"
 
 namespace scfi::synfi {
 namespace {
@@ -80,7 +80,7 @@ std::vector<SigBit> region_sites(const CompiledFsm& c, const SynfiConfig& config
     for (int i = 0; i < w->width(); ++i) sites.emplace_back(w, i);
     return sites;
   }
-  const rtlil::NetlistIndex index(module);
+  const auto driver = test::drivers(module);
   for (const rtlil::Wire* w : module.wires()) {
     if (!starts_with(w->name(), config.wire_prefix)) continue;
     for (int i = 0; i < w->width(); ++i) {
@@ -92,8 +92,7 @@ std::vector<SigBit> region_sites(const CompiledFsm& c, const SynfiConfig& config
         continue;
       }
       if (config.target == sim::FaultTarget::kControlInputs) continue;
-      const rtlil::Cell* cell = index.driver(SigBit(w, i));
-      if (cell != nullptr && !rtlil::is_ff(cell->type())) sites.emplace_back(w, i);
+      if (test::comb_driven(driver, SigBit(w, i))) sites.emplace_back(w, i);
     }
   }
   return sites;

@@ -2,6 +2,8 @@
 
 #include "base/error.h"
 #include "base/rng.h"
+#include "fsm/compile.h"
+#include "ot/zoo.h"
 #include "rtlil/design.h"
 #include "rtlil/validate.h"
 #include "sim/netlist_sim.h"
@@ -11,6 +13,7 @@
 #include "synth/sta.h"
 #include "synth/stat.h"
 #include "synth/techlib.h"
+#include "test_helpers.h"
 
 namespace scfi::synth {
 namespace {
@@ -184,6 +187,55 @@ TEST(Sta, DeeperLogicIsSlower) {
   EXPECT_LT(analyze_timing(*shallow).min_period_ps, analyze_timing(*deep).min_period_ps);
 }
 
+/// The critical path's cell names, source to sink, space-separated.
+std::string path_names(const TimingReport& t) {
+  std::string names;
+  for (const rtlil::Cell* cell : t.critical_path) {
+    names += (names.empty() ? "" : " ") + cell->name();
+  }
+  return names;
+}
+
+TEST(Sta, TimingIsPinned) {
+  // Lowered and optimized SCFI level-2 zoo variants (datapath included):
+  // the period is pinned to the last bit and, on the shorter paths, every
+  // cell of the critical path.
+  struct Pin {
+    const char* module;
+    double min_period_ps;
+    const char* path;  ///< nullptr: not pinned
+  };
+  const Pin pins[] = {
+      {"adc_ctrl_fsm", 6944.1999999999998,
+       "g_612 g_652 g_654 g_655 g_1068 g_1212 g_1392 g_1393 g_1421 g_1422 g_1423 g_1424 g_1425 "
+       "g_1432 g_1559 g_1617"},
+      {"aes_control", 4420.2000000000007, "g_391 g_397 g_400 g_484 g_667 g_668 g_674 g_691"},
+      {"i2c_fsm", 8410.1999999999989,
+       "g_1067 g_1075 g_1204 g_1440 g_1779 g_2061 g_2062 g_2063 g_2064 g_2065 g_2066 g_2067 "
+       "g_2068 g_2081 g_2122 g_2138"},
+      {"ibex_controller", 4740.2000000000007,
+       "g_305 g_332 g_370 g_371 g_617 g_862 g_871 g_872 g_873 g_878 g_963"},
+      {"ibex_lsu", 12684.999999999998, nullptr},
+      {"otbn_controller", 22590.20000000003, nullptr},
+      {"pwrmgr_fsm", 3993.6000000000004,
+       "g_393 g_401 g_403 g_404 g_546 g_588 g_598 g_604 g_605 g_624 g_651 g_692 g_693 g_770 "
+       "g_772 g_774"},
+  };
+  for (const Pin& pin : pins) {
+    Design d;
+    const fsm::CompiledFsm c =
+        ot::build_ot_variant(ot::ot_entry(pin.module), d, ot::Variant::kScfi, 2, "m");
+    lower_to_gates(*c.module);
+    optimize(*c.module);
+    const TimingReport t = analyze_timing(*c.module);
+    EXPECT_EQ(t.min_period_ps, pin.min_period_ps) << pin.module;
+    EXPECT_EQ(t.max_freq_mhz, 1e6 / pin.min_period_ps) << pin.module;
+    if (pin.path != nullptr) {
+      EXPECT_EQ(path_names(t), pin.path) << pin.module;
+    }
+  }
+}
+
 TEST(Sizing, UpsizingMeetsLooseTarget) {
   Design d;
   Module* m = build_sample(d, "m");
@@ -206,6 +258,31 @@ TEST(Sizing, TighterTargetCostsArea) {
   EXPECT_TRUE(tight.met);
   EXPECT_GE(tight.area_ge, loose.area_ge);
   EXPECT_LE(tight.achieved_period_ps, min_period * 1.02);
+}
+
+TEST(Sizing, ResultIsPinned) {
+  // One fixed target: the sample meets it after one upsize, the paper's
+  // Figure 2 machine after 39.
+  Design d;
+  Module* sample = build_sample(d, "m");
+  const fsm::CompiledFsm fig2 = fsm::compile_unprotected(test::paper_fsm(), d);
+  struct Pin {
+    Module* module;
+    int upsized;
+    double achieved_period_ps;
+    double area_ge;
+  };
+  const Pin pins[] = {{sample, 1, 1282.1400000000001, 108.48199999999997},
+                      {fig2.module, 39, 1296.2840000000003, 73.362000000000023}};
+  for (const Pin& pin : pins) {
+    lower_to_gates(*pin.module);
+    optimize(*pin.module);
+    const SizingResult r = size_for_period(*pin.module, 1300.0);
+    EXPECT_TRUE(r.met) << pin.module->name();
+    EXPECT_EQ(r.upsized, pin.upsized) << pin.module->name();
+    EXPECT_EQ(r.achieved_period_ps, pin.achieved_period_ps) << pin.module->name();
+    EXPECT_EQ(r.area_ge, pin.area_ge) << pin.module->name();
+  }
 }
 
 TEST(Techlib, DriveMonotonicity) {
