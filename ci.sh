@@ -80,9 +80,10 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # lane-parallel recovery through the scalar reference (lane words, per-net
 # trace stamps and index-addressed cube compaction), and the group-commit
 # store writer's suites, since the writer hands records from the thread
-# that wrote them to the thread that leads their fsync, and static timing
+# that wrote them to the thread that leads their fsync, static timing
 # and gate sizing, which index per-net driver, reader and arrival arrays by
-# the flattened netlist's net numbers.
+# the flattened netlist's net numbers, and the SCFI pass (Pass), which
+# recovers and hardens every zoo module with its datapath.
 # Then a standalone ThreadSanitizer build of the header-only
 # base/parallel.h tests (src/base only: libscfi itself crashes under TSan
 # before main, in the target_clones ifunc resolvers of the simulator).
@@ -94,7 +95,7 @@ if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|SynfiParallelSegments|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.|StoreWriter|SweepGroupCommit|Sta\.|Sizing'
+    -R 'Rng|Error|Strutil|SimParallel|SimSlice|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|FleetSupervisor|VerilogLexer|VerilogParse|Validate|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|KFaultSynfi|SynfiAnalyzer|RunShards|SweepDegree|WorkShare|SweepStraggler|SimLatch|RngBelow|CampaignGolden|SolverGolden|SolverProperty|SynfiEdgeMajor|SynfiObservability|SynfiParallelSegments|CampaignObservability|CampaignKnobs|Cnf|GateCross|WordCross|SynthEquiv|Flatten|Fsm\.|StoreWriter|SweepGroupCommit|Sta\.|Sizing|Pass\.'
   mkdir -p build-tsan
   "${CXX:-c++}" -std=c++20 -O1 -g -fsanitize=thread -Isrc tests/test_parallel.cpp \
     src/base/*.cpp -lgtest -lgtest_main -pthread -o build-tsan/parallel_tests
@@ -109,6 +110,26 @@ fi
 # the tier-1 ctest above too — the named re-run keeps the lane loud and
 # self-documenting even if the tier-1 filter ever changes.
 ctest --test-dir build --output-on-failure -R 'VerilogRoundtrip|FsmExtract'
+
+# SCFI pass gate: `scfi_cli harden` runs the pass on every committed
+# bench/corpus-verilog/ netlist, and the written netlist must re-parse
+# through `import-verilog` with exactly one FSM in each hardened module
+# (as many FSMs as modules, and no module without one).
+HARDEN_DIR="$(mktemp -d)"
+for netlist in $(find bench/corpus-verilog -name '*.v' | LC_ALL=C sort); do
+  hardened="$HARDEN_DIR/${netlist//\//_}"
+  build/scfi_cli harden "$netlist" -o "$hardened" > /dev/null
+  IMPORT_LOG="$(build/scfi_cli import-verilog "$hardened")"
+  HARDENED_MODULES="$(grep -c '^module ' <<<"$IMPORT_LOG" || true)"
+  HARDENED_FSMS="$(grep -c '^  fsm @ ' <<<"$IMPORT_LOG" || true)"
+  if [[ "$HARDENED_MODULES" -lt 1 || "$HARDENED_FSMS" -ne "$HARDENED_MODULES" ]] \
+      || grep -q 'no FSM found' <<<"$IMPORT_LOG"; then
+    echo "$IMPORT_LOG"
+    echo "harden smoke: $netlist: want one FSM per hardened module"
+    exit 1
+  fi
+done
+rm -rf "$HARDEN_DIR"
 
 # Benchmark smoke test: make sure the perf harness still runs end to end.
 if [[ -x build/bench_micro ]]; then

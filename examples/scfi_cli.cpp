@@ -2,7 +2,7 @@
 // paper's "call the SCFI Yosys pass in the design flow".
 //
 // Usage:
-//   scfi_cli harden  <file.kiss2> [-n LEVEL] [-o out.v] [--json out.json]
+//   scfi_cli harden  <file.kiss2|file.v> [-n LEVEL] [-o out.v] [--json out.json]
 //   scfi_cli area    <file.kiss2> [-n LEVEL]
 //   scfi_cli synfi   <file.kiss2> [-n LEVEL] [--backend sim|sat] [--faults-k K]
 //                    [--target any|inputs|state|logic] [--lanes K]
@@ -28,7 +28,10 @@
 //   scfi_cli store-compact <store.jsonl>
 //   scfi_cli dot     <file.kiss2>
 //   scfi_cli import-verilog <file.v> [--dot]
-// Without a file argument a built-in demo FSM is used. `import-verilog`
+// Without a file argument a built-in demo FSM is used. `harden` given a
+// .v netlist runs the SCFI pass on every module: every FSM recovered from
+// it is hardened and every hardened module is written (it fails only when
+// no module yields a machine). `import-verilog`
 // parses a structural Verilog netlist with the frontends reader, elaborates
 // every module, and reports ports plus every extracted FSM (state register,
 // encoding, states/transitions); --dot additionally dumps each machine as
@@ -74,6 +77,7 @@
 #include "backends/verilog.h"
 #include "base/strutil.h"
 #include "core/harden.h"
+#include "core/pass.h"
 #include "frontends/verilog_parse.h"
 #include "fsm/dot.h"
 #include "fsm/extract.h"
@@ -113,7 +117,8 @@ int usage() {
                "usage: scfi_cli <harden|area|synfi|attack|sweep|sweep-diff|store-compact|dot"
                "|import-verilog> [file.kiss2|file.v]\n"
                "  harden/area/synfi/attack: -n LEVEL  protection level (default 2)\n"
-               "  harden:  -o out.v --json out.json\n"
+               "  harden:  <file.kiss2|file.v> -o out.v --json out.json  (a .v netlist\n"
+               "           hardens every FSM recovered from each of its modules)\n"
                "  synfi:   --backend sim|sat --faults-k K --target any|inputs|state|logic\n"
                "           --lanes K --threads K\n"
                "  attack:  --faults-k K (faults per run)\n"
@@ -590,37 +595,70 @@ int main(int argc, char** argv) {
       return stats.failed > 0 ? 1 : 0;
     }
 
+    scfi::rtlil::Design design;
+    scfi::core::ScfiConfig config;
+    config.protection_level = level;
+    if (command == "harden") {
+      // A .v netlist goes through the SCFI pass, which recovers and hardens
+      // every machine of every module; a KISS2 machine is hardened as read.
+      std::vector<scfi::core::PassResult> results;
+      if (file.size() > 2 && file.compare(file.size() - 2, 2, ".v") == 0) {
+        for (const scfi::rtlil::Module* module :
+             scfi::frontends::read_verilog_file(file, design)) {
+          std::vector<scfi::core::PassResult> found;
+          std::string why = "no FSM found";
+          try {
+            found = scfi::core::run_scfi_pass(design, module->name(), config);
+          } catch (const scfi::ScfiError& e) {
+            why = e.what();
+          }
+          if (found.empty()) {
+            std::fprintf(stderr, "harden: skipped module %s: %s\n", module->name().c_str(),
+                         why.c_str());
+          }
+          for (scfi::core::PassResult& r : found) results.push_back(std::move(r));
+        }
+        scfi::require(!results.empty(), "scfi_cli: no module in " + file + " holds an FSM");
+      } else {
+        scfi::core::PassResult& r = results.emplace_back();
+        r.extracted = load_fsm(file);
+        r.hardened = scfi::core::scfi_harden(r.extracted, design, config, &r.report);
+      }
+      for (const scfi::core::PassResult& r : results) {
+        std::printf("hardened %s: N=%d, %d states (%d-bit), %zu symbols (%d-bit), %d lane(s)\n",
+                    r.extracted.name.c_str(), level, r.extracted.num_states(),
+                    r.report.plan.state_width, r.report.plan.symbol_codes.size(),
+                    r.report.plan.symbol_width, r.report.lanes);
+      }
+      std::ofstream verilog_file;
+      if (!verilog_out.empty()) verilog_file.open(verilog_out);
+      std::ostream& verilog = verilog_out.empty() ? std::cout : verilog_file;
+      for (const scfi::core::PassResult& r : results) {
+        scfi::backends::write_verilog(*r.hardened.module, verilog);
+      }
+      if (!verilog_out.empty()) std::printf("wrote %s\n", verilog_out.c_str());
+      if (!json_out.empty()) {
+        // Several hardened modules form a JSON array of module objects.
+        std::ofstream out(json_out);
+        if (results.size() > 1) out << "[\n";
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          if (i > 0) out << ",\n";
+          scfi::backends::write_json(*results[i].hardened.module, out);
+        }
+        if (results.size() > 1) out << "]\n";
+        std::printf("wrote %s\n", json_out.c_str());
+      }
+      return 0;
+    }
+
     const scfi::fsm::Fsm fsm = load_fsm(file);
     if (command == "dot") {
       std::cout << scfi::fsm::to_dot(fsm);
       return 0;
     }
 
-    scfi::rtlil::Design design;
-    scfi::core::ScfiConfig config;
-    config.protection_level = level;
-    scfi::core::ScfiReport report;
-    const scfi::fsm::CompiledFsm hard =
-        scfi::core::scfi_harden(fsm, design, config, &report);
+    const scfi::fsm::CompiledFsm hard = scfi::core::scfi_harden(fsm, design, config);
 
-    if (command == "harden") {
-      std::printf("hardened %s: N=%d, %d states (%d-bit), %zu symbols (%d-bit), %d lane(s)\n",
-                  fsm.name.c_str(), level, fsm.num_states(), report.plan.state_width,
-                  report.plan.symbol_codes.size(), report.plan.symbol_width, report.lanes);
-      if (!verilog_out.empty()) {
-        std::ofstream out(verilog_out);
-        scfi::backends::write_verilog(*hard.module, out);
-        std::printf("wrote %s\n", verilog_out.c_str());
-      } else {
-        scfi::backends::write_verilog(*hard.module, std::cout);
-      }
-      if (!json_out.empty()) {
-        std::ofstream out(json_out);
-        scfi::backends::write_json(*hard.module, out);
-        std::printf("wrote %s\n", json_out.c_str());
-      }
-      return 0;
-    }
     if (command == "area") {
       scfi::rtlil::Design d2;
       const auto plain = scfi::fsm::compile_unprotected(fsm, d2);

@@ -5,24 +5,24 @@
 
 namespace scfi::core {
 
-PassResult run_scfi_pass(rtlil::Design& design, const std::string& module_name,
-                         const PassOptions& options) {
-  rtlil::Module* source = design.module(module_name);
+std::vector<PassResult> run_scfi_pass(rtlil::Design& design, const std::string& module_name,
+                                      const ScfiConfig& config) {
+  const rtlil::Module* source = design.module(module_name);
   require(source != nullptr, "run_scfi_pass: no module " + module_name);
 
-  PassResult result;
-  result.extracted = fsm::extract_fsm(*source, options.state_wire).fsm;
-  // Reuse the source module's name for the hardened FSM.
-  result.extracted.name = module_name;
-  result.hardened = scfi_harden(result.extracted, design, options.config, &result.report);
-  if (options.verify) {
-    synfi::SynfiConfig synfi_config;  // MDS diffusion region, transient flips
-    result.verification = synfi::analyze(result.extracted, result.hardened, synfi_config);
-    require(result.verification->exploitable == 0,
-            "run_scfi_pass: verification found exploitable faults in the diffusion layer of " +
-                module_name);
+  std::vector<fsm::ExtractedFsm> machines = fsm::extract_fsms(*source);
+  std::vector<PassResult> results(machines.size());
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    PassResult& result = results[i];
+    result.extracted = std::move(machines[i].fsm);
+    // The hardened module is named after the source module (and the state
+    // register, when it holds several machines), as load_verilog names
+    // corpus entries.
+    result.extracted.name =
+        machines.size() == 1 ? module_name : module_name + "_" + machines[i].state_wire;
+    result.hardened = scfi_harden(result.extracted, design, config, &result.report);
   }
-  return result;
+  return results;
 }
 
 }  // namespace scfi::core

@@ -273,10 +273,11 @@ constexpr std::uint64_t kLanePattern[6] = {
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
 
 /// Recovers the machine of `cand` by exhaustive simulation: BFS from the
-/// reset code over every combination of `in_bits` (the other inputs stay 0
-/// and every other register holds its reset value), observing `out_bits`,
-/// then per-state cube compaction. One eval() settles 64 consecutive
-/// combinations, one per lane; results are consumed in combination order.
+/// reset code over every combination of `in_bits` (the other inputs stay
+/// 0), observing `out_bits`, then per-state cube compaction. No observed
+/// net may read another register, so those are never set. One eval()
+/// settles 64 consecutive combinations, one per lane; results are consumed
+/// in combination order.
 ExtractedFsm recover(const ModuleScan& scan, sim::Simulator& sim, const Candidate& cand,
                      const std::vector<SigBit>& in_bits, const std::vector<SigBit>& out_bits,
                      const ExtractOptions& options) {
@@ -305,10 +306,6 @@ ExtractedFsm recover(const ModuleScan& scan, sim::Simulator& sim, const Candidat
   const auto one_bit = [](std::int32_t net) { return sim::Simulator::WireHandle{net, 1}; };
   const std::int32_t state_base = scan.flat->wire_base.at(cand.wire);
   const sim::Simulator::WireHandle state_h{state_base, cand.wire->width()};
-  std::vector<const rtlil::FlatFf*> held;  // every other register bit
-  for (const rtlil::FlatFf& ff : scan.flat->ffs) {
-    if (scan.owner(ff.q) != cand.index) held.push_back(&ff);
-  }
 
   sim.reset();  // zeroes every input; irrelevant ones stay 0 throughout
   const std::uint64_t reset_code = sim.get(state_h);
@@ -339,9 +336,6 @@ ExtractedFsm recover(const ModuleScan& scan, sim::Simulator& sim, const Candidat
                            ((base >> i) & 1) ? ~0ULL : 0ULL);
       }
       sim.set_register(state_h, code);
-      for (const rtlil::FlatFf* ff : held) {
-        sim.set_register_word(one_bit(ff->q), 0, ff->reset ? ~0ULL : 0ULL);
-      }
       sim.eval();
       for (std::size_t j = 0; j < out_nets.size(); ++j) out_words[j] = sim.lane_word(out_nets[j]);
       sim.latch();
@@ -412,15 +406,12 @@ ExtractedFsm discover(ModuleScan& scan, sim::Simulator& sim, const Candidate& ca
   std::vector<char> relevant(static_cast<std::size_t>(scan.flat->num_nets), 0);
   std::vector<std::int32_t> reached;
   scan.trace(cand.next, cand.index, reached);
-  std::vector<SigBit> outputs;
-  if (options.capture_outputs) {
-    outputs = port_bits(scan, false, [&](std::int32_t net) {
-      const std::size_t before = reached.size();
-      if (scan.trace(std::span<const std::int32_t>(&net, 1), cand.index, reached)) return true;
-      reached.resize(before);
-      return false;
-    });
-  }
+  const std::vector<SigBit> outputs = port_bits(scan, false, [&](std::int32_t net) {
+    const std::size_t before = reached.size();
+    if (scan.trace(std::span<const std::int32_t>(&net, 1), cand.index, reached)) return true;
+    reached.resize(before);
+    return false;
+  });
   for (const std::int32_t net : reached) relevant[static_cast<std::size_t>(net)] = 1;
   const std::vector<SigBit> inputs = port_bits(
       scan, true, [&](std::int32_t net) { return relevant[static_cast<std::size_t>(net)] != 0; });
@@ -441,13 +432,6 @@ const char* encoding_name(StateEncoding encoding) {
   unreachable("encoding_name: bad encoding");
 }
 
-std::vector<std::string> find_state_registers(const rtlil::Module& module) {
-  ModuleScan scan(module);
-  std::vector<std::string> out;
-  for (const Candidate& c : find_candidates(scan)) out.push_back(c.wire->name());
-  return out;
-}
-
 std::vector<ExtractedFsm> extract_fsms(const rtlil::Module& module,
                                        const ExtractOptions& options) {
   ModuleScan scan(module);
@@ -457,24 +441,6 @@ std::vector<ExtractedFsm> extract_fsms(const rtlil::Module& module,
   sim::Simulator sim(scan.flat);
   for (const Candidate& c : candidates) out.push_back(discover(scan, sim, c, options));
   return out;
-}
-
-ExtractedFsm extract_fsm(const rtlil::Module& module, const std::string& state_wire,
-                         const ExtractOptions& options) {
-  const std::string where = "fsm extract: " + module.name() + "." + state_wire + ": ";
-  if (module.wire(state_wire) == nullptr) throw ScfiError(where + "no such wire");
-  ModuleScan scan(module);
-  for (const Candidate& c : find_candidates(scan)) {
-    if (c.wire->name() != state_wire) continue;
-    const auto every = [](std::int32_t) { return true; };
-    sim::Simulator sim(scan.flat);
-    return recover(scan, sim, c, port_bits(scan, true, every),
-                   options.capture_outputs ? port_bits(scan, false, every)
-                                           : std::vector<SigBit>{},
-                   options);
-  }
-  throw ScfiError(where + "not a self-contained state register (its next state must "
-                          "depend on no flip-flop outside it)");
 }
 
 }  // namespace scfi::fsm

@@ -132,17 +132,6 @@ std::optional<std::vector<bool>> Fsm::concrete_input_for_idle(int state) const {
   return least_uncovered(transitions, transitions_from(state), std::string(inputs.size(), '-'));
 }
 
-CfgEdge Fsm::step_symbol(int state, const std::string& symbol) const {
-  for (int ti : transitions_from(state)) {
-    const Transition& t = transitions[static_cast<std::size_t>(ti)];
-    if (t.guard == symbol) return CfgEdge{state, t.guard, t.to, t.output, ti};
-  }
-  require(symbol == idle_symbol(),
-          "step_symbol: state " + states[static_cast<std::size_t>(state)] +
-              " has no edge for symbol " + symbol);
-  return CfgEdge{state, symbol, state, std::string(outputs.size(), '0'), -1};
-}
-
 std::pair<int, int> Fsm::step_raw(int state, const std::vector<bool>& input_bits) const {
   for (int ti : transitions_from(state)) {
     if (guard_matches(transitions[static_cast<std::size_t>(ti)].guard, input_bits)) {

@@ -82,10 +82,6 @@ class Fsm {
   /// implicit idle self-loop). nullopt when the state has a catch-all guard.
   std::optional<std::vector<bool>> concrete_input_for_idle(int state) const;
 
-  /// Symbol-space step: first explicit transition from `state` whose guard
-  /// equals `symbol`, else the implicit idle self-loop. Returns the edge.
-  CfgEdge step_symbol(int state, const std::string& symbol) const;
-
   /// Raw-bit step (priority semantics). Returns resulting state and the index
   /// of the taken transition (-1 if none matched).
   std::pair<int, int> step_raw(int state, const std::vector<bool>& input_bits) const;

@@ -369,9 +369,11 @@ TEST(Pass, ExtractsAndHardens) {
   rtlil::Design d;
   const Fsm f = test::paper_fsm();
   fsm::compile_unprotected(f, d, {.module_name = "victim", .state_codes = {}, .state_width = 0});
-  PassOptions options;
-  options.config.protection_level = 2;
-  const PassResult result = run_scfi_pass(d, "victim", options);
+  ScfiConfig config;
+  config.protection_level = 2;
+  const std::vector<PassResult> results = run_scfi_pass(d, "victim", config);
+  ASSERT_EQ(results.size(), 1u);
+  const PassResult& result = results[0];
   EXPECT_EQ(result.extracted.num_states(), f.num_states());
   EXPECT_NE(d.module("victim_scfi"), nullptr);
   EXPECT_TRUE(result.hardened.has_error_state);

@@ -1,9 +1,9 @@
 // FSM extraction from netlists: candidate detection edge cases, encoding
-// classification, the named entry the SCFI pass calls, and the acceptance
-// gate — every zoo FSM, emitted through the Verilog writer and read back,
-// must be recovered transition-equivalent to the original (checked by an
-// exhaustive product-state bisimulation of the original and the
-// extracted-then-recompiled machines).
+// classification, the acceptance gate — every zoo FSM, emitted through the
+// Verilog writer and read back, must be recovered transition-equivalent to
+// the original (checked by an exhaustive product-state bisimulation of the
+// original and the extracted-then-recompiled machines) — and the SCFI pass
+// built on the same recovery, over every zoo module with its datapath.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -20,6 +20,7 @@
 #include "backends/verilog.h"
 #include "base/error.h"
 #include "base/rng.h"
+#include "core/pass.h"
 #include "frontends/verilog_parse.h"
 #include "fsm/compile.h"
 #include "fsm/extract.h"
@@ -63,7 +64,6 @@ TEST(FsmExtract, PipelineWithoutFeedbackHasNoFsm) {
   m.drive(SigSpec(y), q2);
   rtlil::validate_module(m);
 
-  EXPECT_TRUE(find_state_registers(m).empty());
   EXPECT_TRUE(extract_fsms(m).empty());  // empty, not an error
 }
 
@@ -93,10 +93,6 @@ TEST(FsmExtract, MultipleCandidateRegistersAreAllReported) {
   add_toggle(m, "qb", "tb", "ob");
   rtlil::validate_module(m);
 
-  const std::vector<std::string> regs = find_state_registers(m);
-  ASSERT_EQ(regs.size(), 2u);
-  EXPECT_EQ(regs.at(0), "qa");
-  EXPECT_EQ(regs.at(1), "qb");
   const std::vector<ExtractedFsm> machines = extract_fsms(m);
   ASSERT_EQ(machines.size(), 2u);
   EXPECT_EQ(machines.at(0).state_wire, "qa");
@@ -157,11 +153,19 @@ TEST(FsmExtract, ConeRelevantInputBoundIsEnforced) {
   EXPECT_EQ(extract_fsms(m, exact).size(), 1u);
 }
 
-TEST(FsmExtract, RecoversToggle) {
+/// The one machine extract_fsms recovers from `f` compiled unprotected.
+Fsm recovered(const Fsm& f) {
   rtlil::Design d;
-  const Fsm f = test::toggle_fsm();
   const CompiledFsm c = compile_unprotected(f, d);
-  const Fsm g = extract_fsm(*c.module, c.state_wire).fsm;
+  std::vector<ExtractedFsm> machines = extract_fsms(*c.module);
+  check(machines.size() == 1 && machines[0].state_wire == c.state_wire,
+        "recovered: expected the compiled state register alone");
+  return std::move(machines[0].fsm);
+}
+
+TEST(FsmExtract, RecoversToggle) {
+  const Fsm f = test::toggle_fsm();
+  const Fsm g = recovered(f);
   EXPECT_EQ(g.num_states(), 2);
   // Behavioural equivalence over a walk.
   int sf = f.reset_state;
@@ -169,17 +173,15 @@ TEST(FsmExtract, RecoversToggle) {
   for (int t = 0; t < 20; ++t) {
     const std::vector<bool> in{t % 3 != 0};
     sf = f.step_raw(sf, in).first;
-    sg = g.step_raw(sg, in).first;
+    sg = g.step_raw(sg, test::inputs_by_name(f, g, in)).first;
     // States correspond via their codes: compiled code == index for binary.
     EXPECT_EQ(g.states[static_cast<std::size_t>(sg)], "s" + std::to_string(sf));
   }
 }
 
 TEST(FsmExtract, RecoversPaperFsmBehaviour) {
-  rtlil::Design d;
   const Fsm f = test::paper_fsm();
-  const CompiledFsm c = compile_unprotected(f, d);
-  const Fsm g = extract_fsm(*c.module, c.state_wire).fsm;
+  const Fsm g = recovered(f);
   EXPECT_EQ(g.num_states(), f.num_states());
   Rng rng(5);
   int sf = f.reset_state;
@@ -188,7 +190,7 @@ TEST(FsmExtract, RecoversPaperFsmBehaviour) {
     std::vector<bool> in;
     for (int i = 0; i < f.num_inputs(); ++i) in.push_back(rng.chance(0.5));
     sf = f.step_raw(sf, in).first;
-    sg = g.step_raw(sg, in).first;
+    sg = g.step_raw(sg, test::inputs_by_name(f, g, in)).first;
     EXPECT_EQ(g.states[static_cast<std::size_t>(sg)], "s" + std::to_string(sf));
   }
 }
@@ -206,7 +208,8 @@ std::string error_of(Fn fn) {
 
 TEST(FsmExtract, NamedRegisterIsRecoveredOverEveryPortBit) {
   // q <= q ^ x with a 2-bit input x and a 2-bit output y = q, plus an input
-  // u and an output z = u that no state cone reaches.
+  // u and an output z = u that no state cone reaches: discovery finds q by
+  // itself and keeps only the port bits its cones reach.
   rtlil::Design design;
   rtlil::Module& m = *design.add_module("xorreg");
   Wire* x = m.add_input("x", 2);
@@ -220,32 +223,27 @@ TEST(FsmExtract, NamedRegisterIsRecoveredOverEveryPortBit) {
   m.drive(SigSpec(m.add_output("z", 1)), SigSpec(u));
   rtlil::validate_module(m);
 
-  const ExtractedFsm named = extract_fsm(m, "q");
-  EXPECT_EQ(named.state_wire, "q");
-  EXPECT_EQ(named.fsm.inputs, (std::vector<std::string>{"x[0]", "x[1]", "u"}));
-  EXPECT_EQ(named.fsm.outputs, (std::vector<std::string>{"y[0]", "y[1]", "z"}));
-  EXPECT_EQ(named.state_codes, (std::vector<std::uint64_t>{0, 1, 2, 3}));
-  // Discovery keeps only the bits the register's cones reach.
   const std::vector<ExtractedFsm> found = extract_fsms(m);
   ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].state_wire, "q");
   EXPECT_EQ(found[0].fsm.inputs, (std::vector<std::string>{"x[0]", "x[1]"}));
   EXPECT_EQ(found[0].fsm.outputs, (std::vector<std::string>{"y[0]", "y[1]"}));
+  EXPECT_EQ(found[0].state_codes, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 
-  // Every (state, input) step matches the netlist: next = q ^ x, outputs
-  // are the current code and u.
-  const Fsm& g = named.fsm;
+  // Every (state, input) step matches the netlist: next = q ^ x, and the
+  // outputs are the current code.
+  const Fsm& g = found[0].fsm;
   for (int s = 0; s < g.num_states(); ++s) {
-    const std::uint64_t code = named.state_codes[static_cast<std::size_t>(s)];
-    for (unsigned combo = 0; combo < 8; ++combo) {
-      const std::vector<bool> in{(combo & 1) != 0, (combo & 2) != 0, (combo & 4) != 0};
+    const std::uint64_t code = found[0].state_codes[static_cast<std::size_t>(s)];
+    for (unsigned combo = 0; combo < 4; ++combo) {
+      const std::vector<bool> in{(combo & 1) != 0, (combo & 2) != 0};
       const auto [next, taken] = g.step_raw(s, in);
-      EXPECT_EQ(named.state_codes[static_cast<std::size_t>(next)], code ^ (combo & 3));
-      std::string expected_out = "000";
+      EXPECT_EQ(found[0].state_codes[static_cast<std::size_t>(next)], code ^ combo);
+      std::string expected_out = "00";
       expected_out[0] = (code & 1) ? '1' : '0';
       expected_out[1] = (code & 2) ? '1' : '0';
-      expected_out[2] = (combo & 4) ? '1' : '0';
       const std::string out =
-          taken < 0 ? "000" : g.transitions[static_cast<std::size_t>(taken)].output;
+          taken < 0 ? "00" : g.transitions[static_cast<std::size_t>(taken)].output;
       EXPECT_EQ(out, expected_out) << "state " << code << " combo " << combo;
     }
   }
@@ -253,7 +251,8 @@ TEST(FsmExtract, NamedRegisterIsRecoveredOverEveryPortBit) {
 
 TEST(FsmExtract, NamedWireMustBeASelfContainedRegister) {
   // follow_q <= src_q, src_q <= src_q ^ t: follow_q's next state depends on
-  // another register, so recovering it alone would be wrong.
+  // another register, so recovering it alone would be wrong; discovery
+  // reports src_q only.
   rtlil::Design design;
   rtlil::Module& m = *design.add_module("follower");
   add_toggle(m, "src_q", "t", "o");
@@ -264,20 +263,10 @@ TEST(FsmExtract, NamedWireMustBeASelfContainedRegister) {
   ff->set_reset_value(Const(std::vector<bool>{false}));
   rtlil::validate_module(m);
 
-  EXPECT_EQ(extract_fsm(m, "src_q").fsm.num_states(), 2);
-  const std::string follower = error_of([&] { extract_fsm(m, "follow_q"); });
-  EXPECT_NE(follower.find("follow_q"), std::string::npos) << follower;
-  const std::string input = error_of([&] { extract_fsm(m, "t"); });
-  EXPECT_NE(input.find("follower.t"), std::string::npos) << input;
-}
-
-TEST(FsmExtract, UnknownWireThrows) {
-  rtlil::Design design;
-  rtlil::Module& m = *design.add_module("toggler");
-  add_toggle(m, "q", "t", "o");
-  rtlil::validate_module(m);
-  const std::string unknown = error_of([&] { extract_fsm(m, "state_q"); });
-  EXPECT_NE(unknown.find("state_q"), std::string::npos) << unknown;
+  const std::vector<ExtractedFsm> found = extract_fsms(m);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].state_wire, "src_q");
+  EXPECT_EQ(found[0].fsm.num_states(), 2);
 }
 
 // --- zoo equivalence (the acceptance gate) ----------------------------------
@@ -415,6 +404,74 @@ TEST(FsmExtract, ZooFsmsSurviveWriterAndExtraction) {
   }
 }
 
+// --- the SCFI pass over the zoo with its datapath ---------------------------
+
+TEST(Pass, HardensEveryZooVariantWithDatapath) {
+  for (const ot::OtEntry& entry : ot::ot_zoo()) {
+    SCOPED_TRACE(entry.name);
+    rtlil::Design design;
+    const CompiledFsm source =
+        ot::build_ot_variant(entry, design, ot::Variant::kUnprotected, 2, entry.name);
+    core::ScfiConfig config;
+    config.protection_level = 2;
+    const std::vector<core::PassResult> results = core::run_scfi_pass(design, entry.name, config);
+    ASSERT_EQ(results.size(), 1u);
+    const Fsm& extracted = results[0].extracted;
+    const CompiledFsm& hard = results[0].hardened;
+    EXPECT_EQ(hard.module->name(), entry.name + "_scfi");
+
+    // The recovered machine, recompiled, is the source module's machine;
+    // the source FSM outputs it dropped must not depend on the state.
+    std::vector<std::string> dropped_outputs;
+    for (const std::string& name : entry.fsm.outputs) {
+      if (std::find(extracted.outputs.begin(), extracted.outputs.end(), name) ==
+          extracted.outputs.end()) {
+        dropped_outputs.push_back(name);
+      }
+    }
+    rtlil::Design recompiled_design;
+    const CompiledFsm recompiled = compile_unprotected(extracted, recompiled_design);
+    expect_bisimilar(*source.module, source.state_wire, *recompiled.module,
+                     recompiled.state_wire, extracted.inputs, extracted.outputs,
+                     dropped_outputs, entry.fsm.num_states());
+
+    // The hardened module follows a fault-free CFG walk with the alert low.
+    sim::Simulator s(*hard.module);
+    const std::vector<CfgEdge> edges = extracted.cfg_edges();
+    Rng rng(7);
+    int golden = extracted.reset_state;
+    for (int t = 0; t < 64; ++t) {
+      std::vector<const CfgEdge*> leaving;
+      for (const CfgEdge& e : edges) {
+        if (e.from == golden) leaving.push_back(&e);
+      }
+      const CfgEdge& e = *leaving[static_cast<std::size_t>(rng.below(leaving.size()))];
+      s.set_input(hard.symbol_input_wire, hard.symbol_codes.at(e.symbol));
+      s.eval();
+      ASSERT_EQ(s.get(hard.alert_wire), 0u) << "step " << t;
+      s.step();
+      golden = e.to;
+      ASSERT_EQ(s.get(hard.state_wire), hard.state_codes[static_cast<std::size_t>(golden)]);
+    }
+  }
+}
+
+TEST(Pass, NamesOneHardenedModulePerMachine) {
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("two_togglers");
+  add_toggle(m, "qa", "ta", "oa");
+  add_toggle(m, "qb", "tb", "ob");
+  rtlil::Module& comb = *design.add_module("comb");
+  comb.drive(SigSpec(comb.add_output("y", 1)), comb.make_not(SigSpec(comb.add_input("a", 1))));
+
+  const std::vector<core::PassResult> results = core::run_scfi_pass(design, "two_togglers");
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].hardened.module->name(), "two_togglers_qa_scfi");
+  EXPECT_EQ(results[1].hardened.module->name(), "two_togglers_qb_scfi");
+  EXPECT_EQ(results[0].extracted.inputs, (std::vector<std::string>{"ta"}));
+  EXPECT_TRUE(core::run_scfi_pass(design, "comb").empty());
+}
+
 // --- the scalar reference (recover at lane width) ---------------------------
 
 /// `got` and the reference `want` are the same machine byte for byte.
@@ -497,10 +554,6 @@ TEST(FsmExtractOracle, GeneratedNetlistsMatchScalarReference) {
       ASSERT_EQ(found.size(), 1u);
       EXPECT_EQ(found[0].fsm.num_inputs(), n);
       EXPECT_EQ(found[0].fsm.num_states(), machine.num_states());
-      // The named entry over every port bit.
-      const ExtractedFsm named = extract_fsm(*compiled.module, compiled.state_wire);
-      expect_same_machine(named, test::scalar_recover(*compiled.module, compiled.state_wire,
-                                                      named.fsm.inputs, named.fsm.outputs));
       // The same machine through the Verilog writer and reader (word-level
       // cells instead of the compiler's netlist).
       std::ostringstream verilog;
@@ -556,31 +609,6 @@ TEST(FsmExtractOracle, CorpusVerilogMatchesScalarReference) {
   EXPECT_GE(machines, files.size());
 }
 
-TEST(FsmExtractOracle, OtherRegistersHoldTheirResetValue) {
-  // q toggles on t; r is a free-running toggle that resets to 1. The named
-  // extraction of q observes y = q & r over every output bit, so its
-  // outputs see r, which must hold its reset value for every combination
-  // (not whatever the previous combinations latched into it).
-  rtlil::Design design;
-  rtlil::Module& m = *design.add_module("two_regs");
-  add_toggle(m, "q", "t", "o");
-  Wire* r = m.add_wire("r", 1);
-  rtlil::Cell* ff = m.add_cell("r_ff", rtlil::CellType::kDff);
-  ff->set_port("D", m.make_not(SigSpec(r)));
-  ff->set_port("Q", SigSpec(r));
-  ff->set_reset_value(Const(std::vector<bool>{true}));
-  m.drive(SigSpec(m.add_output("y", 1)), m.make_and(SigSpec(m.wire("q")), SigSpec(r)));
-  rtlil::validate_module(m);
-
-  const ExtractedFsm named = extract_fsm(m, "q");
-  EXPECT_EQ(named.fsm.outputs, (std::vector<std::string>{"o", "y"}));
-  expect_same_machine(named, test::scalar_recover(m, "q", named.fsm.inputs, named.fsm.outputs));
-  // With r at 1, y follows q: every transition leaving s1 raises both.
-  for (const Transition& t : named.fsm.transitions) {
-    EXPECT_EQ(t.output, t.from == 1 ? "11" : "00") << t.guard;
-  }
-}
-
 TEST(FsmExtract, SelfFeedingRegisterThatReadsAnotherIsNoCandidate) {
   // q <= q ^ r feeds itself but also reads the free-running r <= ~r, so
   // only r is self-contained; o = q is no output of r's machine.
@@ -599,9 +627,9 @@ TEST(FsmExtract, SelfFeedingRegisterThatReadsAnotherIsNoCandidate) {
   m.drive(SigSpec(m.add_output("o", 1)), SigSpec(q));
   rtlil::validate_module(m);
 
-  EXPECT_EQ(find_state_registers(m), (std::vector<std::string>{"r"}));
   const std::vector<ExtractedFsm> found = expect_discovery_matches_reference(m);
   ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].state_wire, "r");
   EXPECT_TRUE(found[0].fsm.outputs.empty());
   EXPECT_EQ(found[0].state_codes, (std::vector<std::uint64_t>{0, 1}));
 }

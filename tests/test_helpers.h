@@ -2,7 +2,10 @@
 // builders.
 #pragma once
 
+#include <algorithm>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "fsm/fsm.h"
 #include "rtlil/module.h"
@@ -57,6 +60,18 @@ inline fsm::Fsm toggle_fsm() {
   f.add_transition("ON", "1", "OFF", "0");
   f.reset_state = 0;
   return f;
+}
+
+/// `bits`, an assignment of `from`'s inputs, restricted to `to`'s inputs,
+/// matched by name (a recovered machine keeps a subset of the source's).
+inline std::vector<bool> inputs_by_name(const fsm::Fsm& from, const fsm::Fsm& to,
+                                        const std::vector<bool>& bits) {
+  std::vector<bool> out;
+  for (const std::string& name : to.inputs) {
+    const auto at = std::find(from.inputs.begin(), from.inputs.end(), name);
+    out.push_back(bits.at(static_cast<std::size_t>(at - from.inputs.begin())));
+  }
+  return out;
 }
 
 /// The driving cell of every driven wire bit of `module`.

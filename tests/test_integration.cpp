@@ -104,9 +104,11 @@ TEST(Integration, CampaignMultiFaultScalesWithN) {
 TEST(Integration, FullPassOnCompiledNetlist) {
   rtlil::Design d;
   fsm::compile_unprotected(test::synfi_fsm(), d, {.module_name = "ctrl"});
-  core::PassOptions options;
-  options.config.protection_level = 2;
-  const core::PassResult result = core::run_scfi_pass(d, "ctrl", options);
+  core::ScfiConfig config;
+  config.protection_level = 2;
+  const std::vector<core::PassResult> results = core::run_scfi_pass(d, "ctrl", config);
+  ASSERT_EQ(results.size(), 1u);
+  const core::PassResult& result = results[0];
   EXPECT_EQ(result.extracted.num_states(), 5);
   EXPECT_EQ(result.report.cfg_edges,
             static_cast<int>(result.extracted.cfg_edges().size()));

@@ -17,6 +17,7 @@
 #include "sim/netlist_sim.h"
 #include "synth/lower.h"
 #include "synth/opt.h"
+#include "test_helpers.h"
 
 namespace scfi {
 namespace {
@@ -159,7 +160,9 @@ TEST_P(RandomFsm, ExtractionRecoversBehaviour) {
   const fsm::Fsm f = random_fsm(rng, 3 + GetParam() % 5, 2 + GetParam() % 3, 1);
   rtlil::Design d;
   const fsm::CompiledFsm c = fsm::compile_unprotected(f, d);
-  const fsm::Fsm g = fsm::extract_fsm(*c.module, c.state_wire).fsm;
+  const std::vector<fsm::ExtractedFsm> machines = fsm::extract_fsms(*c.module);
+  ASSERT_EQ(machines.size(), 1u);
+  const fsm::Fsm& g = machines[0].fsm;
   Rng walk(GetParam() + 5);
   int sf = f.reset_state;
   int sg = g.reset_state;
@@ -167,7 +170,7 @@ TEST_P(RandomFsm, ExtractionRecoversBehaviour) {
     std::vector<bool> in;
     for (int i = 0; i < f.num_inputs(); ++i) in.push_back(walk.chance(0.5));
     sf = f.step_raw(sf, in).first;
-    sg = g.step_raw(sg, in).first;
+    sg = g.step_raw(sg, test::inputs_by_name(f, g, in)).first;
     // Extracted states are named after the register code = the state index.
     ASSERT_EQ(g.states[static_cast<std::size_t>(sg)], "s" + std::to_string(sf));
   }
